@@ -594,6 +594,10 @@ type memo_row = {
   c_hit_rate : float;  (* cold sweep: 1 - (stores + drops) / queries *)
   c_plain_qps : float;
   c_memo_qps : float;
+  c_memo_us : float;
+      (* steady-state µs per memoized query: on the structural rows every
+         query is a memo hit, so this is the memo-hit path end to end —
+         BFS, key, probe — in process *)
 }
 
 (* [make ?memo ()] builds a fresh engine over the family's shared
@@ -636,6 +640,7 @@ let bench_memo_family ~name ~n ~radius ~capacity
     c_hit_rate = hit_rate;
     c_plain_qps = rate n !plain_t;
     c_memo_qps = rate n !memo_t;
+    c_memo_us = 1e6 *. !memo_t /. float_of_int n;
   }
 
 let json_of_memo_row r =
@@ -653,6 +658,7 @@ let json_of_memo_row r =
       ("cold_hit_rate", J.Float r.c_hit_rate);
       ("plain_queries_per_sec", J.Float r.c_plain_qps);
       ("memo_queries_per_sec", J.Float r.c_memo_qps);
+      ("memo_us_per_query", J.Float r.c_memo_us);
       ("memo_speedup", J.Float (r.c_memo_qps /. r.c_plain_qps));
     ]
 
@@ -709,10 +715,10 @@ let bench_memo ~smoke =
     (fun r ->
       Printf.printf
         "store  memo  %-17s n=%-6d r=%-3d classes %5d  hit %6.2f%%  plain \
-         %8.0f q/s  memo %8.0f q/s (%4.2fx)\n\
+         %8.0f q/s  memo %8.0f q/s %6.2f us/q (%4.2fx)\n\
          %!"
         r.c_family r.c_n r.c_radius r.c_stores (100.0 *. r.c_hit_rate)
-        r.c_plain_qps r.c_memo_qps
+        r.c_plain_qps r.c_memo_qps r.c_memo_us
         (r.c_memo_qps /. r.c_plain_qps))
     rows;
   let hit_ok =

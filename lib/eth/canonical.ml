@@ -49,57 +49,281 @@ let signature (view : Localmodel.View.t) =
    asymptotic size, so constant factors are the whole game.  Each
    varint is self-delimiting and the node/edge counts come first, so
    the byte stream parses uniquely and the encoding stays injective. *)
-let add_varint buf x =
-  let x = ref x in
-  while !x >= 0x80 do
-    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!x land 0x7f)));
-    x := !x lsr 7
-  done;
-  Buffer.add_char buf (Char.unsafe_chr !x)
+let max_varint = 9 (* bytes of a 63-bit int *)
 
-(* [Localmodel.Ids.rank] specialised to the miss path: views are
-   degree-bounded balls, so an in-place insertion sort with direct array
-   access beats the generic closure-compare sort, and the ranks go
-   straight into the buffer instead of through an intermediate array. *)
-let add_ranks buf (ids : int array) =
-  (* the annotation keeps this monomorphic: generalized to ['a array]
-     the sort would go through caml_compare and generic array access,
-     which is the whole cost this function exists to avoid *)
-  let n = Array.length ids in
-  let order = Array.init n (fun i -> i) in
-  for i = 1 to n - 1 do
-    let v = Array.unsafe_get order i in
-    let key = Array.unsafe_get ids v in
-    let j = ref (i - 1) in
-    while !j >= 0 && Array.unsafe_get ids (Array.unsafe_get order !j) > key do
-      Array.unsafe_set order (!j + 1) (Array.unsafe_get order !j);
-      decr j
-    done;
-    Array.unsafe_set order (!j + 1) v
+(* Write [x] at [pos] of [b], whose capacity the caller reserved; return
+   the position after it. *)
+let put_varint b pos x =
+  let x = ref x and p = ref pos in
+  while !x >= 0x80 do
+    Bytes.unsafe_set b !p (Char.unsafe_chr (0x80 lor (!x land 0x7f)));
+    x := !x lsr 7;
+    incr p
   done;
-  let r = Array.make n 0 in
-  Array.iteri (fun pos v -> Array.unsafe_set r v pos) order;
-  Array.iter (fun x -> add_varint buf x) r
+  Bytes.unsafe_set b !p (Char.unsafe_chr !x);
+  !p + 1
+
+(* Most key values (stamps, ranks, advice lengths) fit one byte; the
+   loop in [put_varint] keeps it from being inlined, this does not. *)
+let[@inline] put b pos x =
+  if x < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr x);
+    pos + 1
+  end
+  else put_varint b pos x
+
+(* Stable, monomorphic merge sort of [perm] by [key.(perm.(i))]:
+   insertion-sorted runs of 8, then bottom-up merges.  The annotation
+   keeps it monomorphic — generalized to ['a array] the comparisons
+   would go through caml_compare.  Not a plain insertion sort: BFS stamp
+   order interleaves small and large identifiers (a cycle ball stamps
+   v, v-1, v+1, v-2, ...), which is insertion sort's quadratic case.
+   Stability makes ties (invalid, duplicated identifiers) resolve by
+   stamp order. *)
+let sort_by_key (key : int array) (perm : int array) =
+  let n = Array.length perm in
+  let run = 8 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + run) in
+    for i = !lo + 1 to hi - 1 do
+      let v = Array.unsafe_get perm i in
+      let kv = Array.unsafe_get key v in
+      let j = ref (i - 1) in
+      while !j >= !lo && Array.unsafe_get key (Array.unsafe_get perm !j) > kv do
+        Array.unsafe_set perm (!j + 1) (Array.unsafe_get perm !j);
+        decr j
+      done;
+      Array.unsafe_set perm (!j + 1) v
+    done;
+    lo := hi
+  done;
+  if n > run then begin
+    let src = ref perm and dst = ref (Array.make n 0) in
+    let width = ref run in
+    while !width < n do
+      let s = !src and d = !dst and w = !width in
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = min n (!lo + w) and hi = min n (!lo + (2 * w)) in
+        let i = ref !lo and j = ref mid in
+        for k = !lo to hi - 1 do
+          if
+            !j >= hi
+            || !i < mid
+               && Array.unsafe_get key (Array.unsafe_get s !i)
+                  <= Array.unsafe_get key (Array.unsafe_get s !j)
+          then begin
+            Array.unsafe_set d k (Array.unsafe_get s !i);
+            incr i
+          end
+          else begin
+            Array.unsafe_set d k (Array.unsafe_get s !j);
+            incr j
+          end
+        done;
+        lo := hi
+      done;
+      src := d;
+      dst := s;
+      width := 2 * w
+    done;
+    if !src != perm then Array.blit !src 0 perm 0 n
+  end
+
+(* Domain-local scratch for the key encoder and the identifier order,
+   every array grown to the largest ball seen: the key bytes, the ball's
+   edges as parallel [src]/[dst] stamp arrays, and the slot table of the
+   dense-span identifier sort. *)
+type scratch = {
+  mutable bytes : Bytes.t;
+  mutable src : int array;
+  mutable dst : int array;
+  mutable slots : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        bytes = Bytes.create 1024;
+        src = Array.make 256 0;
+        dst = Array.make 256 0;
+        slots = Array.make 256 0;
+      })
+
+(* Identifiers of a ball are usually a dense integer range — builders
+   number neighbors near each other, and a shard's global ids keep that
+   order — so when their span is within a small factor of the ball size,
+   one scatter into a slot table and one sweep sort them with no
+   comparisons.  Returns [false] (leaving [perm] to the merge sort) on a
+   wide span or a repeated identifier. *)
+let dense_order sc (key : int array) (perm : int array) =
+  let count = Array.length key in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to count - 1 do
+    let k = Array.unsafe_get key i in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  let lo = !lo in
+  (* [span <= 0] catches overflow on extreme identifiers. *)
+  let span = !hi - lo + 1 in
+  if count = 0 || span <= 0 || span > 4 * count then false
+  else begin
+    if Array.length sc.slots < span then sc.slots <- Array.make (2 * span) 0;
+    let slots = sc.slots in
+    Array.fill slots 0 span (-1);
+    let distinct = ref true in
+    for i = 0 to count - 1 do
+      let s = Array.unsafe_get key i - lo in
+      if Array.unsafe_get slots s >= 0 then distinct := false
+      else Array.unsafe_set slots s i
+    done;
+    if !distinct then begin
+      let r = ref 0 in
+      for s = 0 to span - 1 do
+        let i = Array.unsafe_get slots s in
+        if i >= 0 then begin
+          Array.unsafe_set perm !r i;
+          incr r
+        end
+      done
+    end;
+    !distinct
+  end
+
+(* The identifier order of the ball stamped in [ws]: [perm.(r)] is the
+   stamp index of the node with the [r]-th smallest identifier and
+   [rank] its inverse.  [ids] is indexed by host node. *)
+let id_order sc ws (ids : int array) =
+  let count = Workspace.size ws in
+  let queue = ws.Workspace.queue in
+  let key = Array.make count 0 and perm = Array.make count 0 in
+  for i = 0 to count - 1 do
+    key.(i) <- ids.(queue.(i));
+    perm.(i) <- i
+  done;
+  if not (dense_order sc key perm) then sort_by_key key perm;
+  let rank = Array.make count 0 in
+  for r = 0 to count - 1 do
+    rank.(perm.(r)) <- r
+  done;
+  (perm, rank)
+
+(* The key bytes with room for [need] more past [pos]: capacity is
+   reserved once per section, so the per-byte writes stay unchecked. *)
+let reserve sc pos need =
+  if pos + need > Bytes.length sc.bytes then begin
+    let b = Bytes.create (max (pos + need) (2 * Bytes.length sc.bytes)) in
+    Bytes.blit sc.bytes 0 b 0 pos;
+    sc.bytes <- b
+  end;
+  sc.bytes
+
+(* The ball's edges [(i, j)], [i < j], in lexicographic stamp order, into
+   [sc.src]/[sc.dst]; returns how many.  One pass over the members'
+   adjacency: each stamp's forward neighbors are insertion-sorted in
+   place (balls are degree-bounded). *)
+let stamped_edges sc ws g =
+  let count = Workspace.size ws in
+  let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
+  (* Direct stamp reads: this loop runs per neighbor, and cross-module
+     calls are not inlined in every build profile. *)
+  let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+  let m = ref 0 in
+  for i = 0 to count - 1 do
+    let nb = Graph.neighbors g queue.(i) in
+    let deg = Array.length nb in
+    if Array.length sc.dst < !m + deg then begin
+      let grow a = Array.append a (Array.make (Array.length a + deg) 0) in
+      sc.src <- grow sc.src;
+      sc.dst <- grow sc.dst
+    end;
+    let src = sc.src and dst = sc.dst in
+    let first = !m in
+    for k = 0 to deg - 1 do
+      let u = Array.unsafe_get nb k in
+      if stamp.(u) = epoch && sub.(u) > i then begin
+        let x = sub.(u) in
+        let j = ref (!m - 1) in
+        while !j >= first && Array.unsafe_get dst !j > x do
+          Array.unsafe_set dst (!j + 1) (Array.unsafe_get dst !j);
+          decr j
+        done;
+        Array.unsafe_set dst (!j + 1) x;
+        Array.unsafe_set src !m i;
+        incr m
+      end
+    done
+  done;
+  !m
+
+(* The one encoder of the ball-key byte format, reading the ball
+   stamped in [ws] over host graph [g] (ids and advice indexed by host
+   node): node count, center stamp, edge count, the edges [(i, j)],
+   [i < j], in lexicographic stamp order, the identifier rank of every
+   stamp, then every stamp's advice, length-prefixed.  That is exactly
+   the induced subgraph in stamp order that [View.make] would build,
+   so both entry points below write the same bytes. *)
+let encode_stamped ~prefix ws g ~center ~ids ~advice =
+  let sc = Domain.DLS.get scratch_key in
+  let count = Workspace.size ws in
+  let m = stamped_edges sc ws g in
+  let plen = String.length prefix in
+  let b = reserve sc 0 (plen + (max_varint * (3 + (2 * m) + count))) in
+  Bytes.blit_string prefix 0 b 0 plen;
+  let pos = put b plen count in
+  let pos = put b pos center in
+  let pos = ref (put b pos m) in
+  let src = sc.src and dst = sc.dst in
+  for e = 0 to m - 1 do
+    pos := put b !pos (Array.unsafe_get src e);
+    pos := put b !pos (Array.unsafe_get dst e)
+  done;
+  let _, rank = id_order sc ws ids in
+  for i = 0 to count - 1 do
+    pos := put b !pos (Array.unsafe_get rank i)
+  done;
+  let queue = ws.Workspace.queue in
+  for i = 0 to count - 1 do
+    let s = advice.(queue.(i)) in
+    let len = String.length s in
+    let b = reserve sc !pos (max_varint + len) in
+    pos := put b !pos len;
+    (* Advice strings are a few bytes: a byte loop beats a blit call. *)
+    for j = 0 to len - 1 do
+      Bytes.unsafe_set b (!pos + j) (String.unsafe_get s j)
+    done;
+    pos := !pos + len
+  done;
+  Bytes.sub_string sc.bytes 0 !pos
+
+(* A materialized view re-stamped into the domain-local workspace in
+   identity order: the view's own graph then reads as a host whose
+   stamped ball is the whole view, stamp [i] = view node [i]. *)
+let stamp_view (view : Localmodel.View.t) =
+  let ws = Workspace.domain_local () in
+  let k = Graph.n view.Localmodel.View.graph in
+  Workspace.ensure ws k;
+  Workspace.reset ws;
+  for i = 0 to k - 1 do
+    Workspace.add ws i ~dist:view.Localmodel.View.dist.(i)
+  done;
+  ws
 
 let ball_signature (view : Localmodel.View.t) =
-  let g = view.Localmodel.View.graph in
-  let n = Graph.n g in
-  let buf = Buffer.create (8 * n) in
-  add_varint buf n;
-  add_varint buf view.Localmodel.View.center;
-  add_varint buf (Graph.m g);
-  Graph.iter_edges
-    (fun _ (u, v) ->
-      add_varint buf u;
-      add_varint buf v)
-    g;
-  add_ranks buf view.Localmodel.View.ids;
-  Array.iter
-    (fun s ->
-      add_varint buf (String.length s);
-      Buffer.add_string buf s)
-    view.Localmodel.View.advice;
-  Buffer.contents buf
+  let ws = stamp_view view in
+  encode_stamped ~prefix:"" ws view.Localmodel.View.graph
+    ~center:view.Localmodel.View.center ~ids:view.Localmodel.View.ids
+    ~advice:view.Localmodel.View.advice
+
+(* The BFS source is always the first stamp. *)
+let ball_key ~prefix ws g ~ids ~advice =
+  encode_stamped ~prefix ws g ~center:0 ~ids ~advice
+
+let ordered_fragment ws g ~ids =
+  let perm, rank = id_order (Domain.DLS.get scratch_key) ws ids in
+  (Graph.induced_ball_ranked g ws ~rank, perm, rank)
 
 type table = (string, int) Hashtbl.t
 
@@ -112,7 +336,8 @@ type build_result =
   | Conflict of string * int * int
 
 let build_table samples =
-  let table = Hashtbl.create (List.length samples) in
+  (* One table per call, not per ball. *)
+  let[@advicelint.allow "hot-alloc"] table = Hashtbl.create (List.length samples) in
   let conflict = ref None in
   List.iter
     (fun (view, output) ->
@@ -142,7 +367,7 @@ let run_with_table table ~default g ~ids ~advice ~radius =
           default)
 
 let is_order_invariant ~(decide : Localmodel.View.t -> int) ~graphs ~radius =
-  let table = Hashtbl.create 64 in
+  let[@advicelint.allow "hot-alloc"] table = Hashtbl.create 64 in
   let ok = ref true in
   List.iter
     (fun (g, id_assignments) ->

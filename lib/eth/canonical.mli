@@ -26,7 +26,49 @@ val ball_signature : Localmodel.View.t -> string
     determined by (graph, center) and inputs are never read by the C4
     decoder, so unlike {!signature} both stay out of the key: two views
     with equal [ball_signature]s decode to byte-identical labels under
-    the same parameters and radius. *)
+    the same parameters and radius.  Uses the calling domain's
+    {!Netgraph.Workspace} as scratch (see {!stamp_view}); the bytes come
+    from the same encoder as {!ball_key}. *)
+
+val ball_key :
+  prefix:string ->
+  Netgraph.Workspace.t ->
+  Netgraph.Graph.t ->
+  ids:int array ->
+  advice:string array ->
+  string
+(** The serve stack's workspace entry point.  After
+    [Netgraph.Traversal.bfs_limited_into ws g v radius] has stamped
+    [v]'s ball, [ball_key ~prefix ws g ~ids ~advice] is
+    [prefix ^ ball_signature (Localmodel.View.make ~advice g ~ids ~radius v)],
+    byte for byte — written straight from the stamps into a
+    domain-local buffer, with no view and no induced graph built.
+    [ids] and [advice] are indexed by host node.  Reads [ws] without
+    disturbing the stamps, so {!ordered_fragment} can follow on the same
+    ball. *)
+
+val ordered_fragment :
+  Netgraph.Workspace.t ->
+  Netgraph.Graph.t ->
+  ids:int array ->
+  Netgraph.Graph.t * int array * int array
+(** [ordered_fragment ws g ~ids] is the ball stamped in [ws], relabelled
+    in identifier order — the canonical representative of its order
+    type, and the fragment the C4 ball decoder runs on:
+    [(h, perm, rank)] where [perm.(r)] is the stamp index of the node
+    with the [r]-th smallest identifier, [rank] is its inverse, and [h]
+    is the induced subgraph with stamped node [i] renumbered [rank.(i)]
+    ({!Netgraph.Graph.induced_ball_ranked}).  O(ball) plus a monomorphic
+    O(k log k) identifier sort; ties between (invalid, duplicated)
+    identifiers resolve by stamp order. *)
+
+val stamp_view : Localmodel.View.t -> Netgraph.Workspace.t
+(** [stamp_view view] re-stamps [view]'s nodes into the calling domain's
+    workspace in identity order and returns it: with the view's own
+    graph as host, [ids]/[advice] as its arrays and [view.center] as the
+    center, the workspace entry points read the materialized view.
+    This is how {!ball_signature} shares {!ball_key}'s encoder.  The
+    stamps last until the next user of the domain-local workspace. *)
 
 type table = (string, int) Hashtbl.t
 (** Lookup table from canonical signatures to outputs. *)

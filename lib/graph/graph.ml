@@ -126,45 +126,35 @@ let fold_nodes f g init =
 
 let edges g = g.edges
 
-(* Extract the subgraph induced by the node set stamped in [ws], numbering
-   sub nodes by stamp (insertion) order.  Only the members' own adjacency
-   lists are scanned, so the cost is O(ball nodes + ball edges) plus the
-   sort of each sub adjacency array — never O(n) or O(m) of the host
-   graph.  The result obeys the same canonical invariants as {!of_edges}:
-   sorted neighbor arrays, lexicographically sorted edge array, dense edge
-   ids in that order, adjacency-aligned incident ids. *)
-let induced_ball g ws =
-  let count = Workspace.size ws in
-  let to_orig = Array.sub ws.Workspace.queue 0 count in
-  let deg = Array.make count 0 in
-  for i = 0 to count - 1 do
-    let nb = g.adj.(to_orig.(i)) in
-    let d = ref 0 in
-    for k = 0 to Array.length nb - 1 do
-      if Workspace.mem ws nb.(k) then incr d
-    done;
-    deg.(i) <- !d
-  done;
-  let adj = Array.init count (fun i -> Array.make deg.(i) 0) in
-  let sub_m = ref 0 in
-  for i = 0 to count - 1 do
-    let nb = g.adj.(to_orig.(i)) in
-    let fill = ref 0 in
-    for k = 0 to Array.length nb - 1 do
-      let u = nb.(k) in
-      if Workspace.mem ws u then begin
-        adj.(i).(!fill) <- ws.Workspace.sub.(u);
-        incr fill
-      end
-    done;
-    sub_m := !sub_m + !fill;
-    (* Neighbors arrive sorted by original id; sub ids are stamp-order, so
-       re-sort to restore the canonical ordering. *)
-    Array.sort Int.compare adj.(i)
-  done;
-  let edges = Array.make (!sub_m / 2) (0, 0) in
+(* Monomorphic sort for adjacency arrays.  Balls on the serve path are
+   degree-bounded, so an in-place insertion sort with direct int
+   comparisons beats the generic closure-compare [Array.sort]; long
+   arrays (a star's hub) fall back to it so the worst case stays
+   O(d log d). *)
+let sort_ints (a : int array) =
+  let n = Array.length a in
+  if n > 16 then Array.sort Int.compare a
+  else
+    for i = 1 to n - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done
+
+(* A graph on already-sorted adjacency arrays: emitting each [(i, j)]
+   with [i < j] in node order yields the lexicographic edge array, so
+   the canonical invariants of {!of_edges} hold without a sort or a
+   dedup table. *)
+let of_sorted_adj adj =
+  let n = Array.length adj in
+  let sub_m = Array.fold_left (fun acc nb -> acc + Array.length nb) 0 adj / 2 in
+  let edges = Array.make sub_m (0, 0) in
   let next = ref 0 in
-  for i = 0 to count - 1 do
+  for i = 0 to n - 1 do
     let nb = adj.(i) in
     for k = 0 to Array.length nb - 1 do
       if i < nb.(k) then begin
@@ -173,7 +163,47 @@ let induced_ball g ws =
       end
     done
   done;
-  ({ n = count; adj; edges; incident = incident_of_adj adj edges }, to_orig)
+  { n; adj; edges; incident = incident_of_adj adj edges }
+
+(* The subgraph induced by the node set stamped in [ws].  Stamped node
+   [i] (insertion order) becomes sub node [relabel.(i)], or [i] itself
+   without a relabelling.  Only the members' own adjacency lists are
+   scanned, so the cost is O(ball nodes + ball edges) plus the sort of
+   each sub adjacency array — never O(n) or O(m) of the host graph. *)
+let ball_graph g ws relabel =
+  let count = Workspace.size ws in
+  let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
+  let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+  let adj = Array.make count [||] in
+  for i = 0 to count - 1 do
+    let nb = g.adj.(queue.(i)) in
+    let d = ref 0 in
+    for k = 0 to Array.length nb - 1 do
+      if stamp.(nb.(k)) = epoch then incr d
+    done;
+    let a = Array.make !d 0 in
+    let fill = ref 0 in
+    for k = 0 to Array.length nb - 1 do
+      let u = nb.(k) in
+      if stamp.(u) = epoch then begin
+        let s = sub.(u) in
+        a.(!fill) <- (match relabel with None -> s | Some r -> r.(s));
+        incr fill
+      end
+    done;
+    (* Neighbors arrive sorted by original id, not by sub id. *)
+    sort_ints a;
+    adj.(match relabel with None -> i | Some r -> r.(i)) <- a
+  done;
+  of_sorted_adj adj
+
+let induced_ball g ws =
+  (ball_graph g ws None, Array.sub ws.Workspace.queue 0 (Workspace.size ws))
+
+let induced_ball_ranked g ws ~rank =
+  if Array.length rank <> Workspace.size ws then
+    invalid_arg "Graph.induced_ball_ranked: rank length differs from the ball size";
+  ball_graph g ws (Some rank)
 
 let induced g nodes =
   let ws = Workspace.domain_local () in
@@ -230,21 +260,7 @@ let induced_sorted g ids =
             nb;
           out)
     in
-    let sub_m =
-      Array.fold_left (fun acc nb -> acc + Array.length nb) 0 adj / 2
-    in
-    let edges = Array.make sub_m (0, 0) in
-    let next = ref 0 in
-    for i = 0 to count - 1 do
-      Array.iter
-        (fun j ->
-          if i < j then begin
-            edges.(!next) <- (i, j);
-            incr next
-          end)
-        adj.(i)
-    done;
-    { n = count; adj; edges; incident = incident_of_adj adj edges }
+    of_sorted_adj adj
   end
 
 let remove_nodes g removed =

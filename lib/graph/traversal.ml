@@ -22,21 +22,38 @@ let bfs_distances_multi g sources =
 
 let bfs_distances g s = bfs_distances_multi g [ s ]
 
+(* The per-neighbor loop reads and writes the workspace fields directly
+   ({!Workspace.add} inlined by hand): this is the one BFS of every
+   served ball, and cross-module calls are not inlined in every build
+   profile. *)
 let bfs_limited_into ws g s r =
   Workspace.ensure ws (Graph.n g);
   Workspace.reset ws;
   Workspace.add ws s ~dist:0;
-  let head = ref 0 in
-  while !head < ws.Workspace.size do
-    let v = ws.Workspace.queue.(!head) in
+  let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+  let dist = ws.Workspace.dist and sub = ws.Workspace.sub in
+  let queue = ws.Workspace.queue in
+  let size = ref 1 and head = ref 0 in
+  while !head < !size do
+    let v = queue.(!head) in
     incr head;
-    let dv = ws.Workspace.dist.(v) in
-    if dv < r then
-      Array.iter
-        (fun u -> if not (Workspace.mem ws u) then Workspace.add ws u ~dist:(dv + 1))
-        (Graph.neighbors g v)
+    let dv = dist.(v) in
+    if dv < r then begin
+      let nb = Graph.neighbors g v in
+      for k = 0 to Array.length nb - 1 do
+        let u = nb.(k) in
+        if stamp.(u) <> epoch then begin
+          stamp.(u) <- epoch;
+          dist.(u) <- dv + 1;
+          sub.(u) <- !size;
+          queue.(!size) <- u;
+          incr size
+        end
+      done
+    end
   done;
-  ws.Workspace.size
+  ws.Workspace.size <- !size;
+  !size
 
 let bfs_limited g s r =
   let ws = Workspace.domain_local () in

@@ -5,12 +5,15 @@ type t = {
   write_budget : int;
   mutable st : state;
   (* Read side: one growable buffer, [rlen] valid bytes starting at 0.
-     Consumed frames are compacted away after each feed, so the buffer
-     never holds more than one incomplete frame plus one read chunk. *)
+     A feed parses its frames with a cursor and compacts the consumed
+     prefix away once at the end, so the buffer never holds more than
+     one incomplete frame plus one read chunk. *)
   mutable rbuf : Bytes.t;
   mutable rlen : int;
   (* Write side: FIFO of encoded frames; [woff] is the send offset into
-     the head.  [wbytes] tracks the queued total for backpressure. *)
+     the head.  [wbytes] tracks the queued total for backpressure.
+     {!pending} merges queued frames into one chunk, so a burst of
+     pipelined answers leaves in one write. *)
   writes : string Queue.t;
   mutable woff : int;
   mutable wbytes : int;
@@ -43,7 +46,36 @@ let enqueue t frame =
     t.wbytes <- t.wbytes + String.length frame
   end
 
+(* Largest chunk [pending] builds by merging frames; a frame longer
+   than this is sent as it is. *)
+let coalesce_limit = 64 * 1024
+
+(* Merge the frames behind an untouched head into it, up to
+   [coalesce_limit] bytes.  Every byte is copied at most once: a merged
+   head that is then partly written is not merged again until sent. *)
+let coalesce t =
+  if t.woff = 0 && Queue.length t.writes > 1 then begin
+    let head = Queue.pop t.writes in
+    let size = ref (String.length head) in
+    let parts = ref [ head ] in
+    while
+      (not (Queue.is_empty t.writes))
+      && !size + String.length (Queue.peek t.writes) <= coalesce_limit
+    do
+      let s = Queue.pop t.writes in
+      size := !size + String.length s;
+      parts := s :: !parts
+    done;
+    let merged = String.concat "" (List.rev !parts) in
+    (* Put the merged chunk back in front of whatever did not fit. *)
+    let rest = Queue.create () in
+    Queue.transfer t.writes rest;
+    Queue.add merged t.writes;
+    Queue.transfer rest t.writes
+  end
+
 let pending t =
+  coalesce t;
   match Queue.peek_opt t.writes with
   | None -> None
   | Some head -> Some (head, t.woff)
@@ -93,36 +125,36 @@ let ensure_capacity t extra =
 (* Parse-and-dispatch until the buffer holds no complete frame.  Each
    parsed request is answered immediately and in order, so several
    requests arriving in one read (pipelining) produce their responses
-   back-to-back in one write queue. *)
-let rec pump t on_error dispatch =
-  if t.st = Open && t.rlen > 0 then begin
+   back-to-back in one write queue.  Frames are parsed at a cursor and
+   the consumed prefix is compacted away once, after the loop: k frames
+   in one read cost O(bytes), not O(k * bytes). *)
+let pump t on_error dispatch =
+  let pos = ref 0 in
+  let continue = ref true in
+  while !continue && t.st = Open && !pos < t.rlen do
     match
-      Protocol.parse_request ~max_frame:t.max_frame t.rbuf ~pos:0 ~len:t.rlen
+      Protocol.parse_request ~max_frame:t.max_frame t.rbuf ~pos:!pos
+        ~len:(t.rlen - !pos)
     with
-    | Protocol.Need _ -> ()
+    | Protocol.Need _ -> continue := false
     | Protocol.Done (rq, consumed) ->
         let rs = dispatch rq in
         enqueue t (Protocol.response_to_string rs);
-        consume t consumed;
-        pump t on_error dispatch
+        pos := !pos + consumed
     | Protocol.Fail { code; message; consumed } ->
         enqueue t (Protocol.response_to_string (Protocol.Error (code, message)));
         on_error code;
         if Protocol.error_is_fatal code then begin
           (* The stream is out of sync: answer, flush, hang up. *)
           t.rlen <- 0;
+          pos := 0;
           t.st <- Draining
         end
-        else begin
-          consume t consumed;
-          pump t on_error dispatch
-        end
-  end
-
-and consume t k =
-  if k > 0 then begin
-    Bytes.blit t.rbuf k t.rbuf 0 (t.rlen - k);
-    t.rlen <- t.rlen - k
+        else pos := !pos + consumed
+  done;
+  if !pos > 0 then begin
+    Bytes.blit t.rbuf !pos t.rbuf 0 (t.rlen - !pos);
+    t.rlen <- t.rlen - !pos
   end
 
 let feed ?(on_error = fun _ -> ()) t buf n dispatch =

@@ -76,9 +76,11 @@ val enqueue : t -> string -> unit
     when {!Closed}. *)
 
 val pending : t -> (string * int) option
-(** The frame chunk to send next, as [(bytes, offset)]: send any prefix
-    of [bytes] from [offset] on and report progress with {!wrote}.
-    [None] when the queue is empty. *)
+(** The chunk to send next, as [(bytes, offset)]: send any prefix of
+    [bytes] from [offset] on and report progress with {!wrote}.  Queued
+    frames are merged into one chunk (up to 64 KiB, in queue order), so
+    a burst of pipelined answers goes out in one write.  [None] when the
+    queue is empty. *)
 
 val wrote : t -> int -> unit
 (** [wrote t k] records that [k] bytes of the current {!pending} chunk

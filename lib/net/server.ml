@@ -313,19 +313,31 @@ let read_ready t chunk fd conn =
       ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t fd conn
 
+(* Drain the write queue until it is empty or the socket pushes back: a
+   short write or EAGAIN means the kernel buffer is full, and the next
+   select reports when it has room.  [Conn.pending] merges queued
+   frames, so a burst of pipelined answers costs one write, not one
+   select round each. *)
 let write_ready t fd conn =
-  match Conn.pending conn with
-  | None -> ()
-  | Some (s, off) -> (
-      match Unix.write_substring fd s off (String.length s - off) with
-      | k ->
-          t.c.bytes_out <- t.c.bytes_out + k;
-          Obs.Metrics.add m_bytes_out k;
-          Conn.wrote conn k
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error (_, _, _) -> close_conn t fd conn)
+  let continue = ref true in
+  while !continue do
+    match Conn.pending conn with
+    | None -> continue := false
+    | Some (s, off) -> (
+        let len = String.length s - off in
+        match Unix.write_substring fd s off len with
+        | k ->
+            t.c.bytes_out <- t.c.bytes_out + k;
+            Obs.Metrics.add m_bytes_out k;
+            Conn.wrote conn k;
+            if k < len then continue := false
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            continue := false
+        | exception Unix.Unix_error (_, _, _) ->
+            close_conn t fd conn;
+            continue := false)
+  done
 
 let begin_shutdown t =
   if not t.shutting then begin
@@ -391,13 +403,16 @@ let run t =
           begin_shutdown t
         end;
         if (not t.shutting) && List.memq t.listen_fd rready then accept_ready t;
+        (* Answers produced by a read go out in the same round: the
+           socket is almost always writable, and waiting for the next
+           select to say so would cost a select per burst. *)
         List.iter
           (fun (fd, conn) ->
-            if List.memq fd rready then read_ready t chunk fd conn)
-          t.conns;
-        List.iter
-          (fun (fd, conn) ->
-            if List.memq fd wready then write_ready t fd conn)
+            if List.memq fd rready then read_ready t chunk fd conn;
+            if
+              Conn.state conn <> Conn.Closed
+              && (List.memq fd wready || Conn.wants_write conn)
+            then write_ready t fd conn)
           t.conns;
         (* Sweep: EOF'd/errored conns whose queues drained, plus — when
            the drain grace is exhausted — everyone still lingering. *)

@@ -43,57 +43,66 @@ type t = {
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* The canonical trail structure (Orientation.euler_partition) pairs
-   edges in sorted-neighbor order, i.e. in identifier order.  A view's
-   fragment is numbered by BFS stamp order instead, so feeding it to the
-   decoder directly would present a different identifier assignment.
-   Relabel the fragment so sub ids are sorted by the view's global
-   identifiers: [perm.(r)] is the view node of ordered rank [r] and
-   [rank] its inverse. *)
-let ordered_fragment (view : View.t) =
-  let k = Graph.n view.View.graph in
-  let perm = Array.init k (fun i -> i) in
-  let ids = view.View.ids in
-  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) perm;
-  let rank = Array.make k 0 in
-  Array.iteri (fun r i -> rank.(i) <- r) perm;
-  let edges =
-    Graph.fold_edges
-      (fun _ (u, v) acc -> (rank.(u), rank.(v)) :: acc)
-      view.View.graph []
-  in
-  (Graph.of_edges ~n:k edges, perm, rank)
-
-let label_of_view ~params (view : View.t) =
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe m_ball (Graph.n view.View.graph);
-  let h, perm, rank = ordered_fragment view in
+(* Decode the ball stamped in [ws] over host [g] (center at stamp index
+   [center]; ids and advice indexed by host node).  The canonical trail
+   structure (Orientation.euler_partition) pairs edges in sorted-neighbor
+   order, i.e. in identifier order, while the ball is numbered by BFS
+   stamp order — so the decoder runs on the id-ordered fragment
+   ({!Ethlink.Canonical.ordered_fragment}), built straight from the
+   stamps.  [tolerant] degrades an undecodable ball to the all-'0' label
+   instead of raising. *)
+let decode_stamped ~params ~tolerant ws g ~ids ~advice ~center =
+  let h, perm, rank = Ethlink.Canonical.ordered_fragment ws g ~ids in
   let k = Graph.n h in
-  let advice = Array.init k (fun r -> view.View.advice.(perm.(r))) in
+  if Obs.Metrics.enabled () then Obs.Metrics.observe m_ball k;
+  let queue = ws.Workspace.queue in
+  let advice = Array.init k (fun r -> advice.(queue.(perm.(r)))) in
+  let c = rank.(center) in
+  (* Everything the decode needs is copied out of [ws] by now: the
+     decoder reuses the domain-local workspace for its own BFS. *)
   let ones = Bitset.create k in
   Array.iteri
     (fun r s -> if String.length s > 0 && s.[0] = '1' then Bitset.add ones r)
     advice;
-  (* Fragment-safe C4 split: the first advice char is the one-bit
-     orientation marker; truncated marker messages near the boundary are
-     ignored by [Onebit.decode] and missing anchors fall back to the
-     canonical trail direction. *)
-  let varlen = Advice.Onebit.decode h ones in
-  let o = Balanced_orientation.decode_tolerant ~params h varlen in
-  let c = rank.(view.View.center) in
   let nbrs = Graph.neighbors h c in
-  String.init (Array.length nbrs) (fun i ->
-      let u = nbrs.(i) in
-      let tail, head = if Orientation.points_from o c u then (c, u) else (u, c) in
-      let out = Orientation.out_neighbors o tail in
-      let idx = ref 0 in
-      Array.iter (fun w -> if w < head then incr idx) out;
-      let s = advice.(tail) in
-      (* Position 0 is the orientation bit; membership bits follow in
-         out-neighbor (= identifier) order.  A fragment whose boundary
-         truncates the tail's adjacency can run past the string — the
-         certified radius rules that out, and below it we stay total. *)
-      if 1 + !idx < String.length s then s.[1 + !idx] else '0')
+  let label () =
+    (* Fragment-safe C4 split: the first advice char is the one-bit
+       orientation marker; truncated marker messages near the boundary
+       are ignored by [Onebit.decode] and missing anchors fall back to
+       the canonical trail direction. *)
+    let varlen = Advice.Onebit.decode h ones in
+    let o = Balanced_orientation.decode_tolerant ~params h varlen in
+    String.init (Array.length nbrs) (fun i ->
+        let u = nbrs.(i) in
+        let tail, head =
+          if Orientation.points_from o c u then (c, u) else (u, c)
+        in
+        let out = Orientation.out_neighbors o tail in
+        let idx = ref 0 in
+        Array.iter (fun w -> if w < head then incr idx) out;
+        let s = advice.(tail) in
+        (* Position 0 is the orientation bit; membership bits follow in
+           out-neighbor (= identifier) order.  A fragment whose boundary
+           truncates the tail's adjacency can run past the string — the
+           certified radius rules that out, and below it we stay total. *)
+        if 1 + !idx < String.length s then s.[1 + !idx] else '0')
+  in
+  if not tolerant then label ()
+  else
+    (* Quarantined advice can hold arbitrarily damaged bit strings, and
+       the decoder's totality guarantee only covers well-formed
+       assignments: one poisoned ball must not take down the query (or
+       the whole parallel batch). *)
+    match label () with
+    | s -> s
+    | exception (Balanced_orientation.Encoding_failure _ | Invalid_argument _) ->
+        Obs.Metrics.incr m_fallback;
+        String.make (Array.length nbrs) '0'
+
+let label_of_view ~params (view : View.t) =
+  let ws = Ethlink.Canonical.stamp_view view in
+  decode_stamped ~params ~tolerant:false ws view.View.graph ~ids:view.View.ids
+    ~advice:view.View.advice ~center:view.View.center
 
 (* Metadata access *)
 
@@ -288,45 +297,35 @@ let incident_index t v e =
   done;
   !lo
 
-(* Quarantined advice can hold arbitrarily damaged bit strings, and the
-   decoder's totality guarantee only covers well-formed assignments: one
-   poisoned ball must not take down the query (or the whole parallel
-   batch), so an untrusted engine degrades that ball to the all-'0'
-   label instead of propagating the decoder's exception. *)
-let tolerant_label ~params (view : View.t) =
-  match label_of_view ~params view with
-  | s -> s
-  | exception (Balanced_orientation.Encoding_failure _ | Invalid_argument _) ->
-      Obs.Metrics.incr m_fallback;
-      String.init
-        (Array.length (Graph.neighbors view.View.graph view.View.center))
-        (fun _ -> '0')
-
-let ball_label t =
-  let params = t.params in
-  if t.trusted then fun view -> label_of_view ~params view
-  else fun view -> tolerant_label ~params view
-
 (* Decode [v]'s ball, consulting the canonical-ball memo between the
-   LRU layer (the caller) and the decoder.  A memo miss hands the
-   (key, label) pair to [stage] instead of writing the table: the
-   single-writer publication discipline.  The serialized single-query
-   path stages straight into the table ([publish]); the batch paths
-   stage into a worker-local list and publish after the pool join —
-   workers only ever *read* the table, so it stays frozen for the whole
-   parallel region. *)
+   LRU layer (the caller) and the decoder.  One BFS stamps the ball; the
+   memo key is written straight from the stamps, and only a memo miss
+   builds the id-ordered fragment — from the same stamps — and decodes
+   it.  An untrusted engine degrades undecodable balls to the all-'0'
+   label.  A memo miss hands the (key, label) pair to [stage] instead of
+   writing the table: the single-writer publication discipline.  The
+   serialized single-query path stages straight into the table
+   ([publish]); the batch paths stage into a worker-local list and
+   publish after the pool join — workers only ever *read* the table, so
+   it stays frozen for the whole parallel region. *)
 let compute_label t ~stage v =
-  let view =
-    View.make ~advice:t.advice t.graph ~ids:t.ids ~radius:t.radius v
+  let ws = Workspace.domain_local () in
+  ignore (Traversal.bfs_limited_into ws t.graph v t.radius);
+  let decode () =
+    decode_stamped ~params:t.params ~tolerant:(not t.trusted) ws t.graph
+      ~ids:t.ids ~advice:t.advice ~center:0
   in
   match t.memo with
-  | None -> ball_label t view
+  | None -> decode ()
   | Some memo -> (
-      let key = t.memo_prefix ^ Ethlink.Canonical.ball_signature view in
+      let key =
+        Ethlink.Canonical.ball_key ~prefix:t.memo_prefix ws t.graph ~ids:t.ids
+          ~advice:t.advice
+      in
       match Memo.find memo key with
       | Some label -> label
       | None ->
-          let label = ball_label t view in
+          let label = decode () in
           stage key label;
           label)
 

@@ -5,12 +5,14 @@
     kinds: [Output_label v] (the membership bits of [v]'s incident
     edges, in sorted-neighbor order), [Edge_member (v, e)] (is incident
     edge [e] in the compressed set — C4 decompression), and
-    [Advice_bits v] (the raw advice string).  A ball query materializes
-    the radius-r view through the {!Localmodel.View} machinery, relabels
-    the fragment order-preservingly (the canonical trail structure is
-    identifier-ordered, and BFS stamp order is not), runs the tolerant
-    orientation decoder on the fragment, and reads the membership bits —
-    O(ball) work per miss, independent of the graph size.
+    [Advice_bits v] (the raw advice string).  A ball query stamps the
+    node's radius-r ball into the domain-local {!Netgraph.Workspace} with
+    one BFS, builds the fragment straight from the stamps relabelled
+    order-preservingly ({!Ethlink.Canonical.ordered_fragment}: the
+    canonical trail structure is identifier-ordered, and BFS stamp order
+    is not), runs the tolerant orientation decoder on it, and reads the
+    membership bits — O(ball) work per miss, independent of the graph
+    size, with no {!Localmodel.View} materialized.
 
     {b Batch parallelism.}  The node-id space is cut into contiguous
     {e shards} (default: one per effective domain), each pinned to its
@@ -26,10 +28,12 @@
 
     {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
     {e between} the LRU caches and the decoder: a cache miss first keys
-    the extracted ball by
-    {!Ethlink.Canonical.ball_signature} (prefixed with the engine's
-    radius, decoder parameters and trust mode) and only decodes on a
-    memo miss — so nodes with isomorphic balls share one decode, across
+    the stamped ball with {!Ethlink.Canonical.ball_key} — the bytes of
+    {!Ethlink.Canonical.ball_signature}, prefixed with the engine's
+    radius, decoder parameters and trust mode, written straight from
+    the BFS stamps — and only builds the fragment and decodes on a memo
+    miss, from the same stamps; a memo hit builds neither a view nor a
+    graph.  Nodes with isomorphic balls share one decode, across
     shards, engines (the router passes one table to every per-shard
     engine) and LRU evictions.  Answers are byte-identical to the
     unmemoized engine: the signature captures the decoder's whole
@@ -58,8 +62,9 @@
     Obs: [serve.queries], [serve.batches], [serve.cache.hits],
     [serve.cache.misses], [serve.degraded], [serve.quarantined],
     [serve.fallback_labels], [serve.batch.shards] counters, the
-    [serve.ball_size] histogram, and the [serve.batch] trace span (plus
-    everything {!Localmodel.View} and {!Pool} record). *)
+    [serve.ball_size] histogram (one sample per decoded ball), and the
+    [serve.batch] trace span (plus everything {!Memo} and {!Pool}
+    record). *)
 
 type t
 (** A loaded engine: snapshot, decode parameters, serve radius, and the
@@ -196,10 +201,11 @@ val batch :
     @raise Invalid_argument as {!query}, before any ball work. *)
 
 val label_of_view : params:Schemas.Balanced_orientation.params -> Localmodel.View.t -> string
-(** The per-ball decode underneath both entry points, exposed for
-    pack-time certification and tests: relabel the view fragment in
-    identifier order, recover the orientation with the tolerant
-    fragment decoder, and read the center's incident membership bits.
-    Total for any view of radius ≥ 0 (unresolvable bits read as '0');
-    equals the direct decoder's bits exactly when the view radius is
-    certified. *)
+(** The per-ball decode for a materialized view, exposed for pack-time
+    certification and tests: a thin wrapper that re-stamps the view
+    ({!Ethlink.Canonical.stamp_view}) and runs the serve path's own
+    stamped-ball decode — relabel the fragment in identifier order,
+    recover the orientation with the tolerant fragment decoder, and read
+    the center's incident membership bits.  Total for any view of
+    radius ≥ 0 (unresolvable bits read as '0'); equals the direct
+    decoder's bits exactly when the view radius is certified. *)

@@ -81,20 +81,31 @@ let stats t =
     s_drops = t.drops;
   }
 
-(* FNV-1a over the key bytes, folded into OCaml's native int range
-   (the 64-bit offset basis truncated to fit the 63-bit int — only the
-   prime multiply matters for mixing).  The poly-compare rule (rightly)
-   bans Hashtbl.hash here; FNV is two arithmetic ops per byte and mixes
-   long, mostly-numeric signature strings well. *)
+(* FNV-1a-style multiply-xor over the key bytes, eight at a time,
+   folded into OCaml's native int range (the 64-bit offset basis
+   truncated to fit the 63-bit int — only the prime multiply matters for
+   mixing).  A multiply only carries bits upward, and the slot index is
+   the low bits, so every word step folds the high half back down.  The
+   poly-compare rule (rightly) bans Hashtbl.hash here; keys are a few
+   hundred bytes, so a word at a time is several times cheaper than
+   byte-wise FNV. *)
 let fnv_offset = 0x3bf29ce484222325
 let fnv_prime = 0x100000001b3
 
 let hash (s : string) =
-  let h = ref fnv_offset in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+  let n = String.length s in
+  let h = ref fnv_offset and i = ref 0 in
+  while !i + 8 <= n do
+    let w = Int64.to_int (String.get_int64_le s !i) in
+    let x = (!h lxor w) * fnv_prime in
+    h := x lxor (x lsr 29);
+    i := !i + 8
   done;
-  !h land max_int
+  while !i < n do
+    h := (!h lxor Char.code (String.unsafe_get s !i)) * fnv_prime;
+    incr i
+  done;
+  (!h lxor (!h lsr 32)) land max_int
 
 (* Slot holding [key], or the empty slot where it would go.  Linear
    probing; with load <= 1/2 the expected probe chain is short, and

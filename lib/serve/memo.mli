@@ -5,7 +5,8 @@
     labels, layered {e between} the per-shard LRU caches and the ball
     decoder: the LRU remembers {e nodes}, this table remembers
     {e isomorphism classes}.  Keys are
-    [engine prefix ^ Ethlink.Canonical.ball_signature view], where the
+    [engine prefix ^ Ethlink.Canonical.ball_signature view] — written
+    without the view by {!Ethlink.Canonical.ball_key} — where the
     prefix pins the serve radius, decoder parameters and trust mode —
     everything the decode depends on beyond the ball itself — so one
     table can safely be shared by many engines (the router shares one

@@ -246,6 +246,287 @@ let test_router_memo_identity () =
     qs
 
 (* ------------------------------------------------------------------ *)
+(* Workspace key and direct fragment: the serve path keys and decodes a
+   stamped BFS ball without materializing a view.  Every node, every
+   radius from 0 to the certified one, against the view-based
+   constructions this replaced — kept here verbatim as the reference. *)
+
+(* The view-based key encoder: structure, ranks (stable insertion sort),
+   length-prefixed advice, all LEB128. *)
+let reference_ball_signature (view : Localmodel.View.t) =
+  let add_varint buf x =
+    let x = ref x in
+    while !x >= 0x80 do
+      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!x land 0x7f)));
+      x := !x lsr 7
+    done;
+    Buffer.add_char buf (Char.unsafe_chr !x)
+  in
+  let g = view.Localmodel.View.graph in
+  let n = Graph.n g in
+  let buf = Buffer.create (8 * n) in
+  add_varint buf n;
+  add_varint buf view.Localmodel.View.center;
+  add_varint buf (Graph.m g);
+  Graph.iter_edges
+    (fun _ (u, v) ->
+      add_varint buf u;
+      add_varint buf v)
+    g;
+  let ids : int array = view.Localmodel.View.ids in
+  let order = Array.init n (fun i -> i) in
+  for i = 1 to n - 1 do
+    let v = order.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && ids.(order.(!j)) > ids.(v) do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- v
+  done;
+  let r = Array.make n 0 in
+  Array.iteri (fun pos v -> r.(v) <- pos) order;
+  Array.iter (add_varint buf) r;
+  Array.iter
+    (fun s ->
+      add_varint buf (String.length s);
+      Buffer.add_string buf s)
+    view.Localmodel.View.advice;
+  Buffer.contents buf
+
+(* The view-based fragment: closure sort by id, then [Graph.of_edges]
+   over the relabelled edge list. *)
+let reference_fragment (view : Localmodel.View.t) =
+  let k = Graph.n view.Localmodel.View.graph in
+  let perm = Array.init k (fun i -> i) in
+  let ids = view.Localmodel.View.ids in
+  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) perm;
+  let rank = Array.make k 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) perm;
+  let edges =
+    Graph.fold_edges
+      (fun _ (u, v) acc -> (rank.(u), rank.(v)) :: acc)
+      view.Localmodel.View.graph []
+  in
+  (Graph.of_edges ~n:k edges, perm, rank)
+
+(* The view-based ball decode over [reference_fragment]; exceptions are
+   part of the observable result (quarantined advice may not decode). *)
+let reference_label ~params (view : Localmodel.View.t) =
+  match
+    let h, perm, rank = reference_fragment view in
+    let k = Graph.n h in
+    let advice = Array.init k (fun r -> view.Localmodel.View.advice.(perm.(r))) in
+    let ones = Bitset.create k in
+    Array.iteri
+      (fun r s -> if String.length s > 0 && s.[0] = '1' then Bitset.add ones r)
+      advice;
+    let varlen = Advice.Onebit.decode h ones in
+    let o = Schemas.Balanced_orientation.decode_tolerant ~params h varlen in
+    let c = rank.(view.Localmodel.View.center) in
+    let nbrs = Graph.neighbors h c in
+    String.init (Array.length nbrs) (fun i ->
+        let u = nbrs.(i) in
+        let tail, head =
+          if Orientation.points_from o c u then (c, u) else (u, c)
+        in
+        let out = Orientation.out_neighbors o tail in
+        let idx = ref 0 in
+        Array.iter (fun w -> if w < head then incr idx) out;
+        let s = advice.(tail) in
+        if 1 + !idx < String.length s then s.[1 + !idx] else '0')
+  with
+  | label -> Ok label
+  | exception e -> Error (Printexc.to_string e)
+
+type ids_kind = Identity | Permuted | Sparse
+
+let ids_name = function
+  | Identity -> "identity"
+  | Permuted -> "permutation"
+  | Sparse -> "sparse"
+
+type ball_family = Cycle_periodic | Cycle_random | Grid_f | Regular_f | Tree_f
+
+let ball_family_name = function
+  | Cycle_periodic -> "cycle-periodic"
+  | Cycle_random -> "cycle-random"
+  | Grid_f -> "grid"
+  | Regular_f -> "random-regular"
+  | Tree_f -> "tree"
+
+(* Arbitrary bytes of arbitrary length: quarantined advice is whatever
+   survived the damage, and lengths past 127 take multi-byte varints. *)
+let damaged_advice rng g =
+  Array.init (Graph.n g) (fun _ ->
+      let len = if Prng.int rng 8 = 0 then 100 + Prng.int rng 60 else Prng.int rng 6 in
+      String.init len (fun _ ->
+          match Prng.int rng 4 with
+          | 0 -> '1'
+          | 1 -> '0'
+          | _ -> Char.chr (Prng.int rng 256)))
+
+(* (graph, advice, trusted, top radius, decoder params) for one case.
+   Packed cycles are trusted and go up to their certified radius; the
+   other families only reach the serve stack with quarantined advice. *)
+let ball_case family ~quarantined rng =
+  let packed x g =
+    let snapshot, cert = Serve.Pack.edge_compression g x in
+    let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
+    (advice, cert.Serve.Pack.radius)
+  in
+  let cycle pick =
+    let g = Builders.cycle (12 + Prng.int rng 50) in
+    let x = Bitset.create (Graph.m g) in
+    Graph.iter_edges (fun e _ -> if pick e then Bitset.add x e) g;
+    let advice, radius = packed x g in
+    if quarantined then (g, damaged_advice rng g, false, radius)
+    else (g, advice, true, radius)
+  in
+  match family with
+  | Cycle_periodic -> cycle (fun e -> e mod 4 < 2)
+  | Cycle_random -> cycle (fun _ -> Prng.bool rng)
+  | Grid_f ->
+      let g = Builders.grid (2 + Prng.int rng 6) (2 + Prng.int rng 6) in
+      (g, damaged_advice rng g, false, 4)
+  | Regular_f ->
+      let g = Builders.random_regular rng (2 * (4 + Prng.int rng 12)) 3 in
+      (g, damaged_advice rng g, false, 3)
+  | Tree_f ->
+      let g = Builders.random_tree rng (5 + Prng.int rng 40) in
+      (g, damaged_advice rng g, false, 5)
+
+let ball_case_gen =
+  QCheck.Gen.(
+    tup4 (int_bound 100_000)
+      (oneofl [ Cycle_periodic; Cycle_random; Grid_f; Regular_f; Tree_f ])
+      (oneofl [ Identity; Permuted; Sparse ])
+      bool)
+
+let ball_case_print (seed, family, kind, quarantined) =
+  Printf.sprintf "seed=%d family=%s ids=%s quarantined=%b" seed
+    (ball_family_name family) (ids_name kind) quarantined
+
+let workspace_key_and_fragment =
+  QCheck.Test.make ~count:30
+    ~name:"workspace key and fragment = view-based constructions"
+    (QCheck.make ~print:ball_case_print ball_case_gen)
+    (fun (seed, family, kind, quarantined) ->
+      let rng = Prng.create seed in
+      let g, advice, trusted, top = ball_case family ~quarantined rng in
+      let ids =
+        match kind with
+        | Identity -> Localmodel.Ids.identity g
+        | Permuted -> Localmodel.Ids.random_permutation rng g
+        | Sparse -> Localmodel.Ids.random_sparse rng g
+      in
+      let params = Schemas.Balanced_orientation.onebit_params in
+      let snapshot =
+        { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta = [] }
+      in
+      for radius = 0 to top do
+        let prefix = Printf.sprintf "r%d;t%b;" radius trusted in
+        let memo = Serve.Memo.create ~capacity:64 in
+        let engine =
+          if trusted then Serve.Engine.create ~memo ~shards:1 ~radius ~ids snapshot
+          else
+            Serve.Engine.create_salvaged ~memo ~shards:1 ~radius ~ids
+              {
+                Store.Snapshot.partial = { snapshot with Store.Snapshot.advice = [] };
+                recovered = [ ("c4", advice) ];
+                report = [];
+              }
+        in
+        for v = 0 to Graph.n g - 1 do
+          let where = Printf.sprintf "node %d radius %d" v radius in
+          let view = Localmodel.View.make ~advice g ~ids ~radius v in
+          let signature = Ethlink.Canonical.ball_signature view in
+          check_string ("ball_signature bytes, " ^ where)
+            (reference_ball_signature view) signature;
+          let ws = Workspace.domain_local () in
+          ignore (Traversal.bfs_limited_into ws g v radius);
+          check_string ("workspace key, " ^ where) (prefix ^ signature)
+            (Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice);
+          (* The key leaves the stamps in place for the fragment. *)
+          let h, perm, rank = Ethlink.Canonical.ordered_fragment ws g ~ids in
+          let h0, perm0, rank0 = reference_fragment view in
+          check ("fragment graph, " ^ where) true (Graph.equal h0 h);
+          check ("fragment perm, " ^ where) true (perm0 = perm);
+          check ("fragment rank, " ^ where) true (rank0 = rank);
+          let expected = reference_label ~params view in
+          let decoded =
+            match Serve.Engine.label_of_view ~params view with
+            | s -> Ok s
+            | exception e -> Error (Printexc.to_string e)
+          in
+          check ("label_of_view, " ^ where) true (expected = decoded);
+          (* The engine's view-free path, memo attached; untrusted
+             engines degrade an undecodable ball to all-'0'. *)
+          let served =
+            match Serve.Engine.query engine (Serve.Engine.Output_label v) with
+            | Serve.Engine.Label s -> s
+            | _ -> Alcotest.fail "Output_label answered with a non-label"
+          in
+          let want =
+            match expected with
+            | Ok s -> s
+            | Error _ ->
+                String.make
+                  (Graph.degree view.Localmodel.View.graph
+                     view.Localmodel.View.center)
+                  '0'
+          in
+          check_string ("engine label, " ^ where) want served
+        done
+      done;
+      true)
+
+(* The served path builds no view: with obs on, a cold sweep over every
+   node of a memoized engine (LRU off, so every query reaches the memo)
+   extracts no [View.t], and decodes exactly one ball per memo miss. *)
+let test_serve_path_builds_no_view () =
+  let g = Builders.cycle 400 in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
+  let snapshot, _ = Serve.Pack.edge_compression g x in
+  let memo = Serve.Memo.create ~capacity:4096 in
+  let engine = Serve.Engine.create ~cache_capacity:0 ~shards:1 ~memo snapshot in
+  let n = Graph.n (Serve.Engine.graph engine) in
+  let counter name =
+    List.fold_left
+      (fun acc (e : Obs.Metrics.entry) ->
+        match e.Obs.Metrics.value with
+        | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name
+          ->
+            total
+        | _ -> acc)
+      0 (Obs.Metrics.snapshot ())
+  in
+  let decoded () =
+    List.fold_left
+      (fun acc (e : Obs.Metrics.entry) ->
+        match e.Obs.Metrics.value with
+        | Obs.Metrics.Histogram_v h when String.equal e.Obs.Metrics.name "serve.ball_size"
+          ->
+            h.Obs.Metrics.count
+        | _ -> acc)
+      0 (Obs.Metrics.snapshot ())
+  in
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
+      for v = 0 to n - 1 do
+        ignore (Serve.Engine.query engine (Serve.Engine.Output_label v))
+      done;
+      let misses = counter "serve.memo.misses" in
+      check_int "no view extracted on the serve path" 0
+        (counter "view.balls_extracted");
+      check_int "every query probed the memo" n
+        (counter "serve.memo.hits" + misses);
+      check "the hit path ran" true (misses < n);
+      check_int "one decoded ball per memo miss" misses (decoded ()))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "memo"
@@ -269,5 +550,11 @@ let () =
         [
           Alcotest.test_case "shared memo across shards + eviction" `Quick
             test_router_memo_identity;
+        ] );
+      ( "ball",
+        [
+          QCheck_alcotest.to_alcotest workspace_key_and_fragment;
+          Alcotest.test_case "serve path builds no view" `Quick
+            test_serve_path_builds_no_view;
         ] );
     ]

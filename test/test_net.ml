@@ -377,6 +377,87 @@ let test_conn_backpressure () =
   check "under budget again: reading resumes" true (Net.Conn.wants_read conn);
   check_int "queue empty after drain" 0 (Net.Conn.queued_bytes conn)
 
+(* Whatever the conn queued, concatenated: the exact bytes a client reads. *)
+let drain_bytes conn =
+  let buf = Buffer.create 1024 in
+  let rec flush () =
+    match Net.Conn.pending conn with
+    | None -> ()
+    | Some (chunk, off) ->
+        Buffer.add_substring buf chunk off (String.length chunk - off);
+        Net.Conn.wrote conn (String.length chunk - off);
+        flush ()
+  in
+  flush ();
+  Buffer.contents buf
+
+(* A dispatch whose answer names its request, so any reordering or
+   duplication shows in the response bytes. *)
+let naming_dispatch = function
+  | Net.Protocol.Query (Serve.Engine.Output_label v) ->
+      Net.Protocol.Answer (Serve.Engine.Label (string_of_int v))
+  | Net.Protocol.Query (Serve.Engine.Advice_bits v) ->
+      Net.Protocol.Answer (Serve.Engine.Bits (string_of_int v))
+  | Net.Protocol.Ping -> Net.Protocol.Pong
+  | _ -> Net.Protocol.Answer (Serve.Engine.Member false)
+
+let expected_stream reqs =
+  String.concat ""
+    (List.map (fun rq -> Net.Protocol.response_to_string (naming_dispatch rq)) reqs)
+
+let test_conn_many_frames_one_chunk () =
+  let count = 12_000 in
+  let reqs =
+    List.init count (fun i ->
+        if i mod 2 = 0 then Net.Protocol.Query (Serve.Engine.Output_label i)
+        else Net.Protocol.Query (Serve.Engine.Advice_bits i))
+  in
+  let stream = String.concat "" (List.map Net.Protocol.request_to_string reqs) in
+  let conn = Net.Conn.create ~write_budget:(64 * 1024 * 1024) () in
+  let calls = ref 0 in
+  let dispatch rq =
+    incr calls;
+    naming_dispatch rq
+  in
+  Net.Conn.feed conn (Bytes.of_string stream) (String.length stream) dispatch;
+  check_int "every pipelined frame dispatched" count !calls;
+  (* A burst of small answers leaves as one merged chunk. *)
+  let one = Net.Protocol.response_to_string (naming_dispatch (List.hd reqs)) in
+  (match Net.Conn.pending conn with
+  | Some (chunk, 0) ->
+      check "first chunk merges many answers" true
+        (String.length chunk > 100 * String.length one)
+  | _ -> Alcotest.fail "no untouched chunk pending");
+  check "responses in order, byte-identical" true
+    (drain_bytes conn = expected_stream reqs);
+  check_int "write queue drained" 0 (Net.Conn.queued_bytes conn)
+
+let test_conn_every_split () =
+  let reqs =
+    Net.Protocol.
+      [
+        Query (Serve.Engine.Output_label 3);
+        Ping;
+        Query (Serve.Engine.Advice_bits 41);
+        Query (Serve.Engine.Output_label 250);
+      ]
+  in
+  let stream = String.concat "" (List.map Net.Protocol.request_to_string reqs) in
+  let want = expected_stream reqs in
+  for cut = 0 to String.length stream do
+    let conn = Net.Conn.create () in
+    let feed off len =
+      Net.Conn.feed conn (Bytes.of_string (String.sub stream off len)) len
+        naming_dispatch
+    in
+    if cut > 0 then feed 0 cut;
+    if cut < String.length stream then feed cut (String.length stream - cut);
+    check
+      (Printf.sprintf "split at byte %d: in-order, byte-identical answers" cut)
+      true
+      (drain_bytes conn = want)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Loopback integration *)
 
@@ -590,6 +671,10 @@ let () =
             test_conn_garbage_then_eof;
           Alcotest.test_case "write budget throttles reading" `Quick
             test_conn_backpressure;
+          Alcotest.test_case "12k pipelined frames in one chunk" `Quick
+            test_conn_many_frames_one_chunk;
+          Alcotest.test_case "stream split at every byte" `Quick
+            test_conn_every_split;
         ] );
       ( "loopback",
         [

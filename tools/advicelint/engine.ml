@@ -29,7 +29,7 @@ let default_config =
     per_node_basenames =
       [
         "view.ml"; "traversal.ml"; "workspace.ml"; "graph.ml"; "rounds.ml";
-        "engine.ml"; "cache.ml"; "pool.ml"; "memo.ml";
+        "engine.ml"; "cache.ml"; "pool.ml"; "memo.ml"; "canonical.ml";
       ];
     warn_only = [];
     format = Text;
