@@ -12,7 +12,9 @@
    workload through the one-frame batch path; a third serves a salvaged
    snapshot and checks the degraded counters tick.  Acceptance:
    pipelined, batch and degraded answers must all be byte-identical to
-   direct Serve.Engine serving. *)
+   direct Serve.Engine serving.  The server answers from a
+   Serve.Router over the in-memory snapshot, one slot per effective
+   domain. *)
 
 open Netgraph
 module J = Obs.Jsonout
@@ -43,9 +45,9 @@ let percentile = Obs.Stats.percentile
    requests pipelined, returning (seconds, mismatches, latency µs
    percentiles).  [expected] are the precomputed direct-engine answers,
    so the timed loop only compares. *)
-let pipelined_run ~server_engine ~expected ~window queries =
+let pipelined_run ~router ~expected ~window queries =
   let config = { Net.Server.default_config with port = 0 } in
-  let server = Net.Server.create ~config server_engine in
+  let server = Net.Server.create ~config router in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   let finish () =
     Net.Server.shutdown server;
@@ -99,9 +101,9 @@ let make_loaded n seed =
   (g, Store.Snapshot.read (Store.Snapshot.write snapshot))
 
 (* Batch path: the same workload in one-frame batches, timed round-trip. *)
-let batch_run ~server_engine ~direct ~batch_size queries =
+let batch_run ~router ~direct ~batch_size queries =
   let config = { Net.Server.default_config with port = 0 } in
-  let server = Net.Server.create ~config server_engine in
+  let server = Net.Server.create ~config router in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   let finish () =
     Net.Server.shutdown server;
@@ -119,7 +121,7 @@ let batch_run ~server_engine ~direct ~batch_size queries =
     i := !i + k
   done;
   let batches = List.rev !batches in
-  let expected = List.map (fun b -> Serve.Engine.batch direct b) batches in
+  let expected = List.map (Array.map (Serve.Engine.query direct)) batches in
   let identical = ref true in
   let (), elapsed =
     Bench_util.time_once (fun () ->
@@ -140,14 +142,14 @@ let block ~smoke =
   let direct = Serve.Engine.create loaded in
   let expected = Array.map (fun q -> Serve.Engine.query direct q) queries in
   let elapsed, mismatches, latencies, stats =
-    pipelined_run ~server_engine:(Serve.Engine.create loaded) ~expected ~window
-      queries
+    pipelined_run ~router:(Serve.Router.of_engine (Serve.Engine.create loaded))
+      ~expected ~window queries
   in
   let qps = rate count elapsed in
   let batch_size = if smoke then 500 else 1_000 in
   let batch_elapsed, batch_identical =
-    batch_run ~server_engine:(Serve.Engine.create loaded) ~direct ~batch_size
-      queries
+    batch_run ~router:(Serve.Router.of_engine (Serve.Engine.create loaded))
+      ~direct ~batch_size queries
   in
   let batch_qps = rate count batch_elapsed in
   Printf.printf
@@ -176,10 +178,15 @@ let block ~smoke =
   let sv = Store.Snapshot.read_salvage damaged in
   let sv_count = min count 2_000 in
   let sv_queries = Array.sub queries 0 sv_count in
-  let sv_direct = Serve.Engine.create_salvaged sv in
+  let salvaged () =
+    Serve.Engine.create
+      ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
+      sv.Store.Snapshot.partial
+  in
+  let sv_direct = salvaged () in
   let sv_expected = Array.map (fun q -> Serve.Engine.query sv_direct q) sv_queries in
   let sv_elapsed, sv_mismatches, _, sv_stats =
-    pipelined_run ~server_engine:(Serve.Engine.create_salvaged sv) ~expected:sv_expected
+    pipelined_run ~router:(Serve.Router.of_engine (salvaged ())) ~expected:sv_expected
       ~window sv_queries
   in
   let sv_degraded = stat sv_stats "serve.degraded" in

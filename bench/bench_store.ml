@@ -5,10 +5,11 @@
    Three figures per size: single-query rates cold (every query decodes
    its ball) vs. warm (every query is an LRU cache hit, so the run
    measures the engine's fixed per-query cost), and batch rates with the
-   fan-out pinned to one domain vs. spread over several.  The "pool"
-   sub-block compares sequential serving against the mutex and lock-free
-   pool variants at requested domain counts 1/2/4, each fitted to the
-   hardware and reported with both counts.  Acceptance: a warm cache
+   fan-out pinned to one domain vs. spread over several (a router with
+   one in-memory slot per domain).  The "pool" sub-block compares
+   sequential serving against the pooled router batch at requested
+   domain counts 1/2/4, each fitted to the hardware and reported with
+   both counts.  Acceptance: a warm cache
    must beat cold decoding, and the pooled batch path must not be slower
    than sequential serving (batch_par_not_slower). *)
 
@@ -81,9 +82,9 @@ let bench_row ~domains n =
      and GC coordination as if it were parallel serving. *)
   let effective = Localmodel.View.effective_domains ~requested:domains () in
   let batch domains =
-    let e = Serve.Engine.create ~cache_capacity:0 loaded in
+    let r = Serve.Router.of_engine ~domains (Serve.Engine.create ~cache_capacity:0 loaded) in
     Bench_util.time_once (fun () ->
-        ignore (Serve.Engine.batch ~domains e queries))
+        ignore (Serve.Router.batch ~domains r queries))
   in
   let _, seq_t = batch 1 in
   let _, par_t = batch effective in
@@ -240,13 +241,13 @@ let bench_io ~smoke =
     ok )
 
 (* ------------------------------------------------------------------ *)
-(* Pool comparison: sequential serving vs the mutex pool vs the
-   lock-free pool, at requested domain counts 1 / 2 / 4 — each fitted to
-   the hardware before timing and reported with both counts, so a 1-core
-   host shows three honest effective-1 rows instead of a fake speedup.
-   Caching is off and the three configurations are timed interleaved
-   (min of reps), so the comparison isolates claim discipline + fan-out
-   cost over identical ball work. *)
+(* Pool comparison: sequential serving vs the pooled router batch, at
+   requested domain counts 1 / 2 / 4 — each fitted to the hardware
+   before timing and reported with both counts, so a 1-core host shows
+   three honest effective-1 rows instead of a fake speedup.  Caching is
+   off and the two configurations are timed interleaved (min of reps),
+   so the comparison isolates slot fan-out cost over identical ball
+   work. *)
 
 type pool_row = {
   p_n : int;
@@ -254,30 +255,29 @@ type pool_row = {
   p_requested : int;
   p_effective : int;
   seq_qps : float;
-  mutex_qps : float;
   lockless_qps : float;
 }
+
+(* A cache-less router with one in-memory slot per domain. *)
+let slot_router ~domains loaded =
+  Serve.Router.of_engine ~domains (Serve.Engine.create ~cache_capacity:0 loaded)
 
 let bench_pool_row ~loaded ~queries ~requested =
   let k = Array.length queries in
   let effective = Localmodel.View.effective_domains ~requested () in
-  let seq_engine = Serve.Engine.create ~cache_capacity:0 ~shards:1 loaded in
-  let pool_engine variant =
-    let e = Serve.Engine.create ~cache_capacity:0 loaded in
-    fun () -> ignore (Serve.Engine.batch ~pool:variant ~domains:effective e queries)
+  let seq_router = slot_router ~domains:1 loaded in
+  let pool_router = slot_router ~domains:effective loaded in
+  let run_seq () = ignore (Serve.Router.batch ~domains:1 seq_router queries) in
+  let run_lockless () =
+    ignore (Serve.Router.batch ~domains:effective pool_router queries)
   in
-  let run_seq () = ignore (Serve.Engine.batch ~domains:1 seq_engine queries) in
-  let run_mutex = pool_engine Serve.Pool.Locked in
-  let run_lockless = pool_engine Serve.Pool.Lockless in
-  (* Interleaved min-of-reps: drift (GC, frequency scaling) hits all
-     three configurations equally, and the minima compare clean runs. *)
-  let seq = ref infinity and mutex = ref infinity and lockless = ref infinity in
+  (* Interleaved min-of-reps: drift (GC, frequency scaling) hits both
+     configurations equally, and the minima compare clean runs. *)
+  let seq = ref infinity and lockless = ref infinity in
   for _ = 1 to 3 do
     let _, a = Bench_util.time_once run_seq in
-    let _, b = Bench_util.time_once run_mutex in
     let _, c = Bench_util.time_once run_lockless in
     seq := Float.min !seq a;
-    mutex := Float.min !mutex b;
     lockless := Float.min !lockless c
   done;
   {
@@ -286,7 +286,6 @@ let bench_pool_row ~loaded ~queries ~requested =
     p_requested = requested;
     p_effective = effective;
     seq_qps = rate k !seq;
-    mutex_qps = rate k !mutex;
     lockless_qps = rate k !lockless;
   }
 
@@ -299,17 +298,14 @@ let json_of_pool_row r =
       ("requested_domains", J.Int r.p_requested);
       ("effective_domains", J.Int r.p_effective);
       ("seq_queries_per_sec", J.Float r.seq_qps);
-      ("mutex_pool_queries_per_sec", J.Float r.mutex_qps);
       ("lockless_pool_queries_per_sec", J.Float r.lockless_qps);
-      ("mutex_speedup", J.Float (r.mutex_qps /. r.seq_qps));
       ("lockless_speedup", J.Float (r.lockless_qps /. r.seq_qps));
-      ("lockless_over_mutex", J.Float (r.lockless_qps /. r.mutex_qps));
     ]
 
 (* The acceptance gate behind BENCH_local.json's batch_par_not_slower:
-   with real parallelism available the lock-free pool must win outright;
+   with real parallelism available the pooled batch must win outright;
    squeezed onto one effective domain it must stay within 10% of
-   sequential serving (the shard planner + inline pool are near-free). *)
+   sequential serving (the wave planner + inline pool are near-free). *)
 let pool_row_acceptable r =
   if r.p_effective >= 2 then r.lockless_qps /. r.seq_qps >= 1.0
   else r.lockless_qps /. r.seq_qps >= 0.9
@@ -328,11 +324,10 @@ let bench_pool ~smoke =
       (fun requested ->
         let r = bench_pool_row ~loaded ~queries ~requested in
         Printf.printf
-          "store  pool  n=%-7d req=%d eff=%d  seq %8.0f q/s  mutex %8.0f \
-           (%4.2fx)  lockless %8.0f (%4.2fx)  [%s]\n\
+          "store  pool  n=%-7d req=%d eff=%d  seq %8.0f q/s  lockless %8.0f \
+           (%4.2fx)  [%s]\n\
            %!"
-          r.p_n r.p_requested r.p_effective r.seq_qps r.mutex_qps
-          (r.mutex_qps /. r.seq_qps) r.lockless_qps
+          r.p_n r.p_requested r.p_effective r.seq_qps r.lockless_qps
           (r.lockless_qps /. r.seq_qps)
           (if pool_row_acceptable r then "ok" else "FAIL");
         r)
@@ -343,16 +338,9 @@ let bench_pool ~smoke =
      exercises genuine cross-domain serving and checks it answer-for-
      answer — a correctness probe, not a throughput claim. *)
   let crossed_ok =
-    let e2 variant =
-      let e = Serve.Engine.create ~cache_capacity:0 loaded in
-      Serve.Engine.batch ~pool:variant ~domains:2 e queries
-    in
-    let reference =
-      let e = Serve.Engine.create ~cache_capacity:0 ~shards:1 loaded in
-      Serve.Engine.batch ~domains:1 e queries
-    in
-    let same a = Marshal.to_string a [] = Marshal.to_string reference [] in
-    same (e2 Serve.Pool.Lockless) && same (e2 Serve.Pool.Locked)
+    let crossed = Serve.Router.batch ~domains:2 (slot_router ~domains:2 loaded) queries in
+    let reference = Serve.Router.batch ~domains:1 (slot_router ~domains:1 loaded) queries in
+    Marshal.to_string crossed [] = Marshal.to_string reference []
   in
   let not_slower = List.for_all pool_row_acceptable rows in
   ( J.Obj
@@ -674,7 +662,7 @@ let bench_memo ~smoke =
     let loaded = Store.Snapshot.read (Store.Snapshot.write snapshot) in
     bench_memo_family ~name:"cycle-periodic" ~n ~radius:cert.Serve.Pack.radius
       ~capacity:4_096 ~make:(fun ?memo () ->
-        Serve.Engine.create ~cache_capacity:0 ~shards:1 ?memo loaded)
+        Serve.Engine.create ~cache_capacity:0 ?memo loaded)
   in
   (* Uniform-advice grid: ball classes are the grid position classes
      (corner / edge / interior at radius 2) — a few dozen for any n. *)
@@ -692,8 +680,9 @@ let bench_memo ~smoke =
     in
     bench_memo_family ~name:"grid-uniform" ~n:(Graph.n g) ~radius:2
       ~capacity:4_096 ~make:(fun ?memo () ->
-        Serve.Engine.create_salvaged ~cache_capacity:0 ~shards:1 ?memo
-          ~radius:2 sv)
+        Serve.Engine.create ~cache_capacity:0 ?memo ~radius:2
+          ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
+          sv.Store.Snapshot.partial)
   in
   (* Adversarial: a random subset scatters distinct advice around every
      node, so signature classes ≈ nodes and nothing usefully hits —
@@ -708,7 +697,7 @@ let bench_memo ~smoke =
     let loaded = Store.Snapshot.read (Store.Snapshot.write snapshot) in
     bench_memo_family ~name:"cycle-adversarial" ~n
       ~radius:cert.Serve.Pack.radius ~capacity:1_024 ~make:(fun ?memo () ->
-        Serve.Engine.create ~cache_capacity:0 ~shards:1 ?memo loaded)
+        Serve.Engine.create ~cache_capacity:0 ?memo loaded)
   in
   let rows = [ structural_cycle; structural_grid; adversarial ] in
   List.iter

@@ -87,7 +87,7 @@ let run_batches c ~batch ~queries ~direct =
     let b = Array.sub queries !i k in
     let got = Net.Client.batch c b in
     (match direct with
-    | Some d when got <> Serve.Engine.batch d b -> incr mismatches
+    | Some d when got <> Array.map (Serve.Engine.query d) b -> incr mismatches
     | _ -> ());
     i := !i + k
   done;
@@ -106,7 +106,7 @@ let main host port spawn count window batch seed show_stats =
         let server =
           Net.Server.create
             ~config:{ Net.Server.default_config with port = 0 }
-            (Serve.Engine.create loaded)
+            (Serve.Router.of_engine (Serve.Engine.create loaded))
         in
         let d = Domain.spawn (fun () -> Net.Server.run server) in
         cleanup :=

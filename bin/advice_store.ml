@@ -406,32 +406,9 @@ let cache_term =
   Arg.(
     value & opt int 1024
     & info [ "cache" ] ~docv:"ENTRIES"
-        ~doc:"Total ball-cache budget, split across shards (0 disables \
-              caching).")
-
-let shards_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"S"
-        ~doc:"Cache shards (contiguous node-id ranges, each with a \
-              private cache).  Default: one per effective domain.")
-
-let pool_conv =
-  let parse s =
-    match Serve.Pool.variant_of_name s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Printf.sprintf "unknown pool variant %S" s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (Serve.Pool.variant_name v))
-
-let pool_term =
-  Arg.(
-    value
-    & opt pool_conv Serve.Pool.default_variant
-    & info [ "pool" ] ~docv:"VARIANT"
-        ~doc:"Work-pool claiming discipline for the batch: 'lockless' \
-              (atomic cursor, default) or 'mutex' (the bench baseline).")
+        ~doc:"Ball-cache entries per slot — each of the --domains node \
+              ranges of a version-1 snapshot, or each resident shard of a \
+              version-2 container (0 disables caching).")
 
 let parse_queries text =
   let fail line fmt =
@@ -515,29 +492,13 @@ let print_answer = function
   | Serve.Engine.Member b -> Format.printf " -> %b@." b
   | Serve.Engine.Bits s -> Format.printf " -> %s@." s
 
-let serve_batch engine domains pool batch =
-  let queries = read_batch batch in
-  let answers =
-    try Serve.Engine.batch ?domains ~pool engine queries
-    with Invalid_argument msg ->
-      Format.eprintf "rejected batch: %s@." msg;
-      exit 2
-  in
-  Array.iteri
-    (fun i answer ->
-      print_query queries.(i);
-      print_answer answer)
-    answers;
-  Format.printf "served %d queries at radius %d (advice %S)@."
-    (Array.length queries) (Serve.Engine.radius engine)
-    (Serve.Engine.advice_name engine)
-
-(* The sharded path reports per-query outcomes: a lost shard degrades
-   only the queries aimed at its node range. *)
-let serve_batch_router router domains pool batch =
+(* Per-query outcomes: a lost shard degrades only the queries aimed at
+   its node range.  [where] names the slots in the summary line (empty
+   for a version-1 snapshot). *)
+let serve_batch router ~where domains batch =
   let queries = read_batch batch in
   let results =
-    try Serve.Router.batch_results ?domains ~pool router queries
+    try Serve.Router.batch_results ?domains router queries
     with Invalid_argument msg ->
       Format.eprintf "rejected batch: %s@." msg;
       exit 2
@@ -552,36 +513,26 @@ let serve_batch_router router domains pool batch =
           incr failed;
           Format.printf " -> error: %s@." msg)
     results;
-  Format.printf "served %d queries at radius %d (advice %S, %d shard(s)%s)@."
+  Format.printf "served %d queries at radius %d (advice %S%s%s)@."
     (Array.length queries) (Serve.Router.radius router)
-    (Serve.Router.advice_name router)
-    (Serve.Router.shard_count router)
+    (Serve.Router.advice_name router) where
     (if !failed > 0 then Printf.sprintf ", %d failed" !failed else "")
 
-let serve_listen backend domains pool host port write_budget =
+let serve_listen router domains host port write_budget =
   let config =
-    {
-      Net.Server.default_config with
-      Net.Server.host;
-      port;
-      write_budget;
-      domains;
-      pool;
-    }
+    { Net.Server.default_config with Net.Server.host; port; write_budget; domains }
   in
   let server =
-    try Net.Server.create_backend ~config backend
+    try Net.Server.create ~config router
     with Unix.Unix_error (err, _, _) ->
       Format.eprintf "cannot listen on %s:%d: %s@." host port
         (Unix.error_message err);
       exit 2
   in
-  let facts = backend.Net.Server.b_stats () in
-  let fact k = Option.value ~default:0 (List.assoc_opt k facts) in
   Format.printf "listening on %s:%d (n=%d m=%d radius=%d protocol v%d%s)@."
-    host (Net.Server.port server) (fact "engine.n") (fact "engine.m")
-    (fact "engine.radius") Net.Protocol.version
-    (if backend.Net.Server.b_degraded () then ", degraded" else "");
+    host (Net.Server.port server) (Serve.Router.n router) (Serve.Router.m router)
+    (Serve.Router.radius router) Net.Protocol.version
+    (if Serve.Router.degraded router then ", degraded" else "");
   (* Flush before blocking: scripts scrape the port from this line. *)
   Format.print_flush ();
   let stop _ = Net.Server.shutdown server in
@@ -624,8 +575,8 @@ let memo_capacity_term =
               the first-seen representative of each ball class.")
 
 let serve_cmd =
-  let run path batch listen host port write_budget domains cache shards pool
-      salvage resident_mb use_memo memo_capacity metrics =
+  let run path batch listen host port write_budget domains cache salvage
+      resident_mb use_memo memo_capacity metrics =
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
     if memo_capacity < 0 then begin
@@ -654,70 +605,73 @@ let serve_cmd =
              --listen@.";
           exit 2
     in
-    if Store.Shard.peek_version path = Store.Shard.version then begin
-      (* Sharded container: route through lazily loaded per-shard
-         engines.  --salvage degrades per node range instead of
-         fail-stopping on the first damaged shard. *)
-      let router =
-        Serve.Router.create ~cache_capacity:cache
-          ~resident_budget:(resident_mb * 1024 * 1024)
-          ~salvage ?memo (Store.Shard.open_file path)
-      in
-      Format.printf "sharded container: %d shard(s)%s%s@."
-        (Serve.Router.shard_count router)
-        (if resident_mb > 0 then Printf.sprintf ", resident budget %d MiB" resident_mb
-         else "")
-        (if salvage then ", salvage on" else "");
-      match mode with
-      | `Listen ->
-          serve_listen (Net.Server.of_router router) domains pool host port
-            write_budget
-      | `Batch b -> serve_batch_router router domains pool b
-    end
-    else begin
-      if resident_mb > 0 then
-        Format.eprintf
-          "serve: --resident-mb ignored — %s is a monolithic (version-1) \
-           snapshot@."
-          path;
-      let engine =
-        if salvage then begin
-          let sv = Store.Snapshot.read_salvage (Store.Io.read_file path) in
-          let e =
-            Serve.Engine.create_salvaged ~cache_capacity:cache ?shards ?memo sv
-          in
-          List.iter
-            (fun line -> Format.printf "salvage: %s@." line)
-            (Serve.Engine.quarantined_sections e);
-          if Serve.Engine.degraded e then
-            Format.printf "serving degraded from %S%s@."
-              (Serve.Engine.advice_name e)
-              (if Serve.Engine.serving_trusted e then ""
-               else " (quarantined advice: answers are best-effort)");
-          e
-        end
-        else
-          Serve.Engine.create ~cache_capacity:cache ?shards ?memo
-            (Store.Snapshot.of_file path)
-      in
-      match mode with
-      | `Listen ->
-          serve_listen (Net.Server.of_engine engine) domains pool host port
-            write_budget
-      | `Batch b -> serve_batch engine domains pool b
-    end
+    let router, where =
+      if Store.Shard.peek_version path = Store.Shard.version then begin
+        (* Sharded container: lazily loaded per-shard engines.  --salvage
+           degrades per node range instead of fail-stopping on the first
+           damaged shard. *)
+        let router =
+          Serve.Router.create ~cache_capacity:cache
+            ~resident_budget:(resident_mb * 1024 * 1024)
+            ~salvage ?memo (Store.Shard.open_file path)
+        in
+        Format.printf "sharded container: %d shard(s)%s%s@."
+          (Serve.Router.shard_count router)
+          (if resident_mb > 0 then
+             Printf.sprintf ", resident budget %d MiB" resident_mb
+           else "")
+          (if salvage then ", salvage on" else "");
+        (router, Printf.sprintf ", %d shard(s)" (Serve.Router.shard_count router))
+      end
+      else begin
+        if resident_mb > 0 then
+          Format.eprintf
+            "serve: --resident-mb ignored — %s is a monolithic (version-1) \
+             snapshot@."
+            path;
+        let engine =
+          if salvage then begin
+            let sv = Store.Snapshot.read_salvage (Store.Io.read_file path) in
+            let e =
+              Serve.Engine.create ~cache_capacity:cache ?memo
+                ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
+                sv.Store.Snapshot.partial
+            in
+            List.iter
+              (fun line -> Format.printf "salvage: %s@." line)
+              (Serve.Engine.quarantined_sections e);
+            if Serve.Engine.degraded e then
+              Format.printf "serving degraded from %S%s@."
+                (Serve.Engine.advice_name e)
+                (if Serve.Engine.serving_trusted e then ""
+                 else " (quarantined advice: answers are best-effort)");
+            e
+          end
+          else
+            Serve.Engine.create ~cache_capacity:cache ?memo
+              (Store.Snapshot.of_file path)
+        in
+        (* One in-memory slot per domain, so batches keep their fan-out. *)
+        (Serve.Router.of_engine ?domains engine, "")
+      end
+    in
+    match mode with
+    | `Listen -> serve_listen router domains host port write_budget
+    | `Batch b -> serve_batch router ~where domains b
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Answer per-node queries from a snapshot by decoding only each \
              node's certified-radius ball: one-shot with --batch (a file \
              or '-' for stdin), or as a long-lived TCP server with \
-             --listen.  A sharded (version-2) container serves through \
-             lazy per-shard loads bounded by --resident-mb.")
+             --listen.  Both snapshot versions serve through one router: a \
+             version-1 snapshot as --domains in-memory node-range slots, a \
+             sharded (version-2) container through lazy per-shard loads \
+             bounded by --resident-mb.")
     Term.(
       const run $ snapshot_arg $ batch_term $ listen_term $ host_term
       $ port_term $ write_budget_term $ domains_term $ cache_term
-      $ shards_term $ pool_term $ salvage_term $ resident_mb_term
+      $ salvage_term $ resident_mb_term
       $ memo_term $ memo_capacity_term $ metrics_term)
 
 let default = Term.(ret (const (`Help (`Pager, None))))

@@ -14,7 +14,7 @@
 exception Task_boom of int
 
 (* Bug class: torn read-modify-write on the claim cursor — what
-   Serve.Pool.Lockless would be if fetch_and_add were replaced by a get/set
+   Serve.Pool's claim would be if fetch_and_add were replaced by a get/set
    pair.  Two workers can read the same cursor value and claim the
    same task; the checker sees the duplicate claim as a write-write
    race on the task's (single-owner by contract) result cell, or as
@@ -60,9 +60,9 @@ let unfenced_publish (module S : Shim.S) =
   S.Raw.set ready true;
   ignore (S.Thread.join reader : int)
 
-(* Bug class: two pool tasks sharing one shard-owner cell — what
-   Engine's batch would be if the shard planner ever handed two tasks
-   the same cache.  The real planner slices disjoint shards; here both
+(* Bug class: two pool tasks sharing one slot-owner cell — what
+   Router's batch would be if the wave planner ever handed two tasks
+   the same slot.  The real planner makes one task per slot; here both
    tasks touch one cell, and the checker must find the interleaving
    where the two workers' accesses race (schedules where a single
    worker happens to claim both tasks are clean, so this also checks

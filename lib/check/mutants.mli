@@ -12,7 +12,7 @@
     - {!unfenced_publish}: data published through a non-atomic ready
       flag → reader's data access races with initialization.
     - {!shared_shard_writer}: two pool tasks handed the same
-      shard-owner cell → write-write race under the two-worker split.
+      slot-owner cell → write-write race under the two-worker split.
     - {!lost_exception_drain}: drain loop swallows a task failure →
       invariant violation (the pool's failure-replay contract).
     - {!lost_cell_push}: metrics cell registration by get/set instead
@@ -26,7 +26,7 @@ val unfenced_publish : Sched.scenario
 (** Publication through a plain (non-atomic) ready flag. *)
 
 val shared_shard_writer : Sched.scenario
-(** Two pool tasks writing the same shard-owner cell. *)
+(** Two pool tasks writing the same slot-owner cell. *)
 
 val lost_exception_drain : Sched.scenario
 (** Drain loop that swallows a task's exception. *)

@@ -17,12 +17,12 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Real components (must verify clean) *)
 
-let pool_scenario variant (module S : Shim.S) =
+let pool_scenario (module S : Shim.S) =
   let module P = Serve.Pool.Make (S) in
   let n = 3 in
   let runs = Array.init n (fun _ -> S.Raw.make 0) in
   let out =
-    P.run ~variant ~domains:2
+    P.run ~domains:2
       (fun i ->
         S.Raw.set runs.(i) (S.Raw.get runs.(i) + 1);
         2 * i)
@@ -60,13 +60,15 @@ let pool_failure_replay (module S : Shim.S) =
              (Printf.sprintf
                 "re-raised task %d, not the lowest failed index 1" i))
 
-(* The sharded batch path: planner + pool + shard-owner cells + scatter,
-   over a real packed cycle engine.  The engine (untracked: graph,
-   advice, caches) is built once and shared across schedules — only the
-   per-batch tracked state (claim cursor, owner cells) is re-created
-   inside each run, which is what the checker needs to see.  Answers
-   must equal the sequential ones on every interleaving. *)
-let engine_fixture =
+(* The router's batch path: wave planner + pool + slot-owner cells +
+   scatter, over an in-memory packed cycle split into two slots (an
+   explicit [~domains:2] is honored on any host).  The router
+   (untracked: graph, advice, slot caches) is built once and shared
+   across schedules — only the per-batch tracked state (claim cursor,
+   owner cells) is re-created inside each run, which is what the
+   checker needs to see.  Answers must equal the sequential ones on
+   every interleaving. *)
+let router_fixture =
   lazy
     (let rng = Netgraph.Prng.create 11 in
      let g = Netgraph.Builders.cycle 10 in
@@ -75,18 +77,20 @@ let engine_fixture =
        (fun e _ -> if Netgraph.Prng.bool rng then Netgraph.Bitset.add x e)
        g;
      let snapshot, _cert = Serve.Pack.edge_compression g x in
-     let engine = Serve.Engine.create ~shards:2 snapshot in
+     let router = Serve.Router.of_engine ~domains:2 (Serve.Engine.create snapshot) in
      let queries =
        [| Serve.Engine.Output_label 0; Serve.Engine.Output_label 3; Serve.Engine.Output_label 7;
           Serve.Engine.Advice_bits 5 |]
      in
-     let expected = Array.map (Serve.Engine.query engine) queries in
-     (engine, queries, expected))
+     let expected = Array.map (fun q -> Ok (Serve.Router.query router q)) queries in
+     (router, queries, expected))
 
-let engine_batch (module S : Shim.S) =
-  let engine, queries, expected = Lazy.force engine_fixture in
-  let module B = Serve.Engine.Batch (S) in
-  let got = B.batch ~domains:2 engine queries in
+let router_batch (module S : Shim.S) =
+  let router, queries, expected = Lazy.force router_fixture in
+  if Serve.Router.shard_count router <> 2 then
+    raise (Sched.Check_failed "the fixture router does not have two slots");
+  let module B = Serve.Router.Batch (S) in
+  let got = B.batch_results ~domains:2 router queries in
   if got <> expected then
     raise (Sched.Check_failed "batch answers differ from sequential serving")
 
@@ -119,10 +123,9 @@ let caught name ?(preemptions = 2) ?(max_schedules = 20_000) scenario =
 
 let all () =
   [
-    clean "pool.lockless" (pool_scenario Serve.Pool.Lockless);
-    clean "pool.locked" (pool_scenario Serve.Pool.Locked);
+    clean "pool.lockless" pool_scenario;
     clean "pool.failure-replay" pool_failure_replay;
-    clean "engine.batch" ~max_schedules:4_000 engine_batch;
+    clean "router.batch" ~max_schedules:4_000 router_batch;
     clean "metrics.cellpush" metrics_cellpush;
     caught "mutant.torn-cursor" Mutants.torn_cursor;
     caught "mutant.unfenced-publish" Mutants.unfenced_publish;

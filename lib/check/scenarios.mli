@@ -1,8 +1,8 @@
 (** The checked surface: the registry walked by the [modelcheck] CLI
     and the runtest suite.  Clean entries are the real components —
-    {!Serve.Pool} (both variants, plus the failure-replay contract),
-    {!Serve.Engine}'s sharded batch over a packed cycle, and
-    {!Obs.Metrics}'s cell push — which must explore without a
+    {!Serve.Pool} (its lock-free claim plus the failure-replay
+    contract), {!Serve.Router}'s two-slot batch over a packed cycle,
+    and {!Obs.Metrics}'s cell push — which must explore without a
     violation.  Caught entries are the {!Mutants} gallery, which must
     each produce one. *)
 

@@ -1,4 +1,4 @@
-module Engine = Serve.Engine
+module Router = Serve.Router
 
 let m_accepted = Obs.Metrics.counter "net.accepted"
 let m_closed = Obs.Metrics.counter "net.closed"
@@ -21,7 +21,6 @@ type config = {
   max_frame : int;
   write_budget : int;
   domains : int option;
-  pool : Serve.Pool.variant;
 }
 
 let default_config =
@@ -33,7 +32,6 @@ let default_config =
     max_frame = Protocol.default_max_frame;
     write_budget = 256 * 1024;
     domains = None;
-    pool = Serve.Pool.default_variant;
   }
 
 (* Cumulative loop counters.  The loop is single-threaded, so plain
@@ -53,86 +51,9 @@ type counters = {
   mutable degraded_answers : int;
 }
 
-(* What the loop needs from whatever answers queries: an engine, a
-   sharded router, or anything else.  Answering closures return [Error]
-   diagnostics instead of raising, so dispatch stays total and the
-   select loop cannot be killed by a backend exception. *)
-type backend = {
-  b_stats : unit -> (string * int) list;
-  b_degraded : unit -> bool;
-  b_query : Engine.query -> (Engine.answer, string) result;
-  b_batch :
-    domains:int option ->
-    pool:Serve.Pool.variant ->
-    Engine.query array ->
-    (Engine.answer array, string) result;
-}
-
-let of_engine e =
-  let flag b = if b then 1 else 0 in
-  {
-    b_stats =
-      (fun () ->
-        let g = Engine.graph e in
-        [
-          ("engine.degraded", flag (Engine.degraded e));
-          ("engine.trusted", flag (Engine.serving_trusted e));
-          ("engine.n", Netgraph.Graph.n g);
-          ("engine.m", Netgraph.Graph.m g);
-          ("engine.radius", Engine.radius e);
-          ("engine.shards", Engine.shard_count e);
-        ]);
-    b_degraded = (fun () -> Engine.degraded e);
-    b_query =
-      (fun q ->
-        match Engine.query e q with
-        | a -> Ok a
-        | exception Invalid_argument msg -> Error msg);
-    b_batch =
-      (fun ~domains ~pool qs ->
-        match Engine.batch ?domains ~pool e qs with
-        | az -> Ok az
-        | exception Invalid_argument msg -> Error msg);
-  }
-
-let of_router r =
-  let flag b = if b then 1 else 0 in
-  let guard f =
-    match f () with
-    | v -> Ok v
-    | exception Invalid_argument msg -> Error msg
-    | exception Serve.Router.Shard_lost { shard; reason } ->
-        Error (Printf.sprintf "shard %d lost: %s" shard reason)
-    | exception Store.Codec.Corrupt msg -> Error msg
-    | exception Sys_error msg -> Error msg
-  in
-  {
-    b_stats =
-      (fun () ->
-        [
-          ("engine.degraded", flag (Serve.Router.degraded r));
-          ("engine.trusted", 1);
-          ("engine.n", Serve.Router.n r);
-          ("engine.m", Serve.Router.m r);
-          ("engine.radius", Serve.Router.radius r);
-          ("engine.shards", Serve.Router.shard_count r);
-          ("store.shard.resident", Serve.Router.resident_shards r);
-          ("store.shard.resident_bytes", Serve.Router.resident_bytes r);
-          ("store.shard.loads", Serve.Router.loads r);
-          ("store.shard.evictions", Serve.Router.evictions r);
-          ("store.shard.lost", List.length (Serve.Router.lost_shards r));
-        ]);
-    b_degraded = (fun () -> Serve.Router.degraded r);
-    b_query = (fun q -> guard (fun () -> Serve.Router.query r q));
-    b_batch =
-      (fun ~domains ~pool qs ->
-        guard (fun () -> Serve.Router.batch ?domains ~pool r qs));
-  }
-
 type t = {
   config : config;
-  backend : backend;
-  engine : Engine.t option;
+  router : Router.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
   (* Self-pipe: shutdown () writes one byte from any domain or signal
@@ -145,7 +66,7 @@ type t = {
   c : counters;
 }
 
-let create_backend ?(config = default_config) ?engine backend =
+let create ?(config = default_config) router =
   (* A peer that disappears mid-write must surface as EPIPE on the
      write call, not as a process-killing signal. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -169,8 +90,7 @@ let create_backend ?(config = default_config) ?engine backend =
   Unix.set_nonblock pipe_w;
   {
     config;
-    backend;
-    engine;
+    router;
     listen_fd = fd;
     bound_port;
     pipe_r;
@@ -194,14 +114,7 @@ let create_backend ?(config = default_config) ?engine backend =
       };
   }
 
-let create ?config engine = create_backend ?config ~engine (of_engine engine)
 let port t = t.bound_port
-
-let engine t =
-  match t.engine with
-  | Some e -> e
-  | None ->
-      invalid_arg "Server.engine: this server answers from a custom backend"
 
 let shutdown t =
   (* Async-signal-safe: one nonblocking write, no allocation beyond the
@@ -211,10 +124,22 @@ let shutdown t =
     ()
 
 let stats t =
+  let r = t.router in
+  let flag b = if b then 1 else 0 in
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
-    (t.backend.b_stats ()
-    @ [
+    [
+      ("engine.degraded", flag (Router.degraded r));
+      ("engine.trusted", flag (Router.serving_trusted r));
+      ("engine.n", Router.n r);
+      ("engine.m", Router.m r);
+      ("engine.radius", Router.radius r);
+      ("engine.shards", Router.shard_count r);
+      ("store.shard.resident", Router.resident_shards r);
+      ("store.shard.resident_bytes", Router.resident_bytes r);
+      ("store.shard.loads", Router.loads r);
+      ("store.shard.evictions", Router.evictions r);
+      ("store.shard.lost", List.length (Router.lost_shards r));
       ("net.accepted", t.c.accepted);
       ("net.active", List.length t.conns);
       ("net.closed", t.c.closed);
@@ -227,17 +152,28 @@ let stats t =
       ("net.bytes_in", t.c.bytes_in);
       ("net.bytes_out", t.c.bytes_out);
       ("serve.degraded", t.c.degraded_answers);
-    ])
+    ]
 
 let note_answered t count =
   t.c.queries <- t.c.queries + count;
   Obs.Metrics.add m_queries count;
-  if t.backend.b_degraded () then
+  if Router.degraded t.router then
     t.c.degraded_answers <- t.c.degraded_answers + count
 
-let note_rejected t =
+(* A failed answer becomes a non-fatal Rejected frame, so no router
+   exception can kill the select loop; anything else is a bug and
+   propagates. *)
+let reject t e =
+  let msg =
+    match e with
+    | Invalid_argument msg | Store.Codec.Corrupt msg | Sys_error msg -> msg
+    | Router.Shard_lost { shard; reason } ->
+        Printf.sprintf "shard %d lost: %s" shard reason
+    | e -> raise e
+  in
   t.c.errors <- t.c.errors + 1;
-  Obs.Metrics.incr m_errors
+  Obs.Metrics.incr m_errors;
+  Protocol.Error (Protocol.Rejected, msg)
 
 let dispatch t rq =
   t.c.requests <- t.c.requests + 1;
@@ -250,25 +186,21 @@ let dispatch t rq =
       t.c.stats_reqs <- t.c.stats_reqs + 1;
       Protocol.Stats_reply (stats t)
   | Protocol.Query q -> (
-      match t.backend.b_query q with
-      | Ok a ->
+      match Router.query t.router q with
+      | a ->
           note_answered t 1;
           Protocol.Answer a
-      | Error msg ->
-          note_rejected t;
-          Protocol.Error (Protocol.Rejected, msg))
+      | exception e -> reject t e)
   | Protocol.Batch qs -> (
       t.c.batches <- t.c.batches + 1;
       Obs.Metrics.incr m_batches;
       if Obs.Metrics.enabled () then
         Obs.Metrics.observe m_batch_size (Array.length qs);
-      match t.backend.b_batch ~domains:t.config.domains ~pool:t.config.pool qs with
-      | Ok az ->
+      match Router.batch ?domains:t.config.domains t.router qs with
+      | az ->
           note_answered t (Array.length az);
           Protocol.Answers az
-      | Error msg ->
-          note_rejected t;
-          Protocol.Error (Protocol.Rejected, msg))
+      | exception e -> reject t e)
 
 let close_conn t fd conn =
   Conn.close conn;

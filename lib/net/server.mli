@@ -1,15 +1,20 @@
-(** Single-threaded [Unix.select] event loop serving {!Serve.Engine}
+(** Single-threaded [Unix.select] event loop serving {!Serve.Router}
     queries over TCP — the long-lived form of [advice_store serve].
 
     One loop iteration selects over the listening socket, a self-pipe
     (the cross-domain shutdown signal), and every connection that wants
     IO per its {!Conn} state machine; then accepts, reads and parses
     pipelined request frames, dispatches them (batches through the
-    sharded parallel {!Serve.Engine.batch} path), and flushes write
-    queues.  Dispatch is synchronous on the loop thread: one enormous
-    batch delays other connections rather than racing them, which is the
-    deliberate trade — the engine's own domain pool is where parallelism
-    lives, and the loop stays free of locks entirely.
+    router's parallel {!Serve.Router.batch} slot fan-out), and flushes
+    write queues.  Dispatch is synchronous on the loop thread: one
+    enormous batch delays other connections rather than racing them,
+    which is the deliberate trade — the router's domain pool is where
+    parallelism lives, and the loop stays free of locks entirely.  The
+    router serves either snapshot version ({!Serve.Router.create} for a
+    v2 container, {!Serve.Router.of_engine} for an in-memory v1
+    snapshot); a router exception (a malformed query, a lost shard)
+    becomes a non-fatal {!Protocol.Rejected} frame and the server keeps
+    serving.
 
     {b Backpressure} is per connection ({!Conn}): a peer whose response
     queue exceeds the write budget stops being read until the queue
@@ -28,10 +33,11 @@
     fully received before the shutdown byte are answered; bytes arriving
     after it are never parsed.
 
-    {b Degraded serving} needs no special handling here: an engine built
-    by {!Serve.Engine.create_salvaged} answers like any other, and the
-    stats frame exposes [engine.degraded] / [serve.degraded] so clients
-    can see they are being served best-effort from a damaged snapshot.
+    {b Degraded serving} needs no special handling here: a router over a
+    salvaged engine or a container with a lost shard answers like any
+    other, and the stats frame exposes [engine.degraded] /
+    [serve.degraded] so clients can see they are being served
+    best-effort from a damaged snapshot.
 
     Obs: [net.accepted], [net.closed], [net.requests], [net.queries],
     [net.batches], [net.errors], [net.bytes_in], [net.bytes_out]
@@ -47,62 +53,25 @@ type config = {
   write_budget : int;
       (** per-connection queued-response bound (bytes) above which the
           connection stops being read, default 256 KiB *)
-  domains : int option;  (** batch fan-out, forwarded to the engine *)
-  pool : Serve.Pool.variant;  (** batch pool discipline *)
+  domains : int option;  (** batch fan-out, forwarded to the router *)
 }
 
 val default_config : config
 (** Loopback host, ephemeral port, and the defaults listed above. *)
 
-type backend = {
-  b_stats : unit -> (string * int) list;
-      (** backend facts merged into {!stats} (the [engine.*] /
-          [store.shard.*] rows) *)
-  b_degraded : unit -> bool;  (** whether answers are best-effort *)
-  b_query : Serve.Engine.query -> (Serve.Engine.answer, string) result;
-  b_batch :
-    domains:int option ->
-    pool:Serve.Pool.variant ->
-    Serve.Engine.query array ->
-    (Serve.Engine.answer array, string) result;
-}
-(** What the loop needs from whatever answers queries.  Answering
-    closures return [Error] diagnostics instead of raising (an [Error]
-    becomes a non-fatal {!Protocol.Rejected} frame), so a backend
-    exception can never kill the select loop. *)
-
-val of_engine : Serve.Engine.t -> backend
-(** A monolithic in-memory engine: [Invalid_argument] → [Error]. *)
-
-val of_router : Serve.Router.t -> backend
-(** A sharded lazy-loading router: {!stats} additionally reports
-    [store.shard.resident], [store.shard.resident_bytes],
-    [store.shard.loads], [store.shard.evictions] and [store.shard.lost];
-    a {!Serve.Router.Shard_lost} or [Codec.Corrupt] surfaces as a
-    per-request [Rejected] frame and the server keeps serving the
-    healthy node ranges. *)
-
 type t
 (** A bound, listening server (not yet running its loop). *)
 
-val create : ?config:config -> Serve.Engine.t -> t
-(** [create engine] opens, binds and listens the socket immediately, so
+val create : ?config:config -> Serve.Router.t -> t
+(** [create router] opens, binds and listens the socket immediately, so
     {!port} is known before {!run} is entered — a test can bind port 0,
     read the assigned port, and only then start the loop in another
-    domain.  Equivalent to [create_backend (of_engine engine)].
-    @raise Unix.Unix_error when binding fails (address in use,
-    permission). *)
-
-val create_backend : ?config:config -> ?engine:Serve.Engine.t -> backend -> t
-(** Like {!create} but serving from an arbitrary {!backend} (e.g.
-    {!of_router}).  [engine] only feeds the {!engine} accessor. *)
+    domain.  The loop then owns [router]: no other thread may query it
+    while the server runs.  @raise Unix.Unix_error when binding fails
+    (address in use, permission). *)
 
 val port : t -> int
 (** The actually bound TCP port (resolves port [0] requests). *)
-
-val engine : t -> Serve.Engine.t
-(** The engine this server answers from.  @raise Invalid_argument on a
-    server over a custom backend with no engine. *)
 
 val run : t -> unit
 (** Run the event loop until {!shutdown} completes its drain.  Must be
@@ -116,10 +85,13 @@ val shutdown : t -> unit
 
 val stats : t -> (string * int) list
 (** The counter pairs a {!Protocol.Stats} request is answered with,
-    sorted by name: engine facts ([engine.n], [engine.m],
-    [engine.radius], [engine.shards], [engine.degraded],
-    [engine.trusted] as 0/1 flags and sizes), loop counters
+    sorted by name: router facts ([engine.n], [engine.m],
+    [engine.radius], [engine.shards] (the slot count),
+    [engine.degraded], [engine.trusted] as 0/1 flags and sizes), slot
+    residency ([store.shard.resident], [store.shard.resident_bytes],
+    [store.shard.loads], [store.shard.evictions], [store.shard.lost]),
+    loop counters
     ([net.accepted], [net.active], [net.requests], [net.queries],
     [net.batches], [net.errors], [net.pings], [net.bytes_in],
     [net.bytes_out]) and [serve.degraded] — the count of queries
-    answered while the engine was degraded, 0 on a healthy one. *)
+    answered while the router was degraded, 0 on a healthy one. *)

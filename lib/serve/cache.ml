@@ -107,14 +107,3 @@ let clear c =
   c.used <- 0;
   c.head <- -1;
   c.tail <- -1
-
-(* Exact balanced split of a total entry budget: shard [k] gets the
-   difference of two rounded prefix shares, so the parts sum to exactly
-   [total] and differ by at most one.  The previous round-up split
-   ((total + s - 1) / s per shard) overshot the budget by up to S - 1
-   entries — enough to break a byte-budget accounting built on top. *)
-let split ~total ~shards =
-  if total < 0 then invalid_arg "Cache.split: negative total";
-  if shards < 1 then invalid_arg "Cache.split: shard count must be positive";
-  Array.init shards (fun k ->
-      (total * (k + 1) / shards) - (total * k / shards))

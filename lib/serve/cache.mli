@@ -4,10 +4,11 @@
     lint forbids [Hashtbl] there), so the cache is four flat int arrays:
     a node-indexed slot map plus an intrusive doubly-linked recency list
     over the slots.  [find] and [insert] are O(1); a full cache evicts
-    the least-recently-used entry.  Not domain-safe: the serving engine
-    pins one instance to each of its shards, and a shard is processed by
-    exactly one pool worker per batch — ownership, not locking, is what
-    keeps concurrent batches off each other's recency lists. *)
+    the least-recently-used entry.  Not domain-safe: each {!Engine} owns
+    one instance, the router gives each of its slots its own engine, and
+    a slot is served by exactly one pool worker per batch — ownership,
+    not locking, is what keeps concurrent batches off each other's
+    recency lists. *)
 
 type t
 (** One cache instance, bound to a fixed node-id universe. *)
@@ -42,11 +43,3 @@ val insert : t -> int -> string -> unit
 
 val clear : t -> unit
 (** Drop every entry, keeping the arrays. *)
-
-val split : total:int -> shards:int -> int array
-(** [split ~total ~shards] divides an entry budget exactly: the returned
-    capacities sum to precisely [total] and differ pairwise by at most
-    one.  Small budgets leave trailing shards with capacity 0 (the no-op
-    cache) rather than inflating the total — the engine's per-shard
-    budgets, and anything accounting bytes on top of them, stay exact.
-    @raise Invalid_argument when [total < 0] or [shards < 1]. *)

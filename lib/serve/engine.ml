@@ -3,7 +3,6 @@ module View = Localmodel.View
 module Balanced_orientation = Schemas.Balanced_orientation
 
 let m_queries = Obs.Metrics.counter "serve.queries"
-let m_batches = Obs.Metrics.counter "serve.batches"
 let m_hits = Obs.Metrics.counter "serve.cache.hits"
 let m_misses = Obs.Metrics.counter "serve.cache.misses"
 let m_degraded = Obs.Metrics.counter "serve.degraded"
@@ -14,17 +13,11 @@ let m_ball =
   Obs.Metrics.histogram "serve.ball_size"
     ~buckets:[| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 |]
 
-let m_shards = Obs.Metrics.counter "serve.batch.shards"
-
-(* The node-id space is cut into contiguous shards, each pinned to its
-   own cache: shard [s] owns nodes [bounds.(s) .. bounds.(s+1) - 1] and
-   [caches.(s)] is keyed by the shard-local id [v - bounds.(s)].  A
-   batch hands each shard to exactly one pool worker, so no lock ever
-   guards a cache — ownership does.  Contiguous id ranges are the CSR
-   locality clusters: builders number neighbors near each other (cycle:
-   v±1, grid: row-major ±side), so nodes whose radius-r balls overlap
-   land in the same shard and share its cache and the worker domain's
-   epoch workspace. *)
+(* One engine answers the nodes [lo, hi) of its graph (all of them
+   unless {!restrict}ed) from one LRU cache keyed by [v - lo].  The
+   router gives each of its slots its own engine, and a batch hands a
+   slot to exactly one pool worker, so no lock ever guards a cache —
+   ownership does. *)
 type t = {
   graph : Graph.t;
   name : string;
@@ -32,8 +25,9 @@ type t = {
   params : Balanced_orientation.params;
   radius : int;
   ids : Localmodel.Ids.t;
-  bounds : int array;  (* length = #shards + 1; bounds.(0) = 0 *)
-  caches : Cache.t array;  (* one per shard, shard-locally keyed *)
+  lo : int;  (* first node answered *)
+  hi : int;  (* one past the last node answered *)
+  cache : Cache.t;  (* keyed by v - lo *)
   memo : Memo.t option;  (* canonical-ball decode memo, possibly shared *)
   memo_prefix : string;  (* radius/params/trust pinned into every key *)
   degraded : bool;  (* any section of the source snapshot was damaged *)
@@ -137,8 +131,41 @@ let resolve_radius ?radius snapshot =
         "Engine.create: snapshot metadata has no serve.radius and no \
          ~radius override was given"
 
-let build ~cache_capacity ~shards ~memo ~radius ~ids ~degraded ~trusted
-    ~quarantined snapshot name advice =
+(* Damage report lines: one per non-healthy section of a salvage. *)
+let describe_damage (r : Store.Snapshot.section_report) =
+  let where =
+    match r.Store.Snapshot.s_name with
+    | Some n -> Printf.sprintf "section %d (advice %S)" r.Store.Snapshot.s_index n
+    | None -> Printf.sprintf "section %d (tag %d)" r.Store.Snapshot.s_index r.Store.Snapshot.s_tag
+  in
+  match r.Store.Snapshot.s_status with
+  | Store.Snapshot.Healthy -> None
+  | Store.Snapshot.Quarantined msg -> Some (where ^ " quarantined: " ^ msg)
+  | Store.Snapshot.Lost msg -> Some (where ^ " lost: " ^ msg)
+
+(* Prefer checksum-clean advice, fall back to a quarantined (parsed but
+   CRC-failed) section recovered by a salvage read. *)
+let pick_advice ~recovered name snapshot =
+  let find sections n = List.find_opt (fun (k, _) -> String.equal k n) sections in
+  match name with
+  | None -> (
+      match (snapshot.Store.Snapshot.advice, recovered) with
+      | (n, a) :: _, _ -> (n, a, true)
+      | [], (n, a) :: _ -> (n, a, false)
+      | [], [] -> fail "Engine.create: snapshot has no advice section")
+  | Some n -> (
+      match find snapshot.Store.Snapshot.advice n with
+      | Some (k, a) -> (k, a, true)
+      | None -> (
+          match find recovered n with
+          | Some (k, a) -> (k, a, false)
+          | None -> fail "Engine.create: snapshot has no advice section %S" n))
+
+let create ?(cache_capacity = 1024) ?memo ?radius ?ids ?name ?health snapshot =
+  let recovered, report = Option.value health ~default:([], []) in
+  let name, advice, trusted = pick_advice ~recovered name snapshot in
+  let radius = resolve_radius ?radius snapshot in
+  let quarantined = List.filter_map describe_damage report in
   let graph = snapshot.Store.Snapshot.graph in
   let n = Graph.n graph in
   let ids =
@@ -152,27 +179,12 @@ let build ~cache_capacity ~shards ~memo ~radius ~ids ~degraded ~trusted
           fail "Engine.create: ids are not distinct positive identifiers";
         ids
   in
-  let s =
-    match shards with
-    | Some s when s < 1 -> fail "Engine.create: shard count %d must be positive" s
-    | Some s -> min s (max 1 n)
-    | None -> min (View.effective_domains ()) (max 1 n)
-  in
   if cache_capacity < 0 then
     fail "Engine.create: negative cache capacity %d" cache_capacity;
-  (* Exact balanced split: the per-shard capacities sum to precisely the
-     configured budget (small budgets leave trailing shards uncached
-     rather than overshooting the total). *)
-  let caps = Cache.split ~total:cache_capacity ~shards:s in
-  let bounds = Array.init (s + 1) (fun k -> k * n / s) in
-  let caches =
-    Array.init s (fun k ->
-        Cache.create ~capacity:caps.(k) ~n:(bounds.(k + 1) - bounds.(k)))
-  in
   let params = params_of_meta snapshot in
   (* Everything a decode depends on beyond the ball itself, pinned into
      every memo key: one table can then be shared by engines serving at
-     the same radius/params/trust (the router's per-shard engines) while
+     the same radius/params/trust (the router's slot engines) while
      engines that differ in any of them can never alias. *)
   let memo_prefix =
     Printf.sprintf "r%d;p%d,%d,%d;t%c;" radius
@@ -187,80 +199,25 @@ let build ~cache_capacity ~shards ~memo ~radius ~ids ~degraded ~trusted
     params;
     radius;
     ids;
-    bounds;
-    caches;
+    lo = 0;
+    hi = n;
+    cache = Cache.create ~capacity:cache_capacity ~n;
     memo;
     memo_prefix;
-    degraded;
+    degraded = (not trusted) || (match quarantined with [] -> false | _ :: _ -> true);
     trusted;
     quarantined;
   }
 
-let create ?(cache_capacity = 1024) ?shards ?memo ?radius ?ids ?name snapshot =
-  let name, advice =
-    match (name, snapshot.Store.Snapshot.advice) with
-    | None, (n, a) :: _ -> (n, a)
-    | None, [] -> fail "Engine.create: snapshot has no advice section"
-    | Some n, sections -> (
-        match List.find_opt (fun (k, _) -> String.equal k n) sections with
-        | Some (k, a) -> (k, a)
-        | None -> fail "Engine.create: snapshot has no advice section %S" n)
-  in
-  let radius = resolve_radius ?radius snapshot in
-  build ~cache_capacity ~shards ~memo ~radius ~ids ~degraded:false
-    ~trusted:true ~quarantined:[] snapshot name advice
-
-(* Degraded construction from a salvage report: prefer checksum-clean
-   advice, fall back to a quarantined (parsed but CRC-failed) section. *)
-
-let describe_damage (r : Store.Snapshot.section_report) =
-  let where =
-    match r.Store.Snapshot.s_name with
-    | Some n -> Printf.sprintf "section %d (advice %S)" r.Store.Snapshot.s_index n
-    | None -> Printf.sprintf "section %d (tag %d)" r.Store.Snapshot.s_index r.Store.Snapshot.s_tag
-  in
-  match r.Store.Snapshot.s_status with
-  | Store.Snapshot.Healthy -> None
-  | Store.Snapshot.Quarantined msg -> Some (where ^ " quarantined: " ^ msg)
-  | Store.Snapshot.Lost msg -> Some (where ^ " lost: " ^ msg)
-
-let create_salvaged ?(cache_capacity = 1024) ?shards ?memo ?radius ?ids ?name
-    (sv : Store.Snapshot.salvage) =
-  let snapshot = sv.Store.Snapshot.partial in
-  let find sections n = List.find_opt (fun (k, _) -> String.equal k n) sections in
-  let name, advice, trusted =
-    match name with
-    | None -> (
-        match (snapshot.Store.Snapshot.advice, sv.Store.Snapshot.recovered) with
-        | (n, a) :: _, _ -> (n, a, true)
-        | [], (n, a) :: _ -> (n, a, false)
-        | [], [] ->
-            fail "Engine.create_salvaged: no advice section survived salvage")
-    | Some n -> (
-        match find snapshot.Store.Snapshot.advice n with
-        | Some (k, a) -> (k, a, true)
-        | None -> (
-            match find sv.Store.Snapshot.recovered n with
-            | Some (k, a) -> (k, a, false)
-            | None ->
-                fail
-                  "Engine.create_salvaged: advice section %S did not survive \
-                   salvage"
-                  n))
-  in
-  let radius = resolve_radius ?radius snapshot in
-  let quarantined = List.filter_map describe_damage sv.Store.Snapshot.report in
-  let degraded =
-    (not trusted) || (match quarantined with [] -> false | _ :: _ -> true)
-  in
-  build ~cache_capacity ~shards ~memo ~radius ~ids ~degraded ~trusted
-    ~quarantined snapshot name advice
+let restrict t ~lo ~hi =
+  if lo < t.lo || hi > t.hi || lo > hi then
+    fail "Engine.restrict: range %d..%d is not inside %d..%d" lo hi t.lo t.hi;
+  { t with lo; hi; cache = Cache.create ~capacity:(Cache.capacity t.cache) ~n:(hi - lo) }
 
 let graph t = t.graph
 let radius t = t.radius
-let shard_count t = Array.length t.caches
 let advice_name t = t.name
-let memoized t = Option.is_some t.memo
+let memo t = t.memo
 let degraded t = t.degraded
 let serving_trusted t = t.trusted
 let quarantined_sections t = t.quarantined
@@ -269,8 +226,8 @@ type query = Output_label of int | Edge_member of int * int | Advice_bits of int
 type answer = Label of string | Member of bool | Bits of string
 
 let check_node t what v =
-  if v < 0 || v >= Graph.n t.graph then
-    fail "Engine: %s names node %d outside 0..%d" what v (Graph.n t.graph - 1)
+  if v < t.lo || v >= t.hi then
+    fail "Engine: %s names node %d outside %d..%d" what v t.lo (t.hi - 1)
 
 let validate t = function
   | Output_label v -> check_node t "Output_label" v
@@ -302,13 +259,11 @@ let incident_index t v e =
    memo key is written straight from the stamps, and only a memo miss
    builds the id-ordered fragment — from the same stamps — and decodes
    it.  An untrusted engine degrades undecodable balls to the all-'0'
-   label.  A memo miss hands the (key, label) pair to [stage] instead of
-   writing the table: the single-writer publication discipline.  The
-   serialized single-query path stages straight into the table
-   ([publish]); the batch paths stage into a worker-local list and
-   publish after the pool join — workers only ever *read* the table, so
-   it stays frozen for the whole parallel region. *)
-let compute_label t ~stage v =
+   label.  Publication is single-writer: with [staged = None] (the
+   serialized {!query} path) a memo miss is inserted at once; pool
+   workers pass a cell instead, so they only ever *read* the table and
+   the miss rides back to the caller, which inserts it after the join. *)
+let compute_label t ~staged v =
   let ws = Workspace.domain_local () in
   ignore (Traversal.bfs_limited_into ws t.graph v t.radius);
   let decode () =
@@ -326,191 +281,39 @@ let compute_label t ~stage v =
       | Some label -> label
       | None ->
           let label = decode () in
-          stage key label;
+          (match staged with
+          | None -> Memo.insert memo key label
+          | Some cell -> cell := Some (key, label));
           label)
 
-(* The immediate-publication stage for serialized callers. *)
-let publish t key label =
-  match t.memo with None -> () | Some memo -> Memo.insert memo key label
-
-let publish_staged t staged =
-  List.iter (fun (key, label) -> publish t key label) staged
-
-(* Owner shard of node [v]: the largest [s] with [bounds.(s) <= v].
-   Shard counts are tiny (≤ 64), but binary search keeps the lookup
-   uniform with the batch assembler below. *)
-let shard_of t v =
-  let lo = ref 0 and hi = ref (Array.length t.caches - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if t.bounds.(mid) <= v then lo := mid else hi := mid - 1
-  done;
-  !lo
-
-(* Serve one node against a specific shard's cache.  The caller is the
-   shard's owner for the duration of the call: either the single-query
-   path (engine-level callers serialise those) or the one pool worker
-   the batch pinned to the shard. *)
-let shard_label t ~stage s v =
-  let cache = t.caches.(s) in
-  let key = v - t.bounds.(s) in
-  match Cache.find cache key with
+let label t ~staged v =
+  let key = v - t.lo in
+  match Cache.find t.cache key with
   | Some str ->
       Obs.Metrics.incr m_hits;
       str
   | None ->
       Obs.Metrics.incr m_misses;
-      let str = compute_label t ~stage v in
-      Cache.insert cache key str;
+      let str = compute_label t ~staged v in
+      Cache.insert t.cache key str;
       str
 
-let label_for t v = shard_label t ~stage:(publish t) (shard_of t v) v
+let note_degraded t =
+  if t.degraded then Obs.Metrics.incr m_degraded;
+  if not t.trusted then Obs.Metrics.incr m_quarantined
 
-let answer_with t label_of = function
-  | Output_label v -> Label (label_of v)
-  | Edge_member (v, e) -> Member ((label_of v).[incident_index t v e] = '1')
+let answer t ~staged q =
+  validate t q;
+  Obs.Metrics.incr m_queries;
+  note_degraded t;
+  match q with
+  | Output_label v -> Label (label t ~staged v)
+  | Edge_member (v, e) -> Member ((label t ~staged v).[incident_index t v e] = '1')
   | Advice_bits v -> Bits t.advice.(v)
 
-let note_degraded t count =
-  if t.degraded then Obs.Metrics.add m_degraded count;
-  if not t.trusted then Obs.Metrics.add m_quarantined count
+let query t q = answer t ~staged:None q
 
-let query t q =
-  validate t q;
-  Obs.Metrics.incr m_queries;
-  note_degraded t 1;
-  answer_with t (label_for t) q
-
-(* [query] for callers that are themselves pool workers (the router's
-   batch waves): memo misses are consed onto [staged] for the caller to
-   hand back to the publishing thread instead of being written from a
-   parallel region. *)
-let query_staged t q staged =
-  validate t q;
-  Obs.Metrics.incr m_queries;
-  note_degraded t 1;
-  let acc = ref staged in
-  let stage key label = acc := (key, label) :: !acc in
-  let label_of v = shard_label t ~stage (shard_of t v) v in
-  let answer = answer_with t label_of q in
-  (answer, !acc)
-
-let ball_node = function
-  | Output_label v | Edge_member (v, _) -> Some v
-  | Advice_bits _ -> None
-
-(* Plan: the sorted, deduplicated set of nodes whose ball the batch
-   needs. *)
-let planned_nodes qs =
-  let wanted = Array.of_seq (Seq.filter_map ball_node (Array.to_seq qs)) in
-  Array.sort Int.compare wanted;
-  let nodes = Array.make (Array.length wanted) 0 in
-  let count = ref 0 in
-  Array.iter
-    (fun v ->
-      if !count = 0 || nodes.(!count - 1) <> v then begin
-        nodes.(!count) <- v;
-        incr count
-      end)
-    wanted;
-  Array.sub nodes 0 !count
-
-(* Shard plan: cut the sorted node array at each shard boundary.  The
-   nodes are sorted and the shards are contiguous id ranges, so shard
-   [s]'s slice is exactly [cuts.(s) .. cuts.(s+1) - 1] — the planner is
-   a single merge pass, no per-node owner lookup. *)
-let shard_cuts t nodes =
-  let k = Array.length nodes in
-  let nshards = Array.length t.caches in
-  let cuts = Array.make (nshards + 1) 0 in
-  let p = ref 0 in
-  for s = 1 to nshards do
-    let limit = t.bounds.(s) in
-    while !p < k && nodes.(!p) < limit do
-      incr p
-    done;
-    cuts.(s) <- !p
-  done;
-  cuts
-
-(* The parallel half of [batch], functorized over the concurrency shim
-   so Check.Sched can run the exact shard/cache handoff under its
-   schedule-exploring scheduler.  Production is [Batch (Shim.Real)]
-   below; the only shim traffic on the hot path is one Raw ownership
-   touch per served node — a plain load + store through [Shim.Real.Raw],
-   and the access trace the checker's vector-clock tracker uses to prove
-   (or refute, for the double-writer mutant) that no two workers ever
-   touch one shard's cache unsynchronized. *)
-let default_pool_variant = Pool.default_variant
-
-module Batch (S : Shim.S) = struct
-  (* Shadowing the outer [Pool] on purpose: call sites below read
-     [Pool.run], which keeps the domain-race lint descending into the
-     closures handed to the pool exactly as it does for production
-     callers. *)
-  module Pool = Pool.Make (S)
-
-  let batch ?domains ?(pool = default_pool_variant) t qs =
-    Array.iter (validate t) qs;
-    Obs.Trace.span "serve.batch" (fun () ->
-        Obs.Metrics.incr m_batches;
-        Obs.Metrics.add m_queries (Array.length qs);
-        note_degraded t (Array.length qs);
-        let nodes = planned_nodes qs in
-        let cuts = shard_cuts t nodes in
-        let nshards = Array.length t.caches in
-        (* One tracked ownership cell per shard cache for this batch.
-           Every cache access below is bracketed by a read-modify-write
-           of the owning shard's cell, so any schedule in which two
-           workers interleave on one cache is a happens-before race on
-           that cell — which is exactly what the checker flags. *)
-        let owners = Array.init nshards (fun _ -> S.Raw.make 0) in
-        (* One task per non-empty shard slice.  A task owns its shard for
-           the whole batch: it classifies hits and computes misses against
-           the shard's private cache, with no post-join insert phase, and
-           returns its labels for the calling domain to scatter — workers
-           never write through a captured structure (the discipline the
-           domain-race lint audits). *)
-        let live = ref [] in
-        for s = nshards - 1 downto 0 do
-          if cuts.(s) < cuts.(s + 1) then live := s :: !live
-        done;
-        let tasks = Array.of_list !live in
-        Obs.Metrics.add m_shards (Array.length tasks);
-        let serve_shard s =
-          let lo = cuts.(s) and hi = cuts.(s + 1) in
-          let out = Array.make (hi - lo) "" in
-          (* Worker-local staging: the memo stays frozen (read-only) for
-             every worker; misses ride back with the labels and the
-             calling domain publishes them after the join below. *)
-          let staged = ref [] in
-          let stage key label = staged := (key, label) :: !staged in
-          for i = lo to hi - 1 do
-            S.Raw.set owners.(s) (S.Raw.get owners.(s) + 1);
-            out.(i - lo) <- shard_label t ~stage s nodes.(i)
-          done;
-          (out, !staged)
-        in
-        let parts = Pool.run ~variant:pool ?domains serve_shard tasks in
-        let labels = Array.make (Array.length nodes) "" in
-        Array.iteri
-          (fun j s ->
-            let out, staged = parts.(j) in
-            Array.blit out 0 labels cuts.(s) (Array.length out);
-            publish_staged t staged)
-          tasks;
-        let label_of v =
-          (* binary search in the planned node array *)
-          let lo = ref 0 and hi = ref (Array.length nodes - 1) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if nodes.(mid) < v then lo := mid + 1 else hi := mid
-          done;
-          labels.(!lo)
-        in
-        Array.map (answer_with t label_of) qs)
-end
-
-module Production = Batch (Shim.Real)
-
-let batch = Production.batch
+let staged t q =
+  let cell = ref None in
+  let a = answer t ~staged:(Some cell) q in
+  (a, !cell)

@@ -14,33 +14,28 @@
     membership bits — O(ball) work per miss, independent of the graph
     size, with no {!Localmodel.View} materialized.
 
-    {b Batch parallelism.}  The node-id space is cut into contiguous
-    {e shards} (default: one per effective domain), each pinned to its
-    own LRU ball {!Cache}.  {!batch} dedups and sorts the request
-    nodes, slices them per shard (sorted nodes against contiguous id
-    ranges — a single merge pass), and hands each non-empty slice as
-    one task to {!Pool.run}: a task owns its shard for the whole batch,
-    so it reads and fills the shard cache with no locking, and returns
-    its labels for the calling domain to scatter.  Contiguous id ranges
-    track CSR locality (builders number neighbors near each other), so
-    overlapping balls land on the same shard's cache and domain.
-    Single-node {!query} routes through the owner shard's cache.
+    {b One cache.}  An engine answers the nodes of one contiguous range
+    (the whole graph, unless {!restrict}ed) through one private LRU ball
+    {!Cache}.  It has no notion of shards or batches: {!Router} is the
+    only multi-slot front end and the only batch planner, and gives each
+    of its slots its own engine — a v2 container shard's local engine,
+    or a {!restrict}ed copy of one in-memory v1 engine.
 
     {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
-    {e between} the LRU caches and the decoder: a cache miss first keys
+    {e between} the LRU cache and the decoder: a cache miss first keys
     the stamped ball with {!Ethlink.Canonical.ball_key} — the bytes of
     {!Ethlink.Canonical.ball_signature}, prefixed with the engine's
     radius, decoder parameters and trust mode, written straight from
     the BFS stamps — and only builds the fragment and decodes on a memo
     miss, from the same stamps; a memo hit builds neither a view nor a
     graph.  Nodes with isomorphic balls share one decode, across
-    shards, engines (the router passes one table to every per-shard
-    engine) and LRU evictions.  Answers are byte-identical to the
-    unmemoized engine: the signature captures the decoder's whole
-    input.  Publication is single-writer: the serialized {!query} path
-    inserts immediately, while {!batch} workers and {!query_staged}
-    callers only {e read} the frozen table and stage their misses for
-    the calling thread to publish after the join.
+    engines (the router passes one table to every slot engine) and LRU
+    evictions.  Answers are byte-identical to the unmemoized engine: the
+    signature captures the decoder's whole input.  Publication is
+    single-writer: the serialized {!query} path inserts immediately,
+    while {!staged} callers (the router's pool workers) only {e read}
+    the frozen table and hand their misses back for the calling thread
+    to insert after the join.
 
     The serve radius is the one certified at pack time
     ({!Pack.edge_compression} stores it in the snapshot metadata):
@@ -49,7 +44,7 @@
     uncertified smaller radius answers may differ — the engine is total
     but only the certified radius carries the equivalence guarantee.
 
-    {b Degraded mode.}  {!create_salvaged} builds an engine from a
+    {b Degraded mode.}  [create ~health] builds an engine from a
     {!Store.Snapshot.read_salvage} result: it serves checksum-clean
     advice sections normally and can fall back to a quarantined section
     (parsed but CRC-failed) best-effort — the decode stays total by
@@ -59,54 +54,57 @@
     untrusted advice additionally bump [serve.quarantined], and each
     ball that needed the fallback bumps [serve.fallback_labels].
 
-    Obs: [serve.queries], [serve.batches], [serve.cache.hits],
-    [serve.cache.misses], [serve.degraded], [serve.quarantined],
-    [serve.fallback_labels], [serve.batch.shards] counters, the
-    [serve.ball_size] histogram (one sample per decoded ball), and the
-    [serve.batch] trace span (plus everything {!Memo} and {!Pool}
-    record). *)
+    Obs: [serve.queries], [serve.cache.hits], [serve.cache.misses],
+    [serve.degraded], [serve.quarantined], [serve.fallback_labels]
+    counters and the [serve.ball_size] histogram (one sample per decoded
+    ball), plus everything {!Memo} records. *)
 
 type t
-(** A loaded engine: snapshot, decode parameters, serve radius, and the
-    sharded ball caches. *)
+(** A loaded engine: snapshot, decode parameters, serve radius, and one
+    ball cache over the node range it answers. *)
 
 val create :
-  ?cache_capacity:int -> ?shards:int -> ?memo:Memo.t -> ?radius:int ->
-  ?ids:Localmodel.Ids.t -> ?name:string -> Store.Snapshot.t -> t
+  ?cache_capacity:int ->
+  ?memo:Memo.t ->
+  ?radius:int ->
+  ?ids:Localmodel.Ids.t ->
+  ?name:string ->
+  ?health:(string * Advice.Assignment.t) list * Store.Snapshot.section_report list ->
+  Store.Snapshot.t ->
+  t
 (** [create snapshot] builds an engine over the snapshot's graph and the
     advice section called [name] (default: the snapshot's first advice
     section).  The serve radius and orientation parameters are read from
     the snapshot metadata ([serve.radius], [params.*]) as written by
     {!Pack.edge_compression}; [?radius] overrides the stored value.
-    [cache_capacity] bounds the ball caches' {e total} budget, split
-    exactly across shards ({!Cache.split}; default 1024 entries; 0
-    disables caching on every shard).  [shards] fixes the shard count
-    (clamped to the node count); the default is
-    {!Localmodel.View.effective_domains}[ ()], one shard per domain the
-    host can actually run.  [ids] overrides the identifier assignment
-    the decoder orders fragments by (default: the identity [v + 1]) —
-    {!Router} hands each per-shard engine its {e global} ids, which is
-    what makes shard-local answers byte-identical to a whole-graph
-    engine's.  [memo] attaches a canonical-ball decode memo (see the
-    module comment; the table may be shared with other engines — the
-    keys pin radius, parameters and trust).  @raise Invalid_argument
-    when the snapshot has no usable advice section, no radius is
-    available, [shards] is not positive, or [ids] is not a valid
-    assignment for the graph. *)
+    [cache_capacity] bounds the ball cache (default 1024 entries; 0
+    disables caching).  [ids] overrides the identifier assignment the
+    decoder orders fragments by (default: the identity [v + 1]) —
+    {!Router} hands each container shard's engine its {e global} ids,
+    which is what makes shard-local answers byte-identical to a
+    whole-graph engine's.  [memo] attaches a canonical-ball decode memo
+    (see the module comment; the table may be shared with other engines
+    — the keys pin radius, parameters and trust).
 
-val create_salvaged :
-  ?cache_capacity:int -> ?shards:int -> ?memo:Memo.t -> ?radius:int ->
-  ?ids:Localmodel.Ids.t -> ?name:string -> Store.Snapshot.salvage -> t
-(** [create_salvaged sv] builds a (possibly degraded) engine from a
-    salvage result: the advice section called [name] (default: first
-    surviving) is taken from the intact sections when possible and from
-    the quarantined ([sv.recovered]) ones otherwise — in the latter case
+    [health] is what a {!Store.Snapshot.read_salvage} recovered beyond
+    its checksum-clean [partial] snapshot: [(recovered, report)].  The
+    advice section then comes from the intact sections when possible and
+    from the quarantined [recovered] ones otherwise — in the latter case
     the engine serves best-effort answers from untrusted bits and says
-    so via {!serving_trusted}.  Radius and parameters resolve as in
-    {!create}, against the salvaged metadata; note that when the
-    metadata section itself was lost, [?radius] must be supplied.
-    @raise Invalid_argument when no advice section survived, the named
-    one did not, or no radius is available. *)
+    so via {!serving_trusted} — and any non-healthy [report] row makes
+    the engine {!degraded}.  Note that when the metadata section itself
+    was lost, [?radius] must be supplied.  @raise Invalid_argument when
+    no usable advice section exists (or the named one is missing), no
+    radius is available, the capacity is negative, or [ids] is not a
+    valid assignment for the graph. *)
+
+val restrict : t -> lo:int -> hi:int -> t
+(** [restrict e ~lo ~hi] answers only the nodes [lo..hi-1] of [e]'s
+    range: it shares [e]'s graph, advice, identifiers, memo and health,
+    and owns a fresh cache of [e]'s capacity keyed by that range — one
+    in-memory {!Router} slot.  Queries for nodes outside the range are
+    rejected.  @raise Invalid_argument when the range is not inside
+    [e]'s. *)
 
 val graph : t -> Netgraph.Graph.t
 (** The snapshot's graph. *)
@@ -114,19 +112,16 @@ val graph : t -> Netgraph.Graph.t
 val radius : t -> int
 (** The serve radius in use. *)
 
-val shard_count : t -> int
-(** Number of cache shards the engine was built with. *)
-
 val advice_name : t -> string
 (** Name of the advice section being served. *)
 
-val memoized : t -> bool
-(** Whether a canonical-ball memo is attached. *)
+val memo : t -> Memo.t option
+(** The attached canonical-ball memo, if any. *)
 
 val degraded : t -> bool
 (** Whether the engine came from a damaged snapshot (any non-healthy
     section in the salvage report, or the served advice is untrusted).
-    Always [false] for {!create}. *)
+    Always [false] without [~health]. *)
 
 val serving_trusted : t -> bool
 (** Whether the served advice section passed its checksum.  [false]
@@ -134,7 +129,8 @@ val serving_trusted : t -> bool
 
 val quarantined_sections : t -> string list
 (** Human-readable damage report carried over from the salvage, one
-    line per non-healthy section, in file order.  Empty for {!create}. *)
+    line per non-healthy section, in file order.  Empty without
+    [~health]. *)
 
 (** One request.  Nodes are the snapshot graph's node ids, edges its
     dense edge ids; [Edge_member (v, e)] requires [v] to be an endpoint
@@ -153,52 +149,17 @@ type answer =
 
 val query : t -> query -> answer
 (** Answer a single request, consulting and filling the ball cache.
-    With a memo attached, misses are published immediately — callers of
+    With a memo attached, misses are inserted immediately — callers of
     [query] serialize, so this path is the single writer.
     @raise Invalid_argument on an out-of-range node or edge id, or an
     [Edge_member] whose node is not an endpoint of its edge. *)
 
-val query_staged :
-  t -> query -> (string * string) list -> answer * (string * string) list
+val staged : t -> query -> answer * (string * string) option
 (** {!query} for callers that are themselves pool workers (the router's
-    batch waves): the memo is only {e read}, and each miss is consed
-    onto the accumulator as a [(key, label)] pair for the caller to
-    hand to {!publish_staged} on the publishing thread after its join.
-    Without a memo the accumulator passes through untouched. *)
-
-val publish_staged : t -> (string * string) list -> unit
-(** Publish staged memo entries.  Must run on a single thread with no
-    concurrent {!query_staged}/{!val:batch} in flight (the memo's
-    single-writer discipline); a no-op without a memo. *)
-
-module Batch (_ : Shim.S) : sig
-  val batch :
-    ?domains:int -> ?pool:Pool.variant -> t -> query array -> answer array
-  (** Same contract as the top-level {!val:batch}, with the shard
-      fan-out executed through the shim. *)
-end
-(** The parallel shard/cache handoff, functorized over the concurrency
-    shim.  [Batch (Shim.Real)] is the production {!val:batch} below;
-    instantiated with the checker's instrumented shim, the identical
-    planner + pool + scatter code runs under the schedule-exploring
-    scheduler, with one tracked ownership cell per shard cache touched
-    around every cache access — so the single-writer-per-shard
-    discipline is machine-checked instead of asserted (see DESIGN.md,
-    "Concurrency model checking"). *)
-
-val batch :
-  ?domains:int -> ?pool:Pool.variant -> t -> query array -> answer array
-(** Answer a request list: validates every query, dedups and sorts the
-    ball nodes it needs, slices them into per-shard tasks, runs the
-    tasks over {!Pool.run} (each task serving hits and misses against
-    its own shard cache), and assembles answers in request order.
-    [?pool] picks the claiming variant (default {!Pool.default_variant},
-    the lock-free one); [?domains] is forwarded to the pool, so its
-    default is the hardware-fitted domain count and explicit values are
-    honored as requested.  Output is byte-identical to serving each
-    query through {!query} sequentially, for every shard count, domain
-    count, and pool variant.  This is [Batch (Shim.Real)].
-    @raise Invalid_argument as {!query}, before any ball work. *)
+    batch): the memo is only {e read}, and a miss comes back as its
+    [(key, label)] pair for the caller to {!Memo.insert} on the calling
+    thread after its join.  Without a memo, or on a hit, the pair is
+    [None]. *)
 
 val label_of_view : params:Schemas.Balanced_orientation.params -> Localmodel.View.t -> string
 (** The per-ball decode for a materialized view, exposed for pack-time

@@ -1,6 +1,6 @@
 (* Canonical-ball decode memo: an open-addressed string table mapping
    (radius/params/trust prefix ^ Ethlink.Canonical.ball_signature) to
-   decoded labels.  Sits between the per-shard LRU caches and the ball
+   decoded labels.  Sits between the per-slot LRU caches and the ball
    decoder: an LRU eviction forgets a *node*, but every node whose ball
    is isomorphic (same canonical signature) still hits here — the
    structural win the ROADMAP's hash-consing item asks for.
@@ -9,10 +9,10 @@
    ([find]) touch no mutable metadata, so any number of pool workers may
    probe a *frozen* table concurrently; writes ([insert]) are reserved
    to a single publishing thread — the engine's single-query path, or
-   the batch caller after its pool join.  The arrays are plain (not
+   the router's batch caller after its pool join.  The arrays are plain (not
    Atomic) on purpose: the publication discipline guarantees no write
    is ever concurrent with a read, which the domain-race lint and the
-   Check.Sched engine scenarios audit at the call sites.
+   Check.Sched router scenario audit at the call sites.
 
    The table is bounded by entry count, sized to a load factor of at
    most 1/2, and *drops* inserts at capacity instead of evicting:

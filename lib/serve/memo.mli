@@ -2,7 +2,7 @@
     order-invariant lookup-table simulation).
 
     A bounded, hash-consed table from canonical ball keys to decoded
-    labels, layered {e between} the per-shard LRU caches and the ball
+    labels, layered {e between} the per-slot LRU caches and the ball
     decoder: the LRU remembers {e nodes}, this table remembers
     {e isomorphism classes}.  Keys are
     [engine prefix ^ Ethlink.Canonical.ball_signature view] — written
@@ -10,14 +10,15 @@
     prefix pins the serve radius, decoder parameters and trust mode —
     everything the decode depends on beyond the ball itself — so one
     table can safely be shared by many engines (the router shares one
-    across its per-shard engines).
+    across its slot engines).
 
     {b Publication discipline.}  [find] reads no mutable metadata, so
     any number of parallel workers may probe a table that no one is
     writing.  [insert] must only ever be called by a single thread with
     no concurrent readers in flight: the engine's serialized
-    single-query path publishes immediately, and the batch paths stage
-    misses inside each worker and publish after the pool join.  The
+    single-query path publishes immediately, and the router's batch
+    stages misses inside each worker and inserts them after the pool
+    join.  The
     byte-identity contract (memoized = unmemoized, byte for byte) is
     what makes dropped or delayed publications harmless: a missed
     insert only costs a future hit, never an answer byte.

@@ -85,8 +85,7 @@ let edge_compression ?(params = Balanced_orientation.onebit_params)
     } )
 
 let edge_compression_sharded ?(params = Balanced_orientation.onebit_params)
-    ?(name = "c4") ?max_radius ?(sample = 0) ?(shards = 1) ?domains
-    ?(pool = Pool.default_variant) g x =
+    ?(name = "c4") ?max_radius ?(sample = 0) ?(shards = 1) ?domains g x =
   let max_radius = match max_radius with Some r -> r | None -> Graph.n g in
   let assignment, expected = encode_for_pack ~params g x in
   let nodes = check_nodes g sample in
@@ -107,7 +106,7 @@ let edge_compression_sharded ?(params = Balanced_orientation.onebit_params)
       advice = [ (name, assignment) ];
       meta = pack_meta ~params ~radius ~nodes g }
   in
-  let map f ks = Pool.run ~variant:pool ?domains f ks in
+  let map f ks = Pool.run ?domains f ks in
   let bytes =
     Store.Shard.build ~map ~shards ~halo:(max radius 1) snapshot
   in

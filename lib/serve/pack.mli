@@ -52,7 +52,6 @@ val edge_compression_sharded :
   ?sample:int ->
   ?shards:int ->
   ?domains:int ->
-  ?pool:Pool.variant ->
   Netgraph.Graph.t ->
   Netgraph.Bitset.t ->
   string * certification
@@ -66,7 +65,7 @@ val edge_compression_sharded :
     transfers the certified radius to every shard), and the per-shard
     body serialization runs one {!Pool.run} task per shard.  The
     container's halo depth is [max radius 1], the minimum that serves
-    the certified radius.  [?domains] and [?pool] control both
-    fan-outs; [shards] defaults to 1 (still a valid v2 container).
+    the certified radius.  [?domains] controls both fan-outs; [shards]
+    defaults to 1 (still a valid v2 container).
     @raise as {!edge_compression}, plus [Invalid_argument] when
     [shards < 1]. *)

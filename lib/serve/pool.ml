@@ -1,13 +1,10 @@
 (* Dynamic work distribution over a fixed task array.
 
-   Both variants share one shape: a shared cursor names the next
-   unclaimed task, every worker loops { claim; execute; record locally }
-   until the cursor runs past the end, and the calling domain scatters
-   the recorded results after the join.  Claiming is the only shared
-   write, so the variants differ in exactly one line — an atomic
-   fetch-and-add versus a mutex-guarded read-modify-write — which is
-   what makes their bench comparison (BENCH_local.json, store.pool)
-   meaningful.
+   A shared cursor names the next unclaimed task, every worker loops
+   { claim; execute; record locally } until the cursor runs past the
+   end, and the calling domain scatters the recorded results after the
+   join.  Claiming — one atomic fetch-and-add — is the only shared
+   write.
 
    Workers mutate nothing they capture: each accumulates (index,
    outcome) pairs in a private list and returns it through Thread.join.
@@ -17,31 +14,19 @@
 
    The whole implementation is a functor over the Shim concurrency
    primitives: the production [run] below is [Make (Shim.Real)] — a
-   pass-through to Atomic / Mutex / Domain — while Check.Sched
-   instantiates the same code with its instrumented shim and explores
-   the claim/drain/join interleavings systematically (the mutant
-   gallery in lib/check documents the bug classes that exploration
-   catches). *)
+   pass-through to Atomic / Domain — while Check.Sched instantiates the
+   same code with its instrumented shim and explores the
+   claim/drain/join interleavings systematically (the mutant gallery in
+   lib/check documents the bug classes that exploration catches). *)
 
 let m_runs = Obs.Metrics.counter "pool.runs"
 let m_inline = Obs.Metrics.counter "pool.inline_runs"
 let m_tasks = Obs.Metrics.counter "pool.tasks"
 
-type variant = Lockless | Locked
-
-let default_variant = Lockless
-
-let variant_name = function Lockless -> "lockless" | Locked -> "mutex"
-
-let variant_of_name = function
-  | "lockless" -> Some Lockless
-  | "mutex" | "locked" -> Some Locked
-  | _ -> None
-
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 module Make (S : Shim.S) = struct
-  let run ?(variant = default_variant) ?domains f tasks =
+  let run ?domains f tasks =
     let n = Array.length tasks in
     let d =
       match domains with
@@ -81,24 +66,12 @@ module Make (S : Shim.S) = struct
       Obs.Metrics.incr m_runs;
       Obs.Metrics.add m_tasks n;
       let next = S.Atomic.make 0 in
-      let lock = S.Mutex.create () in
-      let claim =
-        match variant with
-        | Lockless -> fun () -> S.Atomic.fetch_and_add next 1
-        | Locked ->
-            fun () ->
-              S.Mutex.lock lock;
-              let i = S.Atomic.get next in
-              S.Atomic.set next (i + 1);
-              S.Mutex.unlock lock;
-              i
-      in
       (* A failing task is recorded, not raised: the queue drains fully so
          one poisoned shard cannot abandon the rest of the batch, and the
          failure is replayed deterministically after the join. *)
       let worker () =
         let rec drain acc =
-          let i = claim () in
+          let i = S.Atomic.fetch_and_add next 1 in
           if i >= n then acc
           else
             let outcome = match f tasks.(i) with

@@ -1,20 +1,14 @@
 (** Work-distribution layer for batch serving: a fixed task array mapped
     over a small OCaml 5 domain pool, with dynamic claiming so a slow
-    task (a shard whose balls are large) cannot strand the other domains
+    task (a slot whose balls are large) cannot strand the other domains
     behind a static partition.
 
-    Two claiming variants are provided and benchmarked against each
-    other (the [store.pool] block of BENCH_local.json compares them at
-    1, 2 and 4 domains against plain sequential serving):
-
-    - {!Lockless} — the default: workers claim the next task index with
-      a single [Atomic.fetch_and_add] on a shared cursor.  One atomic
-      RMW per task, no lock, no waiting; the Chase–Lev-style single
-      shared queue degenerated to its simplest correct form for a
-      pre-known dense task range.
-    - {!Locked} — the mutex baseline: the same cursor advanced under a
-      [Mutex].  Kept deliberately as the losing variant so the bench
-      gap (lock traffic per task) stays measured instead of assumed.
+    Workers claim the next task index with a single
+    [Atomic.fetch_and_add] on a shared cursor: one atomic RMW per task,
+    no lock, no waiting — the Chase–Lev-style single shared queue
+    degenerated to its simplest correct form for a pre-known dense task
+    range.  The [store.pool] block of BENCH_local.json compares pooled
+    against sequential serving at 1, 2 and 4 requested domains.
 
     Tasks execute {e exactly once} each, results land at their task's
     index, and an exception raised by a task is caught, carried across
@@ -38,25 +32,10 @@
     [pool.inline_runs] runs that short-circuited to the sequential
     path. *)
 
-(** How workers claim the next task. *)
-type variant =
-  | Lockless  (** atomic fetch-and-add cursor (default) *)
-  | Locked  (** mutex-guarded cursor (bench baseline) *)
-
-val default_variant : variant
-(** {!Lockless}. *)
-
-val variant_name : variant -> string
-(** ["lockless"] / ["mutex"] — the names used by benches and the CLI. *)
-
-val variant_of_name : string -> variant option
-(** Inverse of {!variant_name}; [None] on an unknown name. *)
-
 module Make (_ : Shim.S) : sig
-  val run :
-    ?variant:variant -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
+  val run : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
   (** Same contract as the top-level {!val:run}, executed through the
-      shim's atomics, mutexes and threads. *)
+      shim's atomics and threads. *)
 end
 (** The pool implementation, functorized over the concurrency shim.
     [Make (Shim.Real)] is the production pool below; [Make] applied to
@@ -66,7 +45,7 @@ end
     contracts are verified against adversarial interleavings (see
     DESIGN.md, "Concurrency model checking"). *)
 
-val run : ?variant:variant -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
+val run : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [run f tasks] applies [f] to every element of [tasks] across the
     domain pool and returns the results in task order, equal to
     [Array.map f tasks] whenever [f] is pure ([f] must additionally be
@@ -75,7 +54,7 @@ val run : ?variant:variant -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
     and is otherwise honored as requested.  Each worker domain carries
     its own [Workspace.domain_local] scratch, so ball-extracting tasks
     compose with the LOCAL simulator's epoch workspaces for free.
-    This is [Make (Shim.Real)]: the real [Atomic]/[Mutex]/[Domain]
-    primitives, one functor indirection away.
+    This is [Make (Shim.Real)]: the real [Atomic]/[Domain] primitives,
+    one functor indirection away.
     @raise exn the exception of the failed task with the lowest index,
     after every remaining task has run and all domains have joined. *)

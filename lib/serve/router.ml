@@ -4,17 +4,25 @@ let m_loads = Obs.Metrics.counter "store.shard.loads"
 let m_evictions = Obs.Metrics.counter "store.shard.evictions"
 let m_lost = Obs.Metrics.counter "store.shard.lost"
 let m_resident_peak = Obs.Metrics.gauge "store.shard.resident_bytes"
+let m_batches = Obs.Metrics.counter "serve.batches"
+let m_slots = Obs.Metrics.counter "serve.batch.shards"
 
 exception Shard_lost of { shard : int; reason : string }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* One resident shard: its private engine (whose decoder orders
-   fragments by the shard's *global* identifiers — the byte-identity
-   mechanism), the global→local translation tables, and its cost in the
-   byte-budget accounting (the serialized frame size from the manifest:
-   stable, observable via inspect, and proportional to the decoded
-   footprint). *)
+(* Where slot bodies come from: a v2 container's shard frames, loaded
+   lazily, or one in-memory v1 snapshot whose graph every slot engine
+   shares (held through one of them). *)
+type source = Container of Shard.t | Memory of Engine.t
+
+(* One resident slot: its private engine (a container shard's engine
+   orders fragments by the shard's *global* identifiers — the
+   byte-identity mechanism), the global→local translation tables (empty
+   on an in-memory slot, whose node and edge ids are the global ones),
+   and its cost in the byte-budget accounting (the serialized frame
+   size from the manifest: stable, observable via inspect, and
+   proportional to the decoded footprint; 0 in memory). *)
 type resident = {
   engine : Engine.t;
   ids : int array;
@@ -26,16 +34,17 @@ type resident = {
 type slot = Unloaded | Resident of resident | Lost of string
 
 type t = {
-  store : Shard.t;
-  man : Shard.manifest;
+  source : source;
+  man : Shard.manifest;  (* in memory: synthesized from the slot plan *)
   salvage : bool;
   name : string option;
   cache_capacity : int;
   memo : Memo.t option;  (* one canonical-ball table, shared by every
-                            per-shard engine (keys pin radius/params) *)
+                            slot engine (keys pin radius/params) *)
   budget : int;  (* resident-byte budget; 0 = unbounded *)
   radius : int;
   slots : slot array;
+  unpinned : bool array;  (* all false: what a single query pins *)
   mutable resident_bytes : int;
   mutable clock : int;
   mutable loads : int;
@@ -50,6 +59,26 @@ let meta_int man key =
       match int_of_string_opt s with
       | Some v -> Some v
       | None -> fail "Router.create: metadata %s is not an integer: %S" key s)
+
+let make ~source ~man ~salvage ~name ~cache_capacity ~memo ~budget ~radius
+    slots =
+  {
+    source;
+    man;
+    salvage;
+    name;
+    cache_capacity;
+    memo;
+    budget;
+    radius;
+    slots;
+    unpinned = Array.make (Array.length slots) false;
+    resident_bytes = 0;
+    clock = 0;
+    loads = 0;
+    evictions = 0;
+    lost = 0;
+  }
 
 let create ?(cache_capacity = 1024) ?(resident_budget = 0) ?(salvage = false)
     ?memo ?radius ?name store =
@@ -77,24 +106,45 @@ let create ?(cache_capacity = 1024) ?(resident_budget = 0) ?(salvage = false)
   (match man.Shard.m_advice with
   | [] -> fail "Router.create: container has no advice section"
   | _ :: _ -> ());
-  {
-    store;
-    man;
-    salvage;
-    name;
-    cache_capacity;
-    memo;
-    budget = resident_budget;
-    radius;
-    slots = Array.make (Array.length man.Shard.m_shards) Unloaded;
-    resident_bytes = 0;
-    clock = 0;
-    loads = 0;
-    evictions = 0;
-    lost = 0;
-  }
+  make ~source:(Container store) ~man ~salvage ~name ~cache_capacity ~memo
+    ~budget:resident_budget ~radius
+    (Array.make (Array.length man.Shard.m_shards) Unloaded)
 
-let manifest t = t.man
+(* A v1 snapshot as node-range slots over its one decoded graph: every
+   slot is resident from construction and never evicted (budget 0), and
+   each slot engine is a restriction of [e], so they share the graph,
+   the advice and one ids array (the source is slot 0, so [e]'s own
+   cache can be freed).  The manifest only carries what the shared code
+   paths read: node and edge counts, advice name and slot ranges. *)
+let of_engine ?domains e =
+  let g = Engine.graph e in
+  let n = Netgraph.Graph.n g in
+  let d =
+    match domains with
+    | Some d when d < 1 -> fail "Router.of_engine: domain count %d must be positive" d
+    | Some d -> d
+    | None -> Localmodel.View.effective_domains ()
+  in
+  let ranges = Shard.plan ~n ~shards:d in
+  let info k (lo, hi) =
+    { Shard.i_index = k; i_lo = lo; i_hi = hi; i_local_n = hi - lo;
+      i_local_m = 0; i_offset = 0; i_bytes = 0; i_crc = 0 }
+  in
+  let engines =
+    Array.map (fun (lo, hi) -> if hi - lo = n then e else Engine.restrict e ~lo ~hi) ranges
+  in
+  let resident engine =
+    Resident { engine; ids = [||]; edge_ids = [||]; bytes = 0; stamp = 0 }
+  in
+  let man =
+    { Shard.m_n = n; m_m = Netgraph.Graph.m g; m_halo = 0;
+      m_advice = [ Engine.advice_name e ]; m_meta = [];
+      m_shards = Array.mapi info ranges; m_header_bytes = 0 }
+  in
+  make ~source:(Memory engines.(0)) ~man ~salvage:false ~name:None
+    ~cache_capacity:0 ~memo:(Engine.memo e) ~budget:0 ~radius:(Engine.radius e)
+    (Array.map resident engines)
+
 let n t = t.man.Shard.m_n
 let m t = t.man.Shard.m_m
 let radius t = t.radius
@@ -115,7 +165,12 @@ let lost_shards t =
     t.slots;
   List.rev !out
 
-let degraded t = t.lost > 0
+let degraded t =
+  t.lost > 0
+  || match t.source with Memory e -> Engine.degraded e | Container _ -> false
+
+let serving_trusted t =
+  match t.source with Memory e -> Engine.serving_trusted e | Container _ -> true
 
 let advice_name t =
   match (t.name, t.man.Shard.m_advice) with
@@ -131,6 +186,18 @@ let shard_of t v = Shard.shard_of_node t.man v
 let touch t r =
   t.clock <- t.clock + 1;
   r.stamp <- t.clock
+
+(* Release any budget bytes accounted to slot [k].  Centralizing the
+   subtraction keeps the invariant local and auditable:
+   [t.resident_bytes] is always exactly the sum of [Resident] slot
+   bytes — an eviction, a loss, or a reload after salvage can neither
+   leak bytes nor double-count a frame against the budget. *)
+let release_slot t k =
+  match t.slots.(k) with
+  | Resident r ->
+      t.resident_bytes <- t.resident_bytes - r.bytes;
+      t.slots.(k) <- Unloaded
+  | Unloaded | Lost _ -> t.slots.(k) <- Unloaded
 
 (* Evict least-recently-used residents until [needed] more bytes fit the
    budget.  [pinned.(k)] protects the current batch wave; when nothing
@@ -153,26 +220,11 @@ let evict_for t ~pinned needed =
       t.slots;
     if !victim < 0 then continue := false
     else begin
-      (match t.slots.(!victim) with
-      | Resident r -> t.resident_bytes <- t.resident_bytes - r.bytes
-      | _ -> ());
-      t.slots.(!victim) <- Unloaded;
+      release_slot t !victim;
       t.evictions <- t.evictions + 1;
       Obs.Metrics.incr m_evictions
     end
   done
-
-(* Release any budget bytes accounted to slot [k].  Centralizing the
-   subtraction keeps the invariant local and auditable:
-   [t.resident_bytes] is always exactly the sum of [Resident] slot
-   bytes — an eviction, a loss, or a reload after salvage can neither
-   leak bytes nor double-count a frame against the budget. *)
-let release_slot t k =
-  match t.slots.(k) with
-  | Resident r ->
-      t.resident_bytes <- t.resident_bytes - r.bytes;
-      t.slots.(k) <- Unloaded
-  | Unloaded | Lost _ -> t.slots.(k) <- Unloaded
 
 let mark_lost t k reason =
   (* Re-marking an already-lost shard (a failed reload attempt) must
@@ -187,14 +239,20 @@ let mark_lost t k reason =
   end
 
 (* Load shard [k]: fetch + decode its byte range, hand the local graph
-   and advice slices to a fresh single-shard engine whose ids are the
+   and advice slices to a fresh engine whose ids are the
    global node ids shifted to the identifier space (gid + 1 = the
    identity assignment a whole-graph engine uses), so every fragment
    relabeling — and therefore every answer byte — matches the
    monolithic engine's. *)
 let load_resident t ~pinned k =
+  let store =
+    match t.source with
+    | Container store -> store
+    | Memory _ ->
+        invalid_arg "Router: in-memory slots are resident from construction"
+  in
   let info = t.man.Shard.m_shards.(k) in
-  let loaded = Shard.load t.store k in
+  let loaded = Shard.load store k in
   let snapshot =
     {
       Store.Snapshot.graph = loaded.Shard.l_graph;
@@ -204,7 +262,7 @@ let load_resident t ~pinned k =
   in
   let ids = Array.map (fun gid -> gid + 1) loaded.Shard.l_ids in
   let engine =
-    Engine.create ~cache_capacity:t.cache_capacity ~shards:1 ?memo:t.memo
+    Engine.create ~cache_capacity:t.cache_capacity ?memo:t.memo
       ~radius:t.radius ~ids ?name:t.name snapshot
   in
   let r =
@@ -228,8 +286,6 @@ let load_resident t ~pinned k =
   Obs.Metrics.incr m_loads;
   touch t r;
   r
-
-let no_pin t = Array.make (Array.length t.slots) false
 
 (* Resident shard [k], loading (and evicting) as needed.  A shard whose
    bytes are damaged becomes [Lost]: with [~salvage] the caller gets
@@ -266,10 +322,13 @@ let ensure t ~pinned k =
       t.lost <- t.lost - 1;
       r
 
-(* Global → local query translation (binary searches in the resident
-   shard's sorted id tables).  Interior nodes always translate; an edge
-   id that is not stored in the owner shard cannot be incident to the
-   queried node, which is exactly the engine's endpoint precondition. *)
+(* Global → local query translation.  A container shard translates by
+   binary search in its sorted id tables: interior nodes always
+   translate, and an edge id that is not stored in the owner shard
+   cannot be incident to the queried node, which is exactly the engine's
+   endpoint precondition.  An in-memory slot's ids are the global ones,
+   so its translation is the identity plus that endpoint check — which
+   keeps a batch's rejection ahead of any ball work. *)
 
 let bsearch (arr : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length arr - 1) in
@@ -294,10 +353,18 @@ let validate t = function
       if e < 0 || e >= m t then
         fail "Engine: Edge_member names edge %d outside 0..%d" e (m t - 1)
 
-let translate (r : resident) = function
-  | Engine.Output_label v -> Engine.Output_label (bsearch r.ids v)
-  | Engine.Advice_bits v -> Engine.Advice_bits (bsearch r.ids v)
-  | Engine.Edge_member (v, e) ->
+let translate t (r : resident) q =
+  match (t.source, q) with
+  | Memory e, Engine.Edge_member (v, ed) ->
+      let a, b = Netgraph.Graph.edge_endpoints (Engine.graph e) ed in
+      if v <> a && v <> b then
+        fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)"
+          v ed a b;
+      q
+  | Memory _, (Engine.Output_label _ | Engine.Advice_bits _) -> q
+  | Container _, Engine.Output_label v -> Engine.Output_label (bsearch r.ids v)
+  | Container _, Engine.Advice_bits v -> Engine.Advice_bits (bsearch r.ids v)
+  | Container _, Engine.Edge_member (v, e) ->
       let le = bsearch r.edge_ids e in
       if le < 0 then
         fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
@@ -310,113 +377,153 @@ let query_node = function
 let query t q =
   validate t q;
   let k = shard_of t (query_node q) in
-  let r = ensure t ~pinned:(no_pin t) k in
-  Engine.query r.engine (translate r q)
+  let r = ensure t ~pinned:t.unpinned k in
+  Engine.query r.engine (translate t r q)
 
 (* ------------------------------------------------------------------ *)
-(* Batch: group queries by owner shard, then serve in *waves* — the
-   largest prefix of needed shards whose bytes fit the resident budget
-   loads together and fans across the pool (one task per shard, the
-   engine's own ownership discipline), then the next wave replaces it. *)
+(* Batch: group queries by owner slot, then serve in *waves* — the
+   largest prefix of needed slots whose bytes fit the resident budget
+   loads together and fans across the pool (one task per slot, so one
+   worker owns a slot's engine and cache for the whole wave), then the
+   next wave replaces it.  In-memory slots cost no bytes, so a v1 batch
+   is a single wave. *)
+
+(* [Array.map f a] seeded with a static [placeholder]: seeding a large
+   array with a young value (as [Array.map] does) forces a minor
+   collection, a stop-the-world pause of every domain, per array. *)
+let map_seeded placeholder f a =
+  let out = Array.make (Array.length a) placeholder in
+  Array.iteri (fun i x -> out.(i) <- f x) a;
+  out
 
 let plan_shards t qs =
   let nshards = Array.length t.slots in
+  let owner = Array.map (fun q -> shard_of t (query_node q)) qs in
   let counts = Array.make nshards 0 in
-  Array.iter
-    (fun q -> counts.(shard_of t (query_node q)) <- counts.(shard_of t (query_node q)) + 1)
-    qs;
+  Array.iter (fun k -> counts.(k) <- counts.(k) + 1) owner;
   let idxs =
     Array.init nshards (fun k -> if counts.(k) = 0 then [||] else Array.make counts.(k) 0)
   in
   let fill = Array.make nshards 0 in
   Array.iteri
-    (fun i q ->
-      let k = shard_of t (query_node q) in
+    (fun i k ->
       idxs.(k).(fill.(k)) <- i;
       fill.(k) <- fill.(k) + 1)
-    qs;
+    owner;
   idxs
 
-let batch_results ?domains ?(pool = Pool.default_variant) t qs =
-  Array.iter (validate t) qs;
-  let idxs = plan_shards t qs in
-  let results = Array.make (Array.length qs) (Error "unserved") in
-  let needed = ref [] in
-  Array.iteri
-    (fun k is -> if Array.length is > 0 then needed := k :: !needed)
-    idxs;
-  let remaining = ref (List.rev !needed) in
-  let non_empty = function [] -> false | _ :: _ -> true in
-  while non_empty !remaining do
-    (* Greedy wave: shards in id order while their summed frame bytes
-       fit the budget (at least one always proceeds). *)
-    let pinned = no_pin t in
-    let wave = ref [] in
-    let wave_bytes = ref 0 in
-    let rec take = function
-      | [] -> []
-      | k :: rest ->
-          let b = t.man.Shard.m_shards.(k).Shard.i_bytes in
-          (* wave_bytes = 0 iff the wave is empty: every frame carries
-             at least its 9 header bytes. *)
-          if !wave_bytes = 0 || t.budget = 0 || !wave_bytes + b <= t.budget
-          then begin
-            wave := k :: !wave;
-            wave_bytes := !wave_bytes + b;
-            pinned.(k) <- true;
-            take rest
-          end
-          else k :: rest
-    in
-    remaining := take !remaining;
-    (* Load the wave (salvage failures fail only their own queries) and
-       translate its queries on this domain, so pool tasks are pure
-       engine calls on pre-validated local queries. *)
-    let tasks = ref [] in
-    List.iter
-      (fun k ->
-        match ensure t ~pinned k with
-        | r ->
-            let local =
-              Array.map (fun i -> translate r qs.(i)) idxs.(k)
-            in
-            tasks := (k, r, local) :: !tasks
-        | exception Shard_lost { shard; reason } ->
-            let msg = Printf.sprintf "shard %d lost: %s" shard reason in
-            Array.iter (fun i -> results.(i) <- Error msg) idxs.(k))
-      (List.rev !wave);
-    let tasks = Array.of_list (List.rev !tasks) in
-    (* Workers only *read* the shared memo (Engine.query_staged): each
-       task accumulates its misses and hands them back with its
-       answers, and this (the single calling) thread publishes them
-       after the join — the wave boundary is the memo's write point. *)
-    let parts =
-      Pool.run ~variant:pool ?domains
-        (fun (_, r, local) ->
-          let staged = ref [] in
-          let answers =
-            Array.map
-              (fun q ->
-                let a, st = Engine.query_staged r.engine q !staged in
-                staged := st;
-                a)
-              local
-          in
-          (answers, !staged))
-        tasks
-    in
-    Array.iteri
-      (fun j (k, r, _) ->
-        let answers, staged = parts.(j) in
-        Engine.publish_staged r.engine staged;
-        Array.iteri (fun p i -> results.(i) <- Ok answers.(p)) idxs.(k))
-      tasks
-  done;
-  results
+(* The wave loop, functorized over the concurrency shim so Check.Sched
+   can run the exact slot handoff under its schedule-exploring
+   scheduler.  Production is [Batch (Shim.Real)] below; the only shim
+   traffic on the hot path is one Raw ownership touch per served query
+   — a plain load + store through [Shim.Real.Raw], and the access trace
+   the checker's vector-clock tracker uses to prove (or refute, for the
+   shared-writer mutant) that no two workers ever touch one slot's
+   engine unsynchronized. *)
+module Batch (S : Shim.S) = struct
+  (* Shadowing the outer [Pool] on purpose: call sites below read
+     [Pool.run], which keeps the domain-race lint descending into the
+     closures handed to the pool exactly as it does for production
+     callers. *)
+  module Pool = Pool.Make (S)
 
-let batch ?domains ?pool t qs =
-  Array.map
+  let batch_results ?domains t qs =
+    Array.iter (validate t) qs;
+    Obs.Trace.span "serve.batch" @@ fun () ->
+    Obs.Metrics.incr m_batches;
+    let idxs = plan_shards t qs in
+    let results = Array.make (Array.length qs) (Error "unserved") in
+    (* One tracked ownership cell per slot for this batch: every engine
+       call below is bracketed by a read-modify-write of its slot's
+       cell, so any schedule in which two workers interleave on one
+       slot is a happens-before race on that cell. *)
+    let owners = Array.map (fun _ -> S.Raw.make 0) t.slots in
+    let needed = ref [] in
+    Array.iteri
+      (fun k is -> if Array.length is > 0 then needed := k :: !needed)
+      idxs;
+    let remaining = ref (List.rev !needed) in
+    let non_empty = function [] -> false | _ :: _ -> true in
+    while non_empty !remaining do
+      (* Greedy wave: slots in id order while their summed frame bytes
+         fit the budget (at least one always proceeds). *)
+      let pinned = Array.make (Array.length t.slots) false in
+      let wave = ref [] in
+      let wave_bytes = ref 0 in
+      let rec take = function
+        | [] -> []
+        | k :: rest ->
+            let b = t.man.Shard.m_shards.(k).Shard.i_bytes in
+            (* wave_bytes = 0 iff the wave is empty: every frame carries
+               at least its 9 header bytes (in-memory slots, at 0 bytes,
+               run unbudgeted). *)
+            if !wave_bytes = 0 || t.budget = 0 || !wave_bytes + b <= t.budget
+            then begin
+              wave := k :: !wave;
+              wave_bytes := !wave_bytes + b;
+              pinned.(k) <- true;
+              take rest
+            end
+            else k :: rest
+      in
+      remaining := take !remaining;
+      (* Load the wave (salvage failures fail only their own queries)
+         and translate its queries on this domain, so pool tasks are
+         pure engine calls on pre-validated local queries. *)
+      let tasks = ref [] in
+      List.iter
+        (fun k ->
+          match ensure t ~pinned k with
+          | r ->
+              let local =
+                map_seeded (Engine.Advice_bits 0) (fun i -> translate t r qs.(i)) idxs.(k)
+              in
+              tasks := (k, r, local) :: !tasks
+          | exception Shard_lost { shard; reason } ->
+              let msg = Printf.sprintf "shard %d lost: %s" shard reason in
+              Array.iter (fun i -> results.(i) <- Error msg) idxs.(k))
+        (List.rev !wave);
+      let tasks = Array.of_list (List.rev !tasks) in
+      Obs.Metrics.add m_slots (Array.length tasks);
+      (* Workers only *read* the shared memo (Engine.staged): each task
+         accumulates its misses and hands them back with its answers,
+         and this (the single calling) thread inserts them after the
+         join — the wave boundary is the memo's write point. *)
+      let parts =
+        Pool.run ?domains
+          (fun (k, r, local) ->
+            let staged = ref [] in
+            let answers =
+              map_seeded (Engine.Bits "")
+                (fun q ->
+                  S.Raw.set owners.(k) (S.Raw.get owners.(k) + 1);
+                  let a, miss = Engine.staged r.engine q in
+                  (match miss with Some kv -> staged := kv :: !staged | None -> ());
+                  a)
+                local
+            in
+            (answers, !staged))
+          tasks
+      in
+      Array.iteri
+        (fun j (k, _, _) ->
+          let answers, staged = parts.(j) in
+          Option.iter
+            (fun memo -> List.iter (fun (key, label) -> Memo.insert memo key label) staged)
+            t.memo;
+          Array.iteri (fun p i -> results.(i) <- Ok answers.(p)) idxs.(k))
+        tasks
+    done;
+    results
+end
+
+module Production = Batch (Shim.Real)
+
+let batch_results = Production.batch_results
+
+let batch ?domains t qs =
+  map_seeded (Engine.Bits "")
     (function
       | Ok a -> a
       | Error msg -> raise (Store.Codec.Corrupt msg))
-    (batch_results ?domains ?pool t qs)
+    (batch_results ?domains t qs)

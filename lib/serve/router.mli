@@ -1,18 +1,28 @@
-(** Sharded query routing over a version-2 container: node → owner
-    shard → per-shard engine, with lazy loads and LRU eviction under a
-    resident-byte budget.
+(** The serving front end: node → owner slot → slot engine, for both
+    snapshot versions.  {!Router} is the only multi-slot front end and
+    the only batch planner; {!Engine} is the single-cache decode core
+    each slot wraps.
 
-    A {!t} opens a {!Store.Shard} container and keeps at most a
-    byte-budget's worth of shards resident.  Each resident shard is a
-    private single-shard {!Engine} over the shard's local graph and
-    advice slices, constructed with the shard's {e global} node ids as
-    its identifier assignment — the decoder orders ball fragments by
-    identifier, so a shard-local ball (identical to the global ball by
-    the halo invariant, see {!Store.Shard}) decodes to the {e same
-    bytes} a whole-graph engine would produce.  Global queries translate
-    to shard-local ones by binary search in the shard's sorted id
-    tables; an edge id absent from the owner shard cannot be incident to
-    the queried node, so translation doubles as the endpoint check.
+    {b Version-2 containers.}  {!create} opens a {!Store.Shard}
+    container and keeps at most a byte-budget's worth of shards
+    resident.  Each resident shard is a private {!Engine} over the
+    shard's local graph and advice slices, constructed with the shard's
+    {e global} node ids as its identifier assignment — the decoder
+    orders ball fragments by identifier, so a shard-local ball
+    (identical to the global ball by the halo invariant, see
+    {!Store.Shard}) decodes to the {e same bytes} a whole-graph engine
+    would produce.  Global queries translate to shard-local ones by
+    binary search in the shard's sorted id tables; an edge id absent
+    from the owner shard cannot be incident to the queried node, so
+    translation doubles as the endpoint check.
+
+    {b Version-1 snapshots.}  {!of_engine} serves one in-memory engine
+    (healthy or salvaged) as node-range slots over its one decoded
+    graph, one slot per requested domain ({!Store.Shard.plan} ranges).
+    Every slot is resident from construction and never evicted; the slot
+    engines are {!Engine.restrict}ions of the one engine, so they share
+    its graph, advice and ids; and translation is the identity plus the
+    endpoint check — no re-serialization, no halo, no id tables.
 
     {b Eviction contract.}  Residency is accounted in {e serialized
     frame bytes} (the manifest's [frame-bytes] per shard): stable,
@@ -23,13 +33,14 @@
     loads anyway — the budget bounds steady-state residency, not the
     feasibility of serving.  Budget 0 means unbounded.
 
-    {b Batches} group queries by owner shard and serve them in waves:
-    the longest prefix of needed shards whose summed bytes fit the
-    budget loads together, fans one task per shard across {!Pool.run}
-    (the engine's single-worker-per-cache ownership discipline), and is
-    then replaced by the next wave.  Answers are byte-identical to a
-    monolithic {!Engine} over the same snapshot, for every shard count,
-    budget, domain count, and pool variant.
+    {b Batches} group queries by owner slot and serve them in waves:
+    the longest prefix of needed slots whose summed bytes fit the
+    budget loads together, fans one task per slot across {!Pool.run}
+    (one worker owns a slot's engine and cache for the wave), and is
+    then replaced by the next wave; in-memory slots cost no bytes, so a
+    v1 batch is one wave.  Answers are byte-identical to a whole-graph
+    {!Engine} over the same snapshot, for every slot count, budget and
+    domain count.
 
     {b Salvage.}  With [~salvage:true], a shard whose bytes are damaged
     (checksum, structure, or I/O) is marked [Lost]: queries for {e its}
@@ -43,22 +54,28 @@
     cycle — a reloaded shard's frame bytes are charged to the resident
     budget exactly once, a failed retry refreshes the diagnostic
     without re-counting the loss, and a heal removes the shard from
-    {!lost_shards} (and {!degraded} clears when none remain).
+    {!lost_shards} (and {!degraded} clears when none remain).  A v1
+    snapshot's salvage happens before the router, in
+    [Engine.create ~health]; the router reports it through {!degraded}
+    and {!serving_trusted}.
 
-    {b Memoization.}  [~memo] threads one {!Memo} canonical-ball table
-    through every per-shard engine: isomorphic balls decode once {e
-    across shards}, surviving eviction and reload.  Batch waves keep
-    the table frozen for their pool workers and publish staged misses
-    between waves on the calling thread (the engines' single-writer
-    discipline; see {!Engine.query_staged}).
+    {b Memoization.}  One {!Memo} canonical-ball table (the [~memo] of
+    {!create}, or the engine's own for {!of_engine}) is shared by every
+    slot engine: isomorphic balls decode once {e across slots},
+    surviving eviction and reload.  Batch waves keep the table frozen
+    for their pool workers ({!Engine.staged}) and insert the staged
+    misses between waves on the calling thread — the single-writer
+    discipline.
 
     Obs: [store.shard.loads], [store.shard.evictions],
-    [store.shard.lost] counters and the [store.shard.resident_bytes]
-    peak gauge (plus everything the per-shard engines record). *)
+    [store.shard.lost], [serve.batches] and [serve.batch.shards] (slots
+    served per wave) counters, the [store.shard.resident_bytes] peak
+    gauge and the [serve.batch] trace span (plus everything the slot
+    engines and {!Pool} record). *)
 
 type t
-(** A router: an open container, a resident-shard table with its LRU
-    state, and one lazily built {!Engine} per resident shard. *)
+(** A router: a slot table with its LRU state, and one {!Engine} per
+    resident slot. *)
 
 exception Shard_lost of { shard : int; reason : string }
 (** Raised (in salvage mode) when the owner shard of a queried node
@@ -87,8 +104,15 @@ val create :
     precondition), the budget is negative, or the named advice section
     does not exist. *)
 
-val manifest : t -> Store.Shard.manifest
-(** The underlying container's parsed manifest. *)
+val of_engine : ?domains:int -> Engine.t -> t
+(** [of_engine e] serves the in-memory engine [e] (built over a whole
+    v1 snapshot, healthy or with [~health]) as [min domains n]
+    node-range slots; [domains] defaults to
+    {!Localmodel.View.effective_domains}[ ()] and is otherwise honored
+    as requested, so batches fan out over that many slots.  Each slot
+    owns a fresh cache of [e]'s capacity over its range (a single slot
+    is [e] itself, which the router then owns), and the router's memo is
+    [e]'s.  @raise Invalid_argument when [domains < 1]. *)
 
 val n : t -> int
 (** Global node count. *)
@@ -100,7 +124,8 @@ val radius : t -> int
 (** The serve radius every query decodes at. *)
 
 val shard_count : t -> int
-(** Number of shards in the container. *)
+(** Number of slots: the container's shards, or an in-memory
+    snapshot's node ranges. *)
 
 val advice_name : t -> string
 (** The advice section queries are answered from. *)
@@ -111,13 +136,14 @@ val shard_of : t -> int -> int
 
 val resident_bytes : t -> int
 (** Serialized bytes of currently resident shards — the quantity the
-    budget bounds. *)
+    budget bounds (0 in memory). *)
 
 val resident_shards : t -> int
 (** How many shards are currently resident. *)
 
 val loads : t -> int
-(** Shard loads performed since creation (first touches + reloads). *)
+(** Shard loads performed since creation (first touches + reloads; 0
+    in memory). *)
 
 val evictions : t -> int
 (** Shards evicted under the budget since creation. *)
@@ -127,37 +153,52 @@ val lost_shards : t -> (int * string) list
     order.  A shard that healed on a successful reload is absent. *)
 
 val degraded : t -> bool
-(** Whether any shard is currently lost.  Clears when every lost shard
-    heals on reload. *)
+(** Whether any shard is currently lost (clears when every lost shard
+    heals on reload), or the in-memory engine came from a damaged
+    snapshot. *)
+
+val serving_trusted : t -> bool
+(** Whether the served advice passed its checksum: [false] only for an
+    in-memory engine serving quarantined advice best-effort. *)
 
 val query : t -> Engine.query -> Engine.answer
-(** Answer one query through the owner shard, loading it on first touch
-    (and evicting under the budget).  Byte-identical to a monolithic
-    engine's answer.  @raise Invalid_argument on an out-of-range id or
-    an [Edge_member] whose node is not an endpoint of its edge;
+(** Answer one query through the owner slot, loading it on first touch
+    (and evicting under the budget).  On a resident slot the router adds
+    no allocation of its own beyond a container shard's translated local
+    query.  Byte-identical to a whole-graph engine's answer.
+    @raise Invalid_argument on an out-of-range id or an [Edge_member]
+    whose node is not an endpoint of its edge;
     @raise Shard_lost (salvage) / [Codec.Corrupt] (fail-stop) when the
     owner shard cannot be loaded. *)
 
-val batch_results :
-  ?domains:int ->
-  ?pool:Pool.variant ->
-  t ->
-  Engine.query array ->
-  (Engine.answer, string) result array
-(** Answer a batch, one result per query in request order: [Ok] answers
-    are byte-identical to the monolithic engine's; [Error] carries the
-    owner shard's loss diagnostic (salvage mode) and appears only for
-    queries whose node range was lost.  Shards load in budget-bounded
-    waves and serve one pool task per shard.  @raise Invalid_argument on
-    malformed queries (range checks before any work; the
-    endpoint check, which needs the owner shard, during its wave). *)
+module Batch (_ : Shim.S) : sig
+  val batch_results :
+    ?domains:int -> t -> Engine.query array -> (Engine.answer, string) result array
+  (** Same contract as the top-level {!val:batch_results}, with the
+      slot fan-out executed through the shim. *)
+end
+(** The wave planner and slot fan-out, functorized over the
+    concurrency shim.  [Batch (Shim.Real)] is the production
+    {!val:batch_results} below; instantiated with the checker's
+    instrumented shim, the identical planner + pool + scatter code runs
+    under the schedule-exploring scheduler, with one tracked ownership
+    cell per slot touched around every engine call — so the
+    single-worker-per-slot discipline is machine-checked instead of
+    asserted (see DESIGN.md, "Concurrency model checking"). *)
 
-val batch :
-  ?domains:int ->
-  ?pool:Pool.variant ->
-  t ->
-  Engine.query array ->
-  Engine.answer array
+val batch_results :
+  ?domains:int -> t -> Engine.query array -> (Engine.answer, string) result array
+(** Answer a batch, one result per query in request order: [Ok] answers
+    are byte-identical to a whole-graph engine's; [Error] carries the
+    owner shard's loss diagnostic (salvage mode) and appears only for
+    queries whose node range was lost.  Slots load in budget-bounded
+    waves and serve one pool task per slot; [?domains] is forwarded to
+    {!Pool.run}.  @raise Invalid_argument on malformed queries (range
+    checks before any work; the endpoint check during the owner slot's
+    wave — for an in-memory snapshot, the only wave, so before any ball
+    work).  This is [Batch (Shim.Real)]. *)
+
+val batch : ?domains:int -> t -> Engine.query array -> Engine.answer array
 (** {!batch_results} with losses re-raised: the first [Error] becomes a
     [Codec.Corrupt] carrying its diagnostic.  Convenient when the caller
     treats any loss as fatal. *)

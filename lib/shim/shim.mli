@@ -1,7 +1,7 @@
 (** Concurrency-primitive shim: the seam the model checker plugs into.
 
     Every concurrent subsystem in this repository ({!Serve.Pool}, the
-    sharded batch path of {!Serve.Engine}, the per-domain cell push of
+    slot fan-out of {!Serve.Router}'s batch, the per-domain cell push of
     {!Obs.Metrics}) is written against these four tiny module types
     instead of calling [Atomic] / [Mutex] / [Domain] directly.  Two
     implementations exist:
@@ -45,7 +45,7 @@ module type ATOMIC = sig
 
   val fetch_and_add : int t -> int -> int
   (** Atomic add returning the previous value — the work-claiming
-      primitive of {!Serve.Pool.Lockless}. *)
+      primitive of {!Serve.Pool}. *)
 end
 
 (** Mutual exclusion — the subset of [Stdlib.Mutex] the repository
@@ -84,8 +84,8 @@ end
     fibers with no happens-before edge between them — at least one a
     write — are reported as a data race.  Use a [Raw.t] to mark the
     shared-but-single-writer-by-construction state whose ownership
-    discipline the checker should audit (e.g. one cell per shard cache
-    in {!Serve.Engine}'s batch path). *)
+    discipline the checker should audit (e.g. one cell per slot in
+    {!Serve.Router}'s batch path). *)
 module type RAW = sig
   type 'a t
   (** A tracked plain mutable cell. *)

@@ -85,8 +85,8 @@ val tag_shard : int
 val plan : n:int -> shards:int -> (int * int) array
 (** [plan ~n ~shards] is the contiguous interior partition
     [[| (0, n/S); ...; ((S-1)*n/S, n) |]] (after clamping [shards] to
-    [1..max 1 n]) — the same balanced cut {!Serve.Engine}'s batch
-    planner uses, so engine shards and storage shards can align.
+    [1..max 1 n]) — also the cut {!Serve.Router} uses for a v1
+    snapshot's in-memory slots, so both versions share one owner map.
     @raise Invalid_argument when [shards < 1] or [n < 0]. *)
 
 val build :

@@ -293,6 +293,13 @@ let test_salvage_report () =
   | exception Store.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "salvaged a snapshot with no trustworthy graph"
 
+(* An engine over a salvage result: the intact snapshot plus what the
+   salvage recovered and reported. *)
+let salvaged ?name ?radius sv =
+  Serve.Engine.create ?name ?radius
+    ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
+    sv.Store.Snapshot.partial
+
 let test_degraded_engine_serves_survivors () =
   let g, snapshot, cert = two_advice_snapshot 64 23 in
   let bytes = Store.Snapshot.write snapshot in
@@ -300,7 +307,7 @@ let test_degraded_engine_serves_survivors () =
   (* One corrupted advice section (the decoy): the engine must serve the
      surviving c4 section with full differential agreement. *)
   let sv = Store.Snapshot.read_salvage (flip_payload_byte bytes 2) in
-  let e = Serve.Engine.create_salvaged sv in
+  let e = salvaged sv in
   check "degraded" true (Serve.Engine.degraded e);
   check "but serving trusted advice" true (Serve.Engine.serving_trusted e);
   check_str "serving c4" "c4" (Serve.Engine.advice_name e);
@@ -326,7 +333,9 @@ let test_degraded_engine_serves_survivors () =
     g;
   (* Same, through the parallel batch path. *)
   let queries = Array.init (Graph.n g) (fun v -> Serve.Engine.Output_label v) in
-  let answers = Serve.Engine.batch ~domains:2 (Serve.Engine.create_salvaged sv) queries in
+  let answers =
+    Serve.Router.batch ~domains:2 (Serve.Router.of_engine ~domains:2 (salvaged sv)) queries
+  in
   Array.iteri
     (fun v a ->
       match a with
@@ -335,7 +344,7 @@ let test_degraded_engine_serves_survivors () =
     answers;
   (* Serving the quarantined section itself stays total: every label
      comes back with the right length, no exception escapes. *)
-  let eq = Serve.Engine.create_salvaged ~name:"decoy" sv in
+  let eq = salvaged ~name:"decoy" sv in
   check "untrusted service is flagged" false (Serve.Engine.serving_trusted eq);
   Graph.iter_nodes
     (fun v ->
@@ -352,13 +361,13 @@ let test_degraded_metrics () =
   Obs.Sink.enable ();
   Fun.protect ~finally:(fun () -> Obs.Sink.disable ()) @@ fun () ->
   Obs.Sink.reset ();
-  let e = Serve.Engine.create_salvaged sv in
+  let e = salvaged sv in
   ignore (Serve.Engine.query e (Serve.Engine.Output_label 0));
   ignore (Serve.Engine.query e (Serve.Engine.Output_label 1));
   check_int "every degraded query counted" 2 (counter_total "serve.degraded");
   check_int "trusted advice: no quarantined count" 0
     (counter_total "serve.quarantined");
-  let eq = Serve.Engine.create_salvaged ~name:"decoy" sv in
+  let eq = salvaged ~name:"decoy" sv in
   ignore (Serve.Engine.query eq (Serve.Engine.Output_label 2));
   check_int "degraded grows" 3 (counter_total "serve.degraded");
   check_int "quarantined service counted" 1 (counter_total "serve.quarantined")
@@ -387,7 +396,7 @@ let test_read_fault_fuzz () =
         (* Radius and params may live in a lost metadata section; pin
            them so the comparison isolates the advice path. *)
         match
-          Serve.Engine.create_salvaged ~radius:cert.Serve.Pack.radius sv
+          salvaged ~radius:cert.Serve.Pack.radius sv
         with
         | exception Invalid_argument _ -> incr refused
         | e ->

@@ -61,16 +61,10 @@ let cycle_snapshot n seed =
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   Serve.Pack.edge_compression g x
 
-let salvaged_engine ?memo ~shards g advice =
-  let sv =
-    {
-      Store.Snapshot.partial =
-        { Store.Snapshot.graph = g; advice = []; meta = [] };
-      recovered = [ ("c4", advice) ];
-      report = [];
-    }
-  in
-  Serve.Engine.create_salvaged ?memo ~shards ~radius:2 sv
+let salvaged_engine ?memo g advice =
+  Serve.Engine.create ?memo ~radius:2
+    ~health:([ ("c4", advice) ], [])
+    { Store.Snapshot.graph = g; advice = []; meta = [] }
 
 let random_advice rng g =
   Array.init (Graph.n g) (fun _ ->
@@ -103,56 +97,50 @@ let build_graph family rng =
 (* [salvage] forces the untrusted (quarantined-advice) path even for
    cycles; grids and random-regular graphs only exist on it (the
    one-bit encoder packs cycles alone), so the flag is absorbed. *)
-let engine_of ?memo family ~salvage ~shards rng =
+let engine_of ?memo family ~salvage rng =
   match (family, salvage) with
   | Cycle, false ->
       let snapshot, _cert =
         cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000)
       in
-      Serve.Engine.create ?memo ~shards snapshot
+      Serve.Engine.create ?memo snapshot
   | (Cycle | Grid | Regular), _ ->
       let g = build_graph family rng in
-      salvaged_engine ?memo ~shards g (random_advice rng g)
+      salvaged_engine ?memo g (random_advice rng g)
 
 let case_gen =
   QCheck.Gen.(
-    tup6 (int_bound 100_000)
+    tup4 (int_bound 100_000)
       (oneofl [ Cycle; Grid; Regular ])
       bool
-      (oneofl [ 1; 3 ])
-      (int_range 1 2)
-      bool)
+      (int_range 1 2))
 
-let case_print (seed, family, salvage, shards, domains, lockless) =
-  Printf.sprintf "seed=%d family=%s salvage=%b shards=%d domains=%d pool=%s"
-    seed (family_name family) salvage shards domains
-    (if lockless then "lockless" else "mutex")
+let case_print (seed, family, salvage, domains) =
+  Printf.sprintf "seed=%d family=%s salvage=%b domains=%d" seed
+    (family_name family) salvage domains
 
 let memo_transparent =
   QCheck.Test.make ~count:40
     ~name:"memoized serving = unmemoized serving (bytes)"
     (QCheck.make ~print:case_print case_gen)
-    (fun (seed, family, salvage, shards, domains, lockless) ->
-      let pool =
-        if lockless then Serve.Pool.Lockless else Serve.Pool.Locked
-      in
+    (fun (seed, family, salvage, domains) ->
       (* Identical construction (same rng consumption) modulo the memo. *)
       let rng = Prng.create seed in
       let rng2 = Prng.copy rng in
       let memo = Serve.Memo.create ~capacity:256 in
-      let memoized = engine_of ~memo family ~salvage ~shards rng in
-      let plain = engine_of family ~salvage ~shards rng2 in
+      let engine = engine_of ~memo family ~salvage rng in
+      let memoized = Serve.Router.of_engine ~domains engine in
+      let plain = engine_of family ~salvage rng2 in
       let qs =
-        random_queries (Prng.create (seed + 1)) (Serve.Engine.graph memoized)
-          150
+        random_queries (Prng.create (seed + 1)) (Serve.Engine.graph engine) 150
       in
-      (* The parallel batch exercises the staged read-only path (workers
-         probe the frozen table, the caller publishes); the single-query
-         sweep afterwards serves against the now-warm table, exercising
-         the hit path for the same queries. *)
-      let batched = Serve.Engine.batch ~domains ~pool memoized qs in
+      (* The router batch (one slot per domain) exercises the staged
+         read-only path (workers probe the frozen table, the caller
+         inserts); the single-query sweep afterwards serves against the
+         now-warm table, exercising the hit path for the same queries. *)
+      let batched = Serve.Router.batch ~domains memoized qs in
       let expected = Array.map (Serve.Engine.query plain) qs in
-      let warm = Array.map (Serve.Engine.query memoized) qs in
+      let warm = Array.map (Serve.Router.query memoized) qs in
       Marshal.to_string batched [] = Marshal.to_string expected []
       && Marshal.to_string warm [] = Marshal.to_string expected [])
 
@@ -161,10 +149,10 @@ let memo_transparent =
 let test_engine_capacity_zero () =
   let snapshot, _ = cycle_snapshot 60 3 in
   let memo = Serve.Memo.create ~capacity:0 in
-  let memoized = Serve.Engine.create ~memo ~shards:2 snapshot in
-  let plain = Serve.Engine.create ~shards:2 snapshot in
+  let memoized = Serve.Engine.create ~memo snapshot in
+  let plain = Serve.Engine.create snapshot in
   check "memoized engine reports the attachment" true
-    (Serve.Engine.memoized memoized);
+    (Serve.Engine.memo memoized = Some memo);
   let qs = random_queries (Prng.create 17) (Serve.Engine.graph plain) 80 in
   check_string "capacity-0 answers identical"
     (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
@@ -184,8 +172,8 @@ let test_adversarial_low_collision () =
         String.init 16 (fun i -> if (v lsr i) land 1 = 1 then '1' else '0'))
   in
   let memo = Serve.Memo.create ~capacity:32 in
-  let memoized = salvaged_engine ~memo ~shards:3 g advice in
-  let plain = salvaged_engine ~shards:3 g advice in
+  let memoized = salvaged_engine ~memo g advice in
+  let plain = salvaged_engine g advice in
   let qs = Array.init 200 (fun v -> Serve.Engine.Output_label v) in
   check_string "adversarial answers identical"
     (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
@@ -219,7 +207,7 @@ let test_router_memo_identity () =
   let router =
     Serve.Router.create ~memo ~resident_budget:max_frame ~radius store
   in
-  let mono = Serve.Engine.create ~shards:1 ~radius snapshot in
+  let mono = Serve.Engine.create ~radius snapshot in
   let qs = random_queries (Prng.create 23) (Serve.Engine.graph mono) 300 in
   let expected = Array.map (Serve.Engine.query mono) qs in
   let batched = Serve.Router.batch_results ~domains:2 router qs in
@@ -428,14 +416,11 @@ let workspace_key_and_fragment =
         let prefix = Printf.sprintf "r%d;t%b;" radius trusted in
         let memo = Serve.Memo.create ~capacity:64 in
         let engine =
-          if trusted then Serve.Engine.create ~memo ~shards:1 ~radius ~ids snapshot
+          if trusted then Serve.Engine.create ~memo ~radius ~ids snapshot
           else
-            Serve.Engine.create_salvaged ~memo ~shards:1 ~radius ~ids
-              {
-                Store.Snapshot.partial = { snapshot with Store.Snapshot.advice = [] };
-                recovered = [ ("c4", advice) ];
-                report = [];
-              }
+            Serve.Engine.create ~memo ~radius ~ids
+              ~health:([ ("c4", advice) ], [])
+              { snapshot with Store.Snapshot.advice = [] }
         in
         for v = 0 to Graph.n g - 1 do
           let where = Printf.sprintf "node %d radius %d" v radius in
@@ -490,7 +475,7 @@ let test_serve_path_builds_no_view () =
   Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
   let snapshot, _ = Serve.Pack.edge_compression g x in
   let memo = Serve.Memo.create ~capacity:4096 in
-  let engine = Serve.Engine.create ~cache_capacity:0 ~shards:1 ~memo snapshot in
+  let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
   let n = Graph.n (Serve.Engine.graph engine) in
   let counter name =
     List.fold_left

@@ -461,9 +461,11 @@ let test_conn_every_split () =
 (* ------------------------------------------------------------------ *)
 (* Loopback integration *)
 
+(* The server answers from a router over [engine]: one in-memory slot
+   per effective domain. *)
 let with_server engine f =
   let config = { Net.Server.default_config with port = 0 } in
-  let server = Net.Server.create ~config engine in
+  let server = Net.Server.create ~config (Serve.Router.of_engine engine) in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   Fun.protect
     ~finally:(fun () ->
@@ -499,7 +501,7 @@ let test_loopback_pipelined () =
   (* Batch path: positionally identical to the direct batch. *)
   let batch_qs = workload g 97 in
   let got = Net.Client.batch c batch_qs in
-  let expect = Serve.Engine.batch direct batch_qs in
+  let expect = Array.map (Serve.Engine.query direct) batch_qs in
   check "batch over TCP equals direct batch" true (got = expect);
   (* A rejected request answers with an error frame and leaves the
      connection usable. *)
@@ -596,8 +598,13 @@ let test_loopback_salvage () =
   let g, snapshot = make_packed 120 17 in
   let damaged = flip_advice_payload (Store.Snapshot.write snapshot) in
   let sv = Store.Snapshot.read_salvage damaged in
-  let engine = Serve.Engine.create_salvaged sv in
-  let direct = Serve.Engine.create_salvaged sv in
+  let salvaged () =
+    Serve.Engine.create
+      ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
+      sv.Store.Snapshot.partial
+  in
+  let engine = salvaged () in
+  let direct = salvaged () in
   check "salvaged engine is degraded" true (Serve.Engine.degraded engine);
   with_server engine @@ fun server port ->
   with_client port @@ fun c ->
@@ -620,7 +627,9 @@ let test_loopback_salvage () =
 let test_loopback_shutdown_drains () =
   let g, snapshot = make_packed 80 3 in
   let config = { Net.Server.default_config with port = 0 } in
-  let server = Net.Server.create ~config (Serve.Engine.create snapshot) in
+  let server =
+    Net.Server.create ~config (Serve.Router.of_engine (Serve.Engine.create snapshot))
+  in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   let c = Net.Client.connect ~port:(Net.Server.port server) () in
   let qs = workload g 25 in

@@ -1,111 +1,80 @@
 (* Serve.Pool model checks (exactly-once execution, index-ordered
-   results, deterministic failure replay) and the sharded-batch
-   equivalence property: Engine.batch output is byte-identical to
-   sequential serving for every graph family, shard count, domain count
-   and pool variant — the correctness contract behind the store.pool
-   bench comparisons. *)
+   results, deterministic failure replay) and the slot-batch
+   equivalence property: a router's batch over in-memory slots is
+   byte-identical to sequential serving for every graph family, slot
+   count and domain count — the correctness contract behind the
+   store.pool bench comparisons. *)
 
 open Netgraph
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let variants = [ Serve.Pool.Lockless; Serve.Pool.Locked ]
-
 (* ------------------------------------------------------------------ *)
 (* Pool model: exactly-once, in order, over every small shape *)
 
 let test_pool_model () =
   List.iter
-    (fun variant ->
+    (fun n ->
       List.iter
-        (fun n ->
-          List.iter
-            (fun domains ->
-              let ran = Array.init n (fun _ -> Atomic.make 0) in
-              let tasks = Array.init n (fun i -> i) in
-              let out =
-                Serve.Pool.run ~variant ~domains
-                  (fun i ->
-                    Atomic.incr ran.(i);
-                    (i * i) + 1)
-                  tasks
-              in
-              let where =
-                Printf.sprintf "%s n=%d d=%d"
-                  (Serve.Pool.variant_name variant)
-                  n domains
-              in
-              check_int (where ^ ": result count") n (Array.length out);
-              Array.iteri
-                (fun i y ->
-                  check_int (where ^ ": result at its own index") ((i * i) + 1) y;
-                  check_int
-                    (where ^ ": task ran exactly once")
-                    1
-                    (Atomic.get ran.(i)))
-                out)
-            [ 1; 2; 3; 4 ])
-        [ 0; 1; 2; 7; 100 ])
-    variants
+        (fun domains ->
+          let ran = Array.init n (fun _ -> Atomic.make 0) in
+          let tasks = Array.init n (fun i -> i) in
+          let out =
+            Serve.Pool.run ~domains
+              (fun i ->
+                Atomic.incr ran.(i);
+                (i * i) + 1)
+              tasks
+          in
+          let where = Printf.sprintf "n=%d d=%d" n domains in
+          check_int (where ^ ": result count") n (Array.length out);
+          Array.iteri
+            (fun i y ->
+              check_int (where ^ ": result at its own index") ((i * i) + 1) y;
+              check_int (where ^ ": task ran exactly once") 1 (Atomic.get ran.(i)))
+            out)
+        [ 1; 2; 3; 4 ])
+    [ 0; 1; 2; 7; 100 ]
 
 exception Boom of int
 
 let test_pool_exceptions () =
   List.iter
-    (fun variant ->
-      List.iter
-        (fun domains ->
-          let n = 40 in
-          let ran = Array.init n (fun _ -> Atomic.make 0) in
-          let tasks = Array.init n (fun i -> i) in
-          (match
-             Serve.Pool.run ~variant ~domains
-               (fun i ->
-                 Atomic.incr ran.(i);
-                 if i mod 13 = 5 then raise (Boom i);
-                 i)
-               tasks
-           with
-          | _ -> Alcotest.fail "a failing task did not fail the run"
-          | exception Boom i ->
-              (* Deterministic replay: always the lowest failing index,
-                 regardless of which domain hit which task. *)
-              check_int "lowest failing index raised" 5 i);
-          (* The queue drained fully despite the failures. *)
-          Array.iteri
-            (fun i c ->
-              check_int
-                (Printf.sprintf "task %d still ran exactly once" i)
-                1 (Atomic.get c))
-            ran)
-        [ 1; 2; 4 ])
-    variants
-
-let test_pool_names () =
-  List.iter
-    (fun v ->
-      check
-        ("name round-trip " ^ Serve.Pool.variant_name v)
-        true
-        (Serve.Pool.variant_of_name (Serve.Pool.variant_name v) = Some v))
-    variants;
-  check "unknown name" true (Serve.Pool.variant_of_name "spinlock" = None);
-  check "default is the lock-free variant" true
-    (Serve.Pool.default_variant = Serve.Pool.Lockless)
+    (fun domains ->
+      let n = 40 in
+      let ran = Array.init n (fun _ -> Atomic.make 0) in
+      let tasks = Array.init n (fun i -> i) in
+      (match
+         Serve.Pool.run ~domains
+           (fun i ->
+             Atomic.incr ran.(i);
+             if i mod 13 = 5 then raise (Boom i);
+             i)
+           tasks
+       with
+      | _ -> Alcotest.fail "a failing task did not fail the run"
+      | exception Boom i ->
+          (* Deterministic replay: always the lowest failing index,
+             regardless of which domain hit which task. *)
+          check_int "lowest failing index raised" 5 i);
+      (* The queue drained fully despite the failures. *)
+      Array.iteri
+        (fun i c ->
+          check_int (Printf.sprintf "task %d still ran exactly once" i) 1 (Atomic.get c))
+        ran)
+    [ 1; 2; 4 ]
 
 let pool_equals_map =
   QCheck.Test.make ~count:100 ~name:"Pool.run f = Array.map f"
-    QCheck.(
-      triple (array_of_size (Gen.int_bound 60) small_int) (int_range 1 4) bool)
-    (fun (xs, domains, lockless) ->
-      let variant = if lockless then Serve.Pool.Lockless else Serve.Pool.Locked in
+    QCheck.(pair (array_of_size (Gen.int_bound 60) small_int) (int_range 1 4))
+    (fun (xs, domains) ->
       let f x = (2 * x) - 7 in
-      Marshal.to_string (Serve.Pool.run ~variant ~domains f xs) []
+      Marshal.to_string (Serve.Pool.run ~domains f xs) []
       = Marshal.to_string (Array.map f xs) [])
 
 (* ------------------------------------------------------------------ *)
-(* Sharded batch = sequential serving, byte for byte *)
+(* Slot batch = sequential serving, byte for byte *)
 
 (* Trusted engine over a packed cycle (the family the C4 encoder
    certifies end to end). *)
@@ -122,15 +91,10 @@ let cycle_snapshot n seed =
    total tolerant decoder — any graph family works, which is what lets
    the property range over grids and random regular graphs that the
    one-bit encoder cannot pack. *)
-let salvaged_engine ~shards g advice =
-  let sv =
-    {
-      Store.Snapshot.partial = { Store.Snapshot.graph = g; advice = []; meta = [] };
-      recovered = [ ("c4", advice) ];
-      report = [];
-    }
-  in
-  Serve.Engine.create_salvaged ~shards ~radius:2 sv
+let salvaged_engine g advice =
+  Serve.Engine.create ~radius:2
+    ~health:([ ("c4", advice) ], [])
+    { Store.Snapshot.graph = g; advice = []; meta = [] }
 
 let random_advice rng g =
   Array.init (Graph.n g) (fun _ ->
@@ -157,49 +121,44 @@ let build_graph family rng =
   | Grid -> Builders.grid (2 + Prng.int rng 5) (2 + Prng.int rng 5)
   | Regular -> Builders.random_regular rng (2 * (4 + Prng.int rng 12)) 3
 
-let engine_of family rng ~shards =
+let engine_of family rng =
   match family with
   | Cycle ->
       let _g, snapshot = cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000) in
-      Serve.Engine.create ~shards snapshot
+      Serve.Engine.create snapshot
   | Grid | Regular ->
       let g = build_graph family rng in
-      salvaged_engine ~shards g (random_advice rng g)
+      salvaged_engine g (random_advice rng g)
 
 let case_gen =
   QCheck.Gen.(
-    map
-      (fun (seed, family, shards, domains, lockless) ->
-        (seed, family, shards, domains, lockless))
-      (tup5 (int_bound 100_000)
-         (oneofl [ Cycle; Grid; Regular ])
-         (oneofl [ 1; 2; 3; 8 ])
-         (int_range 1 3) bool))
+    tup4 (int_bound 100_000)
+      (oneofl [ Cycle; Grid; Regular ])
+      (oneofl [ 1; 2; 3; 8 ])
+      (int_range 1 3))
 
-let case_print (seed, family, shards, domains, lockless) =
-  Printf.sprintf "seed=%d family=%s shards=%d domains=%d pool=%s" seed
-    (family_name family) shards domains
-    (if lockless then "lockless" else "mutex")
+let case_print (seed, family, slots, domains) =
+  Printf.sprintf "seed=%d family=%s slots=%d domains=%d" seed
+    (family_name family) slots domains
 
 let batch_equals_sequential =
   QCheck.Test.make ~count:40
     ~name:"sharded parallel batch = sequential batch = singles (bytes)"
     (QCheck.make ~print:case_print case_gen)
-    (fun (seed, family, shards, domains, lockless) ->
-      let pool = if lockless then Serve.Pool.Lockless else Serve.Pool.Locked in
+    (fun (seed, family, slots, domains) ->
       let rng = Prng.create seed in
       (* Three independently built engines over the same snapshot state:
          the parallel path must not be able to lean on cache state the
          sequential one left behind, or vice versa. *)
       let rng2 = Prng.copy rng in
       let rng3 = Prng.copy rng in
-      let parallel = engine_of family rng ~shards in
-      let sequential = engine_of family rng2 ~shards in
-      let singles = engine_of family rng3 ~shards:1 in
+      let singles = engine_of family rng3 in
+      let parallel = Serve.Router.of_engine ~domains:slots (engine_of family rng) in
+      let sequential = Serve.Router.of_engine ~domains:slots (engine_of family rng2) in
       let qrng = Prng.create (seed + 1) in
-      let qs = random_queries qrng (Serve.Engine.graph parallel) 120 in
-      let a = Serve.Engine.batch ~pool ~domains parallel qs in
-      let b = Serve.Engine.batch ~domains:1 sequential qs in
+      let qs = random_queries qrng (Serve.Engine.graph singles) 120 in
+      let a = Serve.Router.batch ~domains parallel qs in
+      let b = Serve.Router.batch ~domains:1 sequential qs in
       let c = Array.map (Serve.Engine.query singles) qs in
       let bytes x = Marshal.to_string x [] in
       bytes a = bytes b && bytes b = bytes c)
@@ -210,44 +169,38 @@ let batch_equals_sequential =
 let test_batch_two_domains () =
   let _g, snapshot = cycle_snapshot 160 5 in
   let reference =
-    let e = Serve.Engine.create ~shards:1 snapshot in
+    let e = Serve.Engine.create snapshot in
     Array.init 160 (fun v -> Serve.Engine.query e (Serve.Engine.Output_label v))
   in
-  List.iter
-    (fun pool ->
-      let e = Serve.Engine.create ~shards:4 snapshot in
-      check_int "four shards" 4 (Serve.Engine.shard_count e);
-      let qs = Array.init 160 (fun v -> Serve.Engine.Output_label v) in
-      let cold = Serve.Engine.batch ~pool ~domains:2 e qs in
-      let warm = Serve.Engine.batch ~pool ~domains:2 e qs in
-      check
-        ("cold 2-domain batch = singles, " ^ Serve.Pool.variant_name pool)
-        true
-        (Marshal.to_string cold [] = Marshal.to_string reference []);
-      check
-        ("warm 2-domain batch = cold, " ^ Serve.Pool.variant_name pool)
-        true
-        (Marshal.to_string warm [] = Marshal.to_string cold []))
-    variants
+  let r = Serve.Router.of_engine ~domains:4 (Serve.Engine.create snapshot) in
+  check_int "four slots" 4 (Serve.Router.shard_count r);
+  let qs = Array.init 160 (fun v -> Serve.Engine.Output_label v) in
+  let cold = Serve.Router.batch ~domains:2 r qs in
+  let warm = Serve.Router.batch ~domains:2 r qs in
+  check "cold 2-domain batch = singles" true
+    (Marshal.to_string cold [] = Marshal.to_string reference []);
+  check "warm 2-domain batch = cold" true
+    (Marshal.to_string warm [] = Marshal.to_string cold [])
 
 let test_shard_plumbing () =
   let _g, snapshot = cycle_snapshot 24 9 in
-  (match Serve.Engine.create ~shards:0 snapshot with
+  let slots ?domains () =
+    Serve.Router.shard_count (Serve.Router.of_engine ?domains (Serve.Engine.create snapshot))
+  in
+  (match slots ~domains:0 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted zero shards");
-  (* More shards than nodes clamps instead of creating empty shards. *)
-  let e = Serve.Engine.create ~shards:99 snapshot in
-  check_int "shards clamped to node count" 24 (Serve.Engine.shard_count e);
-  let e1 = Serve.Engine.create snapshot in
-  check "default shard count is the effective domain count" true
-    (Serve.Engine.shard_count e1 = Localmodel.View.effective_domains ());
+  | _ -> Alcotest.fail "accepted zero slots");
+  (* More slots than nodes clamps instead of creating empty slots. *)
+  check_int "slots clamped to node count" 24 (slots ~domains:99 ());
+  check "default slot count is the effective domain count" true
+    (slots () = Localmodel.View.effective_domains ());
   (* Requests clamp to the machine: an absurd ask never exceeds it. *)
   check "effective_domains clamps" true
     (Localmodel.View.effective_domains ~requested:4096 ()
     <= Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
-(* Capacity-0 caches stay no-ops across the sharded engine *)
+(* Capacity-0 caches stay no-ops across the router's slots *)
 
 let test_cache_zero () =
   let c = Serve.Cache.create ~capacity:0 ~n:5 in
@@ -266,10 +219,12 @@ let test_cache_zero () =
   check "empty universe, no storage" true (Serve.Cache.find c0 0 = None);
   (* A capacity-0 engine still serves correctly through every path. *)
   let _g, snapshot = cycle_snapshot 60 13 in
-  let cold = Serve.Engine.create ~cache_capacity:0 ~shards:3 snapshot in
-  let reference = Serve.Engine.create ~shards:1 snapshot in
+  let cold =
+    Serve.Router.of_engine ~domains:3 (Serve.Engine.create ~cache_capacity:0 snapshot)
+  in
+  let reference = Serve.Engine.create snapshot in
   let qs = Array.init 60 (fun v -> Serve.Engine.Output_label v) in
-  let a = Serve.Engine.batch ~domains:2 cold qs in
+  let a = Serve.Router.batch ~domains:2 cold qs in
   let b = Array.map (Serve.Engine.query reference) qs in
   check "uncached batch = cached singles" true
     (Marshal.to_string a [] = Marshal.to_string b [])
@@ -283,7 +238,6 @@ let () =
             test_pool_model;
           Alcotest.test_case "deterministic failure replay" `Quick
             test_pool_exceptions;
-          Alcotest.test_case "variant names" `Quick test_pool_names;
           QCheck_alcotest.to_alcotest pool_equals_map;
         ] );
       ( "sharded-batch",

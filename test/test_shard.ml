@@ -1,9 +1,10 @@
-(* Sharded snapshot container (Store.Shard) + sharded routing
-   (Serve.Router): wire round-trips, lazy loads under a resident-byte
-   budget, byte-identity of sharded answers against the monolithic
-   engine across families × shard counts × budgets, one-shard
-   corruption quarantine, v1/v2 version compatibility, bounded range
-   reads with fault injection, and the exact cache split. *)
+(* Sharded snapshot container (Store.Shard) + routing (Serve.Router):
+   wire round-trips, lazy loads under a resident-byte budget,
+   byte-identity of sharded answers against the monolithic engine
+   across families × shard counts × budgets, the unified front end
+   (v1 in-memory slots and v2 containers) against the direct decoder on
+   every node, one-shard corruption quarantine, v1/v2 version
+   compatibility, and bounded range reads with fault injection. *)
 
 open Netgraph
 
@@ -41,7 +42,7 @@ let cycle_snapshot n seed =
    router serves from a sharded serialization with halo = max radius 1;
    byte-identity of every answer is the contract under test. *)
 let mono_and_router ?(budget = 0) ~radius ~shards snapshot =
-  let mono = Serve.Engine.create ~shards:1 ~radius snapshot in
+  let mono = Serve.Engine.create ~radius snapshot in
   let bytes = Store.Shard.build ~shards ~halo:(max radius 1) snapshot in
   let store = Store.Shard.open_bytes bytes in
   let router =
@@ -196,30 +197,27 @@ let prop_query_identity =
 
 let batch_case_gen =
   QCheck.Gen.(
-    tup5 (int_bound 100_000)
+    tup4 (int_bound 100_000)
       (oneofl [ 1; 2; 3; 8 ])
       (oneofl [ 0; 1 ])
-      (int_range 1 3)
-      bool)
+      (int_range 1 3))
 
-let batch_case_print (seed, shards, budget, domains, lockless) =
-  Printf.sprintf "seed=%d shards=%d budget=%d domains=%d pool=%s" seed shards
-    budget domains
-    (if lockless then "lockless" else "mutex")
+let batch_case_print (seed, shards, budget, domains) =
+  Printf.sprintf "seed=%d shards=%d budget=%d domains=%d" seed shards budget
+    domains
 
 let prop_batch_identity =
   QCheck.Test.make ~count:40
     ~name:"router batch = mono batch (certified cycles), byte for byte"
     (QCheck.make ~print:batch_case_print batch_case_gen)
-    (fun (seed, shards, budget, domains, lockless) ->
-      let pool = if lockless then Serve.Pool.Lockless else Serve.Pool.Locked in
+    (fun (seed, shards, budget, domains) ->
       let rng = Prng.create (seed + 23) in
       let snapshot, radius = family_state Cycle rng in
       let mono, router = mono_and_router ~budget ~radius ~shards snapshot in
       let g = snapshot.Store.Snapshot.graph in
       let qs = random_queries rng g 60 in
-      let expect = Serve.Engine.batch ~domains ~pool mono qs in
-      let got = Serve.Router.batch ~domains ~pool router qs in
+      let expect = Array.map (Serve.Engine.query mono) qs in
+      let got = Serve.Router.batch ~domains router qs in
       Marshal.to_string expect [] = Marshal.to_string got [])
 
 let prop_pack_sharded_identity =
@@ -238,12 +236,113 @@ let prop_pack_sharded_identity =
       let bytes, cert_sharded =
         Serve.Pack.edge_compression_sharded ~shards ~domains:2 g x
       in
-      let mono = Serve.Engine.create ~shards:1 snapshot in
+      let mono = Serve.Engine.create snapshot in
       let router = Serve.Router.create (Store.Shard.open_bytes bytes) in
       let qs = random_queries rng g 40 in
       cert_mono.Serve.Pack.radius = cert_sharded.Serve.Pack.radius
-      && Marshal.to_string (Serve.Engine.batch ~domains:1 mono qs) []
+      && Marshal.to_string (Array.map (Serve.Engine.query mono) qs) []
          = Marshal.to_string (Serve.Router.batch ~domains:1 router qs) [])
+
+(* The unified front end against the direct decoder, on every node of a
+   packed cycle: v1 snapshots as in-memory routers of 1, 2 or 3 slots
+   and v2 containers of 1 or 3 shards, memo on and off, trusted and
+   salvaged (a v1 snapshot salvaged around a damaged decoy section, a
+   v2 container opened in salvage mode), single queries and batches at
+   1 or 2 domains — each front end serves the batch cold or warm. *)
+type front = Memory of int | Container of int
+
+let front_name = function
+  | Memory k -> Printf.sprintf "v1 %d slot(s)" k
+  | Container k -> Printf.sprintf "v2 %d shard(s)" k
+
+(* [snapshot] with a second, damaged advice section: salvage keeps the
+   intact c4 section trusted and reports the decoy quarantined. *)
+let salvaged_v1 snapshot =
+  let a = List.assoc "c4" snapshot.Store.Snapshot.advice in
+  let bytes =
+    Store.Snapshot.write
+      { snapshot with Store.Snapshot.advice = [ ("c4", a); ("decoy", a) ] }
+  in
+  let decoy =
+    List.nth
+      (List.filter
+         (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
+         (Store.Snapshot.sections bytes))
+      1
+  in
+  let b = Bytes.of_string bytes in
+  let pos = decoy.Store.Codec.offset + 5 + decoy.Store.Codec.length - 1 in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+  Store.Snapshot.read_salvage (Bytes.to_string b)
+
+let front_router ~front ~memo ~salvaged ~radius snapshot =
+  match front with
+  | Memory slots ->
+      let engine =
+        if salvaged then
+          let sv = salvaged_v1 snapshot in
+          Serve.Engine.create ?memo
+            ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
+            sv.Store.Snapshot.partial
+        else Serve.Engine.create ?memo (Store.Snapshot.read (Store.Snapshot.write snapshot))
+      in
+      Serve.Router.of_engine ~domains:slots engine
+  | Container shards ->
+      Serve.Router.create ?memo ~salvage:salvaged
+        (Store.Shard.open_bytes (Store.Shard.build ~shards ~halo:(max radius 1) snapshot))
+
+let prop_front_end_matches_decoder =
+  QCheck.Test.make ~count:30 ~name:"front end = direct decoder on every node"
+    (QCheck.make
+       ~print:(fun (seed, front, memo, salvaged, domains) ->
+         Printf.sprintf "seed=%d %s memo=%b salvaged=%b domains=%d" seed
+           (front_name front) memo salvaged domains)
+       QCheck.Gen.(
+         tup5 (int_bound 100_000)
+           (oneofl [ Memory 1; Memory 2; Memory 3; Container 1; Container 3 ])
+           bool bool (int_range 1 2)))
+    (fun (seed, front, memo, salvaged, domains) ->
+      let rng = Prng.create seed in
+      let g, snapshot, cert = cycle_snapshot (20 + (2 * Prng.int rng 30)) seed in
+      let a = List.assoc "c4" snapshot.Store.Snapshot.advice in
+      let decoded = Schemas.Edge_compression.decode g a in
+      let memo = if memo then Some (Serve.Memo.create ~capacity:256) else None in
+      let router =
+        front_router ~front ~memo ~salvaged ~radius:cert.Serve.Pack.radius snapshot
+      in
+      let per_node v =
+        let es = Graph.incident_edges g v in
+        let label =
+          String.init (Graph.degree g v) (fun i ->
+              let u = (Graph.neighbors g v).(i) in
+              if Bitset.mem decoded (Graph.edge_id g v u) then '1' else '0')
+        in
+        (Serve.Engine.Output_label v, Serve.Engine.Label label)
+        :: (Serve.Engine.Advice_bits v, Serve.Engine.Bits a.(v))
+        :: List.map
+             (fun e -> (Serve.Engine.Edge_member (v, e), Serve.Engine.Member (Bitset.mem decoded e)))
+             (Array.to_list es)
+      in
+      let cases = Array.of_list (List.concat_map per_node (List.init (Graph.n g) Fun.id)) in
+      (* Structural equality compares every label byte; Marshal would
+         also compare sharing, which memo hits legitimately add. *)
+      let qs = Array.map fst cases and expected = Array.map snd cases in
+      let singles () = Array.map (Serve.Router.query router) qs = expected in
+      let batch () =
+        Serve.Router.batch_results ~domains router qs
+        = Array.map (fun a -> Ok a) expected
+      in
+      let ok =
+        if seed mod 2 = 0 then
+          let b = batch () in
+          b && singles ()
+        else
+          let s = singles () in
+          s && batch ()
+      in
+      ok
+      && Serve.Router.degraded router
+         = (salvaged && match front with Memory _ -> true | Container _ -> false))
 
 (* The packer's fast induction path: [Graph.induced_sorted] must agree
    with the general [Graph.induced] on every sorted node subset — same
@@ -344,7 +443,7 @@ let test_budget_eviction () =
   in
   check_int "nothing resident before first query" 0
     (Serve.Router.resident_bytes router);
-  let mono = Serve.Engine.create ~shards:1 ~radius snapshot in
+  let mono = Serve.Engine.create ~radius snapshot in
   let peak = ref 0 in
   for v = 0 to 119 do
     let q = Serve.Engine.Output_label v in
@@ -372,7 +471,7 @@ let test_one_shard_corruption () =
   let store = Store.Shard.open_bytes bytes in
   let man = Store.Shard.manifest store in
   let victim = man.Store.Shard.m_shards.(1) in
-  let mono = Serve.Engine.create ~shards:1 ~radius snapshot in
+  let mono = Serve.Engine.create ~radius snapshot in
   let expect v =
     Marshal.to_string (Serve.Engine.query mono (Serve.Engine.Output_label v)) []
   in
@@ -447,7 +546,7 @@ let test_lost_shard_heals_on_repair () =
     Serve.Router.create ~salvage:true ~resident_budget:max_frame ~radius
       (Store.Shard.open_file path)
   in
-  let mono = Serve.Engine.create ~shards:1 ~radius snapshot in
+  let mono = Serve.Engine.create ~radius snapshot in
   let expect v =
     Marshal.to_string (Serve.Engine.query mono (Serve.Engine.Output_label v)) []
   in
@@ -620,44 +719,10 @@ let test_lazy_load_respects_faults () =
   (* Other shards load through the same armed plan untouched (the flip
      is outside their windows). *)
   let a = Serve.Router.query router (Serve.Engine.Output_label 0) in
-  let mono = Serve.Engine.create ~shards:1 ~radius snapshot in
+  let mono = Serve.Engine.create ~radius snapshot in
   check_string "clean shard unaffected by the armed plan"
     (Marshal.to_string (Serve.Engine.query mono (Serve.Engine.Output_label 0)) [])
     (Marshal.to_string a [])
-
-(* ------------------------------------------------------------------ *)
-(* Cache split: exact, balanced, never overshooting *)
-
-let test_cache_split () =
-  List.iter
-    (fun total ->
-      List.iter
-        (fun shards ->
-          let parts = Serve.Cache.split ~total ~shards in
-          let sum = Array.fold_left ( + ) 0 parts in
-          let mn = Array.fold_left min max_int parts in
-          let mx = Array.fold_left max 0 parts in
-          let where = Printf.sprintf "total=%d shards=%d" total shards in
-          check_int (where ^ ": parts") shards (Array.length parts);
-          check_int (where ^ ": exact sum — no round-up overshoot") total sum;
-          check (where ^ ": balanced within one") true (mx - mn <= 1);
-          check (where ^ ": no negative part") true (mn >= 0))
-        [ 1; 2; 3; 4; 7; 64 ])
-    [ 0; 1; 2; 5; 63; 64; 1024; 1025 ];
-  (match Serve.Cache.split ~total:(-1) ~shards:2 with
-  | _ -> Alcotest.fail "negative total accepted"
-  | exception Invalid_argument _ -> ());
-  match Serve.Cache.split ~total:4 ~shards:0 with
-  | _ -> Alcotest.fail "zero shards accepted"
-  | exception Invalid_argument _ -> ()
-
-let prop_cache_split_exact =
-  QCheck.Test.make ~count:200 ~name:"cache split sums exactly for all inputs"
-    QCheck.(pair (int_bound 10_000) (int_range 1 128))
-    (fun (total, shards) ->
-      let parts = Serve.Cache.split ~total ~shards in
-      Array.fold_left ( + ) 0 parts = total
-      && Array.fold_left max 0 parts - Array.fold_left min max_int parts <= 1)
 
 (* ------------------------------------------------------------------ *)
 
@@ -677,6 +742,7 @@ let () =
           prop_query_identity;
           prop_batch_identity;
           prop_pack_sharded_identity;
+          prop_front_end_matches_decoder;
           prop_induced_sorted_identity;
           prop_fused_writer_matches_induced;
         ];
@@ -700,10 +766,5 @@ let () =
             test_read_range_faults;
           Alcotest.test_case "lazy loads honor the fault harness" `Quick
             test_lazy_load_respects_faults;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "split exact + balanced" `Quick test_cache_split;
-          QCheck_alcotest.to_alcotest ~long:false prop_cache_split_exact;
         ] );
     ]

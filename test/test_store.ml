@@ -449,14 +449,17 @@ let test_engine_batch_matches_queries () =
             Serve.Engine.Edge_member (v, es.(Prng.int rng (Array.length es)))
         | _ -> Serve.Engine.Advice_bits v)
   in
-  (* Cold batch on a fresh engine (parallel), warm repeat, and per-query
-     answers on another fresh engine must all agree. *)
-  let cold = Serve.Engine.batch ~domains:3 engine queries in
-  let warm = Serve.Engine.batch ~domains:3 engine queries in
+  (* Cold batch on a fresh three-slot router (parallel), warm repeat, and
+     per-query answers on a fresh engine must all agree. *)
+  let router = Serve.Router.of_engine ~domains:3 engine in
+  let cold = Serve.Router.batch ~domains:3 router queries in
+  let warm = Serve.Router.batch ~domains:3 router queries in
   let fresh = Serve.Engine.create snapshot in
   let singles = Array.map (Serve.Engine.query fresh) queries in
-  let tiny_cache = Serve.Engine.create ~cache_capacity:2 snapshot in
-  let squeezed = Serve.Engine.batch tiny_cache queries in
+  let tiny_cache =
+    Serve.Router.of_engine (Serve.Engine.create ~cache_capacity:2 snapshot)
+  in
+  let squeezed = Serve.Router.batch tiny_cache queries in
   check "warm batch = cold batch" true (cold = warm);
   check "batch = single queries" true (cold = singles);
   check "cache pressure changes nothing" true (cold = squeezed)
@@ -473,12 +476,34 @@ let test_engine_validates () =
   must_reject "a negative node" (Serve.Engine.Advice_bits (-1));
   must_reject "an out-of-range edge" (Serve.Engine.Edge_member (0, 999));
   must_reject "a non-incident edge" (Serve.Engine.Edge_member (0, 12));
-  (* batch validates before any ball work *)
-  match
-    Serve.Engine.batch engine [| Serve.Engine.Output_label 5; Serve.Engine.Output_label 99 |]
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "batch accepted an invalid query"
+  (* A v1 batch validates before any ball work — range checks and the
+     endpoint check alike: no query is served, no ball decoded. *)
+  let router = Serve.Router.of_engine ~domains:2 engine in
+  let served () =
+    List.fold_left
+      (fun acc (e : Obs.Metrics.entry) ->
+        match e.Obs.Metrics.value with
+        | Obs.Metrics.Counter_v { total; _ }
+          when String.equal e.Obs.Metrics.name "serve.queries" ->
+            total
+        | _ -> acc)
+      0 (Obs.Metrics.snapshot ())
+  in
+  Obs.Sink.enable ();
+  Fun.protect ~finally:Obs.Sink.disable @@ fun () ->
+  Obs.Sink.reset ();
+  List.iter
+    (fun (what, bad) ->
+      match Serve.Router.batch router [| Serve.Engine.Output_label 5; bad |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "batch accepted %s" what)
+    [
+      ("an out-of-range node", Serve.Engine.Output_label 99);
+      ("a non-incident edge", Serve.Engine.Edge_member (0, 12));
+    ];
+  check_int "rejected batches served nothing" 0 (served ());
+  ignore (Serve.Router.query router (Serve.Engine.Output_label 5));
+  check_int "a valid query is served" 1 (served ())
 
 let () =
   Alcotest.run "store"
