@@ -1,7 +1,7 @@
 (* LOCAL-simulation throughput bench: ball-extraction rates for the
-   workspace-based View hot path, sequential vs parallel, against the seed
-   implementation kept below as the baseline.  Writes a JSON report
-   (BENCH_local.json) so the perf trajectory is tracked across PRs:
+   workspace-based View hot path, sequential vs parallel.  Writes a JSON
+   report (BENCH_local.json) so the perf trajectory is tracked across
+   PRs:
 
      dune exec bench/main.exe -- --json [--smoke] [--out FILE]
 
@@ -20,62 +20,6 @@ open Netgraph
 module J = Obs.Jsonout
 
 (* ------------------------------------------------------------------ *)
-(* The seed hot path, verbatim: Hashtbl-based limited BFS plus an
-   induced-subgraph extraction that allocates an O(n) array and folds over
-   all m edges of the host graph for every ball.  Kept here (not in the
-   library) purely as the measured baseline. *)
-module Legacy = struct
-  let bfs_limited g s r =
-    let dist = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    Hashtbl.replace dist s 0;
-    Queue.add s queue;
-    let order = ref [ (s, 0) ] in
-    while not (Queue.is_empty queue) do
-      let v = Queue.take queue in
-      let dv = Hashtbl.find dist v in
-      if dv < r then
-        Array.iter
-          (fun u ->
-            if not (Hashtbl.mem dist u) then begin
-              Hashtbl.replace dist u (dv + 1);
-              order := (u, dv + 1) :: !order;
-              Queue.add u queue
-            end)
-          (Graph.neighbors g v)
-    done;
-    List.rev !order
-
-  let induced g nodes =
-    let to_sub = Array.make (Graph.n g) (-1) in
-    let count = ref 0 in
-    List.iter
-      (fun v ->
-        if to_sub.(v) < 0 then begin
-          to_sub.(v) <- !count;
-          incr count
-        end)
-      nodes;
-    let to_orig = Array.make !count 0 in
-    Array.iteri (fun v i -> if i >= 0 then to_orig.(i) <- v) to_sub;
-    let sub_edges =
-      Graph.fold_edges
-        (fun _ (u, v) acc ->
-          if to_sub.(u) >= 0 && to_sub.(v) >= 0 then
-            (to_sub.(u), to_sub.(v)) :: acc
-          else acc)
-        g []
-    in
-    (Graph.of_edges ~n:!count sub_edges, to_sub, to_orig)
-
-  let extract_ball g v radius =
-    let members = bfs_limited g v radius in
-    let nodes = List.map fst members in
-    let sub, _, _ = induced g nodes in
-    Graph.n sub
-end
-
-(* ------------------------------------------------------------------ *)
 
 type row = {
   family : string;
@@ -85,8 +29,6 @@ type row = {
   par_rate : float;  (* balls/sec, View.map_nodes_par *)
   par_requested : int;  (* domain count the harness asked for *)
   par_domains : int;  (* domain count the fan-out actually used *)
-  legacy_rate : float;  (* balls/sec, seed path, sampled *)
-  legacy_sample : int;
 }
 
 let time = Bench_util.time_once
@@ -123,20 +65,6 @@ let bench_row ~family ~g ~radius =
     time (fun () -> Localmodel.View.map_nodes_par ~domains g ~ids ~radius sink)
   in
   assert (seq_sizes = par_sizes);
-  (* The seed path scans all m edges per ball: sample it, the rate is the
-     honest comparison. *)
-  let sample = min n (max 64 (2_000_000 / (n + (2 * Graph.m g) + 1))) in
-  let stride = max 1 (n / sample) in
-  let legacy_count = ref 0 in
-  let (), legacy_t =
-    time (fun () ->
-        let v = ref 0 in
-        while !v < n do
-          ignore (Legacy.extract_ball g !v radius);
-          incr legacy_count;
-          v := !v + stride
-        done)
-  in
   let rate balls t = if t <= 0.0 then infinity else float_of_int balls /. t in
   {
     family;
@@ -146,8 +74,6 @@ let bench_row ~family ~g ~radius =
     par_rate = rate n par_t;
     par_requested = domains;
     par_domains = effective;
-    legacy_rate = rate !legacy_count legacy_t;
-    legacy_sample = !legacy_count;
   }
 
 let json_of_row r =
@@ -161,9 +87,6 @@ let json_of_row r =
       ("par_requested_domains", J.Int r.par_requested);
       ("par_domains", J.Int r.par_domains);
       ("par_speedup", J.Float (r.par_rate /. r.seq_rate));
-      ("legacy_balls_per_sec", J.Float r.legacy_rate);
-      ("legacy_sample", J.Int r.legacy_sample);
-      ("new_vs_seed_speedup", J.Float (r.seq_rate /. r.legacy_rate));
     ]
 
 (* The static-analysis gate is part of every tracked build, so its cost
@@ -386,21 +309,12 @@ let run ~smoke ~out ?(metrics = false) ?metrics_out () =
               (fun radius ->
                 let r = bench_row ~family ~g ~radius in
                 Printf.printf
-                  "%-18s n=%-7d r=%d  seq %10.0f balls/s  par %10.0f  seed \
-                   %8.0f  (new/seed %6.1fx, par/seq %4.2fx)\n\
-                   %!"
-                  r.family r.n r.radius r.seq_rate r.par_rate r.legacy_rate
-                  (r.seq_rate /. r.legacy_rate)
-                  (r.par_rate /. r.seq_rate);
+                  "%-18s n=%-7d r=%d  seq %10.0f balls/s  par %10.0f  (par/seq %4.2fx)\n%!"
+                  r.family r.n r.radius r.seq_rate r.par_rate (r.par_rate /. r.seq_rate);
                 r)
               radii)
           sizes)
       families
-  in
-  let acceptance =
-    List.find_opt
-      (fun r -> r.family = "random-regular-4" && r.n = 65536 && r.radius = 2)
-      rows
   in
   let best_par =
     List.fold_left (fun acc r -> max acc (r.par_rate /. r.seq_rate)) 0.0 rows
@@ -419,14 +333,7 @@ let run ~smoke ~out ?(metrics = false) ?metrics_out () =
     | None -> J.Obj [ ("lint_seconds", J.Null) ]
   in
   let acceptance_json =
-    J.Obj
-      [
-        ( "radius2_random_regular_64k_new_vs_seed",
-          match acceptance with
-          | Some r -> J.Float (r.seq_rate /. r.legacy_rate)
-          | None -> J.Null );
-        ("best_par_speedup", J.Float best_par);
-      ]
+    J.Obj [ ("best_par_speedup", J.Float best_par) ]
   in
   let obs =
     match overhead_percent with

@@ -3,13 +3,13 @@
    block of BENCH_local.json.
 
    Three figures per size: single-query rates cold (every query decodes
-   its ball) vs. warm (every query is an LRU cache hit, so the run
+   its ball) vs. warm (every query is a label-column hit, so the run
    measures the engine's fixed per-query cost), and batch rates with the
    fan-out pinned to one domain vs. spread over several (a router with
    one in-memory slot per domain).  The "pool" sub-block compares
    sequential serving against the pooled router batch at requested
    domain counts 1/2/4, each fitted to the hardware and reported with
-   both counts.  Acceptance: a warm cache
+   both counts.  Acceptance: a warm column
    must beat cold decoding, and the pooled batch path must not be slower
    than sequential serving (batch_par_not_slower). *)
 
@@ -36,7 +36,7 @@ type row = {
 let rate count t = if t <= 0.0 then infinity else float_of_int count /. t
 
 (* A reproducible mixed workload over distinct nodes, so a second pass is
-   pure cache hits: labels, memberships of the node's first incident
+   pure label-column hits: labels, memberships of the node's first incident
    edge, and raw advice reads. *)
 let workload g rng count =
   let n = Graph.n g in
@@ -70,8 +70,8 @@ let bench_row ~domains n =
   let loaded = Store.Snapshot.read bytes in
   let queries = workload g rng 1_000 in
   let k = Array.length queries in
-  (* Cold: a cache large enough that nothing is evicted, but empty. *)
-  let engine = Serve.Engine.create ~cache_capacity:k loaded in
+  (* Cold: an empty label column. *)
+  let engine = Serve.Engine.create loaded in
   let single () = Array.iter (fun q -> ignore (Serve.Engine.query engine q)) queries in
   let (), cold_t = Bench_util.time_once single in
   (* Warm: same workload again; every ball is now resident. *)

@@ -402,14 +402,6 @@ let batch_term =
               line; '#' starts a comment.  '-' reads the queries from \
               standard input (the same convention as --metrics -).")
 
-let cache_term =
-  Arg.(
-    value & opt int 1024
-    & info [ "cache" ] ~docv:"ENTRIES"
-        ~doc:"Ball-cache entries per slot — each of the --domains node \
-              ranges of a version-1 snapshot, or each resident shard of a \
-              version-2 container (0 disables caching).")
-
 let parse_queries text =
   let fail line fmt =
     Format.kasprintf
@@ -559,7 +551,7 @@ let memo_term =
   Arg.(
     value & flag
     & info [ "memo" ]
-        ~doc:"Attach a canonical-ball decode memo between the ball caches \
+        ~doc:"Attach a canonical-ball decode memo between the label columns \
               and the decoder: nodes with isomorphic balls (same canonical \
               signature) share one decode, across shards and — on a \
               sharded container — across shard loads and evictions.  \
@@ -575,7 +567,7 @@ let memo_capacity_term =
               the first-seen representative of each ball class.")
 
 let serve_cmd =
-  let run path batch listen host port write_budget domains cache salvage
+  let run path batch listen host port write_budget domains salvage
       resident_mb use_memo memo_capacity metrics =
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
@@ -611,8 +603,7 @@ let serve_cmd =
            degrades per node range instead of fail-stopping on the first
            damaged shard. *)
         let router =
-          Serve.Router.create ~cache_capacity:cache
-            ~resident_budget:(resident_mb * 1024 * 1024)
+          Serve.Router.create ~resident_budget:(resident_mb * 1024 * 1024)
             ~salvage ?memo (Store.Shard.open_file path)
         in
         Format.printf "sharded container: %d shard(s)%s%s@."
@@ -633,7 +624,7 @@ let serve_cmd =
           if salvage then begin
             let sv = Store.Snapshot.read_salvage (Store.Io.read_file path) in
             let e =
-              Serve.Engine.create ~cache_capacity:cache ?memo
+              Serve.Engine.create ?memo
                 ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
                 sv.Store.Snapshot.partial
             in
@@ -648,7 +639,7 @@ let serve_cmd =
             e
           end
           else
-            Serve.Engine.create ~cache_capacity:cache ?memo
+            Serve.Engine.create ?memo
               (Store.Snapshot.of_file path)
         in
         (* One in-memory slot per domain, so batches keep their fan-out. *)
@@ -670,9 +661,8 @@ let serve_cmd =
              bounded by --resident-mb.")
     Term.(
       const run $ snapshot_arg $ batch_term $ listen_term $ host_term
-      $ port_term $ write_budget_term $ domains_term $ cache_term
-      $ salvage_term $ resident_mb_term
-      $ memo_term $ memo_capacity_term $ metrics_term)
+      $ port_term $ write_budget_term $ domains_term $ salvage_term
+      $ resident_mb_term $ memo_term $ memo_capacity_term $ metrics_term)
 
 let default = Term.(ret (const (`Help (`Pager, None))))
 

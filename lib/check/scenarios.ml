@@ -63,10 +63,10 @@ let pool_failure_replay (module S : Shim.S) =
 (* The router's batch path: wave planner + pool + slot-owner cells +
    scatter, over an in-memory packed cycle split into two slots (an
    explicit [~domains:2] is honored on any host).  The router
-   (untracked: graph, advice, slot caches) is built once and shared
-   across schedules — only the per-batch tracked state (claim cursor,
-   owner cells) is re-created inside each run, which is what the
-   checker needs to see.  Answers must equal the sequential ones on
+   (untracked: graph, advice, slot label columns) is built once and
+   shared across schedules — only the per-batch tracked state (claim
+   cursor, owner cells) is re-created inside each run, which is what
+   the checker needs to see.  Answers must equal the sequential ones on
    every interleaving. *)
 let router_fixture =
   lazy

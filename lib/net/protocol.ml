@@ -88,110 +88,117 @@ let tag_error = 0xFF
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
 
-(* A frame is staged in a private writer so the trailing CRC can cover
-   everything from the magic byte through the last payload byte. *)
-let frame w ~tag payload =
-  let fw = Codec.writer ~capacity:(String.length payload + 16) () in
-  Codec.u8 fw magic;
-  Codec.u8 fw version;
-  Codec.u8 fw tag;
-  Codec.varint fw (String.length payload);
-  Codec.raw fw payload;
-  let body = Codec.contents fw in
-  Codec.raw w body;
-  Codec.u32 w (Crc32.of_string body)
+(* Every frame is written once, into one buffer of its exact size: the
+   payload size is computed first, then the header, the payload and the
+   CRC — which covers everything from the magic byte through the last
+   payload byte — go straight into place with {!Store.Codec}'s position
+   writers. *)
 
-let query_payload w = function
-  | Engine.Output_label v ->
-      Codec.u8 w tag_output_label;
-      Codec.varint w v
-  | Engine.Edge_member (v, e) ->
-      Codec.u8 w tag_edge_member;
-      Codec.varint w v;
-      Codec.varint w e
-  | Engine.Advice_bits v ->
-      Codec.u8 w tag_advice_bits;
-      Codec.varint w v
+(* A frame buffer for a [len]-byte payload, header written; the payload
+   starts at [payload_pos b len]. *)
+let frame_buffer ~tag len =
+  let b = Bytes.create (3 + Codec.varint_size len + len + 4) in
+  let pos = Codec.put_u8 b (Codec.put_u8 b (Codec.put_u8 b 0 magic) version) tag in
+  ignore (Codec.put_varint b pos len);
+  b
 
-let write_request w = function
-  | Ping -> frame w ~tag:tag_ping ""
-  | Stats -> frame w ~tag:tag_stats ""
+let payload_pos b len = Bytes.length b - len - 4
+
+let seal b =
+  let body = Bytes.length b - 4 in
+  ignore (Codec.put_u32 b body (Crc32.of_subbytes b ~pos:0 ~len:body));
+  Bytes.unsafe_to_string b
+
+(* Payload-free frames never change: built once. *)
+let empty_frame tag = seal (frame_buffer ~tag 0)
+let ping_frame = empty_frame tag_ping
+let stats_frame = empty_frame tag_stats
+let pong_frame = empty_frame tag_pong
+
+let query_tag = function
+  | Engine.Output_label _ -> tag_output_label
+  | Engine.Edge_member _ -> tag_edge_member
+  | Engine.Advice_bits _ -> tag_advice_bits
+
+let query_size = function
+  | Engine.Output_label v | Engine.Advice_bits v -> Codec.varint_size v
+  | Engine.Edge_member (v, e) -> Codec.varint_size v + Codec.varint_size e
+
+let put_query b pos = function
+  | Engine.Output_label v | Engine.Advice_bits v -> Codec.put_varint b pos v
+  | Engine.Edge_member (v, e) -> Codec.put_varint b (Codec.put_varint b pos v) e
+
+let request_to_string = function
+  | Ping -> ping_frame
+  | Stats -> stats_frame
   | Query q ->
-      let pw = Codec.writer () in
-      (match q with
-      | Engine.Output_label v -> Codec.varint pw v
-      | Engine.Edge_member (v, e) ->
-          Codec.varint pw v;
-          Codec.varint pw e
-      | Engine.Advice_bits v -> Codec.varint pw v);
-      let tag =
-        match q with
-        | Engine.Output_label _ -> tag_output_label
-        | Engine.Edge_member _ -> tag_edge_member
-        | Engine.Advice_bits _ -> tag_advice_bits
-      in
-      frame w ~tag (Codec.contents pw)
+      let len = query_size q in
+      let b = frame_buffer ~tag:(query_tag q) len in
+      ignore (put_query b (payload_pos b len) q);
+      seal b
   | Batch qs ->
-      let pw = Codec.writer ~capacity:(8 + (4 * Array.length qs)) () in
-      Codec.varint pw (Array.length qs);
-      Array.iter (query_payload pw) qs;
-      frame w ~tag:tag_batch (Codec.contents pw)
-
-let answer_payload w = function
-  | Engine.Label s ->
-      Codec.u8 w tag_label;
-      Codec.str w s
-  | Engine.Member b ->
-      Codec.u8 w tag_member;
-      Codec.u8 w (if b then 1 else 0)
-  | Engine.Bits s ->
-      Codec.u8 w tag_bits;
-      Codec.str w s
-
-let write_response w = function
-  | Pong -> frame w ~tag:tag_pong ""
-  | Stats_reply kvs ->
-      let pw = Codec.writer () in
-      Codec.varint pw (List.length kvs);
-      List.iter
-        (fun (k, v) ->
-          Codec.str pw k;
-          Codec.varint pw v)
-        kvs;
-      frame w ~tag:tag_stats_reply (Codec.contents pw)
-  | Answer a ->
-      let pw = Codec.writer () in
-      (match a with
-      | Engine.Label s -> Codec.str pw s
-      | Engine.Member b -> Codec.u8 pw (if b then 1 else 0)
-      | Engine.Bits s -> Codec.str pw s);
-      let tag =
-        match a with
-        | Engine.Label _ -> tag_label
-        | Engine.Member _ -> tag_member
-        | Engine.Bits _ -> tag_bits
+      let len =
+        Array.fold_left
+          (fun acc q -> acc + 1 + query_size q)
+          (Codec.varint_size (Array.length qs))
+          qs
       in
-      frame w ~tag (Codec.contents pw)
+      let b = frame_buffer ~tag:tag_batch len in
+      let pos = ref (Codec.put_varint b (payload_pos b len) (Array.length qs)) in
+      Array.iter (fun q -> pos := put_query b (Codec.put_u8 b !pos (query_tag q)) q) qs;
+      seal b
+
+let answer_tag = function
+  | Engine.Label _ -> tag_label
+  | Engine.Member _ -> tag_member
+  | Engine.Bits _ -> tag_bits
+
+let answer_size = function
+  | Engine.Label s | Engine.Bits s -> Codec.str_size s
+  | Engine.Member _ -> 1
+
+let put_answer b pos = function
+  | Engine.Label s | Engine.Bits s -> Codec.put_str b pos s
+  | Engine.Member m -> Codec.put_u8 b pos (if m then 1 else 0)
+
+let response_to_string = function
+  | Pong -> pong_frame
+  | Stats_reply kvs ->
+      let len =
+        List.fold_left
+          (fun acc (k, v) -> acc + Codec.str_size k + Codec.varint_size v)
+          (Codec.varint_size (List.length kvs))
+          kvs
+      in
+      let b = frame_buffer ~tag:tag_stats_reply len in
+      let pos = ref (Codec.put_varint b (payload_pos b len) (List.length kvs)) in
+      List.iter (fun (k, v) -> pos := Codec.put_varint b (Codec.put_str b !pos k) v) kvs;
+      seal b
+  | Answer a ->
+      let len = answer_size a in
+      let b = frame_buffer ~tag:(answer_tag a) len in
+      ignore (put_answer b (payload_pos b len) a);
+      seal b
   | Answers az ->
-      let pw = Codec.writer ~capacity:(8 + (8 * Array.length az)) () in
-      Codec.varint pw (Array.length az);
-      Array.iter (answer_payload pw) az;
-      frame w ~tag:tag_answers (Codec.contents pw)
+      let len =
+        Array.fold_left
+          (fun acc a -> acc + 1 + answer_size a)
+          (Codec.varint_size (Array.length az))
+          az
+      in
+      let b = frame_buffer ~tag:tag_answers len in
+      let pos = ref (Codec.put_varint b (payload_pos b len) (Array.length az)) in
+      Array.iter (fun a -> pos := put_answer b (Codec.put_u8 b !pos (answer_tag a)) a) az;
+      seal b
   | Error (code, msg) ->
-      let pw = Codec.writer () in
-      Codec.u8 pw (error_code_to_int code);
-      Codec.str pw msg;
-      frame w ~tag:tag_error (Codec.contents pw)
+      let len = 1 + Codec.str_size msg in
+      let b = frame_buffer ~tag:tag_error len in
+      let pos = Codec.put_u8 b (payload_pos b len) (error_code_to_int code) in
+      ignore (Codec.put_str b pos msg);
+      seal b
 
-let request_to_string rq =
-  let w = Codec.writer () in
-  write_request w rq;
-  Codec.contents w
-
-let response_to_string rs =
-  let w = Codec.writer () in
-  write_response w rs;
-  Codec.contents w
+let write_request w rq = Codec.raw w (request_to_string rq)
+let write_response w rs = Codec.raw w (response_to_string rs)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding *)

@@ -1,14 +1,15 @@
 (** Fixed-capacity LRU cache from node ids to decoded ball results.
 
-    The per-query path must stay allocation-light (the repo's hot-alloc
-    lint forbids [Hashtbl] there), so the cache is four flat int arrays:
-    a node-indexed slot map plus an intrusive doubly-linked recency list
-    over the slots.  [find] and [insert] are O(1); a full cache evicts
-    the least-recently-used entry.  Not domain-safe: each {!Engine} owns
-    one instance, the router gives each of its slots its own engine, and
-    a slot is served by exactly one pool worker per batch — ownership,
-    not locking, is what keeps concurrent batches off each other's
-    recency lists. *)
+    {b Off the serve path.}  {!Engine} keeps a node-indexed label column
+    instead (each node decodes once); this module stays only because the
+    serving benchmark's traced replay ([perfbench/replay.ml]) and its
+    Zipf hot-set check model the former per-slot LRU with it.  Once that
+    replay models the column, the module can go.
+
+    The cache is four flat int arrays: a node-indexed slot map plus an
+    intrusive doubly-linked recency list over the slots.  [find] and
+    [insert] are O(1); a full cache evicts the least-recently-used
+    entry.  Not domain-safe: one owner per instance. *)
 
 type t
 (** One cache instance, bound to a fixed node-id universe. *)

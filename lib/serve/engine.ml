@@ -14,10 +14,11 @@ let m_ball =
     ~buckets:[| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 |]
 
 (* One engine answers the nodes [lo, hi) of its graph (all of them
-   unless {!restrict}ed) from one LRU cache keyed by [v - lo].  The
-   router gives each of its slots its own engine, and a batch hands a
-   slot to exactly one pool worker, so no lock ever guards a cache —
-   ownership does. *)
+   unless {!restrict}ed) from one label column indexed by [v - lo]: a
+   node's label is a pure function of its ball, so it is decoded once
+   and then read back with one array load.  The router gives each of
+   its slots its own engine, and a batch hands a slot to exactly one
+   pool worker, so no lock ever guards a column — ownership does. *)
 type t = {
   graph : Graph.t;
   name : string;
@@ -27,7 +28,8 @@ type t = {
   ids : Localmodel.Ids.t;
   lo : int;  (* first node answered *)
   hi : int;  (* one past the last node answered *)
-  cache : Cache.t;  (* keyed by v - lo *)
+  store : bool;  (* false: [labels] is empty and every ball query decodes *)
+  labels : string array;  (* labels.(v - lo); [undecoded] until stored *)
   memo : Memo.t option;  (* canonical-ball decode memo, possibly shared *)
   memo_prefix : string;  (* radius/params/trust pinned into every key *)
   degraded : bool;  (* any section of the source snapshot was damaged *)
@@ -36,6 +38,10 @@ type t = {
 }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
+
+(* "Not decoded yet", told apart by physical equality: [""] is a real
+   label (radius 0, isolated nodes), and no decode returns this string. *)
+let undecoded = String.make 1 '?'
 
 (* Decode the ball stamped in [ws] over host [g] (center at stamp index
    [center]; ids and advice indexed by host node).  The canonical trail
@@ -161,7 +167,7 @@ let pick_advice ~recovered name snapshot =
           | Some (k, a) -> (k, a, false)
           | None -> fail "Engine.create: snapshot has no advice section %S" n))
 
-let create ?(cache_capacity = 1024) ?memo ?radius ?ids ?name ?health snapshot =
+let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
   let recovered, report = Option.value health ~default:([], []) in
   let name, advice, trusted = pick_advice ~recovered name snapshot in
   let radius = resolve_radius ?radius snapshot in
@@ -179,8 +185,12 @@ let create ?(cache_capacity = 1024) ?memo ?radius ?ids ?name ?health snapshot =
           fail "Engine.create: ids are not distinct positive identifiers";
         ids
   in
-  if cache_capacity < 0 then
-    fail "Engine.create: negative cache capacity %d" cache_capacity;
+  let store =
+    match cache_capacity with
+    | Some c when c < 0 -> fail "Engine.create: negative cache capacity %d" c
+    | Some 0 -> false
+    | Some _ | None -> true
+  in
   let params = params_of_meta snapshot in
   (* Everything a decode depends on beyond the ball itself, pinned into
      every memo key: one table can then be shared by engines serving at
@@ -201,7 +211,8 @@ let create ?(cache_capacity = 1024) ?memo ?radius ?ids ?name ?health snapshot =
     ids;
     lo = 0;
     hi = n;
-    cache = Cache.create ~capacity:cache_capacity ~n;
+    store;
+    labels = Array.make (if store then n else 0) undecoded;
     memo;
     memo_prefix;
     degraded = (not trusted) || (match quarantined with [] -> false | _ :: _ -> true);
@@ -212,7 +223,7 @@ let create ?(cache_capacity = 1024) ?memo ?radius ?ids ?name ?health snapshot =
 let restrict t ~lo ~hi =
   if lo < t.lo || hi > t.hi || lo > hi then
     fail "Engine.restrict: range %d..%d is not inside %d..%d" lo hi t.lo t.hi;
-  { t with lo; hi; cache = Cache.create ~capacity:(Cache.capacity t.cache) ~n:(hi - lo) }
+  { t with lo; hi; labels = Array.make (if t.store then hi - lo else 0) undecoded }
 
 let graph t = t.graph
 let radius t = t.radius
@@ -255,10 +266,10 @@ let incident_index t v e =
   !lo
 
 (* Decode [v]'s ball, consulting the canonical-ball memo between the
-   LRU layer (the caller) and the decoder.  One BFS stamps the ball; the
-   memo key is written straight from the stamps, and only a memo miss
-   builds the id-ordered fragment — from the same stamps — and decodes
-   it.  An untrusted engine degrades undecodable balls to the all-'0'
+   label column (the caller) and the decoder.  One BFS stamps the ball;
+   the memo key is written straight from the stamps, and only a memo
+   miss builds the id-ordered fragment — from the same stamps — and
+   decodes it.  An untrusted engine degrades undecodable balls to the all-'0'
    label.  Publication is single-writer: with [staged = None] (the
    serialized {!query} path) a memo miss is inserted at once; pool
    workers pass a cell instead, so they only ever *read* the table and
@@ -287,16 +298,17 @@ let compute_label t ~staged v =
           label)
 
 let label t ~staged v =
-  let key = v - t.lo in
-  match Cache.find t.cache key with
-  | Some str ->
-      Obs.Metrics.incr m_hits;
-      str
-  | None ->
-      Obs.Metrics.incr m_misses;
-      let str = compute_label t ~staged v in
-      Cache.insert t.cache key str;
-      str
+  let i = v - t.lo in
+  if t.store && t.labels.(i) != undecoded then begin
+    Obs.Metrics.incr m_hits;
+    t.labels.(i)
+  end
+  else begin
+    Obs.Metrics.incr m_misses;
+    let str = compute_label t ~staged v in
+    if t.store then t.labels.(i) <- str;
+    str
+  end
 
 let note_degraded t =
   if t.degraded then Obs.Metrics.incr m_degraded;
@@ -308,7 +320,12 @@ let answer t ~staged q =
   note_degraded t;
   match q with
   | Output_label v -> Label (label t ~staged v)
-  | Edge_member (v, e) -> Member ((label t ~staged v).[incident_index t v e] = '1')
+  | Edge_member (v, e) ->
+      (* Below the certified radius a label can be shorter than the
+         degree (at radius 0 it is [""]): a position past it reads '0',
+         as a truncated advice string does in [decode_stamped]. *)
+      let s = label t ~staged v and i = incident_index t v e in
+      Member (i < String.length s && s.[i] = '1')
   | Advice_bits v -> Bits t.advice.(v)
 
 let query t q = answer t ~staged:None q

@@ -14,23 +14,32 @@
     membership bits — O(ball) work per miss, independent of the graph
     size, with no {!Localmodel.View} materialized.
 
-    {b One cache.}  An engine answers the nodes of one contiguous range
-    (the whole graph, unless {!restrict}ed) through one private LRU ball
-    {!Cache}.  It has no notion of shards or batches: {!Router} is the
-    only multi-slot front end and the only batch planner, and gives each
-    of its slots its own engine — a v2 container shard's local engine,
-    or a {!restrict}ed copy of one in-memory v1 engine.
+    {b Decode once: one label column.}  An engine answers the nodes of
+    one contiguous range (the whole graph, unless {!restrict}ed).  A
+    node's label is a pure function of its ball, so for a given snapshot
+    it never changes: the engine keeps a node-indexed label column over
+    its range, decodes a node the first time a ball query names it, and
+    answers every later query for that node with one array load.  The
+    column costs one word per node of the range plus the label strings
+    it stores: one per isomorphism class with a memo, one per decoded
+    node without.  It has no notion of shards or batches: {!Router} is the only multi-slot
+    front end and the only batch planner, and gives each of its slots
+    its own engine — a v2 container shard's local engine (whose column
+    leaves with it on eviction), or a {!restrict}ed copy of one
+    in-memory v1 engine.  Only the slot's owner writes a column: the
+    serialized {!query} path, or the one pool worker that holds the
+    slot for a batch wave.
 
     {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
-    {e between} the LRU cache and the decoder: a cache miss first keys
-    the stamped ball with {!Ethlink.Canonical.ball_key} — the bytes of
+    {e between} the label column and the decoder: a column miss first
+    keys the stamped ball with {!Ethlink.Canonical.ball_key} — the bytes of
     {!Ethlink.Canonical.ball_signature}, prefixed with the engine's
     radius, decoder parameters and trust mode, written straight from
     the BFS stamps — and only builds the fragment and decodes on a memo
     miss, from the same stamps; a memo hit builds neither a view nor a
-    graph.  Nodes with isomorphic balls share one decode, across
-    engines (the router passes one table to every slot engine) and LRU
-    evictions.  Answers are byte-identical to the unmemoized engine: the
+    graph.  Nodes with isomorphic balls share one decode (and one label
+    string), across engines (the router passes one table to every slot
+    engine) and shard evictions.  Answers are byte-identical to the unmemoized engine: the
     signature captures the decoder's whole input.  Publication is
     single-writer: the serialized {!query} path inserts immediately,
     while {!staged} callers (the router's pool workers) only {e read}
@@ -42,7 +51,9 @@
     answers at that radius equal the direct decoder
     ({!Schemas.Edge_compression.decode}) run on the full graph.  At an
     uncertified smaller radius answers may differ — the engine is total
-    but only the certified radius carries the equivalence guarantee.
+    (a label shorter than the node's degree, e.g. [""] at radius 0,
+    reads as '0' past its end for [Edge_member]) but only the certified
+    radius carries the equivalence guarantee.
 
     {b Degraded mode.}  [create ~health] builds an engine from a
     {!Store.Snapshot.read_salvage} result: it serves checksum-clean
@@ -54,14 +65,15 @@
     untrusted advice additionally bump [serve.quarantined], and each
     ball that needed the fallback bumps [serve.fallback_labels].
 
-    Obs: [serve.queries], [serve.cache.hits], [serve.cache.misses],
-    [serve.degraded], [serve.quarantined], [serve.fallback_labels]
-    counters and the [serve.ball_size] histogram (one sample per decoded
-    ball), plus everything {!Memo} records. *)
+    Obs: [serve.queries], [serve.cache.hits] and [serve.cache.misses]
+    (label-column hits and misses: one per [Output_label] or
+    [Edge_member] query), [serve.degraded], [serve.quarantined],
+    [serve.fallback_labels] counters and the [serve.ball_size] histogram
+    (one sample per decoded ball), plus everything {!Memo} records. *)
 
 type t
 (** A loaded engine: snapshot, decode parameters, serve radius, and one
-    ball cache over the node range it answers. *)
+    label column over the node range it answers. *)
 
 val create :
   ?cache_capacity:int ->
@@ -77,8 +89,9 @@ val create :
     section).  The serve radius and orientation parameters are read from
     the snapshot metadata ([serve.radius], [params.*]) as written by
     {!Pack.edge_compression}; [?radius] overrides the stored value.
-    [cache_capacity] bounds the ball cache (default 1024 entries; 0
-    disables caching).  [ids] overrides the identifier assignment the
+    [cache_capacity] [0] turns the label column off (every ball query
+    decodes); any other value, like the default, stores every node's
+    label.  [ids] overrides the identifier assignment the
     decoder orders fragments by (default: the identity [v + 1]) —
     {!Router} hands each container shard's engine its {e global} ids,
     which is what makes shard-local answers byte-identical to a
@@ -101,8 +114,8 @@ val create :
 val restrict : t -> lo:int -> hi:int -> t
 (** [restrict e ~lo ~hi] answers only the nodes [lo..hi-1] of [e]'s
     range: it shares [e]'s graph, advice, identifiers, memo and health,
-    and owns a fresh cache of [e]'s capacity keyed by that range — one
-    in-memory {!Router} slot.  Queries for nodes outside the range are
+    and owns a fresh label column over that range (none if [e]'s is
+    off) — one in-memory {!Router} slot.  Queries for nodes outside the range are
     rejected.  @raise Invalid_argument when the range is not inside
     [e]'s. *)
 
@@ -148,7 +161,7 @@ type answer =
   | Bits of string
 
 val query : t -> query -> answer
-(** Answer a single request, consulting and filling the ball cache.
+(** Answer a single request, consulting and filling the label column.
     With a memo attached, misses are inserted immediately — callers of
     [query] serialize, so this path is the single writer.
     @raise Invalid_argument on an out-of-range node or edge id, or an

@@ -2,8 +2,8 @@
     order-invariant lookup-table simulation).
 
     A bounded, hash-consed table from canonical ball keys to decoded
-    labels, layered {e between} the per-slot LRU caches and the ball
-    decoder: the LRU remembers {e nodes}, this table remembers
+    labels, layered {e between} the per-slot label columns and the ball
+    decoder: a column remembers {e nodes}, this table remembers
     {e isomorphism classes}.  Keys are
     [engine prefix ^ Ethlink.Canonical.ball_signature view] — written
     without the view by {!Ethlink.Canonical.ball_key} — where the

@@ -21,8 +21,9 @@ type source = Container of Shard.t | Memory of Engine.t
    byte-identity mechanism), the global→local translation tables (empty
    on an in-memory slot, whose node and edge ids are the global ones),
    and its cost in the byte-budget accounting (the serialized frame
-   size from the manifest: stable, observable via inspect, and
-   proportional to the decoded footprint; 0 in memory). *)
+   size from the manifest: stable, observable via inspect, and linear
+   in the shard's node count, as the loaded engine is — the label
+   strings its column gathers later are not counted; 0 in memory). *)
 type resident = {
   engine : Engine.t;
   ids : int array;
@@ -38,7 +39,7 @@ type t = {
   man : Shard.manifest;  (* in memory: synthesized from the slot plan *)
   salvage : bool;
   name : string option;
-  cache_capacity : int;
+  cache_capacity : int option;  (* passed to each loaded shard engine *)
   memo : Memo.t option;  (* one canonical-ball table, shared by every
                             slot engine (keys pin radius/params) *)
   budget : int;  (* resident-byte budget; 0 = unbounded *)
@@ -80,8 +81,8 @@ let make ~source ~man ~salvage ~name ~cache_capacity ~memo ~budget ~radius
     lost = 0;
   }
 
-let create ?(cache_capacity = 1024) ?(resident_budget = 0) ?(salvage = false)
-    ?memo ?radius ?name store =
+let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
+    ?radius ?name store =
   let man = Shard.manifest store in
   let radius =
     match (radius, meta_int man "serve.radius") with
@@ -99,6 +100,9 @@ let create ?(cache_capacity = 1024) ?(resident_budget = 0) ?(salvage = false)
       man.Shard.m_halo radius (max radius 1);
   if resident_budget < 0 then
     fail "Router.create: negative resident budget %d" resident_budget;
+  (match cache_capacity with
+  | Some c when c < 0 -> fail "Router.create: negative cache capacity %d" c
+  | _ -> ());
   (match name with
   | Some n when not (List.exists (String.equal n) man.Shard.m_advice) ->
       fail "Router.create: container has no advice section %S" n
@@ -114,8 +118,9 @@ let create ?(cache_capacity = 1024) ?(resident_budget = 0) ?(salvage = false)
    slot is resident from construction and never evicted (budget 0), and
    each slot engine is a restriction of [e], so they share the graph,
    the advice and one ids array (the source is slot 0, so [e]'s own
-   cache can be freed).  The manifest only carries what the shared code
-   paths read: node and edge counts, advice name and slot ranges. *)
+   label column can be freed).  The manifest only carries what the
+   shared code paths read: node and edge counts, advice name and slot
+   ranges. *)
 let of_engine ?domains e =
   let g = Engine.graph e in
   let n = Netgraph.Graph.n g in
@@ -142,7 +147,7 @@ let of_engine ?domains e =
       m_shards = Array.mapi info ranges; m_header_bytes = 0 }
   in
   make ~source:(Memory engines.(0)) ~man ~salvage:false ~name:None
-    ~cache_capacity:0 ~memo:(Engine.memo e) ~budget:0 ~radius:(Engine.radius e)
+    ~cache_capacity:None ~memo:(Engine.memo e) ~budget:0 ~radius:(Engine.radius e)
     (Array.map resident engines)
 
 let n t = t.man.Shard.m_n
@@ -262,7 +267,7 @@ let load_resident t ~pinned k =
   in
   let ids = Array.map (fun gid -> gid + 1) loaded.Shard.l_ids in
   let engine =
-    Engine.create ~cache_capacity:t.cache_capacity ?memo:t.memo
+    Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo
       ~radius:t.radius ~ids ?name:t.name snapshot
   in
   let r =
@@ -384,9 +389,9 @@ let query t q =
 (* Batch: group queries by owner slot, then serve in *waves* — the
    largest prefix of needed slots whose bytes fit the resident budget
    loads together and fans across the pool (one task per slot, so one
-   worker owns a slot's engine and cache for the whole wave), then the
-   next wave replaces it.  In-memory slots cost no bytes, so a v1 batch
-   is a single wave. *)
+   worker owns a slot's engine and label column for the whole wave),
+   then the next wave replaces it.  In-memory slots cost no bytes, so a
+   v1 batch is a single wave. *)
 
 (* [Array.map f a] seeded with a static [placeholder]: seeding a large
    array with a young value (as [Array.map] does) forces a minor

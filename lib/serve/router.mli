@@ -1,7 +1,7 @@
 (** The serving front end: node → owner slot → slot engine, for both
     snapshot versions.  {!Router} is the only multi-slot front end and
-    the only batch planner; {!Engine} is the single-cache decode core
-    each slot wraps.
+    the only batch planner; {!Engine} is the decode core each slot
+    wraps, with one label column per slot.
 
     {b Version-2 containers.}  {!create} opens a {!Store.Shard}
     container and keeps at most a byte-budget's worth of shards
@@ -26,8 +26,10 @@
 
     {b Eviction contract.}  Residency is accounted in {e serialized
     frame bytes} (the manifest's [frame-bytes] per shard): stable,
-    inspectable without loading, and proportional to the decoded
-    footprint.  A load that would exceed the budget first evicts
+    inspectable without loading, and linear in the shard's node count,
+    as the loaded engine is.  The label strings a shard's column
+    gathers as its nodes are queried (one per decoded node without a
+    memo) are not counted.  A load that would exceed the budget first evicts
     least-recently-used resident shards (never ones pinned by the
     current batch wave); when a single shard alone exceeds the budget it
     loads anyway — the budget bounds steady-state residency, not the
@@ -36,9 +38,9 @@
     {b Batches} group queries by owner slot and serve them in waves:
     the longest prefix of needed slots whose summed bytes fit the
     budget loads together, fans one task per slot across {!Pool.run}
-    (one worker owns a slot's engine and cache for the wave), and is
-    then replaced by the next wave; in-memory slots cost no bytes, so a
-    v1 batch is one wave.  Answers are byte-identical to a whole-graph
+    (one worker owns a slot's engine and label column for the wave),
+    and is then replaced by the next wave; in-memory slots cost no
+    bytes, so a v1 batch is one wave.  Answers are byte-identical to a whole-graph
     {!Engine} over the same snapshot, for every slot count, budget and
     domain count.
 
@@ -91,18 +93,20 @@ val create :
   Store.Shard.t ->
   t
 (** [create store] builds a router over an open container.
-    [cache_capacity] is the ball-cache budget of {e each} resident
-    shard's engine (default 1024; eviction drops the cache with the
-    shard).  [resident_budget] bounds resident shards in serialized
-    bytes (default 0 = unbounded).  [salvage] selects degraded serving
-    over fail-stop.  [memo] attaches a canonical-ball decode memo
+    [cache_capacity] is passed to {e each} resident shard's engine
+    ([0] turns its label column off; see {!Engine.create}) — eviction
+    drops the label column with the shard, so a reloaded shard decodes
+    its nodes again.
+    [resident_budget] bounds resident shards in serialized bytes
+    (default 0 = unbounded).  [salvage] selects degraded serving over
+    fail-stop.  [memo] attaches a canonical-ball decode memo
     shared by every per-shard engine (and surviving shard eviction).
     [radius] overrides the container's [serve.radius]
     metadata; [name] selects an advice section.  @raise Invalid_argument
     when no radius is available, the container's halo is too shallow for
     the radius ([halo >= max radius 1] is the byte-identity
-    precondition), the budget is negative, or the named advice section
-    does not exist. *)
+    precondition), the budget or the capacity is negative, or the named
+    advice section does not exist. *)
 
 val of_engine : ?domains:int -> Engine.t -> t
 (** [of_engine e] serves the in-memory engine [e] (built over a whole
@@ -110,9 +114,9 @@ val of_engine : ?domains:int -> Engine.t -> t
     node-range slots; [domains] defaults to
     {!Localmodel.View.effective_domains}[ ()] and is otherwise honored
     as requested, so batches fan out over that many slots.  Each slot
-    owns a fresh cache of [e]'s capacity over its range (a single slot
-    is [e] itself, which the router then owns), and the router's memo is
-    [e]'s.  @raise Invalid_argument when [domains < 1]. *)
+    owns a fresh label column over its range (none if [e]'s is off; a
+    single slot is [e] itself, which the router then owns), and the
+    router's memo is [e]'s.  @raise Invalid_argument when [domains < 1]. *)
 
 val n : t -> int
 (** Global node count. *)

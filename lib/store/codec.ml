@@ -2,47 +2,86 @@ exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 
+(* Position writers: the one spelling of every field.  Each writes at
+   [pos] of a buffer the caller sized and returns the position after
+   it; the appending writer below reserves room and calls them. *)
+
+let varint_size v =
+  if v < 0 then invalid_arg "Codec.varint: negative value";
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+let str_size s = varint_size (String.length s) + String.length s
+
+let put_u8 b pos v =
+  Bytes.set_uint8 b pos v;
+  pos + 1
+
+let put_u16 b pos v =
+  Bytes.set_uint16_le b pos v;
+  pos + 2
+
+let put_u32 b pos v =
+  Bytes.set_int32_le b pos (Int32.of_int v);
+  pos + 4
+
+let rec put_varint b pos v =
+  if v < 0 then invalid_arg "Codec.varint: negative value";
+  if v < 0x80 then put_u8 b pos v
+  else put_varint b (put_u8 b pos (0x80 lor (v land 0x7F))) (v lsr 7)
+
+let put_str b pos s =
+  let n = String.length s in
+  let pos = put_varint b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
 (* Writer *)
 
-type writer = { buf : Buffer.t }
+type writer = { mutable buf : Bytes.t; mutable len : int }
 
-let writer ?(capacity = 256) () = { buf = Buffer.create capacity }
-let contents w = Buffer.contents w.buf
-let written w = Buffer.length w.buf
+let writer ?(capacity = 256) () = { buf = Bytes.create (max capacity 1); len = 0 }
+let contents w = Bytes.sub_string w.buf 0 w.len
+let written w = w.len
+
+(* Room for [k] more bytes, doubling as [Buffer] does. *)
+let reserve w k =
+  let need = w.len + k in
+  if need > Bytes.length w.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+  end
 
 let u8 w v =
   if v < 0 || v > 0xFF then invalid_arg "Codec.u8: value outside 0..255";
-  Buffer.add_char w.buf (Char.unsafe_chr v)
+  reserve w 1;
+  w.len <- put_u8 w.buf w.len v
 
 let u16 w v =
   if v < 0 || v > 0xFFFF then invalid_arg "Codec.u16: value outside 0..65535";
-  Buffer.add_char w.buf (Char.unsafe_chr (v land 0xFF));
-  Buffer.add_char w.buf (Char.unsafe_chr ((v lsr 8) land 0xFF))
+  reserve w 2;
+  w.len <- put_u16 w.buf w.len v
 
 let u32 w v =
   if v < 0 || v > 0xFFFFFFFF then
     invalid_arg "Codec.u32: value outside unsigned 32-bit range";
-  Buffer.add_char w.buf (Char.unsafe_chr (v land 0xFF));
-  Buffer.add_char w.buf (Char.unsafe_chr ((v lsr 8) land 0xFF));
-  Buffer.add_char w.buf (Char.unsafe_chr ((v lsr 16) land 0xFF));
-  Buffer.add_char w.buf (Char.unsafe_chr ((v lsr 24) land 0xFF))
+  reserve w 4;
+  w.len <- put_u32 w.buf w.len v
 
 let varint w v =
-  if v < 0 then invalid_arg "Codec.varint: negative value";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char w.buf (Char.unsafe_chr v)
-    else begin
-      Buffer.add_char w.buf (Char.unsafe_chr (0x80 lor (v land 0x7F)));
-      go (v lsr 7)
-    end
-  in
-  go v
+  reserve w (varint_size v);
+  w.len <- put_varint w.buf w.len v
 
-let raw w s = Buffer.add_string w.buf s
+let raw w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
 
 let str w s =
-  varint w (String.length s);
-  raw w s
+  reserve w (str_size s);
+  w.len <- put_str w.buf w.len s
 
 let section w ~tag ?crc payload =
   u8 w tag;

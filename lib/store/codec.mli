@@ -16,6 +16,37 @@ exception Corrupt of string
     overflow, checksum mismatch, or trailing garbage.  The payload is a
     human-readable diagnostic including the byte offset. *)
 
+(** {1 Position writers}
+
+    The field encodings themselves, over a [bytes] buffer the caller
+    sized with {!varint_size}/{!str_size} — for an encoder that sizes a
+    whole frame first and writes it in place.  The appending {!writer}
+    below is built on them.  Each [put_*] writes at [pos] and returns
+    the position after the field.  @raise Invalid_argument when the
+    field does not fit the buffer. *)
+
+val varint_size : int -> int
+(** Bytes of the LEB128 encoding.  @raise Invalid_argument on negative
+    values. *)
+
+val str_size : string -> int
+(** Bytes of the varint-length-prefixed encoding. *)
+
+val put_u8 : bytes -> int -> int -> int
+(** The low 8 bits of the value. *)
+
+val put_u16 : bytes -> int -> int -> int
+(** Little-endian, the low 16 bits of the value. *)
+
+val put_u32 : bytes -> int -> int -> int
+(** Little-endian, the low 32 bits of the value. *)
+
+val put_varint : bytes -> int -> int -> int
+(** LEB128.  @raise Invalid_argument on negative values. *)
+
+val put_str : bytes -> int -> string -> int
+(** Varint length followed by the raw bytes. *)
+
 (** {1 Writer} *)
 
 type writer

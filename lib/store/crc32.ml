@@ -20,16 +20,18 @@ let finish crc = crc lxor mask land mask
 let start init =
   match init with None -> mask | Some c -> c lxor mask land mask
 
-let of_substring ?init s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32.of_substring: range out of bounds";
+let of_subbytes ?init b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Crc32: range out of bounds";
   let crc = ref (start init) in
   for i = pos to pos + len - 1 do
-    crc := update_char !crc (String.unsafe_get s i)
+    crc := update_char !crc (Bytes.unsafe_get b i)
   done;
   finish !crc
 
-let of_string ?init s = of_substring ?init s ~pos:0 ~len:(String.length s)
+(* Read-only, so viewing the string as bytes is safe. *)
+let of_substring ?init s ~pos ~len =
+  of_subbytes ?init (Bytes.unsafe_of_string s) ~pos ~len
 
-let of_bytes ?init b =
-  of_string ?init (Bytes.unsafe_to_string b)
+let of_string ?init s = of_substring ?init s ~pos:0 ~len:(String.length s)
+let of_bytes ?init b = of_subbytes ?init b ~pos:0 ~len:(Bytes.length b)

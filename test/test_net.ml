@@ -131,6 +131,270 @@ let response_roundtrip =
       | Net.Protocol.Done (rs', consumed) -> rs' = rs && consumed = String.length s
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Byte identity with the staged encoder *)
+
+(* The frame encoder as it stood when every frame was staged three times
+   (payload writer, frame writer, output writer), kept verbatim as the
+   reference: the one-buffer encoder must emit the same bytes. *)
+module Reference = struct
+  module Codec = Store.Codec
+  module Crc32 = Store.Crc32
+  module Engine = Serve.Engine
+  open Net.Protocol
+
+  let tag_ping = 0x01
+  let tag_stats = 0x02
+  let tag_output_label = 0x10
+  let tag_edge_member = 0x11
+  let tag_advice_bits = 0x12
+  let tag_batch = 0x20
+  let tag_pong = 0x81
+  let tag_stats_reply = 0x82
+  let tag_label = 0x90
+  let tag_member = 0x91
+  let tag_bits = 0x92
+  let tag_answers = 0xA0
+  let tag_error = 0xFF
+
+  let frame w ~tag payload =
+    let fw = Codec.writer ~capacity:(String.length payload + 16) () in
+    Codec.u8 fw magic;
+    Codec.u8 fw version;
+    Codec.u8 fw tag;
+    Codec.varint fw (String.length payload);
+    Codec.raw fw payload;
+    let body = Codec.contents fw in
+    Codec.raw w body;
+    Codec.u32 w (Crc32.of_string body)
+
+  let query_payload w = function
+    | Engine.Output_label v ->
+        Codec.u8 w tag_output_label;
+        Codec.varint w v
+    | Engine.Edge_member (v, e) ->
+        Codec.u8 w tag_edge_member;
+        Codec.varint w v;
+        Codec.varint w e
+    | Engine.Advice_bits v ->
+        Codec.u8 w tag_advice_bits;
+        Codec.varint w v
+
+  let write_request w = function
+    | Ping -> frame w ~tag:tag_ping ""
+    | Stats -> frame w ~tag:tag_stats ""
+    | Query q ->
+        let pw = Codec.writer () in
+        (match q with
+        | Engine.Output_label v -> Codec.varint pw v
+        | Engine.Edge_member (v, e) ->
+            Codec.varint pw v;
+            Codec.varint pw e
+        | Engine.Advice_bits v -> Codec.varint pw v);
+        let tag =
+          match q with
+          | Engine.Output_label _ -> tag_output_label
+          | Engine.Edge_member _ -> tag_edge_member
+          | Engine.Advice_bits _ -> tag_advice_bits
+        in
+        frame w ~tag (Codec.contents pw)
+    | Batch qs ->
+        let pw = Codec.writer ~capacity:(8 + (4 * Array.length qs)) () in
+        Codec.varint pw (Array.length qs);
+        Array.iter (query_payload pw) qs;
+        frame w ~tag:tag_batch (Codec.contents pw)
+
+  let answer_payload w = function
+    | Engine.Label s ->
+        Codec.u8 w tag_label;
+        Codec.str w s
+    | Engine.Member b ->
+        Codec.u8 w tag_member;
+        Codec.u8 w (if b then 1 else 0)
+    | Engine.Bits s ->
+        Codec.u8 w tag_bits;
+        Codec.str w s
+
+  let write_response w = function
+    | Pong -> frame w ~tag:tag_pong ""
+    | Stats_reply kvs ->
+        let pw = Codec.writer () in
+        Codec.varint pw (List.length kvs);
+        List.iter
+          (fun (k, v) ->
+            Codec.str pw k;
+            Codec.varint pw v)
+          kvs;
+        frame w ~tag:tag_stats_reply (Codec.contents pw)
+    | Answer a ->
+        let pw = Codec.writer () in
+        (match a with
+        | Engine.Label s -> Codec.str pw s
+        | Engine.Member b -> Codec.u8 pw (if b then 1 else 0)
+        | Engine.Bits s -> Codec.str pw s);
+        let tag =
+          match a with
+          | Engine.Label _ -> tag_label
+          | Engine.Member _ -> tag_member
+          | Engine.Bits _ -> tag_bits
+        in
+        frame w ~tag (Codec.contents pw)
+    | Answers az ->
+        let pw = Codec.writer ~capacity:(8 + (8 * Array.length az)) () in
+        Codec.varint pw (Array.length az);
+        Array.iter (answer_payload pw) az;
+        frame w ~tag:tag_answers (Codec.contents pw)
+    | Error (code, msg) ->
+        let pw = Codec.writer () in
+        Codec.u8 pw (error_code_to_int code);
+        Codec.str pw msg;
+        frame w ~tag:tag_error (Codec.contents pw)
+
+  let request_to_string rq =
+    let w = Codec.writer () in
+    write_request w rq;
+    Codec.contents w
+
+  let response_to_string rs =
+    let w = Codec.writer () in
+    write_response w rs;
+    Codec.contents w
+end
+
+(* Wider than the round-trip generators: identifiers up to [max_int]
+   (nine-byte varints), strings and batches long enough for multi-byte
+   length prefixes. *)
+let wide_int_gen =
+  QCheck.Gen.(oneof [ int_bound 200; int_bound 100_000; map (fun x -> x land max_int) int ])
+
+let wide_string_gen =
+  QCheck.Gen.(string_size ~gen:(char_range '\000' '\255') (oneof [ int_bound 8; int_bound 400 ]))
+
+let wide_query_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun v -> Serve.Engine.Output_label v) wide_int_gen;
+        map2 (fun v e -> Serve.Engine.Edge_member (v, e)) wide_int_gen wide_int_gen;
+        map (fun v -> Serve.Engine.Advice_bits v) wide_int_gen;
+      ])
+
+let wide_request_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Net.Protocol.Ping);
+        (1, return Net.Protocol.Stats);
+        (3, map (fun q -> Net.Protocol.Query q) wide_query_gen);
+        ( 3,
+          map
+            (fun qs -> Net.Protocol.Batch (Array.of_list qs))
+            (list_size (oneof [ int_bound 4; int_bound 300 ]) wide_query_gen) );
+      ])
+
+let wide_answer_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Serve.Engine.Label s) wide_string_gen;
+        map (fun b -> Serve.Engine.Member b) bool;
+        map (fun s -> Serve.Engine.Bits s) wide_string_gen;
+      ])
+
+let wide_response_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Net.Protocol.Pong);
+        ( 2,
+          map
+            (fun kvs -> Net.Protocol.Stats_reply kvs)
+            (list_size (oneof [ int_bound 4; int_bound 60 ]) (pair wide_string_gen wide_int_gen)) );
+        (3, map (fun a -> Net.Protocol.Answer a) wide_answer_gen);
+        ( 3,
+          map
+            (fun az -> Net.Protocol.Answers (Array.of_list az))
+            (list_size (oneof [ int_bound 4; int_bound 300 ]) wide_answer_gen) );
+        ( 2,
+          map2
+            (fun c m -> Net.Protocol.Error (c, m))
+            (oneofl all_error_codes) wide_string_gen );
+      ])
+
+let request_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"request frame = staged encoder"
+    (QCheck.make ~print:(fun r -> Reference.request_to_string r |> String.escaped) wide_request_gen)
+    (fun rq -> Net.Protocol.request_to_string rq = Reference.request_to_string rq)
+
+let response_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"response frame = staged encoder"
+    (QCheck.make ~print:(fun r -> Reference.response_to_string r |> String.escaped) wide_response_gen)
+    (fun rs -> Net.Protocol.response_to_string rs = Reference.response_to_string rs)
+
+(* Every request and response shape, at the edges the generators reach
+   only by chance: empty batches, answer arrays and stats replies, every
+   error code, the largest identifiers, payloads whose length needs
+   three varint bytes — through both the string and the [write_*]
+   entry points, the latter appending after earlier output. *)
+let every_shape_matches_reference () =
+  let big = max_int in
+  let long = String.init 20_000 (fun i -> Char.chr (i land 0xFF)) in
+  let requests =
+    Net.Protocol.
+      [
+        Ping; Stats;
+        Query (Serve.Engine.Output_label 0); Query (Serve.Engine.Output_label 127);
+        Query (Serve.Engine.Output_label 128); Query (Serve.Engine.Output_label big);
+        Query (Serve.Engine.Edge_member (0, 0)); Query (Serve.Engine.Edge_member (big, 300));
+        Query (Serve.Engine.Advice_bits 16384);
+        Batch [||]; Batch [| Serve.Engine.Advice_bits 1 |];
+        Batch (Array.init 5000 (fun i ->
+                   match i mod 3 with
+                   | 0 -> Serve.Engine.Output_label (i * 7919)
+                   | 1 -> Serve.Engine.Edge_member (i, big - i)
+                   | _ -> Serve.Engine.Advice_bits i));
+      ]
+  in
+  let responses =
+    Net.Protocol.
+      [
+        Pong; Stats_reply []; Stats_reply [ ("", 0); ("serve.queries", big) ];
+        Stats_reply (List.init 200 (fun i -> (Printf.sprintf "metric.%d" i, i * i)));
+        Answer (Serve.Engine.Label ""); Answer (Serve.Engine.Label "0110");
+        Answer (Serve.Engine.Label long); Answer (Serve.Engine.Member true);
+        Answer (Serve.Engine.Member false); Answer (Serve.Engine.Bits "");
+        Answer (Serve.Engine.Bits (String.sub long 0 200));
+        Answers [||]; Answers [| Serve.Engine.Member false |];
+        Answers [| Serve.Engine.Label long; Serve.Engine.Bits "1"; Serve.Engine.Member true |];
+      ]
+    @ List.map (fun c -> Net.Protocol.Error (c, "diagnostic")) all_error_codes
+    @ [ Net.Protocol.Error (Net.Protocol.Rejected, ""); Net.Protocol.Error (Net.Protocol.Bad_request, long) ]
+  in
+  let appended write x =
+    let w = Store.Codec.writer () in
+    Store.Codec.raw w "prefix";
+    write w x;
+    Store.Codec.contents w
+  in
+  List.iter
+    (fun rq ->
+      let expected = Reference.request_to_string rq in
+      Alcotest.(check string) "request_to_string" expected (Net.Protocol.request_to_string rq);
+      Alcotest.(check string) "write_request" ("prefix" ^ expected)
+        (appended Net.Protocol.write_request rq))
+    requests;
+  List.iter
+    (fun rs ->
+      let expected = Reference.response_to_string rs in
+      Alcotest.(check string) "response_to_string" expected (Net.Protocol.response_to_string rs);
+      Alcotest.(check string) "write_response" ("prefix" ^ expected)
+        (appended Net.Protocol.write_response rs))
+    responses;
+  (* A negative identifier is refused as before, not encoded. *)
+  match Net.Protocol.request_to_string (Net.Protocol.Query (Serve.Engine.Output_label (-1))) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative node id was encoded"
+
 let error_code_table () =
   List.iter
     (fun c ->
@@ -657,6 +921,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest request_roundtrip;
           QCheck_alcotest.to_alcotest response_roundtrip;
+          QCheck_alcotest.to_alcotest request_matches_reference;
+          QCheck_alcotest.to_alcotest response_matches_reference;
+          Alcotest.test_case "every frame shape = staged encoder" `Quick
+            every_shape_matches_reference;
           Alcotest.test_case "error code table" `Quick error_code_table;
           Alcotest.test_case "every-prefix truncation (requests)" `Quick
             (prefix_truncation (fun b ~pos ~len -> Net.Protocol.parse_request b ~pos ~len) request_frames);

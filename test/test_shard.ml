@@ -30,6 +30,17 @@ let random_queries rng g count =
           else Serve.Engine.Edge_member (v, es.(Prng.int rng (Array.length es)))
       | _ -> Serve.Engine.Advice_bits v)
 
+(* Every ball query of each listed node: its label, then one membership
+   per incident edge. *)
+let ball_queries g nodes =
+  Array.concat
+    (List.map
+       (fun v ->
+         Array.append
+           [| Serve.Engine.Output_label v |]
+           (Array.map (fun e -> Serve.Engine.Edge_member (v, e)) (Graph.incident_edges g v)))
+       nodes)
+
 let cycle_snapshot n seed =
   let rng = Prng.create seed in
   let g = Builders.cycle n in
@@ -49,6 +60,24 @@ let mono_and_router ?(budget = 0) ~radius ~shards snapshot =
     Serve.Router.create ~resident_budget:budget ~salvage:true ~radius store
   in
   (mono, router)
+
+(* Label-column traffic: [serve.cache.hits]/[serve.cache.misses] count
+   column hits and misses.  Counters record only while metrics are
+   enabled, so the tests that read them run under [with_metrics]. *)
+let counter name =
+  List.fold_left
+    (fun acc e ->
+      match e.Obs.Metrics.value with
+      | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name -> total
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
+let misses () = counter "serve.cache.misses"
+let hits () = counter "serve.cache.hits"
+
+let with_metrics f =
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f
 
 (* Decoders over arbitrary advice may raise; identical balls + ids +
    advice must then raise identically, so compare *outcomes*. *)
@@ -248,7 +277,11 @@ let prop_pack_sharded_identity =
    and v2 containers of 1 or 3 shards, memo on and off, trusted and
    salvaged (a v1 snapshot salvaged around a damaged decoy section, a
    v2 container opened in salvage mode), single queries and batches at
-   1 or 2 domains — each front end serves the batch cold or warm. *)
+   1 or 2 domains — each front end serves the batch cold or warm.  A
+   second full pass must then give the same bytes without a single
+   label-column miss: each node is decoded once, also when a slot holds
+   more than a thousand nodes (one case in three serves one of two
+   packed cycles of over 1024 nodes, packed once for the whole run). *)
 type front = Memory of int | Container of int
 
 let front_name = function
@@ -291,6 +324,8 @@ let front_router ~front ~memo ~salvaged ~radius snapshot =
       Serve.Router.create ?memo ~salvage:salvaged
         (Store.Shard.open_bytes (Store.Shard.build ~shards ~halo:(max radius 1) snapshot))
 
+let large_cycles = lazy [| cycle_snapshot 1030 1; cycle_snapshot 1052 2 |]
+
 let prop_front_end_matches_decoder =
   QCheck.Test.make ~count:30 ~name:"front end = direct decoder on every node"
     (QCheck.make
@@ -303,7 +338,10 @@ let prop_front_end_matches_decoder =
            bool bool (int_range 1 2)))
     (fun (seed, front, memo, salvaged, domains) ->
       let rng = Prng.create seed in
-      let g, snapshot, cert = cycle_snapshot (20 + (2 * Prng.int rng 30)) seed in
+      let g, snapshot, cert =
+        if Prng.int rng 3 = 0 then (Lazy.force large_cycles).(Prng.int rng 2)
+        else cycle_snapshot (20 + (2 * Prng.int rng 30)) seed
+      in
       let a = List.assoc "c4" snapshot.Store.Snapshot.advice in
       let decoded = Schemas.Edge_compression.decode g a in
       let memo = if memo then Some (Serve.Memo.create ~capacity:256) else None in
@@ -332,7 +370,7 @@ let prop_front_end_matches_decoder =
         Serve.Router.batch_results ~domains router qs
         = Array.map (fun a -> Ok a) expected
       in
-      let ok =
+      let pass () =
         if seed mod 2 = 0 then
           let b = batch () in
           b && singles ()
@@ -340,9 +378,48 @@ let prop_front_end_matches_decoder =
           let s = singles () in
           s && batch ()
       in
-      ok
+      with_metrics @@ fun () ->
+      let first = pass () in
+      let before = misses () in
+      let second = pass () in
+      first && second
+      && misses () = before
       && Serve.Router.degraded router
          = (salvaged && match front with Memory _ -> true | Container _ -> false))
+
+(* Below the certified radius the engine stays total.  At radius 0 a
+   ball is its center alone and every label is [""], so an
+   [Edge_member] reads its incident position past the label as '0' —
+   through the engine, the router's single queries and its batches, for
+   v1 slots and v2 shards alike. *)
+let test_radius_zero_total () =
+  let g, snapshot, _cert = cycle_snapshot 16 3 in
+  let qs = ball_queries g (List.init (Graph.n g) Fun.id) in
+  let expected =
+    Array.map
+      (function
+        | Serve.Engine.Edge_member _ -> Serve.Engine.Member false
+        | Serve.Engine.Output_label _ | Serve.Engine.Advice_bits _ -> Serve.Engine.Label "")
+      qs
+  in
+  let engine = Serve.Engine.create ~radius:0 snapshot in
+  check "Engine.query" true (Array.map (Serve.Engine.query engine) qs = expected);
+  let fronts =
+    [
+      ("v1", fun () -> Serve.Router.of_engine ~domains:2 (Serve.Engine.create ~radius:0 snapshot));
+      ( "v2",
+        fun () ->
+          Serve.Router.create ~radius:0
+            (Store.Shard.open_bytes (Store.Shard.build ~shards:3 ~halo:1 snapshot)) );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      check (name ^ " Router.query") true (Array.map (Serve.Router.query (make ())) qs = expected);
+      check (name ^ " batch_results") true
+        (Serve.Router.batch_results ~domains:2 (make ()) qs
+        = Array.map (fun a -> Ok a) expected))
+    fronts
 
 (* The packer's fast induction path: [Graph.induced_sorted] must agree
    with the general [Graph.induced] on every sorted node subset — same
@@ -460,6 +537,91 @@ let test_budget_eviction () =
   check "evictions happened" true (Serve.Router.evictions router > 0);
   check_int "one shard resident at the end" 1
     (Serve.Router.resident_shards router)
+
+(* The column switched off, and residency, read off the column counters. *)
+
+let capacity_fronts snapshot ~radius =
+  [
+    ( "v1 3 slots",
+      fun ~memo cap ->
+        Serve.Router.of_engine ~domains:3 (Serve.Engine.create ?cache_capacity:cap ?memo snapshot) );
+    ( "v2 3 shards",
+      fun ~memo cap ->
+        Serve.Router.create ?cache_capacity:cap ?memo
+          (Store.Shard.open_bytes (Store.Shard.build ~shards:3 ~halo:(max radius 1) snapshot)) );
+  ]
+
+(* [~cache_capacity:0] stores nothing: every ball query decodes, through
+   single queries and batches alike, and answers stay byte-identical. *)
+let test_capacity_zero_decodes () =
+  let g, snapshot, cert = cycle_snapshot 60 13 in
+  let rng = Prng.create 5 in
+  let qs = random_queries rng g 200 in
+  let balls =
+    Array.fold_left
+      (fun acc q -> match q with Serve.Engine.Advice_bits _ -> acc | _ -> acc + 1)
+      0 qs
+  in
+  let reference = Serve.Engine.create snapshot in
+  let expected = Array.map (Serve.Engine.query reference) qs in
+  with_metrics @@ fun () ->
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun memo ->
+          let router = make ~memo (Some 0) in
+          let h0 = hits () and m0 = misses () in
+          for _ = 1 to 2 do
+            check (name ^ ": singles") true (Array.map (Serve.Router.query router) qs = expected);
+            check (name ^ ": batch") true
+              (Serve.Router.batch_results ~domains:2 router qs = Array.map (fun a -> Ok a) expected)
+          done;
+          check_int (name ^ ": no column hit") 0 (hits () - h0);
+          check_int (name ^ ": every ball query decodes") (4 * balls) (misses () - m0))
+        [ None; Some (Serve.Memo.create ~capacity:64) ])
+    (capacity_fronts snapshot ~radius:cert.Serve.Pack.radius)
+
+(* Under a one-frame budget a shard's column leaves with its engine: the
+   nodes of an evicted shard decode again once it reloads, with the
+   same bytes, and hit again while it stays resident — memo on or off
+   (the memo survives eviction; the column does not). *)
+let test_evicted_shard_decodes_again () =
+  let g, snapshot, cert = cycle_snapshot 120 11 in
+  let radius = cert.Serve.Pack.radius in
+  let store = Store.Shard.open_bytes (Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot) in
+  let man = Store.Shard.manifest store in
+  let max_frame =
+    Array.fold_left (fun acc i -> max acc i.Store.Shard.i_bytes) 0 man.Store.Shard.m_shards
+  in
+  let interior k =
+    let info = man.Store.Shard.m_shards.(k) in
+    List.init (info.Store.Shard.i_hi - info.Store.Shard.i_lo) (fun i -> info.Store.Shard.i_lo + i)
+  in
+  let q0 = ball_queries g (interior 0) and q1 = ball_queries g (interior 1) in
+  let nodes0 = List.length (interior 0) in
+  let mono = Serve.Engine.create ~radius snapshot in
+  let expected = Array.map (Serve.Engine.query mono) q0 in
+  with_metrics @@ fun () ->
+  List.iter
+    (fun memo ->
+      let router = Serve.Router.create ~resident_budget:max_frame ?memo ~radius store in
+      let serve qs = Array.map (Serve.Router.query router) qs in
+      let decoded f =
+        let m0 = misses () in
+        let answers = f () in
+        (answers, misses () - m0)
+      in
+      let first, d1 = decoded (fun () -> serve q0) in
+      let _, d2 = decoded (fun () -> serve q0) in
+      check "first touch = mono" true (first = expected);
+      check_int "each node decoded once" nodes0 d1;
+      check_int "resident shard: column hits only" 0 d2;
+      ignore (serve q1);
+      check "shard 0 was evicted" true (Serve.Router.evictions router > 0);
+      let again, d3 = decoded (fun () -> serve q0) in
+      check "reload = first touch, byte for byte" true (again = first);
+      check_int "evicted nodes decode again on reload" nodes0 d3)
+    [ None; Some (Serve.Memo.create ~capacity:256) ]
 
 (* ------------------------------------------------------------------ *)
 (* Corruption: flipping any byte of one shard quarantines only it *)
@@ -726,7 +888,7 @@ let test_lazy_load_respects_faults () =
 
 (* ------------------------------------------------------------------ *)
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+let qtests tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
   Alcotest.run "shard"
@@ -737,18 +899,25 @@ let () =
           Alcotest.test_case "version dispatch + v1 compat" `Quick
             test_version_dispatch;
         ] );
-      qsuite "identity"
-        [
-          prop_query_identity;
-          prop_batch_identity;
-          prop_pack_sharded_identity;
-          prop_front_end_matches_decoder;
-          prop_induced_sorted_identity;
-          prop_fused_writer_matches_induced;
-        ];
+      ( "identity",
+        qtests
+          [
+            prop_query_identity;
+            prop_batch_identity;
+            prop_pack_sharded_identity;
+            prop_front_end_matches_decoder;
+            prop_induced_sorted_identity;
+            prop_fused_writer_matches_induced;
+          ]
+        @ [ Alcotest.test_case "radius 0 Edge_member is total" `Quick test_radius_zero_total ] );
       ( "budget",
-        [ Alcotest.test_case "lazy loads + LRU eviction" `Quick test_budget_eviction ]
-      );
+        [
+          Alcotest.test_case "lazy loads + LRU eviction" `Quick test_budget_eviction;
+          Alcotest.test_case "cache_capacity 0 decodes every query" `Quick
+            test_capacity_zero_decodes;
+          Alcotest.test_case "evicted shard decodes again on reload" `Quick
+            test_evicted_shard_decodes_again;
+        ] );
       ( "corruption",
         [
           Alcotest.test_case "one-shard flips quarantine one shard" `Slow

@@ -112,6 +112,64 @@ let test_codec_sections () =
   check_str "empty payload" "" p2;
   check "consumed" true (Store.Codec.at_end r)
 
+(* The position writers are the one spelling of each field: placed at
+   an offset into a buffer sized by [varint_size]/[str_size] they give
+   the appending writer's bytes, they touch nothing around the field,
+   and a field that does not fit raises instead of running past the
+   buffer.  A writer grown from one byte keeps every append in order. *)
+let test_position_writers () =
+  let module C = Store.Codec in
+  let appended f =
+    let w = C.writer ~capacity:1 () in
+    f w;
+    C.contents w
+  in
+  let placed size put =
+    let b = Bytes.make (size + 5) '\xAA' in
+    let stop = put b 3 in
+    check_int "returned position" (3 + size) stop;
+    check "bytes around the field untouched" true
+      (Bytes.sub_string b 0 3 = "\xAA\xAA\xAA" && Bytes.sub_string b stop 2 = "\xAA\xAA");
+    Bytes.sub_string b 3 size
+  in
+  List.iter
+    (fun v ->
+      check_str "varint" (appended (fun w -> C.varint w v))
+        (placed (C.varint_size v) (fun b pos -> C.put_varint b pos v)))
+    [ 0; 1; 127; 128; 16383; 16384; max_int ];
+  List.iter
+    (fun s ->
+      check_str "str" (appended (fun w -> C.str w s))
+        (placed (C.str_size s) (fun b pos -> C.put_str b pos s)))
+    [ ""; "a"; String.make 200 'x' ];
+  List.iter
+    (fun v -> check_str "u8" (appended (fun w -> C.u8 w v)) (placed 1 (fun b pos -> C.put_u8 b pos v)))
+    [ 0; 0x7F; 0xFF ];
+  List.iter
+    (fun v -> check_str "u16" (appended (fun w -> C.u16 w v)) (placed 2 (fun b pos -> C.put_u16 b pos v)))
+    [ 0; 0x1234; 0xFFFF ];
+  List.iter
+    (fun v -> check_str "u32" (appended (fun w -> C.u32 w v)) (placed 4 (fun b pos -> C.put_u32 b pos v)))
+    [ 0; 0x12345678; 0xFFFFFFFF ];
+  (match C.put_varint (Bytes.create 1) 0 128 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a two-byte varint fit a one-byte buffer");
+  (match C.put_varint (Bytes.create 9) 0 (-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "put_varint accepted a negative value");
+  let w = C.writer ~capacity:1 () in
+  for i = 0 to 999 do
+    C.varint w (i * 977);
+    C.str w (string_of_int i)
+  done;
+  check_int "written" (String.length (C.contents w)) (C.written w);
+  let r = C.reader (C.contents w) in
+  for i = 0 to 999 do
+    check_int "grown varint" (i * 977) (C.read_varint r);
+    check_str "grown str" (string_of_int i) (C.read_str r)
+  done;
+  check "consumed" true (C.at_end r)
+
 let test_codec_rejects () =
   let w = Store.Codec.writer () in
   Store.Codec.section w ~tag:1 "payload";
@@ -521,6 +579,8 @@ let () =
             test_varint_canonicality;
           Alcotest.test_case "section framing" `Quick test_codec_sections;
           Alcotest.test_case "rejects damage" `Quick test_codec_rejects;
+          Alcotest.test_case "position writers = appending writer" `Quick
+            test_position_writers;
         ] );
       ( "snapshot",
         [
