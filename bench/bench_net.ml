@@ -13,8 +13,8 @@
    snapshot and checks the degraded counters tick.  Acceptance:
    pipelined, batch and degraded answers must all be byte-identical to
    direct Serve.Engine serving.  The server answers from a
-   Serve.Router over the in-memory snapshot, one slot per effective
-   domain. *)
+   Serve.Router over the snapshot file opened through Store.Shard (one
+   shard, one slot per effective domain). *)
 
 open Netgraph
 module J = Obs.Jsonout
@@ -98,7 +98,10 @@ let make_loaded n seed =
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   let snapshot, _cert = Serve.Pack.edge_compression ~sample:64 g x in
-  (g, Store.Snapshot.read (Store.Snapshot.write snapshot))
+  (g, Store.Snapshot.write snapshot)
+
+(* The server's router opens the file as the CLI does. *)
+let open_router bytes = Serve.Router.create (Store.Shard.open_bytes bytes)
 
 (* Batch path: the same workload in one-frame batches, timed round-trip. *)
 let batch_run ~router ~direct ~batch_size queries =
@@ -137,18 +140,19 @@ let block ~smoke =
   let n = if smoke then 2_000 else 20_000 in
   let count = if smoke then 10_000 else 50_000 in
   let window = 64 in
-  let g, loaded = make_loaded n (n + 43) in
+  let g, bytes = make_loaded n (n + 43) in
+  let loaded = Store.Snapshot.read bytes in
   let queries = workload g (Prng.create (n + 101)) count in
   let direct = Serve.Engine.create loaded in
   let expected = Array.map (fun q -> Serve.Engine.query direct q) queries in
   let elapsed, mismatches, latencies, stats =
-    pipelined_run ~router:(Serve.Router.of_engine (Serve.Engine.create loaded))
+    pipelined_run ~router:(open_router bytes)
       ~expected ~window queries
   in
   let qps = rate count elapsed in
   let batch_size = if smoke then 500 else 1_000 in
   let batch_elapsed, batch_identical =
-    batch_run ~router:(Serve.Router.of_engine (Serve.Engine.create loaded))
+    batch_run ~router:(open_router bytes)
       ~direct ~batch_size queries
   in
   let batch_qps = rate count batch_elapsed in
@@ -164,7 +168,6 @@ let block ~smoke =
   (* Degraded serving over the same stack: flip one advice payload byte,
      salvage, and serve the quarantined bits live. *)
   let damaged =
-    let bytes = Store.Snapshot.write loaded in
     let s =
       List.find
         (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
@@ -186,7 +189,9 @@ let block ~smoke =
   let sv_direct = salvaged () in
   let sv_expected = Array.map (fun q -> Serve.Engine.query sv_direct q) sv_queries in
   let sv_elapsed, sv_mismatches, _, sv_stats =
-    pipelined_run ~router:(Serve.Router.of_engine (salvaged ())) ~expected:sv_expected
+    pipelined_run
+      ~router:(Serve.Router.create ~salvage:true (Store.Shard.open_bytes damaged))
+      ~expected:sv_expected
       ~window sv_queries
   in
   let sv_degraded = stat sv_stats "serve.degraded" in

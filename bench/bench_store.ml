@@ -5,8 +5,8 @@
    Three figures per size: single-query rates cold (every query decodes
    its ball) vs. warm (every query is a label-column hit, so the run
    measures the engine's fixed per-query cost), and batch rates with the
-   fan-out pinned to one domain vs. spread over several (a router with
-   one in-memory slot per domain).  The "pool" sub-block compares
+   fan-out pinned to one domain vs. spread over several (a router that
+   cuts the file's one shard into one slot per domain).  The "pool" sub-block compares
    sequential serving against the pooled router batch at requested
    domain counts 1/2/4, each fitted to the hardware and reported with
    both counts.  Acceptance: a warm column
@@ -54,6 +54,12 @@ let workload g rng count =
       | 1 -> Serve.Engine.Edge_member (v, (Graph.incident_edges g v).(0))
       | _ -> Serve.Engine.Advice_bits v)
 
+(* A cache-less router over a version-1 file: its one shard is cut into
+   one slot per domain, so seq (1 slot) and par (D slots) do the same
+   ball work. *)
+let slot_router ~domains bytes =
+  Serve.Router.create ~cache_capacity:0 ~domains (Store.Shard.open_bytes bytes)
+
 let bench_row ~domains n =
   let g = Builders.cycle n in
   let rng = Prng.create (n + 17) in
@@ -82,7 +88,7 @@ let bench_row ~domains n =
      and GC coordination as if it were parallel serving. *)
   let effective = Localmodel.View.effective_domains ~requested:domains () in
   let batch domains =
-    let r = Serve.Router.of_engine ~domains (Serve.Engine.create ~cache_capacity:0 loaded) in
+    let r = slot_router ~domains bytes in
     Bench_util.time_once (fun () ->
         ignore (Serve.Router.batch ~domains r queries))
   in
@@ -258,15 +264,11 @@ type pool_row = {
   lockless_qps : float;
 }
 
-(* A cache-less router with one in-memory slot per domain. *)
-let slot_router ~domains loaded =
-  Serve.Router.of_engine ~domains (Serve.Engine.create ~cache_capacity:0 loaded)
-
-let bench_pool_row ~loaded ~queries ~requested =
+let bench_pool_row ~bytes ~queries ~requested =
   let k = Array.length queries in
   let effective = Localmodel.View.effective_domains ~requested () in
-  let seq_router = slot_router ~domains:1 loaded in
-  let pool_router = slot_router ~domains:effective loaded in
+  let seq_router = slot_router ~domains:1 bytes in
+  let pool_router = slot_router ~domains:effective bytes in
   let run_seq () = ignore (Serve.Router.batch ~domains:1 seq_router queries) in
   let run_lockless () =
     ignore (Serve.Router.batch ~domains:effective pool_router queries)
@@ -281,7 +283,7 @@ let bench_pool_row ~loaded ~queries ~requested =
     lockless := Float.min !lockless c
   done;
   {
-    p_n = Graph.n loaded.Store.Snapshot.graph;
+    p_n = Serve.Router.n seq_router;
     p_queries = k;
     p_requested = requested;
     p_effective = effective;
@@ -317,12 +319,12 @@ let bench_pool ~smoke =
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   let snapshot, _cert = Serve.Pack.edge_compression ~sample:64 g x in
-  let loaded = Store.Snapshot.read (Store.Snapshot.write snapshot) in
+  let bytes = Store.Snapshot.write snapshot in
   let queries = workload g rng 1_000 in
   let rows =
     List.map
       (fun requested ->
-        let r = bench_pool_row ~loaded ~queries ~requested in
+        let r = bench_pool_row ~bytes ~queries ~requested in
         Printf.printf
           "store  pool  n=%-7d req=%d eff=%d  seq %8.0f q/s  lockless %8.0f \
            (%4.2fx)  [%s]\n\
@@ -338,8 +340,8 @@ let bench_pool ~smoke =
      exercises genuine cross-domain serving and checks it answer-for-
      answer — a correctness probe, not a throughput claim. *)
   let crossed_ok =
-    let crossed = Serve.Router.batch ~domains:2 (slot_router ~domains:2 loaded) queries in
-    let reference = Serve.Router.batch ~domains:1 (slot_router ~domains:1 loaded) queries in
+    let crossed = Serve.Router.batch ~domains:2 (slot_router ~domains:2 bytes) queries in
+    let reference = Serve.Router.batch ~domains:1 (slot_router ~domains:1 bytes) queries in
     Marshal.to_string crossed [] = Marshal.to_string reference []
   in
   let not_slower = List.for_all pool_row_acceptable rows in
@@ -390,9 +392,10 @@ let bench_shard_row ~domains ~shards n =
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   let effective = Localmodel.View.effective_domains ~requested:domains () in
-  (* Both sides certify identically (same sample budget); the comparison
-     isolates serialization — one monolithic body vs. S framed shard
-     bodies fanned across the pool.  Interleaved min-of-reps, like
+  (* Both sides certify through the one Pack.edge_compression with the
+     same mapper and sample budget; the comparison isolates serialization
+     — one monolithic body vs. S framed shard bodies fanned across the
+     pool.  Interleaved min-of-reps, like
      bench_io: single-shot pack timings on a shared host swing by far
      more than the margin under test. *)
   let reps = if n >= 1_000_000 then 2 else 3 in
@@ -401,7 +404,9 @@ let bench_shard_row ~domains ~shards n =
   for _ = 1 to reps do
     let mb, mt =
       Bench_util.time_once (fun () ->
-          let s, _ = Serve.Pack.edge_compression ~sample:64 g x in
+          let s, _ =
+            Serve.Pack.edge_compression ~sample:64 ~domains:effective g x
+          in
           Store.Snapshot.write s)
     in
     if mt < !mono_best then begin
@@ -410,8 +415,14 @@ let bench_shard_row ~domains ~shards n =
     end;
     let sc, st =
       Bench_util.time_once (fun () ->
-          Serve.Pack.edge_compression_sharded ~sample:64 ~shards
-            ~domains:effective g x)
+          let s, cert =
+            Serve.Pack.edge_compression ~sample:64 ~domains:effective g x
+          in
+          ( Store.Shard.build ~shards
+              ~halo:(max cert.Serve.Pack.radius 1)
+              ~map:(fun f ks -> Serve.Pool.run ~domains:effective f ks)
+              s,
+            cert ))
     in
     if st < !shard_best then begin
       shard_best := st;

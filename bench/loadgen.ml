@@ -102,12 +102,13 @@ let main host port spawn count window batch seed show_stats =
   let port, g, direct =
     match spawn with
     | Some path ->
-        let loaded = Store.Snapshot.read (Store.Io.read_file path) in
         let server =
           Net.Server.create
             ~config:{ Net.Server.default_config with port = 0 }
-            (Serve.Router.of_engine (Serve.Engine.create loaded))
+            (Serve.Router.create (Store.Shard.open_file path))
         in
+        (* The reference decodes the same file read whole. *)
+        let loaded = Store.Snapshot.read (Store.Io.read_file path) in
         let d = Domain.spawn (fun () -> Net.Server.run server) in
         cleanup :=
           (fun () ->

@@ -70,6 +70,15 @@ let or_corrupt f =
       Format.eprintf "corrupt snapshot: %s@." msg;
       exit 2
 
+(* Numeric flags are usage errors, checked before any pack or open:
+   one line on stderr and exit 2. *)
+let at_least cmd flag ~min v =
+  match v with
+  | Some v when v < min ->
+      Format.eprintf "%s: --%s must be at least %d (got %d)@." cmd flag min v;
+      exit 2
+  | _ -> ()
+
 let build ?input kind n =
   match input with
   | Some path -> Graphio.load path
@@ -113,6 +122,8 @@ let domains_term =
 
 let pack_cmd =
   let run kind n seed input out sample shards domains metrics =
+    at_least "pack" "shards" ~min:1 shards;
+    at_least "pack" "domains" ~min:1 domains;
     with_metrics metrics @@ fun () ->
     let g = build ?input kind n in
     let rng = Prng.create seed in
@@ -125,25 +136,25 @@ let pack_cmd =
     in
     Format.printf "packed: n=%d m=%d subset=%d edges@." (Graph.n g) (Graph.m g)
       (Bitset.cardinal x);
-    let bytes, cert =
+    let snapshot, cert = Serve.Pack.edge_compression ~sample ?domains g x in
+    (* Serialize exactly once: a second write just to learn the size
+       would double-count store.bytes_written. *)
+    let bytes =
       match shards with
       | None ->
-          let snapshot, cert = Serve.Pack.edge_compression ~sample g x in
-          (* Serialize exactly once: a second Snapshot.write just to learn
-             the size would double-count store.bytes_written. *)
           let bytes = Store.Snapshot.write snapshot in
           Format.printf
             "advice: %d bits on the wire (paper budget Σ⌈d/2⌉+1 = %d)@."
             (Store.Snapshot.advice_payload_bits snapshot ~name:"c4")
             budget;
-          (bytes, cert)
+          bytes
       | Some s ->
-          let bytes, cert =
-            Serve.Pack.edge_compression_sharded ~sample ~shards:s ?domains g x
+          let bytes =
+            Store.Shard.build ~shards:s ~halo:(max cert.Serve.Pack.radius 1)
+              ~map:(fun f ks -> Serve.Pool.run ?domains f ks)
+              snapshot
           in
-          let man =
-            Store.Shard.manifest (Store.Shard.open_bytes bytes)
-          in
+          let man = Store.Shard.manifest (Store.Shard.open_bytes bytes) in
           let widest =
             Array.fold_left
               (fun acc i -> max acc i.Store.Shard.i_bytes)
@@ -152,7 +163,7 @@ let pack_cmd =
           Format.printf
             "sharded: %d shard(s), halo %d, widest frame %d bytes@." s
             man.Store.Shard.m_halo widest;
-          (bytes, cert)
+          bytes
     in
     Store.Io.write_file out bytes;
     Format.printf "certified: serve radius %d (%s of %d nodes checked)@."
@@ -485,8 +496,7 @@ let print_answer = function
   | Serve.Engine.Bits s -> Format.printf " -> %s@." s
 
 (* Per-query outcomes: a lost shard degrades only the queries aimed at
-   its node range.  [where] names the slots in the summary line (empty
-   for a version-1 snapshot). *)
+   its node range.  [where] names the shards in the summary line. *)
 let serve_batch router ~where domains batch =
   let queries = read_batch batch in
   let results =
@@ -543,9 +553,9 @@ let resident_mb_term =
   Arg.(
     value & opt int 0
     & info [ "resident-mb" ] ~docv:"MB"
-        ~doc:"Sharded containers only: bound resident shards to $(docv) \
-              MiB of serialized bytes, loading lazily and evicting \
-              least-recently-used (0 = unbounded).")
+        ~doc:"Bound resident shards to $(docv) MiB of serialized bytes, \
+              loading lazily and evicting least-recently-used (0 = \
+              unbounded; a version-1 snapshot is one shard).")
 
 let memo_term =
   Arg.(
@@ -569,13 +579,11 @@ let memo_capacity_term =
 let serve_cmd =
   let run path batch listen host port write_budget domains salvage
       resident_mb use_memo memo_capacity metrics =
+    at_least "serve" "domains" ~min:1 domains;
+    at_least "serve" "resident-mb" ~min:0 (Some resident_mb);
+    at_least "serve" "memo-capacity" ~min:0 (Some memo_capacity);
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
-    if memo_capacity < 0 then begin
-      Format.eprintf "serve: --memo-capacity must be non-negative (got %d)@."
-        memo_capacity;
-      exit 2
-    end;
     let memo =
       if use_memo then Some (Serve.Memo.create ~capacity:memo_capacity)
       else None
@@ -597,68 +605,45 @@ let serve_cmd =
              --listen@.";
           exit 2
     in
-    let router, where =
-      if Store.Shard.peek_version path = Store.Shard.version then begin
-        (* Sharded container: lazily loaded per-shard engines.  --salvage
-           degrades per node range instead of fail-stopping on the first
-           damaged shard. *)
-        let router =
-          Serve.Router.create ~resident_budget:(resident_mb * 1024 * 1024)
-            ~salvage ?memo (Store.Shard.open_file path)
-        in
-        Format.printf "sharded container: %d shard(s)%s%s@."
-          (Serve.Router.shard_count router)
-          (if resident_mb > 0 then
-             Printf.sprintf ", resident budget %d MiB" resident_mb
-           else "")
-          (if salvage then ", salvage on" else "");
-        (router, Printf.sprintf ", %d shard(s)" (Serve.Router.shard_count router))
-      end
-      else begin
-        if resident_mb > 0 then
-          Format.eprintf
-            "serve: --resident-mb ignored — %s is a monolithic (version-1) \
-             snapshot@."
-            path;
-        let engine =
-          if salvage then begin
-            let sv = Store.Snapshot.read_salvage (Store.Io.read_file path) in
-            let e =
-              Serve.Engine.create ?memo
-                ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
-                sv.Store.Snapshot.partial
-            in
-            List.iter
-              (fun line -> Format.printf "salvage: %s@." line)
-              (Serve.Engine.quarantined_sections e);
-            if Serve.Engine.degraded e then
-              Format.printf "serving degraded from %S%s@."
-                (Serve.Engine.advice_name e)
-                (if Serve.Engine.serving_trusted e then ""
-                 else " (quarantined advice: answers are best-effort)");
-            e
-          end
-          else
-            Serve.Engine.create ?memo
-              (Store.Snapshot.of_file path)
-        in
-        (* One in-memory slot per domain, so batches keep their fan-out. *)
-        (Serve.Router.of_engine ?domains engine, "")
-      end
+    (* Every file opens the same way: a version-1 snapshot is a one-shard
+       container cut into --domains slots, a sharded one loads its shards
+       lazily under --resident-mb.  --salvage degrades per node range
+       (per section, for a damaged version-1 file) instead of
+       fail-stopping. *)
+    let store = Store.Shard.open_file path in
+    let router =
+      Serve.Router.create ~resident_budget:(resident_mb * 1024 * 1024) ~salvage
+        ?memo ?domains store
     in
+    let shards = Array.length (Store.Shard.manifest store).Store.Shard.m_shards in
+    if shards > 1 then
+      Format.printf "sharded container: %d shard(s)%s%s@." shards
+        (if resident_mb > 0 then
+           Printf.sprintf ", resident budget %d MiB" resident_mb
+         else "")
+        (if salvage then ", salvage on" else "");
+    List.iter
+      (fun line -> Format.printf "salvage: %s@." line)
+      (Serve.Router.quarantined_sections router);
+    if Serve.Router.degraded router then
+      Format.printf "serving degraded from %S%s@."
+        (Serve.Router.advice_name router)
+        (if Serve.Router.serving_trusted router then ""
+         else " (quarantined advice: answers are best-effort)");
     match mode with
     | `Listen -> serve_listen router domains host port write_budget
-    | `Batch b -> serve_batch router ~where domains b
+    | `Batch b ->
+        serve_batch router ~where:(Printf.sprintf ", %d shard(s)" shards) domains b
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Answer per-node queries from a snapshot by decoding only each \
              node's certified-radius ball: one-shot with --batch (a file \
              or '-' for stdin), or as a long-lived TCP server with \
-             --listen.  Both snapshot versions serve through one router: a \
-             version-1 snapshot as --domains in-memory node-range slots, a \
-             sharded (version-2) container through lazy per-shard loads \
-             bounded by --resident-mb.")
+             --listen.  Both snapshot versions open as containers and \
+             serve through one router: a version-1 snapshot is one shard \
+             cut into --domains node-range slots, a sharded (version-2) \
+             container loads its shards lazily under --resident-mb.")
     Term.(
       const run $ snapshot_arg $ batch_term $ listen_term $ host_term
       $ port_term $ write_budget_term $ domains_term $ salvage_term

@@ -61,8 +61,8 @@ let pool_failure_replay (module S : Shim.S) =
                 "re-raised task %d, not the lowest failed index 1" i))
 
 (* The router's batch path: wave planner + pool + slot-owner cells +
-   scatter, over an in-memory packed cycle split into two slots (an
-   explicit [~domains:2] is honored on any host).  The router
+   scatter, over a packed cycle whose one shard is cut into two slots
+   (an explicit [~domains:2] is honored on any host).  The router
    (untracked: graph, advice, slot label columns) is built once and
    shared across schedules — only the per-batch tracked state (claim
    cursor, owner cells) is re-created inside each run, which is what
@@ -77,7 +77,10 @@ let router_fixture =
        (fun e _ -> if Netgraph.Prng.bool rng then Netgraph.Bitset.add x e)
        g;
      let snapshot, _cert = Serve.Pack.edge_compression g x in
-     let router = Serve.Router.of_engine ~domains:2 (Serve.Engine.create snapshot) in
+     let router =
+       Serve.Router.create ~domains:2
+         (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
+     in
      let queries =
        [| Serve.Engine.Output_label 0; Serve.Engine.Output_label 3; Serve.Engine.Output_label 7;
           Serve.Engine.Advice_bits 5 |]
@@ -87,7 +90,7 @@ let router_fixture =
 
 let router_batch (module S : Shim.S) =
   let router, queries, expected = Lazy.force router_fixture in
-  if Serve.Router.shard_count router <> 2 then
+  if Serve.Router.slot_count router <> 2 then
     raise (Sched.Check_failed "the fixture router does not have two slots");
   let module B = Serve.Router.Batch (S) in
   let got = B.batch_results ~domains:2 router queries in

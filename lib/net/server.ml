@@ -134,7 +134,7 @@ let stats t =
       ("engine.n", Router.n r);
       ("engine.m", Router.m r);
       ("engine.radius", Router.radius r);
-      ("engine.shards", Router.shard_count r);
+      ("engine.shards", Router.slot_count r);
       ("store.shard.resident", Router.resident_shards r);
       ("store.shard.resident_bytes", Router.resident_bytes r);
       ("store.shard.loads", Router.loads r);

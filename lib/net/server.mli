@@ -10,11 +10,9 @@
     enormous batch delays other connections rather than racing them,
     which is the deliberate trade — the router's domain pool is where
     parallelism lives, and the loop stays free of locks entirely.  The
-    router serves either snapshot version ({!Serve.Router.create} for a
-    v2 container, {!Serve.Router.of_engine} for an in-memory v1
-    snapshot); a router exception (a malformed query, a lost shard)
-    becomes a non-fatal {!Protocol.Rejected} frame and the server keeps
-    serving.
+    router ({!Serve.Router.create}) serves either snapshot version; a
+    router exception (a malformed query, a lost shard) becomes a
+    non-fatal {!Protocol.Rejected} frame and the server keeps serving.
 
     {b Backpressure} is per connection ({!Conn}): a peer whose response
     queue exceeds the write budget stops being read until the queue
@@ -34,8 +32,8 @@
     after it are never parsed.
 
     {b Degraded serving} needs no special handling here: a router over a
-    salvaged engine or a container with a lost shard answers like any
-    other, and the stats frame exposes [engine.degraded] /
+    salvaged version-1 file or a container with a lost shard answers
+    like any other, and the stats frame exposes [engine.degraded] /
     [serve.degraded] so clients can see they are being served
     best-effort from a damaged snapshot.
 

@@ -104,38 +104,37 @@ let label_of_view ~params (view : View.t) =
   decode_stamped ~params ~tolerant:false ws view.View.graph ~ids:view.View.ids
     ~advice:view.View.advice ~center:view.View.center
 
-(* Metadata access *)
+(* Serving metadata, parsed here only: a missing or malformed value is a
+   fault of the file (Codec.Corrupt), a bad [~radius] one of the caller. *)
 
-let meta_find snapshot key =
-  List.find_opt (fun (k, _) -> String.equal k key) snapshot.Store.Snapshot.meta
-  |> Option.map snd
+let corrupt fmt = Format.kasprintf (fun s -> raise (Store.Codec.Corrupt s)) fmt
 
-let meta_int snapshot key =
-  match meta_find snapshot key with
+let meta_int meta key =
+  match List.assoc_opt key meta with
   | None -> None
   | Some s -> (
       match int_of_string_opt s with
-      | Some v -> Some v
-      | None -> fail "Engine.create: metadata %s is not an integer: %S" key s)
+      | Some v when v >= 0 -> Some v
+      | _ -> corrupt "metadata %s is not a non-negative integer: %S" key s)
 
-let params_of_meta snapshot =
+let params_of_meta meta =
   match
-    ( meta_int snapshot "params.short_threshold",
-      meta_int snapshot "params.cover",
-      meta_int snapshot "params.spacing" )
+    ( meta_int meta "params.short_threshold",
+      meta_int meta "params.cover",
+      meta_int meta "params.spacing" )
   with
   | Some short_threshold, Some cover, Some spacing ->
       { Balanced_orientation.short_threshold; cover; spacing }
   | _ -> Balanced_orientation.onebit_params
 
-let resolve_radius ?radius snapshot =
-  match (radius, meta_int snapshot "serve.radius") with
-  | Some r, _ | None, Some r ->
-      if r < 0 then fail "Engine.create: negative serve radius %d" r else r
-  | None, None ->
-      fail
-        "Engine.create: snapshot metadata has no serve.radius and no \
-         ~radius override was given"
+let serve_radius ?radius meta =
+  match radius with
+  | Some r when r < 0 -> fail "negative serve radius %d" r
+  | Some r -> r
+  | None -> (
+      match meta_int meta "serve.radius" with
+      | Some r -> r
+      | None -> corrupt "metadata has no serve.radius (and no ~radius override was given)")
 
 (* Damage report lines: one per non-healthy section of a salvage. *)
 let describe_damage (r : Store.Snapshot.section_report) =
@@ -170,7 +169,7 @@ let pick_advice ~recovered name snapshot =
 let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
   let recovered, report = Option.value health ~default:([], []) in
   let name, advice, trusted = pick_advice ~recovered name snapshot in
-  let radius = resolve_radius ?radius snapshot in
+  let radius = serve_radius ?radius snapshot.Store.Snapshot.meta in
   let quarantined = List.filter_map describe_damage report in
   let graph = snapshot.Store.Snapshot.graph in
   let n = Graph.n graph in
@@ -191,7 +190,7 @@ let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
     | Some 0 -> false
     | Some _ | None -> true
   in
-  let params = params_of_meta snapshot in
+  let params = params_of_meta snapshot.Store.Snapshot.meta in
   (* Everything a decode depends on beyond the ball itself, pinned into
      every memo key: one table can then be shared by engines serving at
      the same radius/params/trust (the router's slot engines) while

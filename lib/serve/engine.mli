@@ -24,11 +24,10 @@
     it stores: one per isomorphism class with a memo, one per decoded
     node without.  It has no notion of shards or batches: {!Router} is the only multi-slot
     front end and the only batch planner, and gives each of its slots
-    its own engine — a v2 container shard's local engine (whose column
-    leaves with it on eviction), or a {!restrict}ed copy of one
-    in-memory v1 engine.  Only the slot's owner writes a column: the
-    serialized {!query} path, or the one pool worker that holds the
-    slot for a batch wave.
+    its own engine — a loaded shard's engine, or a {!restrict}ion of it
+    to one node range (either leaves with the shard on eviction).  Only
+    the slot's owner writes a column: the serialized {!query} path, or
+    the one pool worker that holds the slot for a batch wave.
 
     {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
     {e between} the label column and the decoder: a column miss first
@@ -107,17 +106,25 @@ val create :
     so via {!serving_trusted} — and any non-healthy [report] row makes
     the engine {!degraded}.  Note that when the metadata section itself
     was lost, [?radius] must be supplied.  @raise Invalid_argument when
-    no usable advice section exists (or the named one is missing), no
-    radius is available, the capacity is negative, or [ids] is not a
-    valid assignment for the graph. *)
+    no usable advice section exists (or the named one is missing), the
+    capacity or [radius] is negative, or [ids] is not a valid assignment
+    for the graph; @raise Store.Codec.Corrupt as {!serve_radius}, or when
+    a [params.*] entry is not a non-negative integer. *)
+
+val serve_radius : ?radius:int -> (string * string) list -> int
+(** The serve radius: [radius] when given, else the metadata's
+    [serve.radius] ({!Router.create} parses it here too).
+    @raise Invalid_argument on a negative [radius]; @raise
+    Store.Codec.Corrupt when the entry is missing or not a non-negative
+    integer (a fault of the file, not of the caller). *)
 
 val restrict : t -> lo:int -> hi:int -> t
 (** [restrict e ~lo ~hi] answers only the nodes [lo..hi-1] of [e]'s
     range: it shares [e]'s graph, advice, identifiers, memo and health,
     and owns a fresh label column over that range (none if [e]'s is
-    off) — one in-memory {!Router} slot.  Queries for nodes outside the range are
-    rejected.  @raise Invalid_argument when the range is not inside
-    [e]'s. *)
+    off) — one {!Router} slot, a node range of a loaded shard.  Queries
+    for nodes outside the range are rejected.  @raise Invalid_argument
+    when the range is not inside [e]'s. *)
 
 val graph : t -> Netgraph.Graph.t
 (** The snapshot's graph. *)

@@ -49,10 +49,7 @@ let pack_meta ~params ~radius ~nodes g =
       else Printf.sprintf "sample=%d" (Array.length nodes) );
   ]
 
-(* The shared front half: encode the advice, compute the direct decoder's
-   expected labels, pick the checked nodes.  [certify] then drives the
-   radius search with either the sequential or the domain-parallel ball
-   mapper — the probe is embarrassingly parallel across checked nodes. *)
+(* Encode the advice and compute the direct decoder's expected labels. *)
 let encode_for_pack ~params g x =
   if Bitset.length x <> Graph.m g then
     fail "Pack.edge_compression: edge set is over %d edges, graph has %d"
@@ -62,37 +59,14 @@ let encode_for_pack ~params g x =
   (assignment, expected)
 
 let edge_compression ?(params = Balanced_orientation.onebit_params)
-    ?(name = "c4") ?max_radius ?(sample = 0) g x =
-  let max_radius = match max_radius with Some r -> r | None -> Graph.n g in
-  let assignment, expected = encode_for_pack ~params g x in
-  let nodes = check_nodes g sample in
-  let ids = Localmodel.Ids.identity g in
-  let passes r =
-    let got =
-      View.map_subset ~advice:assignment g ~ids ~radius:r ~nodes (fun view ->
-          Engine.label_of_view ~params view)
-    in
-    Array.for_all2 (fun v s -> String.equal expected.(v) s) nodes got
-  in
-  let radius = certify_radius ~passes ~max_radius ~checked:(Array.length nodes) in
-  ( { Store.Snapshot.graph = g;
-      advice = [ (name, assignment) ];
-      meta = pack_meta ~params ~radius ~nodes g },
-    {
-      radius;
-      checked = Array.length nodes;
-      exhaustive = Array.length nodes = Graph.n g;
-    } )
-
-let edge_compression_sharded ?(params = Balanced_orientation.onebit_params)
-    ?(name = "c4") ?max_radius ?(sample = 0) ?(shards = 1) ?domains g x =
+    ?(name = "c4") ?max_radius ?(sample = 0) ?domains g x =
   let max_radius = match max_radius with Some r -> r | None -> Graph.n g in
   let assignment, expected = encode_for_pack ~params g x in
   let nodes = check_nodes g sample in
   let ids = Localmodel.Ids.identity g in
   (* Certification runs on the *global* graph: the halo invariant then
-     transfers the certified radius to every shard for free (interior
-     balls are identical in the local and global graphs). *)
+     transfers the certified radius to every shard of any container
+     later built from the snapshot. *)
   let passes r =
     let got =
       View.map_subset_par ?domains ~advice:assignment g ~ids ~radius:r ~nodes
@@ -101,16 +75,9 @@ let edge_compression_sharded ?(params = Balanced_orientation.onebit_params)
     Array.for_all2 (fun v s -> String.equal expected.(v) s) nodes got
   in
   let radius = certify_radius ~passes ~max_radius ~checked:(Array.length nodes) in
-  let snapshot =
-    { Store.Snapshot.graph = g;
+  ( { Store.Snapshot.graph = g;
       advice = [ (name, assignment) ];
-      meta = pack_meta ~params ~radius ~nodes g }
-  in
-  let map f ks = Pool.run ?domains f ks in
-  let bytes =
-    Store.Shard.build ~map ~shards ~halo:(max radius 1) snapshot
-  in
-  ( bytes,
+      meta = pack_meta ~params ~radius ~nodes g },
     {
       radius;
       checked = Array.length nodes;

@@ -26,6 +26,7 @@ val edge_compression :
   ?name:string ->
   ?max_radius:int ->
   ?sample:int ->
+  ?domains:int ->
   Netgraph.Graph.t ->
   Netgraph.Bitset.t ->
   Store.Snapshot.t * certification
@@ -36,36 +37,18 @@ val edge_compression :
     smallest passing value.  [sample] (default 0 = every node) checks an
     evenly spaced node sample instead — exhaustive on small instances,
     sampled when packing benchmark-sized ones; [max_radius] (default
-    [Graph.n g]) bounds the search.  [name] is the advice section name
-    (default ["c4"]); [params] the orientation parameters (default
-    {!Schemas.Balanced_orientation.onebit_params}), stored in the
-    metadata for {!Engine.create} to read back.
+    [Graph.n g]) bounds the search.  Each probe maps the checked balls
+    with {!Localmodel.View.map_subset_par} over [domains] (default
+    {!Localmodel.View.effective_domains}[ ()]; one domain is the
+    sequential {!Localmodel.View.map_subset}).  [name] is the advice
+    section name (default ["c4"]); [params] the orientation parameters
+    (default {!Schemas.Balanced_orientation.onebit_params}), stored in
+    the metadata for {!Engine.create} to read back.  The snapshot
+    serializes as either file version: {!Store.Snapshot.write}, or
+    {!Store.Shard.build} with a halo of [max radius 1] — certification
+    ran on the global graph, and the halo invariant transfers the
+    radius to every shard.
     @raise Schemas.Balanced_orientation.Encoding_failure when the
     underlying schema cannot encode the graph.
     @raise Invalid_argument when no radius up to [max_radius] passes, or
     [x] is not an edge set of [g]. *)
-
-val edge_compression_sharded :
-  ?params:Schemas.Balanced_orientation.params ->
-  ?name:string ->
-  ?max_radius:int ->
-  ?sample:int ->
-  ?shards:int ->
-  ?domains:int ->
-  Netgraph.Graph.t ->
-  Netgraph.Bitset.t ->
-  string * certification
-(** [edge_compression_sharded ~shards:s g x] is {!edge_compression}
-    followed by a version-2 sharded serialization
-    ({!Store.Shard.build}), returning the container bytes ready for
-    {!Store.Io.write_file}.  Both halves of the pack fan out: the
-    certification probe maps checked balls with
-    {!Localmodel.View.map_subset_par} (the probe is embarrassingly
-    parallel, and it runs on the {e global} graph — the halo invariant
-    transfers the certified radius to every shard), and the per-shard
-    body serialization runs one {!Pool.run} task per shard.  The
-    container's halo depth is [max radius 1], the minimum that serves
-    the certified radius.  [?domains] controls both fan-outs; [shards]
-    defaults to 1 (still a valid v2 container).
-    @raise as {!edge_compression}, plus [Invalid_argument] when
-    [shards < 1]. *)

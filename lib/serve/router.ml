@@ -11,32 +11,27 @@ exception Shard_lost of { shard : int; reason : string }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* Where slot bodies come from: a v2 container's shard frames, loaded
-   lazily, or one in-memory v1 snapshot whose graph every slot engine
-   shares (held through one of them). *)
-type source = Container of Shard.t | Memory of Engine.t
-
-(* One resident slot: its private engine (a container shard's engine
-   orders fragments by the shard's *global* identifiers — the
-   byte-identity mechanism), the global→local translation tables (empty
-   on an in-memory slot, whose node and edge ids are the global ones),
-   and its cost in the byte-budget accounting (the serialized frame
-   size from the manifest: stable, observable via inspect, and linear
-   in the shard's node count, as the loaded engine is — the label
-   strings its column gathers later are not counted; 0 in memory). *)
+(* One resident container shard: an engine per slot of the shard, the
+   global→local translation tables (not kept when the shard is [whole],
+   i.e. stores every node and edge: they are then the identity), and
+   its frame bytes, charged to the resident budget. *)
 type resident = {
-  engine : Engine.t;
+  engines : Engine.t array;  (* slot [first_slot.(k) + i] -> engines.(i) *)
+  whole : bool;
   ids : int array;
   edge_ids : int array;
   bytes : int;
   mutable stamp : int;  (* LRU recency, from the router clock *)
 }
 
-type slot = Unloaded | Resident of resident | Lost of string
+type shard = Unloaded | Resident of resident | Lost of string
+
+(* A slot: the node range [lo, hi) of container shard [shard]. *)
+type slot = { shard : int; lo : int; hi : int }
 
 type t = {
-  source : source;
-  man : Shard.manifest;  (* in memory: synthesized from the slot plan *)
+  store : Shard.t;
+  man : Shard.manifest;
   salvage : bool;
   name : string option;
   cache_capacity : int option;  (* passed to each loaded shard engine *)
@@ -44,8 +39,13 @@ type t = {
                             slot engine (keys pin radius/params) *)
   budget : int;  (* resident-byte budget; 0 = unbounded *)
   radius : int;
-  slots : slot array;
+  slots : slot array;  (* in node order *)
+  first_slot : int array;  (* per shard, plus one past the last slot *)
+  shards : shard array;
   unpinned : bool array;  (* all false: what a single query pins *)
+  mutable salvaged : Engine.t option;
+      (* a damaged v1 file's engine, loaded by [create]: the only engine
+         that can carry damage (one shard, so never evicted) *)
   mutable resident_bytes : int;
   mutable clock : int;
   mutable loads : int;
@@ -53,107 +53,10 @@ type t = {
   mutable lost : int;
 }
 
-let meta_int man key =
-  match List.find_opt (fun (k, _) -> String.equal k key) man.Shard.m_meta with
-  | None -> None
-  | Some (_, s) -> (
-      match int_of_string_opt s with
-      | Some v -> Some v
-      | None -> fail "Router.create: metadata %s is not an integer: %S" key s)
-
-let make ~source ~man ~salvage ~name ~cache_capacity ~memo ~budget ~radius
-    slots =
-  {
-    source;
-    man;
-    salvage;
-    name;
-    cache_capacity;
-    memo;
-    budget;
-    radius;
-    slots;
-    unpinned = Array.make (Array.length slots) false;
-    resident_bytes = 0;
-    clock = 0;
-    loads = 0;
-    evictions = 0;
-    lost = 0;
-  }
-
-let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
-    ?radius ?name store =
-  let man = Shard.manifest store in
-  let radius =
-    match (radius, meta_int man "serve.radius") with
-    | Some r, _ | None, Some r ->
-        if r < 0 then fail "Router.create: negative serve radius %d" r else r
-    | None, None ->
-        fail
-          "Router.create: container metadata has no serve.radius and no \
-           ~radius override was given"
-  in
-  if man.Shard.m_halo < max radius 1 then
-    fail
-      "Router.create: container halo %d cannot serve radius %d (needs at \
-       least %d) — repack with a deeper halo"
-      man.Shard.m_halo radius (max radius 1);
-  if resident_budget < 0 then
-    fail "Router.create: negative resident budget %d" resident_budget;
-  (match cache_capacity with
-  | Some c when c < 0 -> fail "Router.create: negative cache capacity %d" c
-  | _ -> ());
-  (match name with
-  | Some n when not (List.exists (String.equal n) man.Shard.m_advice) ->
-      fail "Router.create: container has no advice section %S" n
-  | _ -> ());
-  (match man.Shard.m_advice with
-  | [] -> fail "Router.create: container has no advice section"
-  | _ :: _ -> ());
-  make ~source:(Container store) ~man ~salvage ~name ~cache_capacity ~memo
-    ~budget:resident_budget ~radius
-    (Array.make (Array.length man.Shard.m_shards) Unloaded)
-
-(* A v1 snapshot as node-range slots over its one decoded graph: every
-   slot is resident from construction and never evicted (budget 0), and
-   each slot engine is a restriction of [e], so they share the graph,
-   the advice and one ids array (the source is slot 0, so [e]'s own
-   label column can be freed).  The manifest only carries what the
-   shared code paths read: node and edge counts, advice name and slot
-   ranges. *)
-let of_engine ?domains e =
-  let g = Engine.graph e in
-  let n = Netgraph.Graph.n g in
-  let d =
-    match domains with
-    | Some d when d < 1 -> fail "Router.of_engine: domain count %d must be positive" d
-    | Some d -> d
-    | None -> Localmodel.View.effective_domains ()
-  in
-  let ranges = Shard.plan ~n ~shards:d in
-  let info k (lo, hi) =
-    { Shard.i_index = k; i_lo = lo; i_hi = hi; i_local_n = hi - lo;
-      i_local_m = 0; i_offset = 0; i_bytes = 0; i_crc = 0 }
-  in
-  let engines =
-    Array.map (fun (lo, hi) -> if hi - lo = n then e else Engine.restrict e ~lo ~hi) ranges
-  in
-  let resident engine =
-    Resident { engine; ids = [||]; edge_ids = [||]; bytes = 0; stamp = 0 }
-  in
-  let man =
-    { Shard.m_n = n; m_m = Netgraph.Graph.m g; m_halo = 0;
-      m_advice = [ Engine.advice_name e ]; m_meta = [];
-      m_shards = Array.mapi info ranges; m_header_bytes = 0 }
-  in
-  make ~source:(Memory engines.(0)) ~man ~salvage:false ~name:None
-    ~cache_capacity:None ~memo:(Engine.memo e) ~budget:0 ~radius:(Engine.radius e)
-    (Array.map resident engines)
-
 let n t = t.man.Shard.m_n
 let m t = t.man.Shard.m_m
 let radius t = t.radius
-let shard_count t = Array.length t.slots
+let slot_count t = Array.length t.slots
 let resident_bytes t = t.resident_bytes
 let loads t = t.loads
 let evictions t = t.evictions
@@ -161,21 +64,18 @@ let evictions t = t.evictions
 let resident_shards t =
   Array.fold_left
     (fun acc s -> match s with Resident _ -> acc + 1 | _ -> acc)
-    0 t.slots
+    0 t.shards
 
 let lost_shards t =
   let out = ref [] in
   Array.iteri
     (fun k s -> match s with Lost msg -> out := (k, msg) :: !out | _ -> ())
-    t.slots;
+    t.shards;
   List.rev !out
 
-let degraded t =
-  t.lost > 0
-  || match t.source with Memory e -> Engine.degraded e | Container _ -> false
-
-let serving_trusted t =
-  match t.source with Memory e -> Engine.serving_trusted e | Container _ -> true
+let degraded t = t.lost > 0 || Option.fold ~none:false ~some:Engine.degraded t.salvaged
+let serving_trusted t = Option.fold ~none:true ~some:Engine.serving_trusted t.salvaged
+let quarantined_sections t = Option.fold ~none:[] ~some:Engine.quarantined_sections t.salvaged
 
 let advice_name t =
   match (t.name, t.man.Shard.m_advice) with
@@ -188,21 +88,31 @@ let advice_name t =
 
 let shard_of t v = Shard.shard_of_node t.man v
 
+(* Owner slot of an in-range node: the last slot starting at or before
+   it (an empty slot shares its start with the next one). *)
+let slot_of t v =
+  let lo = ref 0 and hi = ref (Array.length t.slots - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if t.slots.(mid).lo <= v then lo := mid else hi := mid - 1
+  done;
+  !lo
+
 let touch t r =
   t.clock <- t.clock + 1;
   r.stamp <- t.clock
 
-(* Release any budget bytes accounted to slot [k].  Centralizing the
+(* Release any budget bytes accounted to shard [k].  Centralizing the
    subtraction keeps the invariant local and auditable:
-   [t.resident_bytes] is always exactly the sum of [Resident] slot
+   [t.resident_bytes] is always exactly the sum of [Resident] shard
    bytes — an eviction, a loss, or a reload after salvage can neither
    leak bytes nor double-count a frame against the budget. *)
-let release_slot t k =
-  match t.slots.(k) with
+let release_shard t k =
+  match t.shards.(k) with
   | Resident r ->
       t.resident_bytes <- t.resident_bytes - r.bytes;
-      t.slots.(k) <- Unloaded
-  | Unloaded | Lost _ -> t.slots.(k) <- Unloaded
+      t.shards.(k) <- Unloaded
+  | Unloaded | Lost _ -> t.shards.(k) <- Unloaded
 
 (* Evict least-recently-used residents until [needed] more bytes fit the
    budget.  [pinned.(k)] protects the current batch wave; when nothing
@@ -216,16 +126,16 @@ let evict_for t ~pinned needed =
     let victim = ref (-1) in
     let best = ref max_int in
     Array.iteri
-      (fun k slot ->
-        match slot with
+      (fun k shard ->
+        match shard with
         | Resident r when (not pinned.(k)) && r.stamp < !best ->
             victim := k;
             best := r.stamp
         | _ -> ())
-      t.slots;
+      t.shards;
     if !victim < 0 then continue := false
     else begin
-      release_slot t !victim;
+      release_shard t !victim;
       t.evictions <- t.evictions + 1;
       Obs.Metrics.incr m_evictions
     end
@@ -235,29 +145,38 @@ let mark_lost t k reason =
   (* Re-marking an already-lost shard (a failed reload attempt) must
      not double-count it: [t.lost]/[store.shard.lost] count lost
      *shards*, not failed load attempts. *)
-  let already = match t.slots.(k) with Lost _ -> true | _ -> false in
-  release_slot t k;
-  t.slots.(k) <- Lost reason;
+  let already = match t.shards.(k) with Lost _ -> true | _ -> false in
+  release_shard t k;
+  t.shards.(k) <- Lost reason;
   if not already then begin
     t.lost <- t.lost + 1;
     Obs.Metrics.incr m_lost
   end
 
+let bsearch (arr : int array) (x : int) =
+  let lo = ref 0 and hi = ref (Array.length arr - 1) in
+  if Array.length arr = 0 then -1
+  else begin
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if arr.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    if arr.(!lo) = x then !lo else -1
+  end
+
 (* Load shard [k]: fetch + decode its byte range, hand the local graph
-   and advice slices to a fresh engine whose ids are the
-   global node ids shifted to the identifier space (gid + 1 = the
-   identity assignment a whole-graph engine uses), so every fragment
-   relabeling — and therefore every answer byte — matches the
-   monolithic engine's. *)
+   and advice slices to a fresh engine whose ids are the global node ids
+   shifted to the identifier space (gid + 1 = the identity assignment a
+   whole-graph engine uses), so every fragment relabeling — and
+   therefore every answer byte — matches the monolithic engine's; then
+   cut it into its slots (the interior is one run of the sorted local
+   ids, so each slot is a local range too). *)
 let load_resident t ~pinned k =
-  let store =
-    match t.source with
-    | Container store -> store
-    | Memory _ ->
-        invalid_arg "Router: in-memory slots are resident from construction"
-  in
   let info = t.man.Shard.m_shards.(k) in
-  let loaded = Shard.load store k in
+  let loaded = Shard.load t.store k in
+  let whole =
+    info.Shard.i_local_n = t.man.Shard.m_n && info.Shard.i_local_m = t.man.Shard.m_m
+  in
   let snapshot =
     {
       Store.Snapshot.graph = loaded.Shard.l_graph;
@@ -265,26 +184,40 @@ let load_resident t ~pinned k =
       meta = t.man.Shard.m_meta;
     }
   in
-  let ids = Array.map (fun gid -> gid + 1) loaded.Shard.l_ids in
+  let ids =
+    if whole then None else Some (Array.map (fun gid -> gid + 1) loaded.Shard.l_ids)
+  in
   let engine =
-    Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo
-      ~radius:t.radius ~ids ?name:t.name snapshot
+    Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius
+      ?ids ?name:t.name ?health:loaded.Shard.l_health snapshot
+  in
+  let local v = if whole then v else bsearch loaded.Shard.l_ids v in
+  let first = t.first_slot.(k) in
+  let engines =
+    match t.first_slot.(k + 1) - first with
+    | 1 -> [| engine |]
+    | count ->
+        Array.init count (fun i ->
+            let slot = t.slots.(first + i) in
+            let lo = local slot.lo in
+            Engine.restrict engine ~lo ~hi:(lo + slot.hi - slot.lo))
   in
   let r =
     {
-      engine;
-      ids = loaded.Shard.l_ids;
-      edge_ids = loaded.Shard.l_edge_ids;
+      engines;
+      whole;
+      ids = (if whole then [||] else loaded.Shard.l_ids);
+      edge_ids = (if whole then [||] else loaded.Shard.l_edge_ids);
       bytes = info.Shard.i_bytes;
       stamp = 0;
     }
   in
-  (* The slot must be empty before its frame bytes are re-accounted:
+  (* The shard must be empty before its frame bytes are re-accounted:
      a reload of a previously lost (or, defensively, still-resident)
      shard would otherwise charge the budget twice. *)
-  release_slot t k;
+  release_shard t k;
   evict_for t ~pinned r.bytes;
-  t.slots.(k) <- Resident r;
+  t.shards.(k) <- Resident r;
   t.resident_bytes <- t.resident_bytes + r.bytes;
   Obs.Metrics.gauge_max m_resident_peak t.resident_bytes;
   t.loads <- t.loads + 1;
@@ -301,7 +234,7 @@ let load_resident t ~pinned k =
    lost range retries the load, so a transient I/O fault or repaired
    container bytes heal the shard in place.  A successful reload
    decrements the lost count and accounts its frame bytes exactly once
-   ([load_resident] releases the slot before charging the budget); a
+   ([load_resident] releases the shard before charging the budget); a
    failed retry refreshes the diagnostic without re-counting the loss. *)
 let attempt_load t ~pinned k =
   match load_resident t ~pinned k with
@@ -316,35 +249,97 @@ let attempt_load t ~pinned k =
       else raise (Sys_error reason)
 
 let ensure t ~pinned k =
-  match t.slots.(k) with
+  match t.shards.(k) with
   | Resident r ->
       touch t r;
       r
   | Unloaded -> attempt_load t ~pinned k
   | Lost _ ->
       let r = attempt_load t ~pinned k in
-      (* Healed: the slot left the lost set on the successful reload. *)
+      (* Healed: the shard left the lost set on the successful reload. *)
       t.lost <- t.lost - 1;
       r
 
-(* Global → local query translation.  A container shard translates by
-   binary search in its sorted id tables: interior nodes always
-   translate, and an edge id that is not stored in the owner shard
-   cannot be incident to the queried node, which is exactly the engine's
-   endpoint precondition.  An in-memory slot's ids are the global ones,
-   so its translation is the identity plus that endpoint check — which
-   keeps a batch's rejection ahead of any ball work. *)
+let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
+    ?radius ?domains ?name store =
+  (* A damaged v1 file's damage is known at open: without salvage the
+     router fails-stop here, with the strict reader's diagnostic. *)
+  (match Shard.damage store with
+  | Some diagnostic when not salvage -> raise (Store.Codec.Corrupt diagnostic)
+  | _ -> ());
+  let man = Shard.manifest store in
+  let radius = Engine.serve_radius ?radius man.Shard.m_meta in
+  let s = Array.length man.Shard.m_shards in
+  if s > 1 && man.Shard.m_halo < max radius 1 then
+    fail
+      "Router.create: container halo %d cannot serve radius %d (needs at \
+       least %d) — repack with a deeper halo"
+      man.Shard.m_halo radius (max radius 1);
+  if resident_budget < 0 then
+    fail "Router.create: negative resident budget %d" resident_budget;
+  (match cache_capacity with
+  | Some c when c < 0 -> fail "Router.create: negative cache capacity %d" c
+  | _ -> ());
+  let domains =
+    match domains with
+    | Some d when d < 1 -> fail "Router.create: domain count %d must be positive" d
+    | Some d -> d
+    | None -> Localmodel.View.effective_domains ()
+  in
+  if List.is_empty man.Shard.m_advice then
+    raise (Store.Codec.Corrupt "container has no advice section");
+  (match name with
+  | Some n when not (List.exists (String.equal n) man.Shard.m_advice) ->
+      fail "Router.create: container has no advice section %S" n
+  | _ -> ());
+  (* ⌈D/S⌉ node ranges per shard: a one-shard file gets D slots, and a
+     container with at least D shards one slot per shard. *)
+  let slots =
+    Array.concat
+      (List.map
+         (fun { Shard.i_index = shard; i_lo; i_hi; _ } ->
+           Array.map
+             (fun (a, b) -> { shard; lo = i_lo + a; hi = i_lo + b })
+             (Shard.plan ~n:(i_hi - i_lo) ~shards:((domains + s - 1) / s)))
+         (Array.to_list man.Shard.m_shards))
+  in
+  let first_slot = Array.make (s + 1) (Array.length slots) in
+  Array.iteri (fun j slot -> first_slot.(slot.shard) <- min first_slot.(slot.shard) j) slots;
+  let t =
+    {
+      store;
+      man;
+      salvage;
+      name;
+      cache_capacity;
+      memo;
+      budget = resident_budget;
+      radius;
+      slots;
+      first_slot;
+      shards = Array.make s Unloaded;
+      unpinned = Array.make s false;
+      salvaged = None;
+      resident_bytes = 0;
+      clock = 0;
+      loads = 0;
+      evictions = 0;
+      lost = 0;
+    }
+  in
+  (* With salvage, a damaged v1 file's one shard loads now, so
+     [degraded] and [serving_trusted] are right before the first query. *)
+  if Option.is_some (Shard.damage store) then
+    t.salvaged <- Some (ensure t ~pinned:t.unpinned 0).engines.(0);
+  t
 
-let bsearch (arr : int array) (x : int) =
-  let lo = ref 0 and hi = ref (Array.length arr - 1) in
-  if Array.length arr = 0 then -1
-  else begin
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if arr.(mid) < x then lo := mid + 1 else hi := mid
-    done;
-    if arr.(!lo) = x then !lo else -1
-  end
+(* Global → local query translation, one rule for every shard: a whole
+   shard's ids are the global ones, any other translates by binary
+   search in its sorted id tables (interior nodes always translate).
+   The [Edge_member] endpoint check runs here, on the calling domain,
+   so a bad batch is rejected before its wave's ball work: an edge id
+   not stored in the owner shard cannot be incident to the queried
+   node. *)
 
 let check_node t what v =
   if v < 0 || v >= n t then
@@ -358,22 +353,27 @@ let validate t = function
       if e < 0 || e >= m t then
         fail "Engine: Edge_member names edge %d outside 0..%d" e (m t - 1)
 
-let translate t (r : resident) q =
-  match (t.source, q) with
-  | Memory e, Engine.Edge_member (v, ed) ->
-      let a, b = Netgraph.Graph.edge_endpoints (Engine.graph e) ed in
-      if v <> a && v <> b then
-        fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)"
-          v ed a b;
+let check_endpoint (r : resident) v e ~lv ~le =
+  if le < 0 then fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
+  let a, b = Netgraph.Graph.edge_endpoints (Engine.graph r.engines.(0)) le in
+  if lv <> a && lv <> b then begin
+    let global x = if r.whole then x else r.ids.(x) in
+    fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
+      (global a) (global b)
+  end
+
+let translate (r : resident) q =
+  match q with
+  | Engine.Edge_member (v, e) when r.whole ->
+      check_endpoint r v e ~lv:v ~le:e;
       q
-  | Memory _, (Engine.Output_label _ | Engine.Advice_bits _) -> q
-  | Container _, Engine.Output_label v -> Engine.Output_label (bsearch r.ids v)
-  | Container _, Engine.Advice_bits v -> Engine.Advice_bits (bsearch r.ids v)
-  | Container _, Engine.Edge_member (v, e) ->
-      let le = bsearch r.edge_ids e in
-      if le < 0 then
-        fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
-      Engine.Edge_member (bsearch r.ids v, le)
+  | (Engine.Output_label _ | Engine.Advice_bits _) when r.whole -> q
+  | Engine.Output_label v -> Engine.Output_label (bsearch r.ids v)
+  | Engine.Advice_bits v -> Engine.Advice_bits (bsearch r.ids v)
+  | Engine.Edge_member (v, e) ->
+      let lv = bsearch r.ids v and le = bsearch r.edge_ids e in
+      check_endpoint r v e ~lv ~le;
+      Engine.Edge_member (lv, le)
 
 let query_node = function
   | Engine.Output_label v | Engine.Edge_member (v, _) | Engine.Advice_bits v ->
@@ -381,17 +381,17 @@ let query_node = function
 
 let query t q =
   validate t q;
-  let k = shard_of t (query_node q) in
+  let j = slot_of t (query_node q) in
+  let k = t.slots.(j).shard in
   let r = ensure t ~pinned:t.unpinned k in
-  Engine.query r.engine (translate t r q)
+  Engine.query r.engines.(j - t.first_slot.(k)) (translate r q)
 
 (* ------------------------------------------------------------------ *)
 (* Batch: group queries by owner slot, then serve in *waves* — the
-   largest prefix of needed slots whose bytes fit the resident budget
-   loads together and fans across the pool (one task per slot, so one
-   worker owns a slot's engine and label column for the whole wave),
-   then the next wave replaces it.  In-memory slots cost no bytes, so a
-   v1 batch is a single wave. *)
+   largest prefix of needed shards whose bytes fit the resident budget
+   loads together and fans its slots across the pool (one task per
+   slot, so one worker owns a slot's engine and label column for the
+   whole wave), then the next wave replaces it. *)
 
 (* [Array.map f a] seeded with a static [placeholder]: seeding a large
    array with a young value (as [Array.map] does) forces a minor
@@ -401,19 +401,19 @@ let map_seeded placeholder f a =
   Array.iteri (fun i x -> out.(i) <- f x) a;
   out
 
-let plan_shards t qs =
-  let nshards = Array.length t.slots in
-  let owner = Array.map (fun q -> shard_of t (query_node q)) qs in
-  let counts = Array.make nshards 0 in
-  Array.iter (fun k -> counts.(k) <- counts.(k) + 1) owner;
+let plan_slots t qs =
+  let nslots = slot_count t in
+  let owner = Array.map (fun q -> slot_of t (query_node q)) qs in
+  let counts = Array.make nslots 0 in
+  Array.iter (fun j -> counts.(j) <- counts.(j) + 1) owner;
   let idxs =
-    Array.init nshards (fun k -> if counts.(k) = 0 then [||] else Array.make counts.(k) 0)
+    Array.init nslots (fun j -> if counts.(j) = 0 then [||] else Array.make counts.(j) 0)
   in
-  let fill = Array.make nshards 0 in
+  let fill = Array.make nslots 0 in
   Array.iteri
-    (fun i k ->
-      idxs.(k).(fill.(k)) <- i;
-      fill.(k) <- fill.(k) + 1)
+    (fun i j ->
+      idxs.(j).(fill.(j)) <- i;
+      fill.(j) <- fill.(j) + 1)
     owner;
   idxs
 
@@ -436,23 +436,21 @@ module Batch (S : Shim.S) = struct
     Array.iter (validate t) qs;
     Obs.Trace.span "serve.batch" @@ fun () ->
     Obs.Metrics.incr m_batches;
-    let idxs = plan_shards t qs in
+    let idxs = plan_slots t qs in
     let results = Array.make (Array.length qs) (Error "unserved") in
     (* One tracked ownership cell per slot for this batch: every engine
        call below is bracketed by a read-modify-write of its slot's
        cell, so any schedule in which two workers interleave on one
        slot is a happens-before race on that cell. *)
-    let owners = Array.map (fun _ -> S.Raw.make 0) t.slots in
-    let needed = ref [] in
-    Array.iteri
-      (fun k is -> if Array.length is > 0 then needed := k :: !needed)
-      idxs;
-    let remaining = ref (List.rev !needed) in
+    let owners = Array.map (fun _ -> S.Raw.make 0) idxs in
+    let needed = Array.make (Array.length t.shards) false in
+    Array.iteri (fun j is -> if Array.length is > 0 then needed.(t.slots.(j).shard) <- true) idxs;
+    let remaining = ref (List.filter (Array.get needed) (List.init (Array.length t.shards) Fun.id)) in
     let non_empty = function [] -> false | _ :: _ -> true in
     while non_empty !remaining do
-      (* Greedy wave: slots in id order while their summed frame bytes
+      (* Greedy wave: shards in id order while their summed frame bytes
          fit the budget (at least one always proceeds). *)
-      let pinned = Array.make (Array.length t.slots) false in
+      let pinned = Array.make (Array.length t.shards) false in
       let wave = ref [] in
       let wave_bytes = ref 0 in
       let rec take = function
@@ -460,8 +458,7 @@ module Batch (S : Shim.S) = struct
         | k :: rest ->
             let b = t.man.Shard.m_shards.(k).Shard.i_bytes in
             (* wave_bytes = 0 iff the wave is empty: every frame carries
-               at least its 9 header bytes (in-memory slots, at 0 bytes,
-               run unbudgeted). *)
+               at least its 9 header bytes. *)
             if !wave_bytes = 0 || t.budget = 0 || !wave_bytes + b <= t.budget
             then begin
               wave := k :: !wave;
@@ -478,15 +475,21 @@ module Batch (S : Shim.S) = struct
       let tasks = ref [] in
       List.iter
         (fun k ->
+          let slots = List.init (t.first_slot.(k + 1) - t.first_slot.(k)) (( + ) t.first_slot.(k)) in
           match ensure t ~pinned k with
           | r ->
-              let local =
-                map_seeded (Engine.Advice_bits 0) (fun i -> translate t r qs.(i)) idxs.(k)
-              in
-              tasks := (k, r, local) :: !tasks
+              List.iter
+                (fun j ->
+                  if Array.length idxs.(j) > 0 then begin
+                    let local =
+                      map_seeded (Engine.Advice_bits 0) (fun i -> translate r qs.(i)) idxs.(j)
+                    in
+                    tasks := (j, r.engines.(j - t.first_slot.(k)), local) :: !tasks
+                  end)
+                slots
           | exception Shard_lost { shard; reason } ->
               let msg = Printf.sprintf "shard %d lost: %s" shard reason in
-              Array.iter (fun i -> results.(i) <- Error msg) idxs.(k))
+              List.iter (fun j -> Array.iter (fun i -> results.(i) <- Error msg) idxs.(j)) slots)
         (List.rev !wave);
       let tasks = Array.of_list (List.rev !tasks) in
       Obs.Metrics.add m_slots (Array.length tasks);
@@ -496,13 +499,13 @@ module Batch (S : Shim.S) = struct
          join — the wave boundary is the memo's write point. *)
       let parts =
         Pool.run ?domains
-          (fun (k, r, local) ->
+          (fun (j, engine, local) ->
             let staged = ref [] in
             let answers =
               map_seeded (Engine.Bits "")
                 (fun q ->
-                  S.Raw.set owners.(k) (S.Raw.get owners.(k) + 1);
-                  let a, miss = Engine.staged r.engine q in
+                  S.Raw.set owners.(j) (S.Raw.get owners.(j) + 1);
+                  let a, miss = Engine.staged engine q in
                   (match miss with Some kv -> staged := kv :: !staged | None -> ());
                   a)
                 local
@@ -511,12 +514,12 @@ module Batch (S : Shim.S) = struct
           tasks
       in
       Array.iteri
-        (fun j (k, _, _) ->
-          let answers, staged = parts.(j) in
+        (fun p (j, _, _) ->
+          let answers, staged = parts.(p) in
           Option.iter
             (fun memo -> List.iter (fun (key, label) -> Memo.insert memo key label) staged)
             t.memo;
-          Array.iteri (fun p i -> results.(i) <- Ok answers.(p)) idxs.(k))
+          Array.iteri (fun q i -> results.(i) <- Ok answers.(q)) idxs.(j))
         tasks
     done;
     results

@@ -1,48 +1,45 @@
-(** The serving front end: node → owner slot → slot engine, for both
-    snapshot versions.  {!Router} is the only multi-slot front end and
-    the only batch planner; {!Engine} is the decode core each slot
-    wraps, with one label column per slot.
+(** The serving front end: node → owner slot → slot engine, over one
+    {!Store.Shard} container of either file version.  {!Router} is the
+    only multi-slot front end and the only batch planner; {!Engine} is
+    the decode core each slot wraps, with one label column per slot.
 
-    {b Version-2 containers.}  {!create} opens a {!Store.Shard}
-    container and keeps at most a byte-budget's worth of shards
-    resident.  Each resident shard is a private {!Engine} over the
-    shard's local graph and advice slices, constructed with the shard's
-    {e global} node ids as its identifier assignment — the decoder
-    orders ball fragments by identifier, so a shard-local ball
-    (identical to the global ball by the halo invariant, see
-    {!Store.Shard}) decodes to the {e same bytes} a whole-graph engine
-    would produce.  Global queries translate to shard-local ones by
-    binary search in the shard's sorted id tables; an edge id absent
-    from the owner shard cannot be incident to the queried node, so
-    translation doubles as the endpoint check.
+    {b Shards and slots.}  {!create} keeps at most a byte-budget's
+    worth of the container's shards resident, loading each on first
+    touch.  A resident shard is a private {!Engine} over the shard's
+    local graph and advice slices whose identifiers are the shard's
+    {e global} node ids — the decoder orders ball fragments by
+    identifier, so a shard-local ball (the global ball, by the halo
+    invariant of {!Store.Shard}) decodes to the {e same bytes} a
+    whole-graph engine would produce.  A {e slot} is a node range of
+    one shard: [~domains:D] cuts each of the [S] shards into [⌈D/S⌉]
+    {!Store.Shard.plan} ranges, each served by an {!Engine.restrict}ion
+    of the shard's engine — [D] slots for a one-shard file (every
+    version-1 snapshot), one per shard when [S >= D].
 
-    {b Version-1 snapshots.}  {!of_engine} serves one in-memory engine
-    (healthy or salvaged) as node-range slots over its one decoded
-    graph, one slot per requested domain ({!Store.Shard.plan} ranges).
-    Every slot is resident from construction and never evicted; the slot
-    engines are {!Engine.restrict}ions of the one engine, so they share
-    its graph, advice and ids; and translation is the identity plus the
-    endpoint check — no re-serialization, no halo, no id tables.
+    {b One translation rule.}  A shard that stores every node and edge
+    translates global ids by the identity; any other by binary search
+    in its sorted id tables.  The [Edge_member] endpoint check runs
+    during translation, on the calling domain — an edge id absent from
+    the owner shard cannot be incident to the queried node — so a batch
+    is rejected before its wave does any ball work.
 
     {b Eviction contract.}  Residency is accounted in {e serialized
-    frame bytes} (the manifest's [frame-bytes] per shard): stable,
-    inspectable without loading, and linear in the shard's node count,
-    as the loaded engine is.  The label strings a shard's column
-    gathers as its nodes are queried (one per decoded node without a
-    memo) are not counted.  A load that would exceed the budget first evicts
-    least-recently-used resident shards (never ones pinned by the
-    current batch wave); when a single shard alone exceeds the budget it
-    loads anyway — the budget bounds steady-state residency, not the
-    feasibility of serving.  Budget 0 means unbounded.
+    frame bytes} (the manifest's [frame-bytes] per shard; a version-1
+    file's whole size): stable, inspectable without loading, and linear
+    in the shard's node count, as the loaded engine is (the label
+    strings its columns gather later are not counted).  A load that
+    would exceed the budget first evicts least-recently-used resident
+    shards (never ones pinned by the current batch wave); a single shard
+    larger than the budget loads anyway — the budget bounds steady-state
+    residency, not the feasibility of serving.  0 means unbounded.
 
     {b Batches} group queries by owner slot and serve them in waves:
-    the longest prefix of needed slots whose summed bytes fit the
+    the longest prefix of needed shards whose summed bytes fit the
     budget loads together, fans one task per slot across {!Pool.run}
     (one worker owns a slot's engine and label column for the wave),
-    and is then replaced by the next wave; in-memory slots cost no
-    bytes, so a v1 batch is one wave.  Answers are byte-identical to a whole-graph
-    {!Engine} over the same snapshot, for every slot count, budget and
-    domain count.
+    and is then replaced by the next wave.  Answers are byte-identical
+    to a whole-graph {!Engine} over the same snapshot, for every slot
+    count, budget and domain count.
 
     {b Salvage.}  With [~salvage:true], a shard whose bytes are damaged
     (checksum, structure, or I/O) is marked [Lost]: queries for {e its}
@@ -56,18 +53,19 @@
     cycle — a reloaded shard's frame bytes are charged to the resident
     budget exactly once, a failed retry refreshes the diagnostic
     without re-counting the loss, and a heal removes the shard from
-    {!lost_shards} (and {!degraded} clears when none remain).  A v1
-    snapshot's salvage happens before the router, in
-    [Engine.create ~health]; the router reports it through {!degraded}
-    and {!serving_trusted}.
+    {!lost_shards} (and {!degraded} clears when none remain).  Only a
+    damaged version-1 file's damage is known at open
+    ({!Store.Shard.damage}): {!create} fails-stop on it without salvage,
+    and with salvage loads its one shard at once through
+    [Engine.create ~health], which serves quarantined advice
+    best-effort and is {!degraded} from the start.
 
     {b Memoization.}  One {!Memo} canonical-ball table (the [~memo] of
-    {!create}, or the engine's own for {!of_engine}) is shared by every
-    slot engine: isomorphic balls decode once {e across slots},
-    surviving eviction and reload.  Batch waves keep the table frozen
-    for their pool workers ({!Engine.staged}) and insert the staged
-    misses between waves on the calling thread — the single-writer
-    discipline.
+    {!create}) is shared by every slot engine: isomorphic balls decode
+    once {e across slots}, surviving eviction and reload.  Batch waves
+    keep the table frozen for their pool workers ({!Engine.staged}) and
+    insert the staged misses between waves on the calling thread — the
+    single-writer discipline.
 
     Obs: [store.shard.loads], [store.shard.evictions],
     [store.shard.lost], [serve.batches] and [serve.batch.shards] (slots
@@ -89,34 +87,29 @@ val create :
   ?salvage:bool ->
   ?memo:Memo.t ->
   ?radius:int ->
+  ?domains:int ->
   ?name:string ->
   Store.Shard.t ->
   t
 (** [create store] builds a router over an open container.
     [cache_capacity] is passed to {e each} resident shard's engine
-    ([0] turns its label column off; see {!Engine.create}) — eviction
-    drops the label column with the shard, so a reloaded shard decodes
-    its nodes again.
-    [resident_budget] bounds resident shards in serialized bytes
-    (default 0 = unbounded).  [salvage] selects degraded serving over
-    fail-stop.  [memo] attaches a canonical-ball decode memo
-    shared by every per-shard engine (and surviving shard eviction).
-    [radius] overrides the container's [serve.radius]
-    metadata; [name] selects an advice section.  @raise Invalid_argument
-    when no radius is available, the container's halo is too shallow for
-    the radius ([halo >= max radius 1] is the byte-identity
-    precondition), the budget or the capacity is negative, or the named
-    advice section does not exist. *)
-
-val of_engine : ?domains:int -> Engine.t -> t
-(** [of_engine e] serves the in-memory engine [e] (built over a whole
-    v1 snapshot, healthy or with [~health]) as [min domains n]
-    node-range slots; [domains] defaults to
-    {!Localmodel.View.effective_domains}[ ()] and is otherwise honored
-    as requested, so batches fan out over that many slots.  Each slot
-    owns a fresh label column over its range (none if [e]'s is off; a
-    single slot is [e] itself, which the router then owns), and the
-    router's memo is [e]'s.  @raise Invalid_argument when [domains < 1]. *)
+    ([0] turns its label columns off; see {!Engine.create}) — eviction
+    drops the columns with the shard, so a reloaded shard decodes its
+    nodes again.  [resident_budget] bounds resident shards in
+    serialized bytes (default 0 = unbounded).  [salvage] selects
+    degraded serving over fail-stop.  [memo] attaches a canonical-ball
+    decode memo shared by every slot engine (and surviving shard
+    eviction).  [radius] overrides the container's [serve.radius]
+    metadata ({!Engine.serve_radius}).  [domains] sets the slot count
+    (default {!Localmodel.View.effective_domains}[ ()]; see above);
+    [name] selects an advice section.  @raise Invalid_argument when
+    [radius] or the budget or the capacity is negative, [domains < 1],
+    a container of several shards has a halo too shallow for the radius
+    ([halo >= max radius 1] is the byte-identity precondition), or the
+    named advice section does not exist; @raise Store.Codec.Corrupt
+    when the metadata has no valid serve radius (and no override was
+    given), the container has no advice section, or a damaged
+    version-1 file is opened without [salvage]. *)
 
 val n : t -> int
 (** Global node count. *)
@@ -127,9 +120,8 @@ val m : t -> int
 val radius : t -> int
 (** The serve radius every query decodes at. *)
 
-val shard_count : t -> int
-(** Number of slots: the container's shards, or an in-memory
-    snapshot's node ranges. *)
+val slot_count : t -> int
+(** Number of slots: [⌈D/S⌉] node ranges per container shard. *)
 
 val advice_name : t -> string
 (** The advice section queries are answered from. *)
@@ -140,14 +132,13 @@ val shard_of : t -> int -> int
 
 val resident_bytes : t -> int
 (** Serialized bytes of currently resident shards — the quantity the
-    budget bounds (0 in memory). *)
+    budget bounds. *)
 
 val resident_shards : t -> int
 (** How many shards are currently resident. *)
 
 val loads : t -> int
-(** Shard loads performed since creation (first touches + reloads; 0
-    in memory). *)
+(** Shard loads performed since creation (first touches + reloads). *)
 
 val evictions : t -> int
 (** Shards evicted under the budget since creation. *)
@@ -158,18 +149,23 @@ val lost_shards : t -> (int * string) list
 
 val degraded : t -> bool
 (** Whether any shard is currently lost (clears when every lost shard
-    heals on reload), or the in-memory engine came from a damaged
-    snapshot. *)
+    heals on reload), or the router serves a salvaged version-1 file
+    with damaged sections. *)
 
 val serving_trusted : t -> bool
-(** Whether the served advice passed its checksum: [false] only for an
-    in-memory engine serving quarantined advice best-effort. *)
+(** Whether the served advice passed its checksum: [false] only for a
+    salvaged version-1 file serving quarantined advice best-effort. *)
+
+val quarantined_sections : t -> string list
+(** A salvaged version-1 file's damage report, one line per non-healthy
+    section ({!Engine.quarantined_sections}); empty otherwise. *)
 
 val query : t -> Engine.query -> Engine.answer
-(** Answer one query through the owner slot, loading it on first touch
-    (and evicting under the budget).  On a resident slot the router adds
-    no allocation of its own beyond a container shard's translated local
-    query.  Byte-identical to a whole-graph engine's answer.
+(** Answer one query through the owner slot, loading its shard on
+    first touch (and evicting under the budget).  On a resident shard
+    the router adds no allocation of its own beyond the translated local
+    query of a shard that does not store the whole graph.
+    Byte-identical to a whole-graph engine's answer.
     @raise Invalid_argument on an out-of-range id or an [Edge_member]
     whose node is not an endpoint of its edge;
     @raise Shard_lost (salvage) / [Codec.Corrupt] (fail-stop) when the
@@ -198,9 +194,10 @@ val batch_results :
     queries whose node range was lost.  Slots load in budget-bounded
     waves and serve one pool task per slot; [?domains] is forwarded to
     {!Pool.run}.  @raise Invalid_argument on malformed queries (range
-    checks before any work; the endpoint check during the owner slot's
-    wave — for an in-memory snapshot, the only wave, so before any ball
-    work).  This is [Batch (Shim.Real)]. *)
+    checks before any work; the endpoint check when the owner shard's
+    wave is translated, before that wave's ball work — with an unbounded
+    budget every shard is in the first wave).  This is
+    [Batch (Shim.Real)]. *)
 
 val batch : ?domains:int -> t -> Engine.query array -> Engine.answer array
 (** {!batch_results} with losses re-raised: the first [Error] becomes a

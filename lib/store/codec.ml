@@ -174,8 +174,8 @@ let read_section r =
   if remaining r < len + 4 then
     corrupt
       "truncated section (tag %d) at offset %d: header announces %d payload \
-       byte(s) but only %d byte(s) remain"
-      tag offset len (remaining r);
+       byte(s) plus a 4-byte checksum (%d in all) but only %d byte(s) remain"
+      tag offset len (len + 4) (remaining r);
   let payload = read_raw r len in
   let stored = read_u32 r in
   let actual = Crc32.of_string payload in

@@ -269,11 +269,6 @@ type manifest = {
   m_header_bytes : int;
 }
 
-type t = {
-  fetch : pos:int -> len:int -> string;
-  man : manifest;
-}
-
 type loaded = {
   l_index : int;
   l_lo : int;
@@ -282,7 +277,18 @@ type loaded = {
   l_ids : int array;
   l_edge_ids : int array;
   l_advice : (string * Advice.Assignment.t) list;
+  l_health :
+    ((string * Advice.Assignment.t) list * Snapshot.section_report list) option;
 }
+
+(* Where shard bodies come from: a v2 file's frames, fetched on demand,
+   or a v1 file's one shard, parsed at open (the raw bytes are not kept),
+   with the strict reader's diagnostic when it had to be salvaged. *)
+type body =
+  | Frames of (pos:int -> len:int -> string)
+  | Parsed of loaded * string option
+
+type t = { body : body; man : manifest }
 
 let parse_version prefix ~what =
   if String.length prefix < String.length magic + 2 then
@@ -366,17 +372,41 @@ let parse_manifest ~header_bytes ~size payload =
     m_header_bytes = header_bytes;
   }
 
-let open_fetch ~size fetch =
-  (* The prefix up to the manifest frame's length field is at most
-     magic + version + a varint section count + tag + u32: 21 bytes. *)
-  let prefix = fetch ~pos:0 ~len:(min size 32) in
-  let v = parse_version prefix ~what:"sharded snapshot" in
-  if v <> version then
-    if v = Snapshot.version then
-      corrupt
-        "snapshot version 1 is monolithic — read it with Store.Snapshot, \
-         not Store.Shard"
-    else corrupt "unsupported container version %d (this build reads %d)" v version;
+(* A v1 file as a one-shard container: its shard is the whole graph (no
+   halo, identity id tables) and its "frame" the whole file.  A file
+   that fails the strict read is salvaged when its graph survives;
+   otherwise nothing is servable and the strict diagnostic stands. *)
+let open_v1 ~size raw =
+  let parsed (s : Snapshot.t) health diagnostic =
+    let n = Graph.n s.Snapshot.graph and m = Graph.m s.Snapshot.graph in
+    let recovered = match health with Some (r, _) -> r | None -> [] in
+    let loaded =
+      { l_index = 0; l_lo = 0; l_hi = n; l_graph = s.Snapshot.graph; l_ids = [||];
+        l_edge_ids = [||]; l_advice = s.Snapshot.advice; l_health = health }
+    in
+    let row =
+      { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
+        i_offset = 0; i_bytes = size; i_crc = 0 }
+    in
+    { body = Parsed (loaded, diagnostic);
+      man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
+              m_advice = List.map fst (s.Snapshot.advice @ recovered);
+              m_shards = [| row |]; m_header_bytes = 0 } }
+  in
+  match Snapshot.read raw with
+  | s -> parsed s None None
+  | exception Codec.Corrupt diagnostic ->
+      let sv =
+        try Snapshot.read_salvage raw
+        with Codec.Corrupt _ -> raise (Codec.Corrupt diagnostic)
+      in
+      parsed sv.Snapshot.partial
+        (Some (sv.Snapshot.recovered, sv.Snapshot.report))
+        (Some diagnostic)
+
+(* A v2 file: locate the manifest frame after the 6-byte prefix, verify
+   its checksum and parse it; shard frames stay behind [fetch]. *)
+let open_v2 ~size fetch prefix =
   let r = Codec.reader ~pos:(String.length magic + 2) prefix in
   let declared = Codec.read_varint r in
   let tag = Codec.read_u8 r in
@@ -401,7 +431,18 @@ let open_fetch ~size fetch =
   if declared <> 1 + Array.length man.m_shards then
     corrupt "section count %d does not match 1 manifest + %d shard(s)" declared
       (Array.length man.m_shards);
-  { fetch; man }
+  { body = Frames fetch; man }
+
+let open_fetch ~size fetch =
+  (* The prefix up to the manifest frame's length field is at most
+     magic + version + a varint section count + tag + u32: 21 bytes. *)
+  let prefix = fetch ~pos:0 ~len:(min size 32) in
+  let v = parse_version prefix ~what:"snapshot" in
+  if v = Snapshot.version then open_v1 ~size (fetch ~pos:0 ~len:size)
+  else if v = version then open_v2 ~size fetch prefix
+  else
+    corrupt "unsupported container version %d (this build reads %d and %d)" v
+      Snapshot.version version
 
 let open_file ?how path =
   let size = Io.file_size path in
@@ -415,6 +456,8 @@ let open_bytes s =
 
 let manifest t = t.man
 
+let damage t = match t.body with Parsed (_, d) -> d | Frames _ -> None
+
 let shard_of_node man v =
   if v < 0 || v >= man.m_n then
     fail "Shard.shard_of_node: node %d outside 0..%d" v (man.m_n - 1);
@@ -425,11 +468,9 @@ let shard_of_node man v =
   done;
   !lo
 
-let load t k =
-  let s = Array.length t.man.m_shards in
-  if k < 0 || k >= s then fail "Shard.load: shard %d outside 0..%d" k (s - 1);
+let load_frame t fetch k =
   let info = t.man.m_shards.(k) in
-  let frame = t.fetch ~pos:info.i_offset ~len:info.i_bytes in
+  let frame = fetch ~pos:info.i_offset ~len:info.i_bytes in
   Obs.Metrics.add m_read (String.length frame);
   if String.length frame < info.i_bytes then
     corrupt "shard %d frame truncated: %d of %d byte(s) present" k
@@ -486,4 +527,10 @@ let load t k =
     l_ids = ids;
     l_edge_ids = edge_ids;
     l_advice = advice;
+    l_health = None;
   }
+
+let load t k =
+  let s = Array.length t.man.m_shards in
+  if k < 0 || k >= s then fail "Shard.load: shard %d outside 0..%d" k (s - 1);
+  match t.body with Frames fetch -> load_frame t fetch k | Parsed (l, _) -> l

@@ -1,4 +1,5 @@
-(** Version-2 sharded snapshot container: pack once, load by the shard.
+(** Snapshot containers, read one shard at a time: the serve stack's
+    only reader, for both file versions.
 
     A version-1 {!Snapshot} is one monolithic file — reading any byte of
     it decodes all of it.  The paper's locality result says that is
@@ -6,12 +7,14 @@
     own advice bits, so the graph can be cut into [S] contiguous
     node-range shards, each stored with a {e halo} of depth
     [max (serve_radius, 1)] around its interior, and every interior ball
-    then decodes shard-locally — no cross-shard hop, ever.  This module
-    is that layout: a self-describing manifest up front, followed by one
+    then decodes shard-locally — no cross-shard hop, ever.  Version 2 is
+    that layout: a self-describing manifest up front, followed by one
     independently framed, independently checksummed body per shard, so a
     reader can open a million-node snapshot by fetching a few hundred
     manifest bytes and then page shards in and out on demand
-    ({!Io.read_range} underneath — the file is never materialized).
+    ({!Io.read_range} underneath — the file is never materialized).  A
+    version-1 file is the degenerate case, and {!open_file} presents it
+    as one: a one-shard container whose shard is the whole graph.
 
     Wire layout (all integers little-endian, varints LEB128; framing and
     payload encodings are shared with {!Snapshot} — one codec, two
@@ -65,8 +68,10 @@
     graph is {e identical} to its ball in the global graph; [halo >= 1]
     additionally keeps every interior node's full incident edge list
     local (the C4 [Edge_member] queries).  {!build} therefore requires
-    [halo >= 1], and serving at radius [r] requires a container built
-    with [halo >= max r 1].
+    [halo >= 1], and serving at radius [r] from more than one shard
+    requires a container built with [halo >= max r 1].  A shard that
+    stores all [n] nodes and [m] edges — every one-shard container —
+    serves any radius, and its id tables are the identity.
 
     Obs: [store.shard.packed_bytes] on {!build},
     [store.shard.bytes_read] on {!load}. *)
@@ -74,19 +79,14 @@
 (** {1 Writing} *)
 
 val version : int
-(** The container version this module writes and reads (2). *)
-
-val tag_manifest : int
-(** Tag byte of the manifest section (4). *)
-
-val tag_shard : int
-(** Tag byte of shard body sections (5). *)
+(** The container version {!build} writes (2); {!open_file} also reads
+    version 1. *)
 
 val plan : n:int -> shards:int -> (int * int) array
 (** [plan ~n ~shards] is the contiguous interior partition
     [[| (0, n/S); ...; ((S-1)*n/S, n) |]] (after clamping [shards] to
-    [1..max 1 n]) — also the cut {!Serve.Router} uses for a v1
-    snapshot's in-memory slots, so both versions share one owner map.
+    [1..max 1 n]) — also the cut {!Serve.Router} uses for the node-range
+    slots within each shard.
     @raise Invalid_argument when [shards < 1] or [n < 0]. *)
 
 val build :
@@ -147,25 +147,31 @@ type loaded = {
   l_ids : int array;  (** local node id -> global node id (sorted) *)
   l_edge_ids : int array;  (** local edge id -> global edge id (sorted) *)
   l_advice : (string * Advice.Assignment.t) list;
-      (** advice slices, local node order *)
+      (** checksum-clean advice slices, local node order *)
+  l_health :
+    ((string * Advice.Assignment.t) list * Snapshot.section_report list) option;
+      (** a damaged version-1 file's quarantined advice and salvage
+          report, for [Engine.create ~health]; [None] otherwise *)
 }
 (** One decoded shard.  [l_ids] and [l_edge_ids] are the translation
     tables a router needs: both are strictly increasing, so global→local
-    is a binary search. *)
+    is a binary search.  A version-1 file stores no tables: both are
+    empty, and its one shard's translation is the identity. *)
 
 val peek_version : ?how:Io.read_method -> string -> int
 (** [peek_version path] reads the 6-byte file prefix ({!Io.read_range})
-    and returns the container version — the dispatch point between
-    {!Snapshot.of_file} (1) and {!open_file} (2) without reading either
-    body.  @raise Codec.Corrupt on a short file or bad magic;
-    @raise Sys_error on I/O failure. *)
+    and returns the container version — how [advice_store inspect]
+    picks its report.  @raise Codec.Corrupt on a short file or bad
+    magic; @raise Sys_error on I/O failure. *)
 
 val open_file : ?how:Io.read_method -> string -> t
-(** Open a version-2 container lazily: fetch the prefix, locate the
-    manifest frame, verify its checksum, parse it.  [?how] selects the
-    {!Io.read_range} method for this and for every later {!load}
-    (default [Pread]).  @raise Codec.Corrupt on a version-1 file (with
-    a hint to use {!Snapshot}), bad magic, or a damaged manifest;
+(** Open a container.  Version 2 opens lazily: fetch the prefix, locate
+    the manifest frame, verify its checksum, parse it.  A version-1 file
+    is parsed whole (salvaged if the strict read fails, see {!damage})
+    and its bytes are not kept.  [?how] selects the {!Io.read_range}
+    method for this and every later {!load} (default [Pread]).
+    @raise Codec.Corrupt on bad magic, an unknown version, a damaged
+    manifest, or a version-1 file with no intact graph;
     @raise Sys_error on I/O failure. *)
 
 val open_bytes : string -> t
@@ -174,7 +180,16 @@ val open_bytes : string -> t
     do not apply. *)
 
 val manifest : t -> manifest
-(** The container's parsed manifest (verified at {!open_file} time). *)
+(** The container's parsed manifest (verified at {!open_file} time).  A
+    version-1 file's has one row spanning the whole file, halo 0 and
+    checksum 0 (its sections carry their own), and lists quarantined
+    advice after the checksum-clean sections. *)
+
+val damage : t -> string option
+(** The {!Snapshot.read} diagnostic of a version-1 file that failed the
+    strict read at open and was salvaged (its {!load} carries
+    [l_health]); [None] otherwise — a version-2 container's damage
+    surfaces per shard, at {!load}. *)
 
 val shard_of_node : manifest -> int -> int
 (** Owner shard of a global node id: the unique [k] with
@@ -186,6 +201,7 @@ val load : t -> int -> loaded
     decodes it, verifying the frame checksum against both the payload
     and the manifest's recorded copy, the id tables' sortedness and
     ranges, and that the interior [\[lo, hi)] is fully present.
+    A version-1 file's shard 0 is its graph and advice, parsed at open.
     @raise Invalid_argument when [k] is out of range;
     @raise Codec.Corrupt when the shard's bytes are damaged (other
     shards remain loadable — that is the point);

@@ -170,7 +170,7 @@ let read_header r =
     if v = 2 then
       corrupt
         "snapshot version 2 is a sharded container — open it with \
-         Store.Shard (or advice_store, which dispatches on the version)"
+         Store.Shard, which reads both versions"
     else corrupt "unsupported snapshot version %d (this build reads %d)" v version;
   Codec.read_varint r
 
@@ -200,8 +200,6 @@ let read s =
   Codec.expect_end r ~what:"snapshot";
   { graph; advice = List.rev !advice; meta }
 
-let to_file path t = Io.write_file path (write t)
-let of_file path = read (Io.read_file path)
 
 (* Salvage: per-section health instead of abort-on-first-Corrupt.  The
    CRC covers each payload, so a section either verifies and parses

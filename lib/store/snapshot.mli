@@ -75,19 +75,6 @@ val read : string -> t
     input: bad magic, unknown version, checksum mismatch, truncation,
     out-of-range neighbor ids, or trailing bytes. *)
 
-val to_file : string -> t -> unit
-(** [to_file path t] writes {!write}'s bytes through {!Io.write_file}:
-    staged in a temp file next to [path], fsynced best-effort, and
-    published with an atomic rename — a crash leaves [path] holding
-    either its previous contents or the new snapshot, never a torn
-    file.  @raise Sys_error as {!Io.write_file}. *)
-
-val of_file : string -> t
-(** [of_file path] is {!read} over {!Io.read_file}'s bytes (a
-    read-to-EOF loop on a binary channel, so pipes and process
-    substitutions work).  @raise Codec.Corrupt as {!read};
-    @raise Sys_error on I/O failure. *)
-
 (** Health of one section frame, as classified by {!read_salvage}. *)
 type section_status =
   | Healthy  (** checksum verified and payload parsed *)
@@ -165,10 +152,3 @@ val advice_payload : int -> string * Advice.Assignment.t -> string
 val read_advice : n:int -> string -> string * Advice.Assignment.t
 (** Parse an advice section payload for an [n]-node graph.
     @raise Codec.Corrupt on malformed input or a node-count mismatch. *)
-
-val meta_payload : (string * string) list -> string
-(** The metadata section payload.  @raise Invalid_argument on a NUL byte
-    in a key. *)
-
-val read_meta : string -> (string * string) list
-(** Parse a metadata section payload.  @raise Codec.Corrupt. *)

@@ -2,7 +2,8 @@
    the Store.Io harness (crash at every byte boundary, injected write
    errors, bounded transient retry), per-section snapshot salvage, the
    degraded serving engine's differential agreement with the direct
-   decoder, and the pack CLI's bytes-written accounting.
+   decoder, and the CLI: pack's bytes-written accounting, bad files as
+   corrupt-snapshot diagnostics, numeric flags as usage errors.
 
    All scratch files live in the test's own working directory (dune's
    sandbox), never in shared temp space. *)
@@ -334,7 +335,10 @@ let test_degraded_engine_serves_survivors () =
   (* Same, through the parallel batch path. *)
   let queries = Array.init (Graph.n g) (fun v -> Serve.Engine.Output_label v) in
   let answers =
-    Serve.Router.batch ~domains:2 (Serve.Router.of_engine ~domains:2 (salvaged sv)) queries
+    Serve.Router.batch ~domains:2
+      (Serve.Router.create ~salvage:true ~domains:2
+         (Store.Shard.open_bytes (flip_payload_byte bytes 2)))
+      queries
   in
   Array.iteri
     (fun v a ->
@@ -485,6 +489,106 @@ let test_pack_counts_bytes_once () =
   (* And the snapshot itself round-trips through the strict reader. *)
   ignore (Store.Snapshot.read (file_bytes out))
 
+(* One CLI run: exit code, stdout and stderr. *)
+let run_cli args =
+  let exe =
+    match exe () with
+    | Some e -> e
+    | None -> Alcotest.fail "advice_store.exe not built (dune deps force it)"
+  in
+  let out = "tf_cli.out" and err = "tf_cli.err" in
+  Fun.protect ~finally:(fun () -> remove_noerr out; remove_noerr err) @@ fun () ->
+  let code =
+    Sys.command (Printf.sprintf "%s %s >%s 2>%s" exe (String.concat " " args) out err)
+  in
+  (code, file_bytes out, file_bytes err)
+
+let with_files files f =
+  Fun.protect ~finally:(fun () -> List.iter (fun (p, _) -> remove_noerr p) files)
+  @@ fun () ->
+  List.iter (fun (p, data) -> Store.Io.write_file p data) files;
+  f ()
+
+let has_sub s sub = Option.is_some (find_sub s sub)
+
+(* A damaged or malformed file is an expected condition: exit 2 with the
+   codec's diagnostic, never an uncaught exception (exit 125). *)
+let expect_corrupt what ~mentions (code, _, err) =
+  check_int (what ^ ": exit 2") 2 code;
+  check (what ^ ": corrupt snapshot diagnostic") true
+    (String.starts_with ~prefix:"corrupt snapshot: " err);
+  check (what ^ ": names " ^ mentions) true (has_sub err mentions)
+
+let test_bad_metadata_is_corrupt () =
+  let _g, _x, snapshot, cert = make_packed 40 5 in
+  let with_radius r =
+    { snapshot with
+      Store.Snapshot.meta =
+        List.map
+          (fun (k, v) -> if String.equal k "serve.radius" then (k, r) else (k, v))
+          snapshot.Store.Snapshot.meta }
+  in
+  let v1 = Store.Snapshot.write snapshot in
+  let meta_len =
+    match List.rev (Store.Snapshot.sections v1) with
+    | s :: _ -> s.Store.Codec.length
+    | [] -> Alcotest.fail "no sections"
+  in
+  let files =
+    [
+      ("tf_x.ladv", Store.Snapshot.write (with_radius "x"));
+      ( "tf_x2.ladv",
+        Store.Shard.build ~shards:2 ~halo:(max cert.Serve.Pack.radius 1) (with_radius "x") );
+      ("tf_neg.ladv", Store.Snapshot.write (with_radius "-3"));
+      ("tf_cut.ladv", String.sub v1 0 (String.length v1 - 3));
+      ("tf_q.txt", "label 0\n");
+    ]
+  in
+  with_files files @@ fun () ->
+  let serve ?(flags = []) path = run_cli ([ "serve"; path; "--batch"; "tf_q.txt" ] @ flags) in
+  expect_corrupt "v1 serve.radius = x" ~mentions:"serve.radius" (serve "tf_x.ladv");
+  expect_corrupt "2-shard serve.radius = x" ~mentions:"serve.radius" (serve "tf_x2.ladv");
+  expect_corrupt "v1 serve.radius = -3" ~mentions:"serve.radius" (serve "tf_neg.ladv");
+  expect_corrupt "--salvage, metadata cut off" ~mentions:"serve.radius"
+    (serve ~flags:[ "--salvage" ] "tf_cut.ladv");
+  (* Without --salvage the cut file fails-stop on the strict reader's
+     truncation diagnostic, whose counts include the checksum. *)
+  expect_corrupt "truncated, fail-stop"
+    ~mentions:
+      (Printf.sprintf "%d payload byte(s) plus a 4-byte checksum (%d in all) but only %d"
+         meta_len (meta_len + 4) (meta_len + 1))
+    (serve "tf_cut.ladv")
+
+(* Out-of-range numeric flags are usage errors: one line on stderr and
+   exit 2 before any pack or open (nothing printed, nothing written). *)
+let test_numeric_flags_rejected () =
+  let _g, _x, snapshot, cert = make_packed 40 5 in
+  let files =
+    [
+      ("tf_v1.ladv", Store.Snapshot.write snapshot);
+      ("tf_v2.ladv", Store.Shard.build ~shards:2 ~halo:(max cert.Serve.Pack.radius 1) snapshot);
+      ("tf_q.txt", "label 0\n");
+    ]
+  in
+  with_files files @@ fun () ->
+  let usage what ~flag (code, out, err) =
+    check_int (what ^ ": exit 2") 2 code;
+    check_str (what ^ ": nothing on stdout") "" out;
+    check (what ^ ": one line naming " ^ flag) true
+      (has_sub err flag && String.index_opt err '\n' = Some (String.length err - 1))
+  in
+  List.iter
+    (fun path ->
+      let serve flag = run_cli [ "serve"; path; "--batch"; "tf_q.txt"; flag ] in
+      usage (path ^ " --domains 0") ~flag:"--domains" (serve "--domains=0");
+      usage (path ^ " --resident-mb=-1") ~flag:"--resident-mb" (serve "--resident-mb=-1"))
+    [ "tf_v1.ladv"; "tf_v2.ladv" ];
+  let pack flag = run_cli [ "pack"; "--n"; "40"; "--out"; "tf_packed.ladv"; flag ] in
+  usage "pack --shards 0" ~flag:"--shards" (pack "--shards=0");
+  usage "pack --shards=-2" ~flag:"--shards" (pack "--shards=-2");
+  usage "pack --domains=-1" ~flag:"--domains" (pack "--domains=-1");
+  check "no file written" false (Sys.file_exists "tf_packed.ladv")
+
 let () =
   Alcotest.run "faults"
     [
@@ -515,5 +619,9 @@ let () =
         [
           Alcotest.test_case "pack counts bytes once" `Quick
             test_pack_counts_bytes_once;
+          Alcotest.test_case "bad metadata is a corrupt snapshot" `Quick
+            test_bad_metadata_is_corrupt;
+          Alcotest.test_case "numeric flags are usage errors" `Quick
+            test_numeric_flags_rejected;
         ] );
     ]

@@ -108,6 +108,35 @@ let engine_of ?memo family ~salvage rng =
       let g = build_graph family rng in
       salvaged_engine ?memo g (random_advice rng g)
 
+(* [engine_of]'s snapshot state (same rng consumption) as a file opened
+   through Store.Shard: a packed cycle, or the untrusted advice written
+   as a v1 file whose advice-section checksum byte is flipped — salvage
+   quarantines it with its content intact. *)
+let router_of ~memo family ~salvage ~domains rng =
+  match (family, salvage) with
+  | Cycle, false ->
+      let snapshot, _cert =
+        cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000)
+      in
+      Serve.Router.create ~memo ~domains
+        (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
+  | (Cycle | Grid | Regular), _ ->
+      let g = build_graph family rng in
+      let bytes =
+        Store.Snapshot.write
+          { Store.Snapshot.graph = g; advice = [ ("c4", random_advice rng g) ]; meta = [] }
+      in
+      let advice =
+        List.find
+          (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
+          (Store.Snapshot.sections bytes)
+      in
+      let b = Bytes.of_string bytes in
+      let crc = advice.Store.Codec.offset + 5 + advice.Store.Codec.length in
+      Bytes.set b crc (Char.chr (Char.code (Bytes.get b crc) lxor 0x01));
+      Serve.Router.create ~memo ~salvage:true ~radius:2 ~domains
+        (Store.Shard.open_bytes (Bytes.to_string b))
+
 let case_gen =
   QCheck.Gen.(
     tup4 (int_bound 100_000)
@@ -128,11 +157,10 @@ let memo_transparent =
       let rng = Prng.create seed in
       let rng2 = Prng.copy rng in
       let memo = Serve.Memo.create ~capacity:256 in
-      let engine = engine_of ~memo family ~salvage rng in
-      let memoized = Serve.Router.of_engine ~domains engine in
+      let memoized = router_of ~memo family ~salvage ~domains rng in
       let plain = engine_of family ~salvage rng2 in
       let qs =
-        random_queries (Prng.create (seed + 1)) (Serve.Engine.graph engine) 150
+        random_queries (Prng.create (seed + 1)) (Serve.Engine.graph plain) 150
       in
       (* The router batch (one slot per domain) exercises the staged
          read-only path (workers probe the frozen table, the caller

@@ -725,11 +725,14 @@ let test_conn_every_split () =
 (* ------------------------------------------------------------------ *)
 (* Loopback integration *)
 
-(* The server answers from a router over [engine]: one in-memory slot
-   per effective domain. *)
-let with_server engine f =
+(* The server answers from a router over the snapshot file [bytes], as
+   the CLI opens it: one shard, one slot per effective domain. *)
+let with_server ?salvage bytes f =
   let config = { Net.Server.default_config with port = 0 } in
-  let server = Net.Server.create ~config (Serve.Router.of_engine engine) in
+  let server =
+    Net.Server.create ~config
+      (Serve.Router.create ?salvage (Store.Shard.open_bytes bytes))
+  in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   Fun.protect
     ~finally:(fun () ->
@@ -746,7 +749,7 @@ let test_loopback_pipelined () =
   (* A second, independent engine over the same snapshot is the ground
      truth: sharing one engine across domains would race its caches. *)
   let direct = Serve.Engine.create snapshot in
-  with_server (Serve.Engine.create snapshot) @@ fun _server port ->
+  with_server (Store.Snapshot.write snapshot) @@ fun _server port ->
   with_client port @@ fun c ->
   Net.Client.ping c;
   let qs = workload g 300 in
@@ -788,7 +791,7 @@ let test_loopback_pipelined () =
 
 let test_loopback_raw_garbage () =
   let _, snapshot = make_packed 60 5 in
-  with_server (Serve.Engine.create snapshot) @@ fun _server port ->
+  with_server (Store.Snapshot.write snapshot) @@ fun _server port ->
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -816,7 +819,7 @@ let test_loopback_raw_garbage () =
 let test_loopback_two_clients () =
   let g, snapshot = make_packed 90 41 in
   let direct = Serve.Engine.create snapshot in
-  with_server (Serve.Engine.create snapshot) @@ fun _server port ->
+  with_server (Store.Snapshot.write snapshot) @@ fun _server port ->
   with_client port @@ fun c1 ->
   with_client port @@ fun c2 ->
   (* Interleaved pipelining on two connections: per-connection FIFO
@@ -870,7 +873,7 @@ let test_loopback_salvage () =
   let engine = salvaged () in
   let direct = salvaged () in
   check "salvaged engine is degraded" true (Serve.Engine.degraded engine);
-  with_server engine @@ fun server port ->
+  with_server ~salvage:true damaged @@ fun server port ->
   with_client port @@ fun c ->
   let qs = workload g 60 in
   Array.iter (fun q -> Net.Client.send c (Net.Protocol.Query q)) qs;
@@ -892,7 +895,8 @@ let test_loopback_shutdown_drains () =
   let g, snapshot = make_packed 80 3 in
   let config = { Net.Server.default_config with port = 0 } in
   let server =
-    Net.Server.create ~config (Serve.Router.of_engine (Serve.Engine.create snapshot))
+    Net.Server.create ~config
+      (Serve.Router.create (Store.Shard.open_bytes (Store.Snapshot.write snapshot)))
   in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   let c = Net.Client.connect ~port:(Net.Server.port server) () in

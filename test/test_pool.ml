@@ -1,6 +1,6 @@
 (* Serve.Pool model checks (exactly-once execution, index-ordered
    results, deterministic failure replay) and the slot-batch
-   equivalence property: a router's batch over in-memory slots is
+   equivalence property: a router's batch over a file's slots is
    byte-identical to sequential serving for every graph family, slot
    count and domain count — the correctness contract behind the
    store.pool bench comparisons. *)
@@ -130,6 +130,34 @@ let engine_of family rng =
       let g = build_graph family rng in
       salvaged_engine g (random_advice rng g)
 
+(* The same snapshot state as [engine_of] (same rng consumption), as a
+   file opened through Store.Shard: a packed cycle, or the hand-built
+   advice written as a v1 file whose advice-section checksum byte is
+   flipped — salvage then quarantines it with its content intact. *)
+let router_of family ~slots rng =
+  let open_v1 ?radius ~salvage bytes =
+    Serve.Router.create ?radius ~salvage ~domains:slots (Store.Shard.open_bytes bytes)
+  in
+  match family with
+  | Cycle ->
+      let _g, snapshot = cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000) in
+      open_v1 ~salvage:false (Store.Snapshot.write snapshot)
+  | Grid | Regular ->
+      let g = build_graph family rng in
+      let bytes =
+        Store.Snapshot.write
+          { Store.Snapshot.graph = g; advice = [ ("c4", random_advice rng g) ]; meta = [] }
+      in
+      let advice =
+        List.find
+          (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
+          (Store.Snapshot.sections bytes)
+      in
+      let b = Bytes.of_string bytes in
+      let crc = advice.Store.Codec.offset + 5 + advice.Store.Codec.length in
+      Bytes.set b crc (Char.chr (Char.code (Bytes.get b crc) lxor 0x01));
+      open_v1 ~radius:2 ~salvage:true (Bytes.to_string b)
+
 let case_gen =
   QCheck.Gen.(
     tup4 (int_bound 100_000)
@@ -153,8 +181,8 @@ let batch_equals_sequential =
       let rng2 = Prng.copy rng in
       let rng3 = Prng.copy rng in
       let singles = engine_of family rng3 in
-      let parallel = Serve.Router.of_engine ~domains:slots (engine_of family rng) in
-      let sequential = Serve.Router.of_engine ~domains:slots (engine_of family rng2) in
+      let parallel = router_of family ~slots rng in
+      let sequential = router_of family ~slots rng2 in
       let qrng = Prng.create (seed + 1) in
       let qs = random_queries qrng (Serve.Engine.graph singles) 120 in
       let a = Serve.Router.batch ~domains parallel qs in
@@ -172,8 +200,10 @@ let test_batch_two_domains () =
     let e = Serve.Engine.create snapshot in
     Array.init 160 (fun v -> Serve.Engine.query e (Serve.Engine.Output_label v))
   in
-  let r = Serve.Router.of_engine ~domains:4 (Serve.Engine.create snapshot) in
-  check_int "four slots" 4 (Serve.Router.shard_count r);
+  let r =
+    Serve.Router.create ~domains:4 (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
+  in
+  check_int "four slots" 4 (Serve.Router.slot_count r);
   let qs = Array.init 160 (fun v -> Serve.Engine.Output_label v) in
   let cold = Serve.Router.batch ~domains:2 r qs in
   let warm = Serve.Router.batch ~domains:2 r qs in
@@ -184,14 +214,23 @@ let test_batch_two_domains () =
 
 let test_shard_plumbing () =
   let _g, snapshot = cycle_snapshot 24 9 in
+  let v1 = Store.Snapshot.write snapshot in
   let slots ?domains () =
-    Serve.Router.shard_count (Serve.Router.of_engine ?domains (Serve.Engine.create snapshot))
+    Serve.Router.slot_count (Serve.Router.create ?domains (Store.Shard.open_bytes v1))
   in
   (match slots ~domains:0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted zero slots");
   (* More slots than nodes clamps instead of creating empty slots. *)
   check_int "slots clamped to node count" 24 (slots ~domains:99 ());
+  (* A container cuts each of its S shards into ⌈D/S⌉ slots: one per
+     shard when S >= D. *)
+  let v2 = Store.Shard.build ~shards:3 ~halo:24 snapshot in
+  let v2_slots domains =
+    Serve.Router.slot_count (Serve.Router.create ~domains (Store.Shard.open_bytes v2))
+  in
+  check_int "S >= D: one slot per shard" 3 (v2_slots 2);
+  check_int "S < D: ceil(D/S) slots per shard" 6 (v2_slots 4);
   check "default slot count is the effective domain count" true
     (slots () = Localmodel.View.effective_domains ());
   (* Requests clamp to the machine: an absurd ask never exceeds it. *)
@@ -220,7 +259,8 @@ let test_cache_zero () =
   (* A capacity-0 engine still serves correctly through every path. *)
   let _g, snapshot = cycle_snapshot 60 13 in
   let cold =
-    Serve.Router.of_engine ~domains:3 (Serve.Engine.create ~cache_capacity:0 snapshot)
+    Serve.Router.create ~cache_capacity:0 ~domains:3
+      (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   in
   let reference = Serve.Engine.create snapshot in
   let qs = Array.init 60 (fun v -> Serve.Engine.Output_label v) in

@@ -2,8 +2,8 @@
    wire round-trips, lazy loads under a resident-byte budget,
    byte-identity of sharded answers against the monolithic engine
    across families × shard counts × budgets, the unified front end
-   (v1 in-memory slots and v2 containers) against the direct decoder on
-   every node, one-shard corruption quarantine, v1/v2 version
+   (v1 files and v2 containers, both through Store.Shard) against the
+   direct decoder on every node, one-shard corruption quarantine, v1/v2 version
    compatibility, and bounded range reads with fault injection. *)
 
 open Netgraph
@@ -133,7 +133,7 @@ let test_round_trip () =
     (last.Store.Shard.i_offset + last.Store.Shard.i_bytes)
 
 let test_version_dispatch () =
-  let _g, snapshot, cert = cycle_snapshot 32 3 in
+  let g, snapshot, cert = cycle_snapshot 32 3 in
   let v1 = Store.Snapshot.write snapshot in
   let v2 =
     Store.Shard.build ~shards:2 ~halo:(max cert.Serve.Pack.radius 1) snapshot
@@ -141,7 +141,7 @@ let test_version_dispatch () =
   (* v1 still loads through Snapshot — the compatibility regression. *)
   let round = Store.Snapshot.read v1 in
   check_string "v1 re-pack byte-identical" v1 (Store.Snapshot.write round);
-  (* Each reader rejects the other container with a pointed hint. *)
+  (* Snapshot.read rejects a v2 container with a pointed hint. *)
   (match Store.Snapshot.read v2 with
   | _ -> Alcotest.fail "Snapshot.read accepted a v2 container"
   | exception Store.Codec.Corrupt msg ->
@@ -149,12 +149,34 @@ let test_version_dispatch () =
         (String.length msg > 0
         && Option.is_some
              (String.index_opt msg 'S' (* crude: message mentions Shard *))));
-  (match Store.Shard.open_bytes v1 with
-  | _ -> Alcotest.fail "Shard.open_bytes accepted a v1 snapshot"
-  | exception Store.Codec.Corrupt msg ->
-      check "v1 hint names Store.Snapshot" true
-        (String.length msg > 0));
-  (* In-file version peek drives the CLI dispatch. *)
+  (* Store.Shard reads both: a v1 file is a one-shard container whose
+     one row spans the whole graph. *)
+  let man = Store.Shard.manifest (Store.Shard.open_bytes v1) in
+  check_int "v1 n" (Graph.n g) man.Store.Shard.m_n;
+  check_int "v1 m" (Graph.m g) man.Store.Shard.m_m;
+  check "v1 advice names" true (man.Store.Shard.m_advice = [ "c4" ]);
+  check "v1 meta verbatim" true (man.Store.Shard.m_meta = snapshot.Store.Snapshot.meta);
+  check "v1 one row over the whole graph" true
+    (match man.Store.Shard.m_shards with
+    | [| i |] ->
+        i.Store.Shard.i_lo = 0 && i.Store.Shard.i_hi = Graph.n g
+        && i.Store.Shard.i_local_n = Graph.n g
+        && i.Store.Shard.i_local_m = Graph.m g
+        && i.Store.Shard.i_bytes = String.length v1
+    | _ -> false);
+  (* Bad magic and an unknown version still fail at open. *)
+  let patched at c =
+    let b = Bytes.of_string v1 in
+    Bytes.set b at c;
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (what, bytes) ->
+      match Store.Shard.open_bytes bytes with
+      | _ -> Alcotest.failf "Shard.open_bytes accepted %s" what
+      | exception Store.Codec.Corrupt _ -> ())
+    [ ("bad magic", patched 0 'X'); ("version 3", patched 4 '\003') ];
+  (* In-file version peek drives inspect's report. *)
   let dir = Filename.temp_file "shardv" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -163,10 +185,12 @@ let test_version_dispatch () =
   Store.Io.write_file p2 v2;
   check_int "peek v1" 1 (Store.Shard.peek_version p1);
   check_int "peek v2" 2 (Store.Shard.peek_version p2);
-  let store = Store.Shard.open_file p2 in
-  let router = Serve.Router.create store in
-  check_int "router radius from metadata" cert.Serve.Pack.radius
-    (Serve.Router.radius router);
+  List.iter
+    (fun p ->
+      let router = Serve.Router.create (Store.Shard.open_file p) in
+      check_int "router radius from metadata" cert.Serve.Pack.radius
+        (Serve.Router.radius router))
+    [ p1; p2 ];
   Sys.remove p1;
   Sys.remove p2;
   Unix.rmdir dir
@@ -251,7 +275,7 @@ let prop_batch_identity =
 
 let prop_pack_sharded_identity =
   QCheck.Test.make ~count:25
-    ~name:"edge_compression_sharded container serves = mono pack"
+    ~name:"container of one pack serves = mono pack"
     (QCheck.make
        ~print:(fun (seed, shards) -> Printf.sprintf "seed=%d shards=%d" seed shards)
        QCheck.Gen.(tup2 (int_bound 100_000) (oneofl [ 1; 2; 5 ])))
@@ -261,31 +285,34 @@ let prop_pack_sharded_identity =
       let g = Builders.cycle n in
       let x = Bitset.create (Graph.m g) in
       Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
-      let snapshot, cert_mono = Serve.Pack.edge_compression g x in
-      let bytes, cert_sharded =
-        Serve.Pack.edge_compression_sharded ~shards ~domains:2 g x
+      let snapshot, cert_mono = Serve.Pack.edge_compression ~domains:1 g x in
+      let packed, cert_par = Serve.Pack.edge_compression ~domains:2 g x in
+      let bytes =
+        Store.Shard.build ~shards ~halo:(max cert_par.Serve.Pack.radius 1)
+          ~map:(fun f ks -> Serve.Pool.run ~domains:2 f ks)
+          packed
       in
       let mono = Serve.Engine.create snapshot in
       let router = Serve.Router.create (Store.Shard.open_bytes bytes) in
       let qs = random_queries rng g 40 in
-      cert_mono.Serve.Pack.radius = cert_sharded.Serve.Pack.radius
+      cert_mono.Serve.Pack.radius = cert_par.Serve.Pack.radius
       && Marshal.to_string (Array.map (Serve.Engine.query mono) qs) []
          = Marshal.to_string (Serve.Router.batch ~domains:1 router qs) [])
 
 (* The unified front end against the direct decoder, on every node of a
-   packed cycle: v1 snapshots as in-memory routers of 1, 2 or 3 slots
-   and v2 containers of 1 or 3 shards, memo on and off, trusted and
-   salvaged (a v1 snapshot salvaged around a damaged decoy section, a
-   v2 container opened in salvage mode), single queries and batches at
-   1 or 2 domains — each front end serves the batch cold or warm.  A
+   packed cycle: v1 files opened through Store.Shard as routers of 1, 2
+   or 3 slots and v2 containers of 1 or 3 shards, memo on and off,
+   trusted and salvaged (a v1 file with a damaged decoy section, a v2
+   container opened in salvage mode), single queries and batches at 1
+   or 2 domains — each front end serves the batch cold or warm.  A
    second full pass must then give the same bytes without a single
    label-column miss: each node is decoded once, also when a slot holds
    more than a thousand nodes (one case in three serves one of two
    packed cycles of over 1024 nodes, packed once for the whole run). *)
-type front = Memory of int | Container of int
+type front = V1 of int | Container of int
 
 let front_name = function
-  | Memory k -> Printf.sprintf "v1 %d slot(s)" k
+  | V1 k -> Printf.sprintf "v1 %d slot(s)" k
   | Container k -> Printf.sprintf "v2 %d shard(s)" k
 
 (* [snapshot] with a second, damaged advice section: salvage keeps the
@@ -306,20 +333,16 @@ let salvaged_v1 snapshot =
   let b = Bytes.of_string bytes in
   let pos = decoy.Store.Codec.offset + 5 + decoy.Store.Codec.length - 1 in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
-  Store.Snapshot.read_salvage (Bytes.to_string b)
+  Bytes.to_string b
 
 let front_router ~front ~memo ~salvaged ~radius snapshot =
   match front with
-  | Memory slots ->
-      let engine =
-        if salvaged then
-          let sv = salvaged_v1 snapshot in
-          Serve.Engine.create ?memo
-            ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
-            sv.Store.Snapshot.partial
-        else Serve.Engine.create ?memo (Store.Snapshot.read (Store.Snapshot.write snapshot))
+  | V1 slots ->
+      let bytes =
+        if salvaged then salvaged_v1 snapshot else Store.Snapshot.write snapshot
       in
-      Serve.Router.of_engine ~domains:slots engine
+      Serve.Router.create ?memo ~salvage:salvaged ~domains:slots
+        (Store.Shard.open_bytes bytes)
   | Container shards ->
       Serve.Router.create ?memo ~salvage:salvaged
         (Store.Shard.open_bytes (Store.Shard.build ~shards ~halo:(max radius 1) snapshot))
@@ -334,7 +357,7 @@ let prop_front_end_matches_decoder =
            (front_name front) memo salvaged domains)
        QCheck.Gen.(
          tup5 (int_bound 100_000)
-           (oneofl [ Memory 1; Memory 2; Memory 3; Container 1; Container 3 ])
+           (oneofl [ V1 1; V1 2; V1 3; Container 1; Container 3 ])
            bool bool (int_range 1 2)))
     (fun (seed, front, memo, salvaged, domains) ->
       let rng = Prng.create seed in
@@ -385,7 +408,35 @@ let prop_front_end_matches_decoder =
       first && second
       && misses () = before
       && Serve.Router.degraded router
-         = (salvaged && match front with Memory _ -> true | Container _ -> false))
+         = (salvaged && match front with V1 _ -> true | Container _ -> false))
+
+(* The same instance as a v1 file and as a one-shard v2 container: two
+   encodings of one shard, answering byte-identically on every node,
+   with the same health and owner map.  The container's halo is 1, far
+   below the serve radius: one shard stores the whole graph, so it
+   serves any radius. *)
+let test_v1_equals_one_shard () =
+  let g, snapshot, cert = cycle_snapshot 90 4 in
+  check "radius above the halo" true (cert.Serve.Pack.radius > 1);
+  let open_router bytes = Serve.Router.create ~domains:2 (Store.Shard.open_bytes bytes) in
+  let v1 = open_router (Store.Snapshot.write snapshot) in
+  let one = open_router (Store.Shard.build ~shards:1 ~halo:1 snapshot) in
+  let qs = ball_queries g (List.init (Graph.n g) Fun.id) in
+  let qs = Array.append qs (Array.init (Graph.n g) (fun v -> Serve.Engine.Advice_bits v)) in
+  check "singles byte-identical" true
+    (Marshal.to_string (Array.map (Serve.Router.query v1) qs) []
+    = Marshal.to_string (Array.map (Serve.Router.query one) qs) []);
+  check "batches byte-identical" true
+    (Marshal.to_string (Serve.Router.batch ~domains:2 v1 qs) []
+    = Marshal.to_string (Serve.Router.batch ~domains:2 one qs) []);
+  check "degraded equal" (Serve.Router.degraded one) (Serve.Router.degraded v1);
+  check "serving_trusted equal" (Serve.Router.serving_trusted one)
+    (Serve.Router.serving_trusted v1);
+  check_int "slot counts equal" (Serve.Router.slot_count one) (Serve.Router.slot_count v1);
+  Graph.iter_nodes
+    (fun v ->
+      check_int "shard_of equal" (Serve.Router.shard_of one v) (Serve.Router.shard_of v1 v))
+    g
 
 (* Below the certified radius the engine stays total.  At radius 0 a
    ball is its center alone and every label is [""], so an
@@ -406,7 +457,10 @@ let test_radius_zero_total () =
   check "Engine.query" true (Array.map (Serve.Engine.query engine) qs = expected);
   let fronts =
     [
-      ("v1", fun () -> Serve.Router.of_engine ~domains:2 (Serve.Engine.create ~radius:0 snapshot));
+      ( "v1",
+        fun () ->
+          Serve.Router.create ~radius:0 ~domains:2
+            (Store.Shard.open_bytes (Store.Snapshot.write snapshot)) );
       ( "v2",
         fun () ->
           Serve.Router.create ~radius:0
@@ -544,7 +598,8 @@ let capacity_fronts snapshot ~radius =
   [
     ( "v1 3 slots",
       fun ~memo cap ->
-        Serve.Router.of_engine ~domains:3 (Serve.Engine.create ?cache_capacity:cap ?memo snapshot) );
+        Serve.Router.create ?cache_capacity:cap ?memo ~domains:3
+          (Store.Shard.open_bytes (Store.Snapshot.write snapshot)) );
     ( "v2 3 shards",
       fun ~memo cap ->
         Serve.Router.create ?cache_capacity:cap ?memo
@@ -909,7 +964,11 @@ let () =
             prop_induced_sorted_identity;
             prop_fused_writer_matches_induced;
           ]
-        @ [ Alcotest.test_case "radius 0 Edge_member is total" `Quick test_radius_zero_total ] );
+        @ [
+            Alcotest.test_case "radius 0 Edge_member is total" `Quick test_radius_zero_total;
+            Alcotest.test_case "v1 file = one-shard container on every node" `Quick
+              test_v1_equals_one_shard;
+          ] );
       ( "budget",
         [
           Alcotest.test_case "lazy loads + LRU eviction" `Quick test_budget_eviction;

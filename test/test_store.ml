@@ -495,7 +495,6 @@ let test_engine_vs_direct () =
 
 let test_engine_batch_matches_queries () =
   let g, _x, snapshot, _cert = make_packed 200 7 in
-  let engine = Serve.Engine.create snapshot in
   let rng = Prng.create 99 in
   let queries =
     Array.init 300 (fun _ ->
@@ -509,13 +508,16 @@ let test_engine_batch_matches_queries () =
   in
   (* Cold batch on a fresh three-slot router (parallel), warm repeat, and
      per-query answers on a fresh engine must all agree. *)
-  let router = Serve.Router.of_engine ~domains:3 engine in
+  let router =
+    Serve.Router.create ~domains:3 (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
+  in
   let cold = Serve.Router.batch ~domains:3 router queries in
   let warm = Serve.Router.batch ~domains:3 router queries in
   let fresh = Serve.Engine.create snapshot in
   let singles = Array.map (Serve.Engine.query fresh) queries in
   let tiny_cache =
-    Serve.Router.of_engine (Serve.Engine.create ~cache_capacity:2 snapshot)
+    Serve.Router.create ~cache_capacity:2
+      (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   in
   let squeezed = Serve.Router.batch tiny_cache queries in
   check "warm batch = cold batch" true (cold = warm);
@@ -523,7 +525,7 @@ let test_engine_batch_matches_queries () =
   check "cache pressure changes nothing" true (cold = squeezed)
 
 let test_engine_validates () =
-  let _g, _x, snapshot, _cert = make_packed 24 3 in
+  let _g, _x, snapshot, cert = make_packed 24 3 in
   let engine = Serve.Engine.create snapshot in
   let must_reject what q =
     match Serve.Engine.query engine q with
@@ -534,9 +536,20 @@ let test_engine_validates () =
   must_reject "a negative node" (Serve.Engine.Advice_bits (-1));
   must_reject "an out-of-range edge" (Serve.Engine.Edge_member (0, 999));
   must_reject "a non-incident edge" (Serve.Engine.Edge_member (0, 12));
-  (* A v1 batch validates before any ball work — range checks and the
-     endpoint check alike: no query is served, no ball decoded. *)
-  let router = Serve.Router.of_engine ~domains:2 engine in
+  (* A batch validates before any ball work — range checks and the
+     endpoint check alike, for a v1 file and a 3-shard container: no
+     query is served, no ball decoded.  Edge 5 of the 24-cycle is stored
+     in node 0's shard without being incident to it. *)
+  let v1 = Store.Snapshot.write snapshot in
+  let routers =
+    [
+      ("v1, 2 slots", Serve.Router.create ~domains:2 (Store.Shard.open_bytes v1));
+      ( "3 shards",
+        Serve.Router.create
+          (Store.Shard.open_bytes
+             (Store.Shard.build ~shards:3 ~halo:(max cert.Serve.Pack.radius 1) snapshot)) );
+    ]
+  in
   let served () =
     List.fold_left
       (fun acc (e : Obs.Metrics.entry) ->
@@ -549,19 +562,23 @@ let test_engine_validates () =
   in
   Obs.Sink.enable ();
   Fun.protect ~finally:Obs.Sink.disable @@ fun () ->
-  Obs.Sink.reset ();
   List.iter
-    (fun (what, bad) ->
-      match Serve.Router.batch router [| Serve.Engine.Output_label 5; bad |] with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "batch accepted %s" what)
-    [
-      ("an out-of-range node", Serve.Engine.Output_label 99);
-      ("a non-incident edge", Serve.Engine.Edge_member (0, 12));
-    ];
-  check_int "rejected batches served nothing" 0 (served ());
-  ignore (Serve.Router.query router (Serve.Engine.Output_label 5));
-  check_int "a valid query is served" 1 (served ())
+    (fun (name, router) ->
+      Obs.Sink.reset ();
+      List.iter
+        (fun (what, bad) ->
+          match Serve.Router.batch router [| Serve.Engine.Output_label 5; bad |] with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: batch accepted %s" name what)
+        [
+          ("an out-of-range node", Serve.Engine.Output_label 99);
+          ("a non-incident edge", Serve.Engine.Edge_member (0, 12));
+          ("a non-incident edge of the owner shard", Serve.Engine.Edge_member (0, 5));
+        ];
+      check_int (name ^ ": rejected batches served nothing") 0 (served ());
+      ignore (Serve.Router.query router (Serve.Engine.Output_label 5));
+      check_int (name ^ ": a valid query is served") 1 (served ()))
+    routers
 
 let () =
   Alcotest.run "store"
