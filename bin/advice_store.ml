@@ -124,6 +124,7 @@ let pack_cmd =
   let run kind n seed input out sample shards domains metrics =
     at_least "pack" "shards" ~min:1 shards;
     at_least "pack" "domains" ~min:1 domains;
+    at_least "pack" "sample" ~min:0 (Some sample);
     with_metrics metrics @@ fun () ->
     let g = build ?input kind n in
     let rng = Prng.create seed in
@@ -630,6 +631,14 @@ let serve_cmd =
         (Serve.Router.advice_name router)
         (if Serve.Router.serving_trusted router then ""
          else " (quarantined advice: answers are best-effort)");
+    (* A radius certified on a sample can give wrong labels elsewhere. *)
+    (match List.assoc_opt "serve.certified" (Store.Shard.manifest store).Store.Shard.m_meta with
+    | Some c when not (String.equal c "all") ->
+        Format.printf
+          "certified on %s of %d nodes: unsampled nodes are unchecked (repack \
+           with --sample 0)@."
+          c (Serve.Router.n router)
+    | _ -> ());
     match mode with
     | `Listen -> serve_listen router domains host port write_budget
     | `Batch b ->

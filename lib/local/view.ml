@@ -75,12 +75,12 @@ let default_domains () =
       | _ -> 1)
   | None -> Domain.recommended_domain_count ()
 
-(* The fan-outs below are pure-CPU ball sweeps: domains beyond the
-   hardware only timeshare one core and pay spawn + GC-coordination
-   overhead for it (measured at ~3x slower on a 1-core host), so every
-   request — explicit, environment or default — is fitted to the
-   machine.  The OCaml runtime also caps simultaneous domains (128);
-   stay comfortably below it. *)
+(* Ball fan-outs are pure-CPU sweeps: domains beyond the hardware only
+   timeshare one core and pay spawn + GC-coordination overhead for it
+   (measured at ~3x slower on a 1-core host), so every request —
+   explicit, environment or default — is fitted to the machine.  The
+   OCaml runtime also caps simultaneous domains (128); stay comfortably
+   below it. *)
 let effective_domains ?requested () =
   let req = match requested with Some d -> max 1 d | None -> default_domains () in
   max 1 (min (min req 64) (Domain.recommended_domain_count ()))
@@ -101,32 +101,6 @@ let map_nodes_par ?domains ?advice ?input g ~ids ~radius f =
         let spawned =
           Array.init (d - 1) (fun k ->
               let lo = bound (k + 1) and hi = bound (k + 2) in
-              Domain.spawn (fun () -> chunk lo hi))
-        in
-        let first = chunk 0 (bound 1) in
-        let rest = Array.map Domain.join spawned in
-        Array.concat (first :: Array.to_list rest))
-
-let map_subset ?advice ?input g ~ids ~radius ~nodes f =
-  Obs.Trace.span "view.map_subset" (fun () ->
-      let ws = Workspace.domain_local () in
-      Array.map (fun v -> f (make_with ws ?advice ?input g ~ids ~radius v)) nodes)
-
-let map_subset_par ?domains ?advice ?input g ~ids ~radius ~nodes f =
-  let k = Array.length nodes in
-  let d = min (effective_domains ?requested:domains ()) (max 1 k) in
-  if d <= 1 then map_subset ?advice ?input g ~ids ~radius ~nodes f
-  else
-    Obs.Trace.span "view.map_subset_par" (fun () ->
-        let chunk lo hi =
-          let ws = Workspace.domain_local () in
-          Array.init (hi - lo) (fun i ->
-              f (make_with ws ?advice ?input g ~ids ~radius nodes.(lo + i)))
-        in
-        let bound j = j * k / d in
-        let spawned =
-          Array.init (d - 1) (fun j ->
-              let lo = bound (j + 1) and hi = bound (j + 2) in
               Domain.spawn (fun () -> chunk lo hi))
         in
         let first = chunk 0 (bound 1) in

@@ -72,40 +72,6 @@ val map_nodes_par :
     hardware — and never exceeds the node count; with one domain this
     falls back to the sequential path. *)
 
-val map_subset :
-  ?advice:string array ->
-  ?input:int array ->
-  Netgraph.Graph.t ->
-  ids:Ids.t ->
-  radius:int ->
-  nodes:int array ->
-  (t -> 'a) ->
-  'a array
-(** [map_subset g ~ids ~radius ~nodes f] runs [f] on the views of exactly
-    the listed nodes, in array order: [map_subset ~nodes:[|v0; ...|]]
-    equals [[| f (make v0); ... |]] while extracting only those balls.
-    This is the serving primitive — a query batch touches the balls it
-    asks about, never all [n] — used by [Serve.Engine] to answer cache
-    misses.  Nodes may repeat; each occurrence is extracted afresh. *)
-
-val map_subset_par :
-  ?domains:int ->
-  ?advice:string array ->
-  ?input:int array ->
-  Netgraph.Graph.t ->
-  ids:Ids.t ->
-  radius:int ->
-  nodes:int array ->
-  (t -> 'a) ->
-  'a array
-(** Like {!map_subset}, fanning contiguous slices of [nodes] out over an
-    OCaml 5 domain pool under the same purity contract as
-    {!map_nodes_par}; the result is identical to {!map_subset} provided
-    [f] is pure.  Pool sizing follows {!map_nodes_par}
-    ({!effective_domains} over [?domains]), never exceeding the number of
-    requested nodes; with one domain this falls back to the sequential
-    path. *)
-
 val with_advice : t -> string array -> t
 (** [with_advice view advice] is the view re-projected onto a new global
     advice assignment, without re-extracting the ball.  Equivalent to

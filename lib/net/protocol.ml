@@ -197,9 +197,6 @@ let response_to_string = function
       ignore (Codec.put_str b pos msg);
       seal b
 
-let write_request w rq = Codec.raw w (request_to_string rq)
-let write_response w rs = Codec.raw w (response_to_string rs)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding *)
 

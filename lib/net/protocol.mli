@@ -102,14 +102,6 @@ val error_is_fatal : error_code -> bool
 
 (** {1 Encoding} *)
 
-val write_request : Store.Codec.writer -> request -> unit
-(** Append one request frame. *)
-
-val write_response : Store.Codec.writer -> response -> unit
-(** Append one response frame.  @raise Invalid_argument when a label or
-    stats key exceeds the frame cap (not reachable from engine
-    output). *)
-
 val request_to_string : request -> string
 (** One request as a standalone frame. *)
 

@@ -89,7 +89,8 @@ val stats : t -> (string * int) list
     residency ([store.shard.resident], [store.shard.resident_bytes],
     [store.shard.loads], [store.shard.evictions], [store.shard.lost]),
     loop counters
-    ([net.accepted], [net.active], [net.requests], [net.queries],
-    [net.batches], [net.errors], [net.pings], [net.bytes_in],
-    [net.bytes_out]) and [serve.degraded] — the count of queries
-    answered while the router was degraded, 0 on a healthy one. *)
+    ([net.accepted], [net.active], [net.closed], [net.requests],
+    [net.queries], [net.batches], [net.errors], [net.pings],
+    [net.stats], [net.bytes_in], [net.bytes_out]) and
+    [serve.degraded] — the count of queries answered while the router
+    was degraded, 0 on a healthy one. *)

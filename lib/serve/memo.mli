@@ -1,5 +1,5 @@
-(** Canonical-ball decode memo (ROADMAP item 2, toward the paper's C2
-    order-invariant lookup-table simulation).
+(** Canonical-ball decode memo (toward the paper's C2 order-invariant
+    lookup-table simulation).
 
     A bounded, hash-consed table from canonical ball keys to decoded
     labels, layered {e between} the per-slot label columns and the ball

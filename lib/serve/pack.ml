@@ -1,5 +1,4 @@
 open Netgraph
-module View = Localmodel.View
 module Balanced_orientation = Schemas.Balanced_orientation
 module Edge_compression = Schemas.Edge_compression
 
@@ -15,7 +14,8 @@ let expected_labels g decoded =
 
 let check_nodes g sample =
   let n = Graph.n g in
-  if sample <= 0 || sample >= n then Array.init n (fun v -> v)
+  if sample < 0 then fail "Pack.edge_compression: negative sample %d" sample;
+  if sample = 0 || sample >= n then Array.init n (fun v -> v)
   else Array.init sample (fun i -> i * n / sample)
 
 (* Geometric probe up, then binary search down; the returned radius is
@@ -37,12 +37,18 @@ let certify_radius ~passes ~max_radius ~checked =
   in
   tighten (max 2 ((hi / 2) + 1)) hi
 
-let pack_meta ~params ~radius ~nodes g =
+(* The decoder's metadata: what a router built over the snapshot reads
+   its parameters from, during certification and after. *)
+let params_meta params =
   [
     ("schema", "edge_compression");
     ("params.short_threshold", string_of_int params.Balanced_orientation.short_threshold);
     ("params.cover", string_of_int params.Balanced_orientation.cover);
     ("params.spacing", string_of_int params.Balanced_orientation.spacing);
+  ]
+
+let certified_meta ~radius ~nodes g =
+  [
     ("serve.radius", string_of_int radius);
     ( "serve.certified",
       if Array.length nodes = Graph.n g then "all"
@@ -61,23 +67,29 @@ let encode_for_pack ~params g x =
 let edge_compression ?(params = Balanced_orientation.onebit_params)
     ?(name = "c4") ?max_radius ?(sample = 0) ?domains g x =
   let max_radius = match max_radius with Some r -> r | None -> Graph.n g in
-  let assignment, expected = encode_for_pack ~params g x in
   let nodes = check_nodes g sample in
-  let ids = Localmodel.Ids.identity g in
-  (* Certification runs on the *global* graph: the halo invariant then
-     transfers the certified radius to every shard of any container
-     later built from the snapshot. *)
+  let assignment, expected = encode_for_pack ~params g x in
+  let unserved =
+    { Store.Snapshot.graph = g; advice = [ (name, assignment) ]; meta = params_meta params }
+  in
+  (* Each probe asks the router the server runs — one-shard container,
+     slot engines, pool — for the checked labels.  Certification runs on
+     the *global* graph: the halo invariant then transfers the certified
+     radius to every shard of any container later built from the
+     snapshot.  [Pool.run] honors an explicit count literally, so the
+     request is fitted to the hardware first. *)
+  let domains = Localmodel.View.effective_domains ?requested:domains () in
+  let store = Store.Shard.of_snapshot unserved in
+  let queries = Array.map (fun v -> Engine.Output_label v) nodes in
   let passes r =
-    let got =
-      View.map_subset_par ?domains ~advice:assignment g ~ids ~radius:r ~nodes
-        (fun view -> Engine.label_of_view ~params view)
-    in
-    Array.for_all2 (fun v s -> String.equal expected.(v) s) nodes got
+    let router = Router.create ~radius:r ~domains store in
+    let got = Router.batch ~domains router queries in
+    Array.for_all2
+      (fun v -> function Engine.Label s -> String.equal expected.(v) s | _ -> false)
+      nodes got
   in
   let radius = certify_radius ~passes ~max_radius ~checked:(Array.length nodes) in
-  ( { Store.Snapshot.graph = g;
-      advice = [ (name, assignment) ];
-      meta = pack_meta ~params ~radius ~nodes g },
+  ( { unserved with Store.Snapshot.meta = params_meta params @ certified_meta ~radius ~nodes g },
     {
       radius;
       checked = Array.length nodes;

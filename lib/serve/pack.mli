@@ -4,8 +4,8 @@
     The repo's schema encoders certify their decoders (an encoder that
     cannot be decoded raises rather than producing garbage); packing
     extends the same contract to serving.  {!edge_compression} encodes
-    the C4 advice, then searches for a radius at which
-    {!Engine.label_of_view} — the ball-local decoder — reproduces the
+    the C4 advice, then searches for a radius at which the serve path
+    itself — a {!Router} over the unserialized snapshot — reproduces the
     direct decoder {!Schemas.Edge_compression.decode} on every checked
     node, and records that radius in the snapshot metadata
     ([serve.radius]) together with the orientation parameters
@@ -37,10 +37,15 @@ val edge_compression :
     smallest passing value.  [sample] (default 0 = every node) checks an
     evenly spaced node sample instead — exhaustive on small instances,
     sampled when packing benchmark-sized ones; [max_radius] (default
-    [Graph.n g]) bounds the search.  Each probe maps the checked balls
-    with {!Localmodel.View.map_subset_par} over [domains] (default
-    {!Localmodel.View.effective_domains}[ ()]; one domain is the
-    sequential {!Localmodel.View.map_subset}).  [name] is the advice
+    [Graph.n g]) bounds the search.  A probe at radius [r] is one
+    {!Router.batch} of [Output_label] queries for the checked nodes, on
+    a memo-less router built with [Router.create ~radius:r] over
+    {!Store.Shard.of_snapshot} of the snapshot (nothing is serialized):
+    the one-shard container, slot engines, stamped-ball decode and
+    {!Pool} that serve the file later.  [domains] (default
+    {!Localmodel.View.effective_domains}[ ()]; a request is fitted to
+    the hardware the same way) sets both the router's slot count and
+    the batch's pool.  [name] is the advice
     section name (default ["c4"]); [params] the orientation parameters
     (default {!Schemas.Balanced_orientation.onebit_params}), stored in
     the metadata for {!Engine.create} to read back.  The snapshot
@@ -50,5 +55,5 @@ val edge_compression :
     radius to every shard.
     @raise Schemas.Balanced_orientation.Encoding_failure when the
     underlying schema cannot encode the graph.
-    @raise Invalid_argument when no radius up to [max_radius] passes, or
-    [x] is not an edge set of [g]. *)
+    @raise Invalid_argument when no radius up to [max_radius] passes,
+    [sample] is negative, or [x] is not an edge set of [g]. *)

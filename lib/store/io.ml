@@ -222,8 +222,6 @@ let read_file path =
    a big snapshot file; the whole point is never materializing the file,
    so these paths must not fall back to [read_file]. *)
 
-type read_method = Pread | Mmap
-
 let m_range_reads = Obs.Metrics.counter "io.range_reads"
 let m_range_bytes = Obs.Metrics.counter "io.range_bytes"
 
@@ -290,17 +288,7 @@ let pread_window fd ~pos ~len =
   done;
   Bytes.sub_string buf 0 !got
 
-let mmap_window fd ~size ~pos ~len =
-  if len = 0 then ""
-  else begin
-    let map =
-      Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]
-    in
-    let arr = Bigarray.array1_of_genarray map in
-    String.init len (fun i -> Bigarray.Array1.get arr (pos + i))
-  end
-
-let read_range ?(how = Pread) path ~pos ~len =
+let read_range path ~pos ~len =
   if pos < 0 || len < 0 then
     invalid_arg
       (Printf.sprintf "Store.Io.read_range: negative window %d+%d" pos len);
@@ -310,12 +298,7 @@ let read_range ?(how = Pread) path ~pos ~len =
         (* Short windows read short, like [read_to_eof]: a truncated file
            is a condition for the codec to diagnose, not a crash here. *)
         let len = min len (max 0 (size - pos)) in
-        let s =
-          match how with
-          | Pread -> pread_window fd ~pos ~len
-          | Mmap -> mmap_window fd ~size ~pos ~len
-        in
-        (s, size))
+        (pread_window fd ~pos ~len, size))
   in
   Obs.Metrics.incr m_range_reads;
   Obs.Metrics.add m_range_bytes (String.length s);

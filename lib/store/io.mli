@@ -133,20 +133,15 @@ val temp_path : string -> string
 (** The staging path {!write_file} uses for a destination (exposed so
     tests and salvage tooling can find crash leftovers). *)
 
-(** How {!read_range} fetches a byte window.  [Pread] seeks and reads on
-    a descriptor opened for the call; [Mmap] maps the file read-only and
-    copies the window out ([Unix.map_file] lives here and {e only} here —
-    the io-hygiene lint bans it outside [store/]). *)
-type read_method = Pread | Mmap
-
 val file_size : string -> int
 (** Size of [path] in bytes ([Unix.stat]).  @raise Sys_error when the
     file cannot be stat'ed. *)
 
-val read_range : ?how:read_method -> string -> pos:int -> len:int -> string
+val read_range : string -> pos:int -> len:int -> string
 (** [read_range path ~pos ~len] reads the byte window
     [\[pos, pos + len)] of [path] without materializing the rest of the
-    file — the primitive under lazy shard loading.  A window extending
+    file — the primitive under lazy shard loading: one seek and read on
+    a descriptor opened for the call.  A window extending
     past end-of-file reads short (like {!read_to_eof}, truncation is the
     codec's diagnosis to make, not an error here); [len = 0] or a [pos]
     at/past EOF reads empty.  An armed read fault is applied in {e file}

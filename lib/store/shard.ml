@@ -299,10 +299,8 @@ let parse_version prefix ~what =
   if m <> magic then corrupt "%s: bad magic %S (expected %S)" what m magic;
   Codec.read_u16 r
 
-let peek_version ?how path =
-  parse_version
-    (Io.read_range ?how path ~pos:0 ~len:(String.length magic + 2))
-    ~what:path
+let peek_version path =
+  parse_version (Io.read_range path ~pos:0 ~len:(String.length magic + 2)) ~what:path
 
 (* Manifest payload parser: [header_bytes] is where shard frames start,
    [size] bounds every recorded byte range. *)
@@ -372,37 +370,42 @@ let parse_manifest ~header_bytes ~size payload =
     m_header_bytes = header_bytes;
   }
 
-(* A v1 file as a one-shard container: its shard is the whole graph (no
-   halo, identity id tables) and its "frame" the whole file.  A file
-   that fails the strict read is salvaged when its graph survives;
-   otherwise nothing is servable and the strict diagnostic stands. *)
-let open_v1 ~size raw =
-  let parsed (s : Snapshot.t) health diagnostic =
-    let n = Graph.n s.Snapshot.graph and m = Graph.m s.Snapshot.graph in
-    let recovered = match health with Some (r, _) -> r | None -> [] in
-    let loaded =
-      { l_index = 0; l_lo = 0; l_hi = n; l_graph = s.Snapshot.graph; l_ids = [||];
-        l_edge_ids = [||]; l_advice = s.Snapshot.advice; l_health = health }
-    in
-    let row =
-      { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
-        i_offset = 0; i_bytes = size; i_crc = 0 }
-    in
-    { body = Parsed (loaded, diagnostic);
-      man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
-              m_advice = List.map fst (s.Snapshot.advice @ recovered);
-              m_shards = [| row |]; m_header_bytes = 0 } }
+(* A parsed snapshot as a one-shard container: its shard is the whole
+   graph (no halo, identity id tables) and its "frame" [bytes]. *)
+let one_shard ~bytes ~health ~diagnostic (s : Snapshot.t) =
+  let n = Graph.n s.Snapshot.graph and m = Graph.m s.Snapshot.graph in
+  let recovered = match health with Some (r, _) -> r | None -> [] in
+  let loaded =
+    { l_index = 0; l_lo = 0; l_hi = n; l_graph = s.Snapshot.graph; l_ids = [||];
+      l_edge_ids = [||]; l_advice = s.Snapshot.advice; l_health = health }
   in
+  let row =
+    { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
+      i_offset = 0; i_bytes = bytes; i_crc = 0 }
+  in
+  { body = Parsed (loaded, diagnostic);
+    man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
+            m_advice = List.map fst (s.Snapshot.advice @ recovered);
+            m_shards = [| row |]; m_header_bytes = 0 } }
+
+(* Never serialized: the row counts the 9 bytes of an empty frame, so it
+   keeps the positive frame size every manifest row has. *)
+let of_snapshot s = one_shard ~bytes:(frame_bytes "") ~health:None ~diagnostic:None s
+
+(* A v1 file is one shard whose frame is the whole file.  A file that
+   fails the strict read is salvaged when its graph survives; otherwise
+   nothing is servable and the strict diagnostic stands. *)
+let open_v1 ~size raw =
   match Snapshot.read raw with
-  | s -> parsed s None None
+  | s -> one_shard ~bytes:size ~health:None ~diagnostic:None s
   | exception Codec.Corrupt diagnostic ->
       let sv =
         try Snapshot.read_salvage raw
         with Codec.Corrupt _ -> raise (Codec.Corrupt diagnostic)
       in
-      parsed sv.Snapshot.partial
-        (Some (sv.Snapshot.recovered, sv.Snapshot.report))
-        (Some diagnostic)
+      one_shard ~bytes:size
+        ~health:(Some (sv.Snapshot.recovered, sv.Snapshot.report))
+        ~diagnostic:(Some diagnostic) sv.Snapshot.partial
 
 (* A v2 file: locate the manifest frame after the 6-byte prefix, verify
    its checksum and parse it; shard frames stay behind [fetch]. *)
@@ -444,9 +447,9 @@ let open_fetch ~size fetch =
     corrupt "unsupported container version %d (this build reads %d and %d)" v
       Snapshot.version version
 
-let open_file ?how path =
+let open_file path =
   let size = Io.file_size path in
-  open_fetch ~size (fun ~pos ~len -> Io.read_range ?how path ~pos ~len)
+  open_fetch ~size (fun ~pos ~len -> Io.read_range path ~pos ~len)
 
 let open_bytes s =
   let size = String.length s in

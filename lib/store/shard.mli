@@ -158,18 +158,19 @@ type loaded = {
     is a binary search.  A version-1 file stores no tables: both are
     empty, and its one shard's translation is the identity. *)
 
-val peek_version : ?how:Io.read_method -> string -> int
+val peek_version : string -> int
 (** [peek_version path] reads the 6-byte file prefix ({!Io.read_range})
     and returns the container version — how [advice_store inspect]
     picks its report.  @raise Codec.Corrupt on a short file or bad
     magic; @raise Sys_error on I/O failure. *)
 
-val open_file : ?how:Io.read_method -> string -> t
+val open_file : string -> t
 (** Open a container.  Version 2 opens lazily: fetch the prefix, locate
-    the manifest frame, verify its checksum, parse it.  A version-1 file
+    the manifest frame, verify its checksum, parse it; every later
+    {!load} fetches its frame with {!Io.read_range}.  A version-1 file
     is parsed whole (salvaged if the strict read fails, see {!damage})
-    and its bytes are not kept.  [?how] selects the {!Io.read_range}
-    method for this and every later {!load} (default [Pread]).
+    and its bytes are not kept: it opens as {!of_snapshot} of the
+    parsed snapshot, with the file's size as its frame bytes.
     @raise Codec.Corrupt on bad magic, an unknown version, a damaged
     manifest, or a version-1 file with no intact graph;
     @raise Sys_error on I/O failure. *)
@@ -178,6 +179,16 @@ val open_bytes : string -> t
 (** Same, over an in-memory container image (tests, and callers that
     already hold the bytes).  Fetches are substring reads; read faults
     do not apply. *)
+
+val of_snapshot : Snapshot.t -> t
+(** [of_snapshot s] is [s] as a one-shard container, without
+    serializing it: the container a version-1 file of [s] opens as,
+    except that its one row records the 9 frame bytes of an empty frame
+    (there is no file to measure).  Its shard is the whole graph, so a
+    {!Serve.Router} over it serves any radius — how
+    {!Serve.Pack.edge_compression} certifies through the router it
+    ships.  Unlike {!build} it does not validate the advice: the caller
+    hands in a well-formed snapshot. *)
 
 val manifest : t -> manifest
 (** The container's parsed manifest (verified at {!open_file} time).  A

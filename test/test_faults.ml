@@ -587,7 +587,37 @@ let test_numeric_flags_rejected () =
   usage "pack --shards 0" ~flag:"--shards" (pack "--shards=0");
   usage "pack --shards=-2" ~flag:"--shards" (pack "--shards=-2");
   usage "pack --domains=-1" ~flag:"--domains" (pack "--domains=-1");
-  check "no file written" false (Sys.file_exists "tf_packed.ladv")
+  let ((_, _, err) as sample) = pack "--sample=-3" in
+  usage "pack --sample=-3" ~flag:"--sample" sample;
+  check_str "pack --sample=-3: message" "pack: --sample must be at least 0 (got -3)\n" err;
+  check "no file written" false (Sys.file_exists "tf_packed.ladv");
+  let g, x, _, _ = make_packed 40 5 in
+  match Serve.Pack.edge_compression ~sample:(-3) g x with
+  | _ -> Alcotest.fail "Pack.edge_compression accepted a negative sample"
+  | exception Invalid_argument _ -> ()
+
+(* A radius certified on a sample is announced before the answers; an
+   exhaustive pack's serve output gains nothing. *)
+let test_sampled_radius_announced () =
+  let packed = [ "tf_s8.ladv"; "tf_s0.ladv" ] in
+  with_files [ ("tf_q.txt", "label 0\n") ] @@ fun () ->
+  Fun.protect ~finally:(fun () -> List.iter remove_noerr packed) @@ fun () ->
+  let serve sample out =
+    let code, _, _ = run_cli [ "pack"; "--n"; "40"; "--sample"; sample; "--out"; out ] in
+    check_int ("pack --sample " ^ sample) 0 code;
+    let code, stdout, _ = run_cli [ "serve"; out; "--batch"; "tf_q.txt" ] in
+    check_int ("serve, --sample " ^ sample) 0 code;
+    stdout
+  in
+  let sampled = serve "8" "tf_s8.ladv" in
+  let line =
+    "certified on sample=8 of 40 nodes: unsampled nodes are unchecked (repack \
+     with --sample 0)\n"
+  in
+  (match (find_sub sampled line, find_sub sampled "label 0 -> ") with
+  | Some at, Some answer -> check "the line precedes the answers" true (at < answer)
+  | _ -> Alcotest.failf "sampled serve lacks the line or the answer:\n%s" sampled);
+  check "exhaustive: no line" false (has_sub (serve "0" "tf_s0.ladv") "certified on")
 
 let () =
   Alcotest.run "faults"
@@ -623,5 +653,7 @@ let () =
             test_bad_metadata_is_corrupt;
           Alcotest.test_case "numeric flags are usage errors" `Quick
             test_numeric_flags_rejected;
+          Alcotest.test_case "sampled radius is announced" `Quick
+            test_sampled_radius_announced;
         ] );
     ]

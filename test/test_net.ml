@@ -334,8 +334,7 @@ let response_matches_reference =
 (* Every request and response shape, at the edges the generators reach
    only by chance: empty batches, answer arrays and stats replies, every
    error code, the largest identifiers, payloads whose length needs
-   three varint bytes — through both the string and the [write_*]
-   entry points, the latter appending after earlier output. *)
+   three varint bytes. *)
 let every_shape_matches_reference () =
   let big = max_int in
   let long = String.init 20_000 (fun i -> Char.chr (i land 0xFF)) in
@@ -370,25 +369,15 @@ let every_shape_matches_reference () =
     @ List.map (fun c -> Net.Protocol.Error (c, "diagnostic")) all_error_codes
     @ [ Net.Protocol.Error (Net.Protocol.Rejected, ""); Net.Protocol.Error (Net.Protocol.Bad_request, long) ]
   in
-  let appended write x =
-    let w = Store.Codec.writer () in
-    Store.Codec.raw w "prefix";
-    write w x;
-    Store.Codec.contents w
-  in
   List.iter
     (fun rq ->
-      let expected = Reference.request_to_string rq in
-      Alcotest.(check string) "request_to_string" expected (Net.Protocol.request_to_string rq);
-      Alcotest.(check string) "write_request" ("prefix" ^ expected)
-        (appended Net.Protocol.write_request rq))
+      Alcotest.(check string) "request_to_string" (Reference.request_to_string rq)
+        (Net.Protocol.request_to_string rq))
     requests;
   List.iter
     (fun rs ->
-      let expected = Reference.response_to_string rs in
-      Alcotest.(check string) "response_to_string" expected (Net.Protocol.response_to_string rs);
-      Alcotest.(check string) "write_response" ("prefix" ^ expected)
-        (appended Net.Protocol.write_response rs))
+      Alcotest.(check string) "response_to_string" (Reference.response_to_string rs)
+        (Net.Protocol.response_to_string rs))
     responses;
   (* A negative identifier is refused as before, not encoded. *)
   match Net.Protocol.request_to_string (Net.Protocol.Query (Serve.Engine.Output_label (-1))) with

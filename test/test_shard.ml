@@ -41,13 +41,15 @@ let ball_queries g nodes =
            (Array.map (fun e -> Serve.Engine.Edge_member (v, e)) (Graph.incident_edges g v)))
        nodes)
 
-let cycle_snapshot n seed =
+(* [g] packed with a seeded random edge subset, certified exhaustively. *)
+let packed_snapshot g seed =
   let rng = Prng.create seed in
-  let g = Builders.cycle n in
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   let snapshot, cert = Serve.Pack.edge_compression g x in
   (g, snapshot, cert)
+
+let cycle_snapshot n seed = packed_snapshot (Builders.cycle n) seed
 
 (* A mono engine and a router over the *same* snapshot state.  The
    router serves from a sharded serialization with halo = max radius 1;
@@ -300,15 +302,17 @@ let prop_pack_sharded_identity =
          = Marshal.to_string (Serve.Router.batch ~domains:1 router qs) [])
 
 (* The unified front end against the direct decoder, on every node of a
-   packed cycle: v1 files opened through Store.Shard as routers of 1, 2
-   or 3 slots and v2 containers of 1 or 3 shards, memo on and off,
-   trusted and salvaged (a v1 file with a damaged decoy section, a v2
-   container opened in salvage mode), single queries and batches at 1
-   or 2 domains — each front end serves the batch cold or warm.  A
-   second full pass must then give the same bytes without a single
-   label-column miss: each node is decoded once, also when a slot holds
-   more than a thousand nodes (one case in three serves one of two
-   packed cycles of over 1024 nodes, packed once for the whole run). *)
+   packed cycle or circulant: v1 files opened through Store.Shard as
+   routers of 1, 2 or 3 slots and v2 containers of 1 or 3 shards, memo
+   on and off, trusted and salvaged (a v1 file with a damaged decoy
+   section, a v2 container opened in salvage mode), single queries and
+   batches at 1 or 2 domains — each front end serves the batch cold or
+   warm.  A second full pass must then give the same bytes without a
+   single label-column miss: each node is decoded once, also when a slot
+   holds more than a thousand nodes (one case in three serves one of two
+   packed cycles of over 1024 nodes, packed once for the whole run).
+   One case in three packs the CLI's other family, the degree-4
+   circulant C_n(1, 2), at 60 <= n < 80. *)
 type front = V1 of int | Container of int
 
 let front_name = function
@@ -362,8 +366,10 @@ let prop_front_end_matches_decoder =
     (fun (seed, front, memo, salvaged, domains) ->
       let rng = Prng.create seed in
       let g, snapshot, cert =
-        if Prng.int rng 3 = 0 then (Lazy.force large_cycles).(Prng.int rng 2)
-        else cycle_snapshot (20 + (2 * Prng.int rng 30)) seed
+        match Prng.int rng 3 with
+        | 0 -> (Lazy.force large_cycles).(Prng.int rng 2)
+        | 1 -> packed_snapshot (Builders.circulant (60 + Prng.int rng 20) [ 1; 2 ]) seed
+        | _ -> cycle_snapshot (20 + (2 * Prng.int rng 30)) seed
       in
       let a = List.assoc "c4" snapshot.Store.Snapshot.advice in
       let decoded = Schemas.Edge_compression.decode g a in
@@ -854,22 +860,13 @@ let test_read_range () =
   let data = String.init 257 (fun i -> Char.chr (i * 7 mod 256)) in
   with_temp_file data @@ fun path ->
   check_int "file_size" 257 (Store.Io.file_size path);
-  List.iter
-    (fun how ->
-      let name =
-        match how with Store.Io.Pread -> "pread" | Store.Io.Mmap -> "mmap"
-      in
-      check_string (name ^ ": interior window") (String.sub data 100 57)
-        (Store.Io.read_range ~how path ~pos:100 ~len:57);
-      check_string (name ^ ": whole file") data
-        (Store.Io.read_range ~how path ~pos:0 ~len:257);
-      check_string (name ^ ": short read at EOF") (String.sub data 250 7)
-        (Store.Io.read_range ~how path ~pos:250 ~len:100);
-      check_string (name ^ ": window past EOF") ""
-        (Store.Io.read_range ~how path ~pos:400 ~len:8);
-      check_string (name ^ ": empty window") ""
-        (Store.Io.read_range ~how path ~pos:10 ~len:0))
-    [ Store.Io.Pread; Store.Io.Mmap ];
+  check_string "interior window" (String.sub data 100 57)
+    (Store.Io.read_range path ~pos:100 ~len:57);
+  check_string "whole file" data (Store.Io.read_range path ~pos:0 ~len:257);
+  check_string "short read at EOF" (String.sub data 250 7)
+    (Store.Io.read_range path ~pos:250 ~len:100);
+  check_string "window past EOF" "" (Store.Io.read_range path ~pos:400 ~len:8);
+  check_string "empty window" "" (Store.Io.read_range path ~pos:10 ~len:0);
   (match Store.Io.read_range path ~pos:(-1) ~len:4 with
   | _ -> Alcotest.fail "negative pos accepted"
   | exception Invalid_argument _ -> ())
@@ -988,7 +985,7 @@ let () =
         ] );
       ( "io",
         [
-          Alcotest.test_case "read_range windows + methods" `Quick
+          Alcotest.test_case "read_range windows" `Quick
             test_read_range;
           Alcotest.test_case "read_range fault coordinates" `Quick
             test_read_range_faults;

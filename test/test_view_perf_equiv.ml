@@ -161,53 +161,6 @@ let view_fingerprint (view : Localmodel.View.t) =
     Array.to_list view.Localmodel.View.input,
     Array.to_list view.Localmodel.View.to_global )
 
-let test_map_subset_matches_map_nodes () =
-  let rng = Prng.create 55 in
-  List.iter
-    (fun (name, g) ->
-      let n = Graph.n g in
-      let ids = Localmodel.Ids.random_permutation rng g in
-      let advice = Array.init n (fun v -> if v mod 2 = 0 then "10" else "") in
-      List.iter
-        (fun radius ->
-          let all =
-            Localmodel.View.map_nodes ~advice g ~ids ~radius view_fingerprint
-          in
-          (* A scattered subset with a duplicate: answers must line up
-             positionally with the full run's entries for those nodes. *)
-          let nodes =
-            Array.of_list
-              (List.filter (fun v -> v < n) [ 0; n / 2; n - 1; 1 mod n; n / 2 ])
-          in
-          let subset =
-            Localmodel.View.map_subset ~advice g ~ids ~radius ~nodes
-              view_fingerprint
-          in
-          check
-            (Printf.sprintf "%s r=%d subset = map_nodes slice" name radius)
-            true
-            (subset = Array.map (fun v -> all.(v)) nodes);
-          List.iter
-            (fun domains ->
-              let par =
-                Localmodel.View.map_subset_par ~domains ~advice g ~ids ~radius
-                  ~nodes view_fingerprint
-              in
-              check
-                (Printf.sprintf "%s r=%d d=%d subset par = seq" name radius
-                   domains)
-                true (subset = par))
-            [ 2; 3 ];
-          (* Empty request arrays are legal and cheap. *)
-          check
-            (Printf.sprintf "%s r=%d empty subset" name radius)
-            true
-            (Localmodel.View.map_subset_par ~domains:3 ~advice g ~ids ~radius
-               ~nodes:[||] view_fingerprint
-            = [||]))
-        [ 0; 2 ])
-    battery
-
 let test_map_nodes_par_identical () =
   let rng = Prng.create 99 in
   List.iter
@@ -303,8 +256,6 @@ let () =
         [
           Alcotest.test_case "map_nodes_par = map_nodes" `Quick
             test_map_nodes_par_identical;
-          Alcotest.test_case "map_subset = map_nodes slice" `Quick
-            test_map_subset_matches_map_nodes;
           Alcotest.test_case "with_advice = re-extraction" `Quick
             test_with_advice_matches_remake;
           Alcotest.test_case "find_by_id" `Quick test_find_by_id;
