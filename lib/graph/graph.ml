@@ -5,13 +5,6 @@ type t = {
   incident : int array array;
 }
 
-let normalize (u : int) v = if u < v then (u, v) else (v, u)
-
-(* Lexicographic edge order, monomorphic so sorts never hit caml_compare. *)
-let compare_edge (u1, v1) (u2, v2) =
-  let c = Int.compare u1 u2 in
-  if c <> 0 then c else Int.compare v1 v2
-
 (* Index of [x] in a sorted int array, or -1. *)
 let find_in_sorted (arr : int array) x =
   let lo = ref 0 and hi = ref (Array.length arr - 1) in
@@ -23,54 +16,131 @@ let find_in_sorted (arr : int array) x =
   done;
   !res
 
-(* Adjacency-aligned incident-edge ids: for every edge, locate each
-   endpoint in the other's sorted neighbor array. *)
-(* [edges] is lexicographic and every [adj.(v)] sorted, so scanning the
-   edges in id order visits each node's adjacency positions in order:
-   node [v] first sees the edges [(w, v)] with [w < v] in increasing [w]
-   (the prefix of [adj.(v)]), then the edges [(v, u)] in increasing [u]
-   (the suffix) — one cursor per node, no searches. *)
-let incident_of_adj adj edges =
-  let incident = Array.map (fun nb -> Array.make (Array.length nb) 0) adj in
-  let cursor = Array.make (Array.length adj) 0 in
-  Array.iteri
-    (fun e (u, v) ->
-      incident.(u).(cursor.(u)) <- e;
-      cursor.(u) <- cursor.(u) + 1;
-      incident.(v).(cursor.(v)) <- e;
-      cursor.(v) <- cursor.(v) + 1)
-    edges;
-  incident
+(* Monomorphic sort for adjacency arrays.  Balls on the serve path are
+   degree-bounded, so an in-place insertion sort with direct int
+   comparisons beats the generic closure-compare [Array.sort]; long
+   arrays (a star's hub) fall back to it so the worst case stays
+   O(d log d). *)
+let sort_ints (a : int array) =
+  let n = Array.length a in
+  if n > 16 then Array.sort Int.compare a
+  else
+    for i = 1 to n - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done
 
+(* A graph on strictly increasing, symmetric adjacency arrays (the
+   arrays become the graph's), in one pass in node order: node [u]
+   numbers its edges to the neighbors above it, so edge ids come out
+   lexicographic without a sort or a dedup table.  Its lower neighbors
+   [w < u] numbered theirs earlier, in increasing [w], so they filled
+   the first [lower.(u)] slots of [u]'s incident array, which are
+   exactly the slots of [adj.(u)] below [u].  Every constructor ends
+   here. *)
+let of_sorted_adj adj =
+  let n = Array.length adj in
+  let m = Array.fold_left (fun acc nb -> acc + Array.length nb) 0 adj / 2 in
+  let edges = Array.make m (0, 0) in
+  let incident = Array.map (fun nb -> Array.make (Array.length nb) 0) adj in
+  let lower = Array.make n 0 in
+  let next = ref 0 in
+  for u = 0 to n - 1 do
+    let nb = adj.(u) and inc = incident.(u) in
+    for k = lower.(u) to Array.length nb - 1 do
+      let v = nb.(k) and e = !next in
+      edges.(e) <- (u, v);
+      inc.(k) <- e;
+      incident.(v).(lower.(v)) <- e;
+      lower.(v) <- lower.(v) + 1;
+      next := e + 1
+    done
+  done;
+  { n; adj; edges; incident }
+
+(* [of_sorted_adj] over adjacency from outside the library (a snapshot's
+   graph section), checked in one pass in node order.  Each array must
+   be strictly increasing, in range and loop-free.  Symmetry needs no
+   search or table: visiting nodes in increasing order reaches each
+   node's lower neighbors in increasing order (the argument behind
+   [of_sorted_adj]'s numbering), so when [u] lists [v > u], [u] must be
+   the next unmatched entry of [adj.(v)], tracked by a cursor per node.
+   A closing pass checks that every cursor has consumed its node's
+   whole lower prefix. *)
+let of_adjacency adj =
+  let n = Array.length adj in
+  let bad fmt = Printf.ksprintf invalid_arg ("Graph.of_adjacency: " ^^ fmt) in
+  let cursor = Array.make n 0 in
+  for u = 0 to n - 1 do
+    let nb = adj.(u) in
+    for k = 0 to Array.length nb - 1 do
+      let v = nb.(k) in
+      if v < 0 || v >= n then
+        bad "node %d lists neighbor %d outside 0..%d" u v (n - 1);
+      if v = u then bad "node %d lists itself" u;
+      if k > 0 && v <= nb.(k - 1) then
+        bad "node %d lists neighbor %d after %d" u v nb.(k - 1);
+      if v > u then begin
+        let c = cursor.(v) in
+        if c >= Array.length adj.(v) || adj.(v).(c) <> u then
+          bad "adjacency is not symmetric at edge {%d, %d}" u v;
+        cursor.(v) <- c + 1
+      end
+    done
+  done;
+  for v = 0 to n - 1 do
+    let c = cursor.(v) in
+    if c < Array.length adj.(v) && adj.(v).(c) < v then
+      bad "adjacency is not symmetric at edge {%d, %d}" adj.(v).(c) v
+  done;
+  of_sorted_adj adj
+
+(* Sorted [a] without repeats: [a] itself when it has none. *)
+let dedup_sorted (a : int array) =
+  let len = Array.length a in
+  let k = ref (min len 1) in
+  for i = 1 to len - 1 do
+    if a.(i) <> a.(!k - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  if !k = len then a else Array.sub a 0 !k
+
+(* Bucket each edge into both endpoints' arrays, then sort and dedup
+   each array: symmetric by construction, so [of_sorted_adj] applies
+   without the symmetry pass. *)
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  (* Construction-time dedup, not per-node work: exempt from hot-alloc. *)
-  let[@advicelint.allow "hot-alloc"] seen = Hashtbl.create (List.length edge_list) in
-  let add_edge (u, v) =
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid_arg "Graph.of_edges: endpoint out of range";
-    if u = v then invalid_arg "Graph.of_edges: self-loop";
-    let e = normalize u v in
-    if not (Hashtbl.mem seen e) then Hashtbl.replace seen e ()
-  in
-  List.iter add_edge edge_list;
-  let edges = Array.make (Hashtbl.length seen) (0, 0) in
-  let i = ref 0 in
-  Hashtbl.iter (fun e () -> edges.(!i) <- e; incr i) seen;
-  Array.sort compare_edge edges;
   let deg = Array.make n 0 in
-  Array.iter (fun (u, v) -> deg.(u) <- deg.(u) + 1; deg.(v) <- deg.(v) + 1) edges;
-  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
-  let fill = Array.make n 0 in
-  Array.iter
+  List.iter
     (fun (u, v) ->
-      adj.(u).(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      adj.(v).(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1)
-    edges;
-  Array.iter (fun nb -> Array.sort Int.compare nb) adj;
-  { n; adj; edges; incident = incident_of_adj adj edges }
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Graph.of_edges: endpoint out of range";
+      if u = v then invalid_arg "Graph.of_edges: self-loop";
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
+    edge_list;
+  let adj = Array.map (fun d -> Array.make d 0) deg in
+  Array.fill deg 0 n 0;
+  List.iter
+    (fun (u, v) ->
+      adj.(u).(deg.(u)) <- v;
+      deg.(u) <- deg.(u) + 1;
+      adj.(v).(deg.(v)) <- u;
+      deg.(v) <- deg.(v) + 1)
+    edge_list;
+  of_sorted_adj
+    (Array.map
+       (fun nb ->
+         sort_ints nb;
+         dedup_sorted nb)
+       adj)
 
 let n g = g.n
 let m g = Array.length g.edges
@@ -125,45 +195,6 @@ let fold_nodes f g init =
   !acc
 
 let edges g = g.edges
-
-(* Monomorphic sort for adjacency arrays.  Balls on the serve path are
-   degree-bounded, so an in-place insertion sort with direct int
-   comparisons beats the generic closure-compare [Array.sort]; long
-   arrays (a star's hub) fall back to it so the worst case stays
-   O(d log d). *)
-let sort_ints (a : int array) =
-  let n = Array.length a in
-  if n > 16 then Array.sort Int.compare a
-  else
-    for i = 1 to n - 1 do
-      let x = Array.unsafe_get a i in
-      let j = ref (i - 1) in
-      while !j >= 0 && Array.unsafe_get a !j > x do
-        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
-        decr j
-      done;
-      Array.unsafe_set a (!j + 1) x
-    done
-
-(* A graph on already-sorted adjacency arrays: emitting each [(i, j)]
-   with [i < j] in node order yields the lexicographic edge array, so
-   the canonical invariants of {!of_edges} hold without a sort or a
-   dedup table. *)
-let of_sorted_adj adj =
-  let n = Array.length adj in
-  let sub_m = Array.fold_left (fun acc nb -> acc + Array.length nb) 0 adj / 2 in
-  let edges = Array.make sub_m (0, 0) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    let nb = adj.(i) in
-    for k = 0 to Array.length nb - 1 do
-      if i < nb.(k) then begin
-        edges.(!next) <- (i, nb.(k));
-        incr next
-      end
-    done
-  done;
-  { n; adj; edges; incident = incident_of_adj adj edges }
 
 (* The subgraph induced by the node set stamped in [ws].  Stamped node
    [i] (insertion order) becomes sub node [relabel.(i)], or [i] itself

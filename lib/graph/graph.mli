@@ -11,7 +11,23 @@ type t
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] nodes.  Self-loops are
-    rejected; duplicate edges (in either orientation) are collapsed. *)
+    rejected; duplicate edges (in either orientation) are collapsed.
+    Each listed pair is bucketed into both endpoints' neighbor arrays,
+    which are then sorted and deduplicated — no hash table and no sort
+    of the whole edge list.
+    @raise Invalid_argument on a negative [n], an endpoint outside
+    [0..n-1] or a self-loop. *)
+
+val of_adjacency : int array array -> t
+(** [of_adjacency adj] is the graph on [Array.length adj] nodes whose
+    sorted neighbor arrays are [adj] — taken as they are, so the caller
+    must not mutate them afterwards.  It checks, in one O(n + m) pass
+    and without a hash table or a sort, that every [adj.(v)] is strictly
+    increasing, lies in [0..n-1] and omits [v], and that the adjacency
+    is symmetric ([u] lists [v] iff [v] lists [u]).  The result equals
+    {!of_edges} over the same edges: same neighbor arrays, the same
+    lexicographic edge ids and the same incident arrays.
+    @raise Invalid_argument naming the first offending node or edge. *)
 
 val n : t -> int
 (** Number of nodes. *)

@@ -130,27 +130,30 @@ let read_u32 r =
   r.pos <- r.pos + 4;
   v
 
+(* A loop rather than a local recursive function, so no call allocates
+   a closure. *)
 let read_varint r =
   let start = r.pos in
-  let rec go acc shift =
+  let acc = ref 0 and shift = ref 0 and last = ref false in
+  while not !last do
     need r 1 "varint";
     let b = Char.code (String.unsafe_get r.data r.pos) in
     r.pos <- r.pos + 1;
     let payload = b land 0x7F in
-    if shift > 56 || (shift = 56 && payload > 0x3F) then
+    if !shift > 56 || (!shift = 56 && payload > 0x3F) then
       corrupt "varint at offset %d overflows the int range" start;
-    let acc = acc lor (payload lsl shift) in
+    acc := !acc lor (payload lsl !shift);
     if b land 0x80 = 0 then begin
       (* Canonical LEB128 only: a final zero group after a continuation
          (e.g. the 0x80 0x00 spelling of 0) re-encodes to fewer bytes,
          which would break the byte-identical re-pack invariant. *)
-      if payload = 0 && shift > 0 then
+      if payload = 0 && !shift > 0 then
         corrupt "non-minimal varint at offset %d: trailing zero group" start;
-      acc
+      last := true
     end
-    else go acc (shift + 7)
-  in
-  go 0 0
+    else shift := !shift + 7
+  done;
+  !acc
 
 let read_raw r k =
   if k < 0 then corrupt "negative length %d at offset %d" k r.pos;

@@ -1,19 +1,18 @@
 let poly = 0xEDB88320
 
+(* Built once at module initialisation and never written again. *)
 let table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref i in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then poly lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then poly lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let mask = 0xFFFFFFFF
 
 let update_char crc c =
-  let t = Lazy.force table in
-  t.((crc lxor Char.code c) land 0xFF) lxor (crc lsr 8)
+  table.((crc lxor Char.code c) land 0xFF) lxor (crc lsr 8)
 
 let finish crc = crc lxor mask land mask
 

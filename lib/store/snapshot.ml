@@ -36,37 +36,42 @@ let graph_payload g =
     g;
   Codec.contents w
 
+(* Each node's delta list decodes straight into its sorted neighbor
+   array, and [Graph.of_adjacency] checks order, range, loops and
+   symmetry in one pass: O(n + m), no edge list, table or sort.  Counts
+   are bounded by the bytes left before anything is allocated: each
+   degree and each neighbor costs at least one byte. *)
 let read_graph payload =
   let r = Codec.reader payload in
   let n = Codec.read_varint r in
   let m = Codec.read_varint r in
-  let degrees = Array.init n (fun _ -> Codec.read_varint r) in
-  let edges = ref [] in
+  if n > Codec.remaining r then
+    corrupt "graph section: n=%d exceeds the %d byte(s) left" n
+      (Codec.remaining r);
   let total_deg = ref 0 in
-  for v = 0 to n - 1 do
-    let d = degrees.(v) in
-    total_deg := !total_deg + d;
-    let prev = ref 0 in
-    for i = 0 to d - 1 do
-      let u = if i = 0 then Codec.read_varint r else !prev + Codec.read_varint r in
-      if u >= n then
-        corrupt "graph section: node %d lists neighbor %d >= n=%d" v u n;
-      if u = v then corrupt "graph section: node %d lists itself" v;
-      if i > 0 && u = !prev then
-        corrupt "graph section: node %d lists neighbor %d twice" v u;
-      prev := u;
-      if u > v then edges := (v, u) :: !edges
-    done
-  done;
-  Codec.expect_end r ~what:"graph section";
+  let adj =
+    Array.init n (fun _ ->
+        let d = Codec.read_varint r in
+        if d > Codec.remaining r - !total_deg then
+          corrupt "graph section: degree sum exceeds the %d byte(s) left"
+            (Codec.remaining r);
+        total_deg := !total_deg + d;
+        Array.make d 0)
+  in
   if !total_deg <> 2 * m then
     corrupt "graph section: degree sum %d does not match 2m=%d" !total_deg
       (2 * m);
-  let g = Graph.of_edges ~n (List.rev !edges) in
-  if Graph.m g <> m then
-    corrupt "graph section: adjacency is not symmetric (%d edges, header says %d)"
-      (Graph.m g) m;
-  g
+  Array.iter
+    (fun nb ->
+      for i = 0 to Array.length nb - 1 do
+        let delta = Codec.read_varint r in
+        nb.(i) <- (if i = 0 then delta else nb.(i - 1) + delta)
+      done)
+    adj;
+  Codec.expect_end r ~what:"graph section";
+  match Graph.of_adjacency adj with
+  | g -> g
+  | exception Invalid_argument msg -> corrupt "graph section: %s" msg
 
 (* Advice section *)
 
@@ -271,8 +276,7 @@ let read_salvage s =
               | g ->
                   graph := Some g;
                   Healthy
-              | exception Codec.Corrupt msg -> Lost msg
-              | exception Invalid_argument msg -> Lost msg)
+              | exception Codec.Corrupt msg -> Lost msg)
           else if tag = tag_meta then
             if not crc_ok then Lost "metadata section failed its checksum"
             else (

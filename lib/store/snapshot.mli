@@ -73,7 +73,7 @@ val write : t -> string
 val read : string -> t
 (** Parse and verify a snapshot.  @raise Codec.Corrupt on any malformed
     input: bad magic, unknown version, checksum mismatch, truncation,
-    out-of-range neighbor ids, or trailing bytes. *)
+    a graph section {!read_graph} rejects, or trailing bytes. *)
 
 (** Health of one section frame, as classified by {!read_salvage}. *)
 type section_status =
@@ -141,8 +141,15 @@ val graph_payload : Netgraph.Graph.t -> string
     varints (see the module docs). *)
 
 val read_graph : string -> Netgraph.Graph.t
-(** Parse a graph section payload, verifying symmetry, sortedness, and
-    the degree sum.  @raise Codec.Corrupt on malformed input. *)
+(** Parse a graph section payload in O(n + m): each node's delta list
+    decodes straight into its neighbor array, and
+    {!Netgraph.Graph.of_adjacency} builds the graph — no edge list, hash
+    table or sort.  It checks that [n] and the degree sum fit in the
+    bytes left before allocating (each costs at least one byte), that
+    the degrees sum to [2m], that no bytes trail, and that every
+    neighbor list is strictly increasing, in range and loop-free and
+    the adjacency symmetric.
+    @raise Codec.Corrupt ["graph section: …"] on any violation. *)
 
 val advice_payload : int -> string * Advice.Assignment.t -> string
 (** [advice_payload n (name, a)] is the advice section payload for an

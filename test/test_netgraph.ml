@@ -27,6 +27,49 @@ let test_of_edges_rejects_loop () =
   Alcotest.check_raises "self loop" (Invalid_argument "Graph.of_edges: self-loop")
     (fun () -> ignore (Graph.of_edges ~n:2 [ (1, 1) ]))
 
+(* [of_adjacency] is [of_edges] for valid adjacency — same neighbor
+   arrays, lexicographic edge ids and incident arrays — and names the
+   first defect of an invalid one. *)
+let test_of_adjacency () =
+  let same a b =
+    Graph.equal a b
+    && Graph.fold_nodes
+         (fun v ok ->
+           ok
+           && Graph.neighbors a v = Graph.neighbors b v
+           && Graph.incident_edges a v = Graph.incident_edges b v)
+         a true
+  in
+  List.iter
+    (fun g ->
+      let adj = Array.init (Graph.n g) (fun v -> Array.copy (Graph.neighbors g v)) in
+      check "of_adjacency = of_edges" true (same g (Graph.of_adjacency adj)))
+    [
+      Graph.of_edges ~n:0 [];
+      Graph.of_edges ~n:3 [];
+      Builders.cycle 7;
+      Builders.complete_bipartite 1 20;
+      Builders.gnp (Prng.create 5) 40 0.2;
+    ];
+  List.iter
+    (fun (what, adj) ->
+      match Graph.of_adjacency adj with
+      | exception Invalid_argument msg ->
+          check (what ^ " is diagnosed") true
+            (String.starts_with ~prefix:"Graph.of_adjacency: " msg)
+      | _ -> Alcotest.failf "of_adjacency accepted %s" what)
+    [
+      ("an out-of-range neighbor", [| [| 1 |]; [| 0; 2 |] |]);
+      ("a negative neighbor", [| [| -1 |]; [||] |]);
+      ("a self-loop", [| [| 0 |] |]);
+      ("an unsorted array", [| [| 2; 1 |]; [| 0 |]; [| 0 |] |]);
+      ("a repeated neighbor", [| [| 1; 1 |]; [| 0 |] |]);
+      ("a missing upper half", [| [| 1 |]; [||] |]);
+      ("a missing lower half", [| [||]; [| 0 |] |]);
+      ("the 0:{1}, 3:{2} file", [| [| 1 |]; [||]; [||]; [| 2 |] |]);
+      ("a mismatched pair", [| [| 2 |]; [| 2 |]; [| 1 |] |]);
+    ]
+
 let test_neighbors_sorted () =
   let g = Graph.of_edges ~n:5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   Alcotest.(check (array int)) "sorted" [| 0; 1; 3; 4 |] (Graph.neighbors g 2)
@@ -531,6 +574,52 @@ let prop_power_distance =
           acc && d >= 1 && d <= k)
         gk true)
 
+(* [of_edges] against the obvious reference: normalize every pair,
+   [List.sort_uniq] them, and compare the edge array, each neighbor
+   array and each incident array.  Small [n] makes repeats common, and
+   the tail re-lists a prefix of the pairs reversed. *)
+let arb_pair_list =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 30 >>= fun n ->
+      list_size (int_bound 200) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      >>= fun pairs ->
+      int_bound 40 >>= fun k ->
+      let pairs = List.filter (fun (u, v) -> u <> v) pairs in
+      let again = List.filteri (fun i _ -> i < k) pairs in
+      return (n, pairs @ List.map (fun (u, v) -> (v, u)) again))
+  in
+  QCheck.make
+    ~print:(fun (n, pairs) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; "
+           (List.map (fun (u, v) -> Printf.sprintf "(%d, %d)" u v) pairs)))
+    gen
+
+let prop_of_edges_reference =
+  QCheck.Test.make ~name:"of_edges = sort_uniq reference" ~count:200
+    arb_pair_list (fun (n, pairs) ->
+      let g = Graph.of_edges ~n pairs in
+      let expected =
+        List.sort_uniq compare
+          (List.map (fun (u, v) -> if u < v then (u, v) else (v, u)) pairs)
+      in
+      Graph.n g = n
+      && Graph.edges g = Array.of_list expected
+      && Graph.fold_nodes
+           (fun v ok ->
+             let nb =
+               List.filter_map
+                 (fun (a, b) -> if a = v then Some b else if b = v then Some a else None)
+                 expected
+             in
+             ok
+             && Graph.neighbors g v = Array.of_list (List.sort compare nb)
+             && Array.for_all2
+                  (fun u e -> Graph.edge_endpoints g e = (min u v, max u v))
+                  (Graph.neighbors g v) (Graph.incident_edges g v))
+           g true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -540,6 +629,7 @@ let qcheck_cases =
       prop_mis_is_ruling;
       prop_bfs_triangle_inequality;
       prop_power_distance;
+      prop_of_edges_reference;
     ]
 
 let () =
@@ -558,6 +648,8 @@ let () =
           Alcotest.test_case "power graph" `Quick test_power;
           Alcotest.test_case "line graph" `Quick test_line_graph;
           Alcotest.test_case "connectivity" `Quick test_connectivity;
+          Alcotest.test_case "of_adjacency checks its input" `Quick
+            test_of_adjacency;
         ] );
       ( "builders",
         [

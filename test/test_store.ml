@@ -99,6 +99,22 @@ let test_varint_canonicality () =
       check "consumed" true (Store.Codec.at_end r))
     [ 0; 1; 127; 128; 16383; 16384; max_int ]
 
+(* The IEEE CRC-32 check value, the empty string, and a checksum of a
+   range that does not start at 0 (which must equal the checksum of the
+   same bytes copied out, and continue through [?init]). *)
+let test_crc32_known_answers () =
+  check_int "check value" 0xCBF43926 (Store.Crc32.of_string "123456789");
+  check_int "empty" 0 (Store.Crc32.of_string "");
+  let b = Bytes.of_string "xx123456789yy" in
+  check_int "offset range" 0xCBF43926 (Store.Crc32.of_subbytes b ~pos:2 ~len:9);
+  check_int "empty range" 0 (Store.Crc32.of_subbytes b ~pos:5 ~len:0);
+  check_int "continued" 0xCBF43926
+    (Store.Crc32.of_substring "123456789" ~pos:4 ~len:5
+       ~init:(Store.Crc32.of_string "1234"));
+  match Store.Crc32.of_subbytes b ~pos:10 ~len:4 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "of_subbytes accepted a range past the end"
+
 let test_codec_sections () =
   let w = Store.Codec.writer () in
   Store.Codec.section w ~tag:7 "hello";
@@ -194,16 +210,28 @@ let test_codec_rejects () =
 (* ------------------------------------------------------------------ *)
 (* Snapshot round-trip *)
 
+(* Weighted so that, at the round-trip property's 140 draws, cycles,
+   grids and even-degree graphs keep about 33 draws each, and the
+   degenerate edgeless and n = 0 graphs appear only a few times. *)
 let graph_gen =
-  QCheck.Gen.(
-    map2
-      (fun pick seed ->
-        let rng = Prng.create seed in
-        match pick with
-        | 0 -> Builders.cycle (3 + Prng.int rng 60)
-        | 1 -> Builders.grid (1 + Prng.int rng 6) (1 + Prng.int rng 6)
-        | _ -> Builders.random_even_degree rng (4 + Prng.int rng 40) 2)
-      (int_bound 2) (int_bound 1_000_000))
+  let family weight build =
+    ( weight,
+      QCheck.Gen.map
+        (fun seed -> build (Prng.create seed))
+        (QCheck.Gen.int_bound 1_000_000) )
+  in
+  QCheck.Gen.frequency
+    [
+      family 10 (fun rng -> Builders.cycle (3 + Prng.int rng 60));
+      family 10 (fun rng -> Builders.grid (1 + Prng.int rng 6) (1 + Prng.int rng 6));
+      family 10 (fun rng -> Builders.random_even_degree rng (4 + Prng.int rng 40) 2);
+      (* Isolated nodes and mixed degrees. *)
+      family 6 (fun rng -> Builders.gnp rng (1 + Prng.int rng 50) (Prng.float rng 0.3));
+      (* A hub past [sort_ints]' insertion-sort cutoff of 16. *)
+      family 4 (fun rng -> Builders.complete_bipartite 1 (17 + Prng.int rng 40));
+      family 1 (fun rng -> Graph.of_edges ~n:(1 + Prng.int rng 20) []);
+      family 1 (fun _ -> Graph.of_edges ~n:0 []);
+    ]
 
 let snapshot_gen =
   QCheck.Gen.(
@@ -248,7 +276,7 @@ let snapshot_equal a b =
        a.Store.Snapshot.meta b.Store.Snapshot.meta
 
 let snapshot_roundtrip =
-  QCheck.Test.make ~count:100
+  QCheck.Test.make ~count:140
     ~name:"Snapshot.read inverts write; re-pack is byte-identical"
     snapshot_arb (fun s ->
       let bytes1 = Store.Snapshot.write s in
@@ -274,6 +302,57 @@ let test_snapshot_rejects_malformed () =
   match Store.Snapshot.write bad_chars with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted a non-bit assignment"
+
+let varints vs =
+  let w = Store.Codec.writer () in
+  List.iter (Store.Codec.varint w) vs;
+  Store.Codec.contents w
+
+(* A checksum-valid v1 file whose adjacency is not symmetric: node 0
+   lists 1 and node 3 lists 2, while 1 and 2 list nothing.  The degree
+   sum 2 matches m = 1, so only the symmetry check can catch it. *)
+let asymmetric_v1 () =
+  let w = Store.Codec.writer () in
+  Store.Codec.raw w Store.Snapshot.magic;
+  Store.Codec.u16 w Store.Snapshot.version;
+  Store.Codec.varint w 3;
+  (* n m, the degrees, then node 0's list {1} and node 3's list {2} *)
+  Store.Codec.section w ~tag:Store.Snapshot.tag_graph
+    (varints [ 4; 1; 1; 0; 0; 1; 1; 2 ]);
+  Store.Codec.section w ~tag:Store.Snapshot.tag_advice
+    (Store.Snapshot.advice_payload 4 ("c4", [| "1"; ""; ""; "1" |]));
+  Store.Codec.section w ~tag:Store.Snapshot.tag_meta (varints [ 0 ]);
+  Store.Codec.contents w
+
+let test_snapshot_rejects_asymmetric () =
+  let s = asymmetric_v1 () in
+  (match Store.Snapshot.read s with
+  | exception Store.Codec.Corrupt msg ->
+      check_str "diagnostic"
+        "graph section: Graph.of_adjacency: adjacency is not symmetric at \
+         edge {0, 1}"
+        msg
+  | _ -> Alcotest.fail "Snapshot.read accepted an asymmetric adjacency");
+  (match Store.Snapshot.read_salvage s with
+  | exception Store.Codec.Corrupt _ -> ()
+  | _ -> Alcotest.fail "read_salvage accepted an asymmetric adjacency");
+  match Store.Shard.open_bytes s with
+  | exception Store.Codec.Corrupt _ -> ()
+  | _ -> Alcotest.fail "Shard.open_bytes accepted an asymmetric adjacency"
+
+(* Every node and every neighbor costs at least one byte, so counts that
+   outrun the payload are rejected before anything is allocated. *)
+let test_graph_counts_bounded () =
+  List.iter
+    (fun (what, payload) ->
+      match Store.Snapshot.read_graph payload with
+      | exception Store.Codec.Corrupt _ -> ()
+      | _ -> Alcotest.failf "read_graph accepted %s" what)
+    [
+      ("n = 2^40 with one degree", varints [ 1 lsl 40; 0; 0 ]);
+      ("a degree of 2^40", varints [ 2; 1 lsl 39; 1 lsl 40; 0 ]);
+      ("degrees summing past the payload", varints [ 2; 1; 3; 3; 1; 2 ]);
+    ]
 
 (* Every single-byte mutation must be detected: framing damage trips a
    structural check, payload damage trips the section checksum. *)
@@ -598,6 +677,8 @@ let () =
           Alcotest.test_case "rejects damage" `Quick test_codec_rejects;
           Alcotest.test_case "position writers = appending writer" `Quick
             test_position_writers;
+          Alcotest.test_case "crc32 known answers" `Quick
+            test_crc32_known_answers;
         ] );
       ( "snapshot",
         [
@@ -608,6 +689,10 @@ let () =
             test_snapshot_corruption_fuzz;
           Alcotest.test_case "advice stays within the bit budget" `Slow
             test_bits_budget;
+          Alcotest.test_case "rejects asymmetric adjacency" `Quick
+            test_snapshot_rejects_asymmetric;
+          Alcotest.test_case "graph counts are bounded by bytes" `Quick
+            test_graph_counts_bounded;
         ] );
       ( "cache",
         [
