@@ -55,8 +55,8 @@ let workload g rng count =
       | _ -> Serve.Engine.Advice_bits v)
 
 (* A cache-less router over a version-1 file: its one shard is cut into
-   one slot per domain, so seq (1 slot) and par (D slots) do the same
-   ball work. *)
+   one slot per domain and its batches run on that many domains, so seq
+   (1 slot) and par (D slots) do the same ball work. *)
 let slot_router ~domains bytes =
   Serve.Router.create ~cache_capacity:0 ~domains (Store.Shard.open_bytes bytes)
 
@@ -90,7 +90,7 @@ let bench_row ~domains n =
   let batch domains =
     let r = slot_router ~domains bytes in
     Bench_util.time_once (fun () ->
-        ignore (Serve.Router.batch ~domains r queries))
+        ignore (Serve.Router.batch r queries))
   in
   let _, seq_t = batch 1 in
   let _, par_t = batch effective in
@@ -269,10 +269,8 @@ let bench_pool_row ~bytes ~queries ~requested =
   let effective = Localmodel.View.effective_domains ~requested () in
   let seq_router = slot_router ~domains:1 bytes in
   let pool_router = slot_router ~domains:effective bytes in
-  let run_seq () = ignore (Serve.Router.batch ~domains:1 seq_router queries) in
-  let run_lockless () =
-    ignore (Serve.Router.batch ~domains:effective pool_router queries)
-  in
+  let run_seq () = ignore (Serve.Router.batch seq_router queries) in
+  let run_lockless () = ignore (Serve.Router.batch pool_router queries) in
   (* Interleaved min-of-reps: drift (GC, frequency scaling) hits both
      configurations equally, and the minima compare clean runs. *)
   let seq = ref infinity and lockless = ref infinity in
@@ -340,8 +338,8 @@ let bench_pool ~smoke =
      exercises genuine cross-domain serving and checks it answer-for-
      answer — a correctness probe, not a throughput claim. *)
   let crossed_ok =
-    let crossed = Serve.Router.batch ~domains:2 (slot_router ~domains:2 bytes) queries in
-    let reference = Serve.Router.batch ~domains:1 (slot_router ~domains:1 bytes) queries in
+    let crossed = Serve.Router.batch (slot_router ~domains:2 bytes) queries in
+    let reference = Serve.Router.batch (slot_router ~domains:1 bytes) queries in
     Marshal.to_string crossed [] = Marshal.to_string reference []
   in
   let not_slower = List.for_all pool_row_acceptable rows in

@@ -79,6 +79,12 @@ let at_least cmd flag ~min v =
       exit 2
   | _ -> ()
 
+let within cmd flag ~min ~max v =
+  if v < min || v > max then begin
+    Format.eprintf "%s: --%s must be in %d..%d (got %d)@." cmd flag min max v;
+    exit 2
+  end
+
 let build ?input kind n =
   match input with
   | Some path -> Graphio.load path
@@ -498,10 +504,10 @@ let print_answer = function
 
 (* Per-query outcomes: a lost shard degrades only the queries aimed at
    its node range.  [where] names the shards in the summary line. *)
-let serve_batch router ~where domains batch =
+let serve_batch router ~where batch =
   let queries = read_batch batch in
   let results =
-    try Serve.Router.batch_results ?domains router queries
+    try Serve.Router.batch_results router queries
     with Invalid_argument msg ->
       Format.eprintf "rejected batch: %s@." msg;
       exit 2
@@ -521,10 +527,8 @@ let serve_batch router ~where domains batch =
     (Serve.Router.advice_name router) where
     (if !failed > 0 then Printf.sprintf ", %d failed" !failed else "")
 
-let serve_listen router domains host port write_budget =
-  let config =
-    { Net.Server.default_config with Net.Server.host; port; write_budget; domains }
-  in
+let serve_listen router host port write_budget =
+  let config = { Net.Server.default_config with Net.Server.host; port; write_budget } in
   let server =
     try Net.Server.create ~config router
     with Unix.Unix_error (err, _, _) ->
@@ -581,6 +585,8 @@ let serve_cmd =
   let run path batch listen host port write_budget domains salvage
       resident_mb use_memo memo_capacity metrics =
     at_least "serve" "domains" ~min:1 domains;
+    within "serve" "port" ~min:0 ~max:65535 port;
+    at_least "serve" "write-budget" ~min:1 (Some write_budget);
     at_least "serve" "resident-mb" ~min:0 (Some resident_mb);
     at_least "serve" "memo-capacity" ~min:0 (Some memo_capacity);
     or_corrupt @@ fun () ->
@@ -640,9 +646,8 @@ let serve_cmd =
           c (Serve.Router.n router)
     | _ -> ());
     match mode with
-    | `Listen -> serve_listen router domains host port write_budget
-    | `Batch b ->
-        serve_batch router ~where:(Printf.sprintf ", %d shard(s)" shards) domains b
+    | `Listen -> serve_listen router host port write_budget
+    | `Batch b -> serve_batch router ~where:(Printf.sprintf ", %d shard(s)" shards) b
   in
   Cmd.v
     (Cmd.info "serve"

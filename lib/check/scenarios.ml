@@ -61,10 +61,11 @@ let pool_failure_replay (module S : Shim.S) =
                 "re-raised task %d, not the lowest failed index 1" i))
 
 (* The router's batch path: wave planner + pool + slot-owner cells +
-   scatter, over a packed cycle whose one shard is cut into two slots
+   scatter, over a packed cycle whose one shard is cut into two slots,
+   two ranges of one engine's label column, served by a two-domain pool
    (an explicit [~domains:2] is honored on any host).  The router
-   (untracked: graph, advice, slot label columns) is built once and
-   shared across schedules — only the per-batch tracked state (claim
+   (untracked: graph, advice, the shard's label column) is built once
+   and shared across schedules — only the per-batch tracked state (claim
    cursor, owner cells) is re-created inside each run, which is what
    the checker needs to see.  Answers must equal the sequential ones on
    every interleaving. *)
@@ -93,7 +94,7 @@ let router_batch (module S : Shim.S) =
   if Serve.Router.slot_count router <> 2 then
     raise (Sched.Check_failed "the fixture router does not have two slots");
   let module B = Serve.Router.Batch (S) in
-  let got = B.batch_results ~domains:2 router queries in
+  let got = B.batch_results router queries in
   if got <> expected then
     raise (Sched.Check_failed "batch answers differ from sequential serving")
 

@@ -279,6 +279,16 @@ let parse_frame ~max_frame buf ~pos ~len ~decode =
             Fail { code = Bad_request; message = msg; consumed = total }
       end
 
+(* A count-prefixed payload: each item needs at least two payload bytes,
+   so a count beyond that bound is a lie about data that cannot be
+   present — reject before allocating for it.  [reject] (a closed
+   function, so passing it allocates nothing) words the rejection. *)
+let read_count r ~reject =
+  let count = Codec.read_varint r in
+  if count > (Codec.remaining r / 2) + 1 then
+    raise (Codec.Corrupt (reject count (Codec.remaining r)));
+  count
+
 let read_query ~tag r =
   if tag = tag_output_label then Engine.Output_label (Codec.read_varint r)
   else if tag = tag_edge_member then begin
@@ -296,16 +306,11 @@ let decode_request ~tag r =
     else if tag = tag_output_label || tag = tag_edge_member
             || tag = tag_advice_bits then Query (read_query ~tag r)
     else if tag = tag_batch then begin
-      let count = Codec.read_varint r in
-      (* Each query needs at least two payload bytes, so a count beyond
-         that bound is a lie about data that cannot be present — reject
-         before allocating for it. *)
-      if count > (Codec.remaining r / 2) + 1 then
-        raise
-          (Codec.Corrupt
-             (Printf.sprintf
-                "batch announces %d queries but only %d payload byte(s) remain"
-                count (Codec.remaining r)));
+      let count =
+        read_count r ~reject:(fun count left ->
+            Printf.sprintf "batch announces %d queries but only %d payload byte(s) remain"
+              count left)
+      in
       Batch
         (Array.init count (fun _ ->
              let qtag = Codec.read_u8 r in
@@ -316,56 +321,42 @@ let decode_request ~tag r =
   Codec.expect_end r ~what:"request payload";
   v
 
+let read_answer ~tag r =
+  if tag = tag_label then Engine.Label (Codec.read_str r)
+  else if tag = tag_member then begin
+    match Codec.read_u8 r with
+    | 0 -> Engine.Member false
+    | 1 -> Engine.Member true
+    | b -> raise (Codec.Corrupt (Printf.sprintf "member answer byte %d is not 0/1" b))
+  end
+  else if tag = tag_bits then Engine.Bits (Codec.read_str r)
+  else raise (Codec.Corrupt (Printf.sprintf "unknown answer tag 0x%02x" tag))
+
 let decode_response ~tag r =
   let v =
     if tag = tag_pong then Pong
     else if tag = tag_stats_reply then begin
-      let count = Codec.read_varint r in
-      if count > (Codec.remaining r / 2) + 1 then
-        raise
-          (Codec.Corrupt
-             (Printf.sprintf "stats reply announces %d entries in %d byte(s)"
-                count (Codec.remaining r)));
+      let count =
+        read_count r ~reject:(fun count left ->
+            Printf.sprintf "stats reply announces %d entries in %d byte(s)" count left)
+      in
       Stats_reply
         (List.init count (fun _ ->
              let k = Codec.read_str r in
              let v = Codec.read_varint r in
              (k, v)))
     end
-    else if tag = tag_label then Answer (Engine.Label (Codec.read_str r))
-    else if tag = tag_member then begin
-      match Codec.read_u8 r with
-      | 0 -> Answer (Engine.Member false)
-      | 1 -> Answer (Engine.Member true)
-      | b ->
-          raise
-            (Codec.Corrupt (Printf.sprintf "member answer byte %d is not 0/1" b))
-    end
-    else if tag = tag_bits then Answer (Engine.Bits (Codec.read_str r))
+    else if tag = tag_label || tag = tag_member || tag = tag_bits then
+      Answer (read_answer ~tag r)
     else if tag = tag_answers then begin
-      let count = Codec.read_varint r in
-      if count > (Codec.remaining r / 2) + 1 then
-        raise
-          (Codec.Corrupt
-             (Printf.sprintf "answers frame announces %d answers in %d byte(s)"
-                count (Codec.remaining r)));
+      let count =
+        read_count r ~reject:(fun count left ->
+            Printf.sprintf "answers frame announces %d answers in %d byte(s)" count left)
+      in
       Answers
         (Array.init count (fun _ ->
              let atag = Codec.read_u8 r in
-             if atag = tag_label then Engine.Label (Codec.read_str r)
-             else if atag = tag_member then (
-               match Codec.read_u8 r with
-               | 0 -> Engine.Member false
-               | 1 -> Engine.Member true
-               | b ->
-                   raise
-                     (Codec.Corrupt
-                        (Printf.sprintf "member answer byte %d is not 0/1" b)))
-             else if atag = tag_bits then Engine.Bits (Codec.read_str r)
-             else
-               raise
-                 (Codec.Corrupt
-                    (Printf.sprintf "unknown answer tag 0x%02x" atag))))
+             read_answer ~tag:atag r))
     end
     else if tag = tag_error then begin
       let code_byte = Codec.read_u8 r in

@@ -20,7 +20,6 @@ type config = {
   max_conns : int;
   max_frame : int;
   write_budget : int;
-  domains : int option;
 }
 
 let default_config =
@@ -31,7 +30,6 @@ let default_config =
     max_conns = 1024;
     max_frame = Protocol.default_max_frame;
     write_budget = 256 * 1024;
-    domains = None;
   }
 
 (* Cumulative loop counters.  The loop is single-threaded, so plain
@@ -66,7 +64,20 @@ type t = {
   c : counters;
 }
 
+let check_config c =
+  let positive what v =
+    if v < 1 then
+      invalid_arg (Printf.sprintf "Server.create: %s must be positive (got %d)" what v)
+  in
+  if c.port < 0 || c.port > 65535 then
+    invalid_arg (Printf.sprintf "Server.create: port %d is outside 0..65535" c.port);
+  positive "backlog" c.backlog;
+  positive "max_conns" c.max_conns;
+  positive "max_frame" c.max_frame;
+  positive "write_budget" c.write_budget
+
 let create ?(config = default_config) router =
+  check_config config;
   (* A peer that disappears mid-write must surface as EPIPE on the
      write call, not as a process-killing signal. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -196,7 +207,7 @@ let dispatch t rq =
       Obs.Metrics.incr m_batches;
       if Obs.Metrics.enabled () then
         Obs.Metrics.observe m_batch_size (Array.length qs);
-      match Router.batch ?domains:t.config.domains t.router qs with
+      match Router.batch t.router qs with
       | az ->
           note_answered t (Array.length az);
           Protocol.Answers az

@@ -5,12 +5,13 @@
     (the cross-domain shutdown signal), and every connection that wants
     IO per its {!Conn} state machine; then accepts, reads and parses
     pipelined request frames, dispatches them (batches through the
-    router's parallel {!Serve.Router.batch} slot fan-out), and flushes
-    write queues.  Dispatch is synchronous on the loop thread: one
-    enormous batch delays other connections rather than racing them,
-    which is the deliberate trade — the router's domain pool is where
-    parallelism lives, and the loop stays free of locks entirely.  The
-    router ({!Serve.Router.create}) serves either snapshot version; a
+    router's parallel {!Serve.Router.batch} slot fan-out, on the domain
+    count the router was created with), and flushes write queues.
+    Dispatch is synchronous on the loop thread: one enormous batch
+    delays other connections rather than racing them, which is the
+    deliberate trade — the router's domain pool is where parallelism
+    lives, and the loop stays free of locks entirely.  The router
+    ({!Serve.Router.create}) serves either snapshot version; a
     router exception (a malformed query, a lost shard) becomes a
     non-fatal {!Protocol.Rejected} frame and the server keeps serving.
 
@@ -51,7 +52,6 @@ type config = {
   write_budget : int;
       (** per-connection queued-response bound (bytes) above which the
           connection stops being read, default 256 KiB *)
-  domains : int option;  (** batch fan-out, forwarded to the router *)
 }
 
 val default_config : config
@@ -65,8 +65,10 @@ val create : ?config:config -> Serve.Router.t -> t
     {!port} is known before {!run} is entered — a test can bind port 0,
     read the assigned port, and only then start the loop in another
     domain.  The loop then owns [router]: no other thread may query it
-    while the server runs.  @raise Unix.Unix_error when binding fails
-    (address in use, permission). *)
+    while the server runs.  @raise Invalid_argument before any socket
+    is created when [port] is outside 0..65535, or [backlog],
+    [max_conns], [max_frame] or [write_budget] is below 1; @raise
+    Unix.Unix_error when binding fails (address in use, permission). *)
 
 val port : t -> int
 (** The actually bound TCP port (resolves port [0] requests). *)

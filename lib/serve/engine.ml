@@ -13,12 +13,14 @@ let m_ball =
   Obs.Metrics.histogram "serve.ball_size"
     ~buckets:[| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 |]
 
-(* One engine answers the nodes [lo, hi) of its graph (all of them
-   unless {!restrict}ed) from one label column indexed by [v - lo]: a
-   node's label is a pure function of its ball, so it is decoded once
-   and then read back with one array load.  The router gives each of
-   its slots its own engine, and a batch hands a slot to exactly one
-   pool worker, so no lock ever guards a column — ownership does. *)
+(* One engine answers every node of its graph from one node-indexed
+   label column: a node's label is a pure function of its ball, so it
+   is decoded once and then read back with one array load.  The router
+   keeps one engine per resident shard and cuts its nodes into slots; a
+   batch hands each slot to exactly one pool worker, which writes only
+   that slot's range of the column.  Distinct array elements are
+   distinct memory locations, so no lock ever guards the column —
+   ownership of disjoint ranges does. *)
 type t = {
   graph : Graph.t;
   name : string;
@@ -26,10 +28,8 @@ type t = {
   params : Balanced_orientation.params;
   radius : int;
   ids : Localmodel.Ids.t;
-  lo : int;  (* first node answered *)
-  hi : int;  (* one past the last node answered *)
   store : bool;  (* false: [labels] is empty and every ball query decodes *)
-  labels : string array;  (* labels.(v - lo); [undecoded] until stored *)
+  labels : string array;  (* labels.(v); [undecoded] until stored *)
   memo : Memo.t option;  (* canonical-ball decode memo, possibly shared *)
   memo_prefix : string;  (* radius/params/trust pinned into every key *)
   degraded : bool;  (* any section of the source snapshot was damaged *)
@@ -193,7 +193,7 @@ let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
   let params = params_of_meta snapshot.Store.Snapshot.meta in
   (* Everything a decode depends on beyond the ball itself, pinned into
      every memo key: one table can then be shared by engines serving at
-     the same radius/params/trust (the router's slot engines) while
+     the same radius/params/trust (the router's shard engines) while
      engines that differ in any of them can never alias. *)
   let memo_prefix =
     Printf.sprintf "r%d;p%d,%d,%d;t%c;" radius
@@ -208,8 +208,6 @@ let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
     params;
     radius;
     ids;
-    lo = 0;
-    hi = n;
     store;
     labels = Array.make (if store then n else 0) undecoded;
     memo;
@@ -218,11 +216,6 @@ let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
     trusted;
     quarantined;
   }
-
-let restrict t ~lo ~hi =
-  if lo < t.lo || hi > t.hi || lo > hi then
-    fail "Engine.restrict: range %d..%d is not inside %d..%d" lo hi t.lo t.hi;
-  { t with lo; hi; labels = Array.make (if t.store then hi - lo else 0) undecoded }
 
 let graph t = t.graph
 let radius t = t.radius
@@ -236,8 +229,8 @@ type query = Output_label of int | Edge_member of int * int | Advice_bits of int
 type answer = Label of string | Member of bool | Bits of string
 
 let check_node t what v =
-  if v < t.lo || v >= t.hi then
-    fail "Engine: %s names node %d outside %d..%d" what v t.lo (t.hi - 1)
+  let n = Graph.n t.graph in
+  if v < 0 || v >= n then fail "Engine: %s names node %d outside 0..%d" what v (n - 1)
 
 let validate t = function
   | Output_label v -> check_node t "Output_label" v
@@ -297,15 +290,14 @@ let compute_label t ~staged v =
           label)
 
 let label t ~staged v =
-  let i = v - t.lo in
-  if t.store && t.labels.(i) != undecoded then begin
+  if t.store && t.labels.(v) != undecoded then begin
     Obs.Metrics.incr m_hits;
-    t.labels.(i)
+    t.labels.(v)
   end
   else begin
     Obs.Metrics.incr m_misses;
     let str = compute_label t ~staged v in
-    if t.store then t.labels.(i) <- str;
+    if t.store then t.labels.(v) <- str;
     str
   end
 

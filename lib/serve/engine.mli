@@ -14,20 +14,19 @@
     membership bits — O(ball) work per miss, independent of the graph
     size, with no {!Localmodel.View} materialized.
 
-    {b Decode once: one label column.}  An engine answers the nodes of
-    one contiguous range (the whole graph, unless {!restrict}ed).  A
-    node's label is a pure function of its ball, so for a given snapshot
-    it never changes: the engine keeps a node-indexed label column over
-    its range, decodes a node the first time a ball query names it, and
-    answers every later query for that node with one array load.  The
-    column costs one word per node of the range plus the label strings
-    it stores: one per isomorphism class with a memo, one per decoded
-    node without.  It has no notion of shards or batches: {!Router} is the only multi-slot
-    front end and the only batch planner, and gives each of its slots
-    its own engine — a loaded shard's engine, or a {!restrict}ion of it
-    to one node range (either leaves with the shard on eviction).  Only
-    the slot's owner writes a column: the serialized {!query} path, or
-    the one pool worker that holds the slot for a batch wave.
+    {b Decode once: one label column.}  A node's label is a pure
+    function of its ball, so for a given snapshot it never changes: the
+    engine keeps a node-indexed label column over its graph, decodes a
+    node the first time a ball query names it, and answers every later
+    query for that node with one array load.  The column costs one word
+    per node plus the label strings it stores: one per isomorphism class
+    with a memo, one per decoded node without.  The engine has no notion
+    of shards or batches: {!Router} is the only multi-slot front end and
+    the only batch planner.  It keeps one engine per resident shard (the
+    column leaves with the shard on eviction) and cuts the shard's nodes
+    into slots, so a slot is a node range of that engine's column.  Only
+    a range's owner writes it: the serialized {!query} path, or the one
+    pool worker that holds the slot for a batch wave.
 
     {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
     {e between} the label column and the decoder: a column miss first
@@ -37,7 +36,7 @@
     the BFS stamps — and only builds the fragment and decodes on a memo
     miss, from the same stamps; a memo hit builds neither a view nor a
     graph.  Nodes with isomorphic balls share one decode (and one label
-    string), across engines (the router passes one table to every slot
+    string), across engines (the router passes one table to every shard
     engine) and shard evictions.  Answers are byte-identical to the unmemoized engine: the
     signature captures the decoder's whole input.  Publication is
     single-writer: the serialized {!query} path inserts immediately,
@@ -72,7 +71,7 @@
 
 type t
 (** A loaded engine: snapshot, decode parameters, serve radius, and one
-    label column over the node range it answers. *)
+    node-indexed label column. *)
 
 val create :
   ?cache_capacity:int ->
@@ -117,14 +116,6 @@ val serve_radius : ?radius:int -> (string * string) list -> int
     @raise Invalid_argument on a negative [radius]; @raise
     Store.Codec.Corrupt when the entry is missing or not a non-negative
     integer (a fault of the file, not of the caller). *)
-
-val restrict : t -> lo:int -> hi:int -> t
-(** [restrict e ~lo ~hi] answers only the nodes [lo..hi-1] of [e]'s
-    range: it shares [e]'s graph, advice, identifiers, memo and health,
-    and owns a fresh label column over that range (none if [e]'s is
-    off) — one {!Router} slot, a node range of a loaded shard.  Queries
-    for nodes outside the range are rejected.  @raise Invalid_argument
-    when the range is not inside [e]'s. *)
 
 val graph : t -> Netgraph.Graph.t
 (** The snapshot's graph. *)
@@ -179,7 +170,9 @@ val staged : t -> query -> answer * (string * string) option
     batch): the memo is only {e read}, and a miss comes back as its
     [(key, label)] pair for the caller to {!Memo.insert} on the calling
     thread after its join.  Without a memo, or on a hit, the pair is
-    [None]. *)
+    [None].  Workers may call [staged] on one engine at once as long as
+    their node sets are disjoint: each writes only its own nodes'
+    column entries. *)
 
 val label_of_view : params:Schemas.Balanced_orientation.params -> Localmodel.View.t -> string
 (** The per-ball decode for a materialized view, exposed for pack-time

@@ -1,10 +1,10 @@
 (* Canonical-ball decode memo: an open-addressed string table mapping
    (radius/params/trust prefix ^ Ethlink.Canonical.ball_signature) to
-   decoded labels.  Sits between the per-slot label columns and the
+   decoded labels.  Sits between the per-shard label columns and the
    ball decoder: a column remembers a *node*, and a node the column has
    not decoded yet still hits here when its ball is isomorphic (same
-   canonical signature) to one decoded before — on any slot, and across
-   shard evictions.
+   canonical signature) to one decoded before — on any shard, and
+   across shard evictions.
 
    Concurrency contract (the reason this is not a Hashtbl): reads
    ([find]) touch no mutable metadata, so any number of pool workers may

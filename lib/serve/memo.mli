@@ -2,7 +2,7 @@
     lookup-table simulation).
 
     A bounded, hash-consed table from canonical ball keys to decoded
-    labels, layered {e between} the per-slot label columns and the ball
+    labels, layered {e between} the per-shard label columns and the ball
     decoder: a column remembers {e nodes}, this table remembers
     {e isomorphism classes}.  Keys are
     [engine prefix ^ Ethlink.Canonical.ball_signature view] — written
@@ -10,7 +10,7 @@
     prefix pins the serve radius, decoder parameters and trust mode —
     everything the decode depends on beyond the ball itself — so one
     table can safely be shared by many engines (the router shares one
-    across its slot engines).
+    across its shard engines).
 
     {b Publication discipline.}  [find] reads no mutable metadata, so
     any number of parallel workers may probe a table that no one is

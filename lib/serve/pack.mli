@@ -41,14 +41,14 @@ val edge_compression :
     {!Router.batch} of [Output_label] queries for the checked nodes, on
     a memo-less router built with [Router.create ~radius:r] over
     {!Store.Shard.of_snapshot} of the snapshot (nothing is serialized):
-    the one-shard container, slot engines, stamped-ball decode and
+    the one-shard container, shard engine, stamped-ball decode and
     {!Pool} that serve the file later.  [domains] (default
     {!Localmodel.View.effective_domains}[ ()]; a request is fitted to
-    the hardware the same way) sets both the router's slot count and
-    the batch's pool.  [name] is the advice
-    section name (default ["c4"]); [params] the orientation parameters
-    (default {!Schemas.Balanced_orientation.onebit_params}), stored in
-    the metadata for {!Engine.create} to read back.  The snapshot
+    the hardware the same way) is passed once, to {!Router.create},
+    which sets the slot count and the batch's pool from it.  [name] is
+    the advice section name (default ["c4"]); [params] the orientation
+    parameters (default {!Schemas.Balanced_orientation.onebit_params}),
+    stored in the metadata for {!Engine.create} to read back.  The snapshot
     serializes as either file version: {!Store.Snapshot.write}, or
     {!Store.Shard.build} with a halo of [max radius 1] — certification
     ran on the global graph, and the halo invariant transfers the

@@ -11,12 +11,13 @@ exception Shard_lost of { shard : int; reason : string }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* One resident container shard: an engine per slot of the shard, the
-   global→local translation tables (not kept when the shard is [whole],
-   i.e. stores every node and edge: they are then the identity), and
-   its frame bytes, charged to the resident budget. *)
+(* One resident container shard: its engine, whose label column the
+   shard's slots cut into disjoint node ranges, the global→local
+   translation tables (not kept when the shard is [whole], i.e. stores
+   every node and edge: they are then the identity), and its frame
+   bytes, charged to the resident budget. *)
 type resident = {
-  engines : Engine.t array;  (* slot [first_slot.(k) + i] -> engines.(i) *)
+  engine : Engine.t;
   whole : bool;
   ids : int array;
   edge_ids : int array;
@@ -26,8 +27,9 @@ type resident = {
 
 type shard = Unloaded | Resident of resident | Lost of string
 
-(* A slot: the node range [lo, hi) of container shard [shard]. *)
-type slot = { shard : int; lo : int; hi : int }
+(* A slot: the nodes of container shard [shard] from [lo] up to the
+   next slot's [lo] (or the end of the shard). *)
+type slot = { shard : int; lo : int }
 
 type t = {
   store : Shard.t;
@@ -36,9 +38,10 @@ type t = {
   name : string option;
   cache_capacity : int option;  (* passed to each loaded shard engine *)
   memo : Memo.t option;  (* one canonical-ball table, shared by every
-                            slot engine (keys pin radius/params) *)
+                            shard engine (keys pin radius/params) *)
   budget : int;  (* resident-byte budget; 0 = unbounded *)
   radius : int;
+  domains : int;  (* sets the slot count, and the pool size of a batch *)
   slots : slot array;  (* in node order *)
   first_slot : int array;  (* per shard, plus one past the last slot *)
   shards : shard array;
@@ -88,8 +91,9 @@ let advice_name t =
 
 let shard_of t v = Shard.shard_of_node t.man v
 
-(* Owner slot of an in-range node: the last slot starting at or before
-   it (an empty slot shares its start with the next one). *)
+(* Owner slot of an in-range node, for batch planning: the last slot
+   starting at or before it (an empty slot shares its start with the
+   next one). *)
 let slot_of t v =
   let lo = ref 0 and hi = ref (Array.length t.slots - 1) in
   while !lo < !hi do
@@ -168,9 +172,9 @@ let bsearch (arr : int array) (x : int) =
    and advice slices to a fresh engine whose ids are the global node ids
    shifted to the identifier space (gid + 1 = the identity assignment a
    whole-graph engine uses), so every fragment relabeling — and
-   therefore every answer byte — matches the monolithic engine's; then
-   cut it into its slots (the interior is one run of the sorted local
-   ids, so each slot is a local range too). *)
+   therefore every answer byte — matches the monolithic engine's.  The
+   interior is one run of the sorted local ids, so each of the shard's
+   slots is a local range of the engine's column too. *)
 let load_resident t ~pinned k =
   let info = t.man.Shard.m_shards.(k) in
   let loaded = Shard.load t.store k in
@@ -191,20 +195,9 @@ let load_resident t ~pinned k =
     Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius
       ?ids ?name:t.name ?health:loaded.Shard.l_health snapshot
   in
-  let local v = if whole then v else bsearch loaded.Shard.l_ids v in
-  let first = t.first_slot.(k) in
-  let engines =
-    match t.first_slot.(k + 1) - first with
-    | 1 -> [| engine |]
-    | count ->
-        Array.init count (fun i ->
-            let slot = t.slots.(first + i) in
-            let lo = local slot.lo in
-            Engine.restrict engine ~lo ~hi:(lo + slot.hi - slot.lo))
-  in
   let r =
     {
-      engines;
+      engine;
       whole;
       ids = (if whole then [||] else loaded.Shard.l_ids);
       edge_ids = (if whole then [||] else loaded.Shard.l_edge_ids);
@@ -299,7 +292,7 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
       (List.map
          (fun { Shard.i_index = shard; i_lo; i_hi; _ } ->
            Array.map
-             (fun (a, b) -> { shard; lo = i_lo + a; hi = i_lo + b })
+             (fun (a, _) -> { shard; lo = i_lo + a })
              (Shard.plan ~n:(i_hi - i_lo) ~shards:((domains + s - 1) / s)))
          (Array.to_list man.Shard.m_shards))
   in
@@ -315,6 +308,7 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
       memo;
       budget = resident_budget;
       radius;
+      domains;
       slots;
       first_slot;
       shards = Array.make s Unloaded;
@@ -330,7 +324,7 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
   (* With salvage, a damaged v1 file's one shard loads now, so
      [degraded] and [serving_trusted] are right before the first query. *)
   if Option.is_some (Shard.damage store) then
-    t.salvaged <- Some (ensure t ~pinned:t.unpinned 0).engines.(0);
+    t.salvaged <- Some (ensure t ~pinned:t.unpinned 0).engine;
   t
 
 (* Global → local query translation, one rule for every shard: a whole
@@ -355,7 +349,7 @@ let validate t = function
 
 let check_endpoint (r : resident) v e ~lv ~le =
   if le < 0 then fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
-  let a, b = Netgraph.Graph.edge_endpoints (Engine.graph r.engines.(0)) le in
+  let a, b = Netgraph.Graph.edge_endpoints (Engine.graph r.engine) le in
   if lv <> a && lv <> b then begin
     let global x = if r.whole then x else r.ids.(x) in
     fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
@@ -381,17 +375,15 @@ let query_node = function
 
 let query t q =
   validate t q;
-  let j = slot_of t (query_node q) in
-  let k = t.slots.(j).shard in
-  let r = ensure t ~pinned:t.unpinned k in
-  Engine.query r.engines.(j - t.first_slot.(k)) (translate r q)
+  let r = ensure t ~pinned:t.unpinned (shard_of t (query_node q)) in
+  Engine.query r.engine (translate r q)
 
 (* ------------------------------------------------------------------ *)
 (* Batch: group queries by owner slot, then serve in *waves* — the
    largest prefix of needed shards whose bytes fit the resident budget
    loads together and fans its slots across the pool (one task per
-   slot, so one worker owns a slot's engine and label column for the
-   whole wave), then the next wave replaces it. *)
+   slot, so one worker owns a slot's range of its shard engine's label
+   column for the whole wave), then the next wave replaces it. *)
 
 (* [Array.map f a] seeded with a static [placeholder]: seeding a large
    array with a young value (as [Array.map] does) forces a minor
@@ -424,7 +416,7 @@ let plan_slots t qs =
    — a plain load + store through [Shim.Real.Raw], and the access trace
    the checker's vector-clock tracker uses to prove (or refute, for the
    shared-writer mutant) that no two workers ever touch one slot's
-   engine unsynchronized. *)
+   column range unsynchronized. *)
 module Batch (S : Shim.S) = struct
   (* Shadowing the outer [Pool] on purpose: call sites below read
      [Pool.run], which keeps the domain-race lint descending into the
@@ -432,7 +424,7 @@ module Batch (S : Shim.S) = struct
      callers. *)
   module Pool = Pool.Make (S)
 
-  let batch_results ?domains t qs =
+  let batch_results t qs =
     Array.iter (validate t) qs;
     Obs.Trace.span "serve.batch" @@ fun () ->
     Obs.Metrics.incr m_batches;
@@ -484,7 +476,7 @@ module Batch (S : Shim.S) = struct
                     let local =
                       map_seeded (Engine.Advice_bits 0) (fun i -> translate r qs.(i)) idxs.(j)
                     in
-                    tasks := (j, r.engines.(j - t.first_slot.(k)), local) :: !tasks
+                    tasks := (j, r.engine, local) :: !tasks
                   end)
                 slots
           | exception Shard_lost { shard; reason } ->
@@ -498,7 +490,7 @@ module Batch (S : Shim.S) = struct
          and this (the single calling) thread inserts them after the
          join — the wave boundary is the memo's write point. *)
       let parts =
-        Pool.run ?domains
+        Pool.run ~domains:t.domains
           (fun (j, engine, local) ->
             let staged = ref [] in
             let answers =
@@ -529,9 +521,9 @@ module Production = Batch (Shim.Real)
 
 let batch_results = Production.batch_results
 
-let batch ?domains t qs =
+let batch t qs =
   map_seeded (Engine.Bits "")
     (function
       | Ok a -> a
       | Error msg -> raise (Store.Codec.Corrupt msg))
-    (batch_results ?domains t qs)
+    (batch_results t qs)

@@ -1,7 +1,8 @@
-(** The serving front end: node → owner slot → slot engine, over one
+(** The serving front end: node → owner shard → shard engine, over one
     {!Store.Shard} container of either file version.  {!Router} is the
     only multi-slot front end and the only batch planner; {!Engine} is
-    the decode core each slot wraps, with one label column per slot.
+    the decode core each resident shard wraps, with one label column per
+    shard.
 
     {b Shards and slots.}  {!create} keeps at most a byte-budget's
     worth of the container's shards resident, loading each on first
@@ -11,10 +12,12 @@
     identifier, so a shard-local ball (the global ball, by the halo
     invariant of {!Store.Shard}) decodes to the {e same bytes} a
     whole-graph engine would produce.  A {e slot} is a node range of
-    one shard: [~domains:D] cuts each of the [S] shards into [⌈D/S⌉]
-    {!Store.Shard.plan} ranges, each served by an {!Engine.restrict}ion
-    of the shard's engine — [D] slots for a one-shard file (every
-    version-1 snapshot), one per shard when [S >= D].
+    one shard, and so a range of its engine's label column:
+    [~domains:D] cuts each of the [S] shards into [⌈D/S⌉]
+    {!Store.Shard.plan} ranges — [D] slots for a one-shard file (every
+    version-1 snapshot), one per shard when [S >= D].  Slots exist for
+    batches only: a single {!query} goes straight to its owner shard's
+    engine.
 
     {b One translation rule.}  A shard that stores every node and edge
     translates global ids by the identity; any other by binary search
@@ -27,7 +30,7 @@
     frame bytes} (the manifest's [frame-bytes] per shard; a version-1
     file's whole size): stable, inspectable without loading, and linear
     in the shard's node count, as the loaded engine is (the label
-    strings its columns gather later are not counted).  A load that
+    strings its column gathers later are not counted).  A load that
     would exceed the budget first evicts least-recently-used resident
     shards (never ones pinned by the current batch wave); a single shard
     larger than the budget loads anyway — the budget bounds steady-state
@@ -36,7 +39,9 @@
     {b Batches} group queries by owner slot and serve them in waves:
     the longest prefix of needed shards whose summed bytes fit the
     budget loads together, fans one task per slot across {!Pool.run}
-    (one worker owns a slot's engine and label column for the wave),
+    on the router's [D] domains (one worker owns a slot's range of the
+    shard engine's label column for the wave: distinct array elements
+    are distinct memory locations, so disjoint ranges need no lock),
     and is then replaced by the next wave.  Answers are byte-identical
     to a whole-graph {!Engine} over the same snapshot, for every slot
     count, budget and domain count.
@@ -61,8 +66,8 @@
     best-effort and is {!degraded} from the start.
 
     {b Memoization.}  One {!Memo} canonical-ball table (the [~memo] of
-    {!create}) is shared by every slot engine: isomorphic balls decode
-    once {e across slots}, surviving eviction and reload.  Batch waves
+    {!create}) is shared by every shard engine: isomorphic balls decode
+    once {e across shards}, surviving eviction and reload.  Batch waves
     keep the table frozen for their pool workers ({!Engine.staged}) and
     insert the staged misses between waves on the calling thread — the
     single-writer discipline.
@@ -70,12 +75,12 @@
     Obs: [store.shard.loads], [store.shard.evictions],
     [store.shard.lost], [serve.batches] and [serve.batch.shards] (slots
     served per wave) counters, the [store.shard.resident_bytes] peak
-    gauge and the [serve.batch] trace span (plus everything the slot
+    gauge and the [serve.batch] trace span (plus everything the shard
     engines and {!Pool} record). *)
 
 type t
 (** A router: a slot table with its LRU state, and one {!Engine} per
-    resident slot. *)
+    resident shard. *)
 
 exception Shard_lost of { shard : int; reason : string }
 (** Raised (in salvage mode) when the owner shard of a queried node
@@ -93,20 +98,22 @@ val create :
   t
 (** [create store] builds a router over an open container.
     [cache_capacity] is passed to {e each} resident shard's engine
-    ([0] turns its label columns off; see {!Engine.create}) — eviction
-    drops the columns with the shard, so a reloaded shard decodes its
+    ([0] turns its label column off; see {!Engine.create}) — eviction
+    drops the column with the shard, so a reloaded shard decodes its
     nodes again.  [resident_budget] bounds resident shards in
     serialized bytes (default 0 = unbounded).  [salvage] selects
     degraded serving over fail-stop.  [memo] attaches a canonical-ball
-    decode memo shared by every slot engine (and surviving shard
+    decode memo shared by every shard engine (and surviving shard
     eviction).  [radius] overrides the container's [serve.radius]
-    metadata ({!Engine.serve_radius}).  [domains] sets the slot count
-    (default {!Localmodel.View.effective_domains}[ ()]; see above);
-    [name] selects an advice section.  @raise Invalid_argument when
-    [radius] or the budget or the capacity is negative, [domains < 1],
-    a container of several shards has a halo too shallow for the radius
-    ([halo >= max radius 1] is the byte-identity precondition), or the
-    named advice section does not exist; @raise Store.Codec.Corrupt
+    metadata ({!Engine.serve_radius}).  [domains] (default
+    {!Localmodel.View.effective_domains}[ ()]) sets the slot count (see
+    above) and is the pool size of every batch, honored as given, like
+    an explicit {!Pool.run} request; [name] selects an advice section.
+    @raise Invalid_argument when [radius] or the budget or the
+    capacity is negative, [domains < 1], a container of several shards
+    has a halo too shallow for the radius ([halo >= max radius 1] is
+    the byte-identity precondition), or the named advice section does
+    not exist; @raise Store.Codec.Corrupt
     when the metadata has no valid serve radius (and no override was
     given), the container has no advice section, or a damaged
     version-1 file is opened without [salvage]. *)
@@ -161,19 +168,18 @@ val quarantined_sections : t -> string list
     section ({!Engine.quarantined_sections}); empty otherwise. *)
 
 val query : t -> Engine.query -> Engine.answer
-(** Answer one query through the owner slot, loading its shard on
-    first touch (and evicting under the budget).  On a resident shard
-    the router adds no allocation of its own beyond the translated local
-    query of a shard that does not store the whole graph.
-    Byte-identical to a whole-graph engine's answer.
+(** Answer one query through the owner shard's engine, loading the
+    shard on first touch (and evicting under the budget).  On a
+    resident shard the router adds no allocation of its own beyond the
+    translated local query of a shard that does not store the whole
+    graph.  Byte-identical to a whole-graph engine's answer.
     @raise Invalid_argument on an out-of-range id or an [Edge_member]
     whose node is not an endpoint of its edge;
     @raise Shard_lost (salvage) / [Codec.Corrupt] (fail-stop) when the
     owner shard cannot be loaded. *)
 
 module Batch (_ : Shim.S) : sig
-  val batch_results :
-    ?domains:int -> t -> Engine.query array -> (Engine.answer, string) result array
+  val batch_results : t -> Engine.query array -> (Engine.answer, string) result array
   (** Same contract as the top-level {!val:batch_results}, with the
       slot fan-out executed through the shim. *)
 end
@@ -186,20 +192,19 @@ end
     single-worker-per-slot discipline is machine-checked instead of
     asserted (see DESIGN.md, "Concurrency model checking"). *)
 
-val batch_results :
-  ?domains:int -> t -> Engine.query array -> (Engine.answer, string) result array
+val batch_results : t -> Engine.query array -> (Engine.answer, string) result array
 (** Answer a batch, one result per query in request order: [Ok] answers
     are byte-identical to a whole-graph engine's; [Error] carries the
     owner shard's loss diagnostic (salvage mode) and appears only for
     queries whose node range was lost.  Slots load in budget-bounded
-    waves and serve one pool task per slot; [?domains] is forwarded to
-    {!Pool.run}.  @raise Invalid_argument on malformed queries (range
-    checks before any work; the endpoint check when the owner shard's
-    wave is translated, before that wave's ball work — with an unbounded
-    budget every shard is in the first wave).  This is
+    waves and serve one pool task per slot, on the [domains] the router
+    was created with.  @raise Invalid_argument on malformed queries
+    (range checks before any work; the endpoint check when the owner
+    shard's wave is translated, before that wave's ball work — with an
+    unbounded budget every shard is in the first wave).  This is
     [Batch (Shim.Real)]. *)
 
-val batch : ?domains:int -> t -> Engine.query array -> Engine.answer array
+val batch : t -> Engine.query array -> Engine.answer array
 (** {!batch_results} with losses re-raised: the first [Error] becomes a
     [Codec.Corrupt] carrying its diagnostic.  Convenient when the caller
     treats any loss as fatal. *)

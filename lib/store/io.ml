@@ -192,55 +192,13 @@ let read_to_eof ic =
   loop ();
   Buffer.contents out
 
-let apply_read_fault s =
-  match (!Faults.armed).Faults.plan.Faults.read with
-  | None -> s
-  | Some (Faults.Truncate_at k) ->
-      Obs.Metrics.incr m_fault_read;
-      String.sub s 0 (min (max k 0) (String.length s))
-  | Some (Faults.Flip_byte { at_byte; mask }) ->
-      let mask = mask land 0xFF in
-      if String.length s = 0 || mask = 0 then s
-      else begin
-        Obs.Metrics.incr m_fault_read;
-        let i = max at_byte 0 mod String.length s in
-        let b = Bytes.of_string s in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
-        Bytes.unsafe_to_string b
-      end
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_to_eof ic)
-  in
-  Obs.Metrics.incr m_files_read;
-  Obs.Metrics.add m_bytes_read (String.length s);
-  if Faults.enabled () then apply_read_fault s else s
-
-(* Bounded range reads.  Shard loading fetches individual byte windows of
-   a big snapshot file; the whole point is never materializing the file,
-   so these paths must not fall back to [read_file]. *)
-
-let m_range_reads = Obs.Metrics.counter "io.range_reads"
-let m_range_bytes = Obs.Metrics.counter "io.range_bytes"
-
-let file_size path =
-  match Unix.stat path with
-  | st -> st.Unix.st_size
-  | exception Unix.Unix_error (err, _, _) ->
-      raise
-        (Sys_error
-           (Printf.sprintf "Store.Io.file_size: %s: %s" path
-              (Unix.error_message err)))
-
-(* The same armed plan that hits whole-file reads, re-expressed in file
-   coordinates so lazy and eager readers observe one consistent injured
-   file: [Truncate_at k] cuts the file at absolute byte [k] (a window
-   past the cut comes back empty), and [Flip_byte] damages the byte at
-   [at_byte mod file_size] for whichever window covers it.  With
-   [pos = 0] and a window spanning the file this coincides with
-   [apply_read_fault]. *)
+(* The armed read fault, in file coordinates, applied to the window [s]
+   read at [pos] from a file of [size] bytes, so whole-file and windowed
+   readers observe one consistent injured file: [Truncate_at k] cuts the
+   file at absolute byte [k] (a window past the cut comes back empty),
+   and [Flip_byte] damages the byte at [at_byte mod size] for whichever
+   window covers it.  A whole-file read is the window at 0 spanning the
+   file. *)
 let apply_range_fault ~pos ~size s =
   match (!Faults.armed).Faults.plan.Faults.read with
   | None -> s
@@ -262,6 +220,31 @@ let apply_range_fault ~pos ~size s =
           Bytes.unsafe_to_string b
         end
       end
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s =
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_to_eof ic)
+  in
+  Obs.Metrics.incr m_files_read;
+  Obs.Metrics.add m_bytes_read (String.length s);
+  if Faults.enabled () then apply_range_fault ~pos:0 ~size:(String.length s) s else s
+
+(* Bounded range reads.  Shard loading fetches individual byte windows of
+   a big snapshot file; the whole point is never materializing the file,
+   so these paths must not fall back to [read_file]. *)
+
+let m_range_reads = Obs.Metrics.counter "io.range_reads"
+let m_range_bytes = Obs.Metrics.counter "io.range_bytes"
+
+let file_size path =
+  match Unix.stat path with
+  | st -> st.Unix.st_size
+  | exception Unix.Unix_error (err, _, _) ->
+      raise
+        (Sys_error
+           (Printf.sprintf "Store.Io.file_size: %s: %s" path
+              (Unix.error_message err)))
 
 let with_fd path f =
   let fd =

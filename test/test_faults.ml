@@ -335,7 +335,7 @@ let test_degraded_engine_serves_survivors () =
   (* Same, through the parallel batch path. *)
   let queries = Array.init (Graph.n g) (fun v -> Serve.Engine.Output_label v) in
   let answers =
-    Serve.Router.batch ~domains:2
+    Serve.Router.batch
       (Serve.Router.create ~salvage:true ~domains:2
          (Store.Shard.open_bytes (flip_payload_byte bytes 2)))
       queries
@@ -581,7 +581,10 @@ let test_numeric_flags_rejected () =
     (fun path ->
       let serve flag = run_cli [ "serve"; path; "--batch"; "tf_q.txt"; flag ] in
       usage (path ^ " --domains 0") ~flag:"--domains" (serve "--domains=0");
-      usage (path ^ " --resident-mb=-1") ~flag:"--resident-mb" (serve "--resident-mb=-1"))
+      usage (path ^ " --resident-mb=-1") ~flag:"--resident-mb" (serve "--resident-mb=-1");
+      usage (path ^ " --port 70000") ~flag:"--port" (serve "--port=70000");
+      usage (path ^ " --port=-5") ~flag:"--port" (serve "--port=-5");
+      usage (path ^ " --write-budget 0") ~flag:"--write-budget" (serve "--write-budget=0"))
     [ "tf_v1.ladv"; "tf_v2.ladv" ];
   let pack flag = run_cli [ "pack"; "--n"; "40"; "--out"; "tf_packed.ladv"; flag ] in
   usage "pack --shards 0" ~flag:"--shards" (pack "--shards=0");

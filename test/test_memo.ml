@@ -166,7 +166,7 @@ let memo_transparent =
          read-only path (workers probe the frozen table, the caller
          inserts); the single-query sweep afterwards serves against the
          now-warm table, exercising the hit path for the same queries. *)
-      let batched = Serve.Router.batch ~domains memoized qs in
+      let batched = Serve.Router.batch memoized qs in
       let expected = Array.map (Serve.Engine.query plain) qs in
       let warm = Array.map (Serve.Router.query memoized) qs in
       Marshal.to_string batched [] = Marshal.to_string expected []
@@ -233,12 +233,12 @@ let test_router_memo_identity () =
   (* One-shard budget: every cross-shard hop evicts, so memo entries
      published by an evicted shard's engine must serve its reload. *)
   let router =
-    Serve.Router.create ~memo ~resident_budget:max_frame ~radius store
+    Serve.Router.create ~memo ~resident_budget:max_frame ~radius ~domains:2 store
   in
   let mono = Serve.Engine.create ~radius snapshot in
   let qs = random_queries (Prng.create 23) (Serve.Engine.graph mono) 300 in
   let expected = Array.map (Serve.Engine.query mono) qs in
-  let batched = Serve.Router.batch_results ~domains:2 router qs in
+  let batched = Serve.Router.batch_results router qs in
   Array.iteri
     (fun i r ->
       match r with

@@ -715,12 +715,13 @@ let test_conn_every_split () =
 (* Loopback integration *)
 
 (* The server answers from a router over the snapshot file [bytes], as
-   the CLI opens it: one shard, one slot per effective domain. *)
-let with_server ?salvage bytes f =
+   the CLI opens it: one shard, one slot per domain (default: per
+   effective domain). *)
+let with_server ?salvage ?domains bytes f =
   let config = { Net.Server.default_config with port = 0 } in
   let server =
     Net.Server.create ~config
-      (Serve.Router.create ?salvage (Store.Shard.open_bytes bytes))
+      (Serve.Router.create ?salvage ?domains (Store.Shard.open_bytes bytes))
   in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   Fun.protect
@@ -880,6 +881,46 @@ let test_loopback_salvage () =
   (* The same facts through the server's own accessor. *)
   check_int "server stats agree" 1 (List.assoc "engine.degraded" (Net.Server.stats server))
 
+(* Batch frames over a two-slot router: the server's batches run on the
+   router's two pool domains (honored even on one core), and every
+   answer matches a direct engine. *)
+let test_loopback_two_domain_batches () =
+  let g, snapshot = make_packed 150 29 in
+  let direct = Serve.Engine.create snapshot in
+  with_server ~domains:2 (Store.Snapshot.write snapshot) @@ fun _server port ->
+  with_client port @@ fun c ->
+  check_int "two slots" 2 (List.assoc "engine.shards" (Net.Client.stats c));
+  List.iter
+    (fun count ->
+      let qs = workload g count in
+      check
+        (Printf.sprintf "%d-query batch over two pool domains = direct engine" count)
+        true
+        (Net.Client.batch c qs = Array.map (Serve.Engine.query direct) qs))
+    [ 2; 150; 450 ]
+
+(* A bad config is rejected before any socket exists. *)
+let test_server_rejects_config () =
+  let _, snapshot = make_packed 20 1 in
+  let router =
+    Serve.Router.create (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
+  in
+  List.iter
+    (fun (what, config) ->
+      match Net.Server.create ~config router with
+      | exception Invalid_argument _ -> ()
+      | server ->
+          Net.Server.shutdown server;
+          Alcotest.failf "Server.create accepted %s" what)
+    [
+      ("write_budget = 0", { Net.Server.default_config with write_budget = 0 });
+      ("port = 70000", { Net.Server.default_config with port = 70000 });
+      ("port = -5", { Net.Server.default_config with port = -5 });
+      ("backlog = 0", { Net.Server.default_config with backlog = 0 });
+      ("max_conns = 0", { Net.Server.default_config with max_conns = 0 });
+      ("max_frame = 0", { Net.Server.default_config with max_frame = 0 });
+    ]
+
 let test_loopback_shutdown_drains () =
   let g, snapshot = make_packed 80 3 in
   let config = { Net.Server.default_config with port = 0 } in
@@ -958,5 +999,9 @@ let () =
             test_loopback_salvage;
           Alcotest.test_case "graceful shutdown drains in-flight" `Quick
             test_loopback_shutdown_drains;
+          Alcotest.test_case "batch frames over two pool domains" `Quick
+            test_loopback_two_domain_batches;
+          Alcotest.test_case "bad config rejected before the socket" `Quick
+            test_server_rejects_config;
         ] );
     ]

@@ -133,10 +133,12 @@ let engine_of family rng =
 (* The same snapshot state as [engine_of] (same rng consumption), as a
    file opened through Store.Shard: a packed cycle, or the hand-built
    advice written as a v1 file whose advice-section checksum byte is
-   flipped — salvage then quarantines it with its content intact. *)
-let router_of family ~slots rng =
+   flipped — salvage then quarantines it with its content intact.  The
+   file's one shard is cut into [domains] slots, served by a pool of
+   [domains]. *)
+let router_of family ~domains rng =
   let open_v1 ?radius ~salvage bytes =
-    Serve.Router.create ?radius ~salvage ~domains:slots (Store.Shard.open_bytes bytes)
+    Serve.Router.create ?radius ~salvage ~domains (Store.Shard.open_bytes bytes)
   in
   match family with
   | Cycle ->
@@ -160,20 +162,19 @@ let router_of family ~slots rng =
 
 let case_gen =
   QCheck.Gen.(
-    tup4 (int_bound 100_000)
+    tup3 (int_bound 100_000)
       (oneofl [ Cycle; Grid; Regular ])
-      (oneofl [ 1; 2; 3; 8 ])
-      (int_range 1 3))
+      (oneofl [ 1; 2; 3; 8 ]))
 
-let case_print (seed, family, slots, domains) =
-  Printf.sprintf "seed=%d family=%s slots=%d domains=%d" seed
-    (family_name family) slots domains
+let case_print (seed, family, domains) =
+  Printf.sprintf "seed=%d family=%s domains=%d" seed (family_name family)
+    domains
 
 let batch_equals_sequential =
   QCheck.Test.make ~count:40
     ~name:"sharded parallel batch = sequential batch = singles (bytes)"
     (QCheck.make ~print:case_print case_gen)
-    (fun (seed, family, slots, domains) ->
+    (fun (seed, family, domains) ->
       let rng = Prng.create seed in
       (* Three independently built engines over the same snapshot state:
          the parallel path must not be able to lean on cache state the
@@ -181,19 +182,19 @@ let batch_equals_sequential =
       let rng2 = Prng.copy rng in
       let rng3 = Prng.copy rng in
       let singles = engine_of family rng3 in
-      let parallel = router_of family ~slots rng in
-      let sequential = router_of family ~slots rng2 in
+      let parallel = router_of family ~domains rng in
+      let sequential = router_of family ~domains:1 rng2 in
       let qrng = Prng.create (seed + 1) in
       let qs = random_queries qrng (Serve.Engine.graph singles) 120 in
-      let a = Serve.Router.batch ~domains parallel qs in
-      let b = Serve.Router.batch ~domains:1 sequential qs in
+      let a = Serve.Router.batch parallel qs in
+      let b = Serve.Router.batch sequential qs in
       let c = Array.map (Serve.Engine.query singles) qs in
       let bytes x = Marshal.to_string x [] in
       bytes a = bytes b && bytes b = bytes c)
 
 (* The parallel path must actually cross domains on every runtest, not
    only when a multi-core host happens to run the QCheck case: explicit
-   [~domains:2] is honored by the pool even on one core. *)
+   [~domains:2] is honored by the router's pool even on one core. *)
 let test_batch_two_domains () =
   let _g, snapshot = cycle_snapshot 160 5 in
   let reference =
@@ -201,12 +202,12 @@ let test_batch_two_domains () =
     Array.init 160 (fun v -> Serve.Engine.query e (Serve.Engine.Output_label v))
   in
   let r =
-    Serve.Router.create ~domains:4 (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
+    Serve.Router.create ~domains:2 (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   in
-  check_int "four slots" 4 (Serve.Router.slot_count r);
+  check_int "two slots" 2 (Serve.Router.slot_count r);
   let qs = Array.init 160 (fun v -> Serve.Engine.Output_label v) in
-  let cold = Serve.Router.batch ~domains:2 r qs in
-  let warm = Serve.Router.batch ~domains:2 r qs in
+  let cold = Serve.Router.batch r qs in
+  let warm = Serve.Router.batch r qs in
   check "cold 2-domain batch = singles" true
     (Marshal.to_string cold [] = Marshal.to_string reference []);
   check "warm 2-domain batch = cold" true
@@ -259,12 +260,12 @@ let test_cache_zero () =
   (* A capacity-0 engine still serves correctly through every path. *)
   let _g, snapshot = cycle_snapshot 60 13 in
   let cold =
-    Serve.Router.create ~cache_capacity:0 ~domains:3
+    Serve.Router.create ~cache_capacity:0 ~domains:2
       (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   in
   let reference = Serve.Engine.create snapshot in
   let qs = Array.init 60 (fun v -> Serve.Engine.Output_label v) in
-  let a = Serve.Router.batch ~domains:2 cold qs in
+  let a = Serve.Router.batch cold qs in
   let b = Array.map (Serve.Engine.query reference) qs in
   check "uncached batch = cached singles" true
     (Marshal.to_string a [] = Marshal.to_string b [])

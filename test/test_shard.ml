@@ -54,12 +54,12 @@ let cycle_snapshot n seed = packed_snapshot (Builders.cycle n) seed
 (* A mono engine and a router over the *same* snapshot state.  The
    router serves from a sharded serialization with halo = max radius 1;
    byte-identity of every answer is the contract under test. *)
-let mono_and_router ?(budget = 0) ~radius ~shards snapshot =
+let mono_and_router ?(budget = 0) ?domains ~radius ~shards snapshot =
   let mono = Serve.Engine.create ~radius snapshot in
   let bytes = Store.Shard.build ~shards ~halo:(max radius 1) snapshot in
   let store = Store.Shard.open_bytes bytes in
   let router =
-    Serve.Router.create ~resident_budget:budget ~salvage:true ~radius store
+    Serve.Router.create ~resident_budget:budget ~salvage:true ~radius ?domains store
   in
   (mono, router)
 
@@ -268,11 +268,11 @@ let prop_batch_identity =
     (fun (seed, shards, budget, domains) ->
       let rng = Prng.create (seed + 23) in
       let snapshot, radius = family_state Cycle rng in
-      let mono, router = mono_and_router ~budget ~radius ~shards snapshot in
+      let mono, router = mono_and_router ~budget ~domains ~radius ~shards snapshot in
       let g = snapshot.Store.Snapshot.graph in
       let qs = random_queries rng g 60 in
       let expect = Array.map (Serve.Engine.query mono) qs in
-      let got = Serve.Router.batch ~domains router qs in
+      let got = Serve.Router.batch router qs in
       Marshal.to_string expect [] = Marshal.to_string got [])
 
 let prop_pack_sharded_identity =
@@ -295,20 +295,21 @@ let prop_pack_sharded_identity =
           packed
       in
       let mono = Serve.Engine.create snapshot in
-      let router = Serve.Router.create (Store.Shard.open_bytes bytes) in
+      let router = Serve.Router.create ~domains:1 (Store.Shard.open_bytes bytes) in
       let qs = random_queries rng g 40 in
       cert_mono.Serve.Pack.radius = cert_par.Serve.Pack.radius
       && Marshal.to_string (Array.map (Serve.Engine.query mono) qs) []
-         = Marshal.to_string (Serve.Router.batch ~domains:1 router qs) [])
+         = Marshal.to_string (Serve.Router.batch router qs) [])
 
 (* The unified front end against the direct decoder, on every node of a
    packed cycle or circulant: v1 files opened through Store.Shard as
    routers of 1, 2 or 3 slots and v2 containers of 1 or 3 shards, memo
    on and off, trusted and salvaged (a v1 file with a damaged decoy
    section, a v2 container opened in salvage mode), single queries and
-   batches at 1 or 2 domains — each front end serves the batch cold or
-   warm.  A second full pass must then give the same bytes without a
-   single label-column miss: each node is decoded once, also when a slot
+   batches at 1 or 2 domains (a v1 front batches on its slot count) —
+   each front end serves the batch cold or warm.  A second full pass
+   must then give the same bytes without a single label-column miss:
+   each node is decoded once, also when a slot
    holds more than a thousand nodes (one case in three serves one of two
    packed cycles of over 1024 nodes, packed once for the whole run).
    One case in three packs the CLI's other family, the degree-4
@@ -339,7 +340,9 @@ let salvaged_v1 snapshot =
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
   Bytes.to_string b
 
-let front_router ~front ~memo ~salvaged ~radius snapshot =
+(* A [V1 k] front's domain count is its slot count [k]; a container's
+   is [domains]. *)
+let front_router ~front ~memo ~salvaged ~radius ~domains snapshot =
   match front with
   | V1 slots ->
       let bytes =
@@ -348,7 +351,7 @@ let front_router ~front ~memo ~salvaged ~radius snapshot =
       Serve.Router.create ?memo ~salvage:salvaged ~domains:slots
         (Store.Shard.open_bytes bytes)
   | Container shards ->
-      Serve.Router.create ?memo ~salvage:salvaged
+      Serve.Router.create ?memo ~salvage:salvaged ~domains
         (Store.Shard.open_bytes (Store.Shard.build ~shards ~halo:(max radius 1) snapshot))
 
 let large_cycles = lazy [| cycle_snapshot 1030 1; cycle_snapshot 1052 2 |]
@@ -375,7 +378,7 @@ let prop_front_end_matches_decoder =
       let decoded = Schemas.Edge_compression.decode g a in
       let memo = if memo then Some (Serve.Memo.create ~capacity:256) else None in
       let router =
-        front_router ~front ~memo ~salvaged ~radius:cert.Serve.Pack.radius snapshot
+        front_router ~front ~memo ~salvaged ~radius:cert.Serve.Pack.radius ~domains snapshot
       in
       let per_node v =
         let es = Graph.incident_edges g v in
@@ -396,8 +399,7 @@ let prop_front_end_matches_decoder =
       let qs = Array.map fst cases and expected = Array.map snd cases in
       let singles () = Array.map (Serve.Router.query router) qs = expected in
       let batch () =
-        Serve.Router.batch_results ~domains router qs
-        = Array.map (fun a -> Ok a) expected
+        Serve.Router.batch_results router qs = Array.map (fun a -> Ok a) expected
       in
       let pass () =
         if seed mod 2 = 0 then
@@ -433,8 +435,8 @@ let test_v1_equals_one_shard () =
     (Marshal.to_string (Array.map (Serve.Router.query v1) qs) []
     = Marshal.to_string (Array.map (Serve.Router.query one) qs) []);
   check "batches byte-identical" true
-    (Marshal.to_string (Serve.Router.batch ~domains:2 v1 qs) []
-    = Marshal.to_string (Serve.Router.batch ~domains:2 one qs) []);
+    (Marshal.to_string (Serve.Router.batch v1 qs) []
+    = Marshal.to_string (Serve.Router.batch one qs) []);
   check "degraded equal" (Serve.Router.degraded one) (Serve.Router.degraded v1);
   check "serving_trusted equal" (Serve.Router.serving_trusted one)
     (Serve.Router.serving_trusted v1);
@@ -469,7 +471,7 @@ let test_radius_zero_total () =
             (Store.Shard.open_bytes (Store.Snapshot.write snapshot)) );
       ( "v2",
         fun () ->
-          Serve.Router.create ~radius:0
+          Serve.Router.create ~radius:0 ~domains:2
             (Store.Shard.open_bytes (Store.Shard.build ~shards:3 ~halo:1 snapshot)) );
     ]
   in
@@ -477,7 +479,7 @@ let test_radius_zero_total () =
     (fun (name, make) ->
       check (name ^ " Router.query") true (Array.map (Serve.Router.query (make ())) qs = expected);
       check (name ^ " batch_results") true
-        (Serve.Router.batch_results ~domains:2 (make ()) qs
+        (Serve.Router.batch_results (make ()) qs
         = Array.map (fun a -> Ok a) expected))
     fronts
 
@@ -608,7 +610,7 @@ let capacity_fronts snapshot ~radius =
           (Store.Shard.open_bytes (Store.Snapshot.write snapshot)) );
     ( "v2 3 shards",
       fun ~memo cap ->
-        Serve.Router.create ?cache_capacity:cap ?memo
+        Serve.Router.create ?cache_capacity:cap ?memo ~domains:2
           (Store.Shard.open_bytes (Store.Shard.build ~shards:3 ~halo:(max radius 1) snapshot)) );
   ]
 
@@ -635,7 +637,7 @@ let test_capacity_zero_decodes () =
           for _ = 1 to 2 do
             check (name ^ ": singles") true (Array.map (Serve.Router.query router) qs = expected);
             check (name ^ ": batch") true
-              (Serve.Router.batch_results ~domains:2 router qs = Array.map (fun a -> Ok a) expected)
+              (Serve.Router.batch_results router qs = Array.map (fun a -> Ok a) expected)
           done;
           check_int (name ^ ": no column hit") 0 (hits () - h0);
           check_int (name ^ ": every ball query decodes") (4 * balls) (misses () - m0))
@@ -704,7 +706,7 @@ let test_one_shard_corruption () =
     Bytes.set damaged at
       (Char.chr (Char.code (Bytes.get damaged at) lxor 0x01));
     let store = Store.Shard.open_bytes (Bytes.unsafe_to_string damaged) in
-    let router = Serve.Router.create ~salvage:true ~radius store in
+    let router = Serve.Router.create ~salvage:true ~radius ~domains:1 store in
     (* Other shards serve, byte-identically. *)
     let v0 = 0 and v2 = 47 in
     check_string
@@ -733,7 +735,7 @@ let test_one_shard_corruption () =
       [| Serve.Engine.Output_label v0; Serve.Engine.Output_label vmid;
          Serve.Engine.Output_label v2 |]
     in
-    let rs = Serve.Router.batch_results ~domains:1 router qs in
+    let rs = Serve.Router.batch_results router qs in
     check "batch: healthy range 0 answered" true (Result.is_ok rs.(0));
     check "batch: lost range errored" true (Result.is_error rs.(1));
     check "batch: healthy range 2 answered" true (Result.is_ok rs.(2))

@@ -590,8 +590,8 @@ let test_engine_batch_matches_queries () =
   let router =
     Serve.Router.create ~domains:3 (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   in
-  let cold = Serve.Router.batch ~domains:3 router queries in
-  let warm = Serve.Router.batch ~domains:3 router queries in
+  let cold = Serve.Router.batch router queries in
+  let warm = Serve.Router.batch router queries in
   let fresh = Serve.Engine.create snapshot in
   let singles = Array.map (Serve.Engine.query fresh) queries in
   let tiny_cache =

@@ -10,7 +10,7 @@
    the function reads or writes, directly or through calls), resolves
    module aliases from [Tstr_module] bindings, and propagates the
    summaries through every closure handed to a parallel entry point
-   (Pool.run, map_nodes_par / map_subset_par, Domain.spawn).
+   (Pool.run, map_nodes_par, Domain.spawn).
 
    State guarded by design is never flagged: only globals created by a
    raw-mutable maker (ref, Hashtbl/Queue/Stack/Buffer.create,
@@ -109,7 +109,7 @@ let is_mutator qual name =
 (* Parallel entry points, after unwrapping module prefixes. *)
 let par_entry_of parts =
   match last2 parts with
-  | _, (("map_nodes_par" | "map_subset_par") as name) -> Some ("Par." ^ name)
+  | _, "map_nodes_par" -> Some "Par.map_nodes_par"
   | "Pool", "run" -> Some "Pool.run"
   | "Domain", "spawn" -> Some "Domain.spawn"
   | _ -> None

@@ -5,8 +5,7 @@
 
      domain-race        R1  shared mutable state reachable from a closure
                             passed to View.map_nodes_par /
-                            View.map_subset_par / Serve.Pool.run /
-                            Domain.spawn
+                            Serve.Pool.run / Domain.spawn
      determinism        R2  Stdlib.Random / wall-clock reads in lib/
      poly-compare       R3  polymorphic =, compare, Hashtbl.hash in the
                             hot-path libraries (lib/graph, lib/local,
@@ -284,7 +283,7 @@ let is_domain_local lid =
 
 let is_par_entry lid =
   match List.rev (Longident.flatten lid) with
-  | ("map_nodes_par" | "map_subset_par") :: _ -> true
+  | "map_nodes_par" :: _ -> true
   (* Serve.Pool.run task closures execute on spawned domains; a bare
      [run] head would also catch unrelated runners, so require the
      [Pool] qualifier (matches Pool.run and Serve.Pool.run). *)
@@ -664,9 +663,8 @@ let r8_banned lid =
 
 (* File-offset access: memory-mapping and seeking.  Store.Io.read_range
    is the one sanctioned window reader — it owns bounds clamping, the
-   pread/mmap choice, and the fault-injection plan, so an ad-hoc
-   map_file or lseek elsewhere reads bytes the injury harness cannot
-   see. *)
+   positioned read, and the fault-injection plan, so an ad-hoc map_file
+   or lseek elsewhere reads bytes the injury harness cannot see. *)
 let r8_mapseek_banned lid =
   match Longident.flatten lid with
   | [ ("Unix" | "UnixLabels"); (("map_file" | "lseek") as f) ]
@@ -719,7 +717,7 @@ let run_io_hygiene ctx str =
                          "raw %s positions a file offset outside store/; \
                           windowed byte access goes through \
                           Store.Io.read_range, which owns bounds clamping, \
-                          the pread/mmap choice and the fault-injection \
+                          the positioned read and the fault-injection \
                           plan — bytes read around it are invisible to the \
                           injury harness"
                          f)
