@@ -167,8 +167,10 @@ let pack_cmd =
               (fun acc i -> max acc i.Store.Shard.i_bytes)
               0 man.Store.Shard.m_shards
           in
+          (* The plan clamps the requested count to the node count. *)
           Format.printf
-            "sharded: %d shard(s), halo %d, widest frame %d bytes@." s
+            "sharded: %d shard(s), halo %d, widest frame %d bytes@."
+            (Array.length man.Store.Shard.m_shards)
             man.Store.Shard.m_halo widest;
           bytes
     in
@@ -587,14 +589,22 @@ let serve_cmd =
     at_least "serve" "domains" ~min:1 domains;
     within "serve" "port" ~min:0 ~max:65535 port;
     at_least "serve" "write-budget" ~min:1 (Some write_budget);
-    at_least "serve" "resident-mb" ~min:0 (Some resident_mb);
+    (* The budget is passed in bytes, so it must not overflow. *)
+    within "serve" "resident-mb" ~min:0 ~max:(max_int / 1048576) resident_mb;
     at_least "serve" "memo-capacity" ~min:0 (Some memo_capacity);
+    let memo =
+      if not use_memo then None
+      else
+        match Serve.Memo.create ~capacity:memo_capacity with
+        | m -> Some m
+        | exception Invalid_argument _ ->
+            Format.eprintf
+              "serve: --memo-capacity %d is too large for one table@."
+              memo_capacity;
+            exit 2
+    in
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
-    let memo =
-      if use_memo then Some (Serve.Memo.create ~capacity:memo_capacity)
-      else None
-    in
     (* Only printed when enabled, so memo-less runs keep their exact
        output (the smoke goldens diff it). *)
     if use_memo then

@@ -118,22 +118,3 @@ let lost_cell_push (module S : Shim.S) =
     raise
       (Sched.Check_failed
          (Printf.sprintf "2 cells pushed but %d registered" k))
-
-(* Bug class: lock-ordering inversion — two mutexes taken in opposite
-   orders by two fibers.  No data race, no lost value: only the
-   scheduler's enabledness tracking can see the cycle, so this pins
-   the Deadlock detector. *)
-let lock_inversion (module S : Shim.S) =
-  let a = S.Mutex.create () and b = S.Mutex.create () in
-  let h =
-    S.Thread.spawn (fun () ->
-        S.Mutex.lock b;
-        S.Mutex.lock a (* MUTANT: opposite order *);
-        S.Mutex.unlock a;
-        S.Mutex.unlock b)
-  in
-  S.Mutex.lock a;
-  S.Mutex.lock b;
-  S.Mutex.unlock b;
-  S.Mutex.unlock a;
-  S.Thread.join h

@@ -16,8 +16,7 @@
     - {!lost_exception_drain}: drain loop swallows a task failure →
       invariant violation (the pool's failure-replay contract).
     - {!lost_cell_push}: metrics cell registration by get/set instead
-      of compare-and-set → lost update → invariant violation.
-    - {!lock_inversion}: two mutexes in opposite orders → deadlock. *)
+      of compare-and-set → lost update → invariant violation. *)
 
 val torn_cursor : Sched.scenario
 (** Claim cursor read-modify-write torn into a get/set pair. *)
@@ -33,6 +32,3 @@ val lost_exception_drain : Sched.scenario
 
 val lost_cell_push : Sched.scenario
 (** Metrics cell registration by get/set instead of CAS. *)
-
-val lock_inversion : Sched.scenario
-(** Two mutexes acquired in opposite orders by two fibers. *)

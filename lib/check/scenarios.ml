@@ -136,5 +136,4 @@ let all () =
     caught "mutant.shared-shard-writer" Mutants.shared_shard_writer;
     caught "mutant.lost-exception-drain" Mutants.lost_exception_drain;
     caught "mutant.lost-cell-push" Mutants.lost_cell_push;
-    caught "mutant.lock-inversion" ~preemptions:3 Mutants.lock_inversion;
   ]

@@ -16,10 +16,12 @@
    well under a second.
 
    Races are found with vector clocks (FastTrack-style, simplified):
-   atomic operations and mutexes carry release clocks and create
-   happens-before edges; [Raw] cells carry the clock of their last
-   write and of the last read per fiber, and any access concurrent
-   with one of those — at least one side a write — is a data race. *)
+   atomic operations carry release clocks and create happens-before
+   edges, as do spawn and join; [Raw] cells carry the clock of their
+   last write and of the last read per fiber, and any access concurrent
+   with one of those — at least one side a write — is a data race.
+   The only blocking operation is a join, so a deadlock is a set of
+   fibers each joining one that never finishes. *)
 
 exception Check_failed of string
 
@@ -66,7 +68,6 @@ type loc = {
    schedules ran before — which is what lets tests compare messages
    across explorations and replays. *)
 let loc_counter = ref 0
-let mu_counter = ref 0
 
 let new_loc () =
   {
@@ -89,24 +90,6 @@ let refresh_loc l =
     l.l_reads <- []
   end
 
-type mu = {
-  mutable m_id : int;  (* per-schedule display id, set at first touch *)
-  mutable m_gen : int;
-  mutable m_holder : int;  (* fiber id, -1 when free *)
-  m_clock : Vclock.t;  (* release clock of the last unlock *)
-}
-
-let new_mu () = { m_id = 0; m_gen = -1; m_holder = -1; m_clock = Vclock.make () }
-
-let refresh_mu m =
-  if m.m_gen <> !generation then begin
-    m.m_gen <- !generation;
-    incr mu_counter;
-    m.m_id <- !mu_counter;
-    m.m_holder <- -1;
-    Array.fill m.m_clock 0 Vclock.width 0
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Fibers and the per-schedule context *)
 
@@ -115,8 +98,6 @@ type access = A_get | A_set | A_rmw
 type op =
   | Op_atomic of loc * access
   | Op_raw of loc * bool  (* true = write *)
-  | Op_lock of mu
-  | Op_unlock of mu
   | Op_join of int
 
 type fiber = {
@@ -238,19 +219,6 @@ module Model : Shim.S = struct
           let _ = book_atomic ctx a.loc A_set in
           a.cell := v
 
-    let exchange a v =
-      match !cur with
-      | None ->
-          let old = !(a.cell) in
-          a.cell := v;
-          old
-      | Some ctx ->
-          refresh_loc a.loc;
-          let _ = book_atomic ctx a.loc A_rmw in
-          let old = !(a.cell) in
-          a.cell := v;
-          old
-
     let compare_and_set a seen v =
       match !cur with
       | None ->
@@ -280,39 +248,6 @@ module Model : Shim.S = struct
           let old = !(a.cell) in
           a.cell := old + k;
           old
-  end
-
-  module Mutex = struct
-    type t = mu
-
-    let create () = new_mu ()
-
-    let lock m =
-      match !cur with
-      | None -> ()
-      | Some ctx ->
-          refresh_mu m;
-          if m.m_holder = ctx.current then
-            violate ctx Invariant
-              (Printf.sprintf "fiber %d re-locks mutex #%d it already holds"
-                 ctx.current m.m_id);
-          let f = yield_op ctx (Op_lock m) in
-          assert (m.m_holder < 0);
-          m.m_holder <- f.fid;
-          Vclock.merge f.clock m.m_clock
-
-    let unlock m =
-      match !cur with
-      | None -> ()
-      | Some ctx ->
-          refresh_mu m;
-          let f = yield_op ctx (Op_unlock m) in
-          if m.m_holder <> f.fid then
-            violate ctx Invariant
-              (Printf.sprintf "fiber %d unlocks mutex #%d it does not hold"
-                 f.fid m.m_id);
-          Array.blit f.clock 0 m.m_clock 0 Vclock.width;
-          m.m_holder <- -1
   end
 
   module Thread = struct
@@ -424,14 +359,12 @@ let enabled_fiber ctx f =
   | Fresh _ -> true
   | Suspended (op, _) -> (
       match op with
-      | Op_lock m -> m.m_holder < 0
       | Op_join t -> ctx.fibers.(t).status = Done
-      | Op_atomic _ | Op_raw _ | Op_unlock _ -> true)
+      | Op_atomic _ | Op_raw _ -> true)
   | Running | Done -> false
 
 let fiber_state_name f =
   match f.status with
-  | Suspended (Op_lock m, _) -> Printf.sprintf "waiting on mutex #%d" m.m_id
   | Suspended (Op_join t, _) -> Printf.sprintf "joining fiber %d" t
   | _ -> "runnable"
 
@@ -442,7 +375,6 @@ let fiber_state_name f =
 let run_schedule ~choose thunk =
   incr generation;
   loc_counter := 0;
-  mu_counter := 0;
   let root =
     { fid = 0; clock = Vclock.make (); status = Fresh thunk; result_exn = None }
   in

@@ -14,8 +14,9 @@
 
     Violations come from three sources: a vector-clock happens-before
     tracker flags unsynchronized conflicting accesses to {!Shim.RAW}
-    cells ({!Race}); the scheduler itself detects stuck states
-    ({!Deadlock}) and shim misuse; and the scenario's own assertions
+    cells ({!Race}); the scheduler itself detects stuck states (a
+    {!Deadlock}: the only blocking operation is a join) and shim misuse;
+    and the scenario's own assertions
     (raise {!Check_failed} for {!Invariant}, any other escaping
     exception is {!Uncaught}).
 
@@ -35,7 +36,7 @@ exception Check_failed of string
 (** What went wrong. *)
 type kind =
   | Race  (** conflicting unsynchronized accesses to a {!Shim.RAW} cell *)
-  | Deadlock  (** live fibers, none enabled (lock cycle, lost join) *)
+  | Deadlock  (** live fibers, none enabled: each joins one that never ends *)
   | Uncaught  (** an exception escaped the scenario *)
   | Invariant  (** {!Check_failed}, shim misuse, or the step limit *)
 
@@ -62,8 +63,8 @@ type scenario = (module Shim.S) -> unit
     test with the given shim, drive it, assert its contract. *)
 
 module Model : Shim.S
-(** The instrumented shim.  Outside an exploration its atomics, raws
-    and mutexes degrade to plain single-threaded behavior and
+(** The instrumented shim.  Outside an exploration its atomics and
+    raws degrade to plain single-threaded behavior and
     [Thread.spawn] raises — only use it through {!explore},
     {!explore_random} or {!replay}. *)
 

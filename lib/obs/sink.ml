@@ -1,5 +1,5 @@
 (* Export of merged Metrics / Trace state as JSON (via Jsonout, the
-   repo-wide emitter) and as an aligned text table. *)
+   repo-wide emitter). *)
 
 let enable () =
   Metrics.set_enabled true;
@@ -114,65 +114,3 @@ let json ?(per_domain = true) ?(events = 0) () =
 
 let write_json ?per_domain ?events path =
   Jsonout.write_file path (json ?per_domain ?events ())
-
-let table () =
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  (* The table is for humans: registered-but-untouched metrics (all the
-     instrumentation handles exist from program start) would drown the
-     ones that recorded something, so they are skipped — which also makes
-     the promised "empty when nothing was recorded" literal. *)
-  let touched (e : Metrics.entry) =
-    match e.value with
-    | Metrics.Counter_v { total; _ } -> total <> 0
-    | Metrics.Gauge_v { peak } -> peak <> 0
-    | Metrics.Histogram_v h -> h.count <> 0
-  in
-  let entries = List.filter touched (Metrics.snapshot ()) in
-  let counters =
-    List.filter_map
-      (fun (e : Metrics.entry) ->
-        match e.value with
-        | Metrics.Counter_v { total; per_domain } ->
-            Some (e.name, total, per_domain)
-        | Metrics.Gauge_v _ | Metrics.Histogram_v _ -> None)
-      entries
-  in
-  if counters <> [] then begin
-    line "counters";
-    List.iter
-      (fun (name, total, shards) ->
-        let shard_s =
-          String.concat "+" (List.map string_of_int shards)
-        in
-        line "  %-36s %12d  [%s]" name total shard_s)
-      counters
-  end;
-  List.iter
-    (fun (e : Metrics.entry) ->
-      match e.value with
-      | Metrics.Gauge_v { peak } -> line "gauge  %-30s peak=%d" e.name peak
-      | Metrics.Counter_v _ | Metrics.Histogram_v _ -> ())
-    entries;
-  List.iter
-    (fun (e : Metrics.entry) ->
-      match e.value with
-      | Metrics.Histogram_v h ->
-          line "histogram %s  count=%d sum=%d max=%d" e.name h.count h.sum
-            h.vmax;
-          Array.iteri
-            (fun i b -> line "  <= %-10d %d" b h.counts.(i))
-            h.bounds;
-          if h.overflow > 0 then line "  >  %-10d %d" h.bounds.(Array.length h.bounds - 1) h.overflow
-      | Metrics.Counter_v _ | Metrics.Gauge_v _ -> ())
-    entries;
-  let s = Trace.summary () in
-  if s.spans <> [] || s.unbalanced > 0 then begin
-    line "spans";
-    List.iter
-      (fun (st : Trace.span_stat) ->
-        line "  %-36s calls=%-8d total=%Ld" st.span_name st.calls st.total)
-      s.spans;
-    if s.unbalanced > 0 then line "  UNBALANCED span_end calls: %d" s.unbalanced
-  end;
-  Buffer.contents buf

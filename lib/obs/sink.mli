@@ -1,5 +1,4 @@
-(** Snapshot export: JSON (through {!Jsonout}) and a human-readable
-    table.
+(** Snapshot export as JSON (through {!Jsonout}).
 
     The sink is pull-based — it reads whatever {!Metrics.snapshot} and
     {!Trace.summary} return at call time; nothing is recorded here, so a
@@ -24,7 +23,3 @@ val json : ?per_domain:bool -> ?events:int -> unit -> Jsonout.t
 
 val write_json : ?per_domain:bool -> ?events:int -> string -> unit
 (** [write_json path] renders {!json} into [path]. *)
-
-val table : unit -> string
-(** The same snapshot as an aligned, human-readable text table; empty
-    string when nothing was recorded. *)

@@ -150,25 +150,15 @@ let describe_damage (r : Store.Snapshot.section_report) =
 
 (* Prefer checksum-clean advice, fall back to a quarantined (parsed but
    CRC-failed) section recovered by a salvage read. *)
-let pick_advice ~recovered name snapshot =
-  let find sections n = List.find_opt (fun (k, _) -> String.equal k n) sections in
-  match name with
-  | None -> (
-      match (snapshot.Store.Snapshot.advice, recovered) with
-      | (n, a) :: _, _ -> (n, a, true)
-      | [], (n, a) :: _ -> (n, a, false)
-      | [], [] -> fail "Engine.create: snapshot has no advice section")
-  | Some n -> (
-      match find snapshot.Store.Snapshot.advice n with
-      | Some (k, a) -> (k, a, true)
-      | None -> (
-          match find recovered n with
-          | Some (k, a) -> (k, a, false)
-          | None -> fail "Engine.create: snapshot has no advice section %S" n))
+let pick_advice ~recovered snapshot =
+  match (snapshot.Store.Snapshot.advice, recovered) with
+  | (n, a) :: _, _ -> (n, a, true)
+  | [], (n, a) :: _ -> (n, a, false)
+  | [], [] -> fail "Engine.create: snapshot has no advice section"
 
-let create ?cache_capacity ?memo ?radius ?ids ?name ?health snapshot =
+let create ?cache_capacity ?memo ?radius ?ids ?health snapshot =
   let recovered, report = Option.value health ~default:([], []) in
-  let name, advice, trusted = pick_advice ~recovered name snapshot in
+  let name, advice, trusted = pick_advice ~recovered snapshot in
   let radius = serve_radius ?radius snapshot.Store.Snapshot.meta in
   let quarantined = List.filter_map describe_damage report in
   let graph = snapshot.Store.Snapshot.graph in

@@ -78,37 +78,36 @@ val create :
   ?memo:Memo.t ->
   ?radius:int ->
   ?ids:Localmodel.Ids.t ->
-  ?name:string ->
   ?health:(string * Advice.Assignment.t) list * Store.Snapshot.section_report list ->
   Store.Snapshot.t ->
   t
-(** [create snapshot] builds an engine over the snapshot's graph and the
-    advice section called [name] (default: the snapshot's first advice
-    section).  The serve radius and orientation parameters are read from
-    the snapshot metadata ([serve.radius], [params.*]) as written by
-    {!Pack.edge_compression}; [?radius] overrides the stored value.
-    [cache_capacity] [0] turns the label column off (every ball query
-    decodes); any other value, like the default, stores every node's
-    label.  [ids] overrides the identifier assignment the
-    decoder orders fragments by (default: the identity [v + 1]) —
-    {!Router} hands each container shard's engine its {e global} ids,
-    which is what makes shard-local answers byte-identical to a
-    whole-graph engine's.  [memo] attaches a canonical-ball decode memo
-    (see the module comment; the table may be shared with other engines
-    — the keys pin radius, parameters and trust).
+(** [create snapshot] builds an engine over the snapshot's graph and
+    its first advice section.  The serve radius and orientation
+    parameters are read from the snapshot metadata ([serve.radius],
+    [params.*]) as written by {!Pack.edge_compression}; [?radius]
+    overrides the stored value.  [cache_capacity] [0] turns the label
+    column off (every ball query decodes); any other value, like the
+    default, stores every node's label.  [ids] overrides the identifier
+    assignment the decoder orders fragments by (default: the identity
+    [v + 1]) — {!Router} hands each container shard's engine its
+    {e global} ids, which is what makes shard-local answers
+    byte-identical to a whole-graph engine's.  [memo] attaches a
+    canonical-ball decode memo (see the module comment; the table may be
+    shared with other engines — the keys pin radius, parameters and
+    trust).
 
     [health] is what a {!Store.Snapshot.read_salvage} recovered beyond
     its checksum-clean [partial] snapshot: [(recovered, report)].  The
-    advice section then comes from the intact sections when possible and
-    from the quarantined [recovered] ones otherwise — in the latter case
+    advice section is then the first intact one when there is one, and
+    the first quarantined [recovered] one otherwise — in the latter case
     the engine serves best-effort answers from untrusted bits and says
     so via {!serving_trusted} — and any non-healthy [report] row makes
     the engine {!degraded}.  Note that when the metadata section itself
     was lost, [?radius] must be supplied.  @raise Invalid_argument when
-    no usable advice section exists (or the named one is missing), the
-    capacity or [radius] is negative, or [ids] is not a valid assignment
-    for the graph; @raise Store.Codec.Corrupt as {!serve_radius}, or when
-    a [params.*] entry is not a non-negative integer. *)
+    no usable advice section exists, the capacity or [radius] is
+    negative, or [ids] is not a valid assignment for the graph; @raise
+    Store.Codec.Corrupt as {!serve_radius}, or when a [params.*] entry
+    is not a non-negative integer. *)
 
 val serve_radius : ?radius:int -> (string * string) list -> int
 (** The serve radius: [radius] when given, else the metadata's

@@ -51,11 +51,18 @@ let create ~capacity =
   let slots =
     if capacity = 0 then 0
     else begin
-      (* Smallest power of two holding [capacity] at load factor <= 1/2. *)
-      let s = ref 1 in
-      while !s < 2 * capacity do
+      (* Smallest power of two holding [capacity] at load factor <= 1/2,
+         doubled only while it still fits an array: [2 * capacity] may
+         not fit an int. *)
+      let s = ref 2 in
+      while !s / 2 < capacity && !s <= Sys.max_array_length / 2 do
         s := !s * 2
       done;
+      if !s / 2 < capacity then
+        Format.kasprintf invalid_arg
+          "Memo.create: capacity %d needs more than Sys.max_array_length \
+           slots"
+          capacity;
       !s
     end
   in
@@ -70,9 +77,6 @@ let create ~capacity =
     drops = 0;
   }
 
-let capacity t = t.capacity
-let entries t = t.entries
-let bytes t = t.bytes
 let stats t =
   {
     s_capacity = t.capacity;

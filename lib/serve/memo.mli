@@ -39,7 +39,7 @@ type t
 type stats = {
   s_capacity : int;  (** configured entry bound *)
   s_entries : int;  (** keys currently stored *)
-  s_bytes : int;  (** resident key + value bytes *)
+  s_bytes : int;  (** resident key + value bytes — what [serve.memo.bytes] tracks *)
   s_stores : int;  (** publishes that stored a new key *)
   s_drops : int;  (** inserts refused because the table was full *)
 }
@@ -47,18 +47,12 @@ type stats = {
     the publishing thread (or with no publisher running). *)
 
 val create : capacity:int -> t
-(** [create ~capacity] allocates a table bounded to [capacity] entries,
-    sized to a load factor of at most 1/2.  [capacity = 0] builds the
-    no-op table.  @raise Invalid_argument when [capacity < 0]. *)
-
-val capacity : t -> int
-(** The configured entry bound. *)
-
-val entries : t -> int
-(** Keys currently stored. *)
-
-val bytes : t -> int
-(** Resident key + value bytes — what [serve.memo.bytes] tracks. *)
+(** [create ~capacity] allocates a table bounded to [capacity] entries:
+    the smallest power of two at least [2 * capacity] slots, a load
+    factor of at most 1/2.  [capacity = 0] builds the no-op table.
+    @raise Invalid_argument when [capacity < 0], or when that slot count
+    exceeds [Sys.max_array_length] (any capacity above [2^52] on a 64-bit
+    host). *)
 
 val find : t -> string -> string option
 (** [find t key] probes for [key].  Pure with respect to the table

@@ -64,13 +64,12 @@ let encode_for_pack ~params g x =
   let expected = expected_labels g (Edge_compression.decode ~params g assignment) in
   (assignment, expected)
 
-let edge_compression ?(params = Balanced_orientation.onebit_params)
-    ?(name = "c4") ?max_radius ?(sample = 0) ?domains g x =
-  let max_radius = match max_radius with Some r -> r | None -> Graph.n g in
+let edge_compression ?(sample = 0) ?domains g x =
+  let params = Balanced_orientation.onebit_params in
   let nodes = check_nodes g sample in
   let assignment, expected = encode_for_pack ~params g x in
   let unserved =
-    { Store.Snapshot.graph = g; advice = [ (name, assignment) ]; meta = params_meta params }
+    { Store.Snapshot.graph = g; advice = [ ("c4", assignment) ]; meta = params_meta params }
   in
   (* Each probe asks the router the server runs — one-shard container,
      shard engine, slots, pool — for the checked labels.  Certification
@@ -87,7 +86,7 @@ let edge_compression ?(params = Balanced_orientation.onebit_params)
       (fun v -> function Engine.Label s -> String.equal expected.(v) s | _ -> false)
       nodes got
   in
-  let radius = certify_radius ~passes ~max_radius ~checked:(Array.length nodes) in
+  let radius = certify_radius ~passes ~max_radius:(Graph.n g) ~checked:(Array.length nodes) in
   ( { unserved with Store.Snapshot.meta = params_meta params @ certified_meta ~radius ~nodes g },
     {
       radius;

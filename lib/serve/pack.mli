@@ -22,9 +22,6 @@ type certification = {
 (** What the pack-time search established. *)
 
 val edge_compression :
-  ?params:Schemas.Balanced_orientation.params ->
-  ?name:string ->
-  ?max_radius:int ->
   ?sample:int ->
   ?domains:int ->
   Netgraph.Graph.t ->
@@ -36,24 +33,24 @@ val edge_compression :
     geometrically from 2 and a binary search then tightens to the
     smallest passing value.  [sample] (default 0 = every node) checks an
     evenly spaced node sample instead — exhaustive on small instances,
-    sampled when packing benchmark-sized ones; [max_radius] (default
-    [Graph.n g]) bounds the search.  A probe at radius [r] is one
-    {!Router.batch} of [Output_label] queries for the checked nodes, on
-    a memo-less router built with [Router.create ~radius:r] over
+    sampled when packing benchmark-sized ones; [Graph.n g] bounds the
+    search.  A probe at radius [r] is one {!Router.batch} of
+    [Output_label] queries for the checked nodes, on a memo-less router
+    built with [Router.create ~radius:r] over
     {!Store.Shard.of_snapshot} of the snapshot (nothing is serialized):
     the one-shard container, shard engine, stamped-ball decode and
     {!Pool} that serve the file later.  [domains] (default
     {!Localmodel.View.effective_domains}[ ()]; a request is fitted to
     the hardware the same way) is passed once, to {!Router.create},
-    which sets the slot count and the batch's pool from it.  [name] is
-    the advice section name (default ["c4"]); [params] the orientation
-    parameters (default {!Schemas.Balanced_orientation.onebit_params}),
-    stored in the metadata for {!Engine.create} to read back.  The snapshot
+    which sets the slot count and the batch's pool from it.  The advice
+    section is named ["c4"], and the orientation parameters
+    ({!Schemas.Balanced_orientation.onebit_params}) are stored in the
+    metadata for {!Engine.create} to read back.  The snapshot
     serializes as either file version: {!Store.Snapshot.write}, or
     {!Store.Shard.build} with a halo of [max radius 1] — certification
     ran on the global graph, and the halo invariant transfers the
     radius to every shard.
     @raise Schemas.Balanced_orientation.Encoding_failure when the
     underlying schema cannot encode the graph.
-    @raise Invalid_argument when no radius up to [max_radius] passes,
+    @raise Invalid_argument when no radius up to [Graph.n g] passes,
     [sample] is negative, or [x] is not an edge set of [g]. *)

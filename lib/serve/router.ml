@@ -35,7 +35,6 @@ type t = {
   store : Shard.t;
   man : Shard.manifest;
   salvage : bool;
-  name : string option;
   cache_capacity : int option;  (* passed to each loaded shard engine *)
   memo : Memo.t option;  (* one canonical-ball table, shared by every
                             shard engine (keys pin radius/params) *)
@@ -80,14 +79,8 @@ let degraded t = t.lost > 0 || Option.fold ~none:false ~some:Engine.degraded t.s
 let serving_trusted t = Option.fold ~none:true ~some:Engine.serving_trusted t.salvaged
 let quarantined_sections t = Option.fold ~none:[] ~some:Engine.quarantined_sections t.salvaged
 
-let advice_name t =
-  match (t.name, t.man.Shard.m_advice) with
-  | Some n, _ -> n
-  | None, n :: _ -> n
-  | None, [] ->
-      (* create rejects advice-free containers, so this is unreachable
-         for any router that was successfully constructed. *)
-      invalid_arg "Router.advice_name: container has no advice sections"
+(* [create] rejects advice-free containers, so the list is not empty. *)
+let advice_name t = List.hd t.man.Shard.m_advice
 
 let shard_of t v = Shard.shard_of_node t.man v
 
@@ -193,7 +186,7 @@ let load_resident t ~pinned k =
   in
   let engine =
     Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius
-      ?ids ?name:t.name ?health:loaded.Shard.l_health snapshot
+      ?ids ?health:loaded.Shard.l_health snapshot
   in
   let r =
     {
@@ -254,7 +247,7 @@ let ensure t ~pinned k =
       r
 
 let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
-    ?radius ?domains ?name store =
+    ?radius ?domains store =
   (* A damaged v1 file's damage is known at open: without salvage the
      router fails-stop here, with the strict reader's diagnostic. *)
   (match Shard.damage store with
@@ -281,10 +274,6 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
   in
   if List.is_empty man.Shard.m_advice then
     raise (Store.Codec.Corrupt "container has no advice section");
-  (match name with
-  | Some n when not (List.exists (String.equal n) man.Shard.m_advice) ->
-      fail "Router.create: container has no advice section %S" n
-  | _ -> ());
   (* ⌈D/S⌉ node ranges per shard: a one-shard file gets D slots, and a
      container with at least D shards one slot per shard. *)
   let slots =
@@ -303,7 +292,6 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
       store;
       man;
       salvage;
-      name;
       cache_capacity;
       memo;
       budget = resident_budget;

@@ -93,7 +93,6 @@ val create :
   ?memo:Memo.t ->
   ?radius:int ->
   ?domains:int ->
-  ?name:string ->
   Store.Shard.t ->
   t
 (** [create store] builds a router over an open container.
@@ -108,12 +107,12 @@ val create :
     metadata ({!Engine.serve_radius}).  [domains] (default
     {!Localmodel.View.effective_domains}[ ()]) sets the slot count (see
     above) and is the pool size of every batch, honored as given, like
-    an explicit {!Pool.run} request; [name] selects an advice section.
+    an explicit {!Pool.run} request.  Queries are answered from the
+    container's first advice section ({!advice_name}).
     @raise Invalid_argument when [radius] or the budget or the
-    capacity is negative, [domains < 1], a container of several shards
-    has a halo too shallow for the radius ([halo >= max radius 1] is
-    the byte-identity precondition), or the named advice section does
-    not exist; @raise Store.Codec.Corrupt
+    capacity is negative, [domains < 1], or a container of several
+    shards has a halo too shallow for the radius ([halo >= max radius 1]
+    is the byte-identity precondition); @raise Store.Codec.Corrupt
     when the metadata has no valid serve radius (and no override was
     given), the container has no advice section, or a damaged
     version-1 file is opened without [salvage]. *)
@@ -131,7 +130,9 @@ val slot_count : t -> int
 (** Number of slots: [⌈D/S⌉] node ranges per container shard. *)
 
 val advice_name : t -> string
-(** The advice section queries are answered from. *)
+(** The advice section queries are answered from: the manifest's first
+    (a salvaged version-1 file lists quarantined sections after the
+    checksum-clean ones), the section each shard engine serves. *)
 
 val shard_of : t -> int -> int
 (** Owner shard of a global node id.  @raise Invalid_argument out of

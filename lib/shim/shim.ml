@@ -9,17 +9,8 @@ module type ATOMIC = sig
   val make : 'a -> 'a t
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
-  val exchange : 'a t -> 'a -> 'a
   val compare_and_set : 'a t -> 'a -> 'a -> bool
   val fetch_and_add : int t -> int -> int
-end
-
-module type MUTEX = sig
-  type t
-
-  val create : unit -> t
-  val lock : t -> unit
-  val unlock : t -> unit
 end
 
 module type THREAD = sig
@@ -39,7 +30,6 @@ end
 
 module type S = sig
   module Atomic : ATOMIC
-  module Mutex : MUTEX
   module Thread : THREAD
   module Raw : RAW
 end
@@ -51,17 +41,8 @@ module Real = struct
     let make = Stdlib.Atomic.make
     let get = Stdlib.Atomic.get
     let set = Stdlib.Atomic.set
-    let exchange = Stdlib.Atomic.exchange
     let compare_and_set = Stdlib.Atomic.compare_and_set
     let fetch_and_add = Stdlib.Atomic.fetch_and_add
-  end
-
-  module Mutex = struct
-    type t = Stdlib.Mutex.t
-
-    let create = Stdlib.Mutex.create
-    let lock = Stdlib.Mutex.lock
-    let unlock = Stdlib.Mutex.unlock
   end
 
   module Thread = struct

@@ -2,8 +2,9 @@
 
     Every concurrent subsystem in this repository ({!Serve.Pool}, the
     slot fan-out of {!Serve.Router}'s batch, the per-domain cell push of
-    {!Obs.Metrics}) is written against these four tiny module types
-    instead of calling [Atomic] / [Mutex] / [Domain] directly.  Two
+    {!Obs.Metrics}) is written against {!S} — three tiny module types:
+    atomic references, thread spawn/join, and tracked plain cells —
+    instead of calling [Atomic] / [Domain] directly.  Two
     implementations exist:
 
     - {!Real} (below): a zero-cost pass-through to the stdlib
@@ -36,9 +37,6 @@ module type ATOMIC = sig
   val set : 'a t -> 'a -> unit
   (** Atomic store. *)
 
-  val exchange : 'a t -> 'a -> 'a
-  (** Atomic swap: stores the new value, returns the previous one. *)
-
   val compare_and_set : 'a t -> 'a -> 'a -> bool
   (** [compare_and_set r seen v] stores [v] iff the current value is
       physically equal to [seen]; returns whether it stored. *)
@@ -46,22 +44,6 @@ module type ATOMIC = sig
   val fetch_and_add : int t -> int -> int
   (** Atomic add returning the previous value — the work-claiming
       primitive of {!Serve.Pool}. *)
-end
-
-(** Mutual exclusion — the subset of [Stdlib.Mutex] the repository
-    uses.  Locks are not reentrant. *)
-module type MUTEX = sig
-  type t
-  (** A mutex. *)
-
-  val create : unit -> t
-  (** Fresh unlocked mutex. *)
-
-  val lock : t -> unit
-  (** Blocks until the mutex is acquired. *)
-
-  val unlock : t -> unit
-  (** Releases the mutex; the caller must hold it. *)
 end
 
 (** Thread creation and joining — [Domain.spawn]/[Domain.join] in
@@ -106,9 +88,6 @@ module type S = sig
   module Atomic : ATOMIC
   (** Atomic references. *)
 
-  module Mutex : MUTEX
-  (** Mutexes. *)
-
   module Thread : THREAD
   (** Thread spawn/join. *)
 
@@ -119,12 +98,10 @@ end
 module Real :
   S
     with type 'a Atomic.t = 'a Stdlib.Atomic.t
-     and type Mutex.t = Stdlib.Mutex.t
      and type 'a Thread.handle = 'a Domain.t
      and type 'a Raw.t = 'a ref
-(** The production shim: [Atomic] is [Stdlib.Atomic], [Mutex] is
-    [Stdlib.Mutex], [Thread] is [Domain] spawn/join, and [Raw] is a
-    plain [ref].  All functions are direct aliases, so instantiating a
-    functor with [Real] adds no behavior — only the (negligible, and
-    bench-guarded: see the [store.pool] block) cost of calls through
-    the functor boundary. *)
+(** The production shim: [Atomic] is [Stdlib.Atomic], [Thread] is
+    [Domain] spawn/join, and [Raw] is a plain [ref].  All functions are
+    direct aliases, so instantiating a functor with [Real] adds no
+    behavior — only the (negligible, and bench-guarded: see the
+    [store.pool] block) cost of calls through the functor boundary. *)

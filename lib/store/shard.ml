@@ -184,15 +184,7 @@ let build ?(map = fun f ks -> Array.map f ks) ~shards ~halo
     (snapshot : Snapshot.t) =
   if halo < 1 then
     fail "Shard.build: halo %d must be at least 1 (Edge_member locality)" halo;
-  List.iter
-    (fun (name, a) ->
-      if not (Advice.Assignment.is_wellformed a) then
-        fail "Shard.build: assignment %S is not a bit string" name;
-      if Array.length a <> Graph.n snapshot.Snapshot.graph then
-        fail "Shard.build: assignment %S has %d entries for a %d-node graph"
-          name (Array.length a)
-          (Graph.n snapshot.Snapshot.graph))
-    snapshot.Snapshot.advice;
+  Snapshot.validate snapshot;
   let g = snapshot.Snapshot.graph in
   let n = Graph.n g in
   let ranges = plan ~n ~shards in

@@ -104,7 +104,7 @@ val build :
     payloads in index order (default: sequential [Array.map]; the serve
     layer passes {!Serve.Pool.run} to pack shards in parallel).
     @raise Invalid_argument when [shards < 1], [halo < 1], or the
-    snapshot trips {!Snapshot.write}'s own validation. *)
+    snapshot fails {!Snapshot.validate}, before anything is encoded. *)
 
 (** {1 Reading} *)
 
@@ -187,8 +187,8 @@ val of_snapshot : Snapshot.t -> t
     (there is no file to measure).  Its shard is the whole graph, so a
     {!Serve.Router} over it serves any radius — how
     {!Serve.Pack.edge_compression} certifies through the router it
-    ships.  Unlike {!build} it does not validate the advice: the caller
-    hands in a well-formed snapshot. *)
+    ships.  Unlike {!build} it does not run {!Snapshot.validate}: the
+    caller hands in a well-formed snapshot. *)
 
 val manifest : t -> manifest
 (** The container's parsed manifest (verified at {!open_file} time).  A

@@ -75,17 +75,7 @@ let read_graph payload =
 
 (* Advice section *)
 
-let check_name what name =
-  if String.contains name '\000' then
-    invalid_arg ("Snapshot.write: " ^ what ^ " contains a NUL byte")
-
 let advice_payload n (name, assignment) =
-  check_name "advice name" name;
-  if Array.length assignment <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Snapshot.write: assignment %S has %d entries for a %d-node graph"
-         name (Array.length assignment) n);
   let w = Codec.writer ~capacity:(16 + Array.length assignment) () in
   Codec.str w name;
   Codec.varint w n;
@@ -125,7 +115,6 @@ let meta_payload meta =
   Codec.varint w (List.length meta);
   List.iter
     (fun (k, v) ->
-      check_name "metadata key" k;
       Codec.str w k;
       Codec.str w v)
     meta;
@@ -145,14 +134,26 @@ let read_meta payload =
 
 (* Whole snapshot *)
 
-let write t =
+(* What both writers ([write] and Shard.build) check before they encode
+   anything: the payload codecs above trust their input. *)
+let validate t =
+  let fail fmt = Format.kasprintf invalid_arg ("Snapshot.validate: " ^^ fmt) in
+  let n = Graph.n t.graph in
   List.iter
     (fun (name, a) ->
+      if String.contains name '\000' then fail "advice name %S contains a NUL byte" name;
+      if Array.length a <> n then
+        fail "assignment %S has %d entries for a %d-node graph" name (Array.length a) n;
       if not (Advice.Assignment.is_wellformed a) then
-        invalid_arg
-          (Printf.sprintf "Snapshot.write: assignment %S is not a bit string"
-             name))
+        fail "assignment %S is not a bit string" name)
     t.advice;
+  List.iter
+    (fun (k, _) ->
+      if String.contains k '\000' then fail "metadata key %S contains a NUL byte" k)
+    t.meta
+
+let write t =
+  validate t;
   let w = Codec.writer ~capacity:4096 () in
   Codec.raw w magic;
   Codec.u16 w version;

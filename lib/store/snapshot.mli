@@ -65,10 +65,15 @@ val tag_advice : int
 val tag_meta : int
 (** Tag byte of the metadata section. *)
 
+val validate : t -> unit
+(** The one check both writers ({!write} and {!Shard.build}) run before
+    they encode anything.  @raise Invalid_argument when an assignment's
+    length differs from the graph's node count or contains non-bit
+    characters, or when an advice name or metadata key contains a NUL
+    byte. *)
+
 val write : t -> string
-(** Serialize.  @raise Invalid_argument when an assignment's length
-    differs from the graph's node count or contains non-bit characters,
-    or when an advice name or metadata key contains a NUL byte. *)
+(** Serialize.  @raise Invalid_argument as {!validate}. *)
 
 val read : string -> t
 (** Parse and verify a snapshot.  @raise Codec.Corrupt on any malformed
@@ -153,8 +158,9 @@ val read_graph : string -> Netgraph.Graph.t
 
 val advice_payload : int -> string * Advice.Assignment.t -> string
 (** [advice_payload n (name, a)] is the advice section payload for an
-    [n]-node graph.  @raise Invalid_argument when the assignment length
-    differs from [n] or the name contains a NUL byte. *)
+    [n]-node graph.  It trusts its input, as the writers do once
+    {!validate} has passed: [a] has [n] entries and [name] no NUL
+    byte. *)
 
 val read_advice : n:int -> string -> string * Advice.Assignment.t
 (** Parse an advice section payload for an [n]-node graph.

@@ -92,6 +92,33 @@ let test_clean_is_exhaustive () =
   Alcotest.(check bool) "space exhausted" true r.complete;
   Alcotest.(check bool) "interleavings explored" true (r.schedules > 1)
 
+(* The deadlock detector: a join is the one blocking operation, so a
+   fiber that reads its own handle from a cell and joins it waits
+   forever.  The non-preemptive first schedule publishes the handle
+   before the fiber runs, so the root and the fiber both end up
+   joining fiber 1. *)
+let self_join (module S : Shim.S) =
+  let cell = S.Atomic.make None in
+  let h =
+    S.Thread.spawn (fun () ->
+        match S.Atomic.get cell with Some h -> S.Thread.join h | None -> ())
+  in
+  S.Atomic.set cell (Some h);
+  S.Thread.join h
+
+let test_self_join_deadlocks () =
+  let stuck = "fiber 0 joining fiber 1; fiber 1 joining fiber 1" in
+  match (Sched.explore self_join).violation with
+  | None -> Alcotest.fail "a self-join explored clean"
+  | Some v -> (
+      Alcotest.(check bool) "kind is Deadlock" true (v.kind = Sched.Deadlock);
+      Alcotest.(check string) "names both joins" stuck v.message;
+      match (Sched.replay self_join v.trace).violation with
+      | Some v' ->
+          Alcotest.(check bool) "replay: Deadlock" true (v'.kind = Sched.Deadlock);
+          Alcotest.(check string) "replay: same message" stuck v'.message
+      | None -> Alcotest.fail "replay of the self-join was clean")
+
 (* ------------------------------------------------------------------ *)
 (* The registry: what @modelcheck gates, as a runtest entry *)
 
@@ -161,6 +188,8 @@ let () =
             test_random_replayable;
           Alcotest.test_case "clean space exhausts" `Quick
             test_clean_is_exhaustive;
+          Alcotest.test_case "a self-join deadlocks" `Quick
+            test_self_join_deadlocks;
         ] );
       ( "scenarios",
         [ Alcotest.test_case "registry expectations" `Quick test_scenarios ] );

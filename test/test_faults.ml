@@ -296,10 +296,18 @@ let test_salvage_report () =
 
 (* An engine over a salvage result: the intact snapshot plus what the
    salvage recovered and reported. *)
-let salvaged ?name ?radius sv =
-  Serve.Engine.create ?name ?radius
+let salvaged ?radius sv =
+  Serve.Engine.create ?radius
     ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
     sv.Store.Snapshot.partial
+
+(* The same salvage with its checksum-clean advice dropped, so the
+   engine serves the quarantined decoy, the only section left. *)
+let decoy_only sv =
+  salvaged
+    { sv with
+      Store.Snapshot.partial =
+        { sv.Store.Snapshot.partial with Store.Snapshot.advice = [] } }
 
 let test_degraded_engine_serves_survivors () =
   let g, snapshot, cert = two_advice_snapshot 64 23 in
@@ -348,7 +356,8 @@ let test_degraded_engine_serves_survivors () =
     answers;
   (* Serving the quarantined section itself stays total: every label
      comes back with the right length, no exception escapes. *)
-  let eq = salvaged ~name:"decoy" sv in
+  let eq = decoy_only sv in
+  check_str "serving the decoy" "decoy" (Serve.Engine.advice_name eq);
   check "untrusted service is flagged" false (Serve.Engine.serving_trusted eq);
   Graph.iter_nodes
     (fun v ->
@@ -371,7 +380,7 @@ let test_degraded_metrics () =
   check_int "every degraded query counted" 2 (counter_total "serve.degraded");
   check_int "trusted advice: no quarantined count" 0
     (counter_total "serve.quarantined");
-  let eq = salvaged ~name:"decoy" sv in
+  let eq = decoy_only sv in
   ignore (Serve.Engine.query eq (Serve.Engine.Output_label 2));
   check_int "degraded grows" 3 (counter_total "serve.degraded");
   check_int "quarantined service counted" 1 (counter_total "serve.quarantined")
@@ -579,12 +588,18 @@ let test_numeric_flags_rejected () =
   in
   List.iter
     (fun path ->
-      let serve flag = run_cli [ "serve"; path; "--batch"; "tf_q.txt"; flag ] in
-      usage (path ^ " --domains 0") ~flag:"--domains" (serve "--domains=0");
-      usage (path ^ " --resident-mb=-1") ~flag:"--resident-mb" (serve "--resident-mb=-1");
-      usage (path ^ " --port 70000") ~flag:"--port" (serve "--port=70000");
-      usage (path ^ " --port=-5") ~flag:"--port" (serve "--port=-5");
-      usage (path ^ " --write-budget 0") ~flag:"--write-budget" (serve "--write-budget=0"))
+      let serve flags = run_cli ([ "serve"; path; "--batch"; "tf_q.txt" ] @ flags) in
+      usage (path ^ " --domains 0") ~flag:"--domains" (serve [ "--domains=0" ]);
+      usage (path ^ " --resident-mb=-1") ~flag:"--resident-mb" (serve [ "--resident-mb=-1" ]);
+      usage (path ^ " --port 70000") ~flag:"--port" (serve [ "--port=70000" ]);
+      usage (path ^ " --port=-5") ~flag:"--port" (serve [ "--port=-5" ]);
+      usage (path ^ " --write-budget 0") ~flag:"--write-budget" (serve [ "--write-budget=0" ]);
+      (* Sizes that overflow: a 2^60-entry memo table cannot be an
+         array, and 2^42 MiB wraps to a negative byte budget. *)
+      usage (path ^ " --memo-capacity 2^60") ~flag:"--memo-capacity"
+        (serve [ "--memo"; "--memo-capacity=1152921504606846976" ]);
+      usage (path ^ " --resident-mb 2^42") ~flag:"--resident-mb"
+        (serve [ "--resident-mb=4398046511104" ]))
     [ "tf_v1.ladv"; "tf_v2.ladv" ];
   let pack flag = run_cli [ "pack"; "--n"; "40"; "--out"; "tf_packed.ladv"; flag ] in
   usage "pack --shards 0" ~flag:"--shards" (pack "--shards=0");
@@ -598,6 +613,21 @@ let test_numeric_flags_rejected () =
   match Serve.Pack.edge_compression ~sample:(-3) g x with
   | _ -> Alcotest.fail "Pack.edge_compression accepted a negative sample"
   | exception Invalid_argument _ -> ()
+
+(* --shards asks for at most that many: the plan clamps it to the node
+   count, and pack reports the count it wrote. *)
+let test_pack_reports_written_shards () =
+  let out = "tf_s50.ladv" in
+  Fun.protect ~finally:(fun () -> remove_noerr out) @@ fun () ->
+  let code, stdout, _ =
+    run_cli [ "pack"; "--graph"; "cycle"; "--n"; "12"; "--shards"; "50"; "--out"; out ]
+  in
+  check_int "pack exits cleanly" 0 code;
+  check "the line names the 12 shards written" true
+    (has_sub stdout "sharded: 12 shard(s), halo ");
+  check_int "the manifest agrees" 12
+    (Array.length
+       (Store.Shard.manifest (Store.Shard.open_file out)).Store.Shard.m_shards)
 
 (* A radius certified on a sample is announced before the answers; an
    exhaustive pack's serve output gains nothing. *)
@@ -658,5 +688,7 @@ let () =
             test_numeric_flags_rejected;
           Alcotest.test_case "sampled radius is announced" `Quick
             test_sampled_radius_announced;
+          Alcotest.test_case "pack reports the shards it wrote" `Quick
+            test_pack_reports_written_shards;
         ] );
     ]

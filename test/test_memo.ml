@@ -22,11 +22,13 @@ let test_table_basics () =
   | Some v -> check_string "hit returns the stored value" "1" v
   | None -> Alcotest.fail "inserted key missed");
   Serve.Memo.insert m "a" "1";
-  check_int "re-inserting an existing key is a no-op" 1 (Serve.Memo.entries m);
+  let entries () = (Serve.Memo.stats m).Serve.Memo.s_entries in
+  check_int "re-inserting an existing key is a no-op" 1 (entries ());
   Serve.Memo.insert m "bb" "22";
   Serve.Memo.insert m "ccc" "333";
-  check_int "filled to capacity" 3 (Serve.Memo.entries m);
-  check_int "bytes are key + value lengths" (2 + 4 + 6) (Serve.Memo.bytes m);
+  check_int "filled to capacity" 3 (entries ());
+  check_int "bytes are key + value lengths" (2 + 4 + 6)
+    (Serve.Memo.stats m).Serve.Memo.s_bytes;
   Serve.Memo.insert m "dddd" "4444";
   let s = Serve.Memo.stats m in
   check_int "insert past capacity is dropped" 3 s.Serve.Memo.s_entries;
@@ -36,6 +38,11 @@ let test_table_basics () =
   check "resident keys keep hitting" true (Serve.Memo.find m "bb" = Some "22");
   (match Serve.Memo.create ~capacity:(-1) with
   | _ -> Alcotest.fail "negative capacity accepted"
+  | exception Invalid_argument _ -> ());
+  (* 2 * max_int wraps negative: the table must refuse, not build one
+     slot that a second key would probe forever. *)
+  (match Serve.Memo.create ~capacity:max_int with
+  | _ -> Alcotest.fail "a capacity no array can hold was accepted"
   | exception Invalid_argument _ -> ());
   match Serve.Memo.insert m "" "x" with
   | _ -> Alcotest.fail "empty key accepted"

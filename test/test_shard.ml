@@ -197,6 +197,34 @@ let test_version_dispatch () =
   Sys.remove p2;
   Unix.rmdir dir
 
+(* Both writers reject what Snapshot.validate rejects, before encoding:
+   a NUL metadata key used to reach the manifest of a container. *)
+let test_build_validates () =
+  let _, snapshot, _ = cycle_snapshot 40 5 in
+  let n = Graph.n snapshot.Store.Snapshot.graph in
+  let bad =
+    [
+      ("NUL metadata key",
+       { snapshot with
+         Store.Snapshot.meta = snapshot.Store.Snapshot.meta @ [ ("k\000ey", "v") ] });
+      ("NUL advice name",
+       { snapshot with Store.Snapshot.advice = [ ("c\0004", Array.make n "1") ] });
+      ("short assignment",
+       { snapshot with Store.Snapshot.advice = [ ("c4", [| "1" |]) ] });
+      ("non-bit assignment",
+       { snapshot with Store.Snapshot.advice = [ ("c4", Array.make n "10x") ] });
+    ]
+  in
+  List.iter
+    (fun (what, s) ->
+      (match Store.Shard.build ~shards:2 ~halo:1 s with
+      | _ -> Alcotest.failf "Shard.build accepted a %s" what
+      | exception Invalid_argument _ -> ());
+      match Store.Snapshot.write s with
+      | _ -> Alcotest.failf "Snapshot.write accepted a %s" what
+      | exception Invalid_argument _ -> ())
+    bad
+
 (* ------------------------------------------------------------------ *)
 (* Byte-identity: router answers = monolithic engine answers *)
 
@@ -952,6 +980,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "version dispatch + v1 compat" `Quick
             test_version_dispatch;
+          Alcotest.test_case "build validates like Snapshot.write" `Quick
+            test_build_validates;
         ] );
       ( "identity",
         qtests

@@ -394,9 +394,7 @@ let test_bits_budget () =
     (fun g ->
       let x = Bitset.create (Graph.m g) in
       Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
-      let snapshot, _cert =
-        Serve.Pack.edge_compression ~sample:8 ~max_radius:(Graph.n g) g x
-      in
+      let snapshot, _cert = Serve.Pack.edge_compression ~sample:8 g x in
       let budget =
         Graph.fold_nodes
           (fun v acc -> acc + Schemas.Edge_compression.bits_bound (Graph.degree g v))
