@@ -134,6 +134,156 @@ let batch_run ~router ~direct ~batch_size queries =
   in
   (elapsed, !identical)
 
+(* ------------------------------------------------------------------ *)
+(* Warm path: frame in, column read, frame out *)
+
+(* The two perfbench serving instances, rebuilt here (perfbench itself
+   is not a library this bench links): structured-sweep's n = 65,537
+   cycle with the periodic subset in an 8-shard container, and
+   hot-skewed's n = 65,536 cycle with pack seed 1's random subset in a
+   v1 file, both certified on a 4,099-node sample. *)
+let warm_instances ~smoke =
+  let n k = if smoke then 2_048 + k else 65_536 + k in
+  [ ("structured-sweep", n 1, `Periodic, 8); ("hot-skewed", n 0, `Random 1, 1) ]
+
+let warm_router (_, n, subset, shards) ~domains =
+  let g = Builders.cycle n in
+  let x = Bitset.create (Graph.m g) in
+  (match subset with
+  | `Periodic -> Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g
+  | `Random seed ->
+      let rng = Prng.create seed in
+      Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g);
+  let snapshot, cert = Serve.Pack.edge_compression ~sample:(min 4099 n) g x in
+  let bytes =
+    if shards > 1 then Store.Shard.build ~shards ~halo:(max cert.Serve.Pack.radius 1) snapshot
+    else Store.Snapshot.write snapshot
+  in
+  (g, Serve.Router.create ~domains (Store.Shard.open_bytes bytes))
+
+(* What the server does with a frame burst, minus the socket: feed one
+   64-frame chunk, answer through the router (as [Server.dispatch]
+   does), then hand every pending byte to [sink] — the write. *)
+let serve_chunks router conn chunks ~sink =
+  let dispatch = function
+    | Net.Protocol.Query q -> Net.Protocol.Answer (Serve.Router.query router q)
+    | _ -> invalid_arg "warm path: not a single query"
+  in
+  Array.iter
+    (fun chunk ->
+      Net.Conn.feed conn chunk (Bytes.length chunk) dispatch;
+      let flushing = ref true in
+      while !flushing do
+        match Net.Conn.pending conn with
+        | None -> flushing := false
+        | Some (buf, pos, len) ->
+            sink buf pos len;
+            Net.Conn.wrote conn len
+      done)
+    chunks
+
+(* Per query kind: ns and minor words per query through [Conn.feed] →
+   [Router.query] → in-place encode → drain, on a router whose shards
+   are all resident and whose label column is full.  Interleaved
+   min-of-reps over the three kinds. *)
+let warm_path ~smoke =
+  let domains = 1 in
+  let count = if smoke then 3_000 else 60_000 in
+  let reps = if smoke then 2 else 7 in
+  let window = 64 in
+  let kinds = [| "label"; "member"; "bits" |] in
+  let instance ((name, n, _, shards) as spec) =
+    let g, router = warm_router spec ~domains in
+    Graph.iter_nodes (fun v -> ignore (Serve.Router.query router (Serve.Engine.Output_label v))) g;
+    let rng = Prng.create (n + 7) in
+    let queries =
+      Array.map
+        (fun kind ->
+          Array.init count (fun _ ->
+              let v = Prng.int rng n in
+              match kind with
+              | "label" -> Serve.Engine.Output_label v
+              | "member" ->
+                  let inc = Graph.incident_edges g v in
+                  Serve.Engine.Edge_member (v, inc.(Prng.int rng (Array.length inc)))
+              | _ -> Serve.Engine.Advice_bits v))
+        kinds
+    in
+    let chunks qs =
+      Array.init ((Array.length qs + window - 1) / window) (fun c ->
+          let frames = Array.sub qs (c * window) (min window (Array.length qs - (c * window))) in
+          Bytes.of_string
+            (String.concat ""
+               (Array.to_list
+                  (Array.map (fun q -> Net.Protocol.request_to_string (Net.Protocol.Query q)) frames))))
+    in
+    let streams = Array.map chunks queries in
+    let conn = Net.Conn.create ~write_budget:(1 lsl 30) () in
+    (* One untimed pass per kind grows the buffers and checks the bytes. *)
+    let identical =
+      Array.for_all2
+        (fun qs stream ->
+          let got = Buffer.create (16 * count) in
+          serve_chunks router conn stream ~sink:(Buffer.add_subbytes got);
+          Buffer.contents got
+          = String.concat ""
+              (Array.to_list
+                 (Array.map
+                    (fun q -> Net.Protocol.response_to_string (Net.Protocol.Answer (Serve.Router.query router q)))
+                    qs)))
+        queries streams
+    in
+    let wire = Bytes.create 65_536 in
+    let sink buf pos len = Bytes.blit buf pos wire 0 (min len 65_536) in
+    let best_ns = Array.make 3 infinity and best_words = Array.make 3 infinity in
+    for _ = 1 to reps do
+      Array.iteri
+        (fun k stream ->
+          let w0 = Gc.minor_words () in
+          let (), t = Bench_util.time_once (fun () -> serve_chunks router conn stream ~sink) in
+          let words = Gc.minor_words () -. w0 in
+          best_ns.(k) <- Float.min best_ns.(k) (t *. 1e9 /. float_of_int count);
+          best_words.(k) <- Float.min best_words.(k) (words /. float_of_int count))
+        streams
+    done;
+    Printf.printf "store  net   warm path %-16s n=%-6d %s  [%s]\n%!" name n
+      (String.concat "  "
+         (Array.to_list
+            (Array.mapi
+               (fun k kind -> Printf.sprintf "%s %4.0f ns %4.1f w" kind best_ns.(k) best_words.(k))
+               kinds)))
+      (if identical then "ok" else "FAIL");
+    J.Obj
+      ([
+         ("workload", J.Str name);
+         ("n", J.Int n);
+         ("container", J.Str (if shards > 1 then Printf.sprintf "v2, %d shards" shards else "v1"));
+         ("radius", J.Int (Serve.Router.radius router));
+         ("queries_per_kind", J.Int count);
+         ("byte_identical", J.Bool identical);
+       ]
+      @ Array.to_list
+          (Array.mapi
+             (fun k kind ->
+               ( kind,
+                 J.Obj
+                   [
+                     ("ns_per_query", J.Float best_ns.(k));
+                     ("minor_words_per_query", J.Float best_words.(k));
+                   ] ))
+             kinds))
+  in
+  J.Obj
+    [
+      ("requested_domains", J.Int domains);
+      ( "effective_domains",
+        J.Int (Localmodel.View.effective_domains ~requested:domains ()) );
+      ("chunk_frames", J.Int window);
+      ("reps", J.Int reps);
+      ("method", J.Str "interleaved min-of-reps over the three query kinds");
+      ("instances", J.List (List.map instance (warm_instances ~smoke)));
+    ]
+
 let stat stats name = Option.value ~default:(-1) (List.assoc_opt name stats)
 
 let block ~smoke =
@@ -225,6 +375,7 @@ let block ~smoke =
             ("serve_degraded", J.Int sv_degraded);
             ("byte_identical", J.Bool (sv_mismatches = 0));
           ] );
+      ("warm_path", warm_path ~smoke);
       ( "acceptance",
         J.Obj
           [

@@ -36,10 +36,53 @@ let pack s =
   done;
   (out, nbits)
 
-let unpack b nbits =
-  if nbits < 0 || (nbits + 7) / 8 > Bytes.length b then
+(* Every bit string of length <= 8, the empty one included, at slot
+   [2^len - 1 + v] where bit [j] of [v] is character [j]: 511 strings,
+   built once and never written after.  The table is domain-local, and a
+   spawned domain inherits its parent's, so every domain reads the one
+   table the main domain built: a string is shared everywhere. *)
+let shared_max = 8
+let shared_slots = (2 lsl shared_max) - 1
+
+let shared_table =
+  Domain.DLS.new_key ~split_from_parent:Fun.id (fun () ->
+      Array.init shared_slots (fun slot ->
+          let len = ref 0 in
+          while 2 lsl !len <= slot + 1 do
+            incr len
+          done;
+          let v = slot + 1 - (1 lsl !len) in
+          String.init !len (fun j -> if v land (1 lsl j) <> 0 then '1' else '0')))
+
+let shared slot =
+  if slot < 0 || slot >= shared_slots then invalid_arg "Bits.shared: slot out of range";
+  (Domain.DLS.get shared_table).(slot)
+
+let shared_slot s =
+  let len = String.length s in
+  if len > shared_max then -1
+  else begin
+    let v = ref 0 and ok = ref true in
+    for j = 0 to len - 1 do
+      match String.unsafe_get s j with
+      | '0' -> ()
+      | '1' -> v := !v lor (1 lsl j)
+      | _ -> ok := false
+    done;
+    if !ok then (1 lsl len) - 1 + !v else -1
+  end
+
+let unpack ?(off = 0) b nbits =
+  if off < 0 || nbits < 0 || nbits > (8 * Bytes.length b) - off then
     invalid_arg "Bits.unpack: bit count exceeds buffer";
-  String.init nbits (fun i ->
-      if Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
-      then '1'
-      else '0')
+  let bit i =
+    Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  in
+  if nbits <= shared_max then begin
+    let v = ref 0 in
+    for j = 0 to nbits - 1 do
+      if bit (off + j) then v := !v lor (1 lsl j)
+    done;
+    (Domain.DLS.get shared_table).((1 lsl nbits) - 1 + !v)
+  end
+  else String.init nbits (fun j -> if bit (off + j) then '1' else '0')

@@ -24,8 +24,34 @@ val pack : string -> bytes * int
     bit budget rather than a byte per bit.
     @raise Invalid_argument on non-bit characters. *)
 
-val unpack : bytes -> int -> string
+val unpack : ?off:int -> bytes -> int -> string
 (** [unpack b nbits] inverts {!pack}: the first [nbits] bits of [b],
     LSB-first, as a ['0']/['1'] string.  [unpack (fst (pack s))
-    (snd (pack s)) = s] for every well-formed bit string.
-    @raise Invalid_argument when [nbits] exceeds the buffer. *)
+    (snd (pack s)) = s] for every well-formed bit string.  [off]
+    (default [0]) starts at that bit instead, so one packed buffer
+    yields each node's string in place.  A string of at most 8 bits is
+    the {!shared} copy: unpacking it allocates nothing.
+    @raise Invalid_argument when the bits run past the buffer. *)
+
+(** {1 Shared short strings}
+
+    Every ['0']/['1'] string of at most 8 characters — 511 of them,
+    counting the empty one — exists once, built on first use and never
+    written after.  The table is domain-local, and a spawned domain
+    inherits its parent's, so every domain reads the same strings.  A C4 label or advice string of a node of degree at most 8
+    is one of them, so readers and the serve path keep a slot instead
+    of a copy, and key tables of per-string values by it. *)
+
+val shared_slots : int
+(** Number of shared strings: 511. *)
+
+val shared : int -> string
+(** [shared slot] is the shared string at [slot] in
+    [0 .. shared_slots - 1]; slot [2^len - 1 + v] holds the [len]-bit
+    string whose character [j] is bit [j] of [v].
+    @raise Invalid_argument on a slot out of range. *)
+
+val shared_slot : string -> int
+(** [shared_slot s] is the slot of the shared string equal to [s], or
+    [-1] when [s] is longer than 8 characters or not a bit string.
+    [shared (shared_slot s) = s] whenever the slot is not [-1]. *)

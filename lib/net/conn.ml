@@ -5,18 +5,18 @@ type t = {
   write_budget : int;
   mutable st : state;
   (* Read side: one growable buffer, [rlen] valid bytes starting at 0.
-     A feed parses its frames with a cursor and compacts the consumed
-     prefix away once at the end, so the buffer never holds more than
-     one incomplete frame plus one read chunk. *)
+     A feed checks and decodes its frames where they sit, at a cursor,
+     and compacts the consumed prefix away once at the end, so the
+     buffer never holds more than one incomplete frame plus one read
+     chunk. *)
   mutable rbuf : Bytes.t;
   mutable rlen : int;
-  (* Write side: FIFO of encoded frames; [woff] is the send offset into
-     the head.  [wbytes] tracks the queued total for backpressure.
-     {!pending} merges queued frames into one chunk, so a burst of
-     pipelined answers leaves in one write. *)
-  writes : string Queue.t;
-  mutable woff : int;
-  mutable wbytes : int;
+  (* Write side: one growable buffer; the bytes still to send are
+     [wbuf.[wpos .. wend-1]].  Answers are encoded straight onto its
+     end, so a burst of pipelined answers is already one chunk. *)
+  mutable wbuf : Bytes.t;
+  mutable wpos : int;
+  mutable wend : int;
 }
 
 let create ?(max_frame = Protocol.default_max_frame) ?(write_budget = 256 * 1024)
@@ -30,69 +30,59 @@ let create ?(max_frame = Protocol.default_max_frame) ?(write_budget = 256 * 1024
     st = Open;
     rbuf = Bytes.create 4096;
     rlen = 0;
-    writes = Queue.create ();
-    woff = 0;
-    wbytes = 0;
+    wbuf = Bytes.create 4096;
+    wpos = 0;
+    wend = 0;
   }
 
 let state t = t.st
-let queued_bytes t = t.wbytes
-let wants_read t = t.st = Open && t.wbytes <= t.write_budget
-let wants_write t = t.st <> Closed && t.wbytes > 0
+let queued_bytes t = t.wend - t.wpos
+let wants_read t = t.st = Open && queued_bytes t <= t.write_budget
+let wants_write t = t.st <> Closed && queued_bytes t > 0
+
+(* Room for [k] more bytes at the write end: the sent prefix is dropped
+   first, and the buffer doubles only when that is not enough. *)
+let reserve t k =
+  let queued = queued_bytes t in
+  if t.wend + k > Bytes.length t.wbuf then begin
+    let dst =
+      if queued + k <= Bytes.length t.wbuf then t.wbuf
+      else begin
+        let cap = ref (max 4096 (Bytes.length t.wbuf)) in
+        while !cap < queued + k do
+          cap := !cap * 2
+        done;
+        Bytes.create !cap
+      end
+    in
+    Bytes.blit t.wbuf t.wpos dst 0 queued;
+    t.wbuf <- dst;
+    t.wpos <- 0;
+    t.wend <- queued
+  end
 
 let enqueue t frame =
-  if t.st <> Closed && String.length frame > 0 then begin
-    Queue.add frame t.writes;
-    t.wbytes <- t.wbytes + String.length frame
+  if t.st <> Closed then begin
+    reserve t (String.length frame);
+    Bytes.blit_string frame 0 t.wbuf t.wend (String.length frame);
+    t.wend <- t.wend + String.length frame
   end
 
-(* Largest chunk [pending] builds by merging frames; a frame longer
-   than this is sent as it is. *)
-let coalesce_limit = 64 * 1024
+(* One answer, encoded in place at the write end. *)
+let respond t rs =
+  reserve t (Protocol.response_size rs);
+  t.wend <- Protocol.put_response t.wbuf t.wend rs
 
-(* Merge the frames behind an untouched head into it, up to
-   [coalesce_limit] bytes.  Every byte is copied at most once: a merged
-   head that is then partly written is not merged again until sent. *)
-let coalesce t =
-  if t.woff = 0 && Queue.length t.writes > 1 then begin
-    let head = Queue.pop t.writes in
-    let size = ref (String.length head) in
-    let parts = ref [ head ] in
-    while
-      (not (Queue.is_empty t.writes))
-      && !size + String.length (Queue.peek t.writes) <= coalesce_limit
-    do
-      let s = Queue.pop t.writes in
-      size := !size + String.length s;
-      parts := s :: !parts
-    done;
-    let merged = String.concat "" (List.rev !parts) in
-    (* Put the merged chunk back in front of whatever did not fit. *)
-    let rest = Queue.create () in
-    Queue.transfer t.writes rest;
-    Queue.add merged t.writes;
-    Queue.transfer rest t.writes
-  end
-
-let pending t =
-  coalesce t;
-  match Queue.peek_opt t.writes with
-  | None -> None
-  | Some head -> Some (head, t.woff)
+let pending t = if t.wend > t.wpos then Some (t.wbuf, t.wpos, t.wend - t.wpos) else None
 
 let wrote t k =
-  match Queue.peek_opt t.writes with
-  | None -> invalid_arg "Conn.wrote: write queue is empty"
-  | Some head ->
-      let left = String.length head - t.woff in
-      if k < 0 || k > left then
-        invalid_arg "Conn.wrote: progress overruns the pending chunk";
-      t.wbytes <- t.wbytes - k;
-      if k = left then begin
-        ignore (Queue.pop t.writes);
-        t.woff <- 0
-      end
-      else t.woff <- t.woff + k
+  if k < 0 || k > queued_bytes t then
+    invalid_arg "Conn.wrote: progress overruns the pending bytes";
+  t.wpos <- t.wpos + k;
+  if t.wpos = t.wend then begin
+    t.wpos <- 0;
+    t.wend <- 0
+  end
 
 let drain t = if t.st = Open then t.st <- Draining
 
@@ -100,14 +90,14 @@ let close t =
   t.st <- Closed;
   t.rlen <- 0;
   t.rbuf <- Bytes.create 0;
-  Queue.clear t.writes;
-  t.woff <- 0;
-  t.wbytes <- 0
+  t.wbuf <- Bytes.create 0;
+  t.wpos <- 0;
+  t.wend <- 0
 
 let finished t =
   match t.st with
   | Closed -> true
-  | Draining -> t.wbytes = 0
+  | Draining -> queued_bytes t = 0
   | Open -> false
 
 let ensure_capacity t extra =
@@ -122,35 +112,42 @@ let ensure_capacity t extra =
     t.rbuf <- nb
   end
 
-(* Parse-and-dispatch until the buffer holds no complete frame.  Each
-   parsed request is answered immediately and in order, so several
-   requests arriving in one read (pipelining) produce their responses
-   back-to-back in one write queue.  Frames are parsed at a cursor and
-   the consumed prefix is compacted away once, after the loop: k frames
-   in one read cost O(bytes), not O(k * bytes). *)
+(* Answer a refused frame with its error frame; a fatal refusal means
+   the stream is out of sync: answer, flush, hang up.  Returns whether
+   it was fatal. *)
+let refused t on_error code message =
+  respond t (Protocol.Error (code, message));
+  on_error code;
+  let fatal = Protocol.error_is_fatal code in
+  if fatal then begin
+    t.rlen <- 0;
+    t.st <- Draining
+  end;
+  fatal
+
+(* Check-decode-dispatch-encode until the buffer holds no complete
+   frame.  Each request is answered immediately and in order, so
+   several requests arriving in one read (pipelining) produce their
+   answers back-to-back in the write buffer.  Frames are decoded at a
+   cursor and the consumed prefix is compacted away once, after the
+   loop: k frames in one read cost O(bytes), not O(k * bytes).  The
+   loop itself allocates nothing. *)
 let pump t on_error dispatch =
   let pos = ref 0 in
   let continue = ref true in
   while !continue && t.st = Open && !pos < t.rlen do
-    match
-      Protocol.parse_request ~max_frame:t.max_frame t.rbuf ~pos:!pos
-        ~len:(t.rlen - !pos)
-    with
-    | Protocol.Need _ -> continue := false
-    | Protocol.Done (rq, consumed) ->
-        let rs = dispatch rq in
-        enqueue t (Protocol.response_to_string rs);
-        pos := !pos + consumed
-    | Protocol.Fail { code; message; consumed } ->
-        enqueue t (Protocol.response_to_string (Protocol.Error (code, message)));
-        on_error code;
-        if Protocol.error_is_fatal code then begin
-          (* The stream is out of sync: answer, flush, hang up. *)
-          t.rlen <- 0;
-          pos := 0;
-          t.st <- Draining
-        end
-        else pos := !pos + consumed
+    match Protocol.check_frame ~max_frame:t.max_frame t.rbuf ~pos:!pos ~len:(t.rlen - !pos) with
+    | exception Protocol.Refused (code, message) ->
+        ignore (refused t on_error code message);
+        pos := 0
+    | size when size < 0 -> continue := false
+    | size -> (
+        match Protocol.decode_request t.rbuf ~pos:!pos ~len:size with
+        | exception Protocol.Refused (code, message) ->
+            pos := if refused t on_error code message then 0 else !pos + size
+        | rq ->
+            respond t (dispatch rq);
+            pos := !pos + size)
   done;
   if !pos > 0 then begin
     Bytes.blit t.rbuf !pos t.rbuf 0 (t.rlen - !pos);

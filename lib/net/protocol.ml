@@ -86,34 +86,24 @@ let tag_answers = 0xA0
 let tag_error = 0xFF
 
 (* ------------------------------------------------------------------ *)
-(* Encoding *)
+(* Encoding, in place *)
 
-(* Every frame is written once, into one buffer of its exact size: the
-   payload size is computed first, then the header, the payload and the
-   CRC — which covers everything from the magic byte through the last
-   payload byte — go straight into place with {!Store.Codec}'s position
-   writers. *)
+(* Every frame is written once, where it will be sent from: the payload
+   size is computed first, then the header, the payload and the CRC —
+   which covers everything from the magic byte through the last payload
+   byte — go straight into place with {!Store.Codec}'s position
+   writers.  [response_to_string] and [request_to_string] are the same
+   writers aimed at a buffer of the frame's exact size. *)
 
-(* A frame buffer for a [len]-byte payload, header written; the payload
-   starts at [payload_pos b len]. *)
-let frame_buffer ~tag len =
-  let b = Bytes.create (3 + Codec.varint_size len + len + 4) in
-  let pos = Codec.put_u8 b (Codec.put_u8 b (Codec.put_u8 b 0 magic) version) tag in
-  ignore (Codec.put_varint b pos len);
-  b
+let frame_size len = 3 + Codec.varint_size len + len + 4
 
-let payload_pos b len = Bytes.length b - len - 4
+(* Header at [pos] for a [len]-byte payload; returns where the payload
+   starts. *)
+let put_header b pos ~tag len =
+  Codec.put_varint b (Codec.put_u8 b (Codec.put_u8 b (Codec.put_u8 b pos magic) version) tag) len
 
-let seal b =
-  let body = Bytes.length b - 4 in
-  ignore (Codec.put_u32 b body (Crc32.of_subbytes b ~pos:0 ~len:body));
-  Bytes.unsafe_to_string b
-
-(* Payload-free frames never change: built once. *)
-let empty_frame tag = seal (frame_buffer ~tag 0)
-let ping_frame = empty_frame tag_ping
-let stats_frame = empty_frame tag_stats
-let pong_frame = empty_frame tag_pong
+(* The CRC over [start .. pos-1], after the payload ending at [pos]. *)
+let seal b ~start pos = Codec.put_u32 b pos (Crc32.of_subbytes b ~pos:start ~len:(pos - start))
 
 let query_tag = function
   | Engine.Output_label _ -> tag_output_label
@@ -128,25 +118,28 @@ let put_query b pos = function
   | Engine.Output_label v | Engine.Advice_bits v -> Codec.put_varint b pos v
   | Engine.Edge_member (v, e) -> Codec.put_varint b (Codec.put_varint b pos v) e
 
-let request_to_string = function
-  | Ping -> ping_frame
-  | Stats -> stats_frame
-  | Query q ->
-      let len = query_size q in
-      let b = frame_buffer ~tag:(query_tag q) len in
-      ignore (put_query b (payload_pos b len) q);
-      seal b
+let request_payload = function
+  | Ping | Stats -> 0
+  | Query q -> query_size q
   | Batch qs ->
-      let len =
-        Array.fold_left
-          (fun acc q -> acc + 1 + query_size q)
-          (Codec.varint_size (Array.length qs))
-          qs
-      in
-      let b = frame_buffer ~tag:tag_batch len in
-      let pos = ref (Codec.put_varint b (payload_pos b len) (Array.length qs)) in
-      Array.iter (fun q -> pos := put_query b (Codec.put_u8 b !pos (query_tag q)) q) qs;
-      seal b
+      Array.fold_left
+        (fun acc q -> acc + 1 + query_size q)
+        (Codec.varint_size (Array.length qs))
+        qs
+
+let put_request b start rq =
+  let len = request_payload rq in
+  let pos =
+    match rq with
+    | Ping -> put_header b start ~tag:tag_ping len
+    | Stats -> put_header b start ~tag:tag_stats len
+    | Query q -> put_query b (put_header b start ~tag:(query_tag q) len) q
+    | Batch qs ->
+        let pos = ref (Codec.put_varint b (put_header b start ~tag:tag_batch len) (Array.length qs)) in
+        Array.iter (fun q -> pos := put_query b (Codec.put_u8 b !pos (query_tag q)) q) qs;
+        !pos
+  in
+  seal b ~start pos
 
 let answer_tag = function
   | Engine.Label _ -> tag_label
@@ -161,219 +154,289 @@ let put_answer b pos = function
   | Engine.Label s | Engine.Bits s -> Codec.put_str b pos s
   | Engine.Member m -> Codec.put_u8 b pos (if m then 1 else 0)
 
-let response_to_string = function
-  | Pong -> pong_frame
+let response_payload = function
+  | Pong -> 0
   | Stats_reply kvs ->
-      let len =
-        List.fold_left
-          (fun acc (k, v) -> acc + Codec.str_size k + Codec.varint_size v)
-          (Codec.varint_size (List.length kvs))
-          kvs
-      in
-      let b = frame_buffer ~tag:tag_stats_reply len in
-      let pos = ref (Codec.put_varint b (payload_pos b len) (List.length kvs)) in
-      List.iter (fun (k, v) -> pos := Codec.put_varint b (Codec.put_str b !pos k) v) kvs;
-      seal b
-  | Answer a ->
-      let len = answer_size a in
-      let b = frame_buffer ~tag:(answer_tag a) len in
-      ignore (put_answer b (payload_pos b len) a);
-      seal b
+      List.fold_left
+        (fun acc (k, v) -> acc + Codec.str_size k + Codec.varint_size v)
+        (Codec.varint_size (List.length kvs))
+        kvs
+  | Answer a -> answer_size a
   | Answers az ->
-      let len =
-        Array.fold_left
-          (fun acc a -> acc + 1 + answer_size a)
-          (Codec.varint_size (Array.length az))
-          az
-      in
-      let b = frame_buffer ~tag:tag_answers len in
-      let pos = ref (Codec.put_varint b (payload_pos b len) (Array.length az)) in
-      Array.iter (fun a -> pos := put_answer b (Codec.put_u8 b !pos (answer_tag a)) a) az;
-      seal b
-  | Error (code, msg) ->
-      let len = 1 + Codec.str_size msg in
-      let b = frame_buffer ~tag:tag_error len in
-      let pos = Codec.put_u8 b (payload_pos b len) (error_code_to_int code) in
-      ignore (Codec.put_str b pos msg);
-      seal b
+      Array.fold_left
+        (fun acc a -> acc + 1 + answer_size a)
+        (Codec.varint_size (Array.length az))
+        az
+  | Error (_, msg) -> 1 + Codec.str_size msg
+
+let response_size rs = frame_size (response_payload rs)
+
+let put_response b start rs =
+  let len = response_payload rs in
+  let pos =
+    match rs with
+    | Pong -> put_header b start ~tag:tag_pong len
+    | Answer a -> put_answer b (put_header b start ~tag:(answer_tag a) len) a
+    | Stats_reply kvs ->
+        let pos = ref (Codec.put_varint b (put_header b start ~tag:tag_stats_reply len) (List.length kvs)) in
+        List.iter (fun (k, v) -> pos := Codec.put_varint b (Codec.put_str b !pos k) v) kvs;
+        !pos
+    | Answers az ->
+        let pos = ref (Codec.put_varint b (put_header b start ~tag:tag_answers len) (Array.length az)) in
+        Array.iter (fun a -> pos := put_answer b (Codec.put_u8 b !pos (answer_tag a)) a) az;
+        !pos
+    | Error (code, msg) ->
+        Codec.put_str b (Codec.put_u8 b (put_header b start ~tag:tag_error len) (error_code_to_int code)) msg
+  in
+  seal b ~start pos
+
+let to_string size put x =
+  let b = Bytes.create size in
+  ignore (put b 0 x);
+  Bytes.unsafe_to_string b
+
+let request_to_string rq = to_string (frame_size (request_payload rq)) put_request rq
+let response_to_string rs = to_string (response_size rs) put_response rs
 
 (* ------------------------------------------------------------------ *)
-(* Incremental decoding *)
+(* Decoding, in place *)
 
 type 'a parse =
   | Need of int
   | Done of 'a * int
   | Fail of { code : error_code; message : string; consumed : int }
 
-let fatal code fmt =
-  Format.kasprintf (fun message -> Fail { code; message; consumed = 0 }) fmt
+exception Refused of error_code * string
 
-(* Header scan on the raw byte window: cheap, allocation-free, and able
-   to reject garbage (wrong magic, alien version, absurd length) from
-   the very first bytes without waiting for a full frame. *)
-let scan_header ~max_frame buf ~pos ~len =
-  if len < 1 then Need 1
-  else
-    let b i = Char.code (Bytes.get buf (pos + i)) in
-    if b 0 <> magic then
-      fatal Bad_magic "frame starts with byte 0x%02x, expected magic 0x%02x"
-        (b 0) magic
-    else if len < 2 then Need 1
-    else if b 1 <> version then
-      fatal Bad_version "peer speaks protocol version %d; this side speaks %d"
-        (b 1) version
-    else if len < 4 then Need (4 - len)
+let refuse code fmt = Format.kasprintf (fun message -> raise (Refused (code, message))) fmt
+
+(* Header scan and checksum on the raw byte window, allocation-free:
+   garbage (wrong magic, alien version, absurd length) is rejected from
+   the very first bytes, without waiting for a full frame.  The length
+   varint is read here rather than by {!Codec.read_varint}, because a
+   short one means "wait", not "corrupt". *)
+let check_frame ~max_frame buf ~pos ~len =
+  if len < 1 then -1
+  else if Bytes.get_uint8 buf pos <> magic then
+    refuse Bad_magic "frame starts with byte 0x%02x, expected magic 0x%02x"
+      (Bytes.get_uint8 buf pos) magic
+  else if len < 2 then -1
+  else if Bytes.get_uint8 buf (pos + 1) <> version then
+    refuse Bad_version "peer speaks protocol version %d; this side speaks %d"
+      (Bytes.get_uint8 buf (pos + 1)) version
+  else if len < 4 then -(4 - len)
+  else begin
+    (* length varint, starting at offset 3 *)
+    let i = ref 3 and paylen = ref 0 and shift = ref 0 and header = ref 0 in
+    while !header = 0 && !i < len do
+      let byte = Bytes.get_uint8 buf (pos + !i) in
+      let payload = byte land 0x7F in
+      if !shift > 56 || (!shift = 56 && payload > 0x3F) then
+        refuse Too_large "frame length varint overflows the int range";
+      paylen := !paylen lor (payload lsl !shift);
+      incr i;
+      if byte land 0x80 <> 0 then shift := !shift + 7
+      else if payload = 0 && !shift > 0 then refuse Bad_frame "non-minimal frame length varint"
+      else header := !i
+    done;
+    if !header = 0 then -1
     else begin
-      (* length varint, starting at offset 3 *)
-      let rec varint i acc shift =
-        if i >= len then `Short (i + 1)
-        else
-          let byte = b i in
-          let payload = byte land 0x7F in
-          if shift > 56 || (shift = 56 && payload > 0x3F) then `Overflow
-          else if byte land 0x80 = 0 then
-            if payload = 0 && shift > 0 then `Nonminimal
-            else `Length (acc lor (payload lsl shift), i + 1)
-          else varint (i + 1) (acc lor (payload lsl shift)) (shift + 7)
-      in
-      match varint 3 0 0 with
-      | `Short need -> Need (need - len)
-      | `Overflow -> fatal Too_large "frame length varint overflows the int range"
-      | `Nonminimal -> fatal Bad_frame "non-minimal frame length varint"
-      | `Length (paylen, header_len) ->
-          let total = header_len + paylen + 4 in
-          if total > max_frame then
-            fatal Too_large "announced frame of %d bytes exceeds the %d-byte cap"
-              total max_frame
-          else if len < total then Need (total - len)
-          else Done ((b 2, header_len, paylen), total)
-    end
-
-exception Unknown_tag of int
-
-(* One whole frame is available: verify the whole-frame checksum and
-   hand back the payload window for tag-specific decoding. *)
-let parse_frame ~max_frame buf ~pos ~len ~decode =
-  match scan_header ~max_frame buf ~pos ~len with
-  | Need n -> Need n
-  | Fail f -> Fail f
-  | Done ((tag, header_len, paylen), total) ->
-      let s = Bytes.sub_string buf pos total in
-      let stored =
-        let b i = Char.code s.[total - 4 + i] in
-        b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-      in
-      let actual = Crc32.of_substring s ~pos:0 ~len:(total - 4) in
-      if stored <> actual then
-        fatal Bad_frame
-          "frame checksum mismatch: stored %08x, computed %08x over %d byte(s)"
-          stored actual (total - 4)
+      let total = !header + !paylen + 4 in
+      if total > max_frame then
+        refuse Too_large "announced frame of %d bytes exceeds the %d-byte cap" total max_frame
+      else if len < total then -(total - len)
       else begin
-        match decode ~tag (Codec.reader ~pos:header_len ~len:paylen s) with
-        | v -> Done (v, total)
-        | exception Unknown_tag t ->
-            fatal Bad_tag "unknown frame tag 0x%02x for this direction" t
-        | exception Codec.Corrupt msg ->
-            Fail { code = Bad_request; message = msg; consumed = total }
-        | exception Invalid_argument msg ->
-            Fail { code = Bad_request; message = msg; consumed = total }
+        let crc = pos + total - 4 in
+        let stored =
+          Bytes.get_uint8 buf crc
+          lor (Bytes.get_uint8 buf (crc + 1) lsl 8)
+          lor (Bytes.get_uint8 buf (crc + 2) lsl 16)
+          lor (Bytes.get_uint8 buf (crc + 3) lsl 24)
+        in
+        let actual = Crc32.of_subbytes buf ~pos ~len:(total - 4) in
+        if stored <> actual then
+          refuse Bad_frame "frame checksum mismatch: stored %08x, computed %08x over %d byte(s)"
+            stored actual (total - 4);
+        total
       end
+    end
+  end
+
+(* Payload readers at positions of the frame starting at [base]:
+   [limit] is one past the payload, and every diagnostic counts offsets
+   from [base], word for word as {!Store.Codec}'s reader over a copy of
+   the frame words them.  Varints are canonical, so the one at [p] spans
+   [Codec.varint_size] of its value: each field's position follows from
+   the values before it, and no cursor is kept. *)
+
+let corrupt fmt = Format.kasprintf (fun s -> raise (Codec.Corrupt s)) fmt
+
+let need ~base ~limit p k what =
+  if limit - p < k then
+    corrupt "truncated input at offset %d: need %d byte(s) for %s, have %d" (p - base) k what
+      (limit - p)
+
+let u8_at buf ~base ~limit p =
+  need ~base ~limit p 1 "u8";
+  Bytes.get_uint8 buf p
+
+let varint_at buf ~base ~limit start =
+  let acc = ref 0 and shift = ref 0 and p = ref start and last = ref false in
+  while not !last do
+    need ~base ~limit !p 1 "varint";
+    let byte = Bytes.get_uint8 buf !p in
+    incr p;
+    let payload = byte land 0x7F in
+    if !shift > 56 || (!shift = 56 && payload > 0x3F) then
+      corrupt "varint at offset %d overflows the int range" (start - base);
+    acc := !acc lor (payload lsl !shift);
+    if byte land 0x80 <> 0 then shift := !shift + 7
+    else if payload = 0 && !shift > 0 then
+      corrupt "non-minimal varint at offset %d: trailing zero group" (start - base)
+    else last := true
+  done;
+  !acc
+
+let str_at buf ~base ~limit p =
+  let n = varint_at buf ~base ~limit p in
+  let p = p + Codec.varint_size n in
+  need ~base ~limit p n "raw bytes";
+  Bytes.sub_string buf p n
+
+let expect_end ~base ~limit p ~what =
+  if p < limit then corrupt "%s: %d trailing byte(s) at offset %d" what (limit - p) (p - base)
 
 (* A count-prefixed payload: each item needs at least two payload bytes,
    so a count beyond that bound is a lie about data that cannot be
-   present — reject before allocating for it.  [reject] (a closed
-   function, so passing it allocates nothing) words the rejection. *)
-let read_count r ~reject =
-  let count = Codec.read_varint r in
-  if count > (Codec.remaining r / 2) + 1 then
-    raise (Codec.Corrupt (reject count (Codec.remaining r)));
+   present — reject before allocating for it. *)
+let read_count buf ~base ~limit p ~reject =
+  let count = varint_at buf ~base ~limit p in
+  let left = limit - (p + Codec.varint_size count) in
+  if count > (left / 2) + 1 then corrupt reject count left;
   count
 
-let read_query ~tag r =
-  if tag = tag_output_label then Engine.Output_label (Codec.read_varint r)
-  else if tag = tag_edge_member then begin
-    let v = Codec.read_varint r in
-    let e = Codec.read_varint r in
-    Engine.Edge_member (v, e)
-  end
-  else if tag = tag_advice_bits then Engine.Advice_bits (Codec.read_varint r)
-  else raise (Codec.Corrupt (Printf.sprintf "unknown query tag 0x%02x" tag))
-
-let decode_request ~tag r =
-  let v =
-    if tag = tag_ping then Ping
-    else if tag = tag_stats then Stats
-    else if tag = tag_output_label || tag = tag_edge_member
-            || tag = tag_advice_bits then Query (read_query ~tag r)
-    else if tag = tag_batch then begin
-      let count =
-        read_count r ~reject:(fun count left ->
-            Printf.sprintf "batch announces %d queries but only %d payload byte(s) remain"
-              count left)
-      in
-      Batch
-        (Array.init count (fun _ ->
-             let qtag = Codec.read_u8 r in
-             read_query ~tag:qtag r))
-    end
-    else raise (Unknown_tag tag)
+(* The tagged items after a count at [p]: [read] decodes one item and
+   [size] re-measures it.  Returns the items and where they end. *)
+let read_items buf ~base ~limit p ~count ~read ~size =
+  let pos = ref (p + Codec.varint_size count) in
+  let items =
+    Array.init count (fun _ ->
+        let item = read buf ~base ~limit ~tag:(u8_at buf ~base ~limit !pos) (!pos + 1) in
+        pos := !pos + 1 + size item;
+        item)
   in
-  Codec.expect_end r ~what:"request payload";
-  v
+  (items, !pos)
 
-let read_answer ~tag r =
-  if tag = tag_label then Engine.Label (Codec.read_str r)
+let read_query buf ~base ~limit ~tag p =
+  if tag = tag_output_label then Engine.Output_label (varint_at buf ~base ~limit p)
+  else if tag = tag_edge_member then begin
+    let v = varint_at buf ~base ~limit p in
+    Engine.Edge_member (v, varint_at buf ~base ~limit (p + Codec.varint_size v))
+  end
+  else if tag = tag_advice_bits then Engine.Advice_bits (varint_at buf ~base ~limit p)
+  else corrupt "unknown query tag 0x%02x" tag
+
+let read_answer buf ~base ~limit ~tag p =
+  if tag = tag_label then Engine.Label (str_at buf ~base ~limit p)
   else if tag = tag_member then begin
-    match Codec.read_u8 r with
+    match u8_at buf ~base ~limit p with
     | 0 -> Engine.Member false
     | 1 -> Engine.Member true
-    | b -> raise (Codec.Corrupt (Printf.sprintf "member answer byte %d is not 0/1" b))
+    | b -> corrupt "member answer byte %d is not 0/1" b
   end
-  else if tag = tag_bits then Engine.Bits (Codec.read_str r)
-  else raise (Codec.Corrupt (Printf.sprintf "unknown answer tag 0x%02x" tag))
+  else if tag = tag_bits then Engine.Bits (str_at buf ~base ~limit p)
+  else corrupt "unknown answer tag 0x%02x" tag
 
-let decode_response ~tag r =
-  let v =
-    if tag = tag_pong then Pong
-    else if tag = tag_stats_reply then begin
-      let count =
-        read_count r ~reject:(fun count left ->
-            Printf.sprintf "stats reply announces %d entries in %d byte(s)" count left)
-      in
-      Stats_reply
-        (List.init count (fun _ ->
-             let k = Codec.read_str r in
-             let v = Codec.read_varint r in
-             (k, v)))
-    end
-    else if tag = tag_label || tag = tag_member || tag = tag_bits then
-      Answer (read_answer ~tag r)
-    else if tag = tag_answers then begin
-      let count =
-        read_count r ~reject:(fun count left ->
-            Printf.sprintf "answers frame announces %d answers in %d byte(s)" count left)
-      in
-      Answers
-        (Array.init count (fun _ ->
-             let atag = Codec.read_u8 r in
-             read_answer ~tag:atag r))
-    end
-    else if tag = tag_error then begin
-      let code_byte = Codec.read_u8 r in
-      let msg = Codec.read_str r in
-      match error_code_of_int code_byte with
-      | Some code -> Error (code, msg)
-      | None ->
-          raise
-            (Codec.Corrupt (Printf.sprintf "unknown error code %d" code_byte))
-    end
-    else raise (Unknown_tag tag)
+let request_at buf ~base ~limit ~tag p =
+  let fin q stop =
+    expect_end ~base ~limit stop ~what:"request payload";
+    q
   in
-  Codec.expect_end r ~what:"response payload";
-  v
+  if tag = tag_ping then fin Ping p
+  else if tag = tag_stats then fin Stats p
+  else if tag = tag_output_label || tag = tag_edge_member || tag = tag_advice_bits then begin
+    let q = read_query buf ~base ~limit ~tag p in
+    fin (Query q) (p + query_size q)
+  end
+  else if tag = tag_batch then begin
+    let count =
+      read_count buf ~base ~limit p
+        ~reject:"batch announces %d queries but only %d payload byte(s) remain"
+    in
+    let qs, stop = read_items buf ~base ~limit p ~count ~read:read_query ~size:query_size in
+    fin (Batch qs) stop
+  end
+  else refuse Bad_tag "unknown frame tag 0x%02x for this direction" tag
+
+let response_at buf ~base ~limit ~tag p =
+  let fin rs stop =
+    expect_end ~base ~limit stop ~what:"response payload";
+    rs
+  in
+  if tag = tag_pong then fin Pong p
+  else if tag = tag_stats_reply then begin
+    let count =
+      read_count buf ~base ~limit p ~reject:"stats reply announces %d entries in %d byte(s)"
+    in
+    let pos = ref (p + Codec.varint_size count) in
+    let kvs =
+      List.init count (fun _ ->
+          let k = str_at buf ~base ~limit !pos in
+          pos := !pos + Codec.str_size k;
+          let v = varint_at buf ~base ~limit !pos in
+          pos := !pos + Codec.varint_size v;
+          (k, v))
+    in
+    fin (Stats_reply kvs) !pos
+  end
+  else if tag = tag_label || tag = tag_member || tag = tag_bits then begin
+    let a = read_answer buf ~base ~limit ~tag p in
+    fin (Answer a) (p + answer_size a)
+  end
+  else if tag = tag_answers then begin
+    let count =
+      read_count buf ~base ~limit p ~reject:"answers frame announces %d answers in %d byte(s)"
+    in
+    let az, stop = read_items buf ~base ~limit p ~count ~read:read_answer ~size:answer_size in
+    fin (Answers az) stop
+  end
+  else if tag = tag_error then begin
+    let code_byte = u8_at buf ~base ~limit p in
+    let msg = str_at buf ~base ~limit (p + 1) in
+    match error_code_of_int code_byte with
+    | Some code -> fin (Error (code, msg) : response) (p + 1 + Codec.str_size msg)
+    | None -> corrupt "unknown error code %d" code_byte
+  end
+  else refuse Bad_tag "unknown frame tag 0x%02x for this direction" tag
+
+(* Decode the checked frame [buf.[pos .. pos+len-1]] where it sits: the
+   payload starts after the length varint, the tag picks the fields.  A
+   payload fault is [Bad_request] (the framing held, so the
+   conversation goes on); an unknown tag is [Bad_tag]. *)
+let decode_at at buf ~pos ~len =
+  let p = ref (pos + 3) in
+  while Bytes.get_uint8 buf !p land 0x80 <> 0 do
+    incr p
+  done;
+  match at buf ~base:pos ~limit:(pos + len - 4) ~tag:(Bytes.get_uint8 buf (pos + 2)) (!p + 1) with
+  | v -> v
+  | exception (Codec.Corrupt msg | Invalid_argument msg) -> raise (Refused (Bad_request, msg))
+
+let decode_request buf ~pos ~len = decode_at request_at buf ~pos ~len
+
+(* [Need], [Done] and [Fail] around the in-place checker and decoder. *)
+let parse decode ~max_frame buf ~pos ~len =
+  match check_frame ~max_frame buf ~pos ~len with
+  | exception Refused (code, message) -> Fail { code; message; consumed = 0 }
+  | size when size < 0 -> Need (-size)
+  | size -> (
+      match decode buf ~pos ~len:size with
+      | v -> Done (v, size)
+      | exception Refused (code, message) ->
+          Fail { code; message; consumed = (if error_is_fatal code then 0 else size) })
 
 let parse_request ?(max_frame = default_max_frame) buf ~pos ~len =
-  parse_frame ~max_frame buf ~pos ~len ~decode:decode_request
+  parse decode_request ~max_frame buf ~pos ~len
 
 let parse_response ?(max_frame = default_max_frame) buf ~pos ~len =
-  parse_frame ~max_frame buf ~pos ~len ~decode:decode_response
+  parse (decode_at response_at) ~max_frame buf ~pos ~len

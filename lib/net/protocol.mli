@@ -100,20 +100,35 @@ val error_code_name : error_code -> string
     question was bad. *)
 val error_is_fatal : error_code -> bool
 
-(** {1 Encoding} *)
+(** {1 Encoding}
+
+    One encoder per direction writes a frame in place: the header, the
+    payload, then the CRC over that range, with {!Store.Codec}'s
+    position writers.  The [_to_string] forms aim it at a buffer of the
+    frame's exact size. *)
+
+val response_size : response -> int
+(** The encoded size of one response frame, header and CRC included. *)
+
+val put_response : Bytes.t -> int -> response -> int
+(** [put_response buf pos rs] writes [rs]'s frame into
+    [buf.[pos .. pos + response_size rs - 1]] and returns the position
+    after it.  This is how a connection encodes an answer into its
+    output buffer. *)
 
 val request_to_string : request -> string
 (** One request as a standalone frame. *)
 
 val response_to_string : response -> string
-(** One response as a standalone frame. *)
+(** One response as a standalone frame: {!put_response} into a fresh
+    buffer of {!response_size} bytes. *)
 
 (** {1 Incremental decoding}
 
     Parsers consume frames from the front of a caller-owned buffer
     window and never raise on wire input: every outcome, including
-    corruption, is a constructor.  This is the event loop's only entry
-    point for bytes read off a socket. *)
+    corruption, is a constructor.  They wrap the in-place checker and
+    decoders below, which the server's connections call directly. *)
 
 (** Outcome of trying to parse one frame from a buffer window. *)
 type 'a parse =
@@ -130,8 +145,35 @@ type 'a parse =
 
 val parse_request : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> request parse
 (** [parse_request buf ~pos ~len] tries to decode one request frame
-    from [buf.[pos .. pos+len-1]].  [max_frame] defaults to
-    {!default_max_frame}. *)
+    from [buf.[pos .. pos+len-1]]: {!check_frame}, then
+    {!decode_request}, their outcomes as a constructor.  [max_frame]
+    defaults to {!default_max_frame}. *)
 
 val parse_response : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> response parse
 (** Same, for the client side of the connection. *)
+
+(** {1 In place}
+
+    The checker and decoder {!parse_request} wraps, for a caller that
+    owns the buffer and wants no result box: a frame is checked and
+    decoded where it sits, with no copy and no {!Store.Codec.reader}. *)
+
+exception Refused of error_code * string
+(** A frame or request rejected with this code and diagnostic — the
+    same pair {!parse_request} reports in [Fail]. *)
+
+val check_frame : max_frame:int -> Bytes.t -> pos:int -> len:int -> int
+(** [check_frame ~max_frame buf ~pos ~len] checks the frame at the
+    front of the window [buf.[pos .. pos+len-1]]: magic, version, the
+    canonical length varint and the [max_frame] cap as soon as their
+    bytes arrive, then, once the window holds the whole frame, its CRC.
+    Returns the frame's size when it is whole and verified, or [-k]
+    when at least [k] more bytes are needed.  Allocates nothing unless
+    it refuses.  @raise Refused on frame-level damage (always fatal). *)
+
+val decode_request : Bytes.t -> pos:int -> len:int -> request
+(** [decode_request buf ~pos ~len] decodes the frame of size [len] at
+    [pos] that {!check_frame} accepted, reading its fields at their
+    positions.  @raise Refused with {!Bad_tag} on a tag that is not a
+    request's, or {!Bad_request} on a malformed payload (skip [len]
+    bytes and go on). *)

@@ -256,19 +256,18 @@ let read_ready t chunk fd conn =
       ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t fd conn
 
-(* Drain the write queue until it is empty or the socket pushes back: a
-   short write or EAGAIN means the kernel buffer is full, and the next
-   select reports when it has room.  [Conn.pending] merges queued
-   frames, so a burst of pipelined answers costs one write, not one
-   select round each. *)
+(* Send the queued bytes until none are left or the socket pushes back:
+   a short write or EAGAIN means the kernel buffer is full, and the next
+   select reports when it has room.  [Conn.pending] is every queued
+   byte in one range of the connection's output buffer, so a burst of
+   pipelined answers costs one write, not one select round each. *)
 let write_ready t fd conn =
   let continue = ref true in
   while !continue do
     match Conn.pending conn with
     | None -> continue := false
-    | Some (s, off) -> (
-        let len = String.length s - off in
-        match Unix.write_substring fd s off len with
+    | Some (buf, pos, len) -> (
+        match Unix.write fd buf pos len with
         | k ->
             t.c.bytes_out <- t.c.bytes_out + k;
             Obs.Metrics.add m_bytes_out k;

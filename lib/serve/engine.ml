@@ -13,9 +13,13 @@ let m_ball =
   Obs.Metrics.histogram "serve.ball_size"
     ~buckets:[| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 |]
 
+type query = Output_label of int | Edge_member of int * int | Advice_bits of int
+type answer = Label of string | Member of bool | Bits of string
+
 (* One engine answers every node of its graph from one node-indexed
    label column: a node's label is a pure function of its ball, so it
-   is decoded once and then read back with one array load.  The router
+   is decoded once and then read back with one array load.  The column
+   holds the answer a hit returns, so a hit builds nothing.  The router
    keeps one engine per resident shard and cuts its nodes into slots; a
    batch hands each slot to exactly one pool worker, which writes only
    that slot's range of the column.  Distinct array elements are
@@ -29,7 +33,8 @@ type t = {
   radius : int;
   ids : Localmodel.Ids.t;
   store : bool;  (* false: [labels] is empty and every ball query decodes *)
-  labels : string array;  (* labels.(v); [undecoded] until stored *)
+  labels : answer array;  (* labels.(v): a [Label]; [undecoded] until stored *)
+  bits : answer array;  (* bits.(v): [Bits advice.(v)]; [undecoded] until asked *)
   memo : Memo.t option;  (* canonical-ball decode memo, possibly shared *)
   memo_prefix : string;  (* radius/params/trust pinned into every key *)
   degraded : bool;  (* any section of the source snapshot was damaged *)
@@ -39,9 +44,32 @@ type t = {
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* "Not decoded yet", told apart by physical equality: [""] is a real
-   label (radius 0, isolated nodes), and no decode returns this string. *)
-let undecoded = String.make 1 '?'
+(* "Not stored yet", in either column, told apart by physical equality:
+   [Label ""] is a real answer (radius 0, isolated nodes), and no
+   stored entry is this one. *)
+let undecoded = Label (String.make 1 '?')
+
+(* The [Label] and [Bits] answer of every shared bit string
+   ({!Advice.Bits.shared}), by slot: a label or advice string of at most
+   8 bits — every node of degree at most 8 — is answered with one of
+   these instead of a new box.  Built once and never written after; a
+   pool worker interning a miss reads them through its domain-local
+   key, which it inherits from the domain that spawned it, so every
+   answer exists once in the whole process. *)
+let shared_answers =
+  Domain.DLS.new_key ~split_from_parent:Fun.id (fun () ->
+      ( Array.init Advice.Bits.shared_slots (fun i -> Label (Advice.Bits.shared i)),
+        Array.init Advice.Bits.shared_slots (fun i -> Bits (Advice.Bits.shared i)) ))
+
+let label_answer s =
+  match Advice.Bits.shared_slot s with
+  | -1 -> Label s
+  | slot -> (fst (Domain.DLS.get shared_answers)).(slot)
+
+let bits_answer s =
+  match Advice.Bits.shared_slot s with
+  | -1 -> Bits s
+  | slot -> (snd (Domain.DLS.get shared_answers)).(slot)
 
 (* Decode the ball stamped in [ws] over host [g] (center at stamp index
    [center]; ids and advice indexed by host node).  The canonical trail
@@ -200,6 +228,7 @@ let create ?cache_capacity ?memo ?radius ?ids ?health snapshot =
     ids;
     store;
     labels = Array.make (if store then n else 0) undecoded;
+    bits = Array.make n undecoded;
     memo;
     memo_prefix;
     degraded = (not trusted) || (match quarantined with [] -> false | _ :: _ -> true);
@@ -215,37 +244,28 @@ let degraded t = t.degraded
 let serving_trusted t = t.trusted
 let quarantined_sections t = t.quarantined
 
-type query = Output_label of int | Edge_member of int * int | Advice_bits of int
-type answer = Label of string | Member of bool | Bits of string
-
 let check_node t what v =
   let n = Graph.n t.graph in
   if v < 0 || v >= n then fail "Engine: %s names node %d outside 0..%d" what v (n - 1)
 
-let validate t = function
-  | Output_label v -> check_node t "Output_label" v
-  | Advice_bits v -> check_node t "Advice_bits" v
-  | Edge_member (v, e) ->
-      check_node t "Edge_member" v;
-      if e < 0 || e >= Graph.m t.graph then
-        fail "Engine: Edge_member names edge %d outside 0..%d" e
-          (Graph.m t.graph - 1);
-      let a, b = Graph.edge_endpoints t.graph e in
-      if v <> a && v <> b then
-        fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)"
-          v e a b
-
-(* Index of incident edge [e] within [v]'s label string: the rank of the
-   other endpoint in [v]'s sorted neighbor array. *)
-let incident_index t v e =
-  let u = Graph.edge_other_endpoint t.graph e v in
-  let nbrs = Graph.neighbors t.graph v in
-  let lo = ref 0 and hi = ref (Array.length nbrs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if nbrs.(mid) < u then lo := mid + 1 else hi := mid
+(* Slot of edge [e] among [v]'s incident edges, which is the index of
+   its bit in [v]'s label: the incident array is ordered by the sorted
+   neighbor array.  One scan of at most [degree v] ids validates the
+   query too; only a failure reads the edge's endpoints, to name them. *)
+let incident_slot t v e =
+  check_node t "Edge_member" v;
+  if e < 0 || e >= Graph.m t.graph then
+    fail "Engine: Edge_member names edge %d outside 0..%d" e (Graph.m t.graph - 1);
+  let inc = Graph.incident_edges t.graph v in
+  let k = ref 0 in
+  while !k < Array.length inc && inc.(!k) <> e do
+    incr k
   done;
-  !lo
+  if !k = Array.length inc then begin
+    let a, b = Graph.edge_endpoints t.graph e in
+    fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e a b
+  end;
+  !k
 
 (* Decode [v]'s ball, consulting the canonical-ball memo between the
    label column (the caller) and the decoder.  One BFS stamps the ball;
@@ -280,35 +300,59 @@ let compute_label t ~staged v =
           label)
 
 let label t ~staged v =
-  if t.store && t.labels.(v) != undecoded then begin
+  let a = if t.store then t.labels.(v) else undecoded in
+  if a != undecoded then begin
     Obs.Metrics.incr m_hits;
-    t.labels.(v)
+    a
   end
   else begin
     Obs.Metrics.incr m_misses;
-    let str = compute_label t ~staged v in
-    if t.store then t.labels.(v) <- str;
-    str
+    let a = label_answer (compute_label t ~staged v) in
+    if t.store then t.labels.(v) <- a;
+    a
   end
 
-let note_degraded t =
+let note_query t =
+  Obs.Metrics.incr m_queries;
   if t.degraded then Obs.Metrics.incr m_degraded;
   if not t.trusted then Obs.Metrics.incr m_quarantined
 
-let answer t ~staged q =
-  validate t q;
-  Obs.Metrics.incr m_queries;
-  note_degraded t;
-  match q with
-  | Output_label v -> Label (label t ~staged v)
-  | Edge_member (v, e) ->
-      (* Below the certified radius a label can be shorter than the
-         degree (at radius 0 it is [""]): a position past it reads '0',
-         as a truncated advice string does in [decode_stamped]. *)
-      let s = label t ~staged v and i = incident_index t v e in
-      Member (i < String.length s && s.[i] = '1')
-  | Advice_bits v -> Bits t.advice.(v)
+(* Below the certified radius a label can be shorter than the degree (at
+   radius 0 it is [""]): a position past it reads '0', as a truncated
+   advice string does in [decode_stamped]. *)
+let member label k =
+  match label with
+  | Label s when k < String.length s && s.[k] = '1' -> Member true
+  | Label _ | Member _ | Bits _ -> Member false
 
+let answer_label t ~staged v =
+  check_node t "Output_label" v;
+  note_query t;
+  label t ~staged v
+
+let answer_member t ~staged v e =
+  let k = incident_slot t v e in
+  note_query t;
+  member (label t ~staged v) k
+
+let advice_bits t v =
+  check_node t "Advice_bits" v;
+  note_query t;
+  let a = t.bits.(v) in
+  if a != undecoded then a
+  else begin
+    let a = bits_answer t.advice.(v) in
+    t.bits.(v) <- a;
+    a
+  end
+
+let answer t ~staged = function
+  | Output_label v -> answer_label t ~staged v
+  | Edge_member (v, e) -> answer_member t ~staged v e
+  | Advice_bits v -> advice_bits t v
+
+let output_label t v = answer_label t ~staged:None v
+let edge_member t v e = answer_member t ~staged:None v e
 let query t q = answer t ~staged:None q
 
 let staged t q =

@@ -18,9 +18,16 @@
     function of its ball, so for a given snapshot it never changes: the
     engine keeps a node-indexed label column over its graph, decodes a
     node the first time a ball query names it, and answers every later
-    query for that node with one array load.  The column costs one word
-    per node plus the label strings it stores: one per isomorphism class
-    with a memo, one per decoded node without.  The engine has no notion
+    query for that node with one array load.  The column holds the
+    answer itself: for a label of at most 8 bits (every node of degree
+    at most 8) the one preallocated [Label] of that string
+    ({!Advice.Bits.shared}), otherwise a [Label] box of its own, so a
+    hit returns what it reads and allocates nothing.  The column costs
+    one word per node, plus, for labels longer than 8 bits, a box and
+    the label string (one string per isomorphism class with a memo, one
+    per decoded node without).  [Advice_bits] reads a second column of
+    [Bits] answers, filled the same way on a node's first such query.
+    The engine has no notion
     of shards or batches: {!Router} is the only multi-slot front end and
     the only batch planner.  It keeps one engine per resident shard (the
     column leaves with the shard on eviction) and cuts the shard's nodes
@@ -160,9 +167,21 @@ type answer =
 val query : t -> query -> answer
 (** Answer a single request, consulting and filling the label column.
     With a memo attached, misses are inserted immediately — callers of
-    [query] serialize, so this path is the single writer.
+    [query] serialize, so this path is the single writer.  An
+    [Edge_member] is checked and placed in one scan of the node's
+    incident edges.
     @raise Invalid_argument on an out-of-range node or edge id, or an
     [Edge_member] whose node is not an endpoint of its edge. *)
+
+val output_label : t -> int -> answer
+(** [output_label t v] is [query t (Output_label v)], without the
+    query box: the router's single-query path calls these three. *)
+
+val edge_member : t -> int -> int -> answer
+(** [edge_member t v e] is [query t (Edge_member (v, e))]. *)
+
+val advice_bits : t -> int -> answer
+(** [advice_bits t v] is [query t (Advice_bits v)]. *)
 
 val staged : t -> query -> answer * (string * string) option
 (** {!query} for callers that are themselves pool workers (the router's
@@ -174,8 +193,8 @@ val staged : t -> query -> answer * (string * string) option
     column entries. *)
 
 val label_of_view : params:Schemas.Balanced_orientation.params -> Localmodel.View.t -> string
-(** The per-ball decode for a materialized view, exposed for pack-time
-    certification and tests: a thin wrapper that re-stamps the view
+(** The per-ball decode for a materialized view, exposed for perfbench's
+    traced replay and for tests: a thin wrapper that re-stamps the view
     ({!Ethlink.Canonical.stamp_view}) and runs the serve path's own
     stamped-ball decode — relabel the fragment in identifier order,
     recover the orientation with the tolerant fragment decoder, and read

@@ -12,13 +12,15 @@ exception Shard_lost of { shard : int; reason : string }
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 (* One resident container shard: its engine, whose label column the
-   shard's slots cut into disjoint node ranges, the global→local
-   translation tables (not kept when the shard is [whole], i.e. stores
-   every node and edge: they are then the identity), and its frame
-   bytes, charged to the resident budget. *)
+   shard's slots cut into disjoint node ranges; [shift], which maps an
+   interior node to its local id ([v + shift]: the interior is one run
+   of the sorted local ids); the global id tables (not kept when the
+   shard is [whole], i.e. stores every node and edge: they are then the
+   identity); and its frame bytes, charged to the resident budget. *)
 type resident = {
   engine : Engine.t;
   whole : bool;
+  shift : int;
   ids : int array;
   edge_ids : int array;
   bytes : int;
@@ -192,6 +194,7 @@ let load_resident t ~pinned k =
     {
       engine;
       whole;
+      shift = (if whole then 0 else bsearch loaded.Shard.l_ids info.Shard.i_lo - info.Shard.i_lo);
       ids = (if whole then [||] else loaded.Shard.l_ids);
       edge_ids = (if whole then [||] else loaded.Shard.l_edge_ids);
       bytes = info.Shard.i_bytes;
@@ -315,13 +318,13 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     t.salvaged <- Some (ensure t ~pinned:t.unpinned 0).engine;
   t
 
-(* Global → local query translation, one rule for every shard: a whole
-   shard's ids are the global ones, any other translates by binary
-   search in its sorted id tables (interior nodes always translate).
-   The [Edge_member] endpoint check runs here, on the calling domain,
-   so a bad batch is rejected before its wave's ball work: an edge id
-   not stored in the owner shard cannot be incident to the queried
-   node. *)
+(* Global → local query translation, one rule for every shard: a
+   query's node is interior to its owner, so its local id is [v +
+   shift], and an [Edge_member]'s local edge is the one among that
+   node's incident edges whose global id matches.  The endpoint check
+   runs here, on the calling domain, so a bad batch is rejected before
+   its wave's ball work.  Only a failure binary-searches the edge
+   table, to name the edge's endpoints as the engine would. *)
 
 let check_node t what v =
   if v < 0 || v >= n t then
@@ -335,36 +338,43 @@ let validate t = function
       if e < 0 || e >= m t then
         fail "Engine: Edge_member names edge %d outside 0..%d" e (m t - 1)
 
-let check_endpoint (r : resident) v e ~lv ~le =
+let not_incident (r : resident) v e =
+  let le = if r.whole then e else bsearch r.edge_ids e in
   if le < 0 then fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
   let a, b = Netgraph.Graph.edge_endpoints (Engine.graph r.engine) le in
-  if lv <> a && lv <> b then begin
-    let global x = if r.whole then x else r.ids.(x) in
-    fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
-      (global a) (global b)
-  end
+  let global x = if r.whole then x else r.ids.(x) in
+  fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
+    (global a) (global b)
 
-let translate (r : resident) q =
-  match q with
-  | Engine.Edge_member (v, e) when r.whole ->
-      check_endpoint r v e ~lv:v ~le:e;
-      q
-  | (Engine.Output_label _ | Engine.Advice_bits _) when r.whole -> q
-  | Engine.Output_label v -> Engine.Output_label (bsearch r.ids v)
-  | Engine.Advice_bits v -> Engine.Advice_bits (bsearch r.ids v)
-  | Engine.Edge_member (v, e) ->
-      let lv = bsearch r.ids v and le = bsearch r.edge_ids e in
-      check_endpoint r v e ~lv ~le;
-      Engine.Edge_member (lv, le)
+let local_edge (r : resident) v e =
+  let inc = Netgraph.Graph.incident_edges (Engine.graph r.engine) (v + r.shift) in
+  let k = ref 0 in
+  while !k < Array.length inc && (if r.whole then inc.(!k) else r.edge_ids.(inc.(!k))) <> e do
+    incr k
+  done;
+  if !k = Array.length inc then not_incident r v e else inc.(!k)
+
+let translate (r : resident) = function
+  | Engine.Output_label v -> Engine.Output_label (v + r.shift)
+  | Engine.Advice_bits v -> Engine.Advice_bits (v + r.shift)
+  | Engine.Edge_member (v, e) -> Engine.Edge_member (v + r.shift, local_edge r v e)
 
 let query_node = function
   | Engine.Output_label v | Engine.Edge_member (v, _) | Engine.Advice_bits v ->
       v
 
+(* A single query builds nothing: no local query box, and the engine
+   returns an answer its columns already hold.  A whole shard's engine
+   checks an [Edge_member] itself, with the same message. *)
 let query t q =
   validate t q;
-  let r = ensure t ~pinned:t.unpinned (shard_of t (query_node q)) in
-  Engine.query r.engine (translate r q)
+  let v = query_node q in
+  let r = ensure t ~pinned:t.unpinned (shard_of t v) in
+  match q with
+  | Engine.Output_label _ -> Engine.output_label r.engine (v + r.shift)
+  | Engine.Advice_bits _ -> Engine.advice_bits r.engine (v + r.shift)
+  | Engine.Edge_member (_, e) ->
+      Engine.edge_member r.engine (v + r.shift) (if r.whole then e else local_edge r v e)
 
 (* ------------------------------------------------------------------ *)
 (* Batch: group queries by owner slot, then serve in *waves* — the

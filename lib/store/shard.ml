@@ -69,7 +69,12 @@ let delta_encode w ids =
     (fun i v -> if i = 0 then Codec.varint w v else Codec.varint w (v - ids.(i - 1)))
     ids
 
+(* Each stored id costs at least one byte, so a count beyond the bytes
+   left is a lie: rejected before anything is allocated for it. *)
 let delta_decode r count ~what ~first_min =
+  if count > Codec.remaining r then
+    corrupt "%s: %d id(s) cannot fit the %d byte(s) left" what count
+      (Codec.remaining r);
   let out = Array.make count 0 in
   for i = 0 to count - 1 do
     let d = Codec.read_varint r in
@@ -295,17 +300,28 @@ let peek_version path =
   parse_version (Io.read_range path ~pos:0 ~len:(String.length magic + 2)) ~what:path
 
 (* Manifest payload parser: [header_bytes] is where shard frames start,
-   [size] bounds every recorded byte range. *)
+   [size] bounds every recorded byte range.  Every count is bounded by
+   the bytes left before anything is allocated for it: a shard row
+   spends at least 10 bytes (six varints and a u32), an advice name at
+   least 1, a metadata entry at least 2. *)
 let parse_manifest ~header_bytes ~size payload =
   let r = Codec.reader payload in
+  let bound what count ~per =
+    if count > Codec.remaining r / per then
+      corrupt "manifest: %d %s cannot fit the %d byte(s) left" count what
+        (Codec.remaining r)
+  in
   let n = Codec.read_varint r in
   let m = Codec.read_varint r in
   let halo = Codec.read_varint r in
   let s = Codec.read_varint r in
   if s < 1 then corrupt "manifest: shard count %d is not positive" s;
+  bound "shard row(s)" s ~per:10;
   let advice_count = Codec.read_varint r in
+  bound "advice name(s)" advice_count ~per:1;
   let advice = List.init advice_count (fun _ -> Codec.read_str r) in
   let meta_count = Codec.read_varint r in
+  bound "metadata entries" meta_count ~per:2;
   let meta =
     List.init meta_count (fun _ ->
         let k = Codec.read_str r in

@@ -86,25 +86,37 @@ let advice_payload n (name, assignment) =
   Codec.raw w (Bytes.unsafe_to_string packed);
   Codec.contents w
 
+(* Two passes over the per-node lengths.  The first bounds each length,
+   and the running sum, by the bits the bytes left can hold — before
+   anything is unpacked, so a sum cannot wrap; the second reads each
+   node's bits straight out of the packed bytes, and a string of at
+   most 8 bits is the shared copy ({!Advice.Bits.unpack}), not a new
+   one. *)
 let read_advice ~n payload =
   let r = Codec.reader payload in
   let name = Codec.read_str r in
   let n' = Codec.read_varint r in
   if n' <> n then
     corrupt "advice section %S: %d entries for a %d-node graph" name n' n;
-  let lens = Array.init n (fun _ -> Codec.read_varint r) in
-  let nbits = Array.fold_left ( + ) 0 lens in
-  let packed = Codec.read_raw r ((nbits + 7) / 8) in
+  let lens_at = Codec.pos r in
+  let nbits = ref 0 in
+  for v = 0 to n - 1 do
+    let len = Codec.read_varint r in
+    if len > (8 * Codec.remaining r) - !nbits then
+      corrupt "advice section %S: node %d's %d bit(s) overrun the %d byte(s) left"
+        name v len (Codec.remaining r);
+    nbits := !nbits + len
+  done;
+  let packed = Bytes.unsafe_of_string (Codec.read_raw r ((!nbits + 7) / 8)) in
   Codec.expect_end r ~what:(Printf.sprintf "advice section %S" name);
-  let all = Advice.Bits.unpack (Bytes.unsafe_of_string packed) nbits in
+  let lens = Codec.reader ~pos:lens_at payload in
   let off = ref 0 in
   let assignment =
-    Array.map
-      (fun len ->
-        let s = String.sub all !off len in
+    Array.init n (fun _ ->
+        let len = Codec.read_varint lens in
+        let s = Advice.Bits.unpack ~off:!off packed len in
         off := !off + len;
         s)
-      lens
   in
   (name, assignment)
 

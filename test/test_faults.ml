@@ -652,6 +652,102 @@ let test_sampled_radius_announced () =
   | _ -> Alcotest.failf "sampled serve lacks the line or the answer:\n%s" sampled);
   check "exhaustive: no line" false (has_sub (serve "0" "tf_s0.ladv") "certified on")
 
+(* Checksum-valid files whose counts or lengths lie about the bytes
+   behind them.  Each one used to crash every reader (exit 125, with
+   [Out of memory] or [Invalid_argument]); a reader now bounds every
+   count by the bytes left before it allocates, so the file is a corrupt
+   snapshot — or, behind a healthy manifest, a lost shard. *)
+let lying_files () =
+  let module C = Store.Codec in
+  let contents f =
+    let w = C.writer () in
+    f w;
+    C.contents w
+  in
+  let meta w =
+    C.varint w 1;
+    C.str w "serve.radius";
+    C.str w "1"
+  in
+  let header w ~version ~sections =
+    C.raw w Store.Snapshot.magic;
+    C.u16 w version;
+    C.varint w sections
+  in
+  (* A 4-node cycle whose four advice lengths are 2^61 each: their sum
+     wraps to 0. *)
+  let wrapping =
+    contents (fun w ->
+        header w ~version:1 ~sections:3;
+        C.section w ~tag:Store.Snapshot.tag_graph
+          (Store.Snapshot.graph_payload (Builders.cycle 4));
+        C.section w ~tag:Store.Snapshot.tag_advice
+          (contents (fun a ->
+               C.str a "x";
+               C.varint a 4;
+               for _ = 1 to 4 do
+                 C.varint a (1 lsl 61)
+               done));
+        C.section w ~tag:Store.Snapshot.tag_meta (contents meta))
+  in
+  let manifest ~shards rows =
+    contents (fun m ->
+        C.varint m 4;
+        C.varint m 4;
+        C.varint m 1;
+        C.varint m shards;
+        C.varint m 1;
+        C.str m "x";
+        meta m;
+        rows m)
+  in
+  (* A manifest that declares 2^40 shards and holds one row. *)
+  let many_shards =
+    contents (fun w ->
+        header w ~version:2 ~sections:((1 lsl 40) + 1);
+        C.section w ~tag:4
+          (manifest ~shards:(1 lsl 40) (fun m ->
+               List.iter (C.varint m) [ 0; 4; 4; 4; 0; 0 ];
+               C.u32 m 0)))
+  in
+  (* One shard whose manifest row and body header both claim 2^40
+     local nodes. *)
+  let huge_body =
+    let body =
+      contents (fun b ->
+          List.iter (C.varint b) [ 0; 0; 4; 1 lsl 40; 4 ];
+          C.raw b "\001\001\001")
+    in
+    contents (fun w ->
+        header w ~version:2 ~sections:2;
+        C.section w ~tag:4
+          (manifest ~shards:1 (fun m ->
+               List.iter (C.varint m) [ 0; 4; 1 lsl 40; 4; 0; String.length body + 9 ];
+               C.u32 m (Store.Crc32.of_string body)));
+        C.section w ~tag:5 body)
+  in
+  [ ("tf_wrap.ladv", wrapping); ("tf_shards.ladv", many_shards); ("tf_body.ladv", huge_body) ]
+
+let test_lying_counts_are_corrupt () =
+  with_files (("tf_q.txt", "label 0\n") :: lying_files ()) @@ fun () ->
+  let serve ?(flags = []) path = run_cli ([ "serve"; path; "--batch"; "tf_q.txt" ] @ flags) in
+  expect_corrupt "advice lengths that wrap: serve" ~mentions:"overrun"
+    (serve "tf_wrap.ladv");
+  expect_corrupt "advice lengths that wrap: inspect" ~mentions:"overrun"
+    (run_cli [ "inspect"; "tf_wrap.ladv" ]);
+  expect_corrupt "2^40 shards: serve" ~mentions:"shard row(s) cannot fit"
+    (serve "tf_shards.ladv");
+  expect_corrupt "2^40 shards: inspect" ~mentions:"shard row(s) cannot fit"
+    (run_cli [ "inspect"; "tf_shards.ladv" ]);
+  expect_corrupt "2^40 local nodes: serve" ~mentions:"shard node ids"
+    (serve "tf_body.ladv");
+  (* Under --salvage the shard is lost and its query fails alone. *)
+  let code, out, _ = serve ~flags:[ "--salvage" ] "tf_body.ladv" in
+  check_int "2^40 local nodes, --salvage: exit 0" 0 code;
+  check "2^40 local nodes, --salvage: the shard is lost" true
+    (has_sub out "label 0 -> error: shard 0 lost: shard node ids: 1099511627776 id(s)");
+  check "2^40 local nodes, --salvage: one query failed" true (has_sub out ", 1 failed)")
+
 let () =
   Alcotest.run "faults"
     [
@@ -690,5 +786,7 @@ let () =
             test_sampled_radius_announced;
           Alcotest.test_case "pack reports the shards it wrote" `Quick
             test_pack_reports_written_shards;
+          Alcotest.test_case "lying counts are corrupt, not fatal" `Quick
+            test_lying_counts_are_corrupt;
         ] );
     ]

@@ -509,9 +509,9 @@ let drain_frames conn =
   let rec flush () =
     match Net.Conn.pending conn with
     | None -> ()
-    | Some (chunk, off) ->
-        let k = min 3 (String.length chunk - off) in
-        Buffer.add_substring buf chunk off k;
+    | Some (chunk, off, len) ->
+        let k = min 3 len in
+        Buffer.add_subbytes buf chunk off k;
         Net.Conn.wrote conn k;
         flush ()
   in
@@ -636,9 +636,9 @@ let drain_bytes conn =
   let rec flush () =
     match Net.Conn.pending conn with
     | None -> ()
-    | Some (chunk, off) ->
-        Buffer.add_substring buf chunk off (String.length chunk - off);
-        Net.Conn.wrote conn (String.length chunk - off);
+    | Some (chunk, off, len) ->
+        Buffer.add_subbytes buf chunk off len;
+        Net.Conn.wrote conn len;
         flush ()
   in
   flush ();
@@ -674,16 +674,83 @@ let test_conn_many_frames_one_chunk () =
   in
   Net.Conn.feed conn (Bytes.of_string stream) (String.length stream) dispatch;
   check_int "every pipelined frame dispatched" count !calls;
-  (* A burst of small answers leaves as one merged chunk. *)
+  (* A burst of small answers leaves as one chunk. *)
   let one = Net.Protocol.response_to_string (naming_dispatch (List.hd reqs)) in
   (match Net.Conn.pending conn with
-  | Some (chunk, 0) ->
-      check "first chunk merges many answers" true
-        (String.length chunk > 100 * String.length one)
+  | Some (_, 0, len) ->
+      check "first chunk merges many answers" true (len > 100 * String.length one)
   | _ -> Alcotest.fail "no untouched chunk pending");
   check "responses in order, byte-identical" true
     (drain_bytes conn = expected_stream reqs);
   check_int "write queue drained" 0 (Net.Conn.queued_bytes conn)
+
+(* The warm path's allocation budget, in the shape of the test above but
+   answered by a real router: a 4-shard container of a periodic-subset
+   cycle, every shard resident and its label column full.  Decoding a
+   frame and encoding its answer allocate nothing; what is left is what
+   [Conn.feed]'s dispatch is typed in — the decoded [Query] and its
+   [Engine.query] (2 + 2 words, 2 + 3 for [Edge_member]) and the
+   dispatcher's [Answer] (2 words) — plus one [Some (buf, pos, len)]
+   (2 + 4 words) per [Conn.pending] that has bytes.  DESIGN.md names
+   each. *)
+let test_conn_warm_allocation () =
+  let n = 600 in
+  let g = Builders.cycle n in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
+  let snapshot, cert = Serve.Pack.edge_compression g x in
+  let router =
+    Serve.Router.create ~domains:1
+      (Store.Shard.open_bytes
+         (Store.Shard.build ~shards:4 ~halo:(max cert.Serve.Pack.radius 1) snapshot))
+  in
+  let qs = workload g 12_000 in
+  let answers = Array.map (Serve.Router.query router) qs in
+  check_int "every shard resident" 4 (Serve.Router.resident_shards router);
+  let stream = String.concat "" (Array.to_list (Array.map (fun q -> Net.Protocol.request_to_string (Net.Protocol.Query q)) qs)) in
+  let want =
+    String.concat "" (Array.to_list (Array.map (fun a -> Net.Protocol.response_to_string (Net.Protocol.Answer a)) answers))
+  in
+  let input = Bytes.of_string stream in
+  let out = Bytes.create (String.length want) in
+  let conn = Net.Conn.create ~write_budget:(64 * 1024 * 1024) () in
+  let dispatch = function
+    | Net.Protocol.Query q -> Net.Protocol.Answer (Serve.Router.query router q)
+    | _ -> Alcotest.fail "not a query"
+  in
+  let pass () =
+    Net.Conn.feed conn input (Bytes.length input) dispatch;
+    let got = ref 0 in
+    let flushing = ref true in
+    while !flushing do
+      match Net.Conn.pending conn with
+      | None -> flushing := false
+      | Some (buf, pos, len) ->
+          Bytes.blit buf pos out !got len;
+          got := !got + len;
+          Net.Conn.wrote conn len
+    done;
+    !got
+  in
+  (* The first pass grows both buffers; the second runs warm. *)
+  check_int "first pass: every answer drained" (String.length want) (pass ());
+  let clock () = Gc.minor_words () in
+  let c0 = clock () in
+  let c1 = clock () in
+  let w0 = clock () in
+  let got = pass () in
+  let w1 = clock () in
+  let words = int_of_float (w1 -. w0 -. (c1 -. c0)) in
+  check_int "warm pass: every answer drained" (String.length want) got;
+  check "drained stream = response_to_string of the router's answers" true
+    (Bytes.to_string out = want);
+  let named =
+    Array.fold_left
+      (fun acc q ->
+        acc + 2 + 2 + match q with Serve.Engine.Edge_member _ -> 3 | _ -> 2)
+      (2 + 4) qs
+  in
+  check_int "minor words: only the named allocations" named words
 
 let test_conn_every_split () =
   let reqs =
@@ -984,6 +1051,8 @@ let () =
             test_conn_backpressure;
           Alcotest.test_case "12k pipelined frames in one chunk" `Quick
             test_conn_many_frames_one_chunk;
+          Alcotest.test_case "warm path allocates only named values" `Quick
+            test_conn_warm_allocation;
           Alcotest.test_case "stream split at every byte" `Quick
             test_conn_every_split;
         ] );
