@@ -734,6 +734,156 @@ let bench_memo ~smoke =
     hit_ok,
     not_slower )
 
+(* ------------------------------------------------------------------ *)
+(* store.decode: one column miss, layer by layer.  Each step runs over
+   the same distinct nodes, steps interleaved within a rep and the
+   minimum of [reps] kept; minor words per ball come from the last rep.
+   The instances are packed on a small sample and served at a fixed
+   radius: the cost of a ball depends on its size, not on who certified
+   it. *)
+
+type decode_step = { s_name : string; s_us : float; s_words : float }
+
+type decode_row = {
+  x_name : string;
+  x_n : int;
+  x_radius : int;
+  x_balls : int;
+  x_ball_nodes : float;  (* mean *)
+  x_steps : decode_step list;
+}
+
+let decode_reps = 3
+
+let bench_decode_instance ~name ~radius ~balls g x =
+  let snapshot, _ = Serve.Pack.edge_compression ~sample:64 g x in
+  let n = Graph.n g in
+  let balls = min balls n in
+  let nodes = Array.init balls (fun i -> i * (n / balls)) in
+  let ids = Localmodel.Ids.identity g in
+  let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
+  let ws = Workspace.domain_local () in
+  let prefix = "r0;" in
+  let plain = Serve.Engine.create ~cache_capacity:0 ~radius snapshot in
+  let memoized = ref plain in
+  let fresh_memo () =
+    let memo = Serve.Memo.create ~capacity:balls in
+    memoized := Serve.Engine.create ~cache_capacity:0 ~memo ~radius snapshot
+  in
+  let bfs v = ignore (Traversal.bfs_limited_into ws g v radius) in
+  let steps =
+    [
+      ("bfs", ignore, bfs);
+      ( "bfs+ball_key",
+        ignore,
+        fun v ->
+          bfs v;
+          ignore (Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice) );
+      ( "bfs+decode",
+        ignore,
+        fun v ->
+          bfs v;
+          ignore (Serve.Center_decode.label ws g ~ids ~advice ~center:0) );
+      ("miss_memo_off", ignore, fun v -> ignore (Serve.Engine.output_label plain v));
+      (* every ball of a random subset is its own class: all misses *)
+      ("miss_memo_on", fresh_memo, fun v -> ignore (Serve.Engine.output_label !memoized v));
+      (* the same engine and memo again: all hits (BFS, key, probe) *)
+      ("memo_hit", ignore, fun v -> ignore (Serve.Engine.output_label !memoized v));
+    ]
+  in
+  let best = Array.make (List.length steps) infinity in
+  let words = Array.make (List.length steps) 0.0 in
+  (* one untimed pass grows every scratch to this instance's balls *)
+  List.iter (fun (_, setup, f) -> setup (); Array.iter f nodes) steps;
+  for _ = 1 to decode_reps do
+    List.iteri
+      (fun i (_, setup, f) ->
+        setup ();
+        let w0 = Gc.minor_words () in
+        let (), t = Bench_util.time_once (fun () -> Array.iter f nodes) in
+        words.(i) <- Gc.minor_words () -. w0;
+        best.(i) <- Float.min best.(i) t)
+      steps
+  done;
+  let total = ref 0 in
+  Array.iter (fun v -> total := !total + Traversal.bfs_limited_into ws g v radius) nodes;
+  {
+    x_name = name;
+    x_n = n;
+    x_radius = radius;
+    x_balls = balls;
+    x_ball_nodes = float_of_int !total /. float_of_int balls;
+    x_steps =
+      List.mapi
+        (fun i (s_name, _, _) ->
+          {
+            s_name;
+            s_us = 1e6 *. best.(i) /. float_of_int balls;
+            s_words = words.(i) /. float_of_int balls;
+          })
+        steps;
+  }
+
+let random_subset g seed =
+  let rng = Prng.create seed in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
+  x
+
+let bench_decode ~smoke =
+  let balls = if smoke then 500 else 20_000 in
+  let instance name g ~seed ~radius =
+    bench_decode_instance ~name ~radius ~balls g (random_subset g seed)
+  in
+  let rows =
+    if smoke then [ instance "cycle-4000" (Builders.cycle 4_000) ~seed:1 ~radius:41 ]
+    else
+      [
+        (* perfbench hot-skewed's instance and serve radius *)
+        instance "hot-skewed" (Builders.cycle 65_536) ~seed:1 ~radius:41;
+        (* `advice_store pack --graph cycle --n 100000 --seed 100043`,
+           served at its exhaustively certified radius *)
+        instance "cycle-100k" (Builders.cycle 100_000) ~seed:100_043 ~radius:41;
+        (* `advice_store pack --graph circulant --n 4096`, likewise *)
+        instance "circulant-4096" (Builders.circulant 4_096 [ 1; 2 ]) ~seed:1 ~radius:29;
+      ]
+  in
+  List.iter
+    (fun r ->
+      Printf.printf "store  decode %-15s n=%-6d r=%-3d ball %5.1f nodes:" r.x_name r.x_n
+        r.x_radius r.x_ball_nodes;
+      List.iter (fun st -> Printf.printf "  %s %.2f us %.0f w" st.s_name st.s_us st.s_words) r.x_steps;
+      print_newline ())
+    rows;
+  J.Obj
+    [
+      (* every step runs on the calling domain *)
+      ("requested_domains", J.Int 1);
+      ("effective_domains", J.Int (Localmodel.View.effective_domains ~requested:1 ()));
+      ("reps", J.Int decode_reps);
+      ( "results",
+        J.List
+          (List.map
+             (fun r ->
+               J.Obj
+                 [
+                   ("instance", J.Str r.x_name);
+                   ("n", J.Int r.x_n);
+                   ("serve_radius", J.Int r.x_radius);
+                   ("balls", J.Int r.x_balls);
+                   ("mean_ball_nodes", J.Float r.x_ball_nodes);
+                   ( "per_ball",
+                     J.Obj
+                       (List.map
+                          (fun st ->
+                            ( st.s_name,
+                              J.Obj
+                                [ ("us", J.Float st.s_us); ("minor_words", J.Float st.s_words) ] ))
+                          r.x_steps) );
+                 ])
+             rows) );
+    ]
+
 let block ~smoke ~domains =
   let sizes = if smoke then [ 2_000 ] else [ 20_000; 100_000 ] in
   let rows =
@@ -758,6 +908,7 @@ let block ~smoke ~domains =
   let pool_json, pool_ok = bench_pool ~smoke in
   let shard_json, shard_pack_ok, shard_lazy_ok = bench_shard ~smoke ~domains in
   let memo_json, memo_hit_ok, memo_not_slower = bench_memo ~smoke in
+  let decode_json = bench_decode ~smoke in
   J.Obj
     [
       ("results", J.List (List.map json_of_row rows));
@@ -765,6 +916,7 @@ let block ~smoke ~domains =
       ("pool", pool_json);
       ("shard", shard_json);
       ("memo", memo_json);
+      ("decode", decode_json);
       ( "acceptance",
         J.Obj
           [

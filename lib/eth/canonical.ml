@@ -35,13 +35,13 @@ let signature (view : Localmodel.View.t) =
 
 (* The serve-stack memo key ({!Serve.Memo}): everything the C4 ball
    decoder reads, and nothing it does not.  [Serve.Engine.label_of_view]
-   is a pure function of the fragment's structure (in BFS-stamp order),
-   the identifier *ranks* (it relabels the fragment in id order before
-   decoding — only the order type matters), the advice strings, and the
-   center stamp.  [dist] is determined by (graph, center) and [input] is
-   never read by the decoder, so both stay out of the key — including
-   them would only shrink collision classes and cost hit rate.  Advice
-   strings are length-prefixed: a byte-delimited join would let damaged
+   is a pure function of the ball's structure (in BFS-stamp order), the
+   identifier *ranks* (it only compares identifiers — only the order
+   type matters), the advice strings, and the center stamp.  [dist] is
+   determined by (graph, center) and [input] is never read by the
+   decoder, so both stay out of the key — including them would only
+   shrink collision classes and cost hit rate.  Advice strings are
+   length-prefixed: a byte-delimited join would let damaged
    (quarantined) advice containing the delimiter alias across nodes.
 
    The encoding is binary LEB128, not decimal: the key is built on the
@@ -192,10 +192,10 @@ let dense_order sc (key : int array) (perm : int array) =
     !distinct
   end
 
-(* The identifier order of the ball stamped in [ws]: [perm.(r)] is the
-   stamp index of the node with the [r]-th smallest identifier and
-   [rank] its inverse.  [ids] is indexed by host node. *)
-let id_order sc ws (ids : int array) =
+(* The identifier rank of every stamp of the ball stamped in [ws]
+   ([ids] is indexed by host node): sort the stamps by identifier, then
+   invert. *)
+let id_ranks sc ws (ids : int array) =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue in
   let key = Array.make count 0 and perm = Array.make count 0 in
@@ -208,7 +208,7 @@ let id_order sc ws (ids : int array) =
   for r = 0 to count - 1 do
     rank.(perm.(r)) <- r
   done;
-  (perm, rank)
+  rank
 
 (* The key bytes with room for [need] more past [pos]: capacity is
    reserved once per section, so the per-byte writes stay unchecked. *)
@@ -280,7 +280,7 @@ let encode_stamped ~prefix ws g ~center ~ids ~advice =
     pos := put b !pos (Array.unsafe_get src e);
     pos := put b !pos (Array.unsafe_get dst e)
   done;
-  let _, rank = id_order sc ws ids in
+  let rank = id_ranks sc ws ids in
   for i = 0 to count - 1 do
     pos := put b !pos (Array.unsafe_get rank i)
   done;
@@ -320,10 +320,6 @@ let ball_signature (view : Localmodel.View.t) =
 (* The BFS source is always the first stamp. *)
 let ball_key ~prefix ws g ~ids ~advice =
   encode_stamped ~prefix ws g ~center:0 ~ids ~advice
-
-let ordered_fragment ws g ~ids =
-  let perm, rank = id_order (Domain.DLS.get scratch_key) ws ids in
-  (Graph.induced_ball_ranked g ws ~rank, perm, rank)
 
 type table = (string, int) Hashtbl.t
 

@@ -18,9 +18,9 @@ val signature : Localmodel.View.t -> string
 
 val ball_signature : Localmodel.View.t -> string
 (** Degree-bounded canonical ball key for the serve stack's decode memo
-    ({!Serve.Memo}): the fragment's structure in stamp order, the
-    identifier {e ranks} (only the order type — the decoder relabels by
-    id order, so numeric identifier values are invisible to it), the
+    ({!Serve.Memo}): the ball's structure in stamp order, the
+    identifier {e ranks} (only the order type — the decoder only
+    compares identifiers, so their numeric values are invisible to it), the
     advice strings (length-prefixed, so damaged advice cannot alias
     across node boundaries), and the center stamp.  Distances are
     determined by (graph, center) and inputs are never read by the C4
@@ -44,23 +44,8 @@ val ball_key :
     byte for byte — written straight from the stamps into a
     domain-local buffer, with no view and no induced graph built.
     [ids] and [advice] are indexed by host node.  Reads [ws] without
-    disturbing the stamps, so {!ordered_fragment} can follow on the same
+    disturbing the stamps, so the ball decoder can follow on the same
     ball. *)
-
-val ordered_fragment :
-  Netgraph.Workspace.t ->
-  Netgraph.Graph.t ->
-  ids:int array ->
-  Netgraph.Graph.t * int array * int array
-(** [ordered_fragment ws g ~ids] is the ball stamped in [ws], relabelled
-    in identifier order — the canonical representative of its order
-    type, and the fragment the C4 ball decoder runs on:
-    [(h, perm, rank)] where [perm.(r)] is the stamp index of the node
-    with the [r]-th smallest identifier, [rank] is its inverse, and [h]
-    is the induced subgraph with stamped node [i] renumbered [rank.(i)]
-    ({!Netgraph.Graph.induced_ball_ranked}).  O(ball) plus a monomorphic
-    O(k log k) identifier sort; ties between (invalid, duplicated)
-    identifiers resolve by stamp order. *)
 
 val stamp_view : Localmodel.View.t -> Netgraph.Workspace.t
 (** [stamp_view view] re-stamps [view]'s nodes into the calling domain's

@@ -196,12 +196,12 @@ let fold_nodes f g init =
 
 let edges g = g.edges
 
-(* The subgraph induced by the node set stamped in [ws].  Stamped node
-   [i] (insertion order) becomes sub node [relabel.(i)], or [i] itself
-   without a relabelling.  Only the members' own adjacency lists are
-   scanned, so the cost is O(ball nodes + ball edges) plus the sort of
-   each sub adjacency array — never O(n) or O(m) of the host graph. *)
-let ball_graph g ws relabel =
+(* The subgraph induced by the node set stamped in [ws], stamped node
+   [i] (insertion order) becoming sub node [i].  Only the members' own
+   adjacency lists are scanned, so the cost is O(ball nodes + ball
+   edges) plus the sort of each sub adjacency array — never O(n) or
+   O(m) of the host graph. *)
+let induced_ball g ws =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
   let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
@@ -217,24 +217,15 @@ let ball_graph g ws relabel =
     for k = 0 to Array.length nb - 1 do
       let u = nb.(k) in
       if stamp.(u) = epoch then begin
-        let s = sub.(u) in
-        a.(!fill) <- (match relabel with None -> s | Some r -> r.(s));
+        a.(!fill) <- sub.(u);
         incr fill
       end
     done;
     (* Neighbors arrive sorted by original id, not by sub id. *)
     sort_ints a;
-    adj.(match relabel with None -> i | Some r -> r.(i)) <- a
+    adj.(i) <- a
   done;
-  of_sorted_adj adj
-
-let induced_ball g ws =
-  (ball_graph g ws None, Array.sub ws.Workspace.queue 0 (Workspace.size ws))
-
-let induced_ball_ranked g ws ~rank =
-  if Array.length rank <> Workspace.size ws then
-    invalid_arg "Graph.induced_ball_ranked: rank length differs from the ball size";
-  ball_graph g ws (Some rank)
+  (of_sorted_adj adj, Array.sub queue 0 count)
 
 let induced g nodes =
   let ws = Workspace.domain_local () in

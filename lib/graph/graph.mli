@@ -86,15 +86,6 @@ val induced_ball : t -> Workspace.t -> t * int array
     ids) and coincides with {!induced} applied to the stamped nodes in
     stamp order. *)
 
-val induced_ball_ranked : t -> Workspace.t -> rank:int array -> t
-(** [induced_ball_ranked g ws ~rank] is [induced_ball g ws] with
-    stamped node [i] renumbered [rank.(i)], built directly in O(ball
-    nodes + ball edges) — no edge list, no dedup table, no global edge
-    sort.  [rank] must be a permutation of [0 .. Workspace.size ws - 1];
-    the result satisfies the canonical invariants of {!of_edges}, and
-    equals [of_edges] over the relabelled edges of [induced_ball g ws].
-    @raise Invalid_argument when [rank]'s length is not the ball size. *)
-
 val induced_sorted : t -> int array -> t
 (** [induced_sorted g ids] is the subgraph induced by the strictly
     increasing node-id array [ids], numbering sub node [i] as

@@ -140,6 +140,7 @@ let stats t =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     [
+      ("engine.certified_all", flag (Router.certified_all r));
       ("engine.degraded", flag (Router.degraded r));
       ("engine.trusted", flag (Router.serving_trusted r));
       ("engine.n", Router.n r);

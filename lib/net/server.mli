@@ -87,7 +87,8 @@ val stats : t -> (string * int) list
 (** The counter pairs a {!Protocol.Stats} request is answered with,
     sorted by name: router facts ([engine.n], [engine.m],
     [engine.radius], [engine.shards] (the slot count),
-    [engine.degraded], [engine.trusted] as 0/1 flags and sizes), slot
+    [engine.degraded], [engine.trusted] and [engine.certified_all]
+    ({!Serve.Router.certified_all}) as 0/1 flags and sizes), slot
     residency ([store.shard.resident], [store.shard.resident_bytes],
     [store.shard.loads], [store.shard.evictions], [store.shard.lost]),
     loop counters

@@ -7,7 +7,6 @@ let m_hits = Obs.Metrics.counter "serve.cache.hits"
 let m_misses = Obs.Metrics.counter "serve.cache.misses"
 let m_degraded = Obs.Metrics.counter "serve.degraded"
 let m_quarantined = Obs.Metrics.counter "serve.quarantined"
-let m_fallback = Obs.Metrics.counter "serve.fallback_labels"
 
 let m_ball =
   Obs.Metrics.histogram "serve.ball_size"
@@ -29,7 +28,6 @@ type t = {
   graph : Graph.t;
   name : string;
   advice : string array;
-  params : Balanced_orientation.params;
   radius : int;
   ids : Localmodel.Ids.t;
   store : bool;  (* false: [labels] is empty and every ball query decodes *)
@@ -72,65 +70,18 @@ let bits_answer s =
   | slot -> (snd (Domain.DLS.get shared_answers)).(slot)
 
 (* Decode the ball stamped in [ws] over host [g] (center at stamp index
-   [center]; ids and advice indexed by host node).  The canonical trail
-   structure (Orientation.euler_partition) pairs edges in sorted-neighbor
-   order, i.e. in identifier order, while the ball is numbered by BFS
-   stamp order — so the decoder runs on the id-ordered fragment
-   ({!Ethlink.Canonical.ordered_fragment}), built straight from the
-   stamps.  [tolerant] degrades an undecodable ball to the all-'0' label
-   instead of raising. *)
-let decode_stamped ~params ~tolerant ws g ~ids ~advice ~center =
-  let h, perm, rank = Ethlink.Canonical.ordered_fragment ws g ~ids in
-  let k = Graph.n h in
-  if Obs.Metrics.enabled () then Obs.Metrics.observe m_ball k;
-  let queue = ws.Workspace.queue in
-  let advice = Array.init k (fun r -> advice.(queue.(perm.(r)))) in
-  let c = rank.(center) in
-  (* Everything the decode needs is copied out of [ws] by now: the
-     decoder reuses the domain-local workspace for its own BFS. *)
-  let ones = Bitset.create k in
-  Array.iteri
-    (fun r s -> if String.length s > 0 && s.[0] = '1' then Bitset.add ones r)
-    advice;
-  let nbrs = Graph.neighbors h c in
-  let label () =
-    (* Fragment-safe C4 split: the first advice char is the one-bit
-       orientation marker; truncated marker messages near the boundary
-       are ignored by [Onebit.decode] and missing anchors fall back to
-       the canonical trail direction. *)
-    let varlen = Advice.Onebit.decode h ones in
-    let o = Balanced_orientation.decode_tolerant ~params h varlen in
-    String.init (Array.length nbrs) (fun i ->
-        let u = nbrs.(i) in
-        let tail, head =
-          if Orientation.points_from o c u then (c, u) else (u, c)
-        in
-        let out = Orientation.out_neighbors o tail in
-        let idx = ref 0 in
-        Array.iter (fun w -> if w < head then incr idx) out;
-        let s = advice.(tail) in
-        (* Position 0 is the orientation bit; membership bits follow in
-           out-neighbor (= identifier) order.  A fragment whose boundary
-           truncates the tail's adjacency can run past the string — the
-           certified radius rules that out, and below it we stay total. *)
-        if 1 + !idx < String.length s then s.[1 + !idx] else '0')
-  in
-  if not tolerant then label ()
-  else
-    (* Quarantined advice can hold arbitrarily damaged bit strings, and
-       the decoder's totality guarantee only covers well-formed
-       assignments: one poisoned ball must not take down the query (or
-       the whole parallel batch). *)
-    match label () with
-    | s -> s
-    | exception (Balanced_orientation.Encoding_failure _ | Invalid_argument _) ->
-        Obs.Metrics.incr m_fallback;
-        String.make (Array.length nbrs) '0'
+   [center]; ids and advice indexed by host node) with the center-local
+   decoder, straight from the stamps. *)
+let decode ws g ~ids ~advice ~center =
+  if Obs.Metrics.enabled () then Obs.Metrics.observe m_ball (Workspace.size ws);
+  Center_decode.label ws g ~ids ~advice ~center
 
-let label_of_view ~params (view : View.t) =
+(* The label is a function of the ball alone: the tolerant orientation
+   decode it reproduces reads its parameters only in strict mode. *)
+let label_of_view ~params:_ (view : View.t) =
   let ws = Ethlink.Canonical.stamp_view view in
-  decode_stamped ~params ~tolerant:false ws view.View.graph ~ids:view.View.ids
-    ~advice:view.View.advice ~center:view.View.center
+  decode ws view.View.graph ~ids:view.View.ids ~advice:view.View.advice
+    ~center:view.View.center
 
 (* Serving metadata, parsed here only: a missing or malformed value is a
    fault of the file (Codec.Corrupt), a bad [~radius] one of the caller. *)
@@ -223,7 +174,6 @@ let create ?cache_capacity ?memo ?radius ?ids ?health snapshot =
     graph;
     name;
     advice;
-    params;
     radius;
     ids;
     store;
@@ -270,21 +220,16 @@ let incident_slot t v e =
 (* Decode [v]'s ball, consulting the canonical-ball memo between the
    label column (the caller) and the decoder.  One BFS stamps the ball;
    the memo key is written straight from the stamps, and only a memo
-   miss builds the id-ordered fragment — from the same stamps — and
-   decodes it.  An untrusted engine degrades undecodable balls to the all-'0'
-   label.  Publication is single-writer: with [staged = None] (the
-   serialized {!query} path) a memo miss is inserted at once; pool
-   workers pass a cell instead, so they only ever *read* the table and
-   the miss rides back to the caller, which inserts it after the join. *)
+   miss decodes — from the same stamps.  Publication is single-writer:
+   with [staged = None] (the serialized {!query} path) a memo miss is
+   inserted at once; pool workers pass a cell instead, so they only ever
+   *read* the table and the miss rides back to the caller, which inserts
+   it after the join. *)
 let compute_label t ~staged v =
   let ws = Workspace.domain_local () in
   ignore (Traversal.bfs_limited_into ws t.graph v t.radius);
-  let decode () =
-    decode_stamped ~params:t.params ~tolerant:(not t.trusted) ws t.graph
-      ~ids:t.ids ~advice:t.advice ~center:0
-  in
   match t.memo with
-  | None -> decode ()
+  | None -> decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0
   | Some memo -> (
       let key =
         Ethlink.Canonical.ball_key ~prefix:t.memo_prefix ws t.graph ~ids:t.ids
@@ -293,7 +238,7 @@ let compute_label t ~staged v =
       match Memo.find memo key with
       | Some label -> label
       | None ->
-          let label = decode () in
+          let label = decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0 in
           (match staged with
           | None -> Memo.insert memo key label
           | Some cell -> cell := Some (key, label));
@@ -319,7 +264,7 @@ let note_query t =
 
 (* Below the certified radius a label can be shorter than the degree (at
    radius 0 it is [""]): a position past it reads '0', as a truncated
-   advice string does in [decode_stamped]. *)
+   advice string does in the decoder. *)
 let member label k =
   match label with
   | Label s when k < String.length s && s.[k] = '1' -> Member true

@@ -7,12 +7,11 @@
     edge [e] in the compressed set — C4 decompression), and
     [Advice_bits v] (the raw advice string).  A ball query stamps the
     node's radius-r ball into the domain-local {!Netgraph.Workspace} with
-    one BFS, builds the fragment straight from the stamps relabelled
-    order-preservingly ({!Ethlink.Canonical.ordered_fragment}: the
-    canonical trail structure is identifier-ordered, and BFS stamp order
-    is not), runs the tolerant orientation decoder on it, and reads the
-    membership bits — O(ball) work per miss, independent of the graph
-    size, with no {!Localmodel.View} materialized.
+    one BFS and decodes the label straight from the stamps with
+    {!Center_decode}: it searches only the trails through the edges the
+    label reads, so a miss builds no fragment, no {!Localmodel.View} and
+    no orientation of the whole ball — work bounded by the ball and
+    independent of the graph size.
 
     {b Decode once: one label column.}  A node's label is a pure
     function of its ball, so for a given snapshot it never changes: the
@@ -40,9 +39,8 @@
     keys the stamped ball with {!Ethlink.Canonical.ball_key} — the bytes of
     {!Ethlink.Canonical.ball_signature}, prefixed with the engine's
     radius, decoder parameters and trust mode, written straight from
-    the BFS stamps — and only builds the fragment and decodes on a memo
-    miss, from the same stamps; a memo hit builds neither a view nor a
-    graph.  Nodes with isomorphic balls share one decode (and one label
+    the BFS stamps — and only decodes on a memo miss, from the same
+    stamps; a memo hit builds neither a view nor a graph.  Nodes with isomorphic balls share one decode (and one label
     string), across engines (the router passes one table to every shard
     engine) and shard evictions.  Answers are byte-identical to the unmemoized engine: the
     signature captures the decoder's whole input.  Publication is
@@ -63,18 +61,16 @@
     {b Degraded mode.}  [create ~health] builds an engine from a
     {!Store.Snapshot.read_salvage} result: it serves checksum-clean
     advice sections normally and can fall back to a quarantined section
-    (parsed but CRC-failed) best-effort — the decode stays total by
-    degrading any ball the damaged advice makes undecodable to the
-    all-['0'] label instead of raising.  Every query answered by a
-    degraded engine bumps [serve.degraded]; queries served from
-    untrusted advice additionally bump [serve.quarantined], and each
-    ball that needed the fallback bumps [serve.fallback_labels].
+    (parsed but CRC-failed) best-effort — the decoder is total, so
+    damaged advice bits give some label, never an exception.  Every
+    query answered by a degraded engine bumps [serve.degraded]; queries
+    served from untrusted advice additionally bump [serve.quarantined].
 
     Obs: [serve.queries], [serve.cache.hits] and [serve.cache.misses]
     (label-column hits and misses: one per [Output_label] or
-    [Edge_member] query), [serve.degraded], [serve.quarantined],
-    [serve.fallback_labels] counters and the [serve.ball_size] histogram
-    (one sample per decoded ball), plus everything {!Memo} records. *)
+    [Edge_member] query), [serve.degraded] and [serve.quarantined]
+    counters and the [serve.ball_size] histogram (one sample per decoded
+    ball), plus everything {!Memo} records. *)
 
 type t
 (** A loaded engine: snapshot, decode parameters, serve radius, and one
@@ -95,7 +91,7 @@ val create :
     overrides the stored value.  [cache_capacity] [0] turns the label
     column off (every ball query decodes); any other value, like the
     default, stores every node's label.  [ids] overrides the identifier
-    assignment the decoder orders fragments by (default: the identity
+    assignment the decoder orders a ball's nodes by (default: the identity
     [v + 1]) — {!Router} hands each container shard's engine its
     {e global} ids, which is what makes shard-local answers
     byte-identical to a whole-graph engine's.  [memo] attaches a
@@ -196,8 +192,8 @@ val label_of_view : params:Schemas.Balanced_orientation.params -> Localmodel.Vie
 (** The per-ball decode for a materialized view, exposed for perfbench's
     traced replay and for tests: a thin wrapper that re-stamps the view
     ({!Ethlink.Canonical.stamp_view}) and runs the serve path's own
-    stamped-ball decode — relabel the fragment in identifier order,
-    recover the orientation with the tolerant fragment decoder, and read
-    the center's incident membership bits.  Total for any view of
-    radius ≥ 0 (unresolvable bits read as '0'); equals the direct
-    decoder's bits exactly when the view radius is certified. *)
+    decoder ({!Center_decode.label}).  The label does not depend on
+    [params]: the tolerant orientation decode it reproduces reads them
+    only in strict mode.  Total for any view of radius ≥ 0 (unresolvable
+    bits read as '0'); equals the direct decoder's bits exactly when the
+    view radius is certified. *)

@@ -60,6 +60,12 @@ type t = {
 let n t = t.man.Shard.m_n
 let m t = t.man.Shard.m_m
 let radius t = t.radius
+
+let certified_all t =
+  match List.assoc_opt "serve.certified" t.man.Shard.m_meta with
+  | Some c -> String.equal c "all"
+  | None -> false
+
 let slot_count t = Array.length t.slots
 let resident_bytes t = t.resident_bytes
 let loads t = t.loads
@@ -166,7 +172,7 @@ let bsearch (arr : int array) (x : int) =
 (* Load shard [k]: fetch + decode its byte range, hand the local graph
    and advice slices to a fresh engine whose ids are the global node ids
    shifted to the identifier space (gid + 1 = the identity assignment a
-   whole-graph engine uses), so every fragment relabeling — and
+   whole-graph engine uses), so every ball's identifier order — and
    therefore every answer byte — matches the monolithic engine's.  The
    interior is one run of the sorted local ids, so each of the shard's
    slots is a local range of the engine's column too. *)
@@ -276,7 +282,11 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     | None -> Localmodel.View.effective_domains ()
   in
   if List.is_empty man.Shard.m_advice then
-    raise (Store.Codec.Corrupt "container has no advice section");
+    raise
+      (Store.Codec.Corrupt
+         (match Shard.damage store with
+         | Some diagnostic -> "container has no advice section left after salvage: " ^ diagnostic
+         | None -> "container has no advice section"));
   (* ⌈D/S⌉ node ranges per shard: a one-shard file gets D slots, and a
      container with at least D shards one slot per shard. *)
   let slots =

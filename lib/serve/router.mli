@@ -8,7 +8,7 @@
     worth of the container's shards resident, loading each on first
     touch.  A resident shard is a private {!Engine} over the shard's
     local graph and advice slices whose identifiers are the shard's
-    {e global} node ids — the decoder orders ball fragments by
+    {e global} node ids — the decoder orders a ball's nodes by
     identifier, so a shard-local ball (the global ball, by the halo
     invariant of {!Store.Shard}) decodes to the {e same bytes} a
     whole-graph engine would produce.  A {e slot} is a node range of
@@ -125,6 +125,10 @@ val m : t -> int
 
 val radius : t -> int
 (** The serve radius every query decodes at. *)
+
+val certified_all : t -> bool
+(** Whether the pack certified the radius on every node: the metadata's
+    [serve.certified] is [all] (not [sample=K], and not missing). *)
 
 val slot_count : t -> int
 (** Number of slots: [⌈D/S⌉] node ranges per container shard. *)

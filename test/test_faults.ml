@@ -735,6 +735,9 @@ let test_lying_counts_are_corrupt () =
     (serve "tf_wrap.ladv");
   expect_corrupt "advice lengths that wrap: inspect" ~mentions:"overrun"
     (run_cli [ "inspect"; "tf_wrap.ladv" ]);
+  (* Salvage loses the only advice section: the error says why. *)
+  expect_corrupt "advice lengths that wrap: serve --salvage" ~mentions:"overrun"
+    (serve ~flags:[ "--salvage" ] "tf_wrap.ladv");
   expect_corrupt "2^40 shards: serve" ~mentions:"shard row(s) cannot fit"
     (serve "tf_shards.ladv");
   expect_corrupt "2^40 shards: inspect" ~mentions:"shard row(s) cannot fit"

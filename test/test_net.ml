@@ -988,6 +988,25 @@ let test_server_rejects_config () =
       ("max_frame = 0", { Net.Server.default_config with max_frame = 0 });
     ]
 
+(* The stats frame says how the served radius was certified: on every
+   node, or on a sample only. *)
+let test_stats_certification () =
+  let g = Builders.cycle 200 in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if e mod 3 = 0 then Bitset.add x e) g;
+  List.iter
+    (fun (sample, want) ->
+      let snapshot, _ = Serve.Pack.edge_compression ~sample g x in
+      let server =
+        Net.Server.create
+          ~config:{ Net.Server.default_config with port = 0 }
+          (Serve.Router.create (Store.Shard.open_bytes (Store.Snapshot.write snapshot)))
+      in
+      let got = List.assoc "engine.certified_all" (Net.Server.stats server) in
+      Net.Server.shutdown server;
+      check_int (Printf.sprintf "engine.certified_all with ~sample:%d" sample) want got)
+    [ (64, 0); (0, 1) ]
+
 let test_loopback_shutdown_drains () =
   let g, snapshot = make_packed 80 3 in
   let config = { Net.Server.default_config with port = 0 } in
@@ -1072,5 +1091,7 @@ let () =
             test_loopback_two_domain_batches;
           Alcotest.test_case "bad config rejected before the socket" `Quick
             test_server_rejects_config;
+          Alcotest.test_case "stats say how the radius was certified" `Quick
+            test_stats_certification;
         ] );
     ]

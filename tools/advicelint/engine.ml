@@ -30,7 +30,7 @@ let default_config =
       [
         "view.ml"; "traversal.ml"; "workspace.ml"; "graph.ml"; "rounds.ml";
         "engine.ml"; "cache.ml"; "pool.ml"; "memo.ml"; "canonical.ml";
-        "router.ml";
+        "router.ml"; "center_decode.ml";
       ];
     warn_only = [];
     format = Text;
