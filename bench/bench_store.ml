@@ -571,12 +571,14 @@ let bench_shard ~smoke ~domains =
    radius 2) — have a tiny signature-class population: almost every
    ball is isomorphic to one already decoded, so even the COLD sweep
    over all nodes hits ≥ 90% (memo_hit_rate_structural; the hit rate is
-   read off the table's own store/drop counters, not wall clock).  The
+   hits / (hits + misses) from the [serve.memo.*] counters, which count
+   one of the two per query, not wall clock: a class is stored on its
+   second sighting, so the first is a miss that stores nothing).  The
    adversarial family gives every node distinct advice bits, so classes
    ≈ nodes and the memo never usefully hits: timing the memoized engine
-   against the plain one there prices the pure miss path — signature +
-   probe + drop — which must stay a bounded fraction of the decode it
-   failed to save (memo_not_slower). *)
+   against the plain one there prices the pure miss path — a
+   fingerprint and a filter probe — which must stay a bounded fraction
+   of the decode it failed to save (memo_not_slower). *)
 
 type memo_row = {
   c_family : string;
@@ -586,9 +588,10 @@ type memo_row = {
   c_capacity : int;
   c_stores : int;
   c_drops : int;
+  c_first_sightings : int;
   c_entries : int;
   c_table_bytes : int;
-  c_hit_rate : float;  (* cold sweep: 1 - (stores + drops) / queries *)
+  c_hit_rate : float;  (* cold sweep: hits / (hits + misses) *)
   c_plain_qps : float;
   c_memo_qps : float;
   c_memo_us : float;
@@ -596,6 +599,16 @@ type memo_row = {
          query is a memo hit, so this is the memo-hit path end to end —
          BFS, key, probe — in process *)
 }
+
+(* A counter's total in the current obs snapshot. *)
+let counter name =
+  List.fold_left
+    (fun acc (e : Obs.Metrics.entry) ->
+      match e.Obs.Metrics.value with
+      | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name ->
+          total
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
 
 (* [make ?memo ()] builds a fresh engine over the family's shared
    snapshot state; caching is off so every query reaches the memo
@@ -609,12 +622,15 @@ let bench_memo_family ~name ~n ~radius ~capacity
   let run e () =
     Array.iter (fun q -> ignore (Serve.Engine.query e q)) queries
   in
-  (* Cold structural sweep: every miss either stores or drops exactly
-     once, so the table's counters are the hit-rate ground truth. *)
+  (* Cold sweep, counted: each query is one memo hit or one miss. *)
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let h0 = counter "serve.memo.hits" and m0 = counter "serve.memo.misses" in
   run memoized ();
+  let hits = counter "serve.memo.hits" - h0 and misses = counter "serve.memo.misses" - m0 in
+  Obs.Metrics.set_enabled was_enabled;
   let s = Serve.Memo.stats memo in
-  let cold_misses = s.Serve.Memo.s_stores + s.Serve.Memo.s_drops in
-  let hit_rate = 1.0 -. (float_of_int cold_misses /. float_of_int n) in
+  let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
   (* Steady state, interleaved min-of-reps: the structural families now
      serve hits, the adversarial one keeps missing (and dropping). *)
   let plain_t = ref infinity and memo_t = ref infinity in
@@ -632,6 +648,7 @@ let bench_memo_family ~name ~n ~radius ~capacity
     c_capacity = capacity;
     c_stores = s.Serve.Memo.s_stores;
     c_drops = s.Serve.Memo.s_drops;
+    c_first_sightings = s.Serve.Memo.s_first_sightings;
     c_entries = s.Serve.Memo.s_entries;
     c_table_bytes = s.Serve.Memo.s_bytes;
     c_hit_rate = hit_rate;
@@ -650,6 +667,7 @@ let json_of_memo_row r =
       ("memo_capacity", J.Int r.c_capacity);
       ("signature_classes_stored", J.Int r.c_stores);
       ("drops", J.Int r.c_drops);
+      ("first_sightings", J.Int r.c_first_sightings);
       ("entries", J.Int r.c_entries);
       ("table_bytes", J.Int r.c_table_bytes);
       ("cold_hit_rate", J.Float r.c_hit_rate);
@@ -695,7 +713,9 @@ let bench_memo ~smoke =
   in
   (* Adversarial: a random subset scatters distinct advice around every
      node, so signature classes ≈ nodes and nothing usefully hits —
-     each query pays the full decode PLUS signature + probe + drop. *)
+     each query pays the full decode PLUS a fingerprint and a filter
+     probe (the filter forgets a sweep's 20,000 fingerprints long before
+     the next sweep, so no key is built). *)
   let adversarial =
     let n = if smoke then 2_000 else 20_000 in
     let g = Builders.cycle n in
@@ -725,7 +745,7 @@ let bench_memo ~smoke =
       [ structural_cycle; structural_grid ]
   in
   (* The miss path is pure overhead on this family; the bound says the
-     signature + probe cost stays a small fraction of the ball decode
+     fingerprint + filter cost stays a small fraction of the ball decode
      it sits in front of. *)
   let not_slower =
     adversarial.c_memo_qps >= 0.85 *. adversarial.c_plain_qps
@@ -766,14 +786,28 @@ let bench_decode_instance ~name ~radius ~balls g x =
   let prefix = "r0;" in
   let plain = Serve.Engine.create ~cache_capacity:0 ~radius snapshot in
   let memoized = ref plain in
+  (* Room for every ball in the table and its filter. *)
   let fresh_memo () =
-    let memo = Serve.Memo.create ~capacity:balls in
+    let memo = Serve.Memo.create ~capacity:(2 * balls) in
     memoized := Serve.Engine.create ~cache_capacity:0 ~memo ~radius snapshot
+  in
+  let memo_query v = ignore (Serve.Engine.output_label !memoized v) in
+  (* A class is stored on its second sighting: after two sweeps every
+     ball is in the table. *)
+  let stored_memo () =
+    fresh_memo ();
+    Array.iter memo_query nodes;
+    Array.iter memo_query nodes
   in
   let bfs v = ignore (Traversal.bfs_limited_into ws g v radius) in
   let steps =
     [
       ("bfs", ignore, bfs);
+      ( "bfs+fingerprint",
+        ignore,
+        fun v ->
+          bfs v;
+          ignore (Ethlink.Canonical.ball_fingerprint ~prefix ws ~advice) );
       ( "bfs+ball_key",
         ignore,
         fun v ->
@@ -785,10 +819,11 @@ let bench_decode_instance ~name ~radius ~balls g x =
           bfs v;
           ignore (Serve.Center_decode.label ws g ~ids ~advice ~center:0) );
       ("miss_memo_off", ignore, fun v -> ignore (Serve.Engine.output_label plain v));
-      (* every ball of a random subset is its own class: all misses *)
-      ("miss_memo_on", fresh_memo, fun v -> ignore (Serve.Engine.output_label !memoized v));
-      (* the same engine and memo again: all hits (BFS, key, probe) *)
-      ("memo_hit", ignore, fun v -> ignore (Serve.Engine.output_label !memoized v));
+      (* a fresh memo: every ball is a first sighting (BFS,
+         fingerprint, filter probe, decode; no key) *)
+      ("miss_memo_on", fresh_memo, memo_query);
+      (* every class stored: all hits (BFS, fingerprint, key, probe) *)
+      ("memo_hit", stored_memo, memo_query);
     ]
   in
   let best = Array.make (List.length steps) infinity in

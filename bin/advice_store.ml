@@ -571,8 +571,11 @@ let memo_term =
         ~doc:"Attach a canonical-ball decode memo between the label columns \
               and the decoder: nodes with isomorphic balls (same canonical \
               signature) share one decode, across shards and — on a \
-              sharded container — across shard loads and evictions.  \
-              Answers are byte-identical with or without it.")
+              sharded container — across shard loads and evictions.  A \
+              class is stored on its second sighting: the first only \
+              records the ball's fingerprint, so balls that never recur \
+              build and keep no keys.  Answers are byte-identical with or \
+              without it.")
 
 let memo_capacity_term =
   Arg.(
@@ -580,8 +583,9 @@ let memo_capacity_term =
     & opt int 4096
     & info [ "memo-capacity" ] ~docv:"ENTRIES"
         ~doc:"Entry bound of the --memo table (default 4096; 0 makes the \
-              memo a no-op).  Inserts past the bound are dropped, keeping \
-              the first-seen representative of each ball class.")
+              memo a no-op).  A class is stored on its second sighting; \
+              stores past the bound are dropped, keeping the classes \
+              already stored.")
 
 let serve_cmd =
   let run path batch listen host port write_budget domains salvage

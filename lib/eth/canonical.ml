@@ -72,16 +72,16 @@ let[@inline] put b pos x =
   end
   else put_varint b pos x
 
-(* Stable, monomorphic merge sort of [perm] by [key.(perm.(i))]:
-   insertion-sorted runs of 8, then bottom-up merges.  The annotation
-   keeps it monomorphic — generalized to ['a array] the comparisons
-   would go through caml_compare.  Not a plain insertion sort: BFS stamp
-   order interleaves small and large identifiers (a cycle ball stamps
-   v, v-1, v+1, v-2, ...), which is insertion sort's quadratic case.
-   Stability makes ties (invalid, duplicated identifiers) resolve by
-   stamp order. *)
-let sort_by_key (key : int array) (perm : int array) =
-  let n = Array.length perm in
+(* Stable, monomorphic merge sort of [perm.(0 .. n-1)] by
+   [key.(perm.(i))], with [buf] (at least [n] long) as the second merge
+   buffer: insertion-sorted runs of 8, then bottom-up merges.  The
+   annotation keeps it monomorphic — generalized to ['a array] the
+   comparisons would go through caml_compare.  Not a plain insertion
+   sort: BFS stamp order interleaves small and large identifiers (a
+   cycle ball stamps v, v-1, v+1, v-2, ...), which is insertion sort's
+   quadratic case.  Stability makes ties (invalid, duplicated
+   identifiers) resolve by stamp order. *)
+let sort_by_key (key : int array) (perm : int array) ~(buf : int array) n =
   let run = 8 in
   let lo = ref 0 in
   while !lo < n do
@@ -99,7 +99,7 @@ let sort_by_key (key : int array) (perm : int array) =
     lo := hi
   done;
   if n > run then begin
-    let src = ref perm and dst = ref (Array.make n 0) in
+    let src = ref perm and dst = ref buf in
     let width = ref run in
     while !width < n do
       let s = !src and d = !dst and w = !width in
@@ -133,13 +133,20 @@ let sort_by_key (key : int array) (perm : int array) =
 
 (* Domain-local scratch for the key encoder and the identifier order,
    every array grown to the largest ball seen: the key bytes, the ball's
-   edges as parallel [src]/[dst] stamp arrays, and the slot table of the
-   dense-span identifier sort. *)
+   edges as parallel [src]/[dst] stamp arrays, the slot table of the
+   dense-span identifier sort, and the identifier order's own arrays —
+   every stamp's identifier, the stamps in identifier order, every
+   stamp's rank, and the merge sort's second buffer.  A key is written
+   here and read in place, so building one allocates nothing. *)
 type scratch = {
   mutable bytes : Bytes.t;
   mutable src : int array;
   mutable dst : int array;
   mutable slots : int array;
+  mutable ids : int array;
+  mutable perm : int array;
+  mutable rank : int array;
+  mutable merge : int array;
 }
 
 let scratch_key =
@@ -149,6 +156,10 @@ let scratch_key =
         src = Array.make 256 0;
         dst = Array.make 256 0;
         slots = Array.make 256 0;
+        ids = Array.make 128 0;
+        perm = Array.make 128 0;
+        rank = Array.make 128 0;
+        merge = Array.make 128 0;
       })
 
 (* Identifiers of a ball are usually a dense integer range — builders
@@ -157,8 +168,7 @@ let scratch_key =
    one scatter into a slot table and one sweep sort them with no
    comparisons.  Returns [false] (leaving [perm] to the merge sort) on a
    wide span or a repeated identifier. *)
-let dense_order sc (key : int array) (perm : int array) =
-  let count = Array.length key in
+let dense_order sc (key : int array) (perm : int array) count =
   let lo = ref max_int and hi = ref min_int in
   for i = 0 to count - 1 do
     let k = Array.unsafe_get key i in
@@ -193,22 +203,27 @@ let dense_order sc (key : int array) (perm : int array) =
   end
 
 (* The identifier rank of every stamp of the ball stamped in [ws]
-   ([ids] is indexed by host node): sort the stamps by identifier, then
-   invert. *)
+   ([ids] is indexed by host node), into [sc.rank]: sort the stamps by
+   identifier, then invert. *)
 let id_ranks sc ws (ids : int array) =
   let count = Workspace.size ws in
+  if Array.length sc.ids < count then begin
+    let c = max count (2 * Array.length sc.ids) in
+    sc.ids <- Array.make c 0;
+    sc.perm <- Array.make c 0;
+    sc.rank <- Array.make c 0;
+    sc.merge <- Array.make c 0
+  end;
   let queue = ws.Workspace.queue in
-  let key = Array.make count 0 and perm = Array.make count 0 in
+  let key = sc.ids and perm = sc.perm and rank = sc.rank in
   for i = 0 to count - 1 do
     key.(i) <- ids.(queue.(i));
     perm.(i) <- i
   done;
-  if not (dense_order sc key perm) then sort_by_key key perm;
-  let rank = Array.make count 0 in
+  if not (dense_order sc key perm count) then sort_by_key key perm ~buf:sc.merge count;
   for r = 0 to count - 1 do
     rank.(perm.(r)) <- r
-  done;
-  rank
+  done
 
 (* The key bytes with room for [need] more past [pos]: capacity is
    reserved once per section, so the per-byte writes stay unchecked. *)
@@ -264,9 +279,9 @@ let stamped_edges sc ws g =
    [i < j], in lexicographic stamp order, the identifier rank of every
    stamp, then every stamp's advice, length-prefixed.  That is exactly
    the induced subgraph in stamp order that [View.make] would build,
-   so both entry points below write the same bytes. *)
-let encode_stamped ~prefix ws g ~center ~ids ~advice =
-  let sc = Domain.DLS.get scratch_key in
+   so every entry point below writes the same bytes.  The key is left
+   in [sc.bytes]; returns its length. *)
+let encode_stamped sc ~prefix ws g ~center ~ids ~advice =
   let count = Workspace.size ws in
   let m = stamped_edges sc ws g in
   let plen = String.length prefix in
@@ -280,7 +295,8 @@ let encode_stamped ~prefix ws g ~center ~ids ~advice =
     pos := put b !pos (Array.unsafe_get src e);
     pos := put b !pos (Array.unsafe_get dst e)
   done;
-  let rank = id_ranks sc ws ids in
+  id_ranks sc ws ids;
+  let rank = sc.rank in
   for i = 0 to count - 1 do
     pos := put b !pos (Array.unsafe_get rank i)
   done;
@@ -296,7 +312,7 @@ let encode_stamped ~prefix ws g ~center ~ids ~advice =
     done;
     pos := !pos + len
   done;
-  Bytes.sub_string sc.bytes 0 !pos
+  !pos
 
 (* A materialized view re-stamped into the domain-local workspace in
    identity order: the view's own graph then reads as a host whose
@@ -313,13 +329,84 @@ let stamp_view (view : Localmodel.View.t) =
 
 let ball_signature (view : Localmodel.View.t) =
   let ws = stamp_view view in
-  encode_stamped ~prefix:"" ws view.Localmodel.View.graph
-    ~center:view.Localmodel.View.center ~ids:view.Localmodel.View.ids
-    ~advice:view.Localmodel.View.advice
+  let sc = Domain.DLS.get scratch_key in
+  let len =
+    encode_stamped sc ~prefix:"" ws view.Localmodel.View.graph
+      ~center:view.Localmodel.View.center ~ids:view.Localmodel.View.ids
+      ~advice:view.Localmodel.View.advice
+  in
+  Bytes.sub_string sc.bytes 0 len
 
 (* The BFS source is always the first stamp. *)
+let write_ball_key ~prefix ws g ~ids ~advice =
+  encode_stamped (Domain.DLS.get scratch_key) ~prefix ws g ~center:0 ~ids ~advice
+
+let key_buffer () = (Domain.DLS.get scratch_key).bytes
+
 let ball_key ~prefix ws g ~ids ~advice =
-  encode_stamped ~prefix ws g ~center:0 ~ids ~advice
+  let len = write_ball_key ~prefix ws g ~ids ~advice in
+  Bytes.sub_string (key_buffer ()) 0 len
+
+(* The memo filter's fingerprint: a multiply-xor hash over the fields
+   of the key that are cheap to read — the prefix, the node count and
+   every stamp's advice, length first, in stamp order.  Each of them is
+   written into the key bytes, so equal keys give equal fingerprints;
+   structure and ranks are left out, which costs a shared fingerprint
+   only between balls whose advice agrees stamp by stamp.  A string's
+   length and bytes go in seven bytes per multiply: an advice string of
+   up to six bytes is one step.  The multiplier is dense (xorshift64*'s,
+   which fits a 63-bit int): the filter picks a bucket by the low bits,
+   and a sparse one (FNV's) left whole buckets of a cycle's balls on a
+   few low-bit patterns. *)
+let fp_offset = 0x3bf29ce484222325
+let fp_prime = 0x2545f4914f6cdd1d
+
+let[@inline] mix h x =
+  let x = (h lxor x) * fp_prime in
+  x lxor (x lsr 31)
+
+let mix_string h s =
+  let len = String.length s in
+  let h = ref h and w = ref len and k = ref 0 in
+  for j = 0 to len - 1 do
+    w := (!w lsl 8) lor Char.code (String.unsafe_get s j);
+    incr k;
+    if !k = 7 then begin
+      h := mix !h !w;
+      w := 0;
+      k := 0
+    end
+  done;
+  mix !h !w
+
+(* One string's step: a string of up to six bytes — the advice of
+   every node of degree up to ten — is packed with its length into one
+   word and mixed once. *)
+let[@inline] mix_advice h s =
+  let len = String.length s in
+  if len > 6 then mix_string h s
+  else begin
+    let w = ref len in
+    for j = 0 to len - 1 do
+      w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
+    done;
+    mix h !w
+  end
+
+(* Two lanes, even and odd stamps, so that consecutive multiplies do
+   not wait on each other. *)
+let ball_fingerprint ~prefix ws ~advice =
+  let count = Workspace.size ws in
+  let queue = ws.Workspace.queue in
+  let even = ref (mix (mix_string fp_offset prefix) count) and odd = ref count in
+  let i = ref 0 in
+  while !i + 1 < count do
+    even := mix_advice !even advice.(Array.unsafe_get queue !i);
+    odd := mix_advice !odd advice.(Array.unsafe_get queue (!i + 1));
+    i := !i + 2
+  done;
+  if !i < count then even := mix_advice !even advice.(Array.unsafe_get queue !i);
+  mix (mix !even !odd) 0 land max_int
 
 type table = (string, int) Hashtbl.t
 

@@ -41,11 +41,40 @@ val ball_key :
     [Netgraph.Traversal.bfs_limited_into ws g v radius] has stamped
     [v]'s ball, [ball_key ~prefix ws g ~ids ~advice] is
     [prefix ^ ball_signature (Localmodel.View.make ~advice g ~ids ~radius v)],
-    byte for byte — written straight from the stamps into a
-    domain-local buffer, with no view and no induced graph built.
-    [ids] and [advice] are indexed by host node.  Reads [ws] without
-    disturbing the stamps, so the ball decoder can follow on the same
-    ball. *)
+    byte for byte — written straight from the stamps, with no view and
+    no induced graph built.  [ids] and [advice] are indexed by host
+    node.  Reads [ws] without disturbing the stamps, so the ball decoder
+    can follow on the same ball.  This is {!write_ball_key} copied out
+    of the key buffer. *)
+
+val write_ball_key :
+  prefix:string ->
+  Netgraph.Workspace.t ->
+  Netgraph.Graph.t ->
+  ids:int array ->
+  advice:string array ->
+  int
+(** [write_ball_key ~prefix ws g ~ids ~advice] writes {!ball_key}'s
+    bytes into the calling domain's key buffer ({!key_buffer}) and
+    returns their length: the memo probes the key where it lies and
+    copies it only to store it.  Once the scratch has grown to the
+    largest ball seen, it allocates nothing.  The bytes last until the
+    domain's next key or signature. *)
+
+val key_buffer : unit -> Bytes.t
+(** The calling domain's key buffer, holding the last
+    {!write_ball_key}'s bytes from position 0.  Read it after the write:
+    a longer key replaces the buffer. *)
+
+val ball_fingerprint :
+  prefix:string -> Netgraph.Workspace.t -> advice:string array -> int
+(** [ball_fingerprint ~prefix ws ~advice]: a non-negative 63-bit hash
+    of the stamped ball's cheap fields — [prefix], the node count and
+    every stamp's advice string, in stamp order.  Each is part of
+    {!ball_key}'s bytes, so equal keys give equal fingerprints; balls
+    whose advice agrees stamp by stamp but whose structure or ranks
+    differ may share one.  The memo's filter ({!Serve.Memo}) reads it
+    before any key is built.  Allocates nothing. *)
 
 val stamp_view : Localmodel.View.t -> Netgraph.Workspace.t
 (** [stamp_view view] re-stamps [view]'s nodes into the calling domain's

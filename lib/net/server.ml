@@ -137,8 +137,23 @@ let shutdown t =
 let stats t =
   let r = t.router in
   let flag b = if b then 1 else 0 in
+  (* Only a server with a memo reports it, so a memo-less stats frame
+     keeps its exact keys. *)
+  let memo =
+    match Router.memo_stats r with
+    | None -> []
+    | Some s ->
+        [
+          ("serve.memo.entries", s.Serve.Memo.s_entries);
+          ("serve.memo.bytes", s.Serve.Memo.s_bytes);
+          ("serve.memo.stores", s.Serve.Memo.s_stores);
+          ("serve.memo.drops", s.Serve.Memo.s_drops);
+          ("serve.memo.first_sightings", s.Serve.Memo.s_first_sightings);
+        ]
+  in
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
+    (List.rev_append memo
     [
       ("engine.certified_all", flag (Router.certified_all r));
       ("engine.degraded", flag (Router.degraded r));
@@ -164,7 +179,7 @@ let stats t =
       ("net.bytes_in", t.c.bytes_in);
       ("net.bytes_out", t.c.bytes_out);
       ("serve.degraded", t.c.degraded_answers);
-    ]
+    ])
 
 let note_answered t count =
   t.c.queries <- t.c.queries + count;

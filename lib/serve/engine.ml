@@ -218,31 +218,44 @@ let incident_slot t v e =
   !k
 
 (* Decode [v]'s ball, consulting the canonical-ball memo between the
-   label column (the caller) and the decoder.  One BFS stamps the ball;
-   the memo key is written straight from the stamps, and only a memo
-   miss decodes — from the same stamps.  Publication is single-writer:
-   with [staged = None] (the serialized {!query} path) a memo miss is
-   inserted at once; pool workers pass a cell instead, so they only ever
-   *read* the table and the miss rides back to the caller, which inserts
-   it after the join. *)
+   label column (the caller) and the decoder.  One BFS stamps the ball
+   and its fingerprint is hashed from the stamps.  A first sighting
+   decodes at once, with no key built; a repeat sighting writes the key
+   into the domain's key buffer and probes it there, and only a table
+   miss copies the key, decodes, and stores the class.  Publication is
+   single-writer: with [staged = None] (the serialized {!query} path)
+   the sighting or the class is published at once; pool workers pass a
+   cell instead, so they only ever *read* the table and the filter, and
+   the publication rides back to the caller, which publishes it after
+   the join. *)
 let compute_label t ~staged v =
   let ws = Workspace.domain_local () in
   ignore (Traversal.bfs_limited_into ws t.graph v t.radius);
   match t.memo with
   | None -> decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0
   | Some memo -> (
-      let key =
-        Ethlink.Canonical.ball_key ~prefix:t.memo_prefix ws t.graph ~ids:t.ids
-          ~advice:t.advice
-      in
-      match Memo.find memo key with
-      | Some label -> label
-      | None ->
-          let label = decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0 in
-          (match staged with
-          | None -> Memo.insert memo key label
-          | Some cell -> cell := Some (key, label));
-          label)
+      let fp = Ethlink.Canonical.ball_fingerprint ~prefix:t.memo_prefix ws ~advice:t.advice in
+      if Memo.first_sighting memo fp then begin
+        (match staged with
+        | None -> Memo.record memo fp
+        | Some cell -> cell := Some (Memo.Sighting fp));
+        decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0
+      end
+      else
+        let n =
+          Ethlink.Canonical.write_ball_key ~prefix:t.memo_prefix ws t.graph ~ids:t.ids
+            ~advice:t.advice
+        in
+        let key = Ethlink.Canonical.key_buffer () in
+        match Memo.find_sub memo key n with
+        | Some label -> label
+        | None ->
+            let key = Bytes.sub_string key 0 n in
+            let label = decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0 in
+            (match staged with
+            | None -> Memo.insert memo key label
+            | Some cell -> cell := Some (Memo.Store (key, label)));
+            label)
 
 let label t ~staged v =
   let a = if t.store then t.labels.(v) else undecoded in

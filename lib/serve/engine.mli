@@ -35,19 +35,27 @@
     pool worker that holds the slot for a batch wave.
 
     {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
-    {e between} the label column and the decoder: a column miss first
-    keys the stamped ball with {!Ethlink.Canonical.ball_key} — the bytes of
-    {!Ethlink.Canonical.ball_signature}, prefixed with the engine's
-    radius, decoder parameters and trust mode, written straight from
-    the BFS stamps — and only decodes on a memo miss, from the same
-    stamps; a memo hit builds neither a view nor a graph.  Nodes with isomorphic balls share one decode (and one label
-    string), across engines (the router passes one table to every shard
-    engine) and shard evictions.  Answers are byte-identical to the unmemoized engine: the
-    signature captures the decoder's whole input.  Publication is
-    single-writer: the serialized {!query} path inserts immediately,
-    while {!staged} callers (the router's pool workers) only {e read}
-    the frozen table and hand their misses back for the calling thread
-    to insert after the join.
+    {e between} the label column and the decoder.  A column miss hashes
+    the stamped ball's fingerprint
+    ({!Ethlink.Canonical.ball_fingerprint}: the engine's prefix — its
+    radius, decoder parameters and trust mode — the ball size and every
+    stamp's advice) and asks the memo's filter.  A first sighting
+    records the fingerprint and decodes, with no key built.  A repeat
+    sighting writes the key ({!Ethlink.Canonical.write_ball_key}: the
+    prefix, then the bytes of {!Ethlink.Canonical.ball_signature},
+    straight from the BFS stamps) and probes it in place; a hit is the
+    answer, and a miss decodes from the same stamps and stores the
+    class, so a class is stored on its second sighting and hits from
+    its third.  Nodes with isomorphic balls share one decode (and one
+    label string), across engines (the router passes one table to
+    every shard engine) and shard evictions.  Answers are
+    byte-identical to the unmemoized engine: the key captures the
+    decoder's whole input, and hits are decided on the whole key.
+    Publication is single-writer: the serialized {!query} path
+    publishes at once, while {!staged} callers (the router's pool
+    workers) only {e read} the frozen table and filter and hand their
+    first sightings and stores back for the calling thread to publish
+    after the join.
 
     The serve radius is the one certified at pack time
     ({!Pack.edge_compression} stores it in the snapshot metadata):
@@ -162,8 +170,9 @@ type answer =
 
 val query : t -> query -> answer
 (** Answer a single request, consulting and filling the label column.
-    With a memo attached, misses are inserted immediately — callers of
-    [query] serialize, so this path is the single writer.  An
+    With a memo attached, first sightings and stores are published
+    immediately — callers of [query] serialize, so this path is the
+    single writer.  An
     [Edge_member] is checked and placed in one scan of the node's
     incident edges.
     @raise Invalid_argument on an out-of-range node or edge id, or an
@@ -179,11 +188,13 @@ val edge_member : t -> int -> int -> answer
 val advice_bits : t -> int -> answer
 (** [advice_bits t v] is [query t (Advice_bits v)]. *)
 
-val staged : t -> query -> answer * (string * string) option
+val staged : t -> query -> answer * Memo.publication option
 (** {!query} for callers that are themselves pool workers (the router's
-    batch): the memo is only {e read}, and a miss comes back as its
-    [(key, label)] pair for the caller to {!Memo.insert} on the calling
-    thread after its join.  Without a memo, or on a hit, the pair is
+    batch): the memo and its filter are only {e read}, and what the
+    serialized path would publish comes back instead — a first
+    sighting's [Sighting fp], or a repeat sighting's table miss as
+    [Store (key, label)] — for the caller to {!Memo.publish} on the
+    calling thread after its join.  Without a memo, or on a hit, it is
     [None].  Workers may call [staged] on one engine at once as long as
     their node sets are disjoint: each writes only its own nodes'
     column entries. *)

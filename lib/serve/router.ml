@@ -66,6 +66,7 @@ let certified_all t =
   | Some c -> String.equal c "all"
   | None -> false
 
+let memo_stats t = Option.map Memo.stats t.memo
 let slot_count t = Array.length t.slots
 let resident_bytes t = t.resident_bytes
 let loads t = t.loads
@@ -494,9 +495,10 @@ module Batch (S : Shim.S) = struct
       let tasks = Array.of_list (List.rev !tasks) in
       Obs.Metrics.add m_slots (Array.length tasks);
       (* Workers only *read* the shared memo (Engine.staged): each task
-         accumulates its misses and hands them back with its answers,
-         and this (the single calling) thread inserts them after the
-         join — the wave boundary is the memo's write point. *)
+         accumulates its first sightings and stores and hands them back
+         with its answers, and this (the single calling) thread
+         publishes them after the join — the wave boundary is the memo's
+         write point. *)
       let parts =
         Pool.run ~domains:t.domains
           (fun (j, engine, local) ->
@@ -505,8 +507,8 @@ module Batch (S : Shim.S) = struct
               map_seeded (Engine.Bits "")
                 (fun q ->
                   S.Raw.set owners.(j) (S.Raw.get owners.(j) + 1);
-                  let a, miss = Engine.staged engine q in
-                  (match miss with Some kv -> staged := kv :: !staged | None -> ());
+                  let a, publication = Engine.staged engine q in
+                  (match publication with Some p -> staged := p :: !staged | None -> ());
                   a)
                 local
             in
@@ -516,9 +518,7 @@ module Batch (S : Shim.S) = struct
       Array.iteri
         (fun p (j, _, _) ->
           let answers, staged = parts.(p) in
-          Option.iter
-            (fun memo -> List.iter (fun (key, label) -> Memo.insert memo key label) staged)
-            t.memo;
+          Option.iter (fun memo -> List.iter (Memo.publish memo) (List.rev staged)) t.memo;
           Array.iteri (fun q i -> results.(i) <- Ok answers.(q)) idxs.(j))
         tasks
     done;

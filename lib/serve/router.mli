@@ -68,9 +68,11 @@
     {b Memoization.}  One {!Memo} canonical-ball table (the [~memo] of
     {!create}) is shared by every shard engine: isomorphic balls decode
     once {e across shards}, surviving eviction and reload.  Batch waves
-    keep the table frozen for their pool workers ({!Engine.staged}) and
-    insert the staged misses between waves on the calling thread — the
-    single-writer discipline.
+    keep the table and its filter frozen for their pool workers
+    ({!Engine.staged}) and publish the staged first sightings and
+    stores between waves on the calling thread — the single-writer
+    discipline.  Within one wave the filter does not change, so a class
+    met again in the same wave is still a first sighting there.
 
     Obs: [store.shard.loads], [store.shard.evictions],
     [store.shard.lost], [serve.batches] and [serve.batch.shards] (slots
@@ -129,6 +131,10 @@ val radius : t -> int
 val certified_all : t -> bool
 (** Whether the pack certified the radius on every node: the metadata's
     [serve.certified] is [all] (not [sample=K], and not missing). *)
+
+val memo_stats : t -> Memo.stats option
+(** The shared memo's counters ({!Memo.stats}), or [None] without a
+    memo.  Read it from the thread that queries the router. *)
 
 val slot_count : t -> int
 (** Number of slots: [⌈D/S⌉] node ranges per container shard. *)

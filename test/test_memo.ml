@@ -11,6 +11,16 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* A counter's total in the current obs snapshot. *)
+let counter name =
+  List.fold_left
+    (fun acc (e : Obs.Metrics.entry) ->
+      match e.Obs.Metrics.value with
+      | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name ->
+          total
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
 (* ------------------------------------------------------------------ *)
 (* Table semantics *)
 
@@ -57,6 +67,47 @@ let test_capacity_zero_is_noop () =
   check_int "capacity 0 holds nothing" 0 s.Serve.Memo.s_entries;
   check_int "capacity 0 accounts nothing" 0 s.Serve.Memo.s_bytes
 
+(* The filter in front of the table: a fingerprint is new until it is
+   recorded, recording twice counts once, a probe from a buffer reads
+   only its first [n] bytes, and publications are the two writes. *)
+let test_filter_semantics () =
+  let m = Serve.Memo.create ~capacity:4 in
+  check "an unseen fingerprint is a first sighting" true (Serve.Memo.first_sighting m 42);
+  Serve.Memo.record m 42;
+  check "a recorded fingerprint is not" false (Serve.Memo.first_sighting m 42);
+  check "fingerprint 0 is a fingerprint like any other" true (Serve.Memo.first_sighting m 0);
+  Serve.Memo.publish m (Serve.Memo.Sighting 0);
+  check "a published sighting is recorded" false (Serve.Memo.first_sighting m 0);
+  Serve.Memo.record m 42;
+  let s = Serve.Memo.stats m in
+  check_int "first sightings counted once each" 2 s.Serve.Memo.s_first_sightings;
+  check_int "a sighting stores nothing" 0 s.Serve.Memo.s_entries;
+  Serve.Memo.publish m (Serve.Memo.Store ("key", "101"));
+  let buf = Bytes.of_string "keyGARBAGE" in
+  check "a probe reads only the key's bytes" true
+    (Serve.Memo.find_sub m buf 3 = Some "101");
+  check "a prefix of a stored key misses" true (Serve.Memo.find_sub m buf 2 = None);
+  (* Keys longer than a word compare eight bytes a step. *)
+  let long = String.init 37 (fun i -> Char.chr (i * 7 land 0xff)) in
+  Serve.Memo.insert m long "1";
+  let near = Bytes.of_string long in
+  Bytes.set near 20 (Char.chr (Char.code (Bytes.get near 20) lxor 0x80));
+  check "a long key hits from a buffer" true
+    (Serve.Memo.find_sub m (Bytes.of_string (long ^ "tail")) 37 = Some "1");
+  check "one flipped high bit misses" true (Serve.Memo.find_sub m near 37 = None);
+  (* A bucket holds at most eight fingerprints: a ninth overwrites one
+     of them, and every slot keeps a recorded fingerprint. *)
+  let small = Serve.Memo.create ~capacity:4 in
+  let same_bucket = List.init 9 (fun i -> (i + 1) * 64) in
+  List.iter (Serve.Memo.record small) same_bucket;
+  check_int "forgotten: exactly one of nine" 1
+    (List.length (List.filter (Serve.Memo.first_sighting small) same_bucket));
+  let zero = Serve.Memo.create ~capacity:0 in
+  Serve.Memo.record zero 7;
+  check "capacity 0 sights everything first" true (Serve.Memo.first_sighting zero 7);
+  check_int "capacity 0 records nothing" 0
+    (Serve.Memo.stats zero).Serve.Memo.s_first_sightings
+
 (* ------------------------------------------------------------------ *)
 (* Engine identity: memo on = memo off, byte for byte (test_pool's
    family/engine idioms, with the memo dimension added) *)
@@ -68,8 +119,8 @@ let cycle_snapshot n seed =
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   Serve.Pack.edge_compression g x
 
-let salvaged_engine ?memo g advice =
-  Serve.Engine.create ?memo ~radius:2
+let salvaged_engine ?cache_capacity ?memo g advice =
+  Serve.Engine.create ?cache_capacity ?memo ~radius:2
     ~health:([ ("c4", advice) ], [])
     { Store.Snapshot.graph = g; advice = []; meta = [] }
 
@@ -197,8 +248,14 @@ let test_engine_capacity_zero () =
 
 (* Adversarial near-zero-collision family: every node carries distinct
    advice bits, so (radius-2) ball signatures are pairwise distinct and
-   the class population dwarfs the table.  The memo must stay
-   transparent while dropping at capacity. *)
+   the class population dwarfs the table.  A class is stored on its
+   second sighting, so with the label column off each node is asked
+   twice in a row: the first query records the fingerprint, the second
+   builds the key and stores the class, or drops it at capacity.  (Two
+   whole sweeps would store almost nothing: the 64-slot filter holds at
+   most 64 fingerprints, and the 199 others are recorded between a
+   node's two sightings.)  The memo must stay transparent while
+   dropping at capacity. *)
 let test_adversarial_low_collision () =
   let g = Builders.cycle 200 in
   (* 16 advice bits = the node id in binary: all distinct. *)
@@ -207,9 +264,9 @@ let test_adversarial_low_collision () =
         String.init 16 (fun i -> if (v lsr i) land 1 = 1 then '1' else '0'))
   in
   let memo = Serve.Memo.create ~capacity:32 in
-  let memoized = salvaged_engine ~memo g advice in
+  let memoized = salvaged_engine ~cache_capacity:0 ~memo g advice in
   let plain = salvaged_engine g advice in
-  let qs = Array.init 200 (fun v -> Serve.Engine.Output_label v) in
+  let qs = Array.init 400 (fun i -> Serve.Engine.Output_label (i / 2)) in
   check_string "adversarial answers identical"
     (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
     (Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) []);
@@ -221,12 +278,57 @@ let test_adversarial_low_collision () =
     (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) []
     = Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) [])
 
+(* The filter keeps singletons out of the table: a random-subset cycle,
+   whose balls are all distinct classes, sweeps twice through a
+   capacity-64 memo (label column off), and a periodic cycle served
+   next from the same memo still finds room for its recurring classes.
+   Storing on first sight, the random sweeps would fill the table and
+   the periodic sweep would hit nothing. *)
+let test_singletons_do_not_crowd_out () =
+  let packed n pick =
+    let g = Builders.cycle n in
+    let x = Bitset.create (Graph.m g) in
+    Graph.iter_edges (fun e _ -> if pick e then Bitset.add x e) g;
+    fst (Serve.Pack.edge_compression g x)
+  in
+  let rng = Prng.create 29 in
+  let random = packed 600 (fun _ -> Prng.bool rng) in
+  let periodic = packed 4000 (fun e -> e mod 4 < 2) in
+  let memo = Serve.Memo.create ~capacity:64 in
+  let sweep snapshot =
+    let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
+    for v = 0 to Graph.n (Serve.Engine.graph engine) - 1 do
+      ignore (Serve.Engine.output_label engine v)
+    done
+  in
+  sweep random;
+  sweep random;
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
+      sweep periodic;
+      let hits = counter "serve.memo.hits" in
+      check_int "every periodic query counted once" 4000
+        (hits + counter "serve.memo.misses");
+      if hits < 3600 then
+        Alcotest.failf "the periodic sweep hit %d of 4000 queries (memo %d entries)" hits
+          (Serve.Memo.stats memo).Serve.Memo.s_entries)
+
 (* ------------------------------------------------------------------ *)
 (* Router identity: one memo shared across every per-shard engine,
    surviving eviction, equals the memo-less monolithic engine. *)
 
 let test_router_memo_identity () =
-  let snapshot, cert = cycle_snapshot 120 11 in
+  (* A periodic subset long enough that balls recur (48 classes cover
+     278 of the 400 nodes at the certified radius 43), so classes recur
+     across shards: a shard's wave sights them, a later wave stores
+     them. *)
+  let snapshot, cert =
+    let g = Builders.cycle 400 in
+    let x = Bitset.create (Graph.m g) in
+    Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
+    Serve.Pack.edge_compression g x
+  in
   let radius = cert.Serve.Pack.radius in
   let bytes = Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot in
   let store = Store.Shard.open_bytes bytes in
@@ -474,6 +576,12 @@ let ball_case_print (seed, family, kind, quarantined) =
   Printf.sprintf "seed=%d family=%s ids=%s quarantined=%b" seed
     (ball_family_name family) (ids_name kind) quarantined
 
+let ids_of kind rng g =
+  match kind with
+  | Identity -> Localmodel.Ids.identity g
+  | Permuted -> Localmodel.Ids.random_permutation rng g
+  | Sparse -> Localmodel.Ids.random_sparse rng g
+
 let workspace_key_and_fragment =
   QCheck.Test.make ~count:30
     ~name:"workspace key and fragment = view-based constructions"
@@ -481,12 +589,7 @@ let workspace_key_and_fragment =
     (fun (seed, family, kind, quarantined) ->
       let rng = Prng.create seed in
       let g, advice, trusted, top = ball_case family ~quarantined rng in
-      let ids =
-        match kind with
-        | Identity -> Localmodel.Ids.identity g
-        | Permuted -> Localmodel.Ids.random_permutation rng g
-        | Sparse -> Localmodel.Ids.random_sparse rng g
-      in
+      let ids = ids_of kind rng g in
       let params = Schemas.Balanced_orientation.onebit_params in
       let snapshot =
         { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta = [] }
@@ -531,6 +634,36 @@ let workspace_key_and_fragment =
       done;
       true)
 
+(* The memo filter's soundness: a fingerprint reads only fields of the
+   key, so two balls with equal keys have equal fingerprints — on every
+   input of the suite above, at every node and radius 0..R+2.  One
+   prefix serves every radius, so a ball that stops growing gives equal
+   keys across radii too. *)
+let equal_keys_equal_fingerprints =
+  QCheck.Test.make ~count:30 ~name:"equal keys give equal fingerprints"
+    (QCheck.make ~print:ball_case_print ball_case_gen)
+    (fun (seed, family, kind, quarantined) ->
+      let rng = Prng.create seed in
+      let g, advice, _, top = ball_case family ~quarantined rng in
+      let ids = ids_of kind rng g in
+      let prefix = "r;t;" in
+      let seen = Hashtbl.create 256 in
+      let ws = Workspace.domain_local () in
+      for radius = 0 to top do
+        for v = 0 to Graph.n g - 1 do
+          ignore (Traversal.bfs_limited_into ws g v radius);
+          let fp = Ethlink.Canonical.ball_fingerprint ~prefix ws ~advice in
+          let key = Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice in
+          match Hashtbl.find_opt seen key with
+          | Some (fp', where) when fp' <> fp ->
+              Alcotest.failf "node %d radius %d: key of %s, fingerprint %d, not %d" v radius
+                where fp fp'
+          | Some _ -> ()
+          | None -> Hashtbl.replace seen key (fp, Printf.sprintf "node %d radius %d" v radius)
+        done
+      done;
+      true)
+
 (* The served path builds no view: with obs on, a cold sweep over every
    node of a memoized engine (LRU off, so every query reaches the memo)
    extracts no [View.t], and decodes exactly one ball per memo miss. *)
@@ -542,16 +675,6 @@ let test_serve_path_builds_no_view () =
   let memo = Serve.Memo.create ~capacity:4096 in
   let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
   let n = Graph.n (Serve.Engine.graph engine) in
-  let counter name =
-    List.fold_left
-      (fun acc (e : Obs.Metrics.entry) ->
-        match e.Obs.Metrics.value with
-        | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name
-          ->
-            total
-        | _ -> acc)
-      0 (Obs.Metrics.snapshot ())
-  in
   let decoded () =
     List.fold_left
       (fun acc (e : Obs.Metrics.entry) ->
@@ -609,6 +732,36 @@ let test_miss_allocates_only_its_label () =
           words (Graph.n g) allowed)
     [ cert.Serve.Pack.radius; 3 * cert.Serve.Pack.radius ]
 
+(* A memo hit allocates at most its [Some]: the key is written into the
+   domain's key buffer and probed there.  Label column off; the first
+   sweep sights every class, the second stores it (capacity and filter
+   hold all 600), and the measured third sweep must be hits only. *)
+let test_hit_allocates_at_most_two_words () =
+  let g = Builders.cycle 600 in
+  let rng = Prng.create 5 in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
+  let snapshot, _ = Serve.Pack.edge_compression g x in
+  let memo = Serve.Memo.create ~capacity:4096 in
+  let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
+  let sweep () =
+    for v = 0 to Graph.n g - 1 do
+      ignore (Serve.Engine.output_label engine v)
+    done
+  in
+  sweep ();
+  sweep ();
+  let before_stats = Serve.Memo.stats memo in
+  let before = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. before in
+  check "the measured sweep only hit (no sighting, store or drop)" true
+    (Serve.Memo.stats memo = before_stats);
+  let allowed = (Graph.n g * 2) + 8 in
+  if words > float_of_int allowed then
+    Alcotest.failf "%.0f minor words over %d memo hits, allowed %d" words (Graph.n g)
+      allowed
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -620,6 +773,8 @@ let () =
             test_table_basics;
           Alcotest.test_case "capacity 0 is a no-op" `Quick
             test_capacity_zero_is_noop;
+          Alcotest.test_case "filter records first sightings" `Quick
+            test_filter_semantics;
         ] );
       ( "engine",
         [
@@ -628,6 +783,8 @@ let () =
             test_engine_capacity_zero;
           Alcotest.test_case "adversarial low-collision family" `Quick
             test_adversarial_low_collision;
+          Alcotest.test_case "singletons do not crowd out recurring classes" `Quick
+            test_singletons_do_not_crowd_out;
         ] );
       ( "router",
         [
@@ -639,7 +796,10 @@ let () =
           QCheck_alcotest.to_alcotest workspace_key_and_fragment;
           Alcotest.test_case "serve path builds no view" `Quick
             test_serve_path_builds_no_view;
+          QCheck_alcotest.to_alcotest equal_keys_equal_fingerprints;
           Alcotest.test_case "a miss allocates only its label" `Quick
             test_miss_allocates_only_its_label;
+          Alcotest.test_case "a memo hit allocates at most 2 words" `Quick
+            test_hit_allocates_at_most_two_words;
         ] );
     ]

@@ -784,11 +784,11 @@ let test_conn_every_split () =
 (* The server answers from a router over the snapshot file [bytes], as
    the CLI opens it: one shard, one slot per domain (default: per
    effective domain). *)
-let with_server ?salvage ?domains bytes f =
+let with_server ?salvage ?domains ?memo bytes f =
   let config = { Net.Server.default_config with port = 0 } in
   let server =
     Net.Server.create ~config
-      (Serve.Router.create ?salvage ?domains (Store.Shard.open_bytes bytes))
+      (Serve.Router.create ?salvage ?domains ?memo (Store.Shard.open_bytes bytes))
   in
   let d = Domain.spawn (fun () -> Net.Server.run server) in
   Fun.protect
@@ -1007,6 +1007,53 @@ let test_stats_certification () =
       check_int (Printf.sprintf "engine.certified_all with ~sample:%d" sample) want got)
     [ (64, 0); (0, 1) ]
 
+(* The stats frame of a memo server carries the memo's counters.  After
+   one pipelined sweep of every node, a random-subset cycle, whose balls
+   are all distinct classes, has stored nothing (each class was sighted
+   once), while a periodic cycle keeps the classes it met again.  A
+   memo-less server's frame has no memo keys. *)
+let test_stats_memo () =
+  let sweep_stats ?memo snapshot =
+    let n = Graph.n snapshot.Store.Snapshot.graph in
+    with_server ?memo (Store.Snapshot.write snapshot) @@ fun _server port ->
+    with_client port @@ fun c ->
+    for v = 0 to n - 1 do
+      Net.Client.send c (Net.Protocol.Query (Serve.Engine.Output_label v))
+    done;
+    for _ = 1 to n do
+      match Net.Client.recv c with
+      | Net.Protocol.Answer _ -> ()
+      | _ -> Alcotest.fail "sweep query answered with a non-answer frame"
+    done;
+    Net.Client.stats c
+  in
+  let g = Builders.cycle 400 in
+  let periodic =
+    let x = Bitset.create (Graph.m g) in
+    Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
+    fst (Serve.Pack.edge_compression g x)
+  in
+  let _, random = make_packed 400 31 in
+  let stat stats name =
+    match List.assoc_opt name stats with
+    | Some v -> v
+    | None -> Alcotest.failf "stats frame is missing %s" name
+  in
+  let stats = sweep_stats ~memo:(Serve.Memo.create ~capacity:4096) random in
+  check_int "random subset: nothing stored" 0 (stat stats "serve.memo.entries");
+  check_int "random subset: no key bytes kept" 0 (stat stats "serve.memo.bytes");
+  check_int "random subset: every ball a first sighting" 400
+    (stat stats "serve.memo.first_sightings");
+  let stats = sweep_stats ~memo:(Serve.Memo.create ~capacity:4096) periodic in
+  let entries = stat stats "serve.memo.entries" in
+  check "periodic: recurring classes stored" true (entries > 0);
+  check_int "periodic: every store is an entry" entries (stat stats "serve.memo.stores");
+  check_int "periodic: nothing dropped" 0 (stat stats "serve.memo.drops");
+  check "memo-less frame has no memo keys" true
+    (List.for_all
+       (fun (k, _) -> not (String.starts_with ~prefix:"serve.memo." k))
+       (sweep_stats random))
+
 let test_loopback_shutdown_drains () =
   let g, snapshot = make_packed 80 3 in
   let config = { Net.Server.default_config with port = 0 } in
@@ -1093,5 +1140,6 @@ let () =
             test_server_rejects_config;
           Alcotest.test_case "stats say how the radius was certified" `Quick
             test_stats_certification;
+          Alcotest.test_case "stats show the memo" `Quick test_stats_memo;
         ] );
     ]
