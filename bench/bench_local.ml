@@ -366,7 +366,11 @@ let run ~smoke ~out ?(metrics = false) ?metrics_out () =
             (* The TCP serving figures ride inside the store block, as
                store.net — same snapshot pipeline, one more hop. *)
             match Bench_store.block ~smoke ~domains:(bench_domains ()) with
-            | J.Obj fields -> J.Obj (fields @ [ ("net", Bench_net.block ~smoke) ])
+            | J.Obj fields ->
+                J.Obj
+                  (fields
+                  @ [ ("net", Bench_net.block ~smoke);
+                      ("cold_open", Bench_net.cold_open ~smoke) ])
             | other -> other );
         ]
        @ obs));

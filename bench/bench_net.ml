@@ -14,7 +14,9 @@
    pipelined, batch and degraded answers must all be byte-identical to
    direct Serve.Engine serving.  The server answers from a
    Serve.Router over the snapshot file opened through Store.Shard (one
-   shard, one slot per effective domain). *)
+   shard, one slot per effective domain).  [cold_open], the store
+   block's "cold_open" sub-block, splits a server's cold start per
+   layer on perfbench's two instances. *)
 
 open Netgraph
 module J = Obs.Jsonout
@@ -146,7 +148,7 @@ let warm_instances ~smoke =
   let n k = if smoke then 2_048 + k else 65_536 + k in
   [ ("structured-sweep", n 1, `Periodic, 8); ("hot-skewed", n 0, `Random 1, 1) ]
 
-let warm_router (_, n, subset, shards) ~domains =
+let instance_bytes (_, n, subset, shards) =
   let g = Builders.cycle n in
   let x = Bitset.create (Graph.m g) in
   (match subset with
@@ -159,6 +161,10 @@ let warm_router (_, n, subset, shards) ~domains =
     if shards > 1 then Store.Shard.build ~shards ~halo:(max cert.Serve.Pack.radius 1) snapshot
     else Store.Snapshot.write snapshot
   in
+  (g, bytes)
+
+let warm_router spec ~domains =
+  let g, bytes = instance_bytes spec in
   (g, Serve.Router.create ~domains (Store.Shard.open_bytes bytes))
 
 (* What the server does with a frame burst, minus the socket: feed one
@@ -285,6 +291,101 @@ let warm_path ~smoke =
     ]
 
 let stat stats name = Option.value ~default:(-1) (List.assoc_opt name stats)
+
+(* ------------------------------------------------------------------ *)
+(* Cold open: what a server does before its first answer *)
+
+type cold_step = { c_name : string; c_ms : float; c_minor : float; c_major : float }
+
+(* [f (setup ())] [reps] times from a fresh major heap, timing [f]
+   alone: the fastest time, and the words (minor, and allocated or
+   promoted into the major heap) of the last run, which allocates what
+   every run does. *)
+let cold_measure ~reps setup f =
+  let best = ref infinity and minor = ref 0.0 and major = ref 0.0 in
+  for _ = 1 to reps do
+    let x = setup () in
+    Gc.full_major ();
+    let mi0, pr0, ma0 = Gc.counters () in
+    let (), t = Bench_util.time_once (fun () -> f x) in
+    let mi1, pr1, ma1 = Gc.counters () in
+    best := Float.min !best t;
+    minor := mi1 -. mi0;
+    major := ma1 -. ma0 +. (pr1 -. pr0)
+  done;
+  (Bench_util.ms !best, !minor, !major)
+
+(* The per-layer numbers beside perfbench's [setup_s], in process and on
+   its two instances, each file read through [Shard.open_file] as the
+   server reads it: hot-skewed's v1 file opened, routed (one slot, with
+   the server's default memo) and answered once, each layer timed alone
+   and then the three back to back; one load of structured-sweep's
+   shard 0 from an opened container. *)
+let cold_open ~smoke =
+  let reps = if smoke then 3 else 9 in
+  let with_file bytes f =
+    let path = Filename.temp_file "cold_open" ".ladv" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Store.Io.write_file path bytes;
+    f path
+  in
+  let specs = warm_instances ~smoke in
+  let spec name = List.find (fun (s, _, _, _) -> String.equal s name) specs in
+  let router store =
+    Serve.Router.create ~domains:1 ~memo:(Serve.Memo.create ~capacity:4096) store
+  in
+  let first_answer r = ignore (Serve.Router.query r (Serve.Engine.Output_label 0)) in
+  let step c_name setup f =
+    let c_ms, c_minor, c_major = cold_measure ~reps setup f in
+    { c_name; c_ms; c_minor; c_major }
+  in
+  let hot =
+    let _, bytes = instance_bytes (spec "hot-skewed") in
+    with_file bytes @@ fun path ->
+    let opened () = Store.Shard.open_file path in
+    [
+      step "open" ignore (fun () -> ignore (opened ()));
+      step "router_create" opened (fun store -> ignore (router store));
+      step "first_answer" (fun () -> router (opened ())) first_answer;
+      step "open+create+answer" ignore (fun () -> first_answer (router (opened ())));
+    ]
+  in
+  let sweep =
+    let _, bytes = instance_bytes (spec "structured-sweep") in
+    with_file bytes @@ fun path ->
+    let store = Store.Shard.open_file path in
+    [ step "shard_load" ignore (fun () -> ignore (Store.Shard.load store 0)) ]
+  in
+  let report name steps =
+    Printf.printf "store  cold   %-16s" name;
+    List.iter
+      (fun c ->
+        Printf.printf "  %s %.2f ms (%.0f minor, %.0f major w)" c.c_name c.c_ms c.c_minor
+          c.c_major)
+      steps;
+    print_newline ()
+  in
+  report "hot-skewed" hot;
+  report "structured-sweep" sweep;
+  let json (name, steps) =
+    ( name,
+      J.Obj
+        (List.map
+           (fun c ->
+             ( c.c_name,
+               J.Obj
+                 [
+                   ("ms", J.Float c.c_ms);
+                   ("minor_words", J.Float c.c_minor);
+                   ("major_words", J.Float c.c_major);
+                 ] ))
+           steps) )
+  in
+  J.Obj
+    ([ ("requested_domains", J.Int 1);
+       ("effective_domains", J.Int (Localmodel.View.effective_domains ~requested:1 ()));
+       ("reps", J.Int reps) ]
+    @ List.map json [ ("hot-skewed", hot); ("structured-sweep", sweep) ])
 
 let block ~smoke =
   let n = if smoke then 2_000 else 20_000 in

@@ -345,7 +345,9 @@ let inspect_v2 path health shard =
       print_shard_health ~only:k store
   | true, None -> print_shard_health store
   | false, Some k -> print_shard store k
-  | false, None -> print_manifest path (Store.Shard.manifest store)
+  | false, None ->
+      Store.Shard.check_rows store;
+      print_manifest path (Store.Shard.manifest store)
 
 let inspect_cmd =
   let run path health shard =

@@ -54,9 +54,11 @@ let shared_table =
           let v = slot + 1 - (1 lsl !len) in
           String.init !len (fun j -> if v land (1 lsl j) <> 0 then '1' else '0')))
 
+let shared_strings () = Domain.DLS.get shared_table
+
 let shared slot =
   if slot < 0 || slot >= shared_slots then invalid_arg "Bits.shared: slot out of range";
-  (Domain.DLS.get shared_table).(slot)
+  (shared_strings ()).(slot)
 
 let shared_slot s =
   let len = String.length s in
@@ -72,17 +74,29 @@ let shared_slot s =
     if !ok then (1 lsl len) - 1 + !v else -1
   end
 
-let unpack ?(off = 0) b nbits =
-  if off < 0 || nbits < 0 || nbits > (8 * Bytes.length b) - off then
+(* A string of at most 8 bits spans at most two bytes: one or two byte
+   loads and a shift give its slot, and the bits past the buffer are
+   never read. *)
+let unpack_at table s ~off nbits =
+  if off < 0 || nbits < 0 || nbits > (8 * String.length s) - off then
     invalid_arg "Bits.unpack: bit count exceeds buffer";
-  let bit i =
-    Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
-  in
-  if nbits <= shared_max then begin
-    let v = ref 0 in
-    for j = 0 to nbits - 1 do
-      if bit (off + j) then v := !v lor (1 lsl j)
-    done;
-    (Domain.DLS.get shared_table).((1 lsl nbits) - 1 + !v)
+  if nbits = 0 then table.(0)
+  else if nbits <= shared_max then begin
+    let i = off lsr 3 and sh = off land 7 in
+    let word =
+      if sh + nbits > 8 then
+        Char.code (String.unsafe_get s i)
+        lor (Char.code (String.unsafe_get s (i + 1)) lsl 8)
+      else Char.code (String.unsafe_get s i)
+    in
+    table.((1 lsl nbits) - 1 + ((word lsr sh) land ((1 lsl nbits) - 1)))
   end
-  else String.init nbits (fun j -> if bit (off + j) then '1' else '0')
+  else
+    String.init nbits (fun j ->
+        let i = off + j in
+        if Char.code (String.unsafe_get s (i lsr 3)) land (1 lsl (i land 7)) <> 0
+        then '1'
+        else '0')
+
+let unpack ?(off = 0) b nbits =
+  unpack_at (shared_strings ()) (Bytes.unsafe_to_string b) ~off nbits

@@ -51,6 +51,19 @@ val shared : int -> string
     string whose character [j] is bit [j] of [v].
     @raise Invalid_argument on a slot out of range. *)
 
+val shared_strings : unit -> string array
+(** This domain's table of the {!shared} strings, indexed by slot.  Read
+    only: a decoder that unpacks many strings fetches it once and hands
+    it to {!unpack_at}. *)
+
+val unpack_at : string array -> string -> off:int -> int -> string
+(** [unpack_at table s ~off nbits] is {!unpack} over the bytes of [s],
+    starting at bit [off], with [table] = {!shared_strings} [()]: the
+    shared strings come from the table the caller fetched, so the call
+    makes no domain-local lookup, and a packed buffer can be read where
+    it lies inside a larger string.
+    @raise Invalid_argument as {!unpack}. *)
+
 val shared_slot : string -> int
 (** [shared_slot s] is the slot of the shared string equal to [s], or
     [-1] when [s] is longer than 8 characters or not a bit string.

@@ -237,18 +237,20 @@ let reserve sc pos need =
 
 (* The ball's edges [(i, j)], [i < j], in lexicographic stamp order, into
    [sc.src]/[sc.dst]; returns how many.  One pass over the members'
-   adjacency: each stamp's forward neighbors are insertion-sorted in
-   place (balls are degree-bounded). *)
+   rows: each stamp's forward neighbors are insertion-sorted in place
+   (balls are degree-bounded). *)
 let stamped_edges sc ws g =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
   (* Direct stamp reads: this loop runs per neighbor, and cross-module
      calls are not inlined in every build profile. *)
   let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
   let m = ref 0 in
   for i = 0 to count - 1 do
-    let nb = Graph.neighbors g queue.(i) in
-    let deg = Array.length nb in
+    let v = queue.(i) in
+    let row = off.(v) in
+    let deg = off.(v + 1) - row in
     if Array.length sc.dst < !m + deg then begin
       let grow a = Array.append a (Array.make (Array.length a + deg) 0) in
       sc.src <- grow sc.src;
@@ -256,8 +258,8 @@ let stamped_edges sc ws g =
     end;
     let src = sc.src and dst = sc.dst in
     let first = !m in
-    for k = 0 to deg - 1 do
-      let u = Array.unsafe_get nb k in
+    for k = row to row + deg - 1 do
+      let u = Array.unsafe_get nbr k in
       if stamp.(u) = epoch && sub.(u) > i then begin
         let x = sub.(u) in
         let j = ref (!m - 1) in

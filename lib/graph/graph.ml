@@ -1,187 +1,207 @@
+(* Compressed sparse rows: node [v]'s row is positions [off.(v)] to
+   [off.(v + 1) - 1] of [nbr] (its sorted neighbors) and [inc] (the id
+   of the edge to each of them); edge [e] is [{ends.(2e), ends.(2e+1)}],
+   lower endpoint first.  Four flat int arrays whatever the graph's
+   size, so building, reading and dropping a graph never touches a
+   per-node or per-edge heap block. *)
 type t = {
   n : int;
-  adj : int array array;
-  edges : (int * int) array;
-  incident : int array array;
+  off : int array;
+  nbr : int array;
+  inc : int array;
+  ends : int array;
 }
 
-(* Index of [x] in a sorted int array, or -1. *)
-let find_in_sorted (arr : int array) x =
-  let lo = ref 0 and hi = ref (Array.length arr - 1) in
+(* Position of [x] in the sorted slice [lo, hi) of [a], or -1. *)
+let find_in_row (a : int array) lo hi x =
+  let lo = ref lo and hi = ref (hi - 1) in
   let res = ref (-1) in
   while !res < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let y = arr.(mid) in
+    let y = a.(mid) in
     if y = x then res := mid else if y < x then lo := mid + 1 else hi := mid - 1
   done;
   !res
 
-(* Monomorphic sort for adjacency arrays.  Balls on the serve path are
-   degree-bounded, so an in-place insertion sort with direct int
-   comparisons beats the generic closure-compare [Array.sort]; long
-   arrays (a star's hub) fall back to it so the worst case stays
+(* Monomorphic sort of the slice [lo, hi) of [a].  Balls on the serve
+   path are degree-bounded, so an in-place insertion sort with direct
+   int comparisons beats the generic closure-compare [Array.sort]; long
+   rows (a star's hub) go through it on a copy so the worst case stays
    O(d log d). *)
-let sort_ints (a : int array) =
-  let n = Array.length a in
-  if n > 16 then Array.sort Int.compare a
+let sort_row (a : int array) lo hi =
+  if hi - lo > 16 then begin
+    let row = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare row;
+    Array.blit row 0 a lo (hi - lo)
+  end
   else
-    for i = 1 to n - 1 do
+    for i = lo + 1 to hi - 1 do
       let x = Array.unsafe_get a i in
       let j = ref (i - 1) in
-      while !j >= 0 && Array.unsafe_get a !j > x do
+      while !j >= lo && Array.unsafe_get a !j > x do
         Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
         decr j
       done;
       Array.unsafe_set a (!j + 1) x
     done
 
-(* A graph on strictly increasing, symmetric adjacency arrays (the
-   arrays become the graph's), in one pass in node order: node [u]
-   numbers its edges to the neighbors above it, so edge ids come out
-   lexicographic without a sort or a dedup table.  Its lower neighbors
-   [w < u] numbered theirs earlier, in increasing [w], so they filled
-   the first [lower.(u)] slots of [u]'s incident array, which are
-   exactly the slots of [adj.(u)] below [u].  Every constructor ends
-   here. *)
-let of_sorted_adj adj =
-  let n = Array.length adj in
-  let m = Array.fold_left (fun acc nb -> acc + Array.length nb) 0 adj / 2 in
-  let edges = Array.make m (0, 0) in
-  let incident = Array.map (fun nb -> Array.make (Array.length nb) 0) adj in
-  let lower = Array.make n 0 in
+(* The one CSR builder: rows [off]/[nbr] become the graph's own arrays,
+   checked and numbered in one pass in node order with one cursor per
+   node.  Each row must be strictly increasing, in range and loop-free.
+   Visiting nodes in increasing order reaches each node's lower
+   neighbors in increasing order, so when [u] lists [v > u], [u] must be
+   the entry at [v]'s cursor, which starts at [off.(v)]: symmetry needs
+   no search or table.  The same step numbers the edge: [u] numbers its
+   edges to the neighbors above it, so edge ids come out lexicographic,
+   and the id goes to both slots.  A closing pass checks that every
+   cursor has consumed its node's whole lower prefix, which also means
+   every slot of [inc] was written. *)
+let of_sorted_adj off nbr =
+  let n = Array.length off - 1 in
+  let bad fmt = Printf.ksprintf invalid_arg ("Graph.of_adjacency: " ^^ fmt) in
+  let len = Array.length nbr in
+  let inc = Array.make len 0 and ends = Array.make len 0 in
+  let cursor = Array.sub off 0 n in
   let next = ref 0 in
   for u = 0 to n - 1 do
-    let nb = adj.(u) and inc = incident.(u) in
-    for k = lower.(u) to Array.length nb - 1 do
-      let v = nb.(k) and e = !next in
-      edges.(e) <- (u, v);
-      inc.(k) <- e;
-      incident.(v).(lower.(v)) <- e;
-      lower.(v) <- lower.(v) + 1;
-      next := e + 1
-    done
-  done;
-  { n; adj; edges; incident }
-
-(* [of_sorted_adj] over adjacency from outside the library (a snapshot's
-   graph section), checked in one pass in node order.  Each array must
-   be strictly increasing, in range and loop-free.  Symmetry needs no
-   search or table: visiting nodes in increasing order reaches each
-   node's lower neighbors in increasing order (the argument behind
-   [of_sorted_adj]'s numbering), so when [u] lists [v > u], [u] must be
-   the next unmatched entry of [adj.(v)], tracked by a cursor per node.
-   A closing pass checks that every cursor has consumed its node's
-   whole lower prefix. *)
-let of_adjacency adj =
-  let n = Array.length adj in
-  let bad fmt = Printf.ksprintf invalid_arg ("Graph.of_adjacency: " ^^ fmt) in
-  let cursor = Array.make n 0 in
-  for u = 0 to n - 1 do
-    let nb = adj.(u) in
-    for k = 0 to Array.length nb - 1 do
-      let v = nb.(k) in
+    let first = off.(u) in
+    for k = first to off.(u + 1) - 1 do
+      let v = nbr.(k) in
       if v < 0 || v >= n then
         bad "node %d lists neighbor %d outside 0..%d" u v (n - 1);
       if v = u then bad "node %d lists itself" u;
-      if k > 0 && v <= nb.(k - 1) then
-        bad "node %d lists neighbor %d after %d" u v nb.(k - 1);
+      if k > first && v <= nbr.(k - 1) then
+        bad "node %d lists neighbor %d after %d" u v nbr.(k - 1);
       if v > u then begin
         let c = cursor.(v) in
-        if c >= Array.length adj.(v) || adj.(v).(c) <> u then
+        if c >= off.(v + 1) || nbr.(c) <> u then
           bad "adjacency is not symmetric at edge {%d, %d}" u v;
-        cursor.(v) <- c + 1
+        let e = !next in
+        ends.(2 * e) <- u;
+        ends.((2 * e) + 1) <- v;
+        inc.(k) <- e;
+        inc.(c) <- e;
+        cursor.(v) <- c + 1;
+        next := e + 1
       end
     done
   done;
   for v = 0 to n - 1 do
     let c = cursor.(v) in
-    if c < Array.length adj.(v) && adj.(v).(c) < v then
-      bad "adjacency is not symmetric at edge {%d, %d}" adj.(v).(c) v
+    if c < off.(v + 1) && nbr.(c) < v then
+      bad "adjacency is not symmetric at edge {%d, %d}" nbr.(c) v
   done;
-  of_sorted_adj adj
+  { n; off; nbr; inc; ends }
 
-(* Sorted [a] without repeats: [a] itself when it has none. *)
-let dedup_sorted (a : int array) =
-  let len = Array.length a in
-  let k = ref (min len 1) in
-  for i = 1 to len - 1 do
-    if a.(i) <> a.(!k - 1) then begin
-      a.(!k) <- a.(i);
-      incr k
-    end
+let of_rows ~off ~nbr =
+  if Array.length off = 0 then invalid_arg "Graph.of_rows: empty offset array";
+  let n = Array.length off - 1 in
+  if off.(0) <> 0 || off.(n) <> Array.length nbr then
+    invalid_arg "Graph.of_rows: offsets do not span the neighbor array";
+  for v = 0 to n - 1 do
+    if off.(v + 1) < off.(v) then invalid_arg "Graph.of_rows: offsets decrease"
   done;
-  if !k = len then a else Array.sub a 0 !k
+  of_sorted_adj off nbr
 
-(* Bucket each edge into both endpoints' arrays, then sort and dedup
-   each array: symmetric by construction, so [of_sorted_adj] applies
-   without the symmetry pass. *)
+(* The flat form of [adj], checked as a snapshot's rows are. *)
+let of_adjacency adj =
+  let n = Array.length adj in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Array.length adj.(v)
+  done;
+  let nbr = Array.make off.(n) 0 in
+  Array.iteri (fun v a -> Array.blit a 0 nbr off.(v) (Array.length a)) adj;
+  of_sorted_adj off nbr
+
+(* Count degrees, fill the rows, then sort, deduplicate and compact each
+   row in place: a row's deduplicated entries never move right, so the
+   write position trails the read position.  Symmetric by
+   construction. *)
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let deg = Array.make n 0 in
+  let off = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1)
     edge_list;
-  let adj = Array.map (fun d -> Array.make d 0) deg in
-  Array.fill deg 0 n 0;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let nbr = Array.make off.(n) 0 in
+  let fill = Array.sub off 0 n in
   List.iter
     (fun (u, v) ->
-      adj.(u).(deg.(u)) <- v;
-      deg.(u) <- deg.(u) + 1;
-      adj.(v).(deg.(v)) <- u;
-      deg.(v) <- deg.(v) + 1)
+      nbr.(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1;
+      nbr.(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1)
     edge_list;
-  of_sorted_adj
-    (Array.map
-       (fun nb ->
-         sort_ints nb;
-         dedup_sorted nb)
-       adj)
+  let w = ref 0 in
+  for v = 0 to n - 1 do
+    let lo = off.(v) and hi = off.(v + 1) in
+    sort_row nbr lo hi;
+    off.(v) <- !w;
+    for k = lo to hi - 1 do
+      if k = lo || nbr.(k) <> nbr.(k - 1) then begin
+        nbr.(!w) <- nbr.(k);
+        incr w
+      end
+    done
+  done;
+  off.(n) <- !w;
+  of_sorted_adj off (if !w = Array.length nbr then nbr else Array.sub nbr 0 !w)
 
 let n g = g.n
-let m g = Array.length g.edges
-let degree g v = Array.length g.adj.(v)
-let neighbors g v = g.adj.(v)
+let m g = Array.length g.ends / 2
+let degree g v = g.off.(v + 1) - g.off.(v)
+let neighbors g v = Array.sub g.nbr g.off.(v) (degree g v)
+let incident_edges g v = Array.sub g.inc g.off.(v) (degree g v)
+let row_offsets g = g.off
+let row_neighbors g = g.nbr
+let row_edges g = g.inc
 
 let max_degree g =
-  Array.fold_left (fun acc nb -> max acc (Array.length nb)) 0 g.adj
+  let d = ref 0 in
+  for v = 0 to g.n - 1 do
+    d := max !d (degree g v)
+  done;
+  !d
 
-(* Membership and edge ids by binary search in the sorted neighbor array of
-   the lower-degree endpoint: O(log min-degree), no hashing. *)
-let is_edge g u v =
-  u <> v
-  &&
-  let a, b =
-    if Array.length g.adj.(u) <= Array.length g.adj.(v) then (u, v) else (v, u)
-  in
-  find_in_sorted g.adj.(a) b >= 0
+(* Position of [b] in the row of [a], searching the lower-degree
+   endpoint's row: O(log min-degree), no hashing. *)
+let slot g u v =
+  if u = v then -1
+  else
+    let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
+    find_in_row g.nbr g.off.(a) g.off.(a + 1) b
+
+let is_edge g u v = slot g u v >= 0
 
 let edge_id g u v =
-  if u = v then raise Not_found;
-  let a, b =
-    if Array.length g.adj.(u) <= Array.length g.adj.(v) then (u, v) else (v, u)
-  in
-  let i = find_in_sorted g.adj.(a) b in
-  if i < 0 then raise Not_found else g.incident.(a).(i)
+  let k = slot g u v in
+  if k < 0 then raise Not_found else g.inc.(k)
 
-let edge_endpoints g e = g.edges.(e)
-let incident_edges g v = g.incident.(v)
+let edge_endpoints g e = (g.ends.(2 * e), g.ends.((2 * e) + 1))
 
 let edge_other_endpoint g e v =
-  let u, w = g.edges.(e) in
+  let u = g.ends.(2 * e) and w = g.ends.((2 * e) + 1) in
   if v = u then w
   else if v = w then u
   else invalid_arg "Graph.edge_other_endpoint: node not on edge"
 
-let iter_edges f g = Array.iteri f g.edges
+let iter_edges f g =
+  for e = 0 to m g - 1 do
+    f e (g.ends.(2 * e), g.ends.((2 * e) + 1))
+  done
 
 let fold_edges f g init =
   let acc = ref init in
-  Array.iteri (fun id e -> acc := f id e !acc) g.edges;
+  iter_edges (fun id e -> acc := f id e !acc) g;
   !acc
 
 let iter_nodes f g =
@@ -194,38 +214,41 @@ let fold_nodes f g init =
   iter_nodes (fun v -> acc := f v !acc) g;
   !acc
 
-let edges g = g.edges
+let edges g = Array.init (m g) (fun e -> (g.ends.(2 * e), g.ends.((2 * e) + 1)))
 
 (* The subgraph induced by the node set stamped in [ws], stamped node
    [i] (insertion order) becoming sub node [i].  Only the members' own
-   adjacency lists are scanned, so the cost is O(ball nodes + ball
-   edges) plus the sort of each sub adjacency array — never O(n) or
-   O(m) of the host graph. *)
+   rows are scanned, so the cost is O(ball nodes + ball edges) plus the
+   sort of each sub row — never O(n) or O(m) of the host graph. *)
 let induced_ball g ws =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
   let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
-  let adj = Array.make count [||] in
+  let goff = g.off and gnbr = g.nbr in
+  let off = Array.make (count + 1) 0 in
   for i = 0 to count - 1 do
-    let nb = g.adj.(queue.(i)) in
+    let v = queue.(i) in
     let d = ref 0 in
-    for k = 0 to Array.length nb - 1 do
-      if stamp.(nb.(k)) = epoch then incr d
+    for k = goff.(v) to goff.(v + 1) - 1 do
+      if stamp.(gnbr.(k)) = epoch then incr d
     done;
-    let a = Array.make !d 0 in
-    let fill = ref 0 in
-    for k = 0 to Array.length nb - 1 do
-      let u = nb.(k) in
+    off.(i + 1) <- off.(i) + !d
+  done;
+  let nbr = Array.make off.(count) 0 in
+  for i = 0 to count - 1 do
+    let v = queue.(i) in
+    let fill = ref off.(i) in
+    for k = goff.(v) to goff.(v + 1) - 1 do
+      let u = gnbr.(k) in
       if stamp.(u) = epoch then begin
-        a.(!fill) <- sub.(u);
+        nbr.(!fill) <- sub.(u);
         incr fill
       end
     done;
     (* Neighbors arrive sorted by original id, not by sub id. *)
-    sort_ints a;
-    adj.(i) <- a
+    sort_row nbr off.(i) off.(i + 1)
   done;
-  (of_sorted_adj adj, Array.sub queue 0 count)
+  (of_sorted_adj off nbr, Array.sub queue 0 count)
 
 let induced g nodes =
   let ws = Workspace.domain_local () in
@@ -240,50 +263,49 @@ let induced g nodes =
 
 (* Induced subgraph on a strictly increasing id array, numbering sub
    nodes by array position.  The monotone numbering is what makes this
-   cheap: each member's sorted neighbor array maps to a sorted local
-   array and the lexicographic edge order is preserved, so nothing is
-   re-sorted.  Global→local translation is an offset-indexed rank array
-   over the ids' span [ids.(0) .. ids.(count-1)] — O(1) membership with
-   scratch proportional to the span, which for locality-friendly id
-   sets (a shard's interior range plus its halo) is barely more than
-   [count], and never exceeds the old O(n) map. *)
+   cheap: each member's sorted row maps to a sorted local row and the
+   lexicographic edge order is preserved, so nothing is re-sorted.
+   Global→local translation is an offset-indexed rank array over the
+   ids' span [ids.(0) .. ids.(count-1)] — O(1) membership with scratch
+   proportional to the span, which for locality-friendly id sets (a
+   shard's interior range plus its halo) is barely more than [count],
+   and never exceeds the old O(n) map. *)
 let induced_sorted g ids =
   let count = Array.length ids in
-  if count = 0 then { n = 0; adj = [||]; edges = [||]; incident = [||] }
-  else begin
-    Array.iteri
-      (fun i v ->
-        if v < 0 || v >= g.n then
-          invalid_arg "Graph.induced_sorted: node id out of range";
-        if i > 0 && ids.(i - 1) >= v then
-          invalid_arg "Graph.induced_sorted: ids not strictly increasing")
-      ids;
-    let base = ids.(0) in
-    let span = ids.(count - 1) - base + 1 in
-    let rank = Array.make span (-1) in
-    Array.iteri (fun i v -> rank.(v - base) <- i) ids;
-    let local u =
-      if u < base || u - base >= span then -1 else rank.(u - base)
-    in
-    let adj =
-      Array.init count (fun i ->
-          let nb = g.adj.(ids.(i)) in
-          let d = ref 0 in
-          Array.iter (fun u -> if local u >= 0 then incr d) nb;
-          let out = Array.make !d 0 in
-          let fill = ref 0 in
-          Array.iter
-            (fun u ->
-              let j = local u in
-              if j >= 0 then begin
-                out.(!fill) <- j;
-                incr fill
-              end)
-            nb;
-          out)
-    in
-    of_sorted_adj adj
-  end
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v >= g.n then
+        invalid_arg "Graph.induced_sorted: node id out of range";
+      if i > 0 && ids.(i - 1) >= v then
+        invalid_arg "Graph.induced_sorted: ids not strictly increasing")
+    ids;
+  let base = if count = 0 then 0 else ids.(0) in
+  let span = if count = 0 then 0 else ids.(count - 1) - base + 1 in
+  let rank = Array.make span (-1) in
+  Array.iteri (fun i v -> rank.(v - base) <- i) ids;
+  let local u = if u < base || u - base >= span then -1 else rank.(u - base) in
+  let off = Array.make (count + 1) 0 in
+  for i = 0 to count - 1 do
+    let v = ids.(i) in
+    let d = ref 0 in
+    for k = g.off.(v) to g.off.(v + 1) - 1 do
+      if local g.nbr.(k) >= 0 then incr d
+    done;
+    off.(i + 1) <- off.(i) + !d
+  done;
+  let nbr = Array.make off.(count) 0 in
+  for i = 0 to count - 1 do
+    let v = ids.(i) in
+    let fill = ref off.(i) in
+    for k = g.off.(v) to g.off.(v + 1) - 1 do
+      let j = local g.nbr.(k) in
+      if j >= 0 then begin
+        nbr.(!fill) <- j;
+        incr fill
+      end
+    done
+  done;
+  of_sorted_adj off nbr
 
 let remove_nodes g removed =
   let kept = fold_nodes (fun v acc -> if Bitset.mem removed v then acc else v :: acc) g [] in
@@ -303,14 +325,14 @@ let power g k =
     while not (Queue.is_empty queue) do
       let v = Queue.take queue in
       if dist.(v) < k then
-        Array.iter
-          (fun u ->
-            if dist.(u) < 0 then begin
-              dist.(u) <- dist.(v) + 1;
-              touched := u :: !touched;
-              Queue.add u queue
-            end)
-          g.adj.(v)
+        for j = g.off.(v) to g.off.(v + 1) - 1 do
+          let u = g.nbr.(j) in
+          if dist.(u) < 0 then begin
+            dist.(u) <- dist.(v) + 1;
+            touched := u :: !touched;
+            Queue.add u queue
+          end
+        done
     done;
     (* Collect pairs at distance in [1, k] with s < other endpoint. *)
     List.iter
@@ -325,10 +347,9 @@ let line_graph g =
   let acc = ref [] in
   iter_nodes
     (fun v ->
-      let inc = g.incident.(v) in
-      for i = 0 to Array.length inc - 1 do
-        for j = i + 1 to Array.length inc - 1 do
-          acc := (inc.(i), inc.(j)) :: !acc
+      for i = g.off.(v) to g.off.(v + 1) - 1 do
+        for j = i + 1 to g.off.(v + 1) - 1 do
+          acc := (g.inc.(i), g.inc.(j)) :: !acc
         done
       done)
     g;
@@ -344,28 +365,25 @@ let is_connected g =
     let count = ref 1 in
     while not (Queue.is_empty queue) do
       let v = Queue.take queue in
-      Array.iter
-        (fun u ->
-          if not (Bitset.mem seen u) then begin
-            Bitset.add seen u;
-            incr count;
-            Queue.add u queue
-          end)
-        g.adj.(v)
+      for k = g.off.(v) to g.off.(v + 1) - 1 do
+        let u = g.nbr.(k) in
+        if not (Bitset.mem seen u) then begin
+          Bitset.add seen u;
+          incr count;
+          Queue.add u queue
+        end
+      done
     done;
     !count = g.n
   end
 
+(* Edge ids are lexicographic, so equal edge sets give equal [ends]. *)
 let equal a b =
   a.n = b.n
-  && Array.length a.edges = Array.length b.edges
+  && Array.length a.ends = Array.length b.ends
   && begin
        let ok = ref true in
-       Array.iteri
-         (fun i (u, v) ->
-           let u', v' = b.edges.(i) in
-           if u <> u' || v <> v' then ok := false)
-         a.edges;
+       Array.iteri (fun i x -> if x <> b.ends.(i) then ok := false) a.ends;
        !ok
      end
 

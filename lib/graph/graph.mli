@@ -5,29 +5,49 @@
     edge are normalized so that the first is the smaller node id.  Neighbor
     arrays are sorted, which gives every algorithm in the library a
     canonical, ID-based local ordering — the same ordering a LOCAL-model
-    node would derive from the unique identifiers of its neighbors. *)
+    node would derive from the unique identifiers of its neighbors.
+
+    A graph is stored as compressed sparse rows: four flat int arrays
+    (row offsets, neighbors, incident edge ids, edge endpoints), whatever
+    its size.  The per-node accessors ({!neighbors}, {!incident_edges})
+    copy a row out; per-neighbor loops read the shared rows through
+    {!row_offsets}, {!row_neighbors} and {!row_edges} instead. *)
 
 type t
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] nodes.  Self-loops are
     rejected; duplicate edges (in either orientation) are collapsed.
-    Each listed pair is bucketed into both endpoints' neighbor arrays,
-    which are then sorted and deduplicated — no hash table and no sort
-    of the whole edge list.
+    Degrees are counted, each listed pair is bucketed into both
+    endpoints' rows, and each row is then sorted, deduplicated and
+    compacted in place — no hash table and no sort of the whole edge
+    list.
     @raise Invalid_argument on a negative [n], an endpoint outside
     [0..n-1] or a self-loop. *)
 
 val of_adjacency : int array array -> t
 (** [of_adjacency adj] is the graph on [Array.length adj] nodes whose
-    sorted neighbor arrays are [adj] — taken as they are, so the caller
-    must not mutate them afterwards.  It checks, in one O(n + m) pass
-    and without a hash table or a sort, that every [adj.(v)] is strictly
-    increasing, lies in [0..n-1] and omits [v], and that the adjacency
-    is symmetric ([u] lists [v] iff [v] lists [u]).  The result equals
-    {!of_edges} over the same edges: same neighbor arrays, the same
-    lexicographic edge ids and the same incident arrays.
-    @raise Invalid_argument naming the first offending node or edge. *)
+    sorted neighbor arrays are [adj] (copied into rows; [adj] is not
+    kept).  It checks, in one O(n + m) pass and without a hash table or
+    a sort, that every [adj.(v)] is strictly increasing, lies in
+    [0..n-1] and omits [v], and that the adjacency is symmetric ([u]
+    lists [v] iff [v] lists [u]).  The result equals {!of_edges} over
+    the same edges: same neighbor arrays, the same lexicographic edge
+    ids and the same incident arrays.
+    @raise Invalid_argument ["Graph.of_adjacency: …"] naming the first
+    offending node or edge. *)
+
+val of_rows : off:int array -> nbr:int array -> t
+(** [of_rows ~off ~nbr] is {!of_adjacency} over rows already laid out
+    flat: node [v]'s sorted neighbors are [nbr.(off.(v))] to
+    [nbr.(off.(v + 1) - 1)], for [n = Array.length off - 1] nodes.  Both
+    arrays become the graph's own ({!row_offsets}, {!row_neighbors}),
+    so the caller must not mutate them afterwards.  The rows get exactly
+    {!of_adjacency}'s checks, diagnostics and edge numbering, in one
+    pass with one cursor array.
+    @raise Invalid_argument when [off] is empty, does not start at 0,
+    decreases or does not end at [Array.length nbr]; otherwise as
+    {!of_adjacency}. *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -37,7 +57,9 @@ val m : t -> int
 
 val degree : t -> int -> int
 val neighbors : t -> int -> int array
-(** Sorted array of neighbors; shared, do not mutate. *)
+(** Sorted array of neighbors, freshly copied out of the node's row:
+    O(degree) words per call.  Per-neighbor loops read
+    {!row_neighbors} instead. *)
 
 val max_degree : t -> int
 val is_edge : t -> int -> int -> bool
@@ -46,17 +68,39 @@ val edge_id : t -> int -> int -> int
 (** Dense id of edge [{u,v}].  @raise Not_found if absent. *)
 
 val edge_endpoints : t -> int -> int * int
-(** Endpoints [(u, v)] with [u < v]. *)
+(** Endpoints [(u, v)] with [u < v], as a fresh pair. *)
 
 val incident_edges : t -> int -> int array
-(** Edge ids incident to a node, ordered by the sorted neighbor array. *)
+(** Edge ids incident to a node, ordered by the sorted neighbor array;
+    a fresh copy of the node's row of {!row_edges}. *)
+
+(** {2 Zero-copy rows}
+
+    The graph's own arrays, handed out without a copy for loops that
+    run per neighbor.  They are shared by every reader of the graph and
+    must never be written. *)
+
+val row_offsets : t -> int array
+(** [n + 1] entries, [row_offsets.(0) = 0]: node [v]'s row is positions
+    [row_offsets.(v)] to [row_offsets.(v + 1) - 1] of {!row_neighbors}
+    and {!row_edges}, so [degree v] is the difference of the two. *)
+
+val row_neighbors : t -> int array
+(** [2m] entries: every node's neighbors, row after row, strictly
+    increasing within a row.  Position [k] of [v]'s row holds the same
+    neighbor as [(neighbors g v).(k - row_offsets.(v))]. *)
+
+val row_edges : t -> int array
+(** [2m] entries, parallel to {!row_neighbors}: position [k] holds the
+    id of the edge between the row's node and [row_neighbors.(k)]. *)
 
 val edge_other_endpoint : t -> int -> int -> int
 (** [edge_other_endpoint g e v] is the endpoint of edge [e] distinct from
     [v]. *)
 
 val iter_edges : (int -> int * int -> unit) -> t -> unit
-(** Iterate [f edge_id (u, v)] over all edges. *)
+(** Iterate [f edge_id (u, v)] over all edges in id order, each pair
+    fresh. *)
 
 val fold_edges : (int -> int * int -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -64,7 +108,8 @@ val iter_nodes : (int -> unit) -> t -> unit
 val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val edges : t -> (int * int) array
-(** Array of endpoints indexed by edge id; shared, do not mutate. *)
+(** Array of endpoints indexed by edge id, built afresh: O(m) per
+    call. *)
 
 val induced : t -> int list -> t * int array * int array
 (** [induced g nodes] is the subgraph induced by [nodes] (duplicates
@@ -79,7 +124,7 @@ val induced_ball : t -> Workspace.t -> t * int array
     stamped in [ws] (typically filled by {!Traversal.bfs_limited_into}),
     numbering sub nodes by stamp order: [(h, to_orig)] where [to_orig.(i)]
     is the original id of subgraph node [i]; the inverse map is
-    [Workspace.sub_index ws].  Scans only the members' adjacency lists, so
+    [Workspace.sub_index ws].  Scans only the members' rows, so
     the cost is O(ball nodes + ball edges) — independent of [Graph.n] and
     [Graph.m].  The result satisfies the same canonical invariants as
     {!of_edges} (sorted neighbors, lexicographically sorted dense edge

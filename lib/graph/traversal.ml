@@ -1,3 +1,11 @@
+(* [f u] for every neighbor [u] of [v], read in place from the shared
+   rows: [Graph.neighbors] would copy the row first. *)
+let iter_neighbors g v f =
+  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
+  for k = off.(v) to off.(v + 1) - 1 do
+    f nbr.(k)
+  done
+
 let bfs_distances_multi g sources =
   let dist = Array.make (Graph.n g) (-1) in
   let queue = Queue.create () in
@@ -10,22 +18,20 @@ let bfs_distances_multi g sources =
     sources;
   while not (Queue.is_empty queue) do
     let v = Queue.take queue in
-    Array.iter
-      (fun u ->
+    iter_neighbors g v (fun u ->
         if dist.(u) < 0 then begin
           dist.(u) <- dist.(v) + 1;
           Queue.add u queue
         end)
-      (Graph.neighbors g v)
   done;
   dist
 
 let bfs_distances g s = bfs_distances_multi g [ s ]
 
-(* The per-neighbor loop reads and writes the workspace fields directly
-   ({!Workspace.add} inlined by hand): this is the one BFS of every
-   served ball, and cross-module calls are not inlined in every build
-   profile. *)
+(* The per-neighbor loop reads the graph's rows and reads and writes
+   the workspace fields directly ({!Workspace.add} inlined by hand):
+   this is the one BFS of every served ball, and cross-module calls are
+   not inlined in every build profile. *)
 let bfs_limited_into ws g s r =
   Workspace.ensure ws (Graph.n g);
   Workspace.reset ws;
@@ -33,15 +39,15 @@ let bfs_limited_into ws g s r =
   let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
   let dist = ws.Workspace.dist and sub = ws.Workspace.sub in
   let queue = ws.Workspace.queue in
+  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
   let size = ref 1 and head = ref 0 in
   while !head < !size do
     let v = queue.(!head) in
     incr head;
     let dv = dist.(v) in
     if dv < r then begin
-      let nb = Graph.neighbors g v in
-      for k = 0 to Array.length nb - 1 do
-        let u = nb.(k) in
+      for k = off.(v) to off.(v + 1) - 1 do
+        let u = nbr.(k) in
         if stamp.(u) <> epoch then begin
           stamp.(u) <- epoch;
           dist.(u) <- dv + 1;
@@ -79,8 +85,7 @@ let distance g s t =
     (try
        while not (Queue.is_empty queue) do
          let v = Queue.take queue in
-         Array.iter
-           (fun u ->
+         iter_neighbors g v (fun u ->
              if dist.(u) < 0 then begin
                dist.(u) <- dist.(v) + 1;
                if u = t then begin
@@ -89,7 +94,6 @@ let distance g s t =
                end;
                Queue.add u queue
              end)
-           (Graph.neighbors g v)
        done
      with Exit -> ());
     !result
@@ -106,9 +110,8 @@ let shortest_path g s t =
     if v = t then List.rev (v :: acc)
     else begin
       let next = ref (-1) in
-      Array.iter
-        (fun u -> if !next < 0 && dist.(u) = dist.(v) - 1 then next := u)
-        (Graph.neighbors g v);
+      iter_neighbors g v (fun u ->
+          if !next < 0 && dist.(u) = dist.(v) - 1 then next := u);
       assert (!next >= 0);
       walk !next (v :: acc)
     end
@@ -135,13 +138,11 @@ let components g =
       Queue.add s queue;
       while not (Queue.is_empty queue) do
         let v = Queue.take queue in
-        Array.iter
-          (fun u ->
+        iter_neighbors g v (fun u ->
             if comp.(u) < 0 then begin
               comp.(u) <- c;
               Queue.add u queue
             end)
-          (Graph.neighbors g v)
       done
     end
   done;
@@ -168,14 +169,12 @@ let bipartition g =
       Queue.add s queue;
       while not (Queue.is_empty queue) do
         let v = Queue.take queue in
-        Array.iter
-          (fun u ->
+        iter_neighbors g v (fun u ->
             if side.(u) < 0 then begin
               side.(u) <- 1 - side.(v);
               Queue.add u queue
             end
             else if side.(u) = side.(v) then ok := false)
-          (Graph.neighbors g v)
       done
     end
   done;

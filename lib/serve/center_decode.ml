@@ -83,9 +83,11 @@ let scratch_key =
 let prepare sc ws g =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue in
+  let off = Graph.row_offsets g in
   let d = ref 0 in
   for i = 0 to count - 1 do
-    d := !d + Graph.degree g queue.(i)
+    let v = queue.(i) in
+    d := !d + off.(v + 1) - off.(v)
   done;
   let per_node = count + 1 and per_slot = !d + 1 in
   if Array.length sc.off < per_node then begin
@@ -124,11 +126,12 @@ let neighbours sc ws g ids i =
   else begin
     let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
     let sub = ws.Workspace.sub in
-    let nb = Graph.neighbors g ws.Workspace.queue.(i) in
+    let v = ws.Workspace.queue.(i) in
+    let row = Graph.row_offsets g and hosts = Graph.row_neighbors g in
     let nbr = sc.nbr and o = sc.slots in
     let d = ref 0 in
-    for k = 0 to Array.length nb - 1 do
-      let u = nb.(k) in
+    for k = row.(v) to row.(v + 1) - 1 do
+      let u = hosts.(k) in
       if stamp.(u) = epoch then begin
         let s = sub.(u) in
         let j = ref (o + !d - 1) in

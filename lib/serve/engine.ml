@@ -199,23 +199,25 @@ let check_node t what v =
   if v < 0 || v >= n then fail "Engine: %s names node %d outside 0..%d" what v (n - 1)
 
 (* Slot of edge [e] among [v]'s incident edges, which is the index of
-   its bit in [v]'s label: the incident array is ordered by the sorted
-   neighbor array.  One scan of at most [degree v] ids validates the
-   query too; only a failure reads the edge's endpoints, to name them. *)
+   its bit in [v]'s label: a row of incident edges is ordered by the
+   sorted neighbors.  One scan of at most [degree v] ids of the shared
+   row validates the query too; only a failure reads the edge's
+   endpoints, to name them. *)
 let incident_slot t v e =
   check_node t "Edge_member" v;
   if e < 0 || e >= Graph.m t.graph then
     fail "Engine: Edge_member names edge %d outside 0..%d" e (Graph.m t.graph - 1);
-  let inc = Graph.incident_edges t.graph v in
-  let k = ref 0 in
-  while !k < Array.length inc && inc.(!k) <> e do
+  let off = Graph.row_offsets t.graph and inc = Graph.row_edges t.graph in
+  let first = off.(v) and stop = off.(v + 1) in
+  let k = ref first in
+  while !k < stop && inc.(!k) <> e do
     incr k
   done;
-  if !k = Array.length inc then begin
+  if !k = stop then begin
     let a, b = Graph.edge_endpoints t.graph e in
     fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e a b
   end;
-  !k
+  !k - first
 
 (* Decode [v]'s ball, consulting the canonical-ball memo between the
    label column (the caller) and the decoder.  One BFS stamps the ball

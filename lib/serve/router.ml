@@ -358,12 +358,14 @@ let not_incident (r : resident) v e =
     (global a) (global b)
 
 let local_edge (r : resident) v e =
-  let inc = Netgraph.Graph.incident_edges (Engine.graph r.engine) (v + r.shift) in
-  let k = ref 0 in
-  while !k < Array.length inc && (if r.whole then inc.(!k) else r.edge_ids.(inc.(!k))) <> e do
+  let g = Engine.graph r.engine in
+  let off = Netgraph.Graph.row_offsets g and inc = Netgraph.Graph.row_edges g in
+  let lv = v + r.shift in
+  let k = ref off.(lv) and stop = off.(lv + 1) in
+  while !k < stop && (if r.whole then inc.(!k) else r.edge_ids.(inc.(!k))) <> e do
     incr k
   done;
-  if !k = Array.length inc then not_incident r v e else inc.(!k)
+  if !k = stop then not_incident r v e else inc.(!k)
 
 let translate (r : resident) = function
   | Engine.Output_label v -> Engine.Output_label (v + r.shift)

@@ -91,7 +91,10 @@ let section w ~tag ?crc payload =
 
 (* Reader *)
 
-type reader = { data : string; mutable pos : int; limit : int }
+(* [base] is where the window's offsets count from: 0 for a reader made
+   by [reader], the window's first byte for one made by [sub], so a
+   window reports what a reader over a copy of its bytes would. *)
+type reader = { data : string; mutable pos : int; limit : int; base : int }
 
 let reader ?(pos = 0) ?len data =
   let limit =
@@ -99,16 +102,19 @@ let reader ?(pos = 0) ?len data =
   in
   if pos < 0 || limit > String.length data || pos > limit then
     invalid_arg "Codec.reader: range out of bounds";
-  { data; pos; limit }
+  { data; pos; limit; base = 0 }
 
-let pos r = r.pos
+let pos r = r.pos - r.base
 let remaining r = r.limit - r.pos
 let at_end r = r.pos >= r.limit
+let source r = r.data
+let source_pos r = r.pos
+let fork r = { r with pos = r.pos }
 
 let need r k what =
   if remaining r < k then
     corrupt "truncated input at offset %d: need %d byte(s) for %s, have %d"
-      r.pos k what (remaining r)
+      (pos r) k what (remaining r)
 
 let read_u8 r =
   need r 1 "u8";
@@ -132,8 +138,8 @@ let read_u32 r =
 
 (* A loop rather than a local recursive function, so no call allocates
    a closure. *)
-let read_varint r =
-  let start = r.pos in
+let read_varint_loop r =
+  let start = pos r in
   let acc = ref 0 and shift = ref 0 and last = ref false in
   while not !last do
     need r 1 "varint";
@@ -155,12 +161,33 @@ let read_varint r =
   done;
   !acc
 
-let read_raw r k =
-  if k < 0 then corrupt "negative length %d at offset %d" k r.pos;
+(* Most varints of a snapshot (degrees, neighbor gaps, advice lengths)
+   are one byte: those return without entering the loop. *)
+let read_varint r =
+  if r.pos < r.limit then begin
+    let b = Char.code (String.unsafe_get r.data r.pos) in
+    if b < 0x80 then begin
+      r.pos <- r.pos + 1;
+      b
+    end
+    else read_varint_loop r
+  end
+  else read_varint_loop r
+
+let sub r k =
+  if k < 0 then corrupt "negative length %d at offset %d" k (pos r);
   need r k "raw bytes";
-  let s = String.sub r.data r.pos k in
+  let w = { data = r.data; pos = r.pos; limit = r.pos + k; base = r.pos } in
   r.pos <- r.pos + k;
-  s
+  w
+
+let read_raw r k =
+  let w = sub r k in
+  String.sub w.data w.pos k
+
+let sub_str r =
+  let len = read_varint r in
+  sub r len
 
 let read_str r =
   let len = read_varint r in
@@ -168,10 +195,10 @@ let read_str r =
 
 let expect_end r ~what =
   if not (at_end r) then
-    corrupt "%s: %d trailing byte(s) at offset %d" what (remaining r) r.pos
+    corrupt "%s: %d trailing byte(s) at offset %d" what (remaining r) (pos r)
 
 let read_section r =
-  let offset = r.pos in
+  let offset = pos r in
   let tag = read_u8 r in
   let len = read_u32 r in
   if remaining r < len + 4 then
@@ -179,9 +206,9 @@ let read_section r =
       "truncated section (tag %d) at offset %d: header announces %d payload \
        byte(s) plus a 4-byte checksum (%d in all) but only %d byte(s) remain"
       tag offset len (len + 4) (remaining r);
-  let payload = read_raw r len in
+  let payload = sub r len in
   let stored = read_u32 r in
-  let actual = Crc32.of_string payload in
+  let actual = Crc32.of_substring r.data ~pos:payload.pos ~len in
   if stored <> actual then
     corrupt
       "checksum mismatch in section (tag %d) at offset %d: stored %08x, \

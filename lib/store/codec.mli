@@ -96,13 +96,37 @@ val reader : ?pos:int -> ?len:int -> string -> reader
     the whole string).  @raise Invalid_argument on an impossible window. *)
 
 val pos : reader -> int
-(** Current absolute byte offset. *)
+(** Current byte offset: absolute in the string for a {!reader}, counted
+    from the window's first byte for a {!sub} window.  Every diagnostic
+    reports offsets the same way. *)
 
 val remaining : reader -> int
 (** Bytes left before the window's limit. *)
 
 val at_end : reader -> bool
 (** Whether the cursor has consumed its whole window. *)
+
+val fork : reader -> reader
+(** An independent cursor at the same position over the same window:
+    reading one does not move the other. *)
+
+val source : reader -> string
+(** The string the reader walks, shared: for decoders that address the
+    bytes ahead in place (packed bits).  Never copied. *)
+
+val source_pos : reader -> int
+(** The absolute index in {!source} of the reader's current position. *)
+
+val sub : reader -> int -> reader
+(** [sub r n] consumes [n] bytes as {!read_raw} does, with the same
+    diagnostics, but copies nothing: it returns a window over those
+    bytes of the same string.  The window's offsets count from its first
+    byte, so decoding it reports exactly what decoding the copy
+    would. *)
+
+val sub_str : reader -> reader
+(** {!read_str} as a {!sub} window: the length-prefixed bytes, in
+    place. *)
 
 val read_u8 : reader -> int
 (** One byte.  @raise Corrupt on truncation (as all readers below). *)
@@ -129,9 +153,11 @@ val read_raw : reader -> int -> string
 val expect_end : reader -> what:string -> unit
 (** @raise Corrupt when bytes remain after a complete parse. *)
 
-val read_section : reader -> int * string
+val read_section : reader -> int * reader
 (** Reads one framed section, verifies its checksum and returns
-    [(tag, payload)].  @raise Corrupt on truncation or CRC mismatch. *)
+    [(tag, payload)], in place: the checksum is computed over the bytes
+    where they lie, and the payload is a {!sub} window, so no payload
+    byte is copied.  @raise Corrupt on truncation or CRC mismatch. *)
 
 type section_info = {
   tag : int;

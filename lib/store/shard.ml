@@ -28,6 +28,7 @@ let plan ~n ~shards =
 
 let halo_members g ~lo ~hi ~halo =
   let n = Graph.n g in
+  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
   let visited = Bytes.make n '\000' in
   let count = ref 0 in
   let frontier = ref [] in
@@ -40,14 +41,14 @@ let halo_members g ~lo ~hi ~halo =
     let next = ref [] in
     List.iter
       (fun v ->
-        Array.iter
-          (fun u ->
-            if Bytes.get visited u = '\000' then begin
-              Bytes.set visited u '\001';
-              incr count;
-              next := u :: !next
-            end)
-          (Graph.neighbors g v))
+        for k = off.(v) to off.(v + 1) - 1 do
+          let u = nbr.(k) in
+          if Bytes.get visited u = '\000' then begin
+            Bytes.set visited u '\001';
+            incr count;
+            next := u :: !next
+          end
+        done)
       !frontier;
     frontier := !next
   done;
@@ -71,8 +72,10 @@ let delta_encode w ids =
 
 (* Each stored id costs at least one byte, so a count beyond the bytes
    left is a lie: rejected before anything is allocated for it. *)
+let ids_fit (count : int) ~bytes = count <= bytes
+
 let delta_decode r count ~what ~first_min =
-  if count > Codec.remaining r then
+  if not (ids_fit count ~bytes:(Codec.remaining r)) then
     corrupt "%s: %d id(s) cannot fit the %d byte(s) left" what count
       (Codec.remaining r);
   let out = Array.make count 0 in
@@ -91,18 +94,19 @@ let delta_decode r count ~what ~first_min =
 
 (* Fused subgraph serializer: the bytes [Snapshot.graph_payload
    (Graph.induced_sorted g ids)] would produce, plus the global edge-id
-   table, in two passes over [g]'s adjacency — no local [Graph.t] is
-   materialized (its per-node arrays, boxed edge pairs and incident
-   table would all be garbage the moment they were encoded; the packer
-   runs once per shard per pack, and this is its hot path).  Monotone
-   numbering keeps filtered neighbor lists sorted and makes local
-   lexicographic edge order coincide with increasing global edge id, so
-   [edge_ids] comes out strictly increasing and the global id of the
-   edge to the [p]-th neighbor is just [incident_edges] at [p] — the
-   equivalence with the reference [induced_sorted] path is
-   property-tested byte-for-byte. *)
+   table, in two passes over [g]'s rows — no local [Graph.t] is
+   materialized (its rows would be garbage the moment they were
+   encoded; the packer runs once per shard per pack, and this is its
+   hot path).  Monotone numbering keeps filtered rows sorted and makes
+   local lexicographic edge order coincide with increasing global edge
+   id, so [edge_ids] comes out strictly increasing and the global id of
+   the edge to a row's neighbor is the row's incident edge at the same
+   position — the equivalence with the reference [induced_sorted] path
+   is property-tested byte-for-byte. *)
 let sub_graph_encode g ids =
   let local_n = Array.length ids in
+  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
+  let inc = Graph.row_edges g in
   let base = if local_n = 0 then 0 else ids.(0) in
   let span = if local_n = 0 then 0 else ids.(local_n - 1) - base + 1 in
   let rank = Array.make span (-1) in
@@ -111,8 +115,11 @@ let sub_graph_encode g ids =
   let degrees = Array.make local_n 0 in
   let twice_m = ref 0 in
   for i = 0 to local_n - 1 do
+    let v = ids.(i) in
     let d = ref 0 in
-    Array.iter (fun u -> if local u >= 0 then incr d) (Graph.neighbors g ids.(i));
+    for k = off.(v) to off.(v + 1) - 1 do
+      if local nbr.(k) >= 0 then incr d
+    done;
     degrees.(i) <- !d;
     twice_m := !twice_m + !d
   done;
@@ -125,26 +132,23 @@ let sub_graph_encode g ids =
   let next = ref 0 in
   for i = 0 to local_n - 1 do
     let v = ids.(i) in
-    let nb = Graph.neighbors g v in
-    let inc = Graph.incident_edges g v in
     let prev = ref 0 in
     let first = ref true in
-    Array.iteri
-      (fun p u ->
-        let j = local u in
-        if j >= 0 then begin
-          if !first then begin
-            Codec.varint w j;
-            first := false
-          end
-          else Codec.varint w (j - !prev);
-          prev := j;
-          if j > i then begin
-            edge_ids.(!next) <- inc.(p);
-            incr next
-          end
-        end)
-      nb
+    for k = off.(v) to off.(v + 1) - 1 do
+      let j = local nbr.(k) in
+      if j >= 0 then begin
+        if !first then begin
+          Codec.varint w j;
+          first := false
+        end
+        else Codec.varint w (j - !prev);
+        prev := j;
+        if j > i then begin
+          edge_ids.(!next) <- inc.(k);
+          incr next
+        end
+      end
+    done
   done;
   (Codec.contents w, edge_ids, local_m)
 
@@ -467,6 +471,27 @@ let open_bytes s =
 
 let manifest t = t.man
 
+(* [delta_decode]'s bound, read off the manifest: a body spends at least
+   a byte per stored node id and per edge id, so its payload (the frame
+   less tag, length and checksum) must hold [local_n + local_m] bytes.
+   A v1 file's one row describes the sections it parsed, not a body. *)
+let check_rows t =
+  match t.body with
+  | Parsed _ -> ()
+  | Frames _ ->
+      Array.iter
+        (fun i ->
+          let room = i.i_bytes - frame_bytes "" in
+          if not
+               (ids_fit i.i_local_n ~bytes:room
+               && ids_fit i.i_local_m ~bytes:(room - i.i_local_n))
+          then
+            corrupt
+              "manifest: shard %d claims %d local node(s) and %d local \
+               edge(s), more ids than its %d-byte body can hold"
+              i.i_index i.i_local_n i.i_local_m (max room 0))
+        t.man.m_shards
+
 let damage t = match t.body with Parsed (_, d) -> d | Frames _ -> None
 
 let shard_of_node man v =
@@ -494,13 +519,15 @@ let load_frame t fetch k =
   if len + 9 <> info.i_bytes then
     corrupt "shard %d frame length %d disagrees with the manifest's %d" k
       (len + 9) info.i_bytes;
-  let payload = Codec.read_raw r len in
+  (* The body is checked and decoded where it lies in [frame]: its
+     graph and advice strings are windows, not copies. *)
+  let body = Codec.sub r len in
   let stored = Codec.read_u32 r in
-  let computed = Crc32.of_string payload in
+  let computed = Crc32.of_substring frame ~pos:(Codec.source_pos body) ~len in
   if stored <> computed || stored <> info.i_crc then
     corrupt "shard %d checksum mismatch (frame %08x, manifest %08x, computed %08x)"
       k stored info.i_crc computed;
-  let r = Codec.reader payload in
+  let r = body in
   let index = Codec.read_varint r in
   let lo = Codec.read_varint r in
   let hi = Codec.read_varint r in
@@ -517,7 +544,7 @@ let load_frame t fetch k =
   Array.iter (fun v -> if v >= lo && v < hi then incr interior) ids;
   if !interior <> hi - lo then
     corrupt "shard %d stores %d of its %d interior node(s)" k !interior (hi - lo);
-  let graph = Snapshot.read_graph (Codec.read_str r) in
+  let graph = Snapshot.read_graph (Codec.sub_str r) in
   if Graph.n graph <> local_n || Graph.m graph <> local_m then
     corrupt "shard %d local graph is %d/%d, header says %d/%d" k (Graph.n graph)
       (Graph.m graph) local_n local_m;
@@ -527,7 +554,7 @@ let load_frame t fetch k =
   let advice_count = Codec.read_varint r in
   let advice =
     List.init advice_count (fun _ ->
-        Snapshot.read_advice ~n:local_n (Codec.read_str r))
+        Snapshot.read_advice ~n:local_n (Codec.sub_str r))
   in
   Codec.expect_end r ~what:(Printf.sprintf "shard %d body" k);
   {

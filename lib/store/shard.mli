@@ -196,6 +196,17 @@ val manifest : t -> manifest
     checksum 0 (its sections carry their own), and lists quarantined
     advice after the checksum-clean sections. *)
 
+val check_rows : t -> unit
+(** Checks every manifest row of a version-2 container against its
+    frame size: a body spends at least one byte per stored node id and
+    per edge id (the bound {!load} applies to the ids themselves), so a
+    row whose [i_local_n + i_local_m] exceeds its payload bytes cannot
+    load.  {!open_file} does not run it, so that under salvage such a
+    shard is lost alone, at {!load}; [advice_store inspect] runs it
+    before it prints the manifest.  Nothing to check for a version-1
+    file.
+    @raise Codec.Corrupt naming the first impossible shard. *)
+
 val damage : t -> string option
 (** The {!Snapshot.read} diagnostic of a version-1 file that failed the
     strict read at open and was salvaged (its {!load} carries

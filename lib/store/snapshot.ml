@@ -20,56 +20,54 @@ let corrupt fmt = Format.kasprintf (fun s -> raise (Codec.Corrupt s)) fmt
 (* Graph section *)
 
 let graph_payload g =
-  let w = Codec.writer ~capacity:(16 + (4 * Graph.n g)) () in
-  Codec.varint w (Graph.n g);
+  let n = Graph.n g in
+  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
+  let w = Codec.writer ~capacity:(16 + (4 * n)) () in
+  Codec.varint w n;
   Codec.varint w (Graph.m g);
-  Graph.iter_nodes (fun v -> Codec.varint w (Graph.degree g v)) g;
-  Graph.iter_nodes
-    (fun v ->
-      let nbrs = Graph.neighbors g v in
-      let prev = ref 0 in
-      Array.iteri
-        (fun i u ->
-          if i = 0 then Codec.varint w u else Codec.varint w (u - !prev);
-          prev := u)
-        nbrs)
-    g;
+  for v = 0 to n - 1 do
+    Codec.varint w (off.(v + 1) - off.(v))
+  done;
+  for v = 0 to n - 1 do
+    let first = off.(v) in
+    for k = first to off.(v + 1) - 1 do
+      Codec.varint w (if k = first then nbr.(k) else nbr.(k) - nbr.(k - 1))
+    done
+  done;
   Codec.contents w
 
-(* Each node's delta list decodes straight into its sorted neighbor
-   array, and [Graph.of_adjacency] checks order, range, loops and
-   symmetry in one pass: O(n + m), no edge list, table or sort.  Counts
-   are bounded by the bytes left before anything is allocated: each
-   degree and each neighbor costs at least one byte. *)
-let read_graph payload =
-  let r = Codec.reader payload in
+(* The degrees become the row offsets and each node's delta list
+   decodes straight into its row, and [Graph.of_rows] checks order,
+   range, loops and symmetry and numbers the edges in one pass: O(n +
+   m), four flat arrays, no edge list, table or sort.  Counts are
+   bounded by the bytes left before anything is allocated: each degree
+   and each neighbor costs at least one byte. *)
+let read_graph r =
   let n = Codec.read_varint r in
   let m = Codec.read_varint r in
   if n > Codec.remaining r then
     corrupt "graph section: n=%d exceeds the %d byte(s) left" n
       (Codec.remaining r);
-  let total_deg = ref 0 in
-  let adj =
-    Array.init n (fun _ ->
-        let d = Codec.read_varint r in
-        if d > Codec.remaining r - !total_deg then
-          corrupt "graph section: degree sum exceeds the %d byte(s) left"
-            (Codec.remaining r);
-        total_deg := !total_deg + d;
-        Array.make d 0)
-  in
-  if !total_deg <> 2 * m then
-    corrupt "graph section: degree sum %d does not match 2m=%d" !total_deg
-      (2 * m);
-  Array.iter
-    (fun nb ->
-      for i = 0 to Array.length nb - 1 do
-        let delta = Codec.read_varint r in
-        nb.(i) <- (if i = 0 then delta else nb.(i - 1) + delta)
-      done)
-    adj;
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    let d = Codec.read_varint r in
+    if d > Codec.remaining r - off.(v) then
+      corrupt "graph section: degree sum exceeds the %d byte(s) left"
+        (Codec.remaining r);
+    off.(v + 1) <- off.(v) + d
+  done;
+  if off.(n) <> 2 * m then
+    corrupt "graph section: degree sum %d does not match 2m=%d" off.(n) (2 * m);
+  let nbr = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    let first = off.(v) in
+    for k = first to off.(v + 1) - 1 do
+      let delta = Codec.read_varint r in
+      nbr.(k) <- (if k = first then delta else nbr.(k - 1) + delta)
+    done
+  done;
   Codec.expect_end r ~what:"graph section";
-  match Graph.of_adjacency adj with
+  match Graph.of_rows ~off ~nbr with
   | g -> g
   | exception Invalid_argument msg -> corrupt "graph section: %s" msg
 
@@ -89,16 +87,15 @@ let advice_payload n (name, assignment) =
 (* Two passes over the per-node lengths.  The first bounds each length,
    and the running sum, by the bits the bytes left can hold — before
    anything is unpacked, so a sum cannot wrap; the second reads each
-   node's bits straight out of the packed bytes, and a string of at
-   most 8 bits is the shared copy ({!Advice.Bits.unpack}), not a new
-   one. *)
-let read_advice ~n payload =
-  let r = Codec.reader payload in
+   node's bits where they lie in the packed bytes, and a string of at
+   most 8 bits is the shared copy from the table fetched once here
+   ({!Advice.Bits.unpack_at}), not a new one. *)
+let read_advice ~n r =
   let name = Codec.read_str r in
   let n' = Codec.read_varint r in
   if n' <> n then
     corrupt "advice section %S: %d entries for a %d-node graph" name n' n;
-  let lens_at = Codec.pos r in
+  let lens = Codec.fork r in
   let nbits = ref 0 in
   for v = 0 to n - 1 do
     let len = Codec.read_varint r in
@@ -107,17 +104,16 @@ let read_advice ~n payload =
         name v len (Codec.remaining r);
     nbits := !nbits + len
   done;
-  let packed = Bytes.unsafe_of_string (Codec.read_raw r ((!nbits + 7) / 8)) in
+  let packed = Codec.sub r ((!nbits + 7) / 8) in
   Codec.expect_end r ~what:(Printf.sprintf "advice section %S" name);
-  let lens = Codec.reader ~pos:lens_at payload in
-  let off = ref 0 in
-  let assignment =
-    Array.init n (fun _ ->
-        let len = Codec.read_varint lens in
-        let s = Advice.Bits.unpack ~off:!off packed len in
-        off := !off + len;
-        s)
-  in
+  let bytes = Codec.source packed and table = Advice.Bits.shared_strings () in
+  let off = ref (8 * Codec.source_pos packed) in
+  let assignment = Array.make n "" in
+  for v = 0 to n - 1 do
+    let len = Codec.read_varint lens in
+    assignment.(v) <- Advice.Bits.unpack_at table bytes ~off:!off len;
+    off := !off + len
+  done;
   (name, assignment)
 
 (* Metadata section *)
@@ -132,8 +128,7 @@ let meta_payload meta =
     meta;
   Codec.contents w
 
-let read_meta payload =
-  let r = Codec.reader payload in
+let decode_meta r =
   let count = Codec.read_varint r in
   let entries =
     List.init count (fun _ ->
@@ -192,6 +187,8 @@ let read_header r =
     else corrupt "unsupported snapshot version %d (this build reads %d)" v version;
   Codec.read_varint r
 
+(* Every section is checked and decoded where it lies in [s]: no
+   payload is copied out. *)
 let read s =
   Obs.Metrics.add bytes_read (String.length s);
   let r = Codec.reader s in
@@ -214,7 +211,7 @@ let read s =
   let tag, payload = Codec.read_section r in
   if tag <> tag_meta then
     corrupt "last section has tag %d (expected metadata tag %d)" tag tag_meta;
-  let meta = read_meta payload in
+  let meta = decode_meta payload in
   Codec.expect_end r ~what:"snapshot";
   { graph; advice = List.rev !advice; meta }
 
@@ -241,19 +238,21 @@ type salvage = {
   report : section_report list;
 }
 
-(* Read one frame without CRC enforcement: (tag, payload, crc_ok). *)
+(* Read one frame without CRC enforcement: (tag, payload window,
+   crc_ok). *)
 let read_frame_lenient r =
   let tag = Codec.read_u8 r in
   let len = Codec.read_u32 r in
   if Codec.remaining r < len + 4 then
     corrupt "truncated section (tag %d): %d payload byte(s) announced, %d left"
       tag len (Codec.remaining r);
-  let payload = Codec.read_raw r len in
+  let payload = Codec.sub r len in
   let stored = Codec.read_u32 r in
-  (tag, payload, stored = Crc32.of_string payload)
+  let crc = Crc32.of_substring (Codec.source payload) ~pos:(Codec.source_pos payload) ~len in
+  (tag, payload, stored = crc)
 
 let advice_name_of payload =
-  match Codec.read_str (Codec.reader payload) with
+  match Codec.read_str (Codec.fork payload) with
   | name -> Some name
   | exception Codec.Corrupt _ -> None
 
@@ -293,7 +292,7 @@ let read_salvage s =
           else if tag = tag_meta then
             if not crc_ok then Lost "metadata section failed its checksum"
             else (
-              match read_meta payload with
+              match decode_meta payload with
               | kvs ->
                   meta := kvs;
                   Healthy
@@ -336,11 +335,14 @@ let sections s =
   List.init count (fun _ ->
       let offset = Codec.pos r in
       let tag, payload = Codec.read_section r in
+      let length = Codec.remaining payload in
       {
         Codec.tag;
         offset;
-        length = String.length payload;
-        crc = Crc32.of_string payload;
+        length;
+        crc =
+          Crc32.of_substring (Codec.source payload)
+            ~pos:(Codec.source_pos payload) ~len:length;
       })
 
 let advice_payload_bits t ~name =

@@ -145,15 +145,17 @@ val graph_payload : Netgraph.Graph.t -> string
 (** The graph section payload: [n m degrees neighbor-deltas], all
     varints (see the module docs). *)
 
-val read_graph : string -> Netgraph.Graph.t
-(** Parse a graph section payload in O(n + m): each node's delta list
-    decodes straight into its neighbor array, and
-    {!Netgraph.Graph.of_adjacency} builds the graph — no edge list, hash
-    table or sort.  It checks that [n] and the degree sum fit in the
-    bytes left before allocating (each costs at least one byte), that
-    the degrees sum to [2m], that no bytes trail, and that every
-    neighbor list is strictly increasing, in range and loop-free and
-    the adjacency symmetric.
+val read_graph : Codec.reader -> Netgraph.Graph.t
+(** Parse a graph section payload, read from a reader that spans exactly
+    the payload — a {!Codec.sub} window of a fetched file or shard body,
+    decoded where it lies — in O(n + m): the degrees become the graph's
+    row offsets, each node's delta list decodes straight into its row,
+    and {!Netgraph.Graph.of_rows} checks the rows and numbers the edges
+    — four flat arrays, no edge list, hash table or sort.  It checks
+    that [n] and the degree sum fit in the bytes left before allocating
+    (each costs at least one byte), that the degrees sum to [2m], that
+    no bytes trail, and that every neighbor list is strictly
+    increasing, in range and loop-free and the adjacency symmetric.
     @raise Codec.Corrupt ["graph section: …"] on any violation. *)
 
 val advice_payload : int -> string * Advice.Assignment.t -> string
@@ -162,6 +164,9 @@ val advice_payload : int -> string * Advice.Assignment.t -> string
     {!validate} has passed: [a] has [n] entries and [name] no NUL
     byte. *)
 
-val read_advice : n:int -> string -> string * Advice.Assignment.t
-(** Parse an advice section payload for an [n]-node graph.
+val read_advice : n:int -> Codec.reader -> string * Advice.Assignment.t
+(** Parse an advice section payload for an [n]-node graph, from a reader
+    that spans exactly the payload.  Each node's bits are read where
+    they lie in the packed bytes; a string of at most 8 bits is the
+    shared copy ({!Advice.Bits.unpack_at}).
     @raise Codec.Corrupt on malformed input or a node-count mismatch. *)

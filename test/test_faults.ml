@@ -744,6 +744,11 @@ let test_lying_counts_are_corrupt () =
     (run_cli [ "inspect"; "tf_shards.ladv" ]);
   expect_corrupt "2^40 local nodes: serve" ~mentions:"shard node ids"
     (serve "tf_body.ladv");
+  (* The manifest alone shows the row is impossible: 2^40 ids cannot
+     fit a 13-byte body, so inspect refuses it before printing. *)
+  expect_corrupt "2^40 local nodes: inspect"
+    ~mentions:"shard 0 claims 1099511627776 local node(s)"
+    (run_cli [ "inspect"; "tf_body.ladv" ]);
   (* Under --salvage the shard is lost and its query fails alone. *)
   let code, out, _ = serve ~flags:[ "--salvage" ] "tf_body.ladv" in
   check_int "2^40 local nodes, --salvage: exit 0" 0 code;

@@ -620,6 +620,225 @@ let prop_of_edges_reference =
                   (Graph.neighbors g v) (Graph.incident_edges g v))
            g true)
 
+(* The per-node graph this library stored before compressed sparse
+   rows, kept verbatim as the reference: one neighbor array and one
+   incident array per node and one boxed pair per edge. *)
+module Per_node = struct
+  type t = {
+    n : int;
+    adj : int array array;
+    edges : (int * int) array;
+    incident : int array array;
+  }
+
+  let find_in_sorted (arr : int array) x =
+    let lo = ref 0 and hi = ref (Array.length arr - 1) in
+    let res = ref (-1) in
+    while !res < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let y = arr.(mid) in
+      if y = x then res := mid else if y < x then lo := mid + 1 else hi := mid - 1
+    done;
+    !res
+
+  let sort_ints (a : int array) =
+    let n = Array.length a in
+    if n > 16 then Array.sort Int.compare a
+    else
+      for i = 1 to n - 1 do
+        let x = Array.unsafe_get a i in
+        let j = ref (i - 1) in
+        while !j >= 0 && Array.unsafe_get a !j > x do
+          Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+          decr j
+        done;
+        Array.unsafe_set a (!j + 1) x
+      done
+
+  let of_sorted_adj adj =
+    let n = Array.length adj in
+    let m = Array.fold_left (fun acc nb -> acc + Array.length nb) 0 adj / 2 in
+    let edges = Array.make m (0, 0) in
+    let incident = Array.map (fun nb -> Array.make (Array.length nb) 0) adj in
+    let lower = Array.make n 0 in
+    let next = ref 0 in
+    for u = 0 to n - 1 do
+      let nb = adj.(u) and inc = incident.(u) in
+      for k = lower.(u) to Array.length nb - 1 do
+        let v = nb.(k) and e = !next in
+        edges.(e) <- (u, v);
+        inc.(k) <- e;
+        incident.(v).(lower.(v)) <- e;
+        lower.(v) <- lower.(v) + 1;
+        next := e + 1
+      done
+    done;
+    { n; adj; edges; incident }
+
+  let dedup_sorted (a : int array) =
+    let len = Array.length a in
+    let k = ref (min len 1) in
+    for i = 1 to len - 1 do
+      if a.(i) <> a.(!k - 1) then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    if !k = len then a else Array.sub a 0 !k
+
+  let of_edges ~n edge_list =
+    if n < 0 then invalid_arg "Graph.of_edges: negative n";
+    let deg = Array.make n 0 in
+    List.iter
+      (fun (u, v) ->
+        if u < 0 || u >= n || v < 0 || v >= n then
+          invalid_arg "Graph.of_edges: endpoint out of range";
+        if u = v then invalid_arg "Graph.of_edges: self-loop";
+        deg.(u) <- deg.(u) + 1;
+        deg.(v) <- deg.(v) + 1)
+      edge_list;
+    let adj = Array.map (fun d -> Array.make d 0) deg in
+    Array.fill deg 0 n 0;
+    List.iter
+      (fun (u, v) ->
+        adj.(u).(deg.(u)) <- v;
+        deg.(u) <- deg.(u) + 1;
+        adj.(v).(deg.(v)) <- u;
+        deg.(v) <- deg.(v) + 1)
+      edge_list;
+    of_sorted_adj
+      (Array.map
+         (fun nb ->
+           sort_ints nb;
+           dedup_sorted nb)
+         adj)
+
+  let degree g v = Array.length g.adj.(v)
+
+  let max_degree g =
+    Array.fold_left (fun acc nb -> max acc (Array.length nb)) 0 g.adj
+
+  let edge_id g u v =
+    if u = v then raise Not_found;
+    let a, b =
+      if Array.length g.adj.(u) <= Array.length g.adj.(v) then (u, v) else (v, u)
+    in
+    let i = find_in_sorted g.adj.(a) b in
+    if i < 0 then raise Not_found else g.incident.(a).(i)
+
+  let induced_ball g ws =
+    let count = Workspace.size ws in
+    let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
+    let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+    let adj = Array.make count [||] in
+    for i = 0 to count - 1 do
+      let nb = g.adj.(queue.(i)) in
+      let d = ref 0 in
+      for k = 0 to Array.length nb - 1 do
+        if stamp.(nb.(k)) = epoch then incr d
+      done;
+      let a = Array.make !d 0 in
+      let fill = ref 0 in
+      for k = 0 to Array.length nb - 1 do
+        let u = nb.(k) in
+        if stamp.(u) = epoch then begin
+          a.(!fill) <- sub.(u);
+          incr fill
+        end
+      done;
+      sort_ints a;
+      adj.(i) <- a
+    done;
+    (of_sorted_adj adj, Array.sub queue 0 count)
+end
+
+(* Compressed sparse rows against [Per_node] on the same pair list (the
+   family's edges shuffled, some re-listed reversed): every per-node
+   accessor, every edge id, and the radius-1 and radius-2 balls of a
+   few nodes. *)
+let csr_families =
+  [|
+    (fun rng -> Builders.cycle (3 + Prng.int rng 40));
+    (fun rng -> Builders.grid (1 + Prng.int rng 8) (1 + Prng.int rng 8));
+    (fun rng -> Builders.torus (3 + Prng.int rng 6) (3 + Prng.int rng 6));
+    (fun rng -> Builders.random_regular rng (2 * (2 + Prng.int rng 15)) 3);
+    (fun rng -> Builders.gnp rng (1 + Prng.int rng 40) 0.15);
+    (fun rng -> Builders.random_tree rng (1 + Prng.int rng 50));
+    (fun rng -> Builders.complete_bipartite 1 (Prng.int rng 40));
+    (fun rng ->
+      let n = 1 + Prng.int rng 30 in
+      Graph.of_edges ~n
+        (List.init (Prng.int rng n) (fun _ -> (Prng.int rng n, Prng.int rng n))
+        |> List.filter (fun (u, v) -> u <> v)));
+    (fun _ -> Graph.of_edges ~n:0 []);
+    (fun rng -> Graph.of_edges ~n:(Prng.int rng 5) []);
+  |]
+
+let prop_csr_matches_per_node =
+  QCheck.Test.make ~name:"csr = per-node reference" ~count:300
+    QCheck.(pair (int_bound (Array.length csr_families - 1)) (int_bound 1_000_000))
+    (fun (family, seed) ->
+      let rng = Prng.create seed in
+      let n, pairs =
+        let h = csr_families.(family) rng in
+        let pairs = Array.to_list (Graph.edges h) in
+        let arr = Array.of_list pairs in
+        Prng.shuffle rng arr;
+        let again = List.filteri (fun i _ -> i mod 3 = 0) pairs in
+        (Graph.n h, Array.to_list arr @ List.map (fun (u, v) -> (v, u)) again)
+      in
+      let g = Graph.of_edges ~n pairs and r = Per_node.of_edges ~n pairs in
+      let same_rows =
+        Graph.n g = r.Per_node.n
+        && Graph.m g = Array.length r.Per_node.edges
+        && Graph.max_degree g = Per_node.max_degree r
+        && Graph.edges g = r.Per_node.edges
+        && Graph.fold_nodes
+             (fun v ok ->
+               ok
+               && Graph.degree g v = Per_node.degree r v
+               && Graph.neighbors g v = r.Per_node.adj.(v)
+               && Graph.incident_edges g v = r.Per_node.incident.(v))
+             g true
+      in
+      let same_ids =
+        Graph.fold_nodes
+          (fun u ok ->
+            Graph.fold_nodes
+              (fun v ok ->
+                ok
+                &&
+                match (Graph.edge_id g u v, Per_node.edge_id r u v) with
+                | a, b -> a = b
+                | exception Not_found -> (
+                    match Per_node.edge_id r u v with
+                    | _ -> false
+                    | exception Not_found -> true))
+              g ok)
+          g true
+      in
+      let same_balls =
+        List.for_all
+          (fun (v, radius) ->
+            v < 0 || v >= n
+            ||
+            let ws = Workspace.domain_local () in
+            ignore (Traversal.bfs_limited_into ws g v radius);
+            let h, to_orig = Graph.induced_ball g ws in
+            let rh, rto = Per_node.induced_ball r ws in
+            to_orig = rto
+            && Graph.edges h = rh.Per_node.edges
+            && Graph.fold_nodes
+                 (fun i ok ->
+                   ok
+                   && Graph.neighbors h i = rh.Per_node.adj.(i)
+                   && Graph.incident_edges h i = rh.Per_node.incident.(i))
+                 h true)
+          [ (0, 1); (n / 2, 2); (n - 1, 3) ]
+      in
+      let adj = Array.map Array.copy r.Per_node.adj in
+      same_rows && same_ids && same_balls && Graph.equal g (Graph.of_adjacency adj))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -630,6 +849,7 @@ let qcheck_cases =
       prop_bfs_triangle_inequality;
       prop_power_distance;
       prop_of_edges_reference;
+      prop_csr_matches_per_node;
     ]
 
 let () =

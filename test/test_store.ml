@@ -115,6 +115,61 @@ let test_crc32_known_answers () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "of_subbytes accepted a range past the end"
 
+(* Slicing-by-8 against the bytewise table loop it replaced, kept here
+   as the reference: random strings, random ranges (so every alignment
+   and every tail length from 0 to 7 occurs), and continuation through
+   [?init]. *)
+let crc_bytewise ?(init = 0) s ~pos ~len =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref i in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref (init lxor 0xFFFFFFFF land 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let crc32_matches_bytewise =
+  QCheck.Test.make ~count:2000 ~name:"crc32 = bytewise reference"
+    QCheck.(triple (string_of_size Gen.(int_bound 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      let init = crc_bytewise s ~pos:0 ~len:pos in
+      Store.Crc32.of_substring s ~pos ~len = crc_bytewise s ~pos ~len
+      && Store.Crc32.of_string s = crc_bytewise s ~pos:0 ~len:n
+      && Store.Crc32.of_substring ~init s ~pos ~len
+         = crc_bytewise ~init s ~pos ~len)
+
+(* A [sub] window reads and fails exactly as a reader over the copied
+   bytes would: the same values, then the same diagnostic, offsets
+   counted from the window's first byte. *)
+let window_matches_copy =
+  QCheck.Test.make ~count:500 ~name:"sub window = reader over a copy"
+    QCheck.(pair (string_of_size Gen.(int_bound 40)) small_nat)
+    (fun (s, k) ->
+      let skip = if s = "" then 0 else k mod (String.length s + 1) in
+      let drain r =
+        let rec go acc =
+          match Store.Codec.read_varint r with
+          | v -> go (v :: acc)
+          | exception Store.Codec.Corrupt msg -> (List.rev acc, msg)
+        in
+        go []
+      in
+      let outer = Store.Codec.reader s in
+      ignore (Store.Codec.read_raw outer skip);
+      let rest = String.length s - skip in
+      let window = Store.Codec.sub outer rest in
+      let copy = Store.Codec.reader (String.sub s skip rest) in
+      drain window = drain copy && Store.Codec.at_end outer)
+
 let test_codec_sections () =
   let w = Store.Codec.writer () in
   Store.Codec.section w ~tag:7 "hello";
@@ -122,10 +177,11 @@ let test_codec_sections () =
   let r = Store.Codec.reader (Store.Codec.contents w) in
   let t1, p1 = Store.Codec.read_section r in
   let t2, p2 = Store.Codec.read_section r in
+  let contents p = Store.Codec.read_raw p (Store.Codec.remaining p) in
   check_int "tag 1" 7 t1;
-  check_str "payload 1" "hello" p1;
+  check_str "payload 1" "hello" (contents p1);
   check_int "tag 2" 9 t2;
-  check_str "empty payload" "" p2;
+  check_str "empty payload" "" (contents p2);
   check "consumed" true (Store.Codec.at_end r)
 
 (* The position writers are the one spelling of each field: placed at
@@ -345,7 +401,7 @@ let test_snapshot_rejects_asymmetric () =
 let test_graph_counts_bounded () =
   List.iter
     (fun (what, payload) ->
-      match Store.Snapshot.read_graph payload with
+      match Store.Snapshot.read_graph (Store.Codec.reader payload) with
       | exception Store.Codec.Corrupt _ -> ()
       | _ -> Alcotest.failf "read_graph accepted %s" what)
     [
@@ -353,6 +409,28 @@ let test_graph_counts_bounded () =
       ("a degree of 2^40", varints [ 2; 1 lsl 39; 1 lsl 40; 0 ]);
       ("degrees summing past the payload", varints [ 2; 1; 3; 3; 1; 2 ]);
     ]
+
+(* A v1 read decodes every section where it lies into the graph's four
+   flat arrays (each large enough to be allocated outside the minor
+   heap) and the advice strings into the shared table, so a 65,536-node
+   cycle costs a fixed handful of small blocks, not a few per node (the
+   per-node representation cost about 990k minor words here). *)
+let test_read_allocation_budget () =
+  let n = 65_536 in
+  let g = Builders.cycle n in
+  let advice = Array.init n (fun v -> if v mod 3 = 0 then "10" else "1") in
+  let s =
+    Store.Snapshot.write
+      { Store.Snapshot.graph = g; advice = [ ("c4", advice) ];
+        meta = [ ("serve.radius", "1") ] }
+  in
+  ignore (Store.Snapshot.read s);
+  let before = Gc.minor_words () in
+  let t = Store.Snapshot.read s in
+  let words = Gc.minor_words () -. before in
+  check "graph read back" true (Graph.equal g t.Store.Snapshot.graph);
+  if words >= 4096.0 then
+    Alcotest.failf "Snapshot.read allocated %.0f minor words (budget 4096)" words
 
 (* Every single-byte mutation must be detected: framing damage trips a
    structural check, payload damage trips the section checksum. *)
@@ -677,6 +755,8 @@ let () =
             test_position_writers;
           Alcotest.test_case "crc32 known answers" `Quick
             test_crc32_known_answers;
+          QCheck_alcotest.to_alcotest crc32_matches_bytewise;
+          QCheck_alcotest.to_alcotest window_matches_copy;
         ] );
       ( "snapshot",
         [
@@ -691,6 +771,8 @@ let () =
             test_snapshot_rejects_asymmetric;
           Alcotest.test_case "graph counts are bounded by bytes" `Quick
             test_graph_counts_bounded;
+          Alcotest.test_case "a v1 read allocates O(1) minor words" `Quick
+            test_read_allocation_budget;
         ] );
       ( "cache",
         [
