@@ -305,7 +305,8 @@ let json_of_pool_row r =
 (* The acceptance gate behind BENCH_local.json's batch_par_not_slower:
    with real parallelism available the pooled batch must win outright;
    squeezed onto one effective domain it must stay within 10% of
-   sequential serving (the wave planner + inline pool are near-free). *)
+   sequential serving (the wave planner, and a one-domain pool run that
+   spawns nothing, are near-free). *)
 let pool_row_acceptable r =
   if r.p_effective >= 2 then r.lockless_qps /. r.seq_qps >= 1.0
   else r.lockless_qps /. r.seq_qps >= 0.9

@@ -337,7 +337,6 @@ let print_shard_health ?only store =
           (Array.length man.Store.Shard.m_shards))
 
 let inspect_v2 path health shard =
-  or_corrupt @@ fun () ->
   let store = Store.Shard.open_file path in
   match (health, shard) with
   | true, Some k ->
@@ -351,6 +350,7 @@ let inspect_v2 path health shard =
 
 let inspect_cmd =
   let run path health shard =
+    or_corrupt @@ fun () ->
     if Store.Shard.peek_version path = Store.Shard.version then
       inspect_v2 path health shard
     else begin
@@ -360,7 +360,6 @@ let inspect_cmd =
                         containers only@.";
         exit 2
     | None -> ());
-    or_corrupt @@ fun () ->
     let raw = Store.Io.read_file path in
     if health then print_health raw
     else begin
@@ -532,7 +531,7 @@ let serve_batch router ~where batch =
     (if !failed > 0 then Printf.sprintf ", %d failed" !failed else "")
 
 let serve_listen router host port write_budget =
-  let config = { Net.Server.default_config with Net.Server.host; port; write_budget } in
+  let config = { Net.Server.host; port; write_budget } in
   let server =
     try Net.Server.create ~config router
     with Unix.Unix_error (err, _, _) ->

@@ -1,8 +1,8 @@
 (* Fixed-width vector clocks for the happens-before tracker.
 
    The scheduler caps fibers at [width], so a clock is a flat int array —
-   no resizing, no allocation on merge beyond the copy primitives, and
-   [leq] is a straight component loop.  Component [i] counts the
+   no resizing, no allocation on merge beyond the copy primitives.
+   Component [i] counts the
    synchronization-relevant operations fiber [i] has performed. *)
 
 let width = 16
@@ -21,10 +21,6 @@ let merge (dst : t) (src : t) =
   for i = 0 to width - 1 do
     if src.(i) > dst.(i) then dst.(i) <- src.(i)
   done
-
-let leq (a : t) (b : t) =
-  let rec go i = i >= width || (a.(i) <= b.(i) && go (i + 1)) in
-  go 0
 
 let to_string (c : t) =
   let last = ref (-1) in

@@ -1,9 +1,9 @@
 (** Fixed-width vector clocks for the scheduler's happens-before
     tracker.
 
-    A clock maps fiber ids ([0 .. width - 1]) to operation counts; the
-    partial order {!leq} is the usual componentwise comparison, and two
-    events are concurrent exactly when neither clock is ≤ the other.
+    A clock maps fiber ids ([0 .. width - 1]) to operation counts,
+    ordered componentwise: two events are concurrent exactly when
+    neither clock is ≤ the other.
     Width is fixed at the scheduler's fiber cap so clocks are flat
     arrays — cheap to {!copy} on every tracked write and to {!merge} on
     every acquire edge. *)
@@ -31,10 +31,6 @@ val tick : t -> int -> unit
 val merge : t -> t -> unit
 (** [merge dst src] joins [src] into [dst] componentwise (in-place
     least upper bound) — the acquire side of a release/acquire pair. *)
-
-val leq : t -> t -> bool
-(** [leq a b] is the happens-before test: every component of [a] is
-    [<=] the matching component of [b]. *)
 
 val to_string : t -> string
 (** Compact rendering ([[1 0 2]], trailing zeros elided) for violation

@@ -163,7 +163,7 @@ let scratch_key =
       })
 
 (* Identifiers of a ball are usually a dense integer range — builders
-   number neighbors near each other, and a shard's global ids keep that
+   number neighbors near each other, and a shard's local ids keep that
    order — so when their span is within a small factor of the ball size,
    one scatter into a slot table and one sweep sort them with no
    comparisons.  Returns [false] (leaving [perm] to the merge sort) on a

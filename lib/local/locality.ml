@@ -10,15 +10,6 @@ type 'out decoder =
 let induced_ordered g ball =
   Graph.induced g (List.sort Int.compare ball)
 
-let stable_at g ~ids ~advice ~decode ~equal ~radius ~node =
-  let full = decode g ~ids ~advice in
-  let ball = Traversal.ball g node radius in
-  let sub, to_sub, to_global = induced_ordered g ball in
-  let sub_ids = Array.init (Graph.n sub) (fun i -> ids.(to_global.(i))) in
-  let sub_advice = Array.init (Graph.n sub) (fun i -> advice.(to_global.(i))) in
-  let fragment = decode sub ~ids:sub_ids ~advice:sub_advice in
-  equal fragment.(to_sub.(node)) full.(node)
-
 let stable_for_all g ~ids ~advice ~decode ~equal ~radius ~samples =
   (* Compute the full run once; rebuild fragments per sample. *)
   let full = decode g ~ids ~advice in

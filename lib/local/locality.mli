@@ -15,18 +15,6 @@ type 'out decoder =
     values, or structures referring to *identifiers* rather than node
     indices). *)
 
-val stable_at :
-  Netgraph.Graph.t ->
-  ids:Ids.t ->
-  advice:string array ->
-  decode:'out decoder ->
-  equal:('out -> 'out -> bool) ->
-  radius:int ->
-  node:int ->
-  bool
-(** Does the node's output match when the decoder sees only the radius
-    ball around it? *)
-
 val stable_for_all :
   Netgraph.Graph.t ->
   ids:Ids.t ->
@@ -36,7 +24,8 @@ val stable_for_all :
   radius:int ->
   samples:int list ->
   bool
-(** {!stable_at} over every sampled node. *)
+(** Does every sampled node's output match when the decoder sees only
+    the radius ball around it? *)
 
 val measured_radius :
   Netgraph.Graph.t ->

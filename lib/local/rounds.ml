@@ -9,23 +9,16 @@ let m_runs = Obs.Metrics.counter "rounds.runs"
 let m_rounds = Obs.Metrics.counter "rounds.executed"
 let m_steps = Obs.Metrics.counter "rounds.node_steps"
 
-let run_rounds ?msg_bits g ~max_rounds ~halted alg =
+let run_until g ~max_rounds ~halted alg =
   let n = Graph.n g in
-  if n = 0 then ([||], 0, 0)
+  if n = 0 then ([||], 0)
   else begin
     let states = Array.make n (fst (alg.init 0)) in
     let outbox = Array.make n (snd (alg.init 0)) in
-    let max_msg = ref 0 in
-    let account m =
-      match msg_bits with
-      | None -> ()
-      | Some f -> max_msg := max !max_msg (f m)
-    in
     for v = 0 to n - 1 do
       let s, m = alg.init v in
       states.(v) <- s;
-      outbox.(v) <- m;
-      account m
+      outbox.(v) <- m
     done;
     let round = ref 0 in
     let all_halted () = Array.for_all halted states in
@@ -38,8 +31,7 @@ let run_rounds ?msg_bits g ~max_rounds ~halted alg =
       for v = 0 to n - 1 do
         let s, m = alg.step ~round:!round ~node:v states.(v) inbox.(v) in
         states.(v) <- s;
-        outbox.(v) <- m;
-        account m
+        outbox.(v) <- m
       done
     done;
     if Obs.Metrics.enabled () then begin
@@ -47,18 +39,7 @@ let run_rounds ?msg_bits g ~max_rounds ~halted alg =
       Obs.Metrics.add m_rounds !round;
       Obs.Metrics.add m_steps (n * !round)
     end;
-    (states, !round, !max_msg)
+    (states, !round)
   end
 
-let run g ~rounds alg =
-  let states, _, _ =
-    run_rounds g ~max_rounds:rounds ~halted:(fun _ -> false) alg
-  in
-  states
-
-let run_until g ~max_rounds ~halted alg =
-  let states, rounds, _ = run_rounds g ~max_rounds ~halted alg in
-  (states, rounds)
-
-let run_measured g ~max_rounds ~halted ~msg_bits alg =
-  run_rounds ~msg_bits g ~max_rounds ~halted alg
+let run g ~rounds alg = fst (run_until g ~max_rounds:rounds ~halted:(fun _ -> false) alg)

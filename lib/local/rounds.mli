@@ -28,16 +28,3 @@ val run_until :
   'state array * int
 (** Run until every node's state satisfies [halted] (or the bound is hit);
     also returns the number of rounds executed. *)
-
-val run_measured :
-  Netgraph.Graph.t ->
-  max_rounds:int ->
-  halted:('state -> bool) ->
-  msg_bits:('msg -> int) ->
-  ('state, 'msg) algorithm ->
-  'state array * int * int
-(** Like {!run_until}, additionally reporting the largest single message
-    (in bits, as measured by [msg_bits]) sent in any round — the quantity
-    that separates LOCAL from CONGEST.  The LOCAL model allows unbounded
-    messages; measuring them shows when an algorithm would also fit
-    CONGEST. *)

@@ -109,10 +109,3 @@ let map_nodes_par ?domains ?advice ?input g ~ids ~radius f =
 
 let with_advice view advice =
   { view with advice = Array.map (fun gv -> advice.(gv)) view.to_global }
-
-let find_by_id view id =
-  let n = Array.length view.ids in
-  let rec go i =
-    if i >= n then None else if view.ids.(i) = id then Some i else go (i + 1)
-  in
-  go 0

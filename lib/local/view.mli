@@ -77,6 +77,3 @@ val with_advice : t -> string array -> t
     advice assignment, without re-extracting the ball.  Equivalent to
     re-running {!make} with [~advice] on the same node; the key to
     enumerating many advice assignments over a fixed graph cheaply. *)
-
-val find_by_id : t -> int -> int option
-(** Locate a view node by its global identifier. *)

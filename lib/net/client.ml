@@ -3,7 +3,6 @@ exception Server_error of { code : Protocol.error_code; message : string }
 
 type t = {
   fd : Unix.file_descr;
-  max_frame : int;
   clock : unit -> int64;
   mutable rbuf : Bytes.t;
   mutable rlen : int;
@@ -13,8 +12,7 @@ type t = {
   mutable closed : bool;
 }
 
-let connect ?(host = "127.0.0.1") ?(max_frame = Protocol.default_max_frame)
-    ?(clock = fun () -> 0L) ~port () =
+let connect ?(host = "127.0.0.1") ?(clock = fun () -> 0L) ~port () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
@@ -25,7 +23,6 @@ let connect ?(host = "127.0.0.1") ?(max_frame = Protocol.default_max_frame)
      raise e);
   {
     fd;
-    max_frame;
     clock;
     rbuf = Bytes.create 65536;
     rlen = 0;
@@ -38,8 +35,6 @@ let close t =
     t.closed <- true;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
-
-let in_flight t = Queue.length t.sent_at
 
 let write_all fd s =
   let len = String.length s in
@@ -75,9 +70,7 @@ let recv ?(on_latency = fun _ -> ()) t =
   if Queue.is_empty t.sent_at then
     invalid_arg "Client.recv: no request in flight";
   let rec parse () =
-    match
-      Protocol.parse_response ~max_frame:t.max_frame t.rbuf ~pos:0 ~len:t.rlen
-    with
+    match Protocol.parse_response t.rbuf ~pos:0 ~len:t.rlen with
     | Protocol.Done (rs, consumed) ->
         Bytes.blit t.rbuf consumed t.rbuf 0 (t.rlen - consumed);
         t.rlen <- t.rlen - consumed;

@@ -29,13 +29,11 @@ exception Server_error of { code : Protocol.error_code; message : string }
 type t
 (** One open connection. *)
 
-val connect :
-  ?host:string -> ?max_frame:int -> ?clock:(unit -> int64) -> port:int ->
-  unit -> t
-(** Connect to [host:port] (default host ["127.0.0.1"]).  [max_frame]
-    bounds acceptable response frames ({!Protocol.default_max_frame});
-    [clock] (default: the constant [0L]) timestamps sends for
-    {!recv}'s latency reporting.  @raise Unix.Unix_error on refusal. *)
+val connect : ?host:string -> ?clock:(unit -> int64) -> port:int -> unit -> t
+(** Connect to [host:port] (default host ["127.0.0.1"]).  [clock]
+    (default: the constant [0L]) timestamps sends for {!recv}'s latency
+    reporting.  A response frame is capped at {!Protocol.max_frame}.
+    @raise Unix.Unix_error on refusal. *)
 
 val close : t -> unit
 (** Close the socket.  Idempotent. *)
@@ -44,9 +42,6 @@ val send : t -> Protocol.request -> unit
 (** Encode, stamp with the clock, and write one request frame (blocking
     until the kernel accepts all its bytes).  @raise Unix.Unix_error on
     a broken connection. *)
-
-val in_flight : t -> int
-(** Requests sent whose responses have not been received yet. *)
 
 val recv : ?on_latency:(int64 -> unit) -> t -> Protocol.response
 (** Block until the next response frame is complete and return it

@@ -1,7 +1,6 @@
 type state = Open | Draining | Closed
 
 type t = {
-  max_frame : int;
   write_budget : int;
   mutable st : state;
   (* Read side: one growable buffer, [rlen] valid bytes starting at 0.
@@ -19,13 +18,10 @@ type t = {
   mutable wend : int;
 }
 
-let create ?(max_frame = Protocol.default_max_frame) ?(write_budget = 256 * 1024)
-    () =
-  if max_frame <= 0 then invalid_arg "Conn.create: max_frame must be positive";
+let create ?(write_budget = 256 * 1024) () =
   if write_budget <= 0 then
     invalid_arg "Conn.create: write_budget must be positive";
   {
-    max_frame;
     write_budget;
     st = Open;
     rbuf = Bytes.create 4096;
@@ -59,13 +55,6 @@ let reserve t k =
     t.wbuf <- dst;
     t.wpos <- 0;
     t.wend <- queued
-  end
-
-let enqueue t frame =
-  if t.st <> Closed then begin
-    reserve t (String.length frame);
-    Bytes.blit_string frame 0 t.wbuf t.wend (String.length frame);
-    t.wend <- t.wend + String.length frame
   end
 
 (* One answer, encoded in place at the write end. *)
@@ -136,7 +125,7 @@ let pump t on_error dispatch =
   let pos = ref 0 in
   let continue = ref true in
   while !continue && t.st = Open && !pos < t.rlen do
-    match Protocol.check_frame ~max_frame:t.max_frame t.rbuf ~pos:!pos ~len:(t.rlen - !pos) with
+    match Protocol.check_frame t.rbuf ~pos:!pos ~len:(t.rlen - !pos) with
     | exception Protocol.Refused (code, message) ->
         ignore (refused t on_error code message);
         pos := 0

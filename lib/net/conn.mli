@@ -1,36 +1,25 @@
 (** Per-connection state machine: buffered frame reading, one ordered
-    output buffer, and the backpressure contract between them.
+    output buffer, and the backpressure contract between them.  DESIGN.md,
+    "Wire protocol & event loop", has the design.
 
-    A connection moves through three states:
+    A connection moves [Open → Draining → Closed]: it drains on end of
+    file, on a fatal protocol error (after queueing its error frame) or
+    on server shutdown, and still flushes every queued response.  Each
+    request frame is checked and decoded where it sits in the read
+    buffer ({!Protocol.check_frame}, {!Protocol.decode_request}), and
+    each response encoded in place onto the end of the output buffer
+    ({!respond}).
 
-    {v
-    Open ──(EOF / fatal error / server drain)──▶ Draining ──▶ Closed
-    v}
-
-    - {b Open}: bytes are read into a growable buffer, where each frame
-      is checked and decoded in place ({!Protocol.check_frame},
-      {!Protocol.decode_request}); each response is encoded in place
-      onto the end of the output buffer ({!Protocol.put_response}).
-      Within the
-      state, the loop alternates {e reading header → reading body →
-      writing response} per frame — the phase is implicit in how many
-      buffered bytes the parser asked for ({!Protocol.Need}).
-    - {b Draining}: no more requests will be accepted (the peer hung up,
-      a fatal protocol error was answered, or the server is shutting
-      down); already-queued responses are still flushed.
-    - {b Closed}: the socket is gone.
-
-    {b Backpressure.}  The queued output is bounded by a byte budget: once
-    the queued bytes exceed it, {!wants_read} turns false and the event
-    loop stops selecting the socket for reading, so a client that
-    pipelines faster than it drains responses is throttled by TCP flow
-    control instead of ballooning server memory.  Reading resumes as
-    soon as the queued bytes drop back under budget.
+    {b Backpressure.}  While the queued output exceeds the write budget,
+    {!wants_read} is false and the event loop stops reading the socket,
+    so a client that pipelines faster than it drains responses is
+    throttled by TCP flow control; reading resumes once the queued bytes
+    drop back under budget.
 
     This module performs no socket IO itself — the event loop feeds
-    {!feed} with bytes it read and sends what {!pending} exposes —
-    which is what lets the protocol fuzz tests drive the exact
-    production state machine without a socket. *)
+    {!feed} with bytes it read and sends what {!pending} exposes — which
+    is what lets the protocol fuzz tests drive the exact production
+    state machine without a socket. *)
 
 (** Connection lifecycle state. *)
 type state =
@@ -41,12 +30,11 @@ type state =
 type t
 (** One connection's state: read buffer and output buffer. *)
 
-val create : ?max_frame:int -> ?write_budget:int -> unit -> t
-(** A fresh connection in state {!Open}.  [max_frame] caps one frame's
-    encoded size (default {!Protocol.default_max_frame}); [write_budget]
-    is the queued-response byte bound above which reading pauses
-    (default 256 KiB).  @raise Invalid_argument when either is not
-    positive. *)
+val create : ?write_budget:int -> unit -> t
+(** A fresh connection in state {!Open}.  [write_budget] is the
+    queued-response byte bound above which reading pauses (default
+    256 KiB); a frame is capped at {!Protocol.max_frame}.
+    @raise Invalid_argument when [write_budget] is not positive. *)
 
 val state : t -> state
 (** Current lifecycle state. *)
@@ -76,10 +64,11 @@ val feed :
     dispatched first, so a client may close its write side and still
     collect every answer.  No-op when not {!Open}. *)
 
-val enqueue : t -> string -> unit
-(** Append an already-encoded frame to the output (used for
-    unsolicited error frames, e.g. {!Protocol.Shutting_down}), after
-    every answer already queued.  No-op when {!Closed}. *)
+val respond : t -> Protocol.response -> unit
+(** Encode one response in place at the end of the output, after every
+    response already queued: how {!feed} answers each request, and how
+    a server appends an unsolicited frame (the {!Protocol.Shutting_down}
+    goodbye) to an {!Open} connection. *)
 
 val pending : t -> (bytes * int * int) option
 (** The bytes to send next, as [(buf, pos, len)]: every queued byte, in
@@ -92,9 +81,6 @@ val wrote : t -> int -> unit
 (** [wrote t k] records that the first [k] bytes of the {!pending}
     range reached the socket.  @raise Invalid_argument when [k]
     overruns it. *)
-
-val queued_bytes : t -> int
-(** Bytes queued and not yet sent (the backpressure quantity). *)
 
 val drain : t -> unit
 (** Ask the connection to stop accepting requests (server shutdown):

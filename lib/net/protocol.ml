@@ -4,7 +4,7 @@ module Engine = Serve.Engine
 
 let version = 1
 let magic = 0xC4
-let default_max_frame = 1 lsl 20
+let max_frame = 1 lsl 20
 
 type request =
   | Ping
@@ -49,16 +49,6 @@ let error_code_of_int = function
   | 7 -> Some Too_large
   | 8 -> Some Shutting_down
   | _ -> None
-
-let error_code_name = function
-  | Bad_magic -> "bad-magic"
-  | Bad_version -> "bad-version"
-  | Bad_frame -> "bad-frame"
-  | Bad_tag -> "bad-tag"
-  | Bad_request -> "bad-request"
-  | Rejected -> "rejected"
-  | Too_large -> "too-large"
-  | Shutting_down -> "shutting-down"
 
 (* Frame-level damage means the stream can no longer be trusted to be in
    sync (or the peer speaks another grammar entirely); request-level
@@ -215,7 +205,7 @@ let refuse code fmt = Format.kasprintf (fun message -> raise (Refused (code, mes
    the very first bytes, without waiting for a full frame.  The length
    varint is read here rather than by {!Codec.read_varint}, because a
    short one means "wait", not "corrupt". *)
-let check_frame ~max_frame buf ~pos ~len =
+let check_frame buf ~pos ~len =
   if len < 1 then -1
   else if Bytes.get_uint8 buf pos <> magic then
     refuse Bad_magic "frame starts with byte 0x%02x, expected magic 0x%02x"
@@ -262,55 +252,21 @@ let check_frame ~max_frame buf ~pos ~len =
     end
   end
 
-(* Payload readers at positions of the frame starting at [base]:
-   [limit] is one past the payload, and every diagnostic counts offsets
-   from [base], word for word as {!Store.Codec}'s reader over a copy of
-   the frame words them.  Varints are canonical, so the one at [p] spans
+(* Payload fields are read at their positions with {!Store.Codec}'s
+   position readers: [base] is the frame's first byte, [limit] one past
+   the payload, so every diagnostic counts offsets from the frame's
+   start, word for word as a reader over a copy of the frame words
+   them.  Varints are canonical, so the one at [p] spans
    [Codec.varint_size] of its value: each field's position follows from
    the values before it, and no cursor is kept. *)
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
-let need ~base ~limit p k what =
-  if limit - p < k then
-    corrupt "truncated input at offset %d: need %d byte(s) for %s, have %d" (p - base) k what
-      (limit - p)
-
-let u8_at buf ~base ~limit p =
-  need ~base ~limit p 1 "u8";
-  Bytes.get_uint8 buf p
-
-let varint_at buf ~base ~limit start =
-  let acc = ref 0 and shift = ref 0 and p = ref start and last = ref false in
-  while not !last do
-    need ~base ~limit !p 1 "varint";
-    let byte = Bytes.get_uint8 buf !p in
-    incr p;
-    let payload = byte land 0x7F in
-    if !shift > 56 || (!shift = 56 && payload > 0x3F) then
-      corrupt "varint at offset %d overflows the int range" (start - base);
-    acc := !acc lor (payload lsl !shift);
-    if byte land 0x80 <> 0 then shift := !shift + 7
-    else if payload = 0 && !shift > 0 then
-      corrupt "non-minimal varint at offset %d: trailing zero group" (start - base)
-    else last := true
-  done;
-  !acc
-
-let str_at buf ~base ~limit p =
-  let n = varint_at buf ~base ~limit p in
-  let p = p + Codec.varint_size n in
-  need ~base ~limit p n "raw bytes";
-  Bytes.sub_string buf p n
-
-let expect_end ~base ~limit p ~what =
-  if p < limit then corrupt "%s: %d trailing byte(s) at offset %d" what (limit - p) (p - base)
-
 (* A count-prefixed payload: each item needs at least two payload bytes,
    so a count beyond that bound is a lie about data that cannot be
    present — reject before allocating for it. *)
 let read_count buf ~base ~limit p ~reject =
-  let count = varint_at buf ~base ~limit p in
+  let count = Codec.varint_at buf ~base ~limit p in
   let left = limit - (p + Codec.varint_size count) in
   if count > (left / 2) + 1 then corrupt reject count left;
   count
@@ -321,35 +277,35 @@ let read_items buf ~base ~limit p ~count ~read ~size =
   let pos = ref (p + Codec.varint_size count) in
   let items =
     Array.init count (fun _ ->
-        let item = read buf ~base ~limit ~tag:(u8_at buf ~base ~limit !pos) (!pos + 1) in
+        let item = read buf ~base ~limit ~tag:(Codec.u8_at buf ~base ~limit !pos) (!pos + 1) in
         pos := !pos + 1 + size item;
         item)
   in
   (items, !pos)
 
 let read_query buf ~base ~limit ~tag p =
-  if tag = tag_output_label then Engine.Output_label (varint_at buf ~base ~limit p)
+  if tag = tag_output_label then Engine.Output_label (Codec.varint_at buf ~base ~limit p)
   else if tag = tag_edge_member then begin
-    let v = varint_at buf ~base ~limit p in
-    Engine.Edge_member (v, varint_at buf ~base ~limit (p + Codec.varint_size v))
+    let v = Codec.varint_at buf ~base ~limit p in
+    Engine.Edge_member (v, Codec.varint_at buf ~base ~limit (p + Codec.varint_size v))
   end
-  else if tag = tag_advice_bits then Engine.Advice_bits (varint_at buf ~base ~limit p)
+  else if tag = tag_advice_bits then Engine.Advice_bits (Codec.varint_at buf ~base ~limit p)
   else corrupt "unknown query tag 0x%02x" tag
 
 let read_answer buf ~base ~limit ~tag p =
-  if tag = tag_label then Engine.Label (str_at buf ~base ~limit p)
+  if tag = tag_label then Engine.Label (Codec.str_at buf ~base ~limit p)
   else if tag = tag_member then begin
-    match u8_at buf ~base ~limit p with
+    match Codec.u8_at buf ~base ~limit p with
     | 0 -> Engine.Member false
     | 1 -> Engine.Member true
     | b -> corrupt "member answer byte %d is not 0/1" b
   end
-  else if tag = tag_bits then Engine.Bits (str_at buf ~base ~limit p)
+  else if tag = tag_bits then Engine.Bits (Codec.str_at buf ~base ~limit p)
   else corrupt "unknown answer tag 0x%02x" tag
 
 let request_at buf ~base ~limit ~tag p =
   let fin q stop =
-    expect_end ~base ~limit stop ~what:"request payload";
+    Codec.expect_end_at ~base ~limit stop ~what:"request payload";
     q
   in
   if tag = tag_ping then fin Ping p
@@ -370,7 +326,7 @@ let request_at buf ~base ~limit ~tag p =
 
 let response_at buf ~base ~limit ~tag p =
   let fin rs stop =
-    expect_end ~base ~limit stop ~what:"response payload";
+    Codec.expect_end_at ~base ~limit stop ~what:"response payload";
     rs
   in
   if tag = tag_pong then fin Pong p
@@ -381,9 +337,9 @@ let response_at buf ~base ~limit ~tag p =
     let pos = ref (p + Codec.varint_size count) in
     let kvs =
       List.init count (fun _ ->
-          let k = str_at buf ~base ~limit !pos in
+          let k = Codec.str_at buf ~base ~limit !pos in
           pos := !pos + Codec.str_size k;
-          let v = varint_at buf ~base ~limit !pos in
+          let v = Codec.varint_at buf ~base ~limit !pos in
           pos := !pos + Codec.varint_size v;
           (k, v))
     in
@@ -401,8 +357,8 @@ let response_at buf ~base ~limit ~tag p =
     fin (Answers az) stop
   end
   else if tag = tag_error then begin
-    let code_byte = u8_at buf ~base ~limit p in
-    let msg = str_at buf ~base ~limit (p + 1) in
+    let code_byte = Codec.u8_at buf ~base ~limit p in
+    let msg = Codec.str_at buf ~base ~limit (p + 1) in
     match error_code_of_int code_byte with
     | Some code -> fin (Error (code, msg) : response) (p + 1 + Codec.str_size msg)
     | None -> corrupt "unknown error code %d" code_byte
@@ -425,8 +381,8 @@ let decode_at at buf ~pos ~len =
 let decode_request buf ~pos ~len = decode_at request_at buf ~pos ~len
 
 (* [Need], [Done] and [Fail] around the in-place checker and decoder. *)
-let parse decode ~max_frame buf ~pos ~len =
-  match check_frame ~max_frame buf ~pos ~len with
+let parse decode buf ~pos ~len =
+  match check_frame buf ~pos ~len with
   | exception Refused (code, message) -> Fail { code; message; consumed = 0 }
   | size when size < 0 -> Need (-size)
   | size -> (
@@ -435,8 +391,5 @@ let parse decode ~max_frame buf ~pos ~len =
       | exception Refused (code, message) ->
           Fail { code; message; consumed = (if error_is_fatal code then 0 else size) })
 
-let parse_request ?(max_frame = default_max_frame) buf ~pos ~len =
-  parse decode_request ~max_frame buf ~pos ~len
-
-let parse_response ?(max_frame = default_max_frame) buf ~pos ~len =
-  parse (decode_at response_at) ~max_frame buf ~pos ~len
+let parse_request buf ~pos ~len = parse decode_request buf ~pos ~len
+let parse_response buf ~pos ~len = parse (decode_at response_at) buf ~pos ~len

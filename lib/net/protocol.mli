@@ -1,4 +1,6 @@
-(** Versioned binary wire protocol for long-lived [advice_store] serving.
+(** Versioned binary wire protocol for long-lived [advice_store]
+    serving.  DESIGN.md, "Wire protocol & event loop", has the tag table
+    and the design.
 
     Every message travelling in either direction is one {e frame}:
 
@@ -6,44 +8,34 @@
     magic:u8 (0xC4)  version:u8  tag:u8  length:varint  payload  crc32:u32
     v}
 
-    built from the same primitives as the snapshot format ({!Store.Codec}:
-    little-endian fixed-width integers, canonical LEB128 varints,
-    varint-length-prefixed strings).  Unlike a snapshot section, the
-    checksum covers the {e whole frame} from the magic byte through the
-    last payload byte — the header carries routing information (tag,
-    length) that no inner CRC would protect, and a single flipped header
-    bit must never reinterpret a request.  CRC-32 detects every burst
-    error up to 32 bits, so any single corrupted byte anywhere in a frame
-    is caught deterministically.
+    in {!Store.Codec}'s field encodings.  The checksum covers the
+    {e whole frame}, from the magic byte through the last payload byte,
+    so a single corrupted byte anywhere in a frame, header included, is
+    always caught.
 
     Requests carry ball-local questions (the paper's C4 decompression
     queries) or service control (ping, stats); responses carry the
     positionally matching answers, or an explicit {e error frame} — a
-    malformed request is answered, never ignored, so a client is never
-    left waiting on a frame the server silently dropped.
+    malformed request is answered, never ignored.
 
     {b Version policy.}  The version byte is checked before anything
     else in the payload is trusted.  A server speaks exactly
     {!version}; a frame carrying any other version is answered with a
     {!Bad_version} error frame whose message names the supported
-    version, and the connection is closed — the client is expected to
-    reconnect speaking the older protocol or give up loudly.  The
-    version is bumped on any change to the frame layout, the tag table,
-    or a payload encoding; new tags within a version are {e not} added
-    retroactively (an unknown tag is {!Bad_tag}, a fatal error), so a
-    version number fully determines the wire grammar. *)
+    version, and the connection is closed.  The version is bumped on any
+    change to the frame layout, the tag table, or a payload encoding; an
+    unknown tag is {!Bad_tag}, a fatal error, so a version number fully
+    determines the wire grammar. *)
 
 val version : int
 (** The protocol version this build speaks (and the only one it
     accepts): 1. *)
 
-val magic : int
-(** First byte of every frame: 0xC4, after the paper's C4 workload. *)
-
-val default_max_frame : int
-(** Default cap on a frame's total encoded size (1 MiB).  Parsers reject
-    larger announcements with {!Too_large} before buffering them, so a
-    corrupted length cannot make a peer allocate unboundedly. *)
+val max_frame : int
+(** The cap on a frame's total encoded size (1 MiB), in both directions.
+    Parsers reject larger announcements with {!Too_large} before
+    buffering them, so a corrupted length cannot make a peer allocate
+    unboundedly. *)
 
 (** {1 Messages} *)
 
@@ -57,10 +49,10 @@ type request =
           {!Answers} frame and dispatched through the sharded parallel
           batch path *)
 
-(** Why a frame or request was rejected.  The numeric code on the wire
-    is {!error_code_to_int}. *)
+(** Why a frame or request was rejected.  On the wire each is one byte,
+    1 to 8 in the order listed. *)
 type error_code =
-  | Bad_magic  (** first byte was not {!magic}: stream desync *)
+  | Bad_magic  (** first byte was not the magic 0xC4: stream desync *)
   | Bad_version  (** peer speaks a different protocol version *)
   | Bad_frame  (** checksum mismatch or malformed frame structure *)
   | Bad_tag  (** unknown frame tag for this direction *)
@@ -80,16 +72,6 @@ type response =
   | Answers of Serve.Engine.answer array
   | Error of error_code * string
       (** explicit error frame: code plus a human-readable diagnostic *)
-
-val error_code_to_int : error_code -> int
-(** Stable wire encoding of an error code (1..8). *)
-
-val error_code_of_int : int -> error_code option
-(** Inverse of {!error_code_to_int}; [None] on an unknown code. *)
-
-val error_code_name : error_code -> string
-(** Lower-case symbolic name, e.g. ["bad-version"] — used in logs and
-    error-frame messages. *)
 
 (** Whether an error ends the connection.  Frame-level damage
     ({!Bad_magic}, {!Bad_version}, {!Bad_frame}, {!Bad_tag},
@@ -143,13 +125,12 @@ type 'a parse =
           connection); otherwise skip [consumed] bytes and continue
           parsing at the next frame boundary. *)
 
-val parse_request : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> request parse
+val parse_request : Bytes.t -> pos:int -> len:int -> request parse
 (** [parse_request buf ~pos ~len] tries to decode one request frame
     from [buf.[pos .. pos+len-1]]: {!check_frame}, then
-    {!decode_request}, their outcomes as a constructor.  [max_frame]
-    defaults to {!default_max_frame}. *)
+    {!decode_request}, their outcomes as a constructor. *)
 
-val parse_response : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> response parse
+val parse_response : Bytes.t -> pos:int -> len:int -> response parse
 (** Same, for the client side of the connection. *)
 
 (** {1 In place}
@@ -162,10 +143,10 @@ exception Refused of error_code * string
 (** A frame or request rejected with this code and diagnostic — the
     same pair {!parse_request} reports in [Fail]. *)
 
-val check_frame : max_frame:int -> Bytes.t -> pos:int -> len:int -> int
-(** [check_frame ~max_frame buf ~pos ~len] checks the frame at the
+val check_frame : Bytes.t -> pos:int -> len:int -> int
+(** [check_frame buf ~pos ~len] checks the frame at the
     front of the window [buf.[pos .. pos+len-1]]: magic, version, the
-    canonical length varint and the [max_frame] cap as soon as their
+    canonical length varint and the {!max_frame} cap as soon as their
     bytes arrive, then, once the window holds the whole frame, its CRC.
     Returns the frame's size when it is whole and verified, or [-k]
     when at least [k] more bytes are needed.  Allocates nothing unless

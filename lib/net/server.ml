@@ -13,24 +13,14 @@ let m_batch_size =
   Obs.Metrics.histogram "net.batch_size"
     ~buckets:[| 1; 4; 16; 64; 256; 1024; 4096; 16384 |]
 
-type config = {
-  host : string;
-  port : int;
-  backlog : int;
-  max_conns : int;
-  max_frame : int;
-  write_budget : int;
-}
+type config = { host : string; port : int; write_budget : int }
 
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    backlog = 64;
-    max_conns = 1024;
-    max_frame = Protocol.default_max_frame;
-    write_budget = 256 * 1024;
-  }
+let default_config = { host = "127.0.0.1"; port = 0; write_budget = 256 * 1024 }
+
+(* The listen backlog, and the connection cap above which the listener
+   stops accepting (further connects wait in that backlog). *)
+let backlog = 64
+let max_conns = 1024
 
 (* Cumulative loop counters.  The loop is single-threaded, so plain
    mutable ints are exact; they are mirrored into Obs counters so a
@@ -65,16 +55,11 @@ type t = {
 }
 
 let check_config c =
-  let positive what v =
-    if v < 1 then
-      invalid_arg (Printf.sprintf "Server.create: %s must be positive (got %d)" what v)
-  in
   if c.port < 0 || c.port > 65535 then
     invalid_arg (Printf.sprintf "Server.create: port %d is outside 0..65535" c.port);
-  positive "backlog" c.backlog;
-  positive "max_conns" c.max_conns;
-  positive "max_frame" c.max_frame;
-  positive "write_budget" c.write_budget
+  if c.write_budget < 1 then
+    invalid_arg
+      (Printf.sprintf "Server.create: write_budget must be positive (got %d)" c.write_budget)
 
 let create ?(config = default_config) router =
   check_config config;
@@ -86,7 +71,7 @@ let create ?(config = default_config) router =
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd
        (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen fd config.backlog;
+     Unix.listen fd backlog;
      Unix.set_nonblock fd
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -238,17 +223,13 @@ let close_conn t fd conn =
 
 let accept_ready t =
   let continue = ref true in
-  while !continue && not t.shutting && List.length t.conns < t.config.max_conns
-  do
+  while !continue && not t.shutting && List.length t.conns < max_conns do
     match Unix.accept t.listen_fd with
     | fd, _addr ->
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
-        let conn =
-          Conn.create ~max_frame:t.config.max_frame
-            ~write_budget:t.config.write_budget ()
-        in
+        let conn = Conn.create ~write_budget:t.config.write_budget () in
         t.conns <- (fd, conn) :: t.conns;
         t.c.accepted <- t.c.accepted + 1;
         Obs.Metrics.incr m_accepted
@@ -302,16 +283,14 @@ let begin_shutdown t =
     t.shutting <- true;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     let goodbye =
-      Protocol.response_to_string
-        (Protocol.Error
-           (Protocol.Shutting_down, "server is draining; no further requests"))
+      Protocol.Error (Protocol.Shutting_down, "server is draining; no further requests")
     in
     List.iter
       (fun (_, conn) ->
         if Conn.state conn = Conn.Open then begin
           (* Ordered after every queued answer, so a pipelining client
              can tell exactly which of its requests made the cut. *)
-          Conn.enqueue conn goodbye;
+          Conn.respond conn goodbye;
           Conn.drain conn
         end)
       t.conns
@@ -335,7 +314,7 @@ let run t =
   while not !finished do
     let reads =
       t.pipe_r
-      :: (if (not t.shutting) && List.length t.conns < t.config.max_conns then
+      :: (if (not t.shutting) && List.length t.conns < max_conns then
             [ t.listen_fd ]
           else [])
       @ List.filter_map

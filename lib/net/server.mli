@@ -1,54 +1,43 @@
 (** Single-threaded [Unix.select] event loop serving {!Serve.Router}
     queries over TCP — the long-lived form of [advice_store serve].
+    DESIGN.md, "Wire protocol & event loop", has the design.
 
-    One loop iteration selects over the listening socket, a self-pipe
-    (the cross-domain shutdown signal), and every connection that wants
-    IO per its {!Conn} state machine; then accepts, reads and parses
-    pipelined request frames, dispatches them (batches through the
-    router's parallel {!Serve.Router.batch} slot fan-out, on the domain
-    count the router was created with), and flushes write queues.
-    Dispatch is synchronous on the loop thread: one enormous batch
-    delays other connections rather than racing them, which is the
-    deliberate trade — the router's domain pool is where parallelism
-    lives, and the loop stays free of locks entirely.  The router
-    ({!Serve.Router.create}) serves either snapshot version; a
-    router exception (a malformed query, a lost shard) becomes a
-    non-fatal {!Protocol.Rejected} frame and the server keeps serving.
+    Each loop round accepts, reads and parses pipelined request frames,
+    dispatches them, and flushes write queues.  Dispatch is synchronous
+    on the loop thread, so one enormous batch delays other connections
+    rather than racing them: batches run through the router's
+    {!Serve.Router.batch} on the domain count the router was created
+    with, and the loop takes no locks.  A router exception (a malformed
+    query, a lost shard) becomes a non-fatal {!Protocol.Rejected} frame
+    and the server keeps serving.
 
-    {b Backpressure} is per connection ({!Conn}): a peer whose response
-    queue exceeds the write budget stops being read until the queue
-    drains, so slow readers throttle themselves through TCP flow control
-    instead of growing server memory.  When {!config.max_conns} peers
-    are connected the listener stops accepting; further connects wait in
-    the kernel backlog.
+    {b Backpressure} is per connection ({!Conn}).  When 1024 peers are
+    connected the listener stops accepting; further connects wait in the
+    kernel's listen backlog of 64.
 
     {b Graceful shutdown.}  {!shutdown} may be called from any domain or
-    from a signal handler: it writes one byte to the self-pipe.  The
-    loop then stops accepting, closes the listener (freeing the port),
-    appends a {!Protocol.Shutting_down} error frame to every open
-    connection (ordered {e after} all queued answers, so a pipelining
-    client can tell exactly which requests made the cut), drains every
-    write queue, closes the sockets, and returns from {!run}.  Requests
-    fully received before the shutdown byte are answered; bytes arriving
-    after it are never parsed.
+    from a signal handler.  The loop then stops accepting, closes the
+    listener (freeing the port), appends a {!Protocol.Shutting_down}
+    error frame to every open connection (ordered {e after} all queued
+    answers, so a pipelining client can tell exactly which requests made
+    the cut), drains every write queue, closes the sockets, and returns
+    from {!run}.  Requests fully received before the shutdown are
+    answered; bytes arriving after it are never parsed.
 
-    {b Degraded serving} needs no special handling here: a router over a
+    {b Degraded serving} needs no special handling: a router over a
     salvaged version-1 file or a container with a lost shard answers
     like any other, and the stats frame exposes [engine.degraded] /
-    [serve.degraded] so clients can see they are being served
-    best-effort from a damaged snapshot.
+    [serve.degraded].
 
     Obs: [net.accepted], [net.closed], [net.requests], [net.queries],
     [net.batches], [net.errors], [net.bytes_in], [net.bytes_out]
     counters and the [net.batch_size] histogram. *)
 
-(** Loop parameters; {!default_config} is the baseline. *)
+(** Loop parameters; {!default_config} is the baseline.  A frame is
+    capped at {!Protocol.max_frame}. *)
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** TCP port; [0] asks the kernel for an ephemeral one *)
-  backlog : int;  (** listen backlog, default 64 *)
-  max_conns : int;  (** accepted-connection cap, default 1024 *)
-  max_frame : int;  (** per-frame byte cap, {!Protocol.default_max_frame} *)
   write_budget : int;
       (** per-connection queued-response bound (bytes) above which the
           connection stops being read, default 256 KiB *)
@@ -66,8 +55,8 @@ val create : ?config:config -> Serve.Router.t -> t
     read the assigned port, and only then start the loop in another
     domain.  The loop then owns [router]: no other thread may query it
     while the server runs.  @raise Invalid_argument before any socket
-    is created when [port] is outside 0..65535, or [backlog],
-    [max_conns], [max_frame] or [write_budget] is below 1; @raise
+    is created when [port] is outside 0..65535 or [write_budget] is
+    below 1; @raise
     Unix.Unix_error when binding fails (address in use, permission). *)
 
 val port : t -> int

@@ -16,10 +16,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** JSON string-body escaping: double quotes, backslashes and control
-    characters. *)
-
 val to_string : t -> string
 (** Render with two-space indentation; scalar-only lists stay on one
     line.  The output carries no trailing newline. *)

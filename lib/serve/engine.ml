@@ -135,24 +135,13 @@ let pick_advice ~recovered snapshot =
   | [], (n, a) :: _ -> (n, a, false)
   | [], [] -> fail "Engine.create: snapshot has no advice section"
 
-let create ?cache_capacity ?memo ?radius ?ids ?health snapshot =
+let create ?cache_capacity ?memo ?radius ?health snapshot =
   let recovered, report = Option.value health ~default:([], []) in
   let name, advice, trusted = pick_advice ~recovered snapshot in
   let radius = serve_radius ?radius snapshot.Store.Snapshot.meta in
   let quarantined = List.filter_map describe_damage report in
   let graph = snapshot.Store.Snapshot.graph in
   let n = Graph.n graph in
-  let ids =
-    match ids with
-    | None -> Localmodel.Ids.identity graph
-    | Some ids ->
-        if Array.length ids <> n then
-          fail "Engine.create: ids array has %d entries for a %d-node graph"
-            (Array.length ids) n;
-        if not (Localmodel.Ids.is_valid graph ids) then
-          fail "Engine.create: ids are not distinct positive identifiers";
-        ids
-  in
   let store =
     match cache_capacity with
     | Some c when c < 0 -> fail "Engine.create: negative cache capacity %d" c
@@ -175,7 +164,7 @@ let create ?cache_capacity ?memo ?radius ?ids ?health snapshot =
     name;
     advice;
     radius;
-    ids;
+    ids = Localmodel.Ids.identity graph;
     store;
     labels = Array.make (if store then n else 0) undecoded;
     bits = Array.make n undecoded;

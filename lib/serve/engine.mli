@@ -1,61 +1,34 @@
 (** Query engine: answer per-node questions from a loaded snapshot by
     decoding only the node's radius-r ball (the paper's C4 workload).
 
-    The engine loads a {!Store.Snapshot} once and serves three request
-    kinds: [Output_label v] (the membership bits of [v]'s incident
-    edges, in sorted-neighbor order), [Edge_member (v, e)] (is incident
-    edge [e] in the compressed set — C4 decompression), and
-    [Advice_bits v] (the raw advice string).  A ball query stamps the
-    node's radius-r ball into the domain-local {!Netgraph.Workspace} with
-    one BFS and decodes the label straight from the stamps with
-    {!Center_decode}: it searches only the trails through the edges the
-    label reads, so a miss builds no fragment, no {!Localmodel.View} and
-    no orientation of the whole ball — work bounded by the ball and
-    independent of the graph size.
+    The engine serves three request kinds: [Output_label v] (the
+    membership bits of [v]'s incident edges, in sorted-neighbor order),
+    [Edge_member (v, e)] (is incident edge [e] in the compressed set —
+    C4 decompression), and [Advice_bits v] (the raw advice string).  A
+    ball query stamps the node's radius-r ball with one BFS and decodes
+    the label from the stamps with {!Center_decode}: no fragment and no
+    {!Localmodel.View} is built, and the work is bounded by the ball,
+    independent of the graph size.  Identifiers are the identity
+    [v + 1]; the decoder and the memo key read them only through their
+    order.
 
-    {b Decode once: one label column.}  A node's label is a pure
-    function of its ball, so for a given snapshot it never changes: the
-    engine keeps a node-indexed label column over its graph, decodes a
-    node the first time a ball query names it, and answers every later
-    query for that node with one array load.  The column holds the
-    answer itself: for a label of at most 8 bits (every node of degree
-    at most 8) the one preallocated [Label] of that string
-    ({!Advice.Bits.shared}), otherwise a [Label] box of its own, so a
-    hit returns what it reads and allocates nothing.  The column costs
-    one word per node, plus, for labels longer than 8 bits, a box and
-    the label string (one string per isomorphism class with a memo, one
-    per decoded node without).  [Advice_bits] reads a second column of
-    [Bits] answers, filled the same way on a node's first such query.
-    The engine has no notion
-    of shards or batches: {!Router} is the only multi-slot front end and
-    the only batch planner.  It keeps one engine per resident shard (the
-    column leaves with the shard on eviction) and cuts the shard's nodes
-    into slots, so a slot is a node range of that engine's column.  Only
-    a range's owner writes it: the serialized {!query} path, or the one
-    pool worker that holds the slot for a batch wave.
-
-    {b Canonical-ball memoization.}  With [?memo], a {!Memo} table sits
-    {e between} the label column and the decoder.  A column miss hashes
-    the stamped ball's fingerprint
-    ({!Ethlink.Canonical.ball_fingerprint}: the engine's prefix — its
-    radius, decoder parameters and trust mode — the ball size and every
-    stamp's advice) and asks the memo's filter.  A first sighting
-    records the fingerprint and decodes, with no key built.  A repeat
-    sighting writes the key ({!Ethlink.Canonical.write_ball_key}: the
-    prefix, then the bytes of {!Ethlink.Canonical.ball_signature},
-    straight from the BFS stamps) and probes it in place; a hit is the
-    answer, and a miss decodes from the same stamps and stores the
-    class, so a class is stored on its second sighting and hits from
-    its third.  Nodes with isomorphic balls share one decode (and one
-    label string), across engines (the router passes one table to
-    every shard engine) and shard evictions.  Answers are
-    byte-identical to the unmemoized engine: the key captures the
-    decoder's whole input, and hits are decided on the whole key.
-    Publication is single-writer: the serialized {!query} path
-    publishes at once, while {!staged} callers (the router's pool
-    workers) only {e read} the frozen table and filter and hand their
-    first sightings and stores back for the calling thread to publish
-    after the join.
+    Each node is decoded once: a node-indexed label column holds the
+    answer itself, so a hit returns what it reads and allocates
+    nothing.  The column costs one word per node, plus, for labels
+    longer than 8 bits, a box and the label string (one string per
+    isomorphism class with a memo, one per decoded node without).
+    [Advice_bits] reads a second column, filled on a node's first such
+    query.  With [?memo], a {!Memo} sits between the column and the
+    decoder, so nodes with isomorphic balls share one decode, across
+    engines and shard evictions; answers are byte-identical to the
+    unmemoized engine's, because the key captures the decoder's whole
+    input and hits are decided on the whole key.  Only a column range's
+    owner writes it: the serialized {!query} path, or the one pool
+    worker that holds the range for a batch wave ({!staged}).  DESIGN.md
+    has the design: "Canonical-ball memoization" for the column, the
+    filter, the key and single-writer publication, and "Batch
+    parallelism architecture" for the router's slots, which are node
+    ranges of one engine's column.
 
     The serve radius is the one certified at pack time
     ({!Pack.edge_compression} stores it in the snapshot metadata):
@@ -88,7 +61,6 @@ val create :
   ?cache_capacity:int ->
   ?memo:Memo.t ->
   ?radius:int ->
-  ?ids:Localmodel.Ids.t ->
   ?health:(string * Advice.Assignment.t) list * Store.Snapshot.section_report list ->
   Store.Snapshot.t ->
   t
@@ -98,11 +70,7 @@ val create :
     [params.*]) as written by {!Pack.edge_compression}; [?radius]
     overrides the stored value.  [cache_capacity] [0] turns the label
     column off (every ball query decodes); any other value, like the
-    default, stores every node's label.  [ids] overrides the identifier
-    assignment the decoder orders a ball's nodes by (default: the identity
-    [v + 1]) — {!Router} hands each container shard's engine its
-    {e global} ids, which is what makes shard-local answers
-    byte-identical to a whole-graph engine's.  [memo] attaches a
+    default, stores every node's label.  [memo] attaches a
     canonical-ball decode memo (see the module comment; the table may be
     shared with other engines — the keys pin radius, parameters and
     trust).
@@ -115,8 +83,8 @@ val create :
     so via {!serving_trusted} — and any non-healthy [report] row makes
     the engine {!degraded}.  Note that when the metadata section itself
     was lost, [?radius] must be supplied.  @raise Invalid_argument when
-    no usable advice section exists, the capacity or [radius] is
-    negative, or [ids] is not a valid assignment for the graph; @raise
+    no usable advice section exists, or the capacity or [radius] is
+    negative; @raise
     Store.Codec.Corrupt as {!serve_radius}, or when a [params.*] entry
     is not a non-negative integer. *)
 

@@ -20,7 +20,6 @@
    lib/check documents the bug classes that exploration catches). *)
 
 let m_runs = Obs.Metrics.counter "pool.runs"
-let m_inline = Obs.Metrics.counter "pool.inline_runs"
 let m_tasks = Obs.Metrics.counter "pool.tasks"
 
 let fail fmt = Format.kasprintf invalid_arg fmt
@@ -33,76 +32,52 @@ module Make (S : Shim.S) = struct
       (* Explicit requests are honored (oversubscription is how tests
          exercise cross-domain execution on small hosts); only the
          runtime's domain cap and the task count bound them. *)
-      | Some d -> max 1 (min d 64)
+      | Some d -> min d 64
       | None -> Localmodel.View.effective_domains ()
     in
-    let d = min d n in
-    if d <= 1 then begin
-      Obs.Metrics.incr m_inline;
-      Obs.Metrics.add m_tasks n;
-      (* Same failure contract as the parallel path: drain every task,
-         then replay the first (= lowest-index) failure. *)
-      let err = ref None in
-      let out =
-        Array.map
-          (fun t ->
-            match f t with
-            | y -> Some y
-            | exception e ->
-                (match !err with None -> err := Some e | Some _ -> ());
-                None)
-          tasks
+    (* At least one worker, so an empty task array still returns [||];
+       with one, the calling domain claims every task and nothing is
+       spawned. *)
+    let d = max 1 (min d n) in
+    Obs.Metrics.incr m_runs;
+    Obs.Metrics.add m_tasks n;
+    let next = S.Atomic.make 0 in
+    (* A failing task is recorded, not raised: the queue drains fully so
+       one poisoned shard cannot abandon the rest of the batch, and the
+       failure is replayed deterministically after the join. *)
+    let worker () =
+      let rec drain acc =
+        let i = S.Atomic.fetch_and_add next 1 in
+        if i >= n then acc
+        else
+          let outcome = match f tasks.(i) with
+            | y -> Ok y
+            | exception e -> Error e
+          in
+          drain ((i, outcome) :: acc)
       in
-      match !err with
-      | Some e -> raise e
-      | None ->
-          Array.map
-            (function
-              | Some y -> y
-              | None -> fail "Pool.run: inline task lost its result")
-            out
-    end
-    else begin
-      Obs.Metrics.incr m_runs;
-      Obs.Metrics.add m_tasks n;
-      let next = S.Atomic.make 0 in
-      (* A failing task is recorded, not raised: the queue drains fully so
-         one poisoned shard cannot abandon the rest of the batch, and the
-         failure is replayed deterministically after the join. *)
-      let worker () =
-        let rec drain acc =
-          let i = S.Atomic.fetch_and_add next 1 in
-          if i >= n then acc
-          else
-            let outcome = match f tasks.(i) with
-              | y -> Ok y
-              | exception e -> Error e
-            in
-            drain ((i, outcome) :: acc)
-        in
-        drain []
-      in
-      let spawned = Array.init (d - 1) (fun _ -> S.Thread.spawn worker) in
-      let own = worker () in
-      let parts = Array.map S.Thread.join spawned in
-      let slots = Array.make n None in
-      let place (i, outcome) = slots.(i) <- Some outcome in
-      List.iter place own;
-      Array.iter (fun part -> List.iter place part) parts;
-      (* Exactly-once by construction: the cursor hands out each index once
-         and every claimed index below [n] is executed and recorded.  Scan
-         for the lowest failed index first so the raised exception does not
-         depend on the domain interleaving. *)
-      for i = 0 to n - 1 do
-        match slots.(i) with Some (Error e) -> raise e | _ -> ()
-      done;
-      Array.map
-        (function
-          | Some (Ok y) -> y
-          | Some (Error _) | None ->
-              fail "Pool.run: task slot left unfilled (claim cursor bug)")
-        slots
-    end
+      drain []
+    in
+    let spawned = Array.init (d - 1) (fun _ -> S.Thread.spawn worker) in
+    let own = worker () in
+    let parts = Array.map S.Thread.join spawned in
+    let slots = Array.make n None in
+    let place (i, outcome) = slots.(i) <- Some outcome in
+    List.iter place own;
+    Array.iter (fun part -> List.iter place part) parts;
+    (* Exactly-once by construction: the cursor hands out each index once
+       and every claimed index below [n] is executed and recorded.  Scan
+       for the lowest failed index first so the raised exception does not
+       depend on the domain interleaving. *)
+    for i = 0 to n - 1 do
+      match slots.(i) with Some (Error e) -> raise e | _ -> ()
+    done;
+    Array.map
+      (function
+        | Some (Ok y) -> y
+        | Some (Error _) | None ->
+            fail "Pool.run: task slot left unfilled (claim cursor bug)")
+      slots
 end
 
 module Production = Make (Shim.Real)

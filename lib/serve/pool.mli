@@ -1,14 +1,9 @@
 (** Work-distribution layer for batch serving: a fixed task array mapped
-    over a small OCaml 5 domain pool, with dynamic claiming so a slow
-    task (a slot whose balls are large) cannot strand the other domains
-    behind a static partition.
-
-    Workers claim the next task index with a single
-    [Atomic.fetch_and_add] on a shared cursor: one atomic RMW per task,
-    no lock, no waiting — the Chase–Lev-style single shared queue
-    degenerated to its simplest correct form for a pre-known dense task
-    range.  The [store.pool] block of BENCH_local.json compares pooled
-    against sequential serving at 1, 2 and 4 requested domains.
+    over a small OCaml 5 domain pool by dynamic claiming, one
+    [Atomic.fetch_and_add] on a shared cursor per task, so a slow task
+    (a slot whose balls are large) cannot strand the other domains
+    behind a static partition.  DESIGN.md, "Batch parallelism
+    architecture", has the design.
 
     Tasks execute {e exactly once} each, results land at their task's
     index, and an exception raised by a task is caught, carried across
@@ -18,19 +13,16 @@
     to completion even when a task fails (a failing ball must not
     abandon the rest of the batch mid-flight).
 
-    The pool spawns [domains - 1] fresh domains per {!run} and executes
-    the remaining worker on the calling domain; with one domain (or one
-    task) it runs inline with no spawn at all, which is what makes the
-    pooled path cost within noise of sequential serving on a 1-core
-    host.  Unlike {!Localmodel.View.effective_domains}-fitted fan-outs,
-    an explicit [?domains] here is honored literally (clamped only to
-    the task count and the runtime's domain cap): the pool is the
-    mechanism tests and smoke runs use to exercise genuine cross-domain
-    execution on hosts with fewer cores than the request.
+    A run takes one path: it spawns [domains - 1] fresh domains and
+    runs the remaining worker on the calling domain, so with one domain
+    (or one task) nothing is spawned.  Unlike
+    {!Localmodel.View.effective_domains}-fitted fan-outs, an explicit
+    [?domains] here is honored literally (clamped only to the task count
+    and the runtime's domain cap): the pool is the mechanism tests and
+    smoke runs use to exercise genuine cross-domain execution on hosts
+    with fewer cores than the request.
 
-    Obs: [pool.runs] counts parallel runs, [pool.tasks] tasks executed,
-    [pool.inline_runs] runs that short-circuited to the sequential
-    path. *)
+    Obs: [pool.runs] counts runs, [pool.tasks] tasks executed. *)
 
 module Make (_ : Shim.S) : sig
   val run : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array

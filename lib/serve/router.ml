@@ -170,13 +170,14 @@ let bsearch (arr : int array) (x : int) =
     if arr.(!lo) = x then !lo else -1
   end
 
-(* Load shard [k]: fetch + decode its byte range, hand the local graph
-   and advice slices to a fresh engine whose ids are the global node ids
-   shifted to the identifier space (gid + 1 = the identity assignment a
-   whole-graph engine uses), so every ball's identifier order — and
-   therefore every answer byte — matches the monolithic engine's.  The
-   interior is one run of the sorted local ids, so each of the shard's
-   slots is a local range of the engine's column too. *)
+(* Load shard [k]: fetch + decode its byte range and hand the local
+   graph and advice slices to a fresh engine.  Its identifiers are the
+   local ones: local ids are sorted by global id, and the decoder and
+   the memo key read identifiers only through their order, so every
+   answer byte matches the monolithic engine's (DESIGN.md, "Sharded
+   snapshot layout").  The interior is one run of the sorted local ids,
+   so each of the shard's slots is a local range of the engine's column
+   too. *)
 let load_resident t ~pinned k =
   let info = t.man.Shard.m_shards.(k) in
   let loaded = Shard.load t.store k in
@@ -190,12 +191,9 @@ let load_resident t ~pinned k =
       meta = t.man.Shard.m_meta;
     }
   in
-  let ids =
-    if whole then None else Some (Array.map (fun gid -> gid + 1) loaded.Shard.l_ids)
-  in
   let engine =
     Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius
-      ?ids ?health:loaded.Shard.l_health snapshot
+      ?health:loaded.Shard.l_health snapshot
   in
   let r =
     {

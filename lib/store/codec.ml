@@ -89,11 +89,58 @@ let section w ~tag ?crc payload =
   raw w payload;
   u32 w (match crc with Some c -> c | None -> Crc32.of_string payload)
 
+(* Position readers: the read side of the position writers.  Each reads
+   the field at [p] of the window ending at [limit], and every
+   diagnostic counts offsets from [base].  Varints are canonical, so a
+   field's size follows from its value and no cursor is kept; the
+   stream reader below moves its own cursor over them. *)
+
+let need ~base ~limit p k what =
+  if limit - p < k then
+    corrupt "truncated input at offset %d: need %d byte(s) for %s, have %d" (p - base) k what
+      (limit - p)
+
+let u8_at b ~base ~limit p =
+  need ~base ~limit p 1 "u8";
+  Bytes.get_uint8 b p
+
+(* A loop rather than a local recursive function, so no call allocates
+   a closure. *)
+let varint_at b ~base ~limit start =
+  let acc = ref 0 and shift = ref 0 and p = ref start and last = ref false in
+  while not !last do
+    need ~base ~limit !p 1 "varint";
+    let byte = Bytes.get_uint8 b !p in
+    incr p;
+    let payload = byte land 0x7F in
+    if !shift > 56 || (!shift = 56 && payload > 0x3F) then
+      corrupt "varint at offset %d overflows the int range" (start - base);
+    acc := !acc lor (payload lsl !shift);
+    if byte land 0x80 <> 0 then shift := !shift + 7
+    else if payload = 0 && !shift > 0 then
+      (* Canonical LEB128 only: a final zero group after a continuation
+         (e.g. the 0x80 0x00 spelling of 0) re-encodes to fewer bytes,
+         which would break the byte-identical re-pack invariant. *)
+      corrupt "non-minimal varint at offset %d: trailing zero group" (start - base)
+    else last := true
+  done;
+  !acc
+
+let str_at b ~base ~limit p =
+  let n = varint_at b ~base ~limit p in
+  let p = p + varint_size n in
+  need ~base ~limit p n "raw bytes";
+  Bytes.sub_string b p n
+
+let expect_end_at ~base ~limit p ~what =
+  if p < limit then corrupt "%s: %d trailing byte(s) at offset %d" what (limit - p) (p - base)
+
 (* Reader *)
 
 (* [base] is where the window's offsets count from: 0 for a reader made
    by [reader], the window's first byte for one made by [sub], so a
-   window reports what a reader over a copy of its bytes would. *)
+   window reports what a reader over a copy of its bytes would.  The
+   position readers take the string as [bytes] and only read it. *)
 type reader = { data : string; mutable pos : int; limit : int; base : int }
 
 let reader ?(pos = 0) ?len data =
@@ -110,56 +157,31 @@ let at_end r = r.pos >= r.limit
 let source r = r.data
 let source_pos r = r.pos
 let fork r = { r with pos = r.pos }
-
-let need r k what =
-  if remaining r < k then
-    corrupt "truncated input at offset %d: need %d byte(s) for %s, have %d"
-      (pos r) k what (remaining r)
+let bytes r = Bytes.unsafe_of_string r.data
 
 let read_u8 r =
-  need r 1 "u8";
-  let v = Char.code (String.unsafe_get r.data r.pos) in
+  let v = u8_at (bytes r) ~base:r.base ~limit:r.limit r.pos in
   r.pos <- r.pos + 1;
   v
 
 let read_u16 r =
-  need r 2 "u16";
+  need ~base:r.base ~limit:r.limit r.pos 2 "u16";
   let b i = Char.code (String.unsafe_get r.data (r.pos + i)) in
   let v = b 0 lor (b 1 lsl 8) in
   r.pos <- r.pos + 2;
   v
 
 let read_u32 r =
-  need r 4 "u32";
+  need ~base:r.base ~limit:r.limit r.pos 4 "u32";
   let b i = Char.code (String.unsafe_get r.data (r.pos + i)) in
   let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
   r.pos <- r.pos + 4;
   v
 
-(* A loop rather than a local recursive function, so no call allocates
-   a closure. *)
 let read_varint_loop r =
-  let start = pos r in
-  let acc = ref 0 and shift = ref 0 and last = ref false in
-  while not !last do
-    need r 1 "varint";
-    let b = Char.code (String.unsafe_get r.data r.pos) in
-    r.pos <- r.pos + 1;
-    let payload = b land 0x7F in
-    if !shift > 56 || (!shift = 56 && payload > 0x3F) then
-      corrupt "varint at offset %d overflows the int range" start;
-    acc := !acc lor (payload lsl !shift);
-    if b land 0x80 = 0 then begin
-      (* Canonical LEB128 only: a final zero group after a continuation
-         (e.g. the 0x80 0x00 spelling of 0) re-encodes to fewer bytes,
-         which would break the byte-identical re-pack invariant. *)
-      if payload = 0 && !shift > 0 then
-        corrupt "non-minimal varint at offset %d: trailing zero group" start;
-      last := true
-    end
-    else shift := !shift + 7
-  done;
-  !acc
+  let v = varint_at (bytes r) ~base:r.base ~limit:r.limit r.pos in
+  r.pos <- r.pos + varint_size v;
+  v
 
 (* Most varints of a snapshot (degrees, neighbor gaps, advice lengths)
    are one byte: those return without entering the loop. *)
@@ -176,7 +198,7 @@ let read_varint r =
 
 let sub r k =
   if k < 0 then corrupt "negative length %d at offset %d" k (pos r);
-  need r k "raw bytes";
+  need ~base:r.base ~limit:r.limit r.pos k "raw bytes";
   let w = { data = r.data; pos = r.pos; limit = r.pos + k; base = r.pos } in
   r.pos <- r.pos + k;
   w
@@ -190,12 +212,11 @@ let sub_str r =
   sub r len
 
 let read_str r =
-  let len = read_varint r in
-  read_raw r len
+  let s = str_at (bytes r) ~base:r.base ~limit:r.limit r.pos in
+  r.pos <- r.pos + str_size s;
+  s
 
-let expect_end r ~what =
-  if not (at_end r) then
-    corrupt "%s: %d trailing byte(s) at offset %d" what (remaining r) (pos r)
+let expect_end r ~what = expect_end_at ~base:r.base ~limit:r.limit r.pos ~what
 
 let read_section r =
   let offset = pos r in

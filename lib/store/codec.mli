@@ -35,9 +35,6 @@ val str_size : string -> int
 val put_u8 : bytes -> int -> int -> int
 (** The low 8 bits of the value. *)
 
-val put_u16 : bytes -> int -> int -> int
-(** Little-endian, the low 16 bits of the value. *)
-
 val put_u32 : bytes -> int -> int -> int
 (** Little-endian, the low 32 bits of the value. *)
 
@@ -46,6 +43,31 @@ val put_varint : bytes -> int -> int -> int
 
 val put_str : bytes -> int -> string -> int
 (** Varint length followed by the raw bytes. *)
+
+(** {1 Position readers}
+
+    The read side of the position writers, over a [bytes] window that
+    ends at [limit]: each [*_at] reads the field at a position and
+    leaves no cursor behind (a canonical varint's size is
+    {!varint_size} of its value, so the next field's position follows
+    from the values read).  Diagnostics count offsets from [base], word
+    for word as a {!reader} over a copy of the window reports them: the
+    {!reader} below is built on these functions.  The wire decoder
+    reads frames in place with them.  @raise Corrupt on truncation, as
+    every reader does. *)
+
+val u8_at : bytes -> base:int -> limit:int -> int -> int
+(** One byte. *)
+
+val varint_at : bytes -> base:int -> limit:int -> int -> int
+(** A canonical LEB128 varint, checked as {!read_varint} checks it. *)
+
+val str_at : bytes -> base:int -> limit:int -> int -> string
+(** A varint-length-prefixed string, copied out. *)
+
+val expect_end_at : base:int -> limit:int -> int -> what:string -> unit
+(** @raise Corrupt when the position is short of [limit]: trailing
+    bytes after a complete parse. *)
 
 (** {1 Writer} *)
 

@@ -72,4 +72,3 @@ let of_substring ?init s ~pos ~len =
   of_subbytes ?init (Bytes.unsafe_of_string s) ~pos ~len
 
 let of_string ?init s = of_substring ?init s ~pos:0 ~len:(String.length s)
-let of_bytes ?init b = of_subbytes ?init b ~pos:0 ~len:(Bytes.length b)

@@ -15,6 +15,3 @@ val of_substring : ?init:int -> string -> pos:int -> len:int -> int
 val of_subbytes : ?init:int -> bytes -> pos:int -> len:int -> int
 (** {!of_substring} over a [bytes] value, e.g. a frame being written.
     @raise Invalid_argument when the range is out of bounds. *)
-
-val of_bytes : ?init:int -> bytes -> int
-(** Checksum of a whole [bytes] value. *)

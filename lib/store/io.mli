@@ -129,10 +129,6 @@ val read_to_eof : in_channel -> string
     in binary mode; the caller closes it.  No fault is applied — faults
     attach to whole-file reads ({!read_file}), not raw channels. *)
 
-val temp_path : string -> string
-(** The staging path {!write_file} uses for a destination (exposed so
-    tests and salvage tooling can find crash leftovers). *)
-
 val file_size : string -> int
 (** Size of [path] in bytes ([Unix.stat]).  @raise Sys_error when the
     file cannot be stat'ed. *)

@@ -12,19 +12,12 @@ module Vclock = Check.Vclock
 
 let test_vclock_laws () =
   let a = Vclock.make () and b = Vclock.make () in
-  Alcotest.(check bool) "zero <= zero" true (Vclock.leq a b);
   Vclock.tick a 0;
   Vclock.tick a 0;
   Vclock.tick a 3;
   Alcotest.(check int) "tick accumulates" 2 (Vclock.get a 0);
-  Alcotest.(check bool) "zero <= ticked" true (Vclock.leq b a);
-  Alcotest.(check bool) "ticked <= zero fails" false (Vclock.leq a b);
   Vclock.tick b 1;
-  (* a = [2;0;0;1...], b = [0;1]: concurrent — neither order holds. *)
-  Alcotest.(check bool) "concurrent: a <= b fails" false (Vclock.leq a b);
-  Alcotest.(check bool) "concurrent: b <= a fails" false (Vclock.leq b a);
   Vclock.merge b a;
-  Alcotest.(check bool) "a <= merge b a" true (Vclock.leq a b);
   Alcotest.(check int) "merge keeps own component" 1 (Vclock.get b 1);
   let c = Vclock.copy b in
   Vclock.tick b 1;

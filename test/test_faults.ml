@@ -56,7 +56,7 @@ let test_write_read_roundtrip () =
   let data = String.init 10_000 (fun i -> Char.chr (i * 7 land 0xFF)) in
   Store.Io.write_file path data;
   check "no temp file left behind" false
-    (Sys.file_exists (Store.Io.temp_path path));
+    (Sys.file_exists (path ^ ".tmp"));
   check_str "write/read round-trip" data (Store.Io.read_file path);
   (* Overwrite is atomic too: the new contents fully replace the old. *)
   Store.Io.write_file path "short";
@@ -87,7 +87,7 @@ let test_crash_every_byte () =
   let old_bytes = Store.Snapshot.write old_snapshot in
   let new_bytes = Store.Snapshot.write new_snapshot in
   let path = "tf_crash.ladv" in
-  let temp = Store.Io.temp_path path in
+  let temp = path ^ ".tmp" in
   Fun.protect ~finally:(fun () -> remove_noerr path; remove_noerr temp)
   @@ fun () ->
   with_disarm @@ fun () ->
@@ -145,7 +145,7 @@ let counter_total name =
 
 let test_write_error_unlinks () =
   let path = "tf_eio.ladv" in
-  let temp = Store.Io.temp_path path in
+  let temp = path ^ ".tmp" in
   Fun.protect ~finally:(fun () -> remove_noerr path; remove_noerr temp)
   @@ fun () ->
   with_disarm @@ fun () ->
@@ -185,7 +185,7 @@ let test_transient_retry () =
   Fun.protect
     ~finally:(fun () ->
       remove_noerr path;
-      remove_noerr (Store.Io.temp_path path))
+      remove_noerr (path ^ ".tmp"))
   @@ fun () ->
   with_disarm @@ fun () ->
   Obs.Sink.enable ();
@@ -756,6 +756,22 @@ let test_lying_counts_are_corrupt () =
     (has_sub out "label 0 -> error: shard 0 lost: shard node ids: 1099511627776 id(s)");
   check "2^40 local nodes, --salvage: one query failed" true (has_sub out ", 1 failed)")
 
+(* A file shorter than the 6-byte prefix (magic and version) cannot be
+   told apart by version: inspect reports it as corrupt, with or without
+   --health, before it picks a reader. *)
+let test_short_file_is_corrupt () =
+  with_files [ ("tf_empty.ladv", ""); ("tf_five.ladv", "LADV\002") ] @@ fun () ->
+  List.iter
+    (fun (path, size) ->
+      List.iter
+        (fun flags ->
+          expect_corrupt
+            (Printf.sprintf "%d-byte file: inspect %s" size (String.concat " " flags))
+            ~mentions:(Printf.sprintf "%d byte(s) is too short for a snapshot prefix" size)
+            (run_cli ([ "inspect"; path ] @ flags)))
+        [ []; [ "--health" ] ])
+    [ ("tf_empty.ladv", 0); ("tf_five.ladv", 5) ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -796,5 +812,7 @@ let () =
             test_pack_reports_written_shards;
           Alcotest.test_case "lying counts are corrupt, not fatal" `Quick
             test_lying_counts_are_corrupt;
+          Alcotest.test_case "a short file is corrupt, not fatal" `Quick
+            test_short_file_is_corrupt;
         ] );
     ]

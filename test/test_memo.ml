@@ -590,17 +590,25 @@ let workspace_key_and_fragment =
       let rng = Prng.create seed in
       let g, advice, trusted, top = ball_case family ~quarantined rng in
       let ids = ids_of kind rng g in
+      let identity = Localmodel.Ids.identity g in
       let params = Schemas.Balanced_orientation.onebit_params in
       let snapshot =
         { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta = [] }
+      in
+      (* The whole-fragment decode raises on no ball: its tolerant
+         decoders drop every malformed message and anchor. *)
+      let reference view where =
+        match reference_label ~params view with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "reference decode raised %s, %s" e where
       in
       for radius = 0 to top do
         let prefix = Printf.sprintf "r%d;t%b;" radius trusted in
         let memo = Serve.Memo.create ~capacity:64 in
         let engine =
-          if trusted then Serve.Engine.create ~memo ~radius ~ids snapshot
+          if trusted then Serve.Engine.create ~memo ~radius snapshot
           else
-            Serve.Engine.create ~memo ~radius ~ids
+            Serve.Engine.create ~memo ~radius
               ~health:([ ("c4", advice) ], [])
               { snapshot with Store.Snapshot.advice = [] }
         in
@@ -614,22 +622,23 @@ let workspace_key_and_fragment =
           ignore (Traversal.bfs_limited_into ws g v radius);
           check_string ("workspace key, " ^ where) (prefix ^ signature)
             (Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice);
-          (* The whole-fragment decode raises on no ball: its tolerant
-             decoders drop every malformed message and anchor. *)
-          let expected =
-            match reference_label ~params view with
-            | Ok s -> s
-            | Error e -> Alcotest.failf "reference decode raised %s, %s" e where
-          in
+          (* The engine's decoder on these stamps, with these ids; read
+             before anything else stamps the domain's workspace. *)
+          let stamped = Serve.Center_decode.label ws g ~ids ~advice ~center:0 in
+          let expected = reference view where in
+          check_string ("stamped decode, " ^ where) expected stamped;
           check_string ("label_of_view, " ^ where) expected
             (Serve.Engine.label_of_view ~params view);
-          (* The engine's view-free path, memo attached. *)
+          (* The engine's view-free path, memo attached, on its identity
+             ids. *)
           let served =
             match Serve.Engine.query engine (Serve.Engine.Output_label v) with
             | Serve.Engine.Label s -> s
             | _ -> Alcotest.fail "Output_label answered with a non-label"
           in
-          check_string ("engine label, " ^ where) expected served
+          check_string ("engine label, " ^ where)
+            (reference (Localmodel.View.make ~advice g ~ids:identity ~radius v) where)
+            served
         done
       done;
       true)

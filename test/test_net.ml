@@ -157,9 +157,20 @@ module Reference = struct
   let tag_answers = 0xA0
   let tag_error = 0xFF
 
+  (* The wire numbers of the error codes, written out. *)
+  let error_code_to_int = function
+    | Bad_magic -> 1
+    | Bad_version -> 2
+    | Bad_frame -> 3
+    | Bad_tag -> 4
+    | Bad_request -> 5
+    | Rejected -> 6
+    | Too_large -> 7
+    | Shutting_down -> 8
+
   let frame w ~tag payload =
     let fw = Codec.writer ~capacity:(String.length payload + 16) () in
-    Codec.u8 fw magic;
+    Codec.u8 fw 0xC4;
     Codec.u8 fw version;
     Codec.u8 fw tag;
     Codec.varint fw (String.length payload);
@@ -384,18 +395,26 @@ let every_shape_matches_reference () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a negative node id was encoded"
 
+(* Every code survives the wire, and a code byte outside 1..8 is an
+   unknown code: a malformed payload, answered and skipped. *)
 let error_code_table () =
-  List.iter
-    (fun c ->
-      check_int
-        (Printf.sprintf "code %s survives the wire" (Net.Protocol.error_code_name c))
-        (Net.Protocol.error_code_to_int c)
-        (match Net.Protocol.error_code_of_int (Net.Protocol.error_code_to_int c) with
-        | Some c' when c' = c -> Net.Protocol.error_code_to_int c'
-        | _ -> -1))
+  List.iteri
+    (fun i c ->
+      match parse_full_response (Net.Protocol.response_to_string (Net.Protocol.Error (c, "m"))) with
+      | Net.Protocol.Done (Net.Protocol.Error (c', "m"), _) when c' = c -> ()
+      | _ -> Alcotest.failf "code %d does not survive the wire" (i + 1))
     all_error_codes;
-  check "0 is not a code" true (Net.Protocol.error_code_of_int 0 = None);
-  check "9 is not a code" true (Net.Protocol.error_code_of_int 9 = None)
+  List.iter
+    (fun byte ->
+      let w = Store.Codec.writer () in
+      Reference.frame w ~tag:Reference.tag_error (String.make 1 (Char.chr byte) ^ "\001m");
+      let s = Store.Codec.contents w in
+      match parse_full_response s with
+      | Net.Protocol.Fail { code = Net.Protocol.Bad_request; message; consumed }
+        when message = Printf.sprintf "unknown error code %d" byte && consumed = String.length s ->
+          ()
+      | _ -> Alcotest.failf "code byte %d was not refused as an unknown code" byte)
+    [ 0; 9 ]
 
 (* A fixed set of frames covering every tag in both directions, for the
    exhaustive (every prefix, every byte) corruption sweeps. *)
@@ -489,15 +508,25 @@ let direction_confusion () =
       | _ -> Alcotest.fail "response frame accepted by the request parser")
     sample_responses
 
+(* A header alone (magic, version, the output-label tag, the payload
+   length) announcing a frame of [total] bytes, for [total] near the
+   cap: there the length varint takes three bytes. *)
+let header_announcing total =
+  let len = total - 3 - 3 - 4 in
+  check_int "three-byte length varint" 3 (Store.Codec.varint_size len);
+  let w = Store.Codec.writer () in
+  List.iter (Store.Codec.u8 w) [ 0xC4; Net.Protocol.version; 0x10 ];
+  Store.Codec.varint w len;
+  Store.Codec.contents w
+
 let oversized_rejected () =
-  let big = Net.Protocol.Query (Serve.Engine.Output_label 1) in
-  let s = Net.Protocol.request_to_string big in
-  match
-    Net.Protocol.parse_request ~max_frame:4 (Bytes.of_string s) ~pos:0
-      ~len:(String.length s)
-  with
+  let parse s = Net.Protocol.parse_request (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+  (match parse (header_announcing (Net.Protocol.max_frame + 1)) with
   | Net.Protocol.Fail { code = Net.Protocol.Too_large; _ } -> ()
-  | _ -> Alcotest.fail "oversized frame was not rejected with too-large"
+  | _ -> Alcotest.fail "oversized frame was not rejected with too-large");
+  match parse (header_announcing Net.Protocol.max_frame) with
+  | Net.Protocol.Need _ -> ()
+  | _ -> Alcotest.fail "a frame of exactly the cap was not awaited"
 
 (* ------------------------------------------------------------------ *)
 (* Conn state machine (no sockets) *)
@@ -628,7 +657,7 @@ let test_conn_backpressure () =
   check "over budget: writing wanted" true (Net.Conn.wants_write conn);
   ignore (drain_frames conn);
   check "under budget again: reading resumes" true (Net.Conn.wants_read conn);
-  check_int "queue empty after drain" 0 (Net.Conn.queued_bytes conn)
+  check "queue empty after drain" true (Net.Conn.pending conn = None)
 
 (* Whatever the conn queued, concatenated: the exact bytes a client reads. *)
 let drain_bytes conn =
@@ -682,7 +711,7 @@ let test_conn_many_frames_one_chunk () =
   | _ -> Alcotest.fail "no untouched chunk pending");
   check "responses in order, byte-identical" true
     (drain_bytes conn = expected_stream reqs);
-  check_int "write queue drained" 0 (Net.Conn.queued_bytes conn)
+  check "write queue drained" true (Net.Conn.pending conn = None)
 
 (* The warm path's allocation budget, in the shape of the test above but
    answered by a real router: a 4-shard container of a periodic-subset
@@ -812,7 +841,6 @@ let test_loopback_pipelined () =
   let qs = workload g 300 in
   (* Full pipeline: every request on the wire before the first read. *)
   Array.iter (fun q -> Net.Client.send c (Net.Protocol.Query q)) qs;
-  check_int "all requests in flight" (Array.length qs) (Net.Client.in_flight c);
   Array.iter
     (fun q ->
       let expect = Serve.Engine.query direct q in
@@ -983,9 +1011,6 @@ let test_server_rejects_config () =
       ("write_budget = 0", { Net.Server.default_config with write_budget = 0 });
       ("port = 70000", { Net.Server.default_config with port = 70000 });
       ("port = -5", { Net.Server.default_config with port = -5 });
-      ("backlog = 0", { Net.Server.default_config with backlog = 0 });
-      ("max_conns = 0", { Net.Server.default_config with max_conns = 0 });
-      ("max_frame = 0", { Net.Server.default_config with max_frame = 0 });
     ]
 
 (* The stats frame says how the served radius was certified: on every

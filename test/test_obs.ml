@@ -178,7 +178,7 @@ let test_interning_and_buckets () =
 
 let test_jsonout () =
   let open Obs.Jsonout in
-  check_str "escaping" "a\\\"b\\\\c\\n\\u0001" (escape "a\"b\\c\n\001");
+  check_str "escaping" "\"a\\\"b\\\\c\\n\\u0001\"" (to_string (Str "a\"b\\c\n\001"));
   check_str "scalar list stays inline" "[1, 2, 3]"
     (to_string (List [ Int 1; Int 2; Int 3 ]));
   check_str "non-finite floats are null" "[null, null, null]"

@@ -218,9 +218,6 @@ let test_position_writers () =
     (fun v -> check_str "u8" (appended (fun w -> C.u8 w v)) (placed 1 (fun b pos -> C.put_u8 b pos v)))
     [ 0; 0x7F; 0xFF ];
   List.iter
-    (fun v -> check_str "u16" (appended (fun w -> C.u16 w v)) (placed 2 (fun b pos -> C.put_u16 b pos v)))
-    [ 0; 0x1234; 0xFFFF ];
-  List.iter
     (fun v -> check_str "u32" (appended (fun w -> C.u32 w v)) (placed 4 (fun b pos -> C.put_u32 b pos v)))
     [ 0; 0x12345678; 0xFFFFFFFF ];
   (match C.put_varint (Bytes.create 1) 0 128 with

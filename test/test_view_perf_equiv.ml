@@ -205,21 +205,6 @@ let test_with_advice_matches_remake () =
   in
   check "with_advice = re-extraction" true (remade = projected)
 
-let test_find_by_id () =
-  let g = Builders.cycle 12 in
-  let ids = Localmodel.Ids.identity g in
-  let view = Localmodel.View.make g ~ids ~radius:2 4 in
-  (* ids present in the view: 3..7 (nodes 2..6), as identity ids v+1. *)
-  List.iter
-    (fun gid ->
-      match Localmodel.View.find_by_id view gid with
-      | Some i -> check_int "found id" gid view.Localmodel.View.ids.(i)
-      | None -> Alcotest.fail (Printf.sprintf "id %d should be in view" gid))
-    [ 3; 4; 5; 6; 7 ];
-  check "absent id" true (Localmodel.View.find_by_id view 11 = None);
-  check "absent id (never assigned)" true
-    (Localmodel.View.find_by_id view 999 = None)
-
 let test_workspace_epoch_reuse () =
   (* Reusing one workspace across many extractions must not leak state
      between epochs. *)
@@ -258,6 +243,5 @@ let () =
             test_map_nodes_par_identical;
           Alcotest.test_case "with_advice = re-extraction" `Quick
             test_with_advice_matches_remake;
-          Alcotest.test_case "find_by_id" `Quick test_find_by_id;
         ] );
     ]
