@@ -317,8 +317,9 @@ let cold_measure ~reps setup f =
 
 (* The per-layer numbers beside perfbench's [setup_s], in process and on
    its two instances, each file read through [Shard.open_file] as the
-   server reads it: hot-skewed's v1 file opened, routed (one slot, with
-   the server's default memo) and answered once, each layer timed alone
+   server reads it: hot-skewed's v1 file opened, routed (one slot, given
+   a memo as `serve --memo` is; the file ships no class table, so the
+   router drops it) and answered once, each layer timed alone
    and then the three back to back; one load of structured-sweep's
    shard 0 from an opened container. *)
 let cold_open ~smoke =

@@ -247,13 +247,35 @@ let bench_io ~smoke =
     ok )
 
 (* ------------------------------------------------------------------ *)
+(* Interleaved min-of-reps: each rep runs every configuration once, in
+   turn, so drift (GC, frequency scaling, a neighbour's load) hits all
+   of them alike, and each keeps its fastest run.  The order reverses
+   every other rep, so no configuration always runs first, after the
+   previous rep's garbage.  A gate that compares two configurations
+   reads these minima; its rep count is the one that kept the gate's
+   spread across whole bench runs under its bound, and is recorded in
+   the JSON next to the rows. *)
+let interleaved_min ~reps runs =
+  let k = Array.length runs in
+  let best = Array.make k infinity in
+  for rep = 1 to reps do
+    for j = 0 to k - 1 do
+      let i = if rep mod 2 = 0 then k - 1 - j else j in
+      let (), t = Bench_util.time_once runs.(i) in
+      best.(i) <- Float.min best.(i) t
+    done
+  done;
+  best
+
 (* Pool comparison: sequential serving vs the pooled router batch, at
    requested domain counts 1 / 2 / 4 — each fitted to the hardware
    before timing and reported with both counts, so a 1-core host shows
    three honest effective-1 rows instead of a fake speedup.  Caching is
-   off and the two configurations are timed interleaved (min of reps),
-   so the comparison isolates slot fan-out cost over identical ball
-   work. *)
+   off and the two configurations are timed interleaved (min of
+   [pool_reps]), so the comparison isolates slot fan-out cost over
+   identical ball work. *)
+
+let pool_reps = 25
 
 type pool_row = {
   p_n : int;
@@ -271,22 +293,14 @@ let bench_pool_row ~bytes ~queries ~requested =
   let pool_router = slot_router ~domains:effective bytes in
   let run_seq () = ignore (Serve.Router.batch seq_router queries) in
   let run_lockless () = ignore (Serve.Router.batch pool_router queries) in
-  (* Interleaved min-of-reps: drift (GC, frequency scaling) hits both
-     configurations equally, and the minima compare clean runs. *)
-  let seq = ref infinity and lockless = ref infinity in
-  for _ = 1 to 3 do
-    let _, a = Bench_util.time_once run_seq in
-    let _, c = Bench_util.time_once run_lockless in
-    seq := Float.min !seq a;
-    lockless := Float.min !lockless c
-  done;
+  let best = interleaved_min ~reps:pool_reps [| run_seq; run_lockless |] in
   {
     p_n = Serve.Router.n seq_router;
     p_queries = k;
     p_requested = requested;
     p_effective = effective;
-    seq_qps = rate k !seq;
-    lockless_qps = rate k !lockless;
+    seq_qps = rate k best.(0);
+    lockless_qps = rate k best.(1);
   }
 
 let json_of_pool_row r =
@@ -346,6 +360,7 @@ let bench_pool ~smoke =
   let not_slower = List.for_all pool_row_acceptable rows in
   ( J.Obj
       [
+        ("reps", J.Int pool_reps);
         ("results", J.List (List.map json_of_pool_row rows));
         ("oversubscribed_2domain_matches_seq", J.Bool crossed_ok);
       ],
@@ -565,40 +580,44 @@ let bench_shard ~smoke ~domains =
   (J.Obj [ ("results", J.List (List.map json_of_shard_row rows)) ], pack_ok, lazy_ok)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical-ball memo: structural hit rate and miss-path overhead.
+(* Ball-class table: structural hit rate, and the cost of a file that
+   ships none.
 
    Two structural families — the periodic-subset cycle (trusted,
    packed, certified radius) and the uniform-advice grid (salvaged,
-   radius 2) — have a tiny signature-class population: almost every
-   ball is isomorphic to one already decoded, so even the COLD sweep
-   over all nodes hits ≥ 90% (memo_hit_rate_structural; the hit rate is
-   hits / (hits + misses) from the [serve.memo.*] counters, which count
-   one of the two per query, not wall clock: a class is stored on its
-   second sighting, so the first is a miss that stores nothing).  The
-   adversarial family gives every node distinct advice bits, so classes
-   ≈ nodes and the memo never usefully hits: timing the memoized engine
-   against the plain one there prices the pure miss path — a
-   fingerprint and a filter probe — which must stay a bounded fraction
-   of the decode it failed to save (memo_not_slower). *)
+   radius 2, its table built by Pack.class_table, as pack builds one) —
+   have a tiny class population: almost every ball is one of the
+   classes the table ships, so even a cold sweep over all nodes hits
+   ≥ 90% (memo_hit_rate_structural; the hit rate is hits / (hits +
+   misses) from the [serve.memo.*] counters, which count one of the two
+   per query).  The adversarial family gives every node distinct
+   advice bits, so no class recurs and the pack ships no table: an
+   engine given a memo serves without one, and must stay within noise
+   of the plain engine (memo_not_slower).  Plain and memoized are timed
+   interleaved, min of [memo_reps]; each timed sweep builds its engine
+   afresh (table load included), since one engine kept across reps
+   kept its own memory placement too, and read up to 0.76× another
+   built identically. *)
+
+let memo_reps = 25
 
 type memo_row = {
   c_family : string;
   c_n : int;
   c_radius : int;
   c_queries : int;
-  c_capacity : int;
-  c_stores : int;
-  c_drops : int;
-  c_first_sightings : int;
+  c_classes : int;  (* shipped classes; 0 without a table *)
+  c_covered : int;  (* nodes whose ball is a shipped class *)
   c_entries : int;
   c_table_bytes : int;
   c_hit_rate : float;  (* cold sweep: hits / (hits + misses) *)
   c_plain_qps : float;
   c_memo_qps : float;
   c_memo_us : float;
-      (* steady-state µs per memoized query: on the structural rows every
-         query is a memo hit, so this is the memo-hit path end to end —
-         BFS, key, probe — in process *)
+      (* µs per memoized query of a fresh engine's sweep: on the
+         structural rows nearly every query is a table hit, so this is
+         the hit path end to end — table load, BFS, key, probe — in
+         process *)
 }
 
 (* A counter's total in the current obs snapshot. *)
@@ -611,51 +630,48 @@ let counter name =
       | _ -> acc)
     0 (Obs.Metrics.snapshot ())
 
-(* [make ?memo ()] builds a fresh engine over the family's shared
-   snapshot state; caching is off so every query reaches the memo
-   layer and the comparison isolates it. *)
-let bench_memo_family ~name ~n ~radius ~capacity
+(* [make ?memo ()] builds a fresh engine over the family's snapshot,
+   whose metadata is [meta]; the label column is off, so every query
+   reaches the table and the comparison isolates it.  The memo is sized
+   to the shipped table, as `advice_store serve --memo` sizes it. *)
+let bench_memo_family ~name ~n ~radius ~meta
     ~(make : ?memo:Serve.Memo.t -> unit -> Serve.Engine.t) =
   let queries = Array.init n (fun v -> Serve.Engine.Output_label v) in
-  let memo = Serve.Memo.create ~capacity in
-  let memoized = make ~memo () in
-  let plain = make ?memo:None () in
-  let run e () =
+  let classes, covered =
+    match List.assoc_opt Serve.Memo.table_key meta with
+    | Some table -> Serve.Memo.read_table table
+    | None -> (0, 0)
+  in
+  let sweep ?memo () =
+    let e = make ?memo () in
     Array.iter (fun q -> ignore (Serve.Engine.query e q)) queries
   in
-  (* Cold sweep, counted: each query is one memo hit or one miss. *)
+  let fresh_memo () = Serve.Memo.create ~capacity:(max 1 classes) in
+  (* Cold sweep, counted: each query is one table hit or one miss. *)
+  let memo = fresh_memo () in
   let was_enabled = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
   let h0 = counter "serve.memo.hits" and m0 = counter "serve.memo.misses" in
-  run memoized ();
+  sweep ~memo ();
   let hits = counter "serve.memo.hits" - h0 and misses = counter "serve.memo.misses" - m0 in
   Obs.Metrics.set_enabled was_enabled;
   let s = Serve.Memo.stats memo in
-  let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  (* Steady state, interleaved min-of-reps: the structural families now
-     serve hits, the adversarial one keeps missing (and dropping). *)
-  let plain_t = ref infinity and memo_t = ref infinity in
-  for _ = 1 to 3 do
-    let (), a = Bench_util.time_once (run plain) in
-    let (), b = Bench_util.time_once (run memoized) in
-    plain_t := Float.min !plain_t a;
-    memo_t := Float.min !memo_t b
-  done;
+  let best =
+    interleaved_min ~reps:memo_reps [| sweep ?memo:None; (fun () -> sweep ~memo:(fresh_memo ()) ()) |]
+  in
   {
     c_family = name;
     c_n = n;
     c_radius = radius;
     c_queries = n;
-    c_capacity = capacity;
-    c_stores = s.Serve.Memo.s_stores;
-    c_drops = s.Serve.Memo.s_drops;
-    c_first_sightings = s.Serve.Memo.s_first_sightings;
+    c_classes = classes;
+    c_covered = covered;
     c_entries = s.Serve.Memo.s_entries;
     c_table_bytes = s.Serve.Memo.s_bytes;
-    c_hit_rate = hit_rate;
-    c_plain_qps = rate n !plain_t;
-    c_memo_qps = rate n !memo_t;
-    c_memo_us = 1e6 *. !memo_t /. float_of_int n;
+    c_hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses));
+    c_plain_qps = rate n best.(0);
+    c_memo_qps = rate n best.(1);
+    c_memo_us = 1e6 *. best.(1) /. float_of_int n;
   }
 
 let json_of_memo_row r =
@@ -665,10 +681,8 @@ let json_of_memo_row r =
       ("n", J.Int r.c_n);
       ("serve_radius", J.Int r.c_radius);
       ("queries", J.Int r.c_queries);
-      ("memo_capacity", J.Int r.c_capacity);
-      ("signature_classes_stored", J.Int r.c_stores);
-      ("drops", J.Int r.c_drops);
-      ("first_sightings", J.Int r.c_first_sightings);
+      ("table_classes", J.Int r.c_classes);
+      ("covered_nodes", J.Int r.c_covered);
       ("entries", J.Int r.c_entries);
       ("table_bytes", J.Int r.c_table_bytes);
       ("cold_hit_rate", J.Float r.c_hit_rate);
@@ -679,18 +693,20 @@ let json_of_memo_row r =
     ]
 
 let bench_memo ~smoke =
-  (* Periodic-subset cycle: the pack certifies a real radius, and the
-     period makes every ball isomorphic to one of a handful. *)
-  let structural_cycle =
-    let n = if smoke then 4_000 else 64_000 in
+  (* A packed cycle and its certified radius, read back from its file. *)
+  let packed_cycle ~name n pick =
     let g = Builders.cycle n in
     let x = Bitset.create (Graph.m g) in
-    Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
+    Graph.iter_edges (fun e _ -> if pick e then Bitset.add x e) g;
     let snapshot, cert = Serve.Pack.edge_compression ~sample:64 g x in
     let loaded = Store.Snapshot.read (Store.Snapshot.write snapshot) in
-    bench_memo_family ~name:"cycle-periodic" ~n ~radius:cert.Serve.Pack.radius
-      ~capacity:4_096 ~make:(fun ?memo () ->
-        Serve.Engine.create ~cache_capacity:0 ?memo loaded)
+    bench_memo_family ~name ~n ~radius:cert.Serve.Pack.radius ~meta:loaded.Store.Snapshot.meta
+      ~make:(fun ?memo () -> Serve.Engine.create ~cache_capacity:0 ?memo loaded)
+  in
+  (* Periodic-subset cycle: the pack certifies a real radius, and the
+     period makes almost every ball one of a handful of classes. *)
+  let structural_cycle =
+    packed_cycle ~name:"cycle-periodic" (if smoke then 4_000 else 64_000) (fun e -> e mod 4 < 2)
   in
   (* Uniform-advice grid: ball classes are the grid position classes
      (corner / edge / interior at radius 2) — a few dozen for any n. *)
@@ -698,36 +714,20 @@ let bench_memo ~smoke =
     let side = if smoke then 64 else 253 in
     let g = Builders.grid side side in
     let advice = Array.make (Graph.n g) "01" in
-    let sv =
-      {
-        Store.Snapshot.partial =
-          { Store.Snapshot.graph = g; advice = []; meta = [] };
-        recovered = [ ("c4", advice) ];
-        report = [];
-      }
-    in
-    bench_memo_family ~name:"grid-uniform" ~n:(Graph.n g) ~radius:2
-      ~capacity:4_096 ~make:(fun ?memo () ->
+    let meta = [ Serve.Pack.class_table g ~advice ~radius:2 ] in
+    bench_memo_family ~name:"grid-uniform" ~n:(Graph.n g) ~radius:2 ~meta
+      ~make:(fun ?memo () ->
         Serve.Engine.create ~cache_capacity:0 ?memo ~radius:2
-          ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
-          sv.Store.Snapshot.partial)
+          ~health:([ ("c4", advice) ], [])
+          { Store.Snapshot.graph = g; advice = []; meta })
   in
   (* Adversarial: a random subset scatters distinct advice around every
-     node, so signature classes ≈ nodes and nothing usefully hits —
-     each query pays the full decode PLUS a fingerprint and a filter
-     probe (the filter forgets a sweep's 20,000 fingerprints long before
-     the next sweep, so no key is built). *)
+     node, so every ball is its own class and the pack ships no table:
+     the memoized engine is the plain one. *)
   let adversarial =
     let n = if smoke then 2_000 else 20_000 in
-    let g = Builders.cycle n in
     let rng = Prng.create (n + 67) in
-    let x = Bitset.create (Graph.m g) in
-    Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
-    let snapshot, cert = Serve.Pack.edge_compression ~sample:64 g x in
-    let loaded = Store.Snapshot.read (Store.Snapshot.write snapshot) in
-    bench_memo_family ~name:"cycle-adversarial" ~n
-      ~radius:cert.Serve.Pack.radius ~capacity:1_024 ~make:(fun ?memo () ->
-        Serve.Engine.create ~cache_capacity:0 ?memo loaded)
+    packed_cycle ~name:"cycle-adversarial" n (fun _ -> Prng.bool rng)
   in
   let rows = [ structural_cycle; structural_grid; adversarial ] in
   List.iter
@@ -736,7 +736,7 @@ let bench_memo ~smoke =
         "store  memo  %-17s n=%-6d r=%-3d classes %5d  hit %6.2f%%  plain \
          %8.0f q/s  memo %8.0f q/s %6.2f us/q (%4.2fx)\n\
          %!"
-        r.c_family r.c_n r.c_radius r.c_stores (100.0 *. r.c_hit_rate)
+        r.c_family r.c_n r.c_radius r.c_classes (100.0 *. r.c_hit_rate)
         r.c_plain_qps r.c_memo_qps r.c_memo_us
         (r.c_memo_qps /. r.c_plain_qps))
     rows;
@@ -745,13 +745,16 @@ let bench_memo ~smoke =
       (fun r -> r.c_hit_rate >= 0.90)
       [ structural_cycle; structural_grid ]
   in
-  (* The miss path is pure overhead on this family; the bound says the
-     fingerprint + filter cost stays a small fraction of the ball decode
-     it sits in front of. *)
+  (* Without a table the memo is dropped at create, so this bound only
+     says that dropping it costs nothing. *)
   let not_slower =
     adversarial.c_memo_qps >= 0.85 *. adversarial.c_plain_qps
   in
-  ( J.Obj [ ("results", J.List (List.map json_of_memo_row rows)) ],
+  ( J.Obj
+      [
+        ("reps", J.Int memo_reps);
+        ("results", J.List (List.map json_of_memo_row rows));
+      ],
     hit_ok,
     not_slower )
 
@@ -784,57 +787,53 @@ let bench_decode_instance ~name ~radius ~balls g x =
   let ids = Localmodel.Ids.identity g in
   let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
   let ws = Workspace.domain_local () in
-  let prefix = "r0;" in
   let plain = Serve.Engine.create ~cache_capacity:0 ~radius snapshot in
-  let memoized = ref plain in
-  (* Room for every ball in the table and its filter. *)
-  let fresh_memo () =
-    let memo = Serve.Memo.create ~capacity:(2 * balls) in
-    memoized := Serve.Engine.create ~cache_capacity:0 ~memo ~radius snapshot
-  in
-  let memo_query v = ignore (Serve.Engine.output_label !memoized v) in
-  (* A class is stored on its second sighting: after two sweeps every
-     ball is in the table. *)
-  let stored_memo () =
-    fresh_memo ();
-    Array.iter memo_query nodes;
-    Array.iter memo_query nodes
-  in
   let bfs v = ignore (Traversal.bfs_limited_into ws g v radius) in
+  (* An engine over a table filled by hand (a random subset ships
+     none): one whose only key no ball has (a ball has at least one
+     node, and a key starts with the count) misses every ball, and one
+     that holds every ball's class hits them all. *)
+  let memoized classes =
+    let memo = Serve.Memo.create ~capacity:(List.length classes) in
+    List.iter (fun (key, label) -> Serve.Memo.insert memo key label) classes;
+    Serve.Engine.create ~cache_capacity:0 ~memo ~radius snapshot
+  in
+  let missing = memoized [ ("\000", "") ] in
+  let holding =
+    memoized
+      (Array.to_list
+         (Array.map
+            (fun v ->
+              bfs v;
+              ( Ethlink.Canonical.ball_key ws g ~ids ~advice,
+                Serve.Center_decode.label ws g ~ids ~advice ~center:0 ))
+            nodes))
+  in
   let steps =
     [
-      ("bfs", ignore, bfs);
-      ( "bfs+fingerprint",
-        ignore,
-        fun v ->
-          bfs v;
-          ignore (Ethlink.Canonical.ball_fingerprint ~prefix ws ~advice) );
+      ("bfs", bfs);
       ( "bfs+ball_key",
-        ignore,
         fun v ->
           bfs v;
-          ignore (Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice) );
+          ignore (Ethlink.Canonical.ball_key ws g ~ids ~advice) );
       ( "bfs+decode",
-        ignore,
         fun v ->
           bfs v;
           ignore (Serve.Center_decode.label ws g ~ids ~advice ~center:0) );
-      ("miss_memo_off", ignore, fun v -> ignore (Serve.Engine.output_label plain v));
-      (* a fresh memo: every ball is a first sighting (BFS,
-         fingerprint, filter probe, decode; no key) *)
-      ("miss_memo_on", fresh_memo, memo_query);
-      (* every class stored: all hits (BFS, fingerprint, key, probe) *)
-      ("memo_hit", stored_memo, memo_query);
+      ("miss_memo_off", fun v -> ignore (Serve.Engine.output_label plain v));
+      (* BFS, key, probe, decode *)
+      ("miss_memo_on", fun v -> ignore (Serve.Engine.output_label missing v));
+      (* BFS, key, probe *)
+      ("memo_hit", fun v -> ignore (Serve.Engine.output_label holding v));
     ]
   in
   let best = Array.make (List.length steps) infinity in
   let words = Array.make (List.length steps) 0.0 in
   (* one untimed pass grows every scratch to this instance's balls *)
-  List.iter (fun (_, setup, f) -> setup (); Array.iter f nodes) steps;
+  List.iter (fun (_, f) -> Array.iter f nodes) steps;
   for _ = 1 to decode_reps do
     List.iteri
-      (fun i (_, setup, f) ->
-        setup ();
+      (fun i (_, f) ->
         let w0 = Gc.minor_words () in
         let (), t = Bench_util.time_once (fun () -> Array.iter f nodes) in
         words.(i) <- Gc.minor_words () -. w0;
@@ -851,7 +850,7 @@ let bench_decode_instance ~name ~radius ~balls g x =
     x_ball_nodes = float_of_int !total /. float_of_int balls;
     x_steps =
       List.mapi
-        (fun i (s_name, _, _) ->
+        (fun i (s_name, _) ->
           {
             s_name;
             s_us = 1e6 *. best.(i) /. float_of_int balls;

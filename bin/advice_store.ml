@@ -85,9 +85,21 @@ let within cmd flag ~min ~max v =
     exit 2
   end
 
+(* A malformed edge list, or a graph the schema cannot encode, is an
+   input error: one line on stderr and exit 2. *)
+let input_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "pack: %s@." msg;
+      exit 2)
+    fmt
+
 let build ?input kind n =
   match input with
-  | Some path -> Graphio.load path
+  | Some path -> (
+      match Graphio.load path with
+      | g -> g
+      | exception Invalid_argument msg -> input_error "--input %s: %s" path msg)
   | None -> (
       match kind with
       | `Cycle -> Builders.cycle (max 3 n)
@@ -143,7 +155,14 @@ let pack_cmd =
     in
     Format.printf "packed: n=%d m=%d subset=%d edges@." (Graph.n g) (Graph.m g)
       (Bitset.cardinal x);
-    let snapshot, cert = Serve.Pack.edge_compression ~sample ?domains g x in
+    let snapshot, cert =
+      match Serve.Pack.edge_compression ~sample ?domains g x with
+      | packed -> packed
+      | exception
+          ( Advice.Onebit.Conversion_failure msg
+          | Schemas.Balanced_orientation.Encoding_failure msg ) ->
+          input_error "cannot encode the graph: %s" msg
+    in
     (* Serialize exactly once: a second write just to learn the size
        would double-count store.bytes_written. *)
     let bytes =
@@ -256,18 +275,31 @@ let shard_term =
               container; without it inspect reports every shard from the \
               manifest alone, reading no body bytes.")
 
+(* One line per metadata entry.  The shipped class table is bytes: it
+   is checked, and summed up, before anything is printed. *)
+let meta_lines meta =
+  List.map
+    (fun (k, v) ->
+      if String.equal k Serve.Memo.table_key then
+        let classes, covered = Serve.Memo.read_table v in
+        Printf.sprintf "meta %s = %d classes covering %d nodes, %d bytes" k classes
+          covered (String.length v)
+      else Printf.sprintf "meta %s = %s" k v)
+    meta
+
 (* v2 honesty: everything below the per-shard lines comes from the
    manifest frame — offsets, sizes and CRCs are reported without
    touching (or decoding) a single body byte. *)
 let print_manifest path man =
   let open Store.Shard in
+  let meta = meta_lines man.m_meta in
   Format.printf "container: %d bytes, version %d, %d shard(s), halo %d@."
     (Store.Io.file_size path) version
     (Array.length man.m_shards)
     man.m_halo;
   Format.printf "graph: n=%d m=%d@." man.m_n man.m_m;
   List.iter (fun name -> Format.printf "advice %S (per shard)@." name) man.m_advice;
-  List.iter (fun (k, v) -> Format.printf "meta %s = %s@." k v) man.m_meta;
+  List.iter (Format.printf "%s@.") meta;
   Array.iter
     (fun i ->
       Format.printf
@@ -364,6 +396,7 @@ let inspect_cmd =
     if health then print_health raw
     else begin
     let snapshot = Store.Snapshot.read raw in
+    let meta = meta_lines snapshot.Store.Snapshot.meta in
     let sections = Store.Snapshot.sections raw in
     Format.printf "snapshot: %d bytes, version %d, %d sections@."
       (String.length raw) Store.Snapshot.version (List.length sections);
@@ -394,9 +427,7 @@ let inspect_cmd =
           budget
           (100.0 *. float_of_int bits /. float_of_int (max 1 budget)))
       snapshot.Store.Snapshot.advice;
-    List.iter
-      (fun (k, v) -> Format.printf "meta %s = %s@." k v)
-      snapshot.Store.Snapshot.meta
+    List.iter (Format.printf "%s@.") meta
     end
     end
   in
@@ -569,51 +600,24 @@ let memo_term =
   Arg.(
     value & flag
     & info [ "memo" ]
-        ~doc:"Attach a canonical-ball decode memo between the label columns \
-              and the decoder: nodes with isomorphic balls (same canonical \
-              signature) share one decode, across shards and — on a \
-              sharded container — across shard loads and evictions.  A \
-              class is stored on its second sighting: the first only \
-              records the ball's fingerprint, so balls that never recur \
-              build and keep no keys.  Answers are byte-identical with or \
+        ~doc:"Serve with the ball-class table the file ships: $(b,pack) \
+              counts the canonical ball classes at the certified radius \
+              and stores the ones that recur with their labels, so a node \
+              whose ball is one of them is answered without a decode, on \
+              every shard.  A file without a table ($(b,inspect) says why) \
+              serves without a memo.  Answers are byte-identical with or \
               without it.")
-
-let memo_capacity_term =
-  Arg.(
-    value
-    & opt int 4096
-    & info [ "memo-capacity" ] ~docv:"ENTRIES"
-        ~doc:"Entry bound of the --memo table (default 4096; 0 makes the \
-              memo a no-op).  A class is stored on its second sighting; \
-              stores past the bound are dropped, keeping the classes \
-              already stored.")
 
 let serve_cmd =
   let run path batch listen host port write_budget domains salvage
-      resident_mb use_memo memo_capacity metrics =
+      resident_mb use_memo metrics =
     at_least "serve" "domains" ~min:1 domains;
     within "serve" "port" ~min:0 ~max:65535 port;
     at_least "serve" "write-budget" ~min:1 (Some write_budget);
     (* The budget is passed in bytes, so it must not overflow. *)
     within "serve" "resident-mb" ~min:0 ~max:(max_int / 1048576) resident_mb;
-    at_least "serve" "memo-capacity" ~min:0 (Some memo_capacity);
-    let memo =
-      if not use_memo then None
-      else
-        match Serve.Memo.create ~capacity:memo_capacity with
-        | m -> Some m
-        | exception Invalid_argument _ ->
-            Format.eprintf
-              "serve: --memo-capacity %d is too large for one table@."
-              memo_capacity;
-            exit 2
-    in
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
-    (* Only printed when enabled, so memo-less runs keep their exact
-       output (the smoke goldens diff it). *)
-    if use_memo then
-      Format.printf "memo: canonical-ball table, capacity %d@." memo_capacity;
     let mode =
       match (listen, batch) with
       | true, Some _ ->
@@ -633,6 +637,22 @@ let serve_cmd =
        (per section, for a damaged version-1 file) instead of
        fail-stopping. *)
     let store = Store.Shard.open_file path in
+    let meta = (Store.Shard.manifest store).Store.Shard.m_meta in
+    (* Only printed with --memo, so memo-less runs keep their exact
+       output (the smoke goldens diff it).  The memo is sized to the
+       table, so it holds every class. *)
+    let memo =
+      if not use_memo then None
+      else
+        match List.assoc_opt Serve.Memo.table_key meta with
+        | Some table ->
+            let classes, covered = Serve.Memo.read_table table in
+            Format.printf "memo: %d ball classes covering %d nodes@." classes covered;
+            Some (Serve.Memo.create ~capacity:classes)
+        | None ->
+            Format.printf "memo: none, the file ships no class table (inspect says why)@.";
+            None
+    in
     let router =
       Serve.Router.create ~resident_budget:(resident_mb * 1024 * 1024) ~salvage
         ?memo ?domains store
@@ -653,7 +673,7 @@ let serve_cmd =
         (if Serve.Router.serving_trusted router then ""
          else " (quarantined advice: answers are best-effort)");
     (* A radius certified on a sample can give wrong labels elsewhere. *)
-    (match List.assoc_opt "serve.certified" (Store.Shard.manifest store).Store.Shard.m_meta with
+    (match List.assoc_opt "serve.certified" meta with
     | Some c when not (String.equal c "all") ->
         Format.printf
           "certified on %s of %d nodes: unsampled nodes are unchecked (repack \
@@ -676,7 +696,7 @@ let serve_cmd =
     Term.(
       const run $ snapshot_arg $ batch_term $ listen_term $ host_term
       $ port_term $ write_budget_term $ domains_term $ salvage_term
-      $ resident_mb_term $ memo_term $ memo_capacity_term $ metrics_term)
+      $ resident_mb_term $ memo_term $ metrics_term)
 
 let default = Term.(ret (const (`Help (`Pager, None))))
 

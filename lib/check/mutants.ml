@@ -45,7 +45,7 @@ let torn_cursor (module S : Shim.S) =
           (Sched.Check_failed (Printf.sprintf "task %d ran %d times" i k)))
     runs
 
-(* Bug class: publication without a fence — a writer initializes data
+(* Bug class: publishing without a fence — a writer initializes data
    and raises a plain (non-atomic) ready flag; the reader's flag load
    carries no acquire edge, so its read of the data races with the
    writer's initialization.  [Scenarios] pairs this with a clean twin

@@ -283,13 +283,11 @@ let stamped_edges sc ws g =
    the induced subgraph in stamp order that [View.make] would build,
    so every entry point below writes the same bytes.  The key is left
    in [sc.bytes]; returns its length. *)
-let encode_stamped sc ~prefix ws g ~center ~ids ~advice =
+let encode_stamped sc ws g ~center ~ids ~advice =
   let count = Workspace.size ws in
   let m = stamped_edges sc ws g in
-  let plen = String.length prefix in
-  let b = reserve sc 0 (plen + (max_varint * (3 + (2 * m) + count))) in
-  Bytes.blit_string prefix 0 b 0 plen;
-  let pos = put b plen count in
+  let b = reserve sc 0 (max_varint * (3 + (2 * m) + count)) in
+  let pos = put b 0 count in
   let pos = put b pos center in
   let pos = ref (put b pos m) in
   let src = sc.src and dst = sc.dst in
@@ -333,82 +331,21 @@ let ball_signature (view : Localmodel.View.t) =
   let ws = stamp_view view in
   let sc = Domain.DLS.get scratch_key in
   let len =
-    encode_stamped sc ~prefix:"" ws view.Localmodel.View.graph
+    encode_stamped sc ws view.Localmodel.View.graph
       ~center:view.Localmodel.View.center ~ids:view.Localmodel.View.ids
       ~advice:view.Localmodel.View.advice
   in
   Bytes.sub_string sc.bytes 0 len
 
 (* The BFS source is always the first stamp. *)
-let write_ball_key ~prefix ws g ~ids ~advice =
-  encode_stamped (Domain.DLS.get scratch_key) ~prefix ws g ~center:0 ~ids ~advice
+let write_ball_key ws g ~ids ~advice =
+  encode_stamped (Domain.DLS.get scratch_key) ws g ~center:0 ~ids ~advice
 
 let key_buffer () = (Domain.DLS.get scratch_key).bytes
 
-let ball_key ~prefix ws g ~ids ~advice =
-  let len = write_ball_key ~prefix ws g ~ids ~advice in
+let ball_key ws g ~ids ~advice =
+  let len = write_ball_key ws g ~ids ~advice in
   Bytes.sub_string (key_buffer ()) 0 len
-
-(* The memo filter's fingerprint: a multiply-xor hash over the fields
-   of the key that are cheap to read — the prefix, the node count and
-   every stamp's advice, length first, in stamp order.  Each of them is
-   written into the key bytes, so equal keys give equal fingerprints;
-   structure and ranks are left out, which costs a shared fingerprint
-   only between balls whose advice agrees stamp by stamp.  A string's
-   length and bytes go in seven bytes per multiply: an advice string of
-   up to six bytes is one step.  The multiplier is dense (xorshift64*'s,
-   which fits a 63-bit int): the filter picks a bucket by the low bits,
-   and a sparse one (FNV's) left whole buckets of a cycle's balls on a
-   few low-bit patterns. *)
-let fp_offset = 0x3bf29ce484222325
-let fp_prime = 0x2545f4914f6cdd1d
-
-let[@inline] mix h x =
-  let x = (h lxor x) * fp_prime in
-  x lxor (x lsr 31)
-
-let mix_string h s =
-  let len = String.length s in
-  let h = ref h and w = ref len and k = ref 0 in
-  for j = 0 to len - 1 do
-    w := (!w lsl 8) lor Char.code (String.unsafe_get s j);
-    incr k;
-    if !k = 7 then begin
-      h := mix !h !w;
-      w := 0;
-      k := 0
-    end
-  done;
-  mix !h !w
-
-(* One string's step: a string of up to six bytes — the advice of
-   every node of degree up to ten — is packed with its length into one
-   word and mixed once. *)
-let[@inline] mix_advice h s =
-  let len = String.length s in
-  if len > 6 then mix_string h s
-  else begin
-    let w = ref len in
-    for j = 0 to len - 1 do
-      w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
-    done;
-    mix h !w
-  end
-
-(* Two lanes, even and odd stamps, so that consecutive multiplies do
-   not wait on each other. *)
-let ball_fingerprint ~prefix ws ~advice =
-  let count = Workspace.size ws in
-  let queue = ws.Workspace.queue in
-  let even = ref (mix (mix_string fp_offset prefix) count) and odd = ref count in
-  let i = ref 0 in
-  while !i + 1 < count do
-    even := mix_advice !even advice.(Array.unsafe_get queue !i);
-    odd := mix_advice !odd advice.(Array.unsafe_get queue (!i + 1));
-    i := !i + 2
-  done;
-  if !i < count then even := mix_advice !even advice.(Array.unsafe_get queue !i);
-  mix (mix !even !odd) 0 land max_int
 
 type table = (string, int) Hashtbl.t
 

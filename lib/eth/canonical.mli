@@ -17,21 +17,22 @@ val signature : Localmodel.View.t -> string
     identifier *ranks*. *)
 
 val ball_signature : Localmodel.View.t -> string
-(** Degree-bounded canonical ball key for the serve stack's decode memo
-    ({!Serve.Memo}): the ball's structure in stamp order, the
+(** Degree-bounded canonical ball key for the serve stack's class
+    table ({!Serve.Memo}): the ball's structure in stamp order, the
     identifier {e ranks} (only the order type — the decoder only
     compares identifiers, so their numeric values are invisible to it), the
     advice strings (length-prefixed, so damaged advice cannot alias
     across node boundaries), and the center stamp.  Distances are
     determined by (graph, center) and inputs are never read by the C4
-    decoder, so unlike {!signature} both stay out of the key: two views
-    with equal [ball_signature]s decode to byte-identical labels under
-    the same parameters and radius.  Uses the calling domain's
+    decoder, so unlike {!signature} both stay out of the key.  The key
+    is the decoder's whole input: two views with equal
+    [ball_signature]s decode to byte-identical labels, whatever radius
+    each was cut at and whether its advice is trusted, which is why a
+    table keyed by it needs no prefix.  Uses the calling domain's
     {!Netgraph.Workspace} as scratch (see {!stamp_view}); the bytes come
     from the same encoder as {!ball_key}. *)
 
 val ball_key :
-  prefix:string ->
   Netgraph.Workspace.t ->
   Netgraph.Graph.t ->
   ids:int array ->
@@ -39,8 +40,8 @@ val ball_key :
   string
 (** The serve stack's workspace entry point.  After
     [Netgraph.Traversal.bfs_limited_into ws g v radius] has stamped
-    [v]'s ball, [ball_key ~prefix ws g ~ids ~advice] is
-    [prefix ^ ball_signature (Localmodel.View.make ~advice g ~ids ~radius v)],
+    [v]'s ball, [ball_key ws g ~ids ~advice] is
+    [ball_signature (Localmodel.View.make ~advice g ~ids ~radius v)],
     byte for byte — written straight from the stamps, with no view and
     no induced graph built.  [ids] and [advice] are indexed by host
     node.  Reads [ws] without disturbing the stamps, so the ball decoder
@@ -48,33 +49,21 @@ val ball_key :
     of the key buffer. *)
 
 val write_ball_key :
-  prefix:string ->
   Netgraph.Workspace.t ->
   Netgraph.Graph.t ->
   ids:int array ->
   advice:string array ->
   int
-(** [write_ball_key ~prefix ws g ~ids ~advice] writes {!ball_key}'s
-    bytes into the calling domain's key buffer ({!key_buffer}) and
-    returns their length: the memo probes the key where it lies and
-    copies it only to store it.  Once the scratch has grown to the
-    largest ball seen, it allocates nothing.  The bytes last until the
-    domain's next key or signature. *)
+(** [write_ball_key ws g ~ids ~advice] writes {!ball_key}'s bytes into
+    the calling domain's key buffer ({!key_buffer}) and returns their
+    length: the memo probes the key where it lies.  Once the scratch
+    has grown to the largest ball seen, it allocates nothing.  The
+    bytes last until the domain's next key or signature. *)
 
 val key_buffer : unit -> Bytes.t
 (** The calling domain's key buffer, holding the last
     {!write_ball_key}'s bytes from position 0.  Read it after the write:
     a longer key replaces the buffer. *)
-
-val ball_fingerprint :
-  prefix:string -> Netgraph.Workspace.t -> advice:string array -> int
-(** [ball_fingerprint ~prefix ws ~advice]: a non-negative 63-bit hash
-    of the stamped ball's cheap fields — [prefix], the node count and
-    every stamp's advice string, in stamp order.  Each is part of
-    {!ball_key}'s bytes, so equal keys give equal fingerprints; balls
-    whose advice agrees stamp by stamp but whose structure or ranks
-    differ may share one.  The memo's filter ({!Serve.Memo}) reads it
-    before any key is built.  Allocates nothing. *)
 
 val stamp_view : Localmodel.View.t -> Netgraph.Workspace.t
 (** [stamp_view view] re-stamps [view]'s nodes into the calling domain's

@@ -20,6 +20,9 @@ let of_edge_list text =
         match String.split_on_char ' ' header with
         | [ "n"; count ] -> (
             match int_of_string_opt count with
+            | Some n when n > Sys.max_array_length ->
+                fail "line %d: node count %d is more than an array holds (%d)"
+                  header_line n Sys.max_array_length
             | Some n when n >= 0 -> n
             | _ -> fail "line %d: bad node count in %S" header_line header)
         | _ ->

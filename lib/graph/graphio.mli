@@ -8,8 +8,9 @@
 val to_edge_list : Graph.t -> string
 
 val of_edge_list : string -> Graph.t
-(** @raise Invalid_argument on malformed input — a missing or bad header,
-    an unparsable edge line, an out-of-range endpoint, a self-loop, or a
+(** @raise Invalid_argument on malformed input — a missing or bad header
+    (a node count above [Sys.max_array_length] is bad), an unparsable
+    edge line, an out-of-range endpoint, a self-loop, or a
     duplicate edge (in either orientation).  The message names the
     offending 1-based source line, so a bad instance file can be fixed by
     eye; nothing is silently collapsed or dropped. *)

@@ -23,24 +23,6 @@ let random_sparse rng g =
       in
       draw ())
 
-let strictly_increasing (ids : int array) =
-  let ok = ref true in
-  for i = 1 to Array.length ids - 1 do
-    if ids.(i - 1) >= ids.(i) then ok := false
-  done;
-  !ok
-
-(* Strictly increasing ids (a shard's [gid + 1]) are distinct in one
-   pass; any other order is checked on a sorted copy. *)
-let is_valid g ids =
-  Array.length ids = Graph.n g
-  && Array.for_all (fun id -> id > 0) ids
-  && (strictly_increasing ids
-     ||
-     let sorted = Array.copy ids in
-     Array.sort Int.compare sorted;
-     strictly_increasing sorted)
-
 let rank ids =
   let n = Array.length ids in
   let order = Array.init n (fun i -> i) in

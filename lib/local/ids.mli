@@ -20,11 +20,6 @@ val random_sparse : Netgraph.Prng.t -> Netgraph.Graph.t -> t
 (** Random distinct identifiers from [{1..n^2}] (identifier space larger
     than [n], as the model allows). *)
 
-val is_valid : Netgraph.Graph.t -> t -> bool
-(** One identifier per node, all distinct and positive.  Strictly
-    increasing ids are accepted in one pass; any other order is checked
-    on a sorted copy in O(n log n).  No hash table either way. *)
-
 val rank : t -> int array
 (** [rank ids] maps each node to the number of nodes with smaller
     identifier — the order type of the assignment, which is all an

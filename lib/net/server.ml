@@ -131,9 +131,6 @@ let stats t =
         [
           ("serve.memo.entries", s.Serve.Memo.s_entries);
           ("serve.memo.bytes", s.Serve.Memo.s_bytes);
-          ("serve.memo.stores", s.Serve.Memo.s_stores);
-          ("serve.memo.drops", s.Serve.Memo.s_drops);
-          ("serve.memo.first_sightings", s.Serve.Memo.s_first_sightings);
         ]
   in
   List.sort

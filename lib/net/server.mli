@@ -85,8 +85,6 @@ val stats : t -> (string * int) list
     [net.queries], [net.batches], [net.errors], [net.pings],
     [net.stats], [net.bytes_in], [net.bytes_out]) and
     [serve.degraded] — the count of queries answered while the router
-    was degraded, 0 on a healthy one.  A router with a memo adds its
-    counters ({!Serve.Router.memo_stats}): [serve.memo.entries],
-    [serve.memo.bytes], [serve.memo.stores], [serve.memo.drops] and
-    [serve.memo.first_sightings]; without one the list has none of
-    them. *)
+    was degraded, 0 on a healthy one.  A router serving a class table
+    adds its size ({!Serve.Router.memo_stats}): [serve.memo.entries]
+    and [serve.memo.bytes]; without one the list has neither. *)

@@ -13,7 +13,7 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* The one lock-free publication step in the subsystem: a fresh domain's
+(* The one lock-free publishing step in the subsystem: a fresh domain's
    cell enters the handle's shared cell list by CAS retry.  Functorized
    over the atomic shim so Check.Sched can run this exact loop under its
    schedule-exploring scheduler (two domains racing their first touch of

@@ -98,11 +98,11 @@ val reset : unit -> unit
 module Cellpush (A : Shim.ATOMIC) : sig
   val push : 'a list A.t -> 'a -> unit
   (** [push cells cell] prepends [cell] to the shared list by
-      compare-and-set retry: the publication step a fresh domain's
+      compare-and-set retry: the publishing step a fresh domain's
       private cell takes into its handle's cell list.  Linearizable —
       concurrent pushes each land exactly once. *)
 end
-(** The per-domain shard-publication loop, functorized over the atomic
+(** The per-domain shard-publishing loop, functorized over the atomic
     shim.  [Cellpush (Shim.Real.Atomic)] is what every handle uses in
     production; the checker instantiates the same code with its
     instrumented atomics to verify no concurrent first-touch can lose a

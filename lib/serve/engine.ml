@@ -1,6 +1,5 @@
 open Netgraph
 module View = Localmodel.View
-module Balanced_orientation = Schemas.Balanced_orientation
 
 let m_queries = Obs.Metrics.counter "serve.queries"
 let m_hits = Obs.Metrics.counter "serve.cache.hits"
@@ -26,15 +25,13 @@ type answer = Label of string | Member of bool | Bits of string
    ownership of disjoint ranges does. *)
 type t = {
   graph : Graph.t;
-  name : string;
   advice : string array;
   radius : int;
   ids : Localmodel.Ids.t;
   store : bool;  (* false: [labels] is empty and every ball query decodes *)
   labels : answer array;  (* labels.(v): a [Label]; [undecoded] until stored *)
   bits : answer array;  (* bits.(v): [Bits advice.(v)]; [undecoded] until asked *)
-  memo : Memo.t option;  (* canonical-ball decode memo, possibly shared *)
-  memo_prefix : string;  (* radius/params/trust pinned into every key *)
+  memo : Memo.t option;  (* the class table, possibly shared; never written *)
   degraded : bool;  (* any section of the source snapshot was damaged *)
   trusted : bool;  (* the served advice section passed its checksum *)
   quarantined : string list;  (* human-readable damage report *)
@@ -96,15 +93,12 @@ let meta_int meta key =
       | Some v when v >= 0 -> Some v
       | _ -> corrupt "metadata %s is not a non-negative integer: %S" key s)
 
-let params_of_meta meta =
-  match
-    ( meta_int meta "params.short_threshold",
-      meta_int meta "params.cover",
-      meta_int meta "params.spacing" )
-  with
-  | Some short_threshold, Some cover, Some spacing ->
-      { Balanced_orientation.short_threshold; cover; spacing }
-  | _ -> Balanced_orientation.onebit_params
+(* The decode reads no parameter, but a malformed one is still a fault
+   of the file. *)
+let check_params meta =
+  List.iter
+    (fun key -> ignore (meta_int meta key))
+    [ "params.short_threshold"; "params.cover"; "params.spacing" ]
 
 let serve_radius ?radius meta =
   match radius with
@@ -131,14 +125,15 @@ let describe_damage (r : Store.Snapshot.section_report) =
    CRC-failed) section recovered by a salvage read. *)
 let pick_advice ~recovered snapshot =
   match (snapshot.Store.Snapshot.advice, recovered) with
-  | (n, a) :: _, _ -> (n, a, true)
-  | [], (n, a) :: _ -> (n, a, false)
+  | (_, a) :: _, _ -> (a, true)
+  | [], (_, a) :: _ -> (a, false)
   | [], [] -> fail "Engine.create: snapshot has no advice section"
 
 let create ?cache_capacity ?memo ?radius ?health snapshot =
   let recovered, report = Option.value health ~default:([], []) in
-  let name, advice, trusted = pick_advice ~recovered snapshot in
-  let radius = serve_radius ?radius snapshot.Store.Snapshot.meta in
+  let advice, trusted = pick_advice ~recovered snapshot in
+  let meta = snapshot.Store.Snapshot.meta in
+  let radius = serve_radius ?radius meta in
   let quarantined = List.filter_map describe_damage report in
   let graph = snapshot.Store.Snapshot.graph in
   let n = Graph.n graph in
@@ -148,28 +143,16 @@ let create ?cache_capacity ?memo ?radius ?health snapshot =
     | Some 0 -> false
     | Some _ | None -> true
   in
-  let params = params_of_meta snapshot.Store.Snapshot.meta in
-  (* Everything a decode depends on beyond the ball itself, pinned into
-     every memo key: one table can then be shared by engines serving at
-     the same radius/params/trust (the router's shard engines) while
-     engines that differ in any of them can never alias. *)
-  let memo_prefix =
-    Printf.sprintf "r%d;p%d,%d,%d;t%c;" radius
-      params.Balanced_orientation.short_threshold
-      params.Balanced_orientation.cover params.Balanced_orientation.spacing
-      (if trusted then '1' else '0')
-  in
+  check_params meta;
   {
     graph;
-    name;
     advice;
     radius;
     ids = Localmodel.Ids.identity graph;
     store;
     labels = Array.make (if store then n else 0) undecoded;
     bits = Array.make n undecoded;
-    memo;
-    memo_prefix;
+    memo = Option.bind memo (fun memo -> Memo.attach memo meta);
     degraded = (not trusted) || (match quarantined with [] -> false | _ :: _ -> true);
     trusted;
     quarantined;
@@ -177,8 +160,6 @@ let create ?cache_capacity ?memo ?radius ?health snapshot =
 
 let graph t = t.graph
 let radius t = t.radius
-let advice_name t = t.name
-let memo t = t.memo
 let degraded t = t.degraded
 let serving_trusted t = t.trusted
 let quarantined_sections t = t.quarantined
@@ -208,47 +189,23 @@ let incident_slot t v e =
   end;
   !k - first
 
-(* Decode [v]'s ball, consulting the canonical-ball memo between the
-   label column (the caller) and the decoder.  One BFS stamps the ball
-   and its fingerprint is hashed from the stamps.  A first sighting
-   decodes at once, with no key built; a repeat sighting writes the key
-   into the domain's key buffer and probes it there, and only a table
-   miss copies the key, decodes, and stores the class.  Publication is
-   single-writer: with [staged = None] (the serialized {!query} path)
-   the sighting or the class is published at once; pool workers pass a
-   cell instead, so they only ever *read* the table and the filter, and
-   the publication rides back to the caller, which publishes it after
-   the join. *)
-let compute_label t ~staged v =
+(* Decode [v]'s ball, consulting the class table between the label
+   column (the caller) and the decoder: one BFS stamps the ball, its key
+   is written into the domain's key buffer and probed there, and only a
+   miss decodes.  The table is only read, so pool workers call this on
+   one engine at once as long as their node sets are disjoint. *)
+let compute_label t v =
   let ws = Workspace.domain_local () in
   ignore (Traversal.bfs_limited_into ws t.graph v t.radius);
   match t.memo with
   | None -> decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0
   | Some memo -> (
-      let fp = Ethlink.Canonical.ball_fingerprint ~prefix:t.memo_prefix ws ~advice:t.advice in
-      if Memo.first_sighting memo fp then begin
-        (match staged with
-        | None -> Memo.record memo fp
-        | Some cell -> cell := Some (Memo.Sighting fp));
-        decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0
-      end
-      else
-        let n =
-          Ethlink.Canonical.write_ball_key ~prefix:t.memo_prefix ws t.graph ~ids:t.ids
-            ~advice:t.advice
-        in
-        let key = Ethlink.Canonical.key_buffer () in
-        match Memo.find_sub memo key n with
-        | Some label -> label
-        | None ->
-            let key = Bytes.sub_string key 0 n in
-            let label = decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0 in
-            (match staged with
-            | None -> Memo.insert memo key label
-            | Some cell -> cell := Some (Memo.Store (key, label)));
-            label)
+      let n = Ethlink.Canonical.write_ball_key ws t.graph ~ids:t.ids ~advice:t.advice in
+      match Memo.find_sub memo (Ethlink.Canonical.key_buffer ()) n with
+      | Some label -> label
+      | None -> decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0)
 
-let label t ~staged v =
+let label t v =
   let a = if t.store then t.labels.(v) else undecoded in
   if a != undecoded then begin
     Obs.Metrics.incr m_hits;
@@ -256,7 +213,7 @@ let label t ~staged v =
   end
   else begin
     Obs.Metrics.incr m_misses;
-    let a = label_answer (compute_label t ~staged v) in
+    let a = label_answer (compute_label t v) in
     if t.store then t.labels.(v) <- a;
     a
   end
@@ -274,15 +231,15 @@ let member label k =
   | Label s when k < String.length s && s.[k] = '1' -> Member true
   | Label _ | Member _ | Bits _ -> Member false
 
-let answer_label t ~staged v =
+let output_label t v =
   check_node t "Output_label" v;
   note_query t;
-  label t ~staged v
+  label t v
 
-let answer_member t ~staged v e =
+let edge_member t v e =
   let k = incident_slot t v e in
   note_query t;
-  member (label t ~staged v) k
+  member (label t v) k
 
 let advice_bits t v =
   check_node t "Advice_bits" v;
@@ -295,16 +252,7 @@ let advice_bits t v =
     a
   end
 
-let answer t ~staged = function
-  | Output_label v -> answer_label t ~staged v
-  | Edge_member (v, e) -> answer_member t ~staged v e
+let query t = function
+  | Output_label v -> output_label t v
+  | Edge_member (v, e) -> edge_member t v e
   | Advice_bits v -> advice_bits t v
-
-let output_label t v = answer_label t ~staged:None v
-let edge_member t v e = answer_member t ~staged:None v e
-let query t q = answer t ~staged:None q
-
-let staged t q =
-  let cell = ref None in
-  let a = answer t ~staged:(Some cell) q in
-  (a, !cell)

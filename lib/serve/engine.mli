@@ -15,20 +15,20 @@
     Each node is decoded once: a node-indexed label column holds the
     answer itself, so a hit returns what it reads and allocates
     nothing.  The column costs one word per node, plus, for labels
-    longer than 8 bits, a box and the label string (one string per
-    isomorphism class with a memo, one per decoded node without).
+    longer than 8 bits, a box and the label string (one per shipped
+    class with a memo, one per decoded node otherwise).
     [Advice_bits] reads a second column, filled on a node's first such
-    query.  With [?memo], a {!Memo} sits between the column and the
-    decoder, so nodes with isomorphic balls share one decode, across
-    engines and shard evictions; answers are byte-identical to the
-    unmemoized engine's, because the key captures the decoder's whole
-    input and hits are decided on the whole key.  Only a column range's
-    owner writes it: the serialized {!query} path, or the one pool
-    worker that holds the range for a batch wave ({!staged}).  DESIGN.md
-    has the design: "Canonical-ball memoization" for the column, the
-    filter, the key and single-writer publication, and "Batch
-    parallelism architecture" for the router's slots, which are node
-    ranges of one engine's column.
+    query.  With [?memo], the class table the pack shipped ({!Memo})
+    sits between the column and the decoder, so a node whose ball is a
+    shipped class is answered without a decode; answers are
+    byte-identical to the unmemoized engine's, because the key is the
+    decoder's whole input and hits are decided on the whole key.  The
+    table is only read, and a range of the column is written only by
+    its owner: the serialized {!query} path, or the one pool worker
+    that holds the range for a batch wave.  DESIGN.md has the design:
+    "Canonical-ball memoization" for the column, the table and the key,
+    and "Batch parallelism architecture" for the router's slots, which
+    are node ranges of one engine's column.
 
     The serve radius is the one certified at pack time
     ({!Pack.edge_compression} stores it in the snapshot metadata):
@@ -70,10 +70,12 @@ val create :
     [params.*]) as written by {!Pack.edge_compression}; [?radius]
     overrides the stored value.  [cache_capacity] [0] turns the label
     column off (every ball query decodes); any other value, like the
-    default, stores every node's label.  [memo] attaches a
-    canonical-ball decode memo (see the module comment; the table may be
-    shared with other engines — the keys pin radius, parameters and
-    trust).
+    default, stores every node's label.  [memo] is the table to serve
+    from: the snapshot's shipped class table, if any, is loaded into it
+    ({!Memo.attach}), and an engine whose memo then holds no class
+    serves without one and builds no key.  The memo may be shared with
+    other engines: the key is the decoder's whole input, so any radius
+    and trust mode can probe one table.
 
     [health] is what a {!Store.Snapshot.read_salvage} recovered beyond
     its checksum-clean [partial] snapshot: [(recovered, report)].  The
@@ -85,8 +87,9 @@ val create :
     was lost, [?radius] must be supplied.  @raise Invalid_argument when
     no usable advice section exists, or the capacity or [radius] is
     negative; @raise
-    Store.Codec.Corrupt as {!serve_radius}, or when a [params.*] entry
-    is not a non-negative integer. *)
+    Store.Codec.Corrupt as {!serve_radius}, when a [params.*] entry
+    is not a non-negative integer, or as {!Memo.read_table} on the
+    shipped table when [memo] is given. *)
 
 val serve_radius : ?radius:int -> (string * string) list -> int
 (** The serve radius: [radius] when given, else the metadata's
@@ -100,12 +103,6 @@ val graph : t -> Netgraph.Graph.t
 
 val radius : t -> int
 (** The serve radius in use. *)
-
-val advice_name : t -> string
-(** Name of the advice section being served. *)
-
-val memo : t -> Memo.t option
-(** The attached canonical-ball memo, if any. *)
 
 val degraded : t -> bool
 (** Whether the engine came from a damaged snapshot (any non-healthy
@@ -138,11 +135,10 @@ type answer =
 
 val query : t -> query -> answer
 (** Answer a single request, consulting and filling the label column.
-    With a memo attached, first sightings and stores are published
-    immediately — callers of [query] serialize, so this path is the
-    single writer.  An
-    [Edge_member] is checked and placed in one scan of the node's
-    incident edges.
+    An [Edge_member] is checked and placed in one scan of the node's
+    incident edges.  Pool workers may call [query] on one engine at once
+    as long as their node sets are disjoint: each writes only its own
+    nodes' column entries.
     @raise Invalid_argument on an out-of-range node or edge id, or an
     [Edge_member] whose node is not an endpoint of its edge. *)
 
@@ -155,17 +151,6 @@ val edge_member : t -> int -> int -> answer
 
 val advice_bits : t -> int -> answer
 (** [advice_bits t v] is [query t (Advice_bits v)]. *)
-
-val staged : t -> query -> answer * Memo.publication option
-(** {!query} for callers that are themselves pool workers (the router's
-    batch): the memo and its filter are only {e read}, and what the
-    serialized path would publish comes back instead — a first
-    sighting's [Sighting fp], or a repeat sighting's table miss as
-    [Store (key, label)] — for the caller to {!Memo.publish} on the
-    calling thread after its join.  Without a memo, or on a hit, it is
-    [None].  Workers may call [staged] on one engine at once as long as
-    their node sets are disjoint: each writes only its own nodes'
-    column entries. *)
 
 val label_of_view : params:Schemas.Balanced_orientation.params -> Localmodel.View.t -> string
 (** The per-ball decode for a materialized view, exposed for perfbench's

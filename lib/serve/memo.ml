@@ -1,39 +1,23 @@
-(* Canonical-ball decode memo: an open-addressed string table mapping
-   (radius/params/trust prefix ^ Ethlink.Canonical.ball_signature) to
-   decoded labels, behind a filter of ball fingerprints.  Sits between
-   the per-shard label columns and the ball decoder: a column remembers
-   a *node*, and a node the column has not decoded yet still hits here
-   when its ball is isomorphic (same canonical signature) to one
-   decoded before — on any shard, and across shard evictions.
+(* The ball-class table: an open-addressed string table mapping
+   canonical ball keys (Ethlink.Canonical.write_ball_key's bytes) to
+   decoded labels.  Sits between the per-shard label columns and the
+   ball decoder: a column remembers a *node*, and a node the column has
+   not decoded yet still hits here when its ball is isomorphic (same
+   canonical key) to a class the pack shipped — on any shard, and
+   across shard evictions.
 
-   The filter is what keeps a miss cheap.  A class is stored on its
-   second sighting: the first only records the ball's fingerprint
-   (Ethlink.Canonical.ball_fingerprint, a hash of fields the key also
-   holds), and the caller decodes without building a key.  Traffic
-   whose balls are all distinct classes then builds and keeps no keys
-   at all, and a singleton can never take a slot from a class that
-   recurs.  A fingerprint names a class only probably: a repeat
-   sighting builds the key, and a hit is decided by full-key equality,
-   so a shared fingerprint costs one key, never an answer byte.
-
-   Concurrency contract (the reason this is not a Hashtbl): reads
-   ([first_sighting], [find], [find_sub]) touch no mutable metadata, so
-   any number of pool workers may probe a *frozen* table concurrently;
-   writes ([record], [insert], [publish]) are reserved to a single
-   publishing thread — the engine's single-query path, or the router's
-   batch caller after its pool join.  The arrays are plain (not Atomic)
-   on purpose: the publication discipline guarantees no write is ever
-   concurrent with a read, which the domain-race lint and the
-   Check.Sched router scenario audit at the call sites.
+   The classes are counted and decoded once, at pack time
+   (Pack.edge_compression), and shipped as one metadata entry.  An
+   engine or router loads that entry into the table once ([attach]);
+   nothing writes the table after that.  So the probes ([find],
+   [find_sub]) read frozen arrays, and any number of pool workers may
+   probe at once: the arrays are plain (not Atomic) because every write
+   happens before the first query.
 
    The table is bounded by entry count, sized to a load factor of at
-   most 1/2, and *drops* inserts at capacity instead of evicting:
-   canonical-ball hits come from a tiny population of signature classes
-   (see BENCH_local.json store.memo), so the first-stored class
-   representatives are exactly the ones worth keeping.  The filter has
-   one slot per table slot, in buckets of up to eight (one cache line);
-   a full bucket overwrites one fingerprint, so a filter forgets and a
-   forgotten class costs one more decode, never a wrong answer. *)
+   most 1/2, and *drops* inserts at capacity: a caller that sizes it to
+   the shipped table's class count (as `advice_store serve --memo`
+   does) never drops one. *)
 
 let m_hits = Obs.Metrics.counter "serve.memo.hits"
 let m_misses = Obs.Metrics.counter "serve.memo.misses"
@@ -45,25 +29,11 @@ type t = {
   mask : int;  (* slot-index mask; slot count is a power of two *)
   keys : string array;  (* "" marks an empty slot *)
   vals : string array;
-  filter : int array;  (* sighted fingerprints, one per slot; 0 = empty *)
-  ways : int;  (* slots per filter bucket: a power of two, at most 8 *)
   mutable entries : int;
   mutable bytes : int;  (* resident key + value bytes *)
-  mutable stores : int;  (* publishes of a new key *)
-  mutable drops : int;  (* inserts refused at capacity *)
-  mutable first_sightings : int;  (* fingerprints recorded *)
 }
 
-type stats = {
-  s_capacity : int;
-  s_entries : int;
-  s_bytes : int;
-  s_stores : int;
-  s_drops : int;
-  s_first_sightings : int;
-}
-
-type publication = Sighting of int | Store of string * string
+type stats = { s_capacity : int; s_entries : int; s_bytes : int }
 
 let create ~capacity =
   if capacity < 0 then
@@ -91,24 +61,11 @@ let create ~capacity =
     mask = slots - 1;
     keys = Array.make slots "";
     vals = Array.make slots "";
-    filter = Array.make slots 0;
-    ways = min 8 slots;
     entries = 0;
     bytes = 0;
-    stores = 0;
-    drops = 0;
-    first_sightings = 0;
   }
 
-let stats t =
-  {
-    s_capacity = t.capacity;
-    s_entries = t.entries;
-    s_bytes = t.bytes;
-    s_stores = t.stores;
-    s_drops = t.drops;
-    s_first_sightings = t.first_sightings;
-  }
+let stats t = { s_capacity = t.capacity; s_entries = t.entries; s_bytes = t.bytes }
 
 (* FNV-1a-style multiply-xor over the key bytes, eight at a time,
    folded into OCaml's native int range (the 64-bit offset basis
@@ -192,63 +149,60 @@ let find t key = find_sub t (Bytes.unsafe_of_string key) (String.length key)
 let insert t key value =
   if String.length key = 0 then
     invalid_arg "Memo.insert: the empty key is the empty-slot marker";
-  if t.capacity > 0 then begin
+  if t.entries < t.capacity then begin
     let i = slot_of t (Bytes.unsafe_of_string key) (String.length key) in
+    (* Re-inserting an existing key is a no-op: a class has one label. *)
     if String.length t.keys.(i) = 0 then begin
-      (* A full table drops the newcomer: the resident class
-         representatives keep their hits, and the caller's answer is
-         already computed — correctness never depends on storing. *)
-      if t.entries >= t.capacity then t.drops <- t.drops + 1
-      else begin
-        t.keys.(i) <- key;
-        t.vals.(i) <- value;
-        t.entries <- t.entries + 1;
-        t.bytes <- t.bytes + String.length key + String.length value;
-        t.stores <- t.stores + 1;
-        Obs.Metrics.gauge_max m_bytes t.bytes
-      end
+      t.keys.(i) <- key;
+      t.vals.(i) <- value;
+      t.entries <- t.entries + 1;
+      t.bytes <- t.bytes + String.length key + String.length value;
+      Obs.Metrics.gauge_max m_bytes t.bytes
     end
-    (* Re-publishing an existing key is a no-op: the byte-identity
-       contract means the staged value equals the resident one (two
-       workers staging the same canonical ball in one batch). *)
   end
 
-(* The filter.  0 marks an empty slot, so fingerprint 0 is filed as 1;
-   a fingerprint's low bits pick its bucket. *)
-let[@inline] tag fp = if fp = 0 then 1 else fp
-let[@inline] bucket t fp = fp land t.mask land lnot (t.ways - 1)
+(* The shipped table: [classes:varint covered:varint], then
+   [key:str label:str] per class, in Store.Codec's field encoding. *)
 
-let sighted t fp =
-  let b = bucket t fp in
-  let found = ref false in
-  for i = b to b + t.ways - 1 do
-    if Array.unsafe_get t.filter i = fp then found := true
+let table_key = "serve.table"
+
+let write_table ~covered classes =
+  let w = Store.Codec.writer () in
+  Store.Codec.varint w (List.length classes);
+  Store.Codec.varint w covered;
+  List.iter
+    (fun (key, label) ->
+      Store.Codec.str w key;
+      Store.Codec.str w label)
+    classes;
+  Store.Codec.contents w
+
+let corrupt fmt = Format.kasprintf (fun s -> raise (Store.Codec.Corrupt s)) fmt
+
+(* Walk a shipped table's bytes, handing every class to [f].  The class
+   count is checked against the bytes left before anything is read (a
+   class takes at least three: two lengths and one key byte), and every
+   string length by the codec, so a count that lies allocates
+   nothing. *)
+let walk table f =
+  let r = Store.Codec.reader table in
+  let classes = Store.Codec.read_varint r in
+  let covered = Store.Codec.read_varint r in
+  if classes > Store.Codec.remaining r / 3 then
+    corrupt "class table claims %d class(es) in %d byte(s)" classes
+      (Store.Codec.remaining r);
+  for _ = 1 to classes do
+    let key = Store.Codec.read_str r in
+    if String.length key = 0 then corrupt "class table holds an empty key";
+    f key (Store.Codec.read_str r)
   done;
-  !found
+  Store.Codec.expect_end r ~what:"class table";
+  (classes, covered)
 
-let first_sighting t fp =
-  if t.capacity = 0 then true
-  else if sighted t (tag fp) then false
-  else begin
-    Obs.Metrics.incr m_misses;
-    true
-  end
+let read_table table = walk table (fun _ _ -> ())
 
-let record t fp =
-  let fp = tag fp in
-  if t.capacity > 0 && not (sighted t fp) then begin
-    (* An empty way of the bucket, else the way the record count picks:
-       spread over the ways, so no two fingerprints evict each other
-       forever. *)
-    let b = bucket t fp in
-    let way = ref (b + (t.first_sightings land (t.ways - 1))) in
-    for i = b + t.ways - 1 downto b do
-      if Array.unsafe_get t.filter i = 0 then way := i
-    done;
-    t.filter.(!way) <- fp;
-    t.first_sightings <- t.first_sightings + 1
-  end
-
-let publish t = function
-  | Sighting fp -> record t fp
-  | Store (key, label) -> insert t key label
+let attach t meta =
+  Option.iter
+    (fun table -> ignore (walk table (insert t)))
+    (List.assoc_opt table_key meta);
+  if t.entries > 0 then Some t else None

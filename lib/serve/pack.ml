@@ -55,6 +55,53 @@ let certified_meta ~radius ~nodes g =
       else Printf.sprintf "sample=%d" (Array.length nodes) );
   ]
 
+(* The ball-class table (PAPER.md C2): one more pass at the certified
+   radius keys every node's ball on the global graph, with the identity
+   ids a shard engine's keys equal byte for byte.  The pass counts
+   classes up to the cap, so a random instance, where every ball is its
+   own class, ends it early; otherwise one representative of every
+   class that recurs is decoded, and the classes ship as one metadata
+   entry. *)
+module Classes = Hashtbl.Make (String)
+
+type ball_class = { rep : int; mutable count : int }
+
+let class_table g ~advice ~radius =
+  let n = Graph.n g in
+  let cap = max 256 (n / 64) in
+  let ids = Localmodel.Ids.identity g in
+  let ws = Workspace.domain_local () in
+  let classes = Classes.create 256 in
+  let v = ref 0 in
+  while !v < n && Classes.length classes <= cap do
+    ignore (Traversal.bfs_limited_into ws g !v radius);
+    let key = Ethlink.Canonical.ball_key ws g ~ids ~advice in
+    (match Classes.find_opt classes key with
+    | Some c -> c.count <- c.count + 1
+    | None -> Classes.add classes key { rep = !v; count = 1 });
+    incr v
+  done;
+  let recurring =
+    Classes.fold (fun key c acc -> if c.count > 1 then (c, key) :: acc else acc) classes []
+  in
+  if Classes.length classes > cap then
+    ( "serve.table.none",
+      Printf.sprintf "more than %d ball classes among the first %d nodes" cap !v )
+  else if List.is_empty recurring then
+    ( "serve.table.none",
+      Printf.sprintf "no ball class recurs (%d classes over %d nodes)" (Classes.length classes) n )
+  else begin
+    let recurring = List.sort (fun (a, _) (b, _) -> Int.compare a.rep b.rep) recurring in
+    let label c =
+      ignore (Traversal.bfs_limited_into ws g c.rep radius);
+      Center_decode.label ws g ~ids ~advice ~center:0
+    in
+    ( Memo.table_key,
+      Memo.write_table
+        ~covered:(List.fold_left (fun acc (c, _) -> acc + c.count) 0 recurring)
+        (List.map (fun (c, key) -> (key, label c)) recurring) )
+  end
+
 (* Encode the advice and compute the direct decoder's expected labels. *)
 let encode_for_pack ~params g x =
   if Bitset.length x <> Graph.m g then
@@ -87,7 +134,11 @@ let edge_compression ?(sample = 0) ?domains g x =
       nodes got
   in
   let radius = certify_radius ~passes ~max_radius:(Graph.n g) ~checked:(Array.length nodes) in
-  ( { unserved with Store.Snapshot.meta = params_meta params @ certified_meta ~radius ~nodes g },
+  let meta =
+    params_meta params @ certified_meta ~radius ~nodes g
+    @ [ class_table g ~advice:assignment ~radius ]
+  in
+  ( { unserved with Store.Snapshot.meta = meta },
     {
       radius;
       checked = Array.length nodes;

@@ -12,7 +12,10 @@
     ([params.*]) and how much was checked ([serve.certified]).  A
     snapshot produced here therefore ships with a machine-checked
     locality claim, mirroring the paper's: decompression is a radius-r
-    local map. *)
+    local map.  It also ships the ball classes that recur at that
+    radius, with their labels ({!class_table}): the paper's C2 lookup
+    table, which a server given [--memo] answers from without
+    decoding. *)
 
 type certification = {
   radius : int;  (** smallest radius found at which all checks pass *)
@@ -49,8 +52,23 @@ val edge_compression :
     serializes as either file version: {!Store.Snapshot.write}, or
     {!Store.Shard.build} with a halo of [max radius 1] — certification
     ran on the global graph, and the halo invariant transfers the
-    radius to every shard.
+    radius to every shard.  The last metadata entry is
+    {!class_table}'s, at the certified radius.
     @raise Schemas.Balanced_orientation.Encoding_failure when the
     underlying schema cannot encode the graph.
     @raise Invalid_argument when no radius up to [Graph.n g] passes,
     [sample] is negative, or [x] is not an edge set of [g]. *)
+
+val class_table :
+  Netgraph.Graph.t -> advice:string array -> radius:int -> string * string
+(** [class_table g ~advice ~radius] keys every node's radius-[radius]
+    ball ({!Ethlink.Canonical.write_ball_key}, identity ids, [advice]
+    indexed by node), counting classes up to a cap of
+    [max 256 (Graph.n g / 64)], and returns the metadata entry that
+    ships them: [({!Memo.table_key}, {!Memo.write_table} ...)] with one
+    {!Center_decode.label} per class that covers two or more nodes, in
+    the order of each class's first node.  When the count passes the
+    cap, or no class recurs, it returns a one-line
+    [("serve.table.none", reason)] instead.  One BFS and one key per
+    node, stopping at the node that passes the cap; a decode per
+    shipped class. *)

@@ -38,8 +38,10 @@ type t = {
   man : Shard.manifest;
   salvage : bool;
   cache_capacity : int option;  (* passed to each loaded shard engine *)
-  memo : Memo.t option;  (* one canonical-ball table, shared by every
-                            shard engine (keys pin radius/params) *)
+  memo : Memo.t option;  (* the shipped class table, loaded once and
+                            shared by every shard engine *)
+  meta : (string * string) list;  (* the shard engines' metadata: the
+                                     manifest's, less the table *)
   budget : int;  (* resident-byte budget; 0 = unbounded *)
   radius : int;
   domains : int;  (* sets the slot count, and the pool size of a batch *)
@@ -188,7 +190,7 @@ let load_resident t ~pinned k =
     {
       Store.Snapshot.graph = loaded.Shard.l_graph;
       advice = loaded.Shard.l_advice;
-      meta = t.man.Shard.m_meta;
+      meta = t.meta;
     }
   in
   let engine =
@@ -299,13 +301,15 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
   in
   let first_slot = Array.make (s + 1) (Array.length slots) in
   Array.iteri (fun j slot -> first_slot.(slot.shard) <- min first_slot.(slot.shard) j) slots;
+  let meta = man.Shard.m_meta in
   let t =
     {
       store;
       man;
       salvage;
       cache_capacity;
-      memo;
+      memo = Option.bind memo (fun memo -> Memo.attach memo meta);
+      meta = List.filter (fun (k, _) -> not (String.equal k Memo.table_key)) meta;
       budget = resident_budget;
       radius;
       domains;
@@ -494,32 +498,20 @@ module Batch (S : Shim.S) = struct
         (List.rev !wave);
       let tasks = Array.of_list (List.rev !tasks) in
       Obs.Metrics.add m_slots (Array.length tasks);
-      (* Workers only *read* the shared memo (Engine.staged): each task
-         accumulates its first sightings and stores and hands them back
-         with its answers, and this (the single calling) thread
-         publishes them after the join — the wave boundary is the memo's
-         write point. *)
+      (* Workers only read the shared class table, and each writes
+         only its own slot's range of a label column. *)
       let parts =
         Pool.run ~domains:t.domains
           (fun (j, engine, local) ->
-            let staged = ref [] in
-            let answers =
-              map_seeded (Engine.Bits "")
-                (fun q ->
-                  S.Raw.set owners.(j) (S.Raw.get owners.(j) + 1);
-                  let a, publication = Engine.staged engine q in
-                  (match publication with Some p -> staged := p :: !staged | None -> ());
-                  a)
-                local
-            in
-            (answers, !staged))
+            map_seeded (Engine.Bits "")
+              (fun q ->
+                S.Raw.set owners.(j) (S.Raw.get owners.(j) + 1);
+                Engine.query engine q)
+              local)
           tasks
       in
       Array.iteri
-        (fun p (j, _, _) ->
-          let answers, staged = parts.(p) in
-          Option.iter (fun memo -> List.iter (Memo.publish memo) (List.rev staged)) t.memo;
-          Array.iteri (fun q i -> results.(i) <- Ok answers.(q)) idxs.(j))
+        (fun p (j, _, _) -> Array.iteri (fun q i -> results.(i) <- Ok parts.(p).(q)) idxs.(j))
         tasks
     done;
     results

@@ -65,14 +65,11 @@
     [Engine.create ~health], which serves quarantined advice
     best-effort and is {!degraded} from the start.
 
-    {b Memoization.}  One {!Memo} canonical-ball table (the [~memo] of
-    {!create}) is shared by every shard engine: isomorphic balls decode
-    once {e across shards}, surviving eviction and reload.  Batch waves
-    keep the table and its filter frozen for their pool workers
-    ({!Engine.staged}) and publish the staged first sightings and
-    stores between waves on the calling thread — the single-writer
-    discipline.  Within one wave the filter does not change, so a class
-    met again in the same wave is still a first sighting there.
+    {b Memoization.}  {!create} loads the container's shipped class
+    table into the [~memo] it is given, once, and every shard engine
+    shares it: a node whose ball is a shipped class is answered without
+    a decode on any shard, across eviction and reload.  Nothing writes
+    the table after that, so batch workers only read shared state.
 
     Obs: [store.shard.loads], [store.shard.evictions],
     [store.shard.lost], [serve.batches] and [serve.batch.shards] (slots
@@ -103,9 +100,10 @@ val create :
     drops the column with the shard, so a reloaded shard decodes its
     nodes again.  [resident_budget] bounds resident shards in
     serialized bytes (default 0 = unbounded).  [salvage] selects
-    degraded serving over fail-stop.  [memo] attaches a canonical-ball
-    decode memo shared by every shard engine (and surviving shard
-    eviction).  [radius] overrides the container's [serve.radius]
+    degraded serving over fail-stop.  [memo] receives the container's
+    class table ({!Memo.attach}) and is shared by every shard engine; a
+    container without one serves memo-less.  [radius] overrides the
+    container's [serve.radius]
     metadata ({!Engine.serve_radius}).  [domains] (default
     {!Localmodel.View.effective_domains}[ ()]) sets the slot count (see
     above) and is the pool size of every batch, honored as given, like
@@ -116,8 +114,9 @@ val create :
     shards has a halo too shallow for the radius ([halo >= max radius 1]
     is the byte-identity precondition); @raise Store.Codec.Corrupt
     when the metadata has no valid serve radius (and no override was
-    given), the container has no advice section, or a damaged
-    version-1 file is opened without [salvage]. *)
+    given), the container has no advice section, a damaged
+    version-1 file is opened without [salvage], or [memo] is given and
+    the shipped class table is malformed ({!Memo.read_table}). *)
 
 val n : t -> int
 (** Global node count. *)
@@ -133,8 +132,8 @@ val certified_all : t -> bool
     [serve.certified] is [all] (not [sample=K], and not missing). *)
 
 val memo_stats : t -> Memo.stats option
-(** The shared memo's counters ({!Memo.stats}), or [None] without a
-    memo.  Read it from the thread that queries the router. *)
+(** The class table's size ({!Memo.stats}), or [None] when the router
+    serves without one. *)
 
 val slot_count : t -> int
 (** Number of slots: [⌈D/S⌉] node ranges per container shard. *)

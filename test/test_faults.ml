@@ -319,7 +319,6 @@ let test_degraded_engine_serves_survivors () =
   let e = salvaged sv in
   check "degraded" true (Serve.Engine.degraded e);
   check "but serving trusted advice" true (Serve.Engine.serving_trusted e);
-  check_str "serving c4" "c4" (Serve.Engine.advice_name e);
   check_int "radius carried through salvage" cert.Serve.Pack.radius
     (Serve.Engine.radius e);
   check "damage report names the decoy" true
@@ -342,12 +341,12 @@ let test_degraded_engine_serves_survivors () =
     g;
   (* Same, through the parallel batch path. *)
   let queries = Array.init (Graph.n g) (fun v -> Serve.Engine.Output_label v) in
-  let answers =
-    Serve.Router.batch
-      (Serve.Router.create ~salvage:true ~domains:2
-         (Store.Shard.open_bytes (flip_payload_byte bytes 2)))
-      queries
+  let router =
+    Serve.Router.create ~salvage:true ~domains:2
+      (Store.Shard.open_bytes (flip_payload_byte bytes 2))
   in
+  check_str "serving c4" "c4" (Serve.Router.advice_name router);
+  let answers = Serve.Router.batch router queries in
   Array.iteri
     (fun v a ->
       match a with
@@ -355,10 +354,19 @@ let test_degraded_engine_serves_survivors () =
       | _ -> Alcotest.fail "expected Label")
     answers;
   (* Serving the quarantined section itself stays total: every label
-     comes back with the right length, no exception escapes. *)
+     comes back with the right length, no exception escapes.  A file
+     whose only advice is the damaged decoy serves it, flagged. *)
   let eq = decoy_only sv in
-  check_str "serving the decoy" "decoy" (Serve.Engine.advice_name eq);
   check "untrusted service is flagged" false (Serve.Engine.serving_trusted eq);
+  let decoy_file =
+    Store.Snapshot.write
+      { snapshot with
+        Store.Snapshot.advice =
+          List.filter (fun (name, _) -> String.equal name "decoy") snapshot.Store.Snapshot.advice }
+  in
+  let rq = Serve.Router.create ~salvage:true (Store.Shard.open_bytes (flip_payload_byte decoy_file 1)) in
+  check_str "serving the decoy" "decoy" (Serve.Router.advice_name rq);
+  check "the router flags it too" false (Serve.Router.serving_trusted rq);
   Graph.iter_nodes
     (fun v ->
       match Serve.Engine.query eq (Serve.Engine.Output_label v) with
@@ -594,10 +602,8 @@ let test_numeric_flags_rejected () =
       usage (path ^ " --port 70000") ~flag:"--port" (serve [ "--port=70000" ]);
       usage (path ^ " --port=-5") ~flag:"--port" (serve [ "--port=-5" ]);
       usage (path ^ " --write-budget 0") ~flag:"--write-budget" (serve [ "--write-budget=0" ]);
-      (* Sizes that overflow: a 2^60-entry memo table cannot be an
-         array, and 2^42 MiB wraps to a negative byte budget. *)
-      usage (path ^ " --memo-capacity 2^60") ~flag:"--memo-capacity"
-        (serve [ "--memo"; "--memo-capacity=1152921504606846976" ]);
+      (* A size that overflows: 2^42 MiB wraps to a negative byte
+         budget. *)
       usage (path ^ " --resident-mb 2^42") ~flag:"--resident-mb"
         (serve [ "--resident-mb=4398046511104" ]))
     [ "tf_v1.ladv"; "tf_v2.ladv" ];
@@ -772,6 +778,114 @@ let test_short_file_is_corrupt () =
         [ []; [ "--health" ] ])
     [ ("tf_empty.ladv", 0); ("tf_five.ladv", 5) ]
 
+(* pack --input refuses a file it cannot pack with one line and exit
+   2: an edge list without its header, one whose declared node count no
+   array can hold (26 bytes, so no host tries to allocate it), and a
+   grid the one-bit schema cannot encode. *)
+let test_pack_input_errors () =
+  let grid = Graphio.to_edge_list (Builders.grid 64 64) in
+  let files =
+    [
+      ("tf_nohdr.txt", "0 1\n1 2\n2 0\n");
+      ("tf_huge.txt", "n 4611686018427387903\n0 1\n");
+      ("tf_grid.txt", grid);
+    ]
+  in
+  check_int "the declared-n file is 26 bytes" 26 (String.length (List.assoc "tf_huge.txt" files));
+  with_files files @@ fun () ->
+  Fun.protect ~finally:(fun () -> remove_noerr "tf_in.ladv") @@ fun () ->
+  List.iter
+    (fun (path, mentions) ->
+      let code, _, err = run_cli [ "pack"; "--input"; path; "--out"; "tf_in.ladv" ] in
+      check_int (path ^ ": exit 2") 2 code;
+      check (path ^ ": one line") true
+        (String.starts_with ~prefix:"pack: " err
+        && String.index_opt err '\n' = Some (String.length err - 1));
+      check (path ^ ": names " ^ mentions) true (has_sub err mentions);
+      check (path ^ ": nothing written") false (Sys.file_exists "tf_in.ladv"))
+    [
+      ("tf_nohdr.txt", "missing 'n <count>' header");
+      ("tf_huge.txt", "node count 4611686018427387903 is more than an array holds");
+      ("tf_grid.txt", "cannot encode the graph");
+    ]
+
+(* Checksum-valid files whose shipped class table lies: a class count
+   past the bytes behind it, a key length past the end, or an empty key
+   (the memo's empty-slot marker).  inspect and serve --memo exit 2
+   with one corrupt-snapshot line, in either container version, and
+   the table reader allocates nothing in proportion to the lie. *)
+let test_hostile_table_is_corrupt () =
+  let _g, _x, snapshot, cert = make_packed 40 5 in
+  let table f =
+    let w = Store.Codec.writer () in
+    f w;
+    Store.Codec.contents w
+  in
+  let lies =
+    [
+      ( "2^40 classes",
+        "claims 1099511627776 class(es)",
+        table (fun w ->
+            Store.Codec.varint w (1 lsl 40);
+            Store.Codec.varint w 2;
+            Store.Codec.str w "k";
+            Store.Codec.str w "1") );
+      ( "a 2^40-byte key",
+        "need 1099511627776 byte(s)",
+        table (fun w ->
+            Store.Codec.varint w 1;
+            Store.Codec.varint w 2;
+            Store.Codec.varint w (1 lsl 40);
+            Store.Codec.raw w "key") );
+      ( "an empty key",
+        "empty key",
+        table (fun w ->
+            Store.Codec.varint w 1;
+            Store.Codec.varint w 2;
+            Store.Codec.str w "";
+            Store.Codec.str w "10") );
+    ]
+  in
+  List.iter
+    (fun (what, _, bytes) ->
+      let before = Gc.allocated_bytes () in
+      (match Serve.Memo.read_table bytes with
+      | _ -> Alcotest.failf "%s: read" what
+      | exception Store.Codec.Corrupt _ -> ());
+      check (what ^ ": allocation bounded by the bytes") true
+        (Gc.allocated_bytes () -. before < 4096.))
+    lies;
+  let with_table bytes =
+    { snapshot with
+      Store.Snapshot.meta =
+        List.filter (fun (k, _) -> not (String.starts_with ~prefix:"serve.table" k))
+          snapshot.Store.Snapshot.meta
+        @ [ (Serve.Memo.table_key, bytes) ] }
+  in
+  let files =
+    List.concat_map
+      (fun (what, mentions, bytes) ->
+        [
+          ("tf_t1.ladv", what ^ ", v1", mentions, Store.Snapshot.write (with_table bytes));
+          ( "tf_t2.ladv",
+            what ^ ", v2",
+            mentions,
+            Store.Shard.build ~shards:2 ~halo:(max cert.Serve.Pack.radius 1) (with_table bytes) );
+        ])
+      lies
+  in
+  with_files [ ("tf_q.txt", "label 0\n") ] @@ fun () ->
+  List.iter
+    (fun (path, what, mentions, bytes) ->
+      with_files [ (path, bytes) ] @@ fun () ->
+      let one_line ((_, _, err) as r) =
+        expect_corrupt what ~mentions r;
+        check (what ^ ": one line") true (String.index_opt err '\n' = Some (String.length err - 1))
+      in
+      one_line (run_cli [ "inspect"; path ]);
+      one_line (run_cli [ "serve"; path; "--batch"; "tf_q.txt"; "--memo" ]))
+    files
+
 let () =
   Alcotest.run "faults"
     [
@@ -814,5 +928,9 @@ let () =
             test_lying_counts_are_corrupt;
           Alcotest.test_case "a short file is corrupt, not fatal" `Quick
             test_short_file_is_corrupt;
+          Alcotest.test_case "pack --input errors are input errors" `Quick
+            test_pack_input_errors;
+          Alcotest.test_case "a lying class table is corrupt, not fatal" `Quick
+            test_hostile_table_is_corrupt;
         ] );
     ]

@@ -1,9 +1,10 @@
-(* Serve.Memo: the canonical-ball decode memo's transparency contract —
-   answers byte-identical (Marshal) to the unmemoized engine across
-   graph families, shard counts, domain counts, pool variants, trusted
-   and salvaged serving, and through the sharded router — plus the
-   table's own semantics: capacity-0 no-op, bounded residency with
-   drop-at-capacity, and exact byte accounting. *)
+(* Serve.Memo: the ball-class table's transparency contract — answers
+   byte-identical (Marshal) to the unmemoized engine across graph
+   families, shard counts, domain counts, pool variants, trusted and
+   salvaged serving, and through the sharded router — plus the table's
+   own semantics: capacity-0 no-op, bounded residency with
+   drop-at-capacity, exact byte accounting, and the shipped table's
+   bytes. *)
 
 open Netgraph
 
@@ -18,6 +19,16 @@ let counter name =
       match e.Obs.Metrics.value with
       | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name ->
           total
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot ())
+
+(* Balls decoded so far: the [serve.ball_size] histogram's count. *)
+let decoded_balls () =
+  List.fold_left
+    (fun acc (e : Obs.Metrics.entry) ->
+      match e.Obs.Metrics.value with
+      | Obs.Metrics.Histogram_v h when String.equal e.Obs.Metrics.name "serve.ball_size" ->
+          h.Obs.Metrics.count
       | _ -> acc)
     0 (Obs.Metrics.snapshot ())
 
@@ -42,8 +53,7 @@ let test_table_basics () =
   Serve.Memo.insert m "dddd" "4444";
   let s = Serve.Memo.stats m in
   check_int "insert past capacity is dropped" 3 s.Serve.Memo.s_entries;
-  check_int "drop counted" 1 s.Serve.Memo.s_drops;
-  check_int "stores counted" 3 s.Serve.Memo.s_stores;
+  check_int "a drop keeps no bytes" (2 + 4 + 6) s.Serve.Memo.s_bytes;
   check "dropped key stays a miss" true (Serve.Memo.find m "dddd" = None);
   check "resident keys keep hitting" true (Serve.Memo.find m "bb" = Some "22");
   (match Serve.Memo.create ~capacity:(-1) with
@@ -63,54 +73,82 @@ let test_capacity_zero_is_noop () =
   Serve.Memo.insert m "k" "v";
   check "capacity 0 never hits" true (Serve.Memo.find m "k" = None);
   let s = Serve.Memo.stats m in
-  check_int "capacity 0 stores nothing" 0 s.Serve.Memo.s_stores;
   check_int "capacity 0 holds nothing" 0 s.Serve.Memo.s_entries;
   check_int "capacity 0 accounts nothing" 0 s.Serve.Memo.s_bytes
 
-(* The filter in front of the table: a fingerprint is new until it is
-   recorded, recording twice counts once, a probe from a buffer reads
-   only its first [n] bytes, and publications are the two writes. *)
-let test_filter_semantics () =
-  let m = Serve.Memo.create ~capacity:4 in
-  check "an unseen fingerprint is a first sighting" true (Serve.Memo.first_sighting m 42);
-  Serve.Memo.record m 42;
-  check "a recorded fingerprint is not" false (Serve.Memo.first_sighting m 42);
-  check "fingerprint 0 is a fingerprint like any other" true (Serve.Memo.first_sighting m 0);
-  Serve.Memo.publish m (Serve.Memo.Sighting 0);
-  check "a published sighting is recorded" false (Serve.Memo.first_sighting m 0);
-  Serve.Memo.record m 42;
-  let s = Serve.Memo.stats m in
-  check_int "first sightings counted once each" 2 s.Serve.Memo.s_first_sightings;
-  check_int "a sighting stores nothing" 0 s.Serve.Memo.s_entries;
-  Serve.Memo.publish m (Serve.Memo.Store ("key", "101"));
+(* The shipped table: what write_table writes, read_table and attach
+   read back, and a probe from a buffer reads only the key's bytes. *)
+let test_shipped_table () =
+  let long = String.init 37 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let classes = [ ("key", "101"); (long, "1"); ("x", "") ] in
+  let table = Serve.Memo.write_table ~covered:9 classes in
+  check "read_table counts the classes" true (Serve.Memo.read_table table = (3, 9));
+  let m = Serve.Memo.create ~capacity:3 in
+  (match Serve.Memo.attach m [ ("serve.radius", "2"); (Serve.Memo.table_key, table) ] with
+  | Some m' -> check "attach keeps the memo it loads" true (m' == m)
+  | None -> Alcotest.fail "a loaded memo was dropped");
+  check_int "every class loaded" 3 (Serve.Memo.stats m).Serve.Memo.s_entries;
+  check "an empty label is a label" true (Serve.Memo.find m "x" = Some "");
   let buf = Bytes.of_string "keyGARBAGE" in
   check "a probe reads only the key's bytes" true
     (Serve.Memo.find_sub m buf 3 = Some "101");
   check "a prefix of a stored key misses" true (Serve.Memo.find_sub m buf 2 = None);
   (* Keys longer than a word compare eight bytes a step. *)
-  let long = String.init 37 (fun i -> Char.chr (i * 7 land 0xff)) in
-  Serve.Memo.insert m long "1";
   let near = Bytes.of_string long in
   Bytes.set near 20 (Char.chr (Char.code (Bytes.get near 20) lxor 0x80));
   check "a long key hits from a buffer" true
     (Serve.Memo.find_sub m (Bytes.of_string (long ^ "tail")) 37 = Some "1");
   check "one flipped high bit misses" true (Serve.Memo.find_sub m near 37 = None);
-  (* A bucket holds at most eight fingerprints: a ninth overwrites one
-     of them, and every slot keeps a recorded fingerprint. *)
-  let small = Serve.Memo.create ~capacity:4 in
-  let same_bucket = List.init 9 (fun i -> (i + 1) * 64) in
-  List.iter (Serve.Memo.record small) same_bucket;
-  check_int "forgotten: exactly one of nine" 1
-    (List.length (List.filter (Serve.Memo.first_sighting small) same_bucket));
-  let zero = Serve.Memo.create ~capacity:0 in
-  Serve.Memo.record zero 7;
-  check "capacity 0 sights everything first" true (Serve.Memo.first_sighting zero 7);
-  check_int "capacity 0 records nothing" 0
-    (Serve.Memo.stats zero).Serve.Memo.s_first_sightings
+  check "no table, nothing loaded: dropped" true
+    (Serve.Memo.attach (Serve.Memo.create ~capacity:3) [ ("serve.radius", "2") ] = None);
+  check "capacity 0 loads nothing: dropped" true
+    (Serve.Memo.attach (Serve.Memo.create ~capacity:0) [ (Serve.Memo.table_key, table) ]
+    = None);
+  (* Hostile bytes: a count past the bytes left, a key length past the
+     end, an empty key, trailing bytes. *)
+  let corrupt what bytes =
+    match Serve.Memo.read_table bytes with
+    | _ -> Alcotest.failf "%s: read" what
+    | exception Store.Codec.Corrupt _ -> (
+        match Serve.Memo.attach (Serve.Memo.create ~capacity:4) [ (Serve.Memo.table_key, bytes) ] with
+        | _ -> Alcotest.failf "%s: attached" what
+        | exception Store.Codec.Corrupt _ -> ())
+  in
+  let table_of f =
+    let w = Store.Codec.writer () in
+    f w;
+    Store.Codec.contents w
+  in
+  let head w classes =
+    Store.Codec.varint w classes;
+    Store.Codec.varint w 5
+  in
+  corrupt "2^62 - 1 classes"
+    (table_of (fun w ->
+         head w ((1 lsl 62) - 1);
+         Store.Codec.str w "k";
+         Store.Codec.str w "1"));
+  corrupt "a key past the end"
+    (table_of (fun w ->
+         head w 1;
+         Store.Codec.varint w 127;
+         Store.Codec.raw w "key"));
+  corrupt "an empty key"
+    (table_of (fun w ->
+         head w 1;
+         Store.Codec.str w "";
+         Store.Codec.str w "101"));
+  corrupt "trailing bytes" (table ^ "\x00")
 
 (* ------------------------------------------------------------------ *)
 (* Engine identity: memo on = memo off, byte for byte (test_pool's
    family/engine idioms, with the memo dimension added) *)
+
+let periodic_snapshot n =
+  let g = Builders.cycle n in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if e mod 4 < 2 then Bitset.add x e) g;
+  Serve.Pack.edge_compression g x
 
 let cycle_snapshot n seed =
   let rng = Prng.create seed in
@@ -169,7 +207,8 @@ let engine_of ?memo family ~salvage rng =
 (* [engine_of]'s snapshot state (same rng consumption) as a file opened
    through Store.Shard: a packed cycle, or the untrusted advice written
    as a v1 file whose advice-section checksum byte is flipped — salvage
-   quarantines it with its content intact. *)
+   quarantines it with its content intact.  Either file ships the class
+   table of its serve radius, as pack builds it. *)
 let router_of ~memo family ~salvage ~domains rng =
   match (family, salvage) with
   | Cycle, false ->
@@ -180,9 +219,14 @@ let router_of ~memo family ~salvage ~domains rng =
         (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   | (Cycle | Grid | Regular), _ ->
       let g = build_graph family rng in
+      let advice = random_advice rng g in
       let bytes =
         Store.Snapshot.write
-          { Store.Snapshot.graph = g; advice = [ ("c4", random_advice rng g) ]; meta = [] }
+          {
+            Store.Snapshot.graph = g;
+            advice = [ ("c4", advice) ];
+            meta = [ Serve.Pack.class_table g ~advice ~radius:2 ];
+          }
       in
       let advice =
         List.find
@@ -220,42 +264,37 @@ let memo_transparent =
       let qs =
         random_queries (Prng.create (seed + 1)) (Serve.Engine.graph plain) 150
       in
-      (* The router batch (one slot per domain) exercises the staged
-         read-only path (workers probe the frozen table, the caller
-         inserts); the single-query sweep afterwards serves against the
-         now-warm table, exercising the hit path for the same queries. *)
+      (* The router batch (one slot per domain) has its workers probe
+         the shared table at once; the single-query sweep afterwards
+         serves the same queries from the label columns. *)
       let batched = Serve.Router.batch memoized qs in
       let expected = Array.map (Serve.Engine.query plain) qs in
       let warm = Array.map (Serve.Router.query memoized) qs in
       Marshal.to_string batched [] = Marshal.to_string expected []
       && Marshal.to_string warm [] = Marshal.to_string expected [])
 
-(* Capacity 0 end to end: attached but inert — identical answers and
-   nothing ever stored. *)
+(* Capacity 0 end to end: a memo that can hold nothing is dropped at
+   create, so a file that ships a table still serves memo-less, with
+   identical answers. *)
 let test_engine_capacity_zero () =
-  let snapshot, _ = cycle_snapshot 60 3 in
+  let snapshot, _ = periodic_snapshot 400 in
+  check "the file ships a table" true
+    (List.mem_assoc Serve.Memo.table_key snapshot.Store.Snapshot.meta);
   let memo = Serve.Memo.create ~capacity:0 in
   let memoized = Serve.Engine.create ~memo snapshot in
   let plain = Serve.Engine.create snapshot in
-  check "memoized engine reports the attachment" true
-    (Serve.Engine.memo memoized = Some memo);
   let qs = random_queries (Prng.create 17) (Serve.Engine.graph plain) 80 in
   check_string "capacity-0 answers identical"
     (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
     (Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) []);
-  let s = Serve.Memo.stats memo in
-  check_int "capacity-0 table stayed empty" 0 s.Serve.Memo.s_stores
+  check_int "capacity-0 table stayed empty" 0 (Serve.Memo.stats memo).Serve.Memo.s_entries
 
 (* Adversarial near-zero-collision family: every node carries distinct
-   advice bits, so (radius-2) ball signatures are pairwise distinct and
-   the class population dwarfs the table.  A class is stored on its
-   second sighting, so with the label column off each node is asked
-   twice in a row: the first query records the fingerprint, the second
-   builds the key and stores the class, or drops it at capacity.  (Two
-   whole sweeps would store almost nothing: the 64-slot filter holds at
-   most 64 fingerprints, and the 199 others are recorded between a
-   node's two sightings.)  The memo must stay transparent while
-   dropping at capacity. *)
+   advice bits, so (radius-2) ball classes are pairwise distinct, no
+   class recurs, and the pack ships no table: the metadata says why,
+   and an engine given a memo drops it and builds no key.  A table too
+   big for its memo drops the classes past the capacity at load and
+   stays transparent. *)
 let test_adversarial_low_collision () =
   let g = Builders.cycle 200 in
   (* 16 advice bits = the node id in binary: all distinct. *)
@@ -263,56 +302,90 @@ let test_adversarial_low_collision () =
     Array.init (Graph.n g) (fun v ->
         String.init 16 (fun i -> if (v lsr i) land 1 = 1 then '1' else '0'))
   in
+  (match Serve.Pack.class_table g ~advice ~radius:2 with
+  | "serve.table.none", reason ->
+      check_string "the reason" "no ball class recurs (200 classes over 200 nodes)" reason
+  | key, _ -> Alcotest.failf "distinct balls shipped %s" key);
   let memo = Serve.Memo.create ~capacity:32 in
   let memoized = salvaged_engine ~cache_capacity:0 ~memo g advice in
   let plain = salvaged_engine g advice in
   let qs = Array.init 400 (fun i -> Serve.Engine.Output_label (i / 2)) in
-  check_string "adversarial answers identical"
-    (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
-    (Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) []);
-  let s = Serve.Memo.stats memo in
-  check_int "table filled to capacity" 32 s.Serve.Memo.s_entries;
-  check "overflow classes dropped, not evicted" true
-    (s.Serve.Memo.s_drops >= 200 - 32 - 1);
-  check "second pass still identical (drops are invisible)" true
-    (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) []
-    = Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) [])
-
-(* The filter keeps singletons out of the table: a random-subset cycle,
-   whose balls are all distinct classes, sweeps twice through a
-   capacity-64 memo (label column off), and a periodic cycle served
-   next from the same memo still finds room for its recurring classes.
-   Storing on first sight, the random sweeps would fill the table and
-   the periodic sweep would hit nothing. *)
-let test_singletons_do_not_crowd_out () =
-  let packed n pick =
-    let g = Builders.cycle n in
-    let x = Bitset.create (Graph.m g) in
-    Graph.iter_edges (fun e _ -> if pick e then Bitset.add x e) g;
-    fst (Serve.Pack.edge_compression g x)
-  in
-  let rng = Prng.create 29 in
-  let random = packed 600 (fun _ -> Prng.bool rng) in
-  let periodic = packed 4000 (fun e -> e mod 4 < 2) in
-  let memo = Serve.Memo.create ~capacity:64 in
-  let sweep snapshot =
-    let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
-    for v = 0 to Graph.n (Serve.Engine.graph engine) - 1 do
-      ignore (Serve.Engine.output_label engine v)
-    done
-  in
-  sweep random;
-  sweep random;
   Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
-      sweep periodic;
-      let hits = counter "serve.memo.hits" in
-      check_int "every periodic query counted once" 4000
-        (hits + counter "serve.memo.misses");
-      if hits < 3600 then
-        Alcotest.failf "the periodic sweep hit %d of 4000 queries (memo %d entries)" hits
-          (Serve.Memo.stats memo).Serve.Memo.s_entries)
+      check_string "adversarial answers identical"
+        (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
+        (Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) []);
+      check_int "no key built" 0 (counter "serve.memo.hits" + counter "serve.memo.misses"));
+  let snapshot, _ = periodic_snapshot 400 in
+  let classes, _ =
+    Serve.Memo.read_table (List.assoc Serve.Memo.table_key snapshot.Store.Snapshot.meta)
+  in
+  let small = Serve.Memo.create ~capacity:4 in
+  let memoized = Serve.Engine.create ~cache_capacity:0 ~memo:small snapshot in
+  let plain = Serve.Engine.create snapshot in
+  check "more classes than the memo holds" true (classes > 4);
+  check_int "filled to capacity" 4 (Serve.Memo.stats small).Serve.Memo.s_entries;
+  let qs = Array.init 400 (fun v -> Serve.Engine.Output_label v) in
+  check_string "a full memo stays transparent"
+    (Marshal.to_string (Array.map (Serve.Engine.query plain) qs) [])
+    (Marshal.to_string (Array.map (Serve.Engine.query memoized) qs) [])
+
+(* The table ships exactly the classes that recur: counted by hand over
+   every node's key, a periodic cycle's shipped classes are the keys
+   met at least twice, [covered] is the nodes they hold, and each label
+   is the one every member decodes to.  Past the cap (a random subset,
+   every ball its own class) nothing ships. *)
+let test_table_ships_recurring_classes () =
+  let snapshot, cert = periodic_snapshot 400 in
+  let g = snapshot.Store.Snapshot.graph in
+  let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
+  let radius = cert.Serve.Pack.radius in
+  let ids = Localmodel.Ids.identity g in
+  let ws = Workspace.domain_local () in
+  let seen = Hashtbl.create 256 in
+  for v = 0 to Graph.n g - 1 do
+    ignore (Traversal.bfs_limited_into ws g v radius);
+    let key = Ethlink.Canonical.ball_key ws g ~ids ~advice in
+    let label = Serve.Center_decode.label ws g ~ids ~advice ~center:0 in
+    match Hashtbl.find_opt seen key with
+    | Some (l, count) ->
+        check_string "a class has one label" l label;
+        Hashtbl.replace seen key (l, count + 1)
+    | None -> Hashtbl.replace seen key (label, 1)
+  done;
+  let recurring = Hashtbl.fold (fun _ (_, c) acc -> if c > 1 then c :: acc else acc) seen [] in
+  let table = List.assoc Serve.Memo.table_key snapshot.Store.Snapshot.meta in
+  check "classes and covered nodes" true
+    (Serve.Memo.read_table table
+    = (List.length recurring, List.fold_left ( + ) 0 recurring));
+  let memo = Serve.Memo.create ~capacity:(List.length recurring) in
+  ignore (Serve.Memo.attach memo snapshot.Store.Snapshot.meta);
+  Hashtbl.iter
+    (fun key (label, count) ->
+      check "shipped iff recurring, with its label" true
+        (Serve.Memo.find memo key = if count > 1 then Some label else None))
+    seen;
+  (* A cold sweep of every node through a 4-shard router serving the
+     table decodes exactly the balls outside it. *)
+  let covered = snd (Serve.Memo.read_table table) in
+  let store =
+    Store.Shard.open_bytes (Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot)
+  in
+  let router = Serve.Router.create ~memo:(Serve.Memo.create ~capacity:256) ~domains:1 store in
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
+      for v = 0 to Graph.n g - 1 do
+        ignore (Serve.Router.query router (Serve.Engine.Output_label v))
+      done;
+      check_int "hits: the covered nodes" covered (counter "serve.memo.hits");
+      check_int "decodes: the nodes outside the table" (Graph.n g - covered)
+        (decoded_balls ()));
+  let snapshot, _ = cycle_snapshot 400 3 in
+  check "past the cap nothing ships" true
+    (List.assoc_opt "serve.table.none" snapshot.Store.Snapshot.meta
+    = Some "more than 256 ball classes among the first 257 nodes")
 
 (* ------------------------------------------------------------------ *)
 (* Router identity: one memo shared across every per-shard engine,
@@ -320,9 +393,8 @@ let test_singletons_do_not_crowd_out () =
 
 let test_router_memo_identity () =
   (* A periodic subset long enough that balls recur (48 classes cover
-     278 of the 400 nodes at the certified radius 43), so classes recur
-     across shards: a shard's wave sights them, a later wave stores
-     them. *)
+     278 of the 400 nodes at the certified radius 43), so one shipped
+     class serves nodes of several shards. *)
   let snapshot, cert =
     let g = Builders.cycle 400 in
     let x = Bitset.create (Graph.m g) in
@@ -339,8 +411,8 @@ let test_router_memo_identity () =
       0 man.Store.Shard.m_shards
   in
   let memo = Serve.Memo.create ~capacity:1024 in
-  (* One-shard budget: every cross-shard hop evicts, so memo entries
-     published by an evicted shard's engine must serve its reload. *)
+  (* One-shard budget: every cross-shard hop evicts, and the table,
+     loaded once at create, serves every reload. *)
   let router =
     Serve.Router.create ~memo ~resident_budget:max_frame ~radius ~domains:2 store
   in
@@ -358,10 +430,12 @@ let test_router_memo_identity () =
             (Marshal.to_string a [])
       | Error msg -> Alcotest.failf "healthy container lost a shard: %s" msg)
     batched;
-  check "memo collected entries across shards" true
-    ((Serve.Memo.stats memo).Serve.Memo.s_stores > 0);
-  (* Single-query sweep after the batch: the staged-then-published
-     entries and the serialized insert path agree. *)
+  check "the router holds the shipped classes" true
+    (Serve.Router.memo_stats router = Some (Serve.Memo.stats memo)
+    && (Serve.Memo.stats memo).Serve.Memo.s_entries
+       = fst (Serve.Memo.read_table (List.assoc Serve.Memo.table_key man.Store.Shard.m_meta)));
+  (* Single-query sweep after the batch, served from the label
+     columns and, past an eviction, the table again. *)
   Array.iteri
     (fun i q ->
       check_string
@@ -603,8 +677,12 @@ let workspace_key_and_fragment =
         | Error e -> Alcotest.failf "reference decode raised %s, %s" e where
       in
       for radius = 0 to top do
-        let prefix = Printf.sprintf "r%d;t%b;" radius trusted in
-        let memo = Serve.Memo.create ~capacity:64 in
+        (* The engine serves the class table of this radius, as pack
+           builds it. *)
+        let snapshot =
+          { snapshot with Store.Snapshot.meta = [ Serve.Pack.class_table g ~advice ~radius ] }
+        in
+        let memo = Serve.Memo.create ~capacity:(Graph.n g) in
         let engine =
           if trusted then Serve.Engine.create ~memo ~radius snapshot
           else
@@ -620,8 +698,8 @@ let workspace_key_and_fragment =
             (reference_ball_signature view) signature;
           let ws = Workspace.domain_local () in
           ignore (Traversal.bfs_limited_into ws g v radius);
-          check_string ("workspace key, " ^ where) (prefix ^ signature)
-            (Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice);
+          check_string ("workspace key, " ^ where) signature
+            (Ethlink.Canonical.ball_key ws g ~ids ~advice);
           (* The engine's decoder on these stamps, with these ids; read
              before anything else stamps the domain's workspace. *)
           let stamped = Serve.Center_decode.label ws g ~ids ~advice ~center:0 in
@@ -643,39 +721,40 @@ let workspace_key_and_fragment =
       done;
       true)
 
-(* The memo filter's soundness: a fingerprint reads only fields of the
-   key, so two balls with equal keys have equal fingerprints — on every
-   input of the suite above, at every node and radius 0..R+2.  One
-   prefix serves every radius, so a ball that stops growing gives equal
-   keys across radii too. *)
-let equal_keys_equal_fingerprints =
-  QCheck.Test.make ~count:30 ~name:"equal keys give equal fingerprints"
+(* The key is the decoder's whole input: on every input of the suite
+   above, at every node, radius 0..R+2 and id kind, two balls whose
+   [write_ball_key] bytes are equal decode to equal labels — across
+   radii too (a ball that stops growing keeps its key).  This is what
+   lets one unprefixed table serve any radius and any trust mode. *)
+let equal_keys_equal_labels =
+  QCheck.Test.make ~count:30 ~name:"equal keys give equal labels"
     (QCheck.make ~print:ball_case_print ball_case_gen)
     (fun (seed, family, kind, quarantined) ->
       let rng = Prng.create seed in
       let g, advice, _, top = ball_case family ~quarantined rng in
       let ids = ids_of kind rng g in
-      let prefix = "r;t;" in
       let seen = Hashtbl.create 256 in
       let ws = Workspace.domain_local () in
       for radius = 0 to top do
         for v = 0 to Graph.n g - 1 do
           ignore (Traversal.bfs_limited_into ws g v radius);
-          let fp = Ethlink.Canonical.ball_fingerprint ~prefix ws ~advice in
-          let key = Ethlink.Canonical.ball_key ~prefix ws g ~ids ~advice in
+          let n = Ethlink.Canonical.write_ball_key ws g ~ids ~advice in
+          let key = Bytes.sub_string (Ethlink.Canonical.key_buffer ()) 0 n in
+          let label = Serve.Center_decode.label ws g ~ids ~advice ~center:0 in
           match Hashtbl.find_opt seen key with
-          | Some (fp', where) when fp' <> fp ->
-              Alcotest.failf "node %d radius %d: key of %s, fingerprint %d, not %d" v radius
-                where fp fp'
+          | Some (label', where) when not (String.equal label label') ->
+              Alcotest.failf "node %d radius %d: key of %s, label %S, not %S" v radius where
+                label label'
           | Some _ -> ()
-          | None -> Hashtbl.replace seen key (fp, Printf.sprintf "node %d radius %d" v radius)
+          | None -> Hashtbl.replace seen key (label, Printf.sprintf "node %d radius %d" v radius)
         done
       done;
       true)
 
 (* The served path builds no view: with obs on, a cold sweep over every
-   node of a memoized engine (LRU off, so every query reaches the memo)
-   extracts no [View.t], and decodes exactly one ball per memo miss. *)
+   node of a memoized engine (label column off, so every query reaches
+   the table) extracts no [View.t], and decodes exactly one ball per
+   table miss. *)
 let test_serve_path_builds_no_view () =
   let g = Builders.cycle 400 in
   let x = Bitset.create (Graph.m g) in
@@ -684,16 +763,6 @@ let test_serve_path_builds_no_view () =
   let memo = Serve.Memo.create ~capacity:4096 in
   let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
   let n = Graph.n (Serve.Engine.graph engine) in
-  let decoded () =
-    List.fold_left
-      (fun acc (e : Obs.Metrics.entry) ->
-        match e.Obs.Metrics.value with
-        | Obs.Metrics.Histogram_v h when String.equal e.Obs.Metrics.name "serve.ball_size"
-          ->
-            h.Obs.Metrics.count
-        | _ -> acc)
-      0 (Obs.Metrics.snapshot ())
-  in
   Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
   Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
@@ -706,7 +775,7 @@ let test_serve_path_builds_no_view () =
       check_int "every query probed the memo" n
         (counter "serve.memo.hits" + misses);
       check "the hit path ran" true (misses < n);
-      check_int "one decoded ball per memo miss" misses (decoded ()))
+      check_int "one decoded ball per memo miss" misses (decoded_balls ()))
 
 (* A column miss allocates the label it returns and nothing else: with
    the label column off, a sweep of misses over a packed cycle (scratch
@@ -742,30 +811,37 @@ let test_miss_allocates_only_its_label () =
     [ cert.Serve.Pack.radius; 3 * cert.Serve.Pack.radius ]
 
 (* A memo hit allocates at most its [Some]: the key is written into the
-   domain's key buffer and probed there.  Label column off; the first
-   sweep sights every class, the second stores it (capacity and filter
-   hold all 600), and the measured third sweep must be hits only. *)
+   domain's key buffer and probed there.  Label column off; the memo
+   holds every node's class (filled by hand: a random subset ships no
+   table), so after a warm-up sweep the measured sweep is hits only. *)
 let test_hit_allocates_at_most_two_words () =
   let g = Builders.cycle 600 in
   let rng = Prng.create 5 in
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
-  let snapshot, _ = Serve.Pack.edge_compression g x in
+  let snapshot, cert = Serve.Pack.edge_compression g x in
+  let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
+  let ids = Localmodel.Ids.identity g in
+  let ws = Workspace.domain_local () in
   let memo = Serve.Memo.create ~capacity:4096 in
+  for v = 0 to Graph.n g - 1 do
+    ignore (Traversal.bfs_limited_into ws g v cert.Serve.Pack.radius);
+    let key = Ethlink.Canonical.ball_key ws g ~ids ~advice in
+    Serve.Memo.insert memo key (Serve.Center_decode.label ws g ~ids ~advice ~center:0)
+  done;
   let engine = Serve.Engine.create ~cache_capacity:0 ~memo snapshot in
   let sweep () =
     for v = 0 to Graph.n g - 1 do
       ignore (Serve.Engine.output_label engine v)
     done
   in
-  sweep ();
-  sweep ();
-  let before_stats = Serve.Memo.stats memo in
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) sweep;
+  check_int "the warm-up sweep only hit" (Graph.n g) (counter "serve.memo.hits");
   let before = Gc.minor_words () in
   sweep ();
   let words = Gc.minor_words () -. before in
-  check "the measured sweep only hit (no sighting, store or drop)" true
-    (Serve.Memo.stats memo = before_stats);
   let allowed = (Graph.n g * 2) + 8 in
   if words > float_of_int allowed then
     Alcotest.failf "%.0f minor words over %d memo hits, allowed %d" words (Graph.n g)
@@ -782,8 +858,8 @@ let () =
             test_table_basics;
           Alcotest.test_case "capacity 0 is a no-op" `Quick
             test_capacity_zero_is_noop;
-          Alcotest.test_case "filter records first sightings" `Quick
-            test_filter_semantics;
+          Alcotest.test_case "a shipped table loads and probes from a buffer" `Quick
+            test_shipped_table;
         ] );
       ( "engine",
         [
@@ -792,8 +868,8 @@ let () =
             test_engine_capacity_zero;
           Alcotest.test_case "adversarial low-collision family" `Quick
             test_adversarial_low_collision;
-          Alcotest.test_case "singletons do not crowd out recurring classes" `Quick
-            test_singletons_do_not_crowd_out;
+          Alcotest.test_case "the table ships the classes that recur" `Quick
+            test_table_ships_recurring_classes;
         ] );
       ( "router",
         [
@@ -805,7 +881,7 @@ let () =
           QCheck_alcotest.to_alcotest workspace_key_and_fragment;
           Alcotest.test_case "serve path builds no view" `Quick
             test_serve_path_builds_no_view;
-          QCheck_alcotest.to_alcotest equal_keys_equal_fingerprints;
+          QCheck_alcotest.to_alcotest equal_keys_equal_labels;
           Alcotest.test_case "a miss allocates only its label" `Quick
             test_miss_allocates_only_its_label;
           Alcotest.test_case "a memo hit allocates at most 2 words" `Quick

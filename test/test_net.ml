@@ -1032,11 +1032,11 @@ let test_stats_certification () =
       check_int (Printf.sprintf "engine.certified_all with ~sample:%d" sample) want got)
     [ (64, 0); (0, 1) ]
 
-(* The stats frame of a memo server carries the memo's counters.  After
-   one pipelined sweep of every node, a random-subset cycle, whose balls
-   are all distinct classes, has stored nothing (each class was sighted
-   once), while a periodic cycle keeps the classes it met again.  A
-   memo-less server's frame has no memo keys. *)
+(* The stats frame of a server with a class table carries the table's
+   size.  A random-subset cycle, whose balls are all distinct classes,
+   ships no table, so a --memo server on it serves memo-less and its
+   frame has no memo keys; a periodic cycle's server holds exactly the
+   shipped classes after a sweep of every node. *)
 let test_stats_memo () =
   let sweep_stats ?memo snapshot =
     let n = Graph.n snapshot.Store.Snapshot.graph in
@@ -1064,20 +1064,20 @@ let test_stats_memo () =
     | Some v -> v
     | None -> Alcotest.failf "stats frame is missing %s" name
   in
-  let stats = sweep_stats ~memo:(Serve.Memo.create ~capacity:4096) random in
-  check_int "random subset: nothing stored" 0 (stat stats "serve.memo.entries");
-  check_int "random subset: no key bytes kept" 0 (stat stats "serve.memo.bytes");
-  check_int "random subset: every ball a first sighting" 400
-    (stat stats "serve.memo.first_sightings");
+  let memo_less stats =
+    List.for_all (fun (k, _) -> not (String.starts_with ~prefix:"serve.memo." k)) stats
+  in
+  check "random subset ships no table: a --memo frame has no memo keys" true
+    (memo_less (sweep_stats ~memo:(Serve.Memo.create ~capacity:4096) random));
   let stats = sweep_stats ~memo:(Serve.Memo.create ~capacity:4096) periodic in
-  let entries = stat stats "serve.memo.entries" in
-  check "periodic: recurring classes stored" true (entries > 0);
-  check_int "periodic: every store is an entry" entries (stat stats "serve.memo.stores");
-  check_int "periodic: nothing dropped" 0 (stat stats "serve.memo.drops");
-  check "memo-less frame has no memo keys" true
-    (List.for_all
-       (fun (k, _) -> not (String.starts_with ~prefix:"serve.memo." k))
-       (sweep_stats random))
+  let classes, _ =
+    Serve.Memo.read_table (List.assoc Serve.Memo.table_key periodic.Store.Snapshot.meta)
+  in
+  check_int "periodic: the shipped classes" classes (stat stats "serve.memo.entries");
+  check "periodic: their key bytes" true (stat stats "serve.memo.bytes" > 0);
+  check_int "periodic: two memo keys, entries and bytes" 2
+    (List.length (List.filter (fun (k, _) -> String.starts_with ~prefix:"serve.memo." k) stats));
+  check "memo-less frame has no memo keys" true (memo_less (sweep_stats random))
 
 let test_loopback_shutdown_drains () =
   let g, snapshot = make_packed 80 3 in

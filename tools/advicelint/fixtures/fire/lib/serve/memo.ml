@@ -1,6 +1,6 @@
 (* Fixture: the canonical-ball memo's single-writer discipline — a memo
    table published from inside a Pool.run worker races every other
-   domain probing it; misses must be staged and inserted by the caller
+   domain probing it; misses must be deferred and inserted by the caller
    after the join.  memo.ml is on the per-node hot set, so the per-ball
    table allocation fires too. *)
 
