@@ -430,19 +430,14 @@ let block ~smoke =
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
     Bytes.to_string b
   in
-  let sv = Store.Snapshot.read_salvage damaged in
   let sv_count = min count 2_000 in
   let sv_queries = Array.sub queries 0 sv_count in
-  let salvaged () =
-    Serve.Engine.create
-      ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
-      sv.Store.Snapshot.partial
-  in
+  let salvaged () = Serve.Router.create ~salvage:true (Store.Shard.open_bytes damaged) in
   let sv_direct = salvaged () in
-  let sv_expected = Array.map (fun q -> Serve.Engine.query sv_direct q) sv_queries in
+  let sv_expected = Array.map (fun q -> Serve.Router.query sv_direct q) sv_queries in
   let sv_elapsed, sv_mismatches, _, sv_stats =
     pipelined_run
-      ~router:(Serve.Router.create ~salvage:true (Store.Shard.open_bytes damaged))
+      ~router:(salvaged ())
       ~expected:sv_expected
       ~window sv_queries
   in

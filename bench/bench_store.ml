@@ -718,8 +718,7 @@ let bench_memo ~smoke =
     bench_memo_family ~name:"grid-uniform" ~n:(Graph.n g) ~radius:2 ~meta
       ~make:(fun ?memo () ->
         Serve.Engine.create ~cache_capacity:0 ?memo ~radius:2
-          ~health:([ ("c4", advice) ], [])
-          { Store.Snapshot.graph = g; advice = []; meta })
+          { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta })
   in
   (* Adversarial: a random subset scatters distinct advice around every
      node, so every ball is its own class and the pack ships no table:

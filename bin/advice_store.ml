@@ -508,15 +508,6 @@ let port_term =
         ~doc:"TCP port for --listen (0 asks the kernel for an ephemeral \
               port; the chosen one is printed on startup).")
 
-let write_budget_term =
-  Arg.(
-    value
-    & opt int (256 * 1024)
-    & info [ "write-budget" ] ~docv:"BYTES"
-        ~doc:"Per-connection queued-response bound: past it the server \
-              stops reading that connection until its responses drain \
-              (backpressure).")
-
 (* '-' follows the --metrics convention: the query list arrives on
    stdin.  Both paths read to EOF on a binary channel, so pipes and
    process substitutions work identically. *)
@@ -561,8 +552,8 @@ let serve_batch router ~where batch =
     (Serve.Router.advice_name router) where
     (if !failed > 0 then Printf.sprintf ", %d failed" !failed else "")
 
-let serve_listen router host port write_budget =
-  let config = { Net.Server.host; port; write_budget } in
+let serve_listen router host port =
+  let config = { Net.Server.host; port } in
   let server =
     try Net.Server.create ~config router
     with Unix.Unix_error (err, _, _) ->
@@ -609,11 +600,10 @@ let memo_term =
               without it.")
 
 let serve_cmd =
-  let run path batch listen host port write_budget domains salvage
-      resident_mb use_memo metrics =
+  let run path batch listen host port domains salvage resident_mb use_memo
+      metrics =
     at_least "serve" "domains" ~min:1 domains;
     within "serve" "port" ~min:0 ~max:65535 port;
-    at_least "serve" "write-budget" ~min:1 (Some write_budget);
     (* The budget is passed in bytes, so it must not overflow. *)
     within "serve" "resident-mb" ~min:0 ~max:(max_int / 1048576) resident_mb;
     or_corrupt @@ fun () ->
@@ -681,7 +671,7 @@ let serve_cmd =
           c (Serve.Router.n router)
     | _ -> ());
     match mode with
-    | `Listen -> serve_listen router host port write_budget
+    | `Listen -> serve_listen router host port
     | `Batch b -> serve_batch router ~where:(Printf.sprintf ", %d shard(s)" shards) b
   in
   Cmd.v
@@ -695,7 +685,7 @@ let serve_cmd =
              container loads its shards lazily under --resident-mb.")
     Term.(
       const run $ snapshot_arg $ batch_term $ listen_term $ host_term
-      $ port_term $ write_budget_term $ domains_term $ salvage_term
+      $ port_term $ domains_term $ salvage_term
       $ resident_mb_term $ memo_term $ metrics_term)
 
 let default = Term.(ret (const (`Help (`Pager, None))))

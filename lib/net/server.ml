@@ -13,14 +13,17 @@ let m_batch_size =
   Obs.Metrics.histogram "net.batch_size"
     ~buckets:[| 1; 4; 16; 64; 256; 1024; 4096; 16384 |]
 
-type config = { host : string; port : int; write_budget : int }
+type config = { host : string; port : int }
 
-let default_config = { host = "127.0.0.1"; port = 0; write_budget = 256 * 1024 }
+let default_config = { host = "127.0.0.1"; port = 0 }
 
-(* The listen backlog, and the connection cap above which the listener
-   stops accepting (further connects wait in that backlog). *)
+(* The listen backlog, the connection cap above which the listener
+   stops accepting (further connects wait in that backlog), and each
+   connection's write budget: the queued-response bytes above which it
+   stops being read. *)
 let backlog = 64
 let max_conns = 1024
+let write_budget = 256 * 1024
 
 (* Cumulative loop counters.  The loop is single-threaded, so plain
    mutable ints are exact; they are mirrored into Obs counters so a
@@ -36,11 +39,9 @@ type counters = {
   mutable errors : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
-  mutable degraded_answers : int;
 }
 
 type t = {
-  config : config;
   router : Router.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
@@ -56,10 +57,7 @@ type t = {
 
 let check_config c =
   if c.port < 0 || c.port > 65535 then
-    invalid_arg (Printf.sprintf "Server.create: port %d is outside 0..65535" c.port);
-  if c.write_budget < 1 then
-    invalid_arg
-      (Printf.sprintf "Server.create: write_budget must be positive (got %d)" c.write_budget)
+    invalid_arg (Printf.sprintf "Server.create: port %d is outside 0..65535" c.port)
 
 let create ?(config = default_config) router =
   check_config config;
@@ -85,7 +83,6 @@ let create ?(config = default_config) router =
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
   {
-    config;
     router;
     listen_fd = fd;
     bound_port;
@@ -106,7 +103,6 @@ let create ?(config = default_config) router =
         errors = 0;
         bytes_in = 0;
         bytes_out = 0;
-        degraded_answers = 0;
       };
   }
 
@@ -160,14 +156,12 @@ let stats t =
       ("net.errors", t.c.errors);
       ("net.bytes_in", t.c.bytes_in);
       ("net.bytes_out", t.c.bytes_out);
-      ("serve.degraded", t.c.degraded_answers);
+      ("serve.degraded", Router.degraded_answers r);
     ])
 
 let note_answered t count =
   t.c.queries <- t.c.queries + count;
-  Obs.Metrics.add m_queries count;
-  if Router.degraded t.router then
-    t.c.degraded_answers <- t.c.degraded_answers + count
+  Obs.Metrics.add m_queries count
 
 (* A failed answer becomes a non-fatal Rejected frame, so no router
    exception can kill the select loop; anything else is a bug and
@@ -226,7 +220,7 @@ let accept_ready t =
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
-        let conn = Conn.create ~write_budget:t.config.write_budget () in
+        let conn = Conn.create ~write_budget () in
         t.conns <- (fd, conn) :: t.conns;
         t.c.accepted <- t.c.accepted + 1;
         Obs.Metrics.incr m_accepted

@@ -11,9 +11,10 @@
     query, a lost shard) becomes a non-fatal {!Protocol.Rejected} frame
     and the server keeps serving.
 
-    {b Backpressure} is per connection ({!Conn}).  When 1024 peers are
-    connected the listener stops accepting; further connects wait in the
-    kernel's listen backlog of 64.
+    {b Backpressure} is per connection ({!Conn}): a connection stops
+    being read while more than 256 KiB of its responses are queued.
+    When 1024 peers are connected the listener stops accepting; further
+    connects wait in the kernel's listen backlog of 64.
 
     {b Graceful shutdown.}  {!shutdown} may be called from any domain or
     from a signal handler.  The loop then stops accepting, closes the
@@ -26,25 +27,22 @@
 
     {b Degraded serving} needs no special handling: a router over a
     salvaged version-1 file or a container with a lost shard answers
-    like any other, and the stats frame exposes [engine.degraded] /
-    [serve.degraded].
+    like any other, and the stats frame reports the router's own
+    [engine.degraded] / [serve.degraded].
 
     Obs: [net.accepted], [net.closed], [net.requests], [net.queries],
     [net.batches], [net.errors], [net.bytes_in], [net.bytes_out]
     counters and the [net.batch_size] histogram. *)
 
-(** Loop parameters; {!default_config} is the baseline.  A frame is
+(** Where to listen; {!default_config} is the baseline.  A frame is
     capped at {!Protocol.max_frame}. *)
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** TCP port; [0] asks the kernel for an ephemeral one *)
-  write_budget : int;
-      (** per-connection queued-response bound (bytes) above which the
-          connection stops being read, default 256 KiB *)
 }
 
 val default_config : config
-(** Loopback host, ephemeral port, and the defaults listed above. *)
+(** Loopback host, ephemeral port. *)
 
 type t
 (** A bound, listening server (not yet running its loop). *)
@@ -55,8 +53,7 @@ val create : ?config:config -> Serve.Router.t -> t
     read the assigned port, and only then start the loop in another
     domain.  The loop then owns [router]: no other thread may query it
     while the server runs.  @raise Invalid_argument before any socket
-    is created when [port] is outside 0..65535 or [write_budget] is
-    below 1; @raise
+    is created when [port] is outside 0..65535; @raise
     Unix.Unix_error when binding fails (address in use, permission). *)
 
 val port : t -> int
@@ -84,7 +81,8 @@ val stats : t -> (string * int) list
     ([net.accepted], [net.active], [net.closed], [net.requests],
     [net.queries], [net.batches], [net.errors], [net.pings],
     [net.stats], [net.bytes_in], [net.bytes_out]) and
-    [serve.degraded] — the count of queries answered while the router
-    was degraded, 0 on a healthy one.  A router serving a class table
-    adds its size ({!Serve.Router.memo_stats}): [serve.memo.entries]
-    and [serve.memo.bytes]; without one the list has neither. *)
+    [serve.degraded] ({!Serve.Router.degraded_answers}: the answers
+    served while the router was degraded, 0 on a healthy one).  A
+    router serving a class table adds its size
+    ({!Serve.Router.memo_stats}): [serve.memo.entries] and
+    [serve.memo.bytes]; without one the list has neither. *)

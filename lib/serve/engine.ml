@@ -4,8 +4,6 @@ module View = Localmodel.View
 let m_queries = Obs.Metrics.counter "serve.queries"
 let m_hits = Obs.Metrics.counter "serve.cache.hits"
 let m_misses = Obs.Metrics.counter "serve.cache.misses"
-let m_degraded = Obs.Metrics.counter "serve.degraded"
-let m_quarantined = Obs.Metrics.counter "serve.quarantined"
 
 let m_ball =
   Obs.Metrics.histogram "serve.ball_size"
@@ -30,23 +28,20 @@ type t = {
   ids : Localmodel.Ids.t;
   store : bool;  (* false: [labels] is empty and every ball query decodes *)
   labels : answer array;  (* labels.(v): a [Label]; [undecoded] until stored *)
-  bits : answer array;  (* bits.(v): [Bits advice.(v)]; [undecoded] until asked *)
   memo : Memo.t option;  (* the class table, possibly shared; never written *)
-  degraded : bool;  (* any section of the source snapshot was damaged *)
-  trusted : bool;  (* the served advice section passed its checksum *)
-  quarantined : string list;  (* human-readable damage report *)
 }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* "Not stored yet", in either column, told apart by physical equality:
-   [Label ""] is a real answer (radius 0, isolated nodes), and no
-   stored entry is this one. *)
+(* "Not stored yet", told apart by physical equality: [Label ""] is a
+   real answer (radius 0, isolated nodes), and no stored entry is this
+   one. *)
 let undecoded = Label (String.make 1 '?')
 
 (* The [Label] and [Bits] answer of every shared bit string
    ({!Advice.Bits.shared}), by slot: a label or advice string of at most
-   8 bits — every node of degree at most 8 — is answered with one of
+   8 bits — every label of a node of degree at most 8, and every C4
+   advice string of one of degree at most 14 — is answered with one of
    these instead of a new box.  Built once and never written after; a
    pool worker interning a miss reads them through its domain-local
    key, which it inherits from the domain that spawned it, so every
@@ -109,32 +104,14 @@ let serve_radius ?radius meta =
       | Some r -> r
       | None -> corrupt "metadata has no serve.radius (and no ~radius override was given)")
 
-(* Damage report lines: one per non-healthy section of a salvage. *)
-let describe_damage (r : Store.Snapshot.section_report) =
-  let where =
-    match r.Store.Snapshot.s_name with
-    | Some n -> Printf.sprintf "section %d (advice %S)" r.Store.Snapshot.s_index n
-    | None -> Printf.sprintf "section %d (tag %d)" r.Store.Snapshot.s_index r.Store.Snapshot.s_tag
+let create ?cache_capacity ?memo ?radius snapshot =
+  let advice =
+    match snapshot.Store.Snapshot.advice with
+    | (_, a) :: _ -> a
+    | [] -> fail "Engine.create: snapshot has no advice section"
   in
-  match r.Store.Snapshot.s_status with
-  | Store.Snapshot.Healthy -> None
-  | Store.Snapshot.Quarantined msg -> Some (where ^ " quarantined: " ^ msg)
-  | Store.Snapshot.Lost msg -> Some (where ^ " lost: " ^ msg)
-
-(* Prefer checksum-clean advice, fall back to a quarantined (parsed but
-   CRC-failed) section recovered by a salvage read. *)
-let pick_advice ~recovered snapshot =
-  match (snapshot.Store.Snapshot.advice, recovered) with
-  | (_, a) :: _, _ -> (a, true)
-  | [], (_, a) :: _ -> (a, false)
-  | [], [] -> fail "Engine.create: snapshot has no advice section"
-
-let create ?cache_capacity ?memo ?radius ?health snapshot =
-  let recovered, report = Option.value health ~default:([], []) in
-  let advice, trusted = pick_advice ~recovered snapshot in
   let meta = snapshot.Store.Snapshot.meta in
   let radius = serve_radius ?radius meta in
-  let quarantined = List.filter_map describe_damage report in
   let graph = snapshot.Store.Snapshot.graph in
   let n = Graph.n graph in
   let store =
@@ -151,18 +128,11 @@ let create ?cache_capacity ?memo ?radius ?health snapshot =
     ids = Localmodel.Ids.identity graph;
     store;
     labels = Array.make (if store then n else 0) undecoded;
-    bits = Array.make n undecoded;
     memo = Option.bind memo (fun memo -> Memo.attach memo meta);
-    degraded = (not trusted) || (match quarantined with [] -> false | _ :: _ -> true);
-    trusted;
-    quarantined;
   }
 
 let graph t = t.graph
 let radius t = t.radius
-let degraded t = t.degraded
-let serving_trusted t = t.trusted
-let quarantined_sections t = t.quarantined
 
 let check_node t what v =
   let n = Graph.n t.graph in
@@ -218,11 +188,6 @@ let label t v =
     a
   end
 
-let note_query t =
-  Obs.Metrics.incr m_queries;
-  if t.degraded then Obs.Metrics.incr m_degraded;
-  if not t.trusted then Obs.Metrics.incr m_quarantined
-
 (* Below the certified radius a label can be shorter than the degree (at
    radius 0 it is [""]): a position past it reads '0', as a truncated
    advice string does in the decoder. *)
@@ -233,24 +198,18 @@ let member label k =
 
 let output_label t v =
   check_node t "Output_label" v;
-  note_query t;
+  Obs.Metrics.incr m_queries;
   label t v
 
 let edge_member t v e =
   let k = incident_slot t v e in
-  note_query t;
+  Obs.Metrics.incr m_queries;
   member (label t v) k
 
 let advice_bits t v =
   check_node t "Advice_bits" v;
-  note_query t;
-  let a = t.bits.(v) in
-  if a != undecoded then a
-  else begin
-    let a = bits_answer t.advice.(v) in
-    t.bits.(v) <- a;
-    a
-  end
+  Obs.Metrics.incr m_queries;
+  bits_answer t.advice.(v)
 
 let query t = function
   | Output_label v -> output_label t v

@@ -17,15 +17,16 @@
     nothing.  The column costs one word per node, plus, for labels
     longer than 8 bits, a box and the label string (one per shipped
     class with a memo, one per decoded node otherwise).
-    [Advice_bits] reads a second column, filled on a node's first such
-    query.  With [?memo], the class table the pack shipped ({!Memo})
-    sits between the column and the decoder, so a node whose ball is a
-    shipped class is answered without a decode; answers are
-    byte-identical to the unmemoized engine's, because the key is the
-    decoder's whole input and hits are decided on the whole key.  The
-    table is only read, and a range of the column is written only by
-    its owner: the serialized {!query} path, or the one pool worker
-    that holds the range for a batch wave.  DESIGN.md has the design:
+    [Advice_bits] reads the advice string; one of at most 8 bits is
+    answered with a shared box, a longer one with a fresh box.  With
+    [?memo], the class table the pack shipped ({!Memo}) sits between
+    the column and the decoder, so a node whose ball is a shipped class
+    is answered without a decode; answers are byte-identical to the
+    unmemoized engine's, because the key is the decoder's whole input
+    and hits are decided on the whole key.  The table is only read,
+    and a range of the column is written only by its owner: the
+    serialized {!query} path, or the one pool worker that holds the
+    range for a batch wave.  DESIGN.md has the design:
     "Canonical-ball memoization" for the column, the table and the key,
     and "Batch parallelism architecture" for the router's slots, which
     are node ranges of one engine's column.
@@ -37,21 +38,15 @@
     uncertified smaller radius answers may differ — the engine is total
     (a label shorter than the node's degree, e.g. [""] at radius 0,
     reads as '0' past its end for [Edge_member]) but only the certified
-    radius carries the equivalence guarantee.
-
-    {b Degraded mode.}  [create ~health] builds an engine from a
-    {!Store.Snapshot.read_salvage} result: it serves checksum-clean
-    advice sections normally and can fall back to a quarantined section
-    (parsed but CRC-failed) best-effort — the decoder is total, so
-    damaged advice bits give some label, never an exception.  Every
-    query answered by a degraded engine bumps [serve.degraded]; queries
-    served from untrusted advice additionally bump [serve.quarantined].
+    radius carries the equivalence guarantee.  The decoder is total on
+    any advice bits, so the engine serves whatever section it is given;
+    what a damaged file serves, and how its answers are counted, is
+    {!Router}'s to decide.
 
     Obs: [serve.queries], [serve.cache.hits] and [serve.cache.misses]
     (label-column hits and misses: one per [Output_label] or
-    [Edge_member] query), [serve.degraded] and [serve.quarantined]
-    counters and the [serve.ball_size] histogram (one sample per decoded
-    ball), plus everything {!Memo} records. *)
+    [Edge_member] query) counters and the [serve.ball_size] histogram
+    (one sample per decoded ball), plus everything {!Memo} records. *)
 
 type t
 (** A loaded engine: snapshot, decode parameters, serve radius, and one
@@ -61,7 +56,6 @@ val create :
   ?cache_capacity:int ->
   ?memo:Memo.t ->
   ?radius:int ->
-  ?health:(string * Advice.Assignment.t) list * Store.Snapshot.section_report list ->
   Store.Snapshot.t ->
   t
 (** [create snapshot] builds an engine over the snapshot's graph and
@@ -74,19 +68,10 @@ val create :
     from: the snapshot's shipped class table, if any, is loaded into it
     ({!Memo.attach}), and an engine whose memo then holds no class
     serves without one and builds no key.  The memo may be shared with
-    other engines: the key is the decoder's whole input, so any radius
-    and trust mode can probe one table.
-
-    [health] is what a {!Store.Snapshot.read_salvage} recovered beyond
-    its checksum-clean [partial] snapshot: [(recovered, report)].  The
-    advice section is then the first intact one when there is one, and
-    the first quarantined [recovered] one otherwise — in the latter case
-    the engine serves best-effort answers from untrusted bits and says
-    so via {!serving_trusted} — and any non-healthy [report] row makes
-    the engine {!degraded}.  Note that when the metadata section itself
-    was lost, [?radius] must be supplied.  @raise Invalid_argument when
-    no usable advice section exists, or the capacity or [radius] is
-    negative; @raise
+    other engines: the key is the decoder's whole input, so engines of
+    any radius can probe one table.
+    @raise Invalid_argument when the snapshot has no advice section,
+    or the capacity or [radius] is negative; @raise
     Store.Codec.Corrupt as {!serve_radius}, when a [params.*] entry
     is not a non-negative integer, or as {!Memo.read_table} on the
     shipped table when [memo] is given. *)
@@ -103,20 +88,6 @@ val graph : t -> Netgraph.Graph.t
 
 val radius : t -> int
 (** The serve radius in use. *)
-
-val degraded : t -> bool
-(** Whether the engine came from a damaged snapshot (any non-healthy
-    section in the salvage report, or the served advice is untrusted).
-    Always [false] without [~health]. *)
-
-val serving_trusted : t -> bool
-(** Whether the served advice section passed its checksum.  [false]
-    means answers are best-effort reads of quarantined bits. *)
-
-val quarantined_sections : t -> string list
-(** Human-readable damage report carried over from the salvage, one
-    line per non-healthy section, in file order.  Empty without
-    [~health]. *)
 
 (** One request.  Nodes are the snapshot graph's node ids, edges its
     dense edge ids; [Edge_member (v, e)] requires [v] to be an endpoint

@@ -6,6 +6,8 @@ let m_lost = Obs.Metrics.counter "store.shard.lost"
 let m_resident_peak = Obs.Metrics.gauge "store.shard.resident_bytes"
 let m_batches = Obs.Metrics.counter "serve.batches"
 let m_slots = Obs.Metrics.counter "serve.batch.shards"
+let m_degraded = Obs.Metrics.counter "serve.degraded"
+let m_quarantined = Obs.Metrics.counter "serve.quarantined"
 
 exception Shard_lost of { shard : int; reason : string }
 
@@ -49,9 +51,9 @@ type t = {
   first_slot : int array;  (* per shard, plus one past the last slot *)
   shards : shard array;
   unpinned : bool array;  (* all false: what a single query pins *)
-  mutable salvaged : Engine.t option;
-      (* a damaged v1 file's engine, loaded by [create]: the only engine
-         that can carry damage (one shard, so never evicted) *)
+  damage : string list;  (* a salvaged v1 file's non-healthy sections *)
+  trusted : bool;  (* the served advice section passed its checksum *)
+  mutable degraded_answers : int;
   mutable resident_bytes : int;
   mutable clock : int;
   mutable loads : int;
@@ -86,9 +88,42 @@ let lost_shards t =
     t.shards;
   List.rev !out
 
-let degraded t = t.lost > 0 || Option.fold ~none:false ~some:Engine.degraded t.salvaged
-let serving_trusted t = Option.fold ~none:true ~some:Engine.serving_trusted t.salvaged
-let quarantined_sections t = Option.fold ~none:[] ~some:Engine.quarantined_sections t.salvaged
+let degraded t = t.lost > 0 || not (List.is_empty t.damage)
+let serving_trusted t = t.trusted
+let quarantined_sections t = t.damage
+let degraded_answers t = t.degraded_answers
+
+(* One count per answer that leaves the router, taken as it leaves: the
+   single definition of a degraded answer. *)
+let note_answered t count =
+  if degraded t then begin
+    t.degraded_answers <- t.degraded_answers + count;
+    Obs.Metrics.add m_degraded count
+  end;
+  if not t.trusted then Obs.Metrics.add m_quarantined count
+
+(* Damage report lines: one per non-healthy section of a salvage. *)
+let describe_damage (r : Store.Snapshot.section_report) =
+  let where =
+    match r.Store.Snapshot.s_name with
+    | Some n -> Printf.sprintf "section %d (advice %S)" r.Store.Snapshot.s_index n
+    | None -> Printf.sprintf "section %d (tag %d)" r.Store.Snapshot.s_index r.Store.Snapshot.s_tag
+  in
+  match r.Store.Snapshot.s_status with
+  | Store.Snapshot.Healthy -> None
+  | Store.Snapshot.Quarantined msg -> Some (where ^ " quarantined: " ^ msg)
+  | Store.Snapshot.Lost msg -> Some (where ^ " lost: " ^ msg)
+
+(* The shard lists checksum-clean advice first, so the served section
+   is trusted unless the report has no healthy advice row. *)
+let trusted_advice report =
+  List.is_empty report
+  || List.exists
+       (fun r ->
+         match r.Store.Snapshot.s_status with
+         | Store.Snapshot.Healthy -> r.Store.Snapshot.s_tag = Store.Snapshot.tag_advice
+         | Store.Snapshot.Quarantined _ | Store.Snapshot.Lost _ -> false)
+       report
 
 (* [create] rejects advice-free containers, so the list is not empty. *)
 let advice_name t = List.hd t.man.Shard.m_advice
@@ -194,8 +229,7 @@ let load_resident t ~pinned k =
     }
   in
   let engine =
-    Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius
-      ?health:loaded.Shard.l_health snapshot
+    Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius snapshot
   in
   let r =
     {
@@ -259,10 +293,14 @@ let ensure t ~pinned k =
 let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     ?radius ?domains store =
   (* A damaged v1 file's damage is known at open: without salvage the
-     router fails-stop here, with the strict reader's diagnostic. *)
-  (match Shard.damage store with
-  | Some diagnostic when not salvage -> raise (Store.Codec.Corrupt diagnostic)
-  | _ -> ());
+     router fails-stop here, with the strict reader's diagnostic; with
+     it, the one shard's salvage report says what is served. *)
+  let report =
+    match Shard.damage store with
+    | None -> []
+    | Some diagnostic when not salvage -> raise (Store.Codec.Corrupt diagnostic)
+    | Some _ -> (Shard.load store 0).Shard.l_report
+  in
   let man = Shard.manifest store in
   let radius = Engine.serve_radius ?radius man.Shard.m_meta in
   let s = Array.length man.Shard.m_shards in
@@ -317,7 +355,9 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
       first_slot;
       shards = Array.make s Unloaded;
       unpinned = Array.make s false;
-      salvaged = None;
+      damage = List.filter_map describe_damage report;
+      trusted = trusted_advice report;
+      degraded_answers = 0;
       resident_bytes = 0;
       clock = 0;
       loads = 0;
@@ -325,10 +365,9 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
       lost = 0;
     }
   in
-  (* With salvage, a damaged v1 file's one shard loads now, so
-     [degraded] and [serving_trusted] are right before the first query. *)
-  if Option.is_some (Shard.damage store) then
-    t.salvaged <- Some (ensure t ~pinned:t.unpinned 0).engine;
+  (* A salvaged v1 file was parsed whole at open; its one shard's engine
+     is built now too. *)
+  if Option.is_some (Shard.damage store) then ignore (ensure t ~pinned:t.unpinned 0);
   t
 
 (* Global → local query translation, one rule for every shard: a
@@ -379,17 +418,22 @@ let query_node = function
       v
 
 (* A single query builds nothing: no local query box, and the engine
-   returns an answer its columns already hold.  A whole shard's engine
-   checks an [Edge_member] itself, with the same message. *)
+   returns an answer its column already holds (or a shared one).  A
+   whole shard's engine checks an [Edge_member] itself, with the same
+   message. *)
 let query t q =
   validate t q;
   let v = query_node q in
   let r = ensure t ~pinned:t.unpinned (shard_of t v) in
-  match q with
-  | Engine.Output_label _ -> Engine.output_label r.engine (v + r.shift)
-  | Engine.Advice_bits _ -> Engine.advice_bits r.engine (v + r.shift)
-  | Engine.Edge_member (_, e) ->
-      Engine.edge_member r.engine (v + r.shift) (if r.whole then e else local_edge r v e)
+  let a =
+    match q with
+    | Engine.Output_label _ -> Engine.output_label r.engine (v + r.shift)
+    | Engine.Advice_bits _ -> Engine.advice_bits r.engine (v + r.shift)
+    | Engine.Edge_member (_, e) ->
+        Engine.edge_member r.engine (v + r.shift) (if r.whole then e else local_edge r v e)
+  in
+  note_answered t 1;
+  a
 
 (* ------------------------------------------------------------------ *)
 (* Batch: group queries by owner slot, then serve in *waves* — the
@@ -519,11 +563,20 @@ end
 
 module Production = Batch (Shim.Real)
 
-let batch_results = Production.batch_results
+let batch_results t qs =
+  let rs = Production.batch_results t qs in
+  note_answered t (Array.fold_left (fun k r -> if Result.is_ok r then k + 1 else k) 0 rs);
+  rs
 
+(* A batch with a lost query leaves as one error: none of its answers
+   is served, so none is counted. *)
 let batch t qs =
-  map_seeded (Engine.Bits "")
-    (function
-      | Ok a -> a
-      | Error msg -> raise (Store.Codec.Corrupt msg))
-    (batch_results t qs)
+  let az =
+    map_seeded (Engine.Bits "")
+      (function
+        | Ok a -> a
+        | Error msg -> raise (Store.Codec.Corrupt msg))
+      (Production.batch_results t qs)
+  in
+  note_answered t (Array.length az);
+  az

@@ -60,10 +60,21 @@
     without re-counting the loss, and a heal removes the shard from
     {!lost_shards} (and {!degraded} clears when none remain).  Only a
     damaged version-1 file's damage is known at open
-    ({!Store.Shard.damage}): {!create} fails-stop on it without salvage,
-    and with salvage loads its one shard at once through
-    [Engine.create ~health], which serves quarantined advice
-    best-effort and is {!degraded} from the start.
+    ({!Store.Shard.damage}): {!create} fails-stop on it without salvage;
+    with salvage it reads the shard's section report and loads the
+    shard at once.  The shard lists checksum-clean advice before
+    quarantined advice (parsed, but CRC-failed) and its engine serves
+    the first, so a file whose only advice is quarantined is served
+    best-effort ({!serving_trusted} is [false]; the decoder is total),
+    and any non-healthy section makes the router {!degraded}.  An
+    {!Engine} knows nothing of damage.
+
+    {b Degraded answers.}  An answer is degraded when {!degraded} holds
+    as it leaves the router: each {!query} answer, each [Ok] of
+    {!batch_results}, each answer of a {!batch} that returns.
+    {!degraded_answers} and the [serve.degraded] counter count them;
+    [serve.quarantined] counts the answers served while
+    {!serving_trusted} is [false].
 
     {b Memoization.}  {!create} loads the container's shipped class
     table into the [~memo] it is given, once, and every shard engine
@@ -72,10 +83,11 @@
     the table after that, so batch workers only read shared state.
 
     Obs: [store.shard.loads], [store.shard.evictions],
-    [store.shard.lost], [serve.batches] and [serve.batch.shards] (slots
-    served per wave) counters, the [store.shard.resident_bytes] peak
-    gauge and the [serve.batch] trace span (plus everything the shard
-    engines and {!Pool} record). *)
+    [store.shard.lost], [serve.batches], [serve.batch.shards] (slots
+    served per wave), [serve.degraded] and [serve.quarantined]
+    counters, the [store.shard.resident_bytes] peak gauge and the
+    [serve.batch] trace span (plus everything the shard engines and
+    {!Pool} record). *)
 
 type t
 (** A router: a slot table with its LRU state, and one {!Engine} per
@@ -175,7 +187,11 @@ val serving_trusted : t -> bool
 
 val quarantined_sections : t -> string list
 (** A salvaged version-1 file's damage report, one line per non-healthy
-    section ({!Engine.quarantined_sections}); empty otherwise. *)
+    section, in file order; empty otherwise. *)
+
+val degraded_answers : t -> int
+(** Degraded answers served since creation (see above), counted
+    whether or not metrics are on. *)
 
 val query : t -> Engine.query -> Engine.answer
 (** Answer one query through the owner shard's engine, loading the
@@ -191,11 +207,12 @@ val query : t -> Engine.query -> Engine.answer
 module Batch (_ : Shim.S) : sig
   val batch_results : t -> Engine.query array -> (Engine.answer, string) result array
   (** Same contract as the top-level {!val:batch_results}, with the
-      slot fan-out executed through the shim. *)
+      slot fan-out executed through the shim; it counts no degraded
+      answers. *)
 end
 (** The wave planner and slot fan-out, functorized over the
-    concurrency shim.  [Batch (Shim.Real)] is the production
-    {!val:batch_results} below; instantiated with the checker's
+    concurrency shim.  [Batch (Shim.Real)] plans the production
+    {!val:batch_results} and {!batch} below; instantiated with the checker's
     instrumented shim, the identical planner + pool + scatter code runs
     under the schedule-exploring scheduler, with one tracked ownership
     cell per slot touched around every engine call — so the
@@ -212,7 +229,7 @@ val batch_results : t -> Engine.query array -> (Engine.answer, string) result ar
     (range checks before any work; the endpoint check when the owner
     shard's wave is translated, before that wave's ball work — with an
     unbounded budget every shard is in the first wave).  This is
-    [Batch (Shim.Real)]. *)
+    [Batch (Shim.Real)]'s, plus the count of degraded answers. *)
 
 val batch : t -> Engine.query array -> Engine.answer array
 (** {!batch_results} with losses re-raised: the first [Error] becomes a

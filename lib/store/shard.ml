@@ -278,8 +278,7 @@ type loaded = {
   l_ids : int array;
   l_edge_ids : int array;
   l_advice : (string * Advice.Assignment.t) list;
-  l_health :
-    ((string * Advice.Assignment.t) list * Snapshot.section_report list) option;
+  l_report : Snapshot.section_report list;
 }
 
 (* Where shard bodies come from: a v2 file's frames, fetched on demand,
@@ -383,13 +382,15 @@ let parse_manifest ~header_bytes ~size payload =
   }
 
 (* A parsed snapshot as a one-shard container: its shard is the whole
-   graph (no halo, identity id tables) and its "frame" [bytes]. *)
-let one_shard ~bytes ~health ~diagnostic (s : Snapshot.t) =
+   graph (no halo, identity id tables) and its "frame" [bytes].  A
+   salvaged file's quarantined advice follows its checksum-clean
+   advice, so the first section is checksum-clean whenever one is. *)
+let one_shard ~bytes ?(recovered = []) ?(report = []) ?diagnostic (s : Snapshot.t) =
   let n = Graph.n s.Snapshot.graph and m = Graph.m s.Snapshot.graph in
-  let recovered = match health with Some (r, _) -> r | None -> [] in
+  let advice = s.Snapshot.advice @ recovered in
   let loaded =
     { l_index = 0; l_lo = 0; l_hi = n; l_graph = s.Snapshot.graph; l_ids = [||];
-      l_edge_ids = [||]; l_advice = s.Snapshot.advice; l_health = health }
+      l_edge_ids = [||]; l_advice = advice; l_report = report }
   in
   let row =
     { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
@@ -397,27 +398,26 @@ let one_shard ~bytes ~health ~diagnostic (s : Snapshot.t) =
   in
   { body = Parsed (loaded, diagnostic);
     man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
-            m_advice = List.map fst (s.Snapshot.advice @ recovered);
-            m_shards = [| row |]; m_header_bytes = 0 } }
+            m_advice = List.map fst advice; m_shards = [| row |];
+            m_header_bytes = 0 } }
 
 (* Never serialized: the row counts the 9 bytes of an empty frame, so it
    keeps the positive frame size every manifest row has. *)
-let of_snapshot s = one_shard ~bytes:(frame_bytes "") ~health:None ~diagnostic:None s
+let of_snapshot s = one_shard ~bytes:(frame_bytes "") s
 
 (* A v1 file is one shard whose frame is the whole file.  A file that
    fails the strict read is salvaged when its graph survives; otherwise
    nothing is servable and the strict diagnostic stands. *)
 let open_v1 ~size raw =
   match Snapshot.read raw with
-  | s -> one_shard ~bytes:size ~health:None ~diagnostic:None s
+  | s -> one_shard ~bytes:size s
   | exception Codec.Corrupt diagnostic ->
       let sv =
         try Snapshot.read_salvage raw
         with Codec.Corrupt _ -> raise (Codec.Corrupt diagnostic)
       in
-      one_shard ~bytes:size
-        ~health:(Some (sv.Snapshot.recovered, sv.Snapshot.report))
-        ~diagnostic:(Some diagnostic) sv.Snapshot.partial
+      one_shard ~bytes:size ~recovered:sv.Snapshot.recovered
+        ~report:sv.Snapshot.report ~diagnostic sv.Snapshot.partial
 
 (* A v2 file: locate the manifest frame after the 6-byte prefix, verify
    its checksum and parse it; shard frames stay behind [fetch]. *)
@@ -565,7 +565,7 @@ let load_frame t fetch k =
     l_ids = ids;
     l_edge_ids = edge_ids;
     l_advice = advice;
-    l_health = None;
+    l_report = [];
   }
 
 let load t k =

@@ -147,11 +147,11 @@ type loaded = {
   l_ids : int array;  (** local node id -> global node id (sorted) *)
   l_edge_ids : int array;  (** local edge id -> global edge id (sorted) *)
   l_advice : (string * Advice.Assignment.t) list;
-      (** checksum-clean advice slices, local node order *)
-  l_health :
-    ((string * Advice.Assignment.t) list * Snapshot.section_report list) option;
-      (** a damaged version-1 file's quarantined advice and salvage
-          report, for [Engine.create ~health]; [None] otherwise *)
+      (** advice slices, local node order: the checksum-clean sections,
+          then a salvaged version-1 file's quarantined ones *)
+  l_report : Snapshot.section_report list;
+      (** a salvaged version-1 file's per-section report
+          ({!Snapshot.read_salvage}); [[]] otherwise *)
 }
 (** One decoded shard.  [l_ids] and [l_edge_ids] are the translation
     tables a router needs: both are strictly increasing, so global→local
@@ -210,7 +210,7 @@ val check_rows : t -> unit
 val damage : t -> string option
 (** The {!Snapshot.read} diagnostic of a version-1 file that failed the
     strict read at open and was salvaged (its {!load} carries
-    [l_health]); [None] otherwise — a version-2 container's damage
+    [l_report]); [None] otherwise — a version-2 container's damage
     surfaces per shard, at {!load}. *)
 
 val shard_of_node : manifest -> int -> int

@@ -294,33 +294,34 @@ let test_salvage_report () =
   | exception Store.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "salvaged a snapshot with no trustworthy graph"
 
-(* An engine over a salvage result: the intact snapshot plus what the
-   salvage recovered and reported. *)
-let salvaged ?radius sv =
-  Serve.Engine.create ?radius
-    ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
-    sv.Store.Snapshot.partial
+(* A router over damaged v1 bytes: the file is salvaged at open, and the
+   router serves what survived and reports what it found. *)
+let salvaged ?radius bytes =
+  Serve.Router.create ?radius ~salvage:true (Store.Shard.open_bytes bytes)
 
-(* The same salvage with its checksum-clean advice dropped, so the
-   engine serves the quarantined decoy, the only section left. *)
-let decoy_only sv =
-  salvaged
-    { sv with
-      Store.Snapshot.partial =
-        { sv.Store.Snapshot.partial with Store.Snapshot.advice = [] } }
+(* The same file with its checksum-clean c4 advice dropped and its decoy
+   damaged, so the router serves the quarantined decoy, the only advice
+   left. *)
+let decoy_only snapshot =
+  flip_payload_byte
+    (Store.Snapshot.write
+       { snapshot with
+         Store.Snapshot.advice =
+           List.filter (fun (name, _) -> String.equal name "decoy") snapshot.Store.Snapshot.advice })
+    1
 
 let test_degraded_engine_serves_survivors () =
   let g, snapshot, cert = two_advice_snapshot 64 23 in
   let bytes = Store.Snapshot.write snapshot in
   let expected = direct_labels g snapshot in
-  (* One corrupted advice section (the decoy): the engine must serve the
+  (* One corrupted advice section (the decoy): the router must serve the
      surviving c4 section with full differential agreement. *)
-  let sv = Store.Snapshot.read_salvage (flip_payload_byte bytes 2) in
-  let e = salvaged sv in
-  check "degraded" true (Serve.Engine.degraded e);
-  check "but serving trusted advice" true (Serve.Engine.serving_trusted e);
+  let damaged = flip_payload_byte bytes 2 in
+  let e = salvaged damaged in
+  check "degraded" true (Serve.Router.degraded e);
+  check "but serving trusted advice" true (Serve.Router.serving_trusted e);
   check_int "radius carried through salvage" cert.Serve.Pack.radius
-    (Serve.Engine.radius e);
+    (Serve.Router.radius e);
   check "damage report names the decoy" true
     (List.exists
        (fun line ->
@@ -331,20 +332,17 @@ let test_degraded_engine_serves_survivors () =
            go 0
          in
          has_sub line "decoy")
-       (Serve.Engine.quarantined_sections e));
+       (Serve.Router.quarantined_sections e));
   Graph.iter_nodes
     (fun v ->
-      match Serve.Engine.query e (Serve.Engine.Output_label v) with
+      match Serve.Router.query e (Serve.Engine.Output_label v) with
       | Serve.Engine.Label s ->
           check_str "degraded answer = direct decode" expected.(v) s
       | _ -> Alcotest.fail "expected Label")
     g;
   (* Same, through the parallel batch path. *)
   let queries = Array.init (Graph.n g) (fun v -> Serve.Engine.Output_label v) in
-  let router =
-    Serve.Router.create ~salvage:true ~domains:2
-      (Store.Shard.open_bytes (flip_payload_byte bytes 2))
-  in
+  let router = Serve.Router.create ~salvage:true ~domains:2 (Store.Shard.open_bytes damaged) in
   check_str "serving c4" "c4" (Serve.Router.advice_name router);
   let answers = Serve.Router.batch router queries in
   Array.iteri
@@ -356,20 +354,12 @@ let test_degraded_engine_serves_survivors () =
   (* Serving the quarantined section itself stays total: every label
      comes back with the right length, no exception escapes.  A file
      whose only advice is the damaged decoy serves it, flagged. *)
-  let eq = decoy_only sv in
-  check "untrusted service is flagged" false (Serve.Engine.serving_trusted eq);
-  let decoy_file =
-    Store.Snapshot.write
-      { snapshot with
-        Store.Snapshot.advice =
-          List.filter (fun (name, _) -> String.equal name "decoy") snapshot.Store.Snapshot.advice }
-  in
-  let rq = Serve.Router.create ~salvage:true (Store.Shard.open_bytes (flip_payload_byte decoy_file 1)) in
+  let rq = salvaged (decoy_only snapshot) in
   check_str "serving the decoy" "decoy" (Serve.Router.advice_name rq);
-  check "the router flags it too" false (Serve.Router.serving_trusted rq);
+  check "untrusted service is flagged" false (Serve.Router.serving_trusted rq);
   Graph.iter_nodes
     (fun v ->
-      match Serve.Engine.query eq (Serve.Engine.Output_label v) with
+      match Serve.Router.query rq (Serve.Engine.Output_label v) with
       | Serve.Engine.Label s ->
           check_int "total on damaged advice" (Graph.degree g v) (String.length s)
       | _ -> Alcotest.fail "expected Label")
@@ -378,18 +368,17 @@ let test_degraded_engine_serves_survivors () =
 let test_degraded_metrics () =
   let _, snapshot, _ = two_advice_snapshot 40 31 in
   let bytes = Store.Snapshot.write snapshot in
-  let sv = Store.Snapshot.read_salvage (flip_payload_byte bytes 2) in
   Obs.Sink.enable ();
   Fun.protect ~finally:(fun () -> Obs.Sink.disable ()) @@ fun () ->
   Obs.Sink.reset ();
-  let e = salvaged sv in
-  ignore (Serve.Engine.query e (Serve.Engine.Output_label 0));
-  ignore (Serve.Engine.query e (Serve.Engine.Output_label 1));
+  let e = salvaged (flip_payload_byte bytes 2) in
+  ignore (Serve.Router.query e (Serve.Engine.Output_label 0));
+  ignore (Serve.Router.query e (Serve.Engine.Output_label 1));
   check_int "every degraded query counted" 2 (counter_total "serve.degraded");
   check_int "trusted advice: no quarantined count" 0
     (counter_total "serve.quarantined");
-  let eq = decoy_only sv in
-  ignore (Serve.Engine.query eq (Serve.Engine.Output_label 2));
+  let eq = salvaged (decoy_only snapshot) in
+  ignore (Serve.Router.query eq (Serve.Engine.Output_label 2));
   check_int "degraded grows" 3 (counter_total "serve.degraded");
   check_int "quarantined service counted" 1 (counter_total "serve.quarantined")
 
@@ -411,31 +400,26 @@ let test_read_fault_fuzz () =
     Store.Io.Faults.arm { plan with Store.Io.Faults.write = None };
     let raw = Store.Io.read_file path in
     Store.Io.Faults.disarm ();
-    match Store.Snapshot.read_salvage raw with
-    | exception Store.Codec.Corrupt _ -> incr refused
-    | sv -> (
-        (* Radius and params may live in a lost metadata section; pin
-           them so the comparison isolates the advice path. *)
-        match
-          salvaged ~radius:cert.Serve.Pack.radius sv
-        with
-        | exception Invalid_argument _ -> incr refused
-        | e ->
-            if Serve.Engine.degraded e then incr degraded else incr clean;
-            List.iter
-              (fun v ->
-                match Serve.Engine.query e (Serve.Engine.Output_label v) with
-                | Serve.Engine.Label s ->
-                    (* Always total with the right shape; and whenever
-                       the served advice passed its checksum, answers
-                       must equal the direct decoder exactly. *)
-                    check_int "label has degree length" (Graph.degree g v)
-                      (String.length s);
-                    if Serve.Engine.serving_trusted e then
-                      check_str "trusted fuzz answer = direct decode"
-                        expected.(v) s
-                | _ -> Alcotest.fail "expected Label")
-              sample)
+    (* Radius and params may live in a lost metadata section; pin them
+       so the comparison isolates the advice path. *)
+    match salvaged ~radius:cert.Serve.Pack.radius raw with
+    | exception (Store.Codec.Corrupt _ | Invalid_argument _ | Serve.Router.Shard_lost _) ->
+        incr refused
+    | e ->
+        if Serve.Router.degraded e then incr degraded else incr clean;
+        List.iter
+          (fun v ->
+            match Serve.Router.query e (Serve.Engine.Output_label v) with
+            | Serve.Engine.Label s ->
+                (* Always total with the right shape; and whenever the
+                   served advice passed its checksum, answers must equal
+                   the direct decoder exactly. *)
+                check_int "label has degree length" (Graph.degree g v)
+                  (String.length s);
+                if Serve.Router.serving_trusted e then
+                  check_str "trusted fuzz answer = direct decode" expected.(v) s
+            | _ -> Alcotest.fail "expected Label")
+          sample
   done;
   (* The plan space must actually exercise all three outcomes. *)
   check "some faults refused outright" true (!refused > 0);
@@ -601,7 +585,6 @@ let test_numeric_flags_rejected () =
       usage (path ^ " --resident-mb=-1") ~flag:"--resident-mb" (serve [ "--resident-mb=-1" ]);
       usage (path ^ " --port 70000") ~flag:"--port" (serve [ "--port=70000" ]);
       usage (path ^ " --port=-5") ~flag:"--port" (serve [ "--port=-5" ]);
-      usage (path ^ " --write-budget 0") ~flag:"--write-budget" (serve [ "--write-budget=0" ]);
       (* A size that overflows: 2^42 MiB wraps to a negative byte
          budget. *)
       usage (path ^ " --resident-mb 2^42") ~flag:"--resident-mb"

@@ -157,10 +157,11 @@ let cycle_snapshot n seed =
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   Serve.Pack.edge_compression g x
 
-let salvaged_engine ?cache_capacity ?memo g advice =
+(* An engine over arbitrary advice on an arbitrary graph: the decoder is
+   total, so any family serves. *)
+let raw_engine ?cache_capacity ?memo g advice =
   Serve.Engine.create ?cache_capacity ?memo ~radius:2
-    ~health:([ ("c4", advice) ], [])
-    { Store.Snapshot.graph = g; advice = []; meta = [] }
+    { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta = [] }
 
 let random_advice rng g =
   Array.init (Graph.n g) (fun _ ->
@@ -190,9 +191,10 @@ let build_graph family rng =
   | Grid -> Builders.grid (2 + Prng.int rng 5) (2 + Prng.int rng 5)
   | Regular -> Builders.random_regular rng (2 * (4 + Prng.int rng 12)) 3
 
-(* [salvage] forces the untrusted (quarantined-advice) path even for
-   cycles; grids and random-regular graphs only exist on it (the
-   one-bit encoder packs cycles alone), so the flag is absorbed. *)
+(* [salvage] serves random advice even for cycles, as [router_of]'s
+   quarantined file does; grids and random-regular graphs only exist
+   with it (the one-bit encoder packs cycles alone), so the flag is
+   absorbed. *)
 let engine_of ?memo family ~salvage rng =
   match (family, salvage) with
   | Cycle, false ->
@@ -202,7 +204,7 @@ let engine_of ?memo family ~salvage rng =
       Serve.Engine.create ?memo snapshot
   | (Cycle | Grid | Regular), _ ->
       let g = build_graph family rng in
-      salvaged_engine ?memo g (random_advice rng g)
+      raw_engine ?memo g (random_advice rng g)
 
 (* [engine_of]'s snapshot state (same rng consumption) as a file opened
    through Store.Shard: a packed cycle, or the untrusted advice written
@@ -307,8 +309,8 @@ let test_adversarial_low_collision () =
       check_string "the reason" "no ball class recurs (200 classes over 200 nodes)" reason
   | key, _ -> Alcotest.failf "distinct balls shipped %s" key);
   let memo = Serve.Memo.create ~capacity:32 in
-  let memoized = salvaged_engine ~cache_capacity:0 ~memo g advice in
-  let plain = salvaged_engine g advice in
+  let memoized = raw_engine ~cache_capacity:0 ~memo g advice in
+  let plain = raw_engine g advice in
   let qs = Array.init 400 (fun i -> Serve.Engine.Output_label (i / 2)) in
   Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
@@ -590,11 +592,11 @@ let flipped_advice rng advice =
   done;
   a
 
-(* (graph, advice, trusted, top radius) for one case.  Packed families
-   are trusted, or served untrusted when [quarantined] (a few flipped
-   bits or random bytes, by a coin), and go two past their certified
-   radius R; the other families only reach the serve stack with
-   quarantined advice.  A long cycle is longer than its top ball, so
+(* (graph, advice, top radius) for one case.  Packed families serve
+   their packed advice, or damaged advice when [quarantined] (a few
+   flipped bits or random bytes, by a coin), and go two past their
+   certified radius R; the other families only reach the serve stack
+   with damaged advice.  A long cycle is longer than its top ball, so
    that ball does not wrap. *)
 let ball_case family ~quarantined rng =
   let packed g pick =
@@ -603,15 +605,15 @@ let ball_case family ~quarantined rng =
     let snapshot, cert = Serve.Pack.edge_compression g x in
     let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
     let top = cert.Serve.Pack.radius + 2 in
-    if not quarantined then (g, advice, true, top)
-    else if Prng.bool rng then (g, flipped_advice rng advice, false, top)
-    else (g, damaged_advice rng g, false, top)
+    if not quarantined then (g, advice, top)
+    else if Prng.bool rng then (g, flipped_advice rng advice, top)
+    else (g, damaged_advice rng g, top)
   in
   match family with
   | Cycle_periodic -> packed (Builders.cycle (12 + Prng.int rng 50)) (fun e -> e mod 4 < 2)
   | Cycle_random -> packed (Builders.cycle (12 + Prng.int rng 50)) (fun _ -> Prng.bool rng)
   | Cycle_long ->
-      let ((g, _, _, top) as case) =
+      let ((g, _, top) as case) =
         packed (Builders.cycle (120 + Prng.int rng 40)) (fun _ -> Prng.bool rng)
       in
       if Graph.n g <= (2 * top) + 1 then
@@ -621,13 +623,13 @@ let ball_case family ~quarantined rng =
       packed (Builders.circulant (64 + Prng.int rng 40) [ 1; 2 ]) (fun _ -> Prng.bool rng)
   | Grid_f ->
       let g = Builders.grid (2 + Prng.int rng 6) (2 + Prng.int rng 6) in
-      (g, damaged_advice rng g, false, 4)
+      (g, damaged_advice rng g, 4)
   | Regular_f ->
       let g = Builders.random_regular rng (2 * (4 + Prng.int rng 12)) 3 in
-      (g, damaged_advice rng g, false, 3)
+      (g, damaged_advice rng g, 3)
   | Tree_f ->
       let g = Builders.random_tree rng (5 + Prng.int rng 40) in
-      (g, damaged_advice rng g, false, 5)
+      (g, damaged_advice rng g, 5)
 
 let ball_case_gen =
   QCheck.Gen.(
@@ -662,7 +664,7 @@ let workspace_key_and_fragment =
     (QCheck.make ~print:ball_case_print ball_case_gen)
     (fun (seed, family, kind, quarantined) ->
       let rng = Prng.create seed in
-      let g, advice, trusted, top = ball_case family ~quarantined rng in
+      let g, advice, top = ball_case family ~quarantined rng in
       let ids = ids_of kind rng g in
       let identity = Localmodel.Ids.identity g in
       let params = Schemas.Balanced_orientation.onebit_params in
@@ -683,13 +685,7 @@ let workspace_key_and_fragment =
           { snapshot with Store.Snapshot.meta = [ Serve.Pack.class_table g ~advice ~radius ] }
         in
         let memo = Serve.Memo.create ~capacity:(Graph.n g) in
-        let engine =
-          if trusted then Serve.Engine.create ~memo ~radius snapshot
-          else
-            Serve.Engine.create ~memo ~radius
-              ~health:([ ("c4", advice) ], [])
-              { snapshot with Store.Snapshot.advice = [] }
-        in
+        let engine = Serve.Engine.create ~memo ~radius snapshot in
         for v = 0 to Graph.n g - 1 do
           let where = Printf.sprintf "node %d radius %d" v radius in
           let view = Localmodel.View.make ~advice g ~ids ~radius v in
@@ -731,7 +727,7 @@ let equal_keys_equal_labels =
     (QCheck.make ~print:ball_case_print ball_case_gen)
     (fun (seed, family, kind, quarantined) ->
       let rng = Prng.create seed in
-      let g, advice, _, top = ball_case family ~quarantined rng in
+      let g, advice, top = ball_case family ~quarantined rng in
       let ids = ids_of kind rng g in
       let seen = Hashtbl.create 256 in
       let ws = Workspace.domain_local () in

@@ -949,15 +949,8 @@ let flip_advice_payload bytes =
 let test_loopback_salvage () =
   let g, snapshot = make_packed 120 17 in
   let damaged = flip_advice_payload (Store.Snapshot.write snapshot) in
-  let sv = Store.Snapshot.read_salvage damaged in
-  let salvaged () =
-    Serve.Engine.create
-      ~health:(sv.Store.Snapshot.recovered, sv.Store.Snapshot.report)
-      sv.Store.Snapshot.partial
-  in
-  let engine = salvaged () in
-  let direct = salvaged () in
-  check "salvaged engine is degraded" true (Serve.Engine.degraded engine);
+  let direct = Serve.Router.create ~salvage:true (Store.Shard.open_bytes damaged) in
+  check "salvaged router is degraded" true (Serve.Router.degraded direct);
   with_server ~salvage:true damaged @@ fun server port ->
   with_client port @@ fun c ->
   let qs = workload g 60 in
@@ -966,8 +959,8 @@ let test_loopback_salvage () =
     (fun q ->
       match Net.Client.recv c with
       | Net.Protocol.Answer a ->
-          check "degraded answers still match the direct salvaged engine" true
-            (a = Serve.Engine.query direct q)
+          check "degraded answers still match the direct salvaged router" true
+            (a = Serve.Router.query direct q)
       | _ -> Alcotest.fail "non-answer frame from the degraded server")
     qs;
   let stats = Net.Client.stats c in
@@ -975,6 +968,97 @@ let test_loopback_salvage () =
   check "stats count degraded serving" true (List.assoc "serve.degraded" stats > 0);
   (* The same facts through the server's own accessor. *)
   check_int "server stats agree" 1 (List.assoc "engine.degraded" (Net.Server.stats server))
+
+(* One definition of a degraded answer: the stats frame's
+   [serve.degraded] and the Obs counter count the same answers, every
+   answer served while the router is degraded.  On a 4-shard container
+   with one flipped shard-body byte, the first query loses the shard;
+   single and batch frames then reach the surviving shards (answered,
+   each degraded) and the lost one (rejected: a batch that touches it
+   serves nothing).  A salvaged v1 file with quarantined advice counts
+   every answer in [serve.quarantined] too, and a healthy file counts
+   none. *)
+let test_degraded_counts_agree () =
+  let g, snapshot = make_packed 120 17 in
+  let radius = int_of_string (List.assoc "serve.radius" snapshot.Store.Snapshot.meta) in
+  let container = Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot in
+  let victim =
+    (Store.Shard.manifest (Store.Shard.open_bytes container)).Store.Shard.m_shards.(1)
+  in
+  let lost_shard =
+    let b = Bytes.of_string container in
+    let at = victim.Store.Shard.i_offset + (victim.Store.Shard.i_bytes / 2) in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+    Bytes.to_string b
+  in
+  let counter name =
+    List.fold_left
+      (fun acc e ->
+        match e.Obs.Metrics.value with
+        | Obs.Metrics.Counter_v { total; _ } when String.equal e.Obs.Metrics.name name ->
+            acc + total
+        | _ -> acc)
+      0 (Obs.Metrics.snapshot ())
+  in
+  let lost v = v >= victim.Store.Shard.i_lo && v < victim.Store.Shard.i_hi in
+  let label v = Serve.Engine.Output_label v in
+  (* Serve [bytes] over loopback with metrics on: one query at the
+     victim's interior, every node as a single query, one batch of the
+     surviving nodes and one batch of every node.  Returns the stats
+     frame's count, the Obs counts and the answers received. *)
+  let serve bytes =
+    Obs.Metrics.set_enabled true;
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+    let nodes = List.init (Graph.n g) Fun.id in
+    let surviving = List.filter (fun v -> not (lost v)) nodes in
+    let requests =
+      (Net.Protocol.Query (label victim.Store.Shard.i_lo)
+      :: List.map (fun v -> Net.Protocol.Query (label v)) nodes)
+      @ List.map
+          (fun vs -> Net.Protocol.Batch (Array.of_list (List.map label vs)))
+          [ surviving; nodes ]
+    in
+    let answered = ref 0 in
+    let stats =
+      with_server ~salvage:true bytes @@ fun _server port ->
+      with_client port @@ fun c ->
+      List.iter (Net.Client.send c) requests;
+      List.iter
+        (fun _ ->
+          match Net.Client.recv c with
+          | Net.Protocol.Answer _ -> incr answered
+          | Net.Protocol.Answers az -> answered := !answered + Array.length az
+          | Net.Protocol.Error (Net.Protocol.Rejected, _) -> ()
+          | _ -> Alcotest.fail "unexpected frame")
+        requests;
+      Net.Client.stats c
+    in
+    (List.assoc "serve.degraded" stats, counter "serve.degraded",
+     counter "serve.quarantined", !answered)
+  in
+  let n = Graph.n g in
+  let survivors = n - (victim.Store.Shard.i_hi - victim.Store.Shard.i_lo) in
+  (* The lost shard: every answer is degraded, none is quarantined. *)
+  let frame, obs, quarantined, answered = serve lost_shard in
+  check_int "v2 lost: answers are the survivors, twice" (2 * survivors) answered;
+  check_int "v2 lost: stats frame counts every answer" answered frame;
+  check_int "v2 lost: Obs counts every answer" answered obs;
+  check_int "v2 lost: nothing quarantined" 0 quarantined;
+  (* A salvaged v1 file serving its quarantined advice. *)
+  let frame, obs, quarantined, answered =
+    serve (flip_advice_payload (Store.Snapshot.write snapshot))
+  in
+  check_int "v1 quarantined: every query answered" (1 + (2 * n) + survivors) answered;
+  check_int "v1 quarantined: stats frame counts every answer" answered frame;
+  check_int "v1 quarantined: Obs counts every answer" answered obs;
+  check_int "v1 quarantined: every answer quarantined" answered quarantined;
+  (* A healthy file: nothing degraded. *)
+  let frame, obs, quarantined, answered = serve (Store.Snapshot.write snapshot) in
+  check_int "healthy: every query answered" (1 + (2 * n) + survivors) answered;
+  check_int "healthy: stats frame counts none" 0 frame;
+  check_int "healthy: Obs counts none" 0 obs;
+  check_int "healthy: nothing quarantined" 0 quarantined
 
 (* Batch frames over a two-slot router: the server's batches run on the
    router's two pool domains (honored even on one core), and every
@@ -1008,7 +1092,6 @@ let test_server_rejects_config () =
           Net.Server.shutdown server;
           Alcotest.failf "Server.create accepted %s" what)
     [
-      ("write_budget = 0", { Net.Server.default_config with write_budget = 0 });
       ("port = 70000", { Net.Server.default_config with port = 70000 });
       ("port = -5", { Net.Server.default_config with port = -5 });
     ]
@@ -1159,6 +1242,8 @@ let () =
             test_loopback_salvage;
           Alcotest.test_case "graceful shutdown drains in-flight" `Quick
             test_loopback_shutdown_drains;
+          Alcotest.test_case "degraded answers counted once" `Quick
+            test_degraded_counts_agree;
           Alcotest.test_case "batch frames over two pool domains" `Quick
             test_loopback_two_domain_batches;
           Alcotest.test_case "bad config rejected before the socket" `Quick

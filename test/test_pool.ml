@@ -86,15 +86,13 @@ let cycle_snapshot n seed =
   let snapshot, _cert = Serve.Pack.edge_compression g x in
   (g, snapshot)
 
-(* Untrusted engine over an arbitrary graph: a hand-built salvage whose
-   only advice section is quarantined, so the engine serves through the
-   total tolerant decoder — any graph family works, which is what lets
-   the property range over grids and random regular graphs that the
-   one-bit encoder cannot pack. *)
-let salvaged_engine g advice =
+(* An engine over arbitrary advice on an arbitrary graph: the decoder is
+   total, so any graph family works, which is what lets the property
+   range over grids and random regular graphs that the one-bit encoder
+   cannot pack. *)
+let raw_engine g advice =
   Serve.Engine.create ~radius:2
-    ~health:([ ("c4", advice) ], [])
-    { Store.Snapshot.graph = g; advice = []; meta = [] }
+    { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta = [] }
 
 let random_advice rng g =
   Array.init (Graph.n g) (fun _ ->
@@ -128,7 +126,7 @@ let engine_of family rng =
       Serve.Engine.create snapshot
   | Grid | Regular ->
       let g = build_graph family rng in
-      salvaged_engine g (random_advice rng g)
+      raw_engine g (random_advice rng g)
 
 (* The same snapshot state as [engine_of] (same rng consumption), as a
    file opened through Store.Shard: a packed cycle, or the hand-built
