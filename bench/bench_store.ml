@@ -783,7 +783,6 @@ let bench_decode_instance ~name ~radius ~balls g x =
   let n = Graph.n g in
   let balls = min balls n in
   let nodes = Array.init balls (fun i -> i * (n / balls)) in
-  let ids = Localmodel.Ids.identity g in
   let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
   let ws = Workspace.domain_local () in
   let plain = Serve.Engine.create ~cache_capacity:0 ~radius snapshot in
@@ -804,8 +803,8 @@ let bench_decode_instance ~name ~radius ~balls g x =
          (Array.map
             (fun v ->
               bfs v;
-              ( Ethlink.Canonical.ball_key ws g ~ids ~advice,
-                Serve.Center_decode.label ws g ~ids ~advice ~center:0 ))
+              ( Ethlink.Canonical.ball_key ws g ~advice,
+                Serve.Center_decode.label ws g ~advice ~center:0 ))
             nodes))
   in
   let steps =
@@ -814,11 +813,11 @@ let bench_decode_instance ~name ~radius ~balls g x =
       ( "bfs+ball_key",
         fun v ->
           bfs v;
-          ignore (Ethlink.Canonical.ball_key ws g ~ids ~advice) );
+          ignore (Ethlink.Canonical.ball_key ws g ~advice) );
       ( "bfs+decode",
         fun v ->
           bfs v;
-          ignore (Serve.Center_decode.label ws g ~ids ~advice ~center:0) );
+          ignore (Serve.Center_decode.label ws g ~advice ~center:0) );
       ("miss_memo_off", fun v -> ignore (Serve.Engine.output_label plain v));
       (* BFS, key, probe, decode *)
       ("miss_memo_on", fun v -> ignore (Serve.Engine.output_label missing v));

@@ -120,7 +120,7 @@ let layer_reader g ones c =
   let rec expand_to j =
     if !head < ws.Workspace.size then begin
       let v = ws.Workspace.queue.(!head) in
-      let dv = ws.Workspace.dist.(v) in
+      let dv = ws.Workspace.dist.(!head) in
       if dv < j then begin
         incr head;
         Array.iter

@@ -203,8 +203,8 @@ let dense_order sc (key : int array) (perm : int array) count =
   end
 
 (* The identifier rank of every stamp of the ball stamped in [ws]
-   ([ids] is indexed by host node), into [sc.rank]: sort the stamps by
-   identifier, then invert. *)
+   ([ids] is indexed by host node, or empty for node order), into
+   [sc.rank]: sort the stamps by identifier, then invert. *)
 let id_ranks sc ws (ids : int array) =
   let count = Workspace.size ws in
   if Array.length sc.ids < count then begin
@@ -216,10 +216,16 @@ let id_ranks sc ws (ids : int array) =
   end;
   let queue = ws.Workspace.queue in
   let key = sc.ids and perm = sc.perm and rank = sc.rank in
-  for i = 0 to count - 1 do
-    key.(i) <- ids.(queue.(i));
-    perm.(i) <- i
-  done;
+  if Array.length ids = 0 then
+    for i = 0 to count - 1 do
+      key.(i) <- queue.(i);
+      perm.(i) <- i
+    done
+  else
+    for i = 0 to count - 1 do
+      key.(i) <- ids.(queue.(i));
+      perm.(i) <- i
+    done;
   if not (dense_order sc key perm count) then sort_by_key key perm ~buf:sc.merge count;
   for r = 0 to count - 1 do
     rank.(perm.(r)) <- r
@@ -235,22 +241,29 @@ let reserve sc pos need =
   end;
   sc.bytes
 
+(* Entry [k] of a graph row (see {!Netgraph.Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
+
 (* The ball's edges [(i, j)], [i < j], in lexicographic stamp order, into
    [sc.src]/[sc.dst]; returns how many.  One pass over the members'
    rows: each stamp's forward neighbors are insertion-sorted in place
    (balls are degree-bounded). *)
 let stamped_edges sc ws g =
   let count = Workspace.size ws in
-  let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
-  (* Direct stamp reads: this loop runs per neighbor, and cross-module
-     calls are not inlined in every build profile. *)
-  let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+  let queue = ws.Workspace.queue in
+  (* Direct mark reads: this loop runs per neighbor, and cross-module
+     calls are not inlined in every build profile.  A neighbor's stamp
+     index is its mark less the base, negative when it is not in the
+     ball, so one comparison keeps the members stamped after [i]. *)
+  let mark = ws.Workspace.mark and base = ws.Workspace.base in
   let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
+  let n = Graph.n g in
   let m = ref 0 in
   for i = 0 to count - 1 do
     let v = queue.(i) in
-    let row = off.(v) in
-    let deg = off.(v + 1) - row in
+    if v >= n then invalid_arg "Canonical: a stamped node is not in the graph";
+    let row = at off v in
+    let deg = at off (v + 1) - row in
     if Array.length sc.dst < !m + deg then begin
       let grow a = Array.append a (Array.make (Array.length a + deg) 0) in
       sc.src <- grow sc.src;
@@ -259,9 +272,8 @@ let stamped_edges sc ws g =
     let src = sc.src and dst = sc.dst in
     let first = !m in
     for k = row to row + deg - 1 do
-      let u = Array.unsafe_get nbr k in
-      if stamp.(u) = epoch && sub.(u) > i then begin
-        let x = sub.(u) in
+      let x = mark.(at nbr k) - base in
+      if x > i then begin
         let j = ref (!m - 1) in
         while !j >= first && Array.unsafe_get dst !j > x do
           Array.unsafe_set dst (!j + 1) (Array.unsafe_get dst !j);
@@ -277,9 +289,10 @@ let stamped_edges sc ws g =
 
 (* The one encoder of the ball-key byte format, reading the ball
    stamped in [ws] over host graph [g] (ids and advice indexed by host
-   node): node count, center stamp, edge count, the edges [(i, j)],
-   [i < j], in lexicographic stamp order, the identifier rank of every
-   stamp, then every stamp's advice, length-prefixed.  That is exactly
+   node, ids empty for node order): node count, center stamp, edge
+   count, the edges [(i, j)], [i < j], in lexicographic stamp order,
+   the identifier rank of every stamp, then every stamp's advice,
+   length-prefixed.  That is exactly
    the induced subgraph in stamp order that [View.make] would build,
    so every entry point below writes the same bytes.  The key is left
    in [sc.bytes]; returns its length. *)
@@ -337,14 +350,15 @@ let ball_signature (view : Localmodel.View.t) =
   in
   Bytes.sub_string sc.bytes 0 len
 
-(* The BFS source is always the first stamp. *)
-let write_ball_key ws g ~ids ~advice =
+(* The BFS source is always the first stamp.  Without [ids] the
+   identifiers are the host's node order. *)
+let write_ball_key ?(ids = [||]) ws g ~advice =
   encode_stamped (Domain.DLS.get scratch_key) ws g ~center:0 ~ids ~advice
 
 let key_buffer () = (Domain.DLS.get scratch_key).bytes
 
-let ball_key ws g ~ids ~advice =
-  let len = write_ball_key ws g ~ids ~advice in
+let ball_key ?ids ws g ~advice =
+  let len = write_ball_key ?ids ws g ~advice in
   Bytes.sub_string (key_buffer ()) 0 len
 
 type table = (string, int) Hashtbl.t

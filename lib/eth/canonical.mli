@@ -33,9 +33,9 @@ val ball_signature : Localmodel.View.t -> string
     from the same encoder as {!ball_key}. *)
 
 val ball_key :
+  ?ids:int array ->
   Netgraph.Workspace.t ->
   Netgraph.Graph.t ->
-  ids:int array ->
   advice:string array ->
   string
 (** The serve stack's workspace entry point.  After
@@ -44,21 +44,27 @@ val ball_key :
     [ball_signature (Localmodel.View.make ~advice g ~ids ~radius v)],
     byte for byte — written straight from the stamps, with no view and
     no induced graph built.  [ids] and [advice] are indexed by host
-    node.  Reads [ws] without disturbing the stamps, so the ball decoder
-    can follow on the same ball.  This is {!write_ball_key} copied out
-    of the key buffer. *)
+    node; without [ids] the identifiers are the host's node order, so
+    the key equals the one under any increasing ids (such as
+    {!Localmodel.Ids.identity}) and no id column is needed.  Reads [ws]
+    without disturbing the stamps, so the ball decoder can follow on the
+    same ball.  This is {!write_ball_key} copied out of the key
+    buffer. *)
 
 val write_ball_key :
+  ?ids:int array ->
   Netgraph.Workspace.t ->
   Netgraph.Graph.t ->
-  ids:int array ->
   advice:string array ->
   int
-(** [write_ball_key ws g ~ids ~advice] writes {!ball_key}'s bytes into
+(** [write_ball_key ws g ?ids ~advice] writes {!ball_key}'s bytes into
     the calling domain's key buffer ({!key_buffer}) and returns their
     length: the memo probes the key where it lies.  Once the scratch
     has grown to the largest ball seen, it allocates nothing.  The
-    bytes last until the domain's next key or signature. *)
+    bytes last until the domain's next key or signature.
+    @raise Invalid_argument when [ws] holds a node outside [g] (a ball
+    stamped over another graph), checked before that node's row is
+    read. *)
 
 val key_buffer : unit -> Bytes.t
 (** The calling domain's key buffer, holding the last

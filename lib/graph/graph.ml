@@ -1,51 +1,77 @@
 (* Compressed sparse rows: node [v]'s row is positions [off.(v)] to
    [off.(v + 1) - 1] of [nbr] (its sorted neighbors) and [inc] (the id
    of the edge to each of them); edge [e] is [{ends.(2e), ends.(2e+1)}],
-   lower endpoint first.  Four flat int arrays whatever the graph's
-   size, so building, reading and dropping a graph never touches a
-   per-node or per-edge heap block. *)
+   lower endpoint first.  Each row is a [Bytes] of 32-bit entries: half
+   the words of an int array, and a block the GC never scans, so
+   building, reading and dropping a graph touches no per-node or
+   per-edge heap block and costs the marker nothing. *)
+type rows = Bytes.t
+
 type t = {
   n : int;
-  off : int array;
-  nbr : int array;
-  inc : int array;
-  ends : int array;
+  off : rows;
+  nbr : rows;
+  inc : rows;
+  ends : rows;
 }
 
-(* Position of [x] in the sorted slice [lo, hi) of [a], or -1. *)
-let find_in_row (a : int array) lo hi x =
+external get32 : rows -> int -> int32 = "%caml_bytes_get32u"
+external set32 : rows -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get32_checked : rows -> int -> int32 = "%caml_bytes_get32"
+
+let max_count = 0x7FFF_FFFF
+
+(* Entry [k] of a row, unchecked: every caller in this file indexes a
+   row it built or validated.  The per-node accessors read through
+   [get], which raises [Invalid_argument] on a position outside the row
+   as an array read would. *)
+let[@inline] at r k = Int32.to_int (get32 r (k lsl 2))
+let[@inline] put r k x = set32 r (k lsl 2) (Int32.of_int x)
+let get r k = Int32.to_int (get32_checked r (k lsl 2))
+let create_rows len = Bytes.create (len lsl 2)
+let entries r = Bytes.length r lsr 2
+
+(* Rows hold signed 32-bit entries, so a node count or degree sum past
+   [max_count] is refused before anything is allocated for it. *)
+let check_count fn what count =
+  if count > max_count then
+    Printf.ksprintf invalid_arg "Graph.%s: %s %d exceeds %d, the 32-bit row cap" fn
+      what count max_count
+
+(* Position of [x] in the sorted slice [lo, hi) of [r], or -1. *)
+let find_in_row r lo hi x =
   let lo = ref lo and hi = ref (hi - 1) in
   let res = ref (-1) in
   while !res < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let y = a.(mid) in
+    let y = at r mid in
     if y = x then res := mid else if y < x then lo := mid + 1 else hi := mid - 1
   done;
   !res
 
-(* Monomorphic sort of the slice [lo, hi) of [a].  Balls on the serve
+(* Monomorphic sort of the slice [lo, hi) of [r].  Balls on the serve
    path are degree-bounded, so an in-place insertion sort with direct
    int comparisons beats the generic closure-compare [Array.sort]; long
    rows (a star's hub) go through it on a copy so the worst case stays
    O(d log d). *)
-let sort_row (a : int array) lo hi =
+let sort_row r lo hi =
   if hi - lo > 16 then begin
-    let row = Array.sub a lo (hi - lo) in
+    let row = Array.init (hi - lo) (fun i -> at r (lo + i)) in
     Array.sort Int.compare row;
-    Array.blit row 0 a lo (hi - lo)
+    Array.iteri (fun i x -> put r (lo + i) x) row
   end
   else
     for i = lo + 1 to hi - 1 do
-      let x = Array.unsafe_get a i in
+      let x = at r i in
       let j = ref (i - 1) in
-      while !j >= lo && Array.unsafe_get a !j > x do
-        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      while !j >= lo && at r !j > x do
+        put r (!j + 1) (at r !j);
         decr j
       done;
-      Array.unsafe_set a (!j + 1) x
+      put r (!j + 1) x
     done
 
-(* The one CSR builder: rows [off]/[nbr] become the graph's own arrays,
+(* The one CSR builder: rows [off]/[nbr] become the graph's own rows,
    checked and numbered in one pass in node order with one cursor per
    node.  Each row must be strictly increasing, in range and loop-free.
    Visiting nodes in increasing order reaches each node's lower
@@ -57,61 +83,75 @@ let sort_row (a : int array) lo hi =
    cursor has consumed its node's whole lower prefix, which also means
    every slot of [inc] was written. *)
 let of_sorted_adj off nbr =
-  let n = Array.length off - 1 in
+  let n = entries off - 1 in
   let bad fmt = Printf.ksprintf invalid_arg ("Graph.of_adjacency: " ^^ fmt) in
-  let len = Array.length nbr in
-  let inc = Array.make len 0 and ends = Array.make len 0 in
-  let cursor = Array.sub off 0 n in
+  let len = entries nbr in
+  let inc = create_rows len and ends = create_rows len in
+  let cursor = Bytes.sub off 0 (n lsl 2) in
   let next = ref 0 in
   for u = 0 to n - 1 do
-    let first = off.(u) in
-    for k = first to off.(u + 1) - 1 do
-      let v = nbr.(k) in
+    let first = at off u in
+    for k = first to at off (u + 1) - 1 do
+      let v = at nbr k in
       if v < 0 || v >= n then
         bad "node %d lists neighbor %d outside 0..%d" u v (n - 1);
       if v = u then bad "node %d lists itself" u;
-      if k > first && v <= nbr.(k - 1) then
-        bad "node %d lists neighbor %d after %d" u v nbr.(k - 1);
+      if k > first && v <= at nbr (k - 1) then
+        bad "node %d lists neighbor %d after %d" u v (at nbr (k - 1));
       if v > u then begin
-        let c = cursor.(v) in
-        if c >= off.(v + 1) || nbr.(c) <> u then
+        let c = at cursor v in
+        if c >= at off (v + 1) || at nbr c <> u then
           bad "adjacency is not symmetric at edge {%d, %d}" u v;
         let e = !next in
-        ends.(2 * e) <- u;
-        ends.((2 * e) + 1) <- v;
-        inc.(k) <- e;
-        inc.(c) <- e;
-        cursor.(v) <- c + 1;
+        put ends (2 * e) u;
+        put ends ((2 * e) + 1) v;
+        put inc k e;
+        put inc c e;
+        put cursor v (c + 1);
         next := e + 1
       end
     done
   done;
   for v = 0 to n - 1 do
-    let c = cursor.(v) in
-    if c < off.(v + 1) && nbr.(c) < v then
-      bad "adjacency is not symmetric at edge {%d, %d}" nbr.(c) v
+    let c = at cursor v in
+    if c < at off (v + 1) && at nbr c < v then
+      bad "adjacency is not symmetric at edge {%d, %d}" (at nbr c) v
   done;
   { n; off; nbr; inc; ends }
 
 let of_rows ~off ~nbr =
-  if Array.length off = 0 then invalid_arg "Graph.of_rows: empty offset array";
-  let n = Array.length off - 1 in
-  if off.(0) <> 0 || off.(n) <> Array.length nbr then
-    invalid_arg "Graph.of_rows: offsets do not span the neighbor array";
+  if Bytes.length off land 3 <> 0 || Bytes.length nbr land 3 <> 0 then
+    invalid_arg "Graph.of_rows: a row's length is not a multiple of 4 bytes";
+  if entries off = 0 then invalid_arg "Graph.of_rows: empty offset row";
+  let n = entries off - 1 in
+  check_count "of_rows" "node count" n;
+  check_count "of_rows" "degree sum" (entries nbr);
+  if at off 0 <> 0 || at off n <> entries nbr then
+    invalid_arg "Graph.of_rows: offsets do not span the neighbor row";
   for v = 0 to n - 1 do
-    if off.(v + 1) < off.(v) then invalid_arg "Graph.of_rows: offsets decrease"
+    if at off (v + 1) < at off v then invalid_arg "Graph.of_rows: offsets decrease"
   done;
   of_sorted_adj off nbr
 
 (* The flat form of [adj], checked as a snapshot's rows are. *)
 let of_adjacency adj =
   let n = Array.length adj in
-  let off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + Array.length adj.(v)
-  done;
-  let nbr = Array.make off.(n) 0 in
-  Array.iteri (fun v a -> Array.blit a 0 nbr off.(v) (Array.length a)) adj;
+  check_count "of_adjacency" "node count" n;
+  let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj in
+  check_count "of_adjacency" "degree sum" total;
+  let off = create_rows (n + 1) and nbr = create_rows total in
+  put off 0 0;
+  Array.iteri
+    (fun v a ->
+      let first = at off v in
+      Array.iteri
+        (fun i x ->
+          (* An entry past 32 bits is out of range whatever [n]; it is
+             diagnosed as -1. *)
+          put nbr (first + i) (if x < -max_count - 1 || x > max_count then -1 else x))
+        a;
+      put off (v + 1) (first + Array.length a))
+    adj;
   of_sorted_adj off nbr
 
 (* Count degrees, fill the rows, then sort, deduplicate and compact each
@@ -120,47 +160,55 @@ let of_adjacency adj =
    construction. *)
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let off = Array.make (n + 1) 0 in
+  check_count "of_edges" "node count" n;
+  let total = 2 * List.length edge_list in
+  check_count "of_edges" "degree sum" total;
+  let off = Bytes.make ((n + 1) lsl 2) '\000' in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1)
+      put off (u + 1) (at off (u + 1) + 1);
+      put off (v + 1) (at off (v + 1) + 1))
     edge_list;
   for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v + 1) + off.(v)
+    put off (v + 1) (at off (v + 1) + at off v)
   done;
-  let nbr = Array.make off.(n) 0 in
-  let fill = Array.sub off 0 n in
+  let nbr = create_rows total in
+  let fill = Bytes.sub off 0 (n lsl 2) in
   List.iter
     (fun (u, v) ->
-      nbr.(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      nbr.(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1)
+      put nbr (at fill u) v;
+      put fill u (at fill u + 1);
+      put nbr (at fill v) u;
+      put fill v (at fill v + 1))
     edge_list;
   let w = ref 0 in
   for v = 0 to n - 1 do
-    let lo = off.(v) and hi = off.(v + 1) in
+    let lo = at off v and hi = at off (v + 1) in
     sort_row nbr lo hi;
-    off.(v) <- !w;
+    put off v !w;
     for k = lo to hi - 1 do
-      if k = lo || nbr.(k) <> nbr.(k - 1) then begin
-        nbr.(!w) <- nbr.(k);
+      if k = lo || at nbr k <> at nbr (k - 1) then begin
+        put nbr !w (at nbr k);
         incr w
       end
     done
   done;
-  off.(n) <- !w;
-  of_sorted_adj off (if !w = Array.length nbr then nbr else Array.sub nbr 0 !w)
+  put off n !w;
+  of_sorted_adj off (if !w = total then nbr else Bytes.sub nbr 0 (!w lsl 2))
 
 let n g = g.n
-let m g = Array.length g.ends / 2
-let degree g v = g.off.(v + 1) - g.off.(v)
-let neighbors g v = Array.sub g.nbr g.off.(v) (degree g v)
-let incident_edges g v = Array.sub g.inc g.off.(v) (degree g v)
+let m g = entries g.ends / 2
+let degree g v = get g.off (v + 1) - get g.off v
+
+let row_array g r v =
+  let first = get g.off v in
+  Array.init (get g.off (v + 1) - first) (fun i -> at r (first + i))
+
+let neighbors g v = row_array g g.nbr v
+let incident_edges g v = row_array g g.inc v
 let row_offsets g = g.off
 let row_neighbors g = g.nbr
 let row_edges g = g.inc
@@ -168,7 +216,7 @@ let row_edges g = g.inc
 let max_degree g =
   let d = ref 0 in
   for v = 0 to g.n - 1 do
-    d := max !d (degree g v)
+    d := max !d (at g.off (v + 1) - at g.off v)
   done;
   !d
 
@@ -178,25 +226,25 @@ let slot g u v =
   if u = v then -1
   else
     let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
-    find_in_row g.nbr g.off.(a) g.off.(a + 1) b
+    find_in_row g.nbr (at g.off a) (at g.off (a + 1)) b
 
 let is_edge g u v = slot g u v >= 0
 
 let edge_id g u v =
   let k = slot g u v in
-  if k < 0 then raise Not_found else g.inc.(k)
+  if k < 0 then raise Not_found else at g.inc k
 
-let edge_endpoints g e = (g.ends.(2 * e), g.ends.((2 * e) + 1))
+let edge_endpoints g e = (get g.ends (2 * e), get g.ends ((2 * e) + 1))
 
 let edge_other_endpoint g e v =
-  let u = g.ends.(2 * e) and w = g.ends.((2 * e) + 1) in
+  let u = get g.ends (2 * e) and w = get g.ends ((2 * e) + 1) in
   if v = u then w
   else if v = w then u
   else invalid_arg "Graph.edge_other_endpoint: node not on edge"
 
 let iter_edges f g =
   for e = 0 to m g - 1 do
-    f e (g.ends.(2 * e), g.ends.((2 * e) + 1))
+    f e (at g.ends (2 * e), at g.ends ((2 * e) + 1))
   done
 
 let fold_edges f g init =
@@ -214,39 +262,43 @@ let fold_nodes f g init =
   iter_nodes (fun v -> acc := f v !acc) g;
   !acc
 
-let edges g = Array.init (m g) (fun e -> (g.ends.(2 * e), g.ends.((2 * e) + 1)))
+let edges g = Array.init (m g) (fun e -> (at g.ends (2 * e), at g.ends ((2 * e) + 1)))
 
 (* The subgraph induced by the node set stamped in [ws], stamped node
    [i] (insertion order) becoming sub node [i].  Only the members' own
    rows are scanned, so the cost is O(ball nodes + ball edges) plus the
-   sort of each sub row — never O(n) or O(m) of the host graph. *)
+   sort of each sub row — never O(n) or O(m) of the host graph.  A
+   stamp's index is its mark less the base, negative for a non-member. *)
 let induced_ball g ws =
   let count = Workspace.size ws in
-  let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
-  let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
+  let queue = ws.Workspace.queue in
+  let mark = ws.Workspace.mark and base = ws.Workspace.base in
   let goff = g.off and gnbr = g.nbr in
-  let off = Array.make (count + 1) 0 in
+  let off = create_rows (count + 1) in
+  put off 0 0;
   for i = 0 to count - 1 do
     let v = queue.(i) in
+    if v < 0 || v >= g.n then
+      invalid_arg "Graph.induced_ball: a stamped node is not in the graph";
     let d = ref 0 in
-    for k = goff.(v) to goff.(v + 1) - 1 do
-      if stamp.(gnbr.(k)) = epoch then incr d
+    for k = at goff v to at goff (v + 1) - 1 do
+      if mark.(at gnbr k) >= base then incr d
     done;
-    off.(i + 1) <- off.(i) + !d
+    put off (i + 1) (at off i + !d)
   done;
-  let nbr = Array.make off.(count) 0 in
+  let nbr = create_rows (at off count) in
   for i = 0 to count - 1 do
     let v = queue.(i) in
-    let fill = ref off.(i) in
-    for k = goff.(v) to goff.(v + 1) - 1 do
-      let u = gnbr.(k) in
-      if stamp.(u) = epoch then begin
-        nbr.(!fill) <- sub.(u);
+    let fill = ref (at off i) in
+    for k = at goff v to at goff (v + 1) - 1 do
+      let s = mark.(at gnbr k) - base in
+      if s >= 0 then begin
+        put nbr !fill s;
         incr fill
       end
     done;
     (* Neighbors arrive sorted by original id, not by sub id. *)
-    sort_row nbr off.(i) off.(i + 1)
+    sort_row nbr (at off i) (at off (i + 1))
   done;
   (of_sorted_adj off nbr, Array.sub queue 0 count)
 
@@ -284,23 +336,24 @@ let induced_sorted g ids =
   let rank = Array.make span (-1) in
   Array.iteri (fun i v -> rank.(v - base) <- i) ids;
   let local u = if u < base || u - base >= span then -1 else rank.(u - base) in
-  let off = Array.make (count + 1) 0 in
+  let off = create_rows (count + 1) in
+  put off 0 0;
   for i = 0 to count - 1 do
     let v = ids.(i) in
     let d = ref 0 in
-    for k = g.off.(v) to g.off.(v + 1) - 1 do
-      if local g.nbr.(k) >= 0 then incr d
+    for k = at g.off v to at g.off (v + 1) - 1 do
+      if local (at g.nbr k) >= 0 then incr d
     done;
-    off.(i + 1) <- off.(i) + !d
+    put off (i + 1) (at off i + !d)
   done;
-  let nbr = Array.make off.(count) 0 in
+  let nbr = create_rows (at off count) in
   for i = 0 to count - 1 do
     let v = ids.(i) in
-    let fill = ref off.(i) in
-    for k = g.off.(v) to g.off.(v + 1) - 1 do
-      let j = local g.nbr.(k) in
+    let fill = ref (at off i) in
+    for k = at g.off v to at g.off (v + 1) - 1 do
+      let j = local (at g.nbr k) in
       if j >= 0 then begin
-        nbr.(!fill) <- j;
+        put nbr !fill j;
         incr fill
       end
     done
@@ -325,8 +378,8 @@ let power g k =
     while not (Queue.is_empty queue) do
       let v = Queue.take queue in
       if dist.(v) < k then
-        for j = g.off.(v) to g.off.(v + 1) - 1 do
-          let u = g.nbr.(j) in
+        for j = at g.off v to at g.off (v + 1) - 1 do
+          let u = at g.nbr j in
           if dist.(u) < 0 then begin
             dist.(u) <- dist.(v) + 1;
             touched := u :: !touched;
@@ -347,9 +400,9 @@ let line_graph g =
   let acc = ref [] in
   iter_nodes
     (fun v ->
-      for i = g.off.(v) to g.off.(v + 1) - 1 do
-        for j = i + 1 to g.off.(v + 1) - 1 do
-          acc := (g.inc.(i), g.inc.(j)) :: !acc
+      for i = at g.off v to at g.off (v + 1) - 1 do
+        for j = i + 1 to at g.off (v + 1) - 1 do
+          acc := (at g.inc i, at g.inc j) :: !acc
         done
       done)
     g;
@@ -365,8 +418,8 @@ let is_connected g =
     let count = ref 1 in
     while not (Queue.is_empty queue) do
       let v = Queue.take queue in
-      for k = g.off.(v) to g.off.(v + 1) - 1 do
-        let u = g.nbr.(k) in
+      for k = at g.off v to at g.off (v + 1) - 1 do
+        let u = at g.nbr k in
         if not (Bitset.mem seen u) then begin
           Bitset.add seen u;
           incr count;
@@ -378,14 +431,7 @@ let is_connected g =
   end
 
 (* Edge ids are lexicographic, so equal edge sets give equal [ends]. *)
-let equal a b =
-  a.n = b.n
-  && Array.length a.ends = Array.length b.ends
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i x -> if x <> b.ends.(i) then ok := false) a.ends;
-       !ok
-     end
+let equal a b = a.n = b.n && Bytes.equal a.ends b.ends
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph n=%d m=%d@," g.n (m g);

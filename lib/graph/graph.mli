@@ -7,11 +7,19 @@
     canonical, ID-based local ordering — the same ordering a LOCAL-model
     node would derive from the unique identifiers of its neighbors.
 
-    A graph is stored as compressed sparse rows: four flat int arrays
-    (row offsets, neighbors, incident edge ids, edge endpoints), whatever
-    its size.  The per-node accessors ({!neighbors}, {!incident_edges})
-    copy a row out; per-neighbor loops read the shared rows through
-    {!row_offsets}, {!row_neighbors} and {!row_edges} instead. *)
+    A graph is stored as compressed sparse rows: four flat {!rows} (row
+    offsets, neighbors, incident edge ids, edge endpoints), whatever its
+    size.  Each row is a [Bytes] of signed 32-bit native-endian entries:
+    four bytes per entry instead of an int array's eight, in a block the
+    GC never scans.  So a graph holds at most {!max_count} nodes and at
+    most {!max_count} neighbor entries ([2m]); every builder checks both
+    counts before it allocates and raises [Invalid_argument "Graph.<fn>:
+    node count <k> exceeds 2147483647, the 32-bit row cap"] (or [degree
+    sum] for [2m]).  The per-node accessors ({!neighbors},
+    {!incident_edges}) copy a row out and check their node like an array
+    read; per-neighbor loops read the shared rows through
+    {!row_offsets}, {!row_neighbors} and {!row_edges} and {!get32}
+    instead. *)
 
 type t
 
@@ -22,8 +30,9 @@ val of_edges : n:int -> (int * int) list -> t
     endpoints' rows, and each row is then sorted, deduplicated and
     compacted in place — no hash table and no sort of the whole edge
     list.
-    @raise Invalid_argument on a negative [n], an endpoint outside
-    [0..n-1] or a self-loop. *)
+    @raise Invalid_argument on a negative [n], an [n] or degree sum
+    past {!max_count} (before anything is allocated), an endpoint
+    outside [0..n-1] or a self-loop. *)
 
 val of_adjacency : int array array -> t
 (** [of_adjacency adj] is the graph on [Array.length adj] nodes whose
@@ -35,19 +44,21 @@ val of_adjacency : int array array -> t
     the same edges: same neighbor arrays, the same lexicographic edge
     ids and the same incident arrays.
     @raise Invalid_argument ["Graph.of_adjacency: …"] naming the first
-    offending node or edge. *)
+    offending node or edge, or a count past {!max_count}. *)
 
-val of_rows : off:int array -> nbr:int array -> t
+val of_rows : off:Bytes.t -> nbr:Bytes.t -> t
 (** [of_rows ~off ~nbr] is {!of_adjacency} over rows already laid out
-    flat: node [v]'s sorted neighbors are [nbr.(off.(v))] to
-    [nbr.(off.(v + 1) - 1)], for [n = Array.length off - 1] nodes.  Both
-    arrays become the graph's own ({!row_offsets}, {!row_neighbors}),
-    so the caller must not mutate them afterwards.  The rows get exactly
-    {!of_adjacency}'s checks, diagnostics and edge numbering, in one
-    pass with one cursor array.
-    @raise Invalid_argument when [off] is empty, does not start at 0,
-    decreases or does not end at [Array.length nbr]; otherwise as
-    {!of_adjacency}. *)
+    flat, as 32-bit native-endian entries ([Bytes.set_int32_ne] at byte
+    [4k] writes entry [k]): node [v]'s sorted neighbors are entries
+    [off.(v)] to [off.(v + 1) - 1] of [nbr], for [n = length off / 4 -
+    1] nodes.  Both become the graph's own rows ({!row_offsets},
+    {!row_neighbors}), so the caller must not mutate them afterwards.
+    The rows get exactly {!of_adjacency}'s checks, diagnostics and edge
+    numbering, in one pass with one cursor row.
+    @raise Invalid_argument when a length is not a multiple of 4,
+    [off] is empty, a count exceeds {!max_count}, or [off] does not
+    start at 0, decreases or does not end at [nbr]'s entry count;
+    otherwise as {!of_adjacency}. *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -76,23 +87,40 @@ val incident_edges : t -> int -> int array
 
 (** {2 Zero-copy rows}
 
-    The graph's own arrays, handed out without a copy for loops that
-    run per neighbor.  They are shared by every reader of the graph and
-    must never be written. *)
+    The graph's own rows, handed out without a copy for loops that run
+    per neighbor.  They are shared by every reader of the graph and
+    cannot be written from outside this module. *)
 
-val row_offsets : t -> int array
-(** [n + 1] entries, [row_offsets.(0) = 0]: node [v]'s row is positions
-    [row_offsets.(v)] to [row_offsets.(v + 1) - 1] of {!row_neighbors}
-    and {!row_edges}, so [degree v] is the difference of the two. *)
+type rows
+(** A row of signed 32-bit entries.  Entry [k] is
+    [Int32.to_int (get32 r (4 * k))]. *)
 
-val row_neighbors : t -> int array
+external get32 : rows -> int -> int32 = "%caml_bytes_get32u"
+(** [get32 r (4 * k)] is entry [k] of [r], unchecked: [k] must lie in
+    the row ([0 <= k <] its entry count), which holds for every
+    position a row's own offsets name.  A primitive, so a loop in any
+    module reads a row with one load and no call, even where modules
+    are compiled without cross-module inlining; wrapped as
+    [Int32.to_int (get32 r (k lsl 2))] it allocates nothing. *)
+
+val max_count : int
+(** [2^31 - 1], the largest node count and the largest neighbor-entry
+    count ([2m]) a graph holds: every entry of its rows is a signed
+    32-bit integer. *)
+
+val row_offsets : t -> rows
+(** [n + 1] entries, entry [0] is [0]: node [v]'s row is positions
+    [off v] to [off (v + 1) - 1] of {!row_neighbors} and {!row_edges},
+    so [degree v] is the difference of the two. *)
+
+val row_neighbors : t -> rows
 (** [2m] entries: every node's neighbors, row after row, strictly
     increasing within a row.  Position [k] of [v]'s row holds the same
-    neighbor as [(neighbors g v).(k - row_offsets.(v))]. *)
+    neighbor as [(neighbors g v).(k - off v)]. *)
 
-val row_edges : t -> int array
+val row_edges : t -> rows
 (** [2m] entries, parallel to {!row_neighbors}: position [k] holds the
-    id of the edge between the row's node and [row_neighbors.(k)]. *)
+    id of the edge between the row's node and the neighbor at [k]. *)
 
 val edge_other_endpoint : t -> int -> int -> int
 (** [edge_other_endpoint g e v] is the endpoint of edge [e] distinct from
@@ -129,7 +157,9 @@ val induced_ball : t -> Workspace.t -> t * int array
     [Graph.m].  The result satisfies the same canonical invariants as
     {!of_edges} (sorted neighbors, lexicographically sorted dense edge
     ids) and coincides with {!induced} applied to the stamped nodes in
-    stamp order. *)
+    stamp order.
+    @raise Invalid_argument when [ws] holds a node outside [g] (a set
+    stamped over another graph). *)
 
 val induced_sorted : t -> int array -> t
 (** [induced_sorted g ids] is the subgraph induced by the strictly

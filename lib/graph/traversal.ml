@@ -1,9 +1,12 @@
+(* Entry [k] of a graph row: one load, no call (see {!Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
+
 (* [f u] for every neighbor [u] of [v], read in place from the shared
    rows: [Graph.neighbors] would copy the row first. *)
 let iter_neighbors g v f =
   let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
-  for k = off.(v) to off.(v + 1) - 1 do
-    f nbr.(k)
+  for k = at off v to at off (v + 1) - 1 do
+    f (at nbr k)
   done
 
 let bfs_distances_multi g sources =
@@ -28,38 +31,65 @@ let bfs_distances_multi g sources =
 
 let bfs_distances g s = bfs_distances_multi g [ s ]
 
-(* The per-neighbor loop reads the graph's rows and reads and writes
-   the workspace fields directly ({!Workspace.add} inlined by hand):
-   this is the one BFS of every served ball, and cross-module calls are
-   not inlined in every build profile. *)
-let bfs_limited_into ws g s r =
-  Workspace.ensure ws (Graph.n g);
-  Workspace.reset ws;
-  Workspace.add ws s ~dist:0;
-  let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
-  let dist = ws.Workspace.dist and sub = ws.Workspace.sub in
-  let queue = ws.Workspace.queue in
-  let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
+(* The BFS of every served ball, past its source (stamp 0, distance
+   0): it reads the graph's rows and the workspace's arrays directly
+   ({!Workspace.add} inlined by hand), since cross-module calls are not
+   inlined in every build profile, and it makes no call, so the arrays
+   it is handed stay in registers.  Every index is in range without a
+   check: [i] and [j] stay below [queue]'s length, which [dist]
+   shares, and every node is one of the graph's, below its [n] and so
+   below the mark's length.  Returns the ball size, or -1 when the ball
+   outgrows [queue] (signalled by moving [head] past [size]). *)
+let expand mark base queue dist off nbr r =
+  let cap = Array.length queue in
   let size = ref 1 and head = ref 0 in
   while !head < !size do
-    let v = queue.(!head) in
-    incr head;
-    let dv = dist.(v) in
+    let i = !head in
+    head := i + 1;
+    let dv = Array.unsafe_get dist i in
     if dv < r then begin
-      for k = off.(v) to off.(v + 1) - 1 do
-        let u = nbr.(k) in
-        if stamp.(u) <> epoch then begin
-          stamp.(u) <- epoch;
-          dist.(u) <- dv + 1;
-          sub.(u) <- !size;
-          queue.(!size) <- u;
-          incr size
+      let v = Array.unsafe_get queue i in
+      for k = at off v to at off (v + 1) - 1 do
+        let u = at nbr k in
+        if Array.unsafe_get mark u < base then begin
+          let j = !size in
+          if j < cap then begin
+            Array.unsafe_set mark u (base + j);
+            Array.unsafe_set queue j u;
+            Array.unsafe_set dist j (dv + 1);
+            size := j + 1
+          end
+          else head := cap + 1
         end
       done
     end
   done;
-  ws.Workspace.size <- !size;
-  !size
+  if !head > !size then -1 else !size
+
+(* A ball that outgrows the stamp-indexed arrays reruns once they have
+   doubled: a few times in a workspace's life, as its largest ball
+   grows. *)
+let rec bfs_limited_into ws g s r =
+  let n = Graph.n g in
+  if s < 0 || s >= n then
+    invalid_arg (Printf.sprintf "Traversal.bfs_limited_into: source %d outside 0..%d" s (n - 1));
+  Workspace.ensure ws n;
+  Workspace.reset ws;
+  Workspace.add ws s ~dist:0;
+  let size =
+    expand ws.Workspace.mark ws.Workspace.base ws.Workspace.queue ws.Workspace.dist
+      (Graph.row_offsets g) (Graph.row_neighbors g) r
+  in
+  if size >= 0 then begin
+    ws.Workspace.size <- size;
+    size
+  end
+  else begin
+    let cap = Array.length ws.Workspace.queue in
+    ws.Workspace.size <- cap;
+    Workspace.reserve ws (2 * cap);
+    bfs_limited_into ws g s r
+  end
 
 let bfs_limited g s r =
   let ws = Workspace.domain_local () in

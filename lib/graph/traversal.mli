@@ -23,9 +23,10 @@ val bfs_limited_into : Workspace.t -> Graph.t -> int -> int -> int
     [Workspace.node_at ws i] for [i < k] lists the ball in BFS order,
     [Workspace.dist ws v] is the distance of a member from [s], and
     [Workspace.sub_index ws v] its BFS-order rank.  The workspace is reset
-    (O(1)) on entry and grown to [Graph.n g] if needed; apart from that
-    growth the call allocates nothing and costs O(ball nodes + ball
-    edges). *)
+    (O(1)) on entry, its mark grown to [Graph.n g] and its stamp-indexed
+    arrays to the ball if needed; apart from that growth the call
+    allocates nothing and costs O(ball nodes + ball edges).
+    @raise Invalid_argument when [s] is not a node of [g]. *)
 
 val ball : Graph.t -> int -> int -> int list
 (** Nodes within distance [r] of [s], in BFS order. *)

@@ -1,58 +1,63 @@
 type t = {
-  mutable capacity : int;
-  mutable epoch : int;
+  mutable mark : int array;
+  mutable base : int;
   mutable size : int;
-  mutable stamp : int array;
-  mutable dist : int array;
-  mutable sub : int array;
   mutable queue : int array;
+  mutable dist : int array;
 }
 
 let create ?(capacity = 0) () =
-  {
-    capacity;
-    epoch = 0;
-    size = 0;
-    stamp = Array.make capacity (-1);
-    dist = Array.make capacity 0;
-    sub = Array.make capacity 0;
-    queue = Array.make capacity 0;
-  }
+  { mark = Array.make capacity (-1); base = 0; size = 0; queue = [||]; dist = [||] }
 
+(* A graph of [n] nodes cost O(n) to build, so growing to exactly [n]
+   costs no more than that, and a process that serves one graph holds
+   one mark per node, not up to two. *)
 let ensure ws n =
-  if n > ws.capacity then begin
-    let c = max n (2 * ws.capacity) in
-    ws.capacity <- c;
-    ws.stamp <- Array.make c (-1);
-    ws.dist <- Array.make c 0;
-    ws.sub <- Array.make c 0;
-    ws.queue <- Array.make c 0;
+  if n > Array.length ws.mark then begin
+    ws.mark <- Array.make n (-1);
+    ws.base <- 0;
     ws.size <- 0
   end
 
-let reset ws =
-  if ws.epoch = max_int then begin
-    (* Epoch wrap: stale stamps could equal a reused epoch value and make
-       ghost nodes count as visited.  Refill once and restart from 0 —
-       amortized over max_int resets, still O(1). *)
-    Array.fill ws.stamp 0 ws.capacity (-1);
-    ws.epoch <- 0
+let reserve ws k =
+  let c = Array.length ws.queue in
+  if k > c then begin
+    let c = max k (2 * c) in
+    let grow a =
+      let b = Array.make c 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    ws.queue <- grow ws.queue;
+    ws.dist <- grow ws.dist
   end
-  else ws.epoch <- ws.epoch + 1;
+
+(* Every mark of the set ends below [base + size], so moving [base]
+   there forgets the set.  A base that could overflow within the next
+   set (at most one mark per node) starts again from 0 over a refilled
+   mark array: amortized over ~max_int stamps, still O(1). *)
+let reset ws =
+  let next = ws.base + ws.size in
+  if next > max_int - Array.length ws.mark then begin
+    Array.fill ws.mark 0 (Array.length ws.mark) (-1);
+    ws.base <- 0
+  end
+  else ws.base <- next;
   ws.size <- 0
 
-let mem ws v = ws.stamp.(v) = ws.epoch
+let mem ws v = ws.mark.(v) >= ws.base
 
 let add ws v ~dist =
-  ws.stamp.(v) <- ws.epoch;
-  ws.dist.(v) <- dist;
-  ws.sub.(v) <- ws.size;
-  ws.queue.(ws.size) <- v;
-  ws.size <- ws.size + 1
+  let i = ws.size in
+  if i = Array.length ws.queue then reserve ws (i + 1);
+  ws.mark.(v) <- ws.base + i;
+  ws.queue.(i) <- v;
+  ws.dist.(i) <- dist;
+  ws.size <- i + 1
 
 let size ws = ws.size
-let dist ws v = ws.dist.(v)
-let sub_index ws v = ws.sub.(v)
+let sub_index ws v = ws.mark.(v) - ws.base
+let dist ws v = ws.dist.(sub_index ws v)
 let node_at ws i = ws.queue.(i)
 
 let key = Domain.DLS.new_key (fun () -> create ())

@@ -29,7 +29,7 @@ let m_frontier = Obs.Metrics.gauge "view.frontier_peak"
 let make_with ws ?advice ?input g ~ids ~radius v =
   let count = Traversal.bfs_limited_into ws g v radius in
   let sub, to_global = Graph.induced_ball g ws in
-  let dist = Array.init count (fun i -> Workspace.dist ws to_global.(i)) in
+  let dist = Array.sub ws.Workspace.dist 0 count in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_balls;
     Obs.Metrics.observe m_ball_size count;

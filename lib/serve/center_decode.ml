@@ -77,6 +77,9 @@ let scratch_key =
         comp = Array.make 5 0;
       })
 
+(* Entry [k] of a graph row (see {!Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
+
 (* Size the scratch for the ball in [ws] and clear what one decode
    reads before writing.  A ball whose host degrees sum to [d] has at
    most [d] slots. *)
@@ -84,10 +87,12 @@ let prepare sc ws g =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue in
   let off = Graph.row_offsets g in
+  let n = Graph.n g in
   let d = ref 0 in
   for i = 0 to count - 1 do
     let v = queue.(i) in
-    d := !d + off.(v + 1) - off.(v)
+    if v >= n then invalid_arg "Center_decode: a stamped node is not in the graph";
+    d := !d + at off (v + 1) - at off v
   done;
   let per_node = count + 1 and per_slot = !d + 1 in
   if Array.length sc.off < per_node then begin
@@ -111,11 +116,15 @@ let prepare sc ws g =
   Array.fill sc.anchor 0 count unknown;
   sc.slots <- 0
 
-(* Stamp [a] comes before stamp [b] in the fragment's node order. *)
+(* Stamp [a] comes before stamp [b] in the fragment's node order.  With
+   no ids (an empty array) the identifiers are the host's node order,
+   in which no two stamps tie. *)
 let before ws (ids : int array) a b =
   let queue = ws.Workspace.queue in
-  let ka = ids.(queue.(a)) and kb = ids.(queue.(b)) in
-  ka < kb || (ka = kb && a < b)
+  if Array.length ids = 0 then queue.(a) < queue.(b)
+  else
+    let ka = ids.(queue.(a)) and kb = ids.(queue.(b)) in
+    ka < kb || (ka = kb && a < b)
 
 (* The first slot of stamp [i]'s in-ball neighbours, listed in fragment
    order on first use (an insertion sort: host adjacency is sorted by
@@ -124,16 +133,15 @@ let neighbours sc ws g ids i =
   let o = sc.off.(i) in
   if o >= 0 then o
   else begin
-    let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
-    let sub = ws.Workspace.sub in
+    let mark = ws.Workspace.mark and base = ws.Workspace.base in
     let v = ws.Workspace.queue.(i) in
     let row = Graph.row_offsets g and hosts = Graph.row_neighbors g in
     let nbr = sc.nbr and o = sc.slots in
     let d = ref 0 in
-    for k = row.(v) to row.(v + 1) - 1 do
-      let u = hosts.(k) in
-      if stamp.(u) = epoch then begin
-        let s = sub.(u) in
+    for k = at row v to at row (v + 1) - 1 do
+      (* A non-member's stamp index is negative. *)
+      let s = mark.(at hosts k) - base in
+      if s >= 0 then begin
         let j = ref (o + !d - 1) in
         while !j >= o && before ws ids s nbr.(!j) do
           nbr.(!j + 1) <- nbr.(!j);
@@ -466,7 +474,7 @@ let points sc ws g ids advice x h =
   end;
   sc.dir.(h) = 1
 
-let label ws g ~ids ~advice ~center =
+let label ?(ids = [||]) ws g ~advice ~center =
   let sc = Domain.DLS.get scratch_key in
   prepare sc ws g;
   let o = neighbours sc ws g ids center in

@@ -17,20 +17,26 @@
     decode").  It raises on no input: any advice bytes decode. *)
 
 val label :
+  ?ids:int array ->
   Netgraph.Workspace.t ->
   Netgraph.Graph.t ->
-  ids:int array ->
   advice:string array ->
   center:int ->
   string
-(** [label ws g ~ids ~advice ~center] is the C4 label of the ball stamped
-    in [ws] over host [g] (a {!Netgraph.Traversal.bfs_limited_into}
+(** [label ws g ?ids ~advice ~center] is the C4 label of the ball
+    stamped in [ws] over host [g] (a {!Netgraph.Traversal.bfs_limited_into}
     ball, or a {!Ethlink.Canonical.stamp_view} view), whose center has
     stamp index [center]: one character per in-ball neighbour of the
     center, in identifier order, each the membership bit of that edge
     read from its tail's advice (['0'] past the advice's end).  [ids]
     and [advice] are indexed by host node; identifiers compare as the
-    fragment's ranks do, ties by stamp index.  Reads [ws] without
+    fragment's ranks do, ties by stamp index.  Without [ids] the
+    identifiers are the host's node order, which gives the label under
+    any increasing ids (a shard's local order, or
+    {!Localmodel.Ids.identity}) with no id column.  Reads [ws] without
     disturbing it.  Its scratch is domain-local and grows to the largest
     ball seen, so after that a call allocates only the returned
-    string. *)
+    string.
+    @raise Invalid_argument when [ws] holds a node outside [g] (a ball
+    stamped over another graph), checked before that node's row is
+    read. *)

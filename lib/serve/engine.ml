@@ -25,7 +25,6 @@ type t = {
   graph : Graph.t;
   advice : string array;
   radius : int;
-  ids : Localmodel.Ids.t;
   store : bool;  (* false: [labels] is empty and every ball query decodes *)
   labels : answer array;  (* labels.(v): a [Label]; [undecoded] until stored *)
   memo : Memo.t option;  (* the class table, possibly shared; never written *)
@@ -62,17 +61,19 @@ let bits_answer s =
   | slot -> (snd (Domain.DLS.get shared_answers)).(slot)
 
 (* Decode the ball stamped in [ws] over host [g] (center at stamp index
-   [center]; ids and advice indexed by host node) with the center-local
-   decoder, straight from the stamps. *)
-let decode ws g ~ids ~advice ~center =
+   [center]; ids, when given, and advice indexed by host node) with the
+   center-local decoder, straight from the stamps.  An engine passes no
+   ids: its identifiers are its node order (DESIGN.md, "Sharded
+   snapshot layout"). *)
+let decode ?ids ws g ~advice ~center =
   if Obs.Metrics.enabled () then Obs.Metrics.observe m_ball (Workspace.size ws);
-  Center_decode.label ws g ~ids ~advice ~center
+  Center_decode.label ?ids ws g ~advice ~center
 
 (* The label is a function of the ball alone: the tolerant orientation
    decode it reproduces reads its parameters only in strict mode. *)
 let label_of_view ~params:_ (view : View.t) =
   let ws = Ethlink.Canonical.stamp_view view in
-  decode ws view.View.graph ~ids:view.View.ids ~advice:view.View.advice
+  decode ~ids:view.View.ids ws view.View.graph ~advice:view.View.advice
     ~center:view.View.center
 
 (* Serving metadata, parsed here only: a missing or malformed value is a
@@ -125,7 +126,6 @@ let create ?cache_capacity ?memo ?radius snapshot =
     graph;
     advice;
     radius;
-    ids = Localmodel.Ids.identity graph;
     store;
     labels = Array.make (if store then n else 0) undecoded;
     memo = Option.bind memo (fun memo -> Memo.attach memo meta);
@@ -133,6 +133,9 @@ let create ?cache_capacity ?memo ?radius snapshot =
 
 let graph t = t.graph
 let radius t = t.radius
+
+(* Entry [k] of a graph row (see {!Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
 
 let check_node t what v =
   let n = Graph.n t.graph in
@@ -148,9 +151,9 @@ let incident_slot t v e =
   if e < 0 || e >= Graph.m t.graph then
     fail "Engine: Edge_member names edge %d outside 0..%d" e (Graph.m t.graph - 1);
   let off = Graph.row_offsets t.graph and inc = Graph.row_edges t.graph in
-  let first = off.(v) and stop = off.(v + 1) in
+  let first = at off v and stop = at off (v + 1) in
   let k = ref first in
-  while !k < stop && inc.(!k) <> e do
+  while !k < stop && at inc !k <> e do
     incr k
   done;
   if !k = stop then begin
@@ -168,12 +171,12 @@ let compute_label t v =
   let ws = Workspace.domain_local () in
   ignore (Traversal.bfs_limited_into ws t.graph v t.radius);
   match t.memo with
-  | None -> decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0
+  | None -> decode ws t.graph ~advice:t.advice ~center:0
   | Some memo -> (
-      let n = Ethlink.Canonical.write_ball_key ws t.graph ~ids:t.ids ~advice:t.advice in
+      let n = Ethlink.Canonical.write_ball_key ws t.graph ~advice:t.advice in
       match Memo.find_sub memo (Ethlink.Canonical.key_buffer ()) n with
       | Some label -> label
-      | None -> decode ws t.graph ~ids:t.ids ~advice:t.advice ~center:0)
+      | None -> decode ws t.graph ~advice:t.advice ~center:0)
 
 let label t v =
   let a = if t.store then t.labels.(v) else undecoded in

@@ -8,9 +8,9 @@
     ball query stamps the node's radius-r ball with one BFS and decodes
     the label from the stamps with {!Center_decode}: no fragment and no
     {!Localmodel.View} is built, and the work is bounded by the ball,
-    independent of the graph size.  Identifiers are the identity
-    [v + 1]; the decoder and the memo key read them only through their
-    order.
+    independent of the graph size.  The decoder and the memo key read
+    identifiers only through their order, so an engine keeps no id
+    column: its identifiers are its node order.
 
     Each node is decoded once: a node-indexed label column holds the
     answer itself, so a hit returns what it reads and allocates

@@ -56,12 +56,12 @@ let certified_meta ~radius ~nodes g =
   ]
 
 (* The ball-class table (PAPER.md C2): one more pass at the certified
-   radius keys every node's ball on the global graph, with the identity
-   ids a shard engine's keys equal byte for byte.  The pass counts
-   classes up to the cap, so a random instance, where every ball is its
-   own class, ends it early; otherwise one representative of every
-   class that recurs is decoded, and the classes ship as one metadata
-   entry. *)
+   radius keys every node's ball on the global graph, in node order, as
+   a shard engine keys it, so their keys are equal byte for byte.  The
+   pass counts classes up to the cap, so a random instance, where every
+   ball is its own class, ends it early; otherwise one representative
+   of every class that recurs is decoded, and the classes ship as one
+   metadata entry. *)
 module Classes = Hashtbl.Make (String)
 
 type ball_class = { rep : int; mutable count : int }
@@ -69,13 +69,12 @@ type ball_class = { rep : int; mutable count : int }
 let class_table g ~advice ~radius =
   let n = Graph.n g in
   let cap = max 256 (n / 64) in
-  let ids = Localmodel.Ids.identity g in
   let ws = Workspace.domain_local () in
   let classes = Classes.create 256 in
   let v = ref 0 in
   while !v < n && Classes.length classes <= cap do
     ignore (Traversal.bfs_limited_into ws g !v radius);
-    let key = Ethlink.Canonical.ball_key ws g ~ids ~advice in
+    let key = Ethlink.Canonical.ball_key ws g ~advice in
     (match Classes.find_opt classes key with
     | Some c -> c.count <- c.count + 1
     | None -> Classes.add classes key { rep = !v; count = 1 });
@@ -94,7 +93,7 @@ let class_table g ~advice ~radius =
     let recurring = List.sort (fun (a, _) (b, _) -> Int.compare a.rep b.rep) recurring in
     let label c =
       ignore (Traversal.bfs_limited_into ws g c.rep radius);
-      Center_decode.label ws g ~ids ~advice ~center:0
+      Center_decode.label ws g ~advice ~center:0
     in
     ( Memo.table_key,
       Memo.write_table

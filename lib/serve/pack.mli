@@ -62,7 +62,7 @@ val edge_compression :
 val class_table :
   Netgraph.Graph.t -> advice:string array -> radius:int -> string * string
 (** [class_table g ~advice ~radius] keys every node's radius-[radius]
-    ball ({!Ethlink.Canonical.write_ball_key}, identity ids, [advice]
+    ball ({!Ethlink.Canonical.write_ball_key} in node order, [advice]
     indexed by node), counting classes up to a cap of
     [max 256 (Graph.n g / 64)], and returns the metadata entry that
     ships them: [({!Memo.table_key}, {!Memo.write_table} ...)] with one

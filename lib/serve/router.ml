@@ -366,8 +366,11 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     }
   in
   (* A salvaged v1 file was parsed whole at open; its one shard's engine
-     is built now too. *)
-  if Option.is_some (Shard.damage store) then ignore (ensure t ~pinned:t.unpinned 0);
+     is built now too.  An engine the file cannot make (a malformed
+     [params.*] value) leaves the shard [Lost], so every query answers
+     with its diagnostic, as a healthy file's would. *)
+  (if Option.is_some (Shard.damage store) then
+     try ignore (ensure t ~pinned:t.unpinned 0) with Shard_lost _ -> ());
   t
 
 (* Global → local query translation, one rule for every shard: a
@@ -398,15 +401,18 @@ let not_incident (r : resident) v e =
   fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
     (global a) (global b)
 
+(* Entry [k] of a graph row (see {!Netgraph.Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Netgraph.Graph.get32 r (k lsl 2))
+
 let local_edge (r : resident) v e =
   let g = Engine.graph r.engine in
   let off = Netgraph.Graph.row_offsets g and inc = Netgraph.Graph.row_edges g in
   let lv = v + r.shift in
-  let k = ref off.(lv) and stop = off.(lv + 1) in
-  while !k < stop && (if r.whole then inc.(!k) else r.edge_ids.(inc.(!k))) <> e do
+  let k = ref (at off lv) and stop = at off (lv + 1) in
+  while !k < stop && (if r.whole then at inc !k else r.edge_ids.(at inc !k)) <> e do
     incr k
   done;
-  if !k = stop then not_incident r v e else inc.(!k)
+  if !k = stop then not_incident r v e else at inc !k
 
 let translate (r : resident) = function
   | Engine.Output_label v -> Engine.Output_label (v + r.shift)
@@ -481,7 +487,10 @@ module Batch (S : Shim.S) = struct
      callers. *)
   module Pool = Pool.Make (S)
 
-  let batch_results t qs =
+  (* [~strict]: a lost shard raises its diagnostic as [Codec.Corrupt]
+     before its wave's pool runs, so a batch that will be rejected
+     serves nothing more; otherwise its queries get [Error]. *)
+  let serve t qs ~strict =
     Array.iter (validate t) qs;
     Obs.Trace.span "serve.batch" @@ fun () ->
     Obs.Metrics.incr m_batches;
@@ -538,6 +547,7 @@ module Batch (S : Shim.S) = struct
                 slots
           | exception Shard_lost { shard; reason } ->
               let msg = Printf.sprintf "shard %d lost: %s" shard reason in
+              if strict then raise (Store.Codec.Corrupt msg);
               List.iter (fun j -> Array.iter (fun i -> results.(i) <- Error msg) idxs.(j)) slots)
         (List.rev !wave);
       let tasks = Array.of_list (List.rev !tasks) in
@@ -559,6 +569,8 @@ module Batch (S : Shim.S) = struct
         tasks
     done;
     results
+
+  let batch_results t qs = serve t qs ~strict:false
 end
 
 module Production = Batch (Shim.Real)
@@ -568,15 +580,16 @@ let batch_results t qs =
   note_answered t (Array.fold_left (fun k r -> if Result.is_ok r then k + 1 else k) 0 rs);
   rs
 
-(* A batch with a lost query leaves as one error: none of its answers
-   is served, so none is counted. *)
+(* A batch with a lost query leaves as one error, raised as its wave
+   meets the lost shard: none of its answers is served, so none is
+   counted, and the waves after it decode nothing. *)
 let batch t qs =
   let az =
     map_seeded (Engine.Bits "")
       (function
         | Ok a -> a
         | Error msg -> raise (Store.Codec.Corrupt msg))
-      (Production.batch_results t qs)
+      (Production.serve t qs ~strict:true)
   in
   note_answered t (Array.length az);
   az

@@ -232,6 +232,8 @@ val batch_results : t -> Engine.query array -> (Engine.answer, string) result ar
     [Batch (Shim.Real)]'s, plus the count of degraded answers. *)
 
 val batch : t -> Engine.query array -> Engine.answer array
-(** {!batch_results} with losses re-raised: the first [Error] becomes a
-    [Codec.Corrupt] carrying its diagnostic.  Convenient when the caller
-    treats any loss as fatal. *)
+(** {!batch_results} with losses raised: the first lost shard a wave
+    meets raises [Codec.Corrupt] carrying the diagnostic its [Error]
+    would carry, before that wave's pool runs, so a batch that fails
+    decodes nothing in that wave or after it.  Convenient when the
+    caller treats any loss as fatal (the server's Batch frame). *)

@@ -260,6 +260,9 @@ let with_fd path f =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> f fd)
 
+(* A filled window is returned as the buffer itself: nothing writes it
+   after the read, so the file is held once.  Only a short read copies,
+   to the bytes it got. *)
 let pread_window fd ~pos ~len =
   ignore (Unix.lseek fd pos Unix.SEEK_SET);
   let buf = Bytes.create len in
@@ -269,7 +272,7 @@ let pread_window fd ~pos ~len =
     let k = Unix.read fd buf !got (len - !got) in
     if k = 0 then eof := true else got := !got + k
   done;
-  Bytes.sub_string buf 0 !got
+  if !got = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 !got
 
 let read_range path ~pos ~len =
   if pos < 0 || len < 0 then

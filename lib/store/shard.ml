@@ -11,6 +11,9 @@ let m_read = Obs.Metrics.counter "store.shard.bytes_read"
 let corrupt fmt = Format.kasprintf (fun s -> raise (Codec.Corrupt s)) fmt
 let fail fmt = Format.kasprintf invalid_arg fmt
 
+(* Entry [k] of a graph row (see {!Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
+
 (* ------------------------------------------------------------------ *)
 (* Partition plan *)
 
@@ -41,8 +44,8 @@ let halo_members g ~lo ~hi ~halo =
     let next = ref [] in
     List.iter
       (fun v ->
-        for k = off.(v) to off.(v + 1) - 1 do
-          let u = nbr.(k) in
+        for k = at off v to at off (v + 1) - 1 do
+          let u = at nbr k in
           if Bytes.get visited u = '\000' then begin
             Bytes.set visited u '\001';
             incr count;
@@ -117,8 +120,8 @@ let sub_graph_encode g ids =
   for i = 0 to local_n - 1 do
     let v = ids.(i) in
     let d = ref 0 in
-    for k = off.(v) to off.(v + 1) - 1 do
-      if local nbr.(k) >= 0 then incr d
+    for k = at off v to at off (v + 1) - 1 do
+      if local (at nbr k) >= 0 then incr d
     done;
     degrees.(i) <- !d;
     twice_m := !twice_m + !d
@@ -134,8 +137,8 @@ let sub_graph_encode g ids =
     let v = ids.(i) in
     let prev = ref 0 in
     let first = ref true in
-    for k = off.(v) to off.(v + 1) - 1 do
-      let j = local nbr.(k) in
+    for k = at off v to at off (v + 1) - 1 do
+      let j = local (at nbr k) in
       if j >= 0 then begin
         if !first then begin
           Codec.varint w j;
@@ -144,7 +147,7 @@ let sub_graph_encode g ids =
         else Codec.varint w (j - !prev);
         prev := j;
         if j > i then begin
-          edge_ids.(!next) <- inc.(k);
+          edge_ids.(!next) <- at inc k;
           incr next
         end
       end

@@ -19,6 +19,9 @@ let corrupt fmt = Format.kasprintf (fun s -> raise (Codec.Corrupt s)) fmt
 
 (* Graph section *)
 
+(* Entry [k] of a graph row (see {!Graph.get32}). *)
+let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
+
 let graph_payload g =
   let n = Graph.n g in
   let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
@@ -26,44 +29,60 @@ let graph_payload g =
   Codec.varint w n;
   Codec.varint w (Graph.m g);
   for v = 0 to n - 1 do
-    Codec.varint w (off.(v + 1) - off.(v))
+    Codec.varint w (at off (v + 1) - at off v)
   done;
   for v = 0 to n - 1 do
-    let first = off.(v) in
-    for k = first to off.(v + 1) - 1 do
-      Codec.varint w (if k = first then nbr.(k) else nbr.(k) - nbr.(k - 1))
+    let first = at off v in
+    for k = first to at off (v + 1) - 1 do
+      Codec.varint w (if k = first then at nbr k else at nbr k - at nbr (k - 1))
     done
   done;
   Codec.contents w
 
 (* The degrees become the row offsets and each node's delta list
-   decodes straight into its row, and [Graph.of_rows] checks order,
-   range, loops and symmetry and numbers the edges in one pass: O(n +
-   m), four flat arrays, no edge list, table or sort.  Counts are
-   bounded by the bytes left before anything is allocated: each degree
-   and each neighbor costs at least one byte. *)
+   decodes straight into its row, 32-bit entries as the graph keeps
+   them, and [Graph.of_rows] checks order, loops and symmetry and
+   numbers the edges in one pass: O(n + m), four flat rows, no edge
+   list, table or sort.  Counts are bounded by the bytes left, and by
+   the rows' 32-bit cap, before anything is allocated: each degree and
+   each neighbor costs at least one byte.  A neighbor past 32 bits is
+   refused here, before its entry could wrap it into range;
+   [Graph.of_rows] names any other neighbor out of range. *)
 let read_graph r =
   let n = Codec.read_varint r in
   let m = Codec.read_varint r in
   if n > Codec.remaining r then
     corrupt "graph section: n=%d exceeds the %d byte(s) left" n
       (Codec.remaining r);
-  let off = Array.make (n + 1) 0 in
+  if n > Graph.max_count || m > Graph.max_count / 2 then
+    corrupt "graph section: n=%d, 2m=%d exceed %d, the 32-bit row cap" n (2 * m)
+      Graph.max_count;
+  let off = Bytes.create (4 * (n + 1)) in
+  Bytes.set_int32_ne off 0 0l;
+  let sum = ref 0 in
   for v = 0 to n - 1 do
     let d = Codec.read_varint r in
-    if d > Codec.remaining r - off.(v) then
+    if d > Codec.remaining r - !sum then
       corrupt "graph section: degree sum exceeds the %d byte(s) left"
         (Codec.remaining r);
-    off.(v + 1) <- off.(v) + d
+    sum := !sum + d;
+    Bytes.set_int32_ne off (4 * (v + 1)) (Int32.of_int !sum)
   done;
-  if off.(n) <> 2 * m then
-    corrupt "graph section: degree sum %d does not match 2m=%d" off.(n) (2 * m);
-  let nbr = Array.make off.(n) 0 in
+  if !sum <> 2 * m then
+    corrupt "graph section: degree sum %d does not match 2m=%d" !sum (2 * m);
+  let nbr = Bytes.create (4 * !sum) in
+  let k = ref 0 in
   for v = 0 to n - 1 do
-    let first = off.(v) in
-    for k = first to off.(v + 1) - 1 do
+    let first = !k and stop = Int32.to_int (Bytes.get_int32_ne off (4 * (v + 1))) in
+    let prev = ref 0 in
+    while !k < stop do
       let delta = Codec.read_varint r in
-      nbr.(k) <- (if k = first then delta else nbr.(k - 1) + delta)
+      let u = if !k = first then delta else !prev + delta in
+      if u < 0 || u > Graph.max_count then
+        corrupt "graph section: node %d lists neighbor %d outside 0..%d" v u (n - 1);
+      Bytes.set_int32_ne nbr (4 * !k) (Int32.of_int u);
+      prev := u;
+      incr k
     done
   done;
   Codec.expect_end r ~what:"graph section";

@@ -151,9 +151,11 @@ val read_graph : Codec.reader -> Netgraph.Graph.t
     decoded where it lies — in O(n + m): the degrees become the graph's
     row offsets, each node's delta list decodes straight into its row,
     and {!Netgraph.Graph.of_rows} checks the rows and numbers the edges
-    — four flat arrays, no edge list, hash table or sort.  It checks
-    that [n] and the degree sum fit in the bytes left before allocating
-    (each costs at least one byte), that the degrees sum to [2m], that
+    — four flat rows of 32-bit entries, no edge list, hash table or
+    sort.  It checks that [n] and the degree sum fit in the bytes left
+    (each costs at least one byte) and below the rows' cap
+    {!Netgraph.Graph.max_count} before allocating, that the degrees sum
+    to [2m], that
     no bytes trail, and that every neighbor list is strictly
     increasing, in range and loop-free and the adjacency symmetric.
     @raise Codec.Corrupt ["graph section: …"] on any violation. *)

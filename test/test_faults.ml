@@ -560,6 +560,39 @@ let test_bad_metadata_is_corrupt () =
          meta_len (meta_len + 4) (meta_len + 1))
     (serve "tf_cut.ladv")
 
+(* A v1 file whose metadata has a malformed [params.*] value cannot make
+   an engine.  Under --salvage its one shard is lost and every query
+   answers with the diagnostic, both when the file is otherwise healthy
+   (the first query loads the shard) and when its advice is damaged too
+   (the salvaged shard is loaded when the router is created). *)
+let test_bad_params_lose_the_shard () =
+  let _g, _x, snapshot, _cert = make_packed 400 5 in
+  let v1 =
+    Store.Snapshot.write
+      { snapshot with
+        Store.Snapshot.meta =
+          List.map
+            (fun (k, v) -> if String.equal k "params.cover" then (k, "x") else (k, v))
+            snapshot.Store.Snapshot.meta }
+  in
+  let files =
+    [
+      ("tf_params.ladv", v1);
+      (* Sections are graph, advice, metadata: flip an advice bit. *)
+      ("tf_params_flip.ladv", flip_payload_byte v1 1);
+      ("tf_q.txt", "label 0\nlabel 7\n");
+    ]
+  in
+  with_files files @@ fun () ->
+  List.iter
+    (fun path ->
+      let code, out, _ = run_cli [ "serve"; path; "--batch"; "tf_q.txt"; "--salvage" ] in
+      check_int (path ^ ": exit 0") 0 code;
+      check (path ^ ": the shard is lost on the params diagnostic") true
+        (has_sub out "label 0 -> error: shard 0 lost: metadata params.cover");
+      check (path ^ ": every query failed") true (has_sub out ", 2 failed)"))
+    [ "tf_params.ladv"; "tf_params_flip.ladv" ]
+
 (* Out-of-range numeric flags are usage errors: one line on stderr and
    exit 2 before any pack or open (nothing printed, nothing written). *)
 let test_numeric_flags_rejected () =
@@ -901,6 +934,8 @@ let () =
             test_pack_counts_bytes_once;
           Alcotest.test_case "bad metadata is a corrupt snapshot" `Quick
             test_bad_metadata_is_corrupt;
+          Alcotest.test_case "bad params lose the shard, not the server" `Quick
+            test_bad_params_lose_the_shard;
           Alcotest.test_case "numeric flags are usage errors" `Quick
             test_numeric_flags_rejected;
           Alcotest.test_case "sampled radius is announced" `Quick

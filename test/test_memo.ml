@@ -703,8 +703,8 @@ let workspace_key_and_fragment =
           check_string ("stamped decode, " ^ where) expected stamped;
           check_string ("label_of_view, " ^ where) expected
             (Serve.Engine.label_of_view ~params view);
-          (* The engine's view-free path, memo attached, on its identity
-             ids. *)
+          (* The engine's view-free path, memo attached, in node order:
+             the order of the identity ids. *)
           let served =
             match Serve.Engine.query engine (Serve.Engine.Output_label v) with
             | Serve.Engine.Label s -> s

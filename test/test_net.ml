@@ -781,6 +781,40 @@ let test_conn_warm_allocation () =
   in
   check_int "minor words: only the named allocations" named words
 
+(* The cold path's major-heap budget, per node: open a packed v1 file of
+   a random-subset cycle (the shape of perfbench's hot-skewed file),
+   route it on one slot and answer one query, as a server's start
+   does, in a fresh domain so the BFS scratch starts empty too.  Its
+   graph rows are 32-bit (3.5 words a node on a cycle) and the cursor
+   that checks them half a word; the advice column, the label column
+   and the BFS mark are a word each, and the file, read once, about
+   0.75: near 8 words a node.  With 64-bit rows, an identity id column,
+   four host-sized BFS arrays and the file read twice it was about
+   16.5. *)
+let test_cold_path_words () =
+  let n = 16_384 in
+  let g = Builders.cycle n in
+  let rng = Prng.create 1 in
+  let x = Bitset.create (Graph.m g) in
+  Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
+  let snapshot, _ = Serve.Pack.edge_compression ~sample:1024 g x in
+  let path = Filename.temp_file "cold_path" ".ladv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Store.Io.write_file path (Store.Snapshot.write snapshot);
+  let words =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Gc.full_major ();
+           (* Major words count the promoted ones too. *)
+           let _, _, ma0 = Gc.counters () in
+           let router = Serve.Router.create ~domains:1 (Store.Shard.open_file path) in
+           ignore (Serve.Router.query router (Serve.Engine.Output_label 0));
+           let _, _, ma1 = Gc.counters () in
+           ma1 -. ma0))
+  in
+  let per_node = words /. float_of_int n in
+  check (Printf.sprintf "%.2f major words a node, at most 10" per_node) true (per_node <= 10.)
+
 let test_conn_every_split () =
   let reqs =
     Net.Protocol.
@@ -1035,18 +1069,20 @@ let test_degraded_counts_agree () =
       Net.Client.stats c
     in
     (List.assoc "serve.degraded" stats, counter "serve.degraded",
-     counter "serve.quarantined", !answered)
+     counter "serve.quarantined", !answered, counter "serve.queries")
   in
   let n = Graph.n g in
   let survivors = n - (victim.Store.Shard.i_hi - victim.Store.Shard.i_lo) in
   (* The lost shard: every answer is degraded, none is quarantined. *)
-  let frame, obs, quarantined, answered = serve lost_shard in
+  let frame, obs, quarantined, answered, decoded = serve lost_shard in
   check_int "v2 lost: answers are the survivors, twice" (2 * survivors) answered;
   check_int "v2 lost: stats frame counts every answer" answered frame;
   check_int "v2 lost: Obs counts every answer" answered obs;
   check_int "v2 lost: nothing quarantined" 0 quarantined;
+  (* The rejected batch frame ran no engine query. *)
+  check_int "v2 lost: the engines answered only what was received" answered decoded;
   (* A salvaged v1 file serving its quarantined advice. *)
-  let frame, obs, quarantined, answered =
+  let frame, obs, quarantined, answered, _ =
     serve (flip_advice_payload (Store.Snapshot.write snapshot))
   in
   check_int "v1 quarantined: every query answered" (1 + (2 * n) + survivors) answered;
@@ -1054,7 +1090,7 @@ let test_degraded_counts_agree () =
   check_int "v1 quarantined: Obs counts every answer" answered obs;
   check_int "v1 quarantined: every answer quarantined" answered quarantined;
   (* A healthy file: nothing degraded. *)
-  let frame, obs, quarantined, answered = serve (Store.Snapshot.write snapshot) in
+  let frame, obs, quarantined, answered, _ = serve (Store.Snapshot.write snapshot) in
   check_int "healthy: every query answered" (1 + (2 * n) + survivors) answered;
   check_int "healthy: stats frame counts none" 0 frame;
   check_int "healthy: Obs counts none" 0 obs;
@@ -1227,6 +1263,8 @@ let () =
             test_conn_many_frames_one_chunk;
           Alcotest.test_case "warm path allocates only named values" `Quick
             test_conn_warm_allocation;
+          Alcotest.test_case "cold path: at most 10 major words a node" `Quick
+            test_cold_path_words;
           Alcotest.test_case "stream split at every byte" `Quick
             test_conn_every_split;
         ] );

@@ -27,6 +27,17 @@ let test_of_edges_rejects_loop () =
   Alcotest.check_raises "self loop" (Invalid_argument "Graph.of_edges: self-loop")
     (fun () -> ignore (Graph.of_edges ~n:2 [ (1, 1) ]))
 
+(* Rows hold 32-bit entries: a node count past 2^31 - 1 is refused
+   before anything is allocated (the rows of 2^31 nodes would take 8
+   GiB). *)
+let test_of_edges_row_cap () =
+  match Graph.of_edges ~n:(1 lsl 31) [] with
+  | exception Invalid_argument msg ->
+      check "names the cap" true
+        (String.equal msg
+           "Graph.of_edges: node count 2147483648 exceeds 2147483647, the 32-bit row cap")
+  | _ -> Alcotest.fail "of_edges built a graph of 2^31 nodes"
+
 (* [of_adjacency] is [of_edges] for valid adjacency — same neighbor
    arrays, lexicographic edge ids and incident arrays — and names the
    first defect of an invalid one. *)
@@ -728,28 +739,26 @@ module Per_node = struct
 
   let induced_ball g ws =
     let count = Workspace.size ws in
-    let queue = ws.Workspace.queue and sub = ws.Workspace.sub in
-    let stamp = ws.Workspace.stamp and epoch = ws.Workspace.epoch in
     let adj = Array.make count [||] in
     for i = 0 to count - 1 do
-      let nb = g.adj.(queue.(i)) in
+      let nb = g.adj.(Workspace.node_at ws i) in
       let d = ref 0 in
       for k = 0 to Array.length nb - 1 do
-        if stamp.(nb.(k)) = epoch then incr d
+        if Workspace.mem ws nb.(k) then incr d
       done;
       let a = Array.make !d 0 in
       let fill = ref 0 in
       for k = 0 to Array.length nb - 1 do
         let u = nb.(k) in
-        if stamp.(u) = epoch then begin
-          a.(!fill) <- sub.(u);
+        if Workspace.mem ws u then begin
+          a.(!fill) <- Workspace.sub_index ws u;
           incr fill
         end
       done;
       sort_ints a;
       adj.(i) <- a
     done;
-    (of_sorted_adj adj, Array.sub queue 0 count)
+    (of_sorted_adj adj, Array.init count (Workspace.node_at ws))
 end
 
 (* Compressed sparse rows against [Per_node] on the same pair list (the
@@ -860,6 +869,7 @@ let () =
           Alcotest.test_case "of_edges basic" `Quick test_of_edges_basic;
           Alcotest.test_case "of_edges dedup" `Quick test_of_edges_dedup;
           Alcotest.test_case "rejects self loops" `Quick test_of_edges_rejects_loop;
+          Alcotest.test_case "refuses 2^31 nodes" `Quick test_of_edges_row_cap;
           Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
           Alcotest.test_case "edge ids dense" `Quick test_edge_ids_dense;
           Alcotest.test_case "incident edges" `Quick test_incident_edges;

@@ -15,14 +15,15 @@ let test_rollover () =
   Workspace.reset ws;
   Workspace.add ws 3 ~dist:0;
   check "member before wrap" true (Workspace.mem ws 3);
-  (* Force the wrap: stamp a node at the maximal epoch, then reset.  If
-     reset only bumped the counter it would overflow to min_int and — on
-     a later lap — reuse stamp values, resurrecting ghost members. *)
-  ws.Workspace.epoch <- max_int;
+  (* Force the wrap: stamp a node at the largest base a set of this
+     8-node mark may start from, then reset.  If reset only moved the
+     base it could overflow to min_int and — on a later lap — reuse mark
+     values, resurrecting ghost members. *)
+  ws.Workspace.base <- max_int - 8 - 1;
   Workspace.add ws 5 ~dist:1;
-  check "member at max epoch" true (Workspace.mem ws 5);
+  check "member at max base" true (Workspace.mem ws 5);
   Workspace.reset ws;
-  check_int "epoch restarts at 0" 0 ws.Workspace.epoch;
+  check_int "base restarts at 0" 0 ws.Workspace.base;
   check_int "set is empty" 0 (Workspace.size ws);
   check "no ghost from epoch 0 stamp" false (Workspace.mem ws 3);
   check "no ghost from max_int stamp" false (Workspace.mem ws 5);
@@ -42,6 +43,30 @@ let test_reset_is_oblivious () =
   check_int "empty again" 0 (Workspace.size ws);
   check "first member gone" false (Workspace.mem ws 0);
   check "second member gone" false (Workspace.mem ws 1)
+
+(* ------------------------------------------------------------------ *)
+(* Scratch sizes *)
+
+(* After balls of several radii on a 65,536-node cycle, the only array
+   as long as the graph is the mark; the stamp-indexed queue and
+   distances have grown to the largest ball, at most twice over. *)
+let test_scratch_sizes () =
+  let n = 65_536 in
+  let g = Builders.cycle n in
+  let ws = Workspace.create () in
+  let largest =
+    List.fold_left
+      (fun acc (v, r) -> max acc (Traversal.bfs_limited_into ws g v r))
+      0
+      [ (0, 41); (n / 2, 3); (n - 1, 41); (12_345, 20) ]
+  in
+  check_int "largest ball" 83 largest;
+  check_int "one host-indexed array of n words" n (Array.length ws.Workspace.mark);
+  List.iter
+    (fun (what, a) ->
+      check (what ^ " holds the largest ball, at most twice over") true
+        (Array.length a >= largest && Array.length a <= 2 * largest))
+    [ ("queue", ws.Workspace.queue); ("dist", ws.Workspace.dist) ]
 
 (* ------------------------------------------------------------------ *)
 (* Interleaved BFS runs sharing one workspace *)
@@ -107,6 +132,9 @@ let () =
           Alcotest.test_case "O(1) reset semantics" `Quick
             test_reset_is_oblivious;
         ] );
+      ( "sizes",
+        [ Alcotest.test_case "mark is n words, the rest the ball" `Quick test_scratch_sizes ]
+      );
       ( "interleaving",
         [ Alcotest.test_case "shared workspace" `Quick test_interleaved_bfs ]
       );
