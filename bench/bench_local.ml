@@ -60,7 +60,7 @@ let bench_row ~family ~g ~radius =
   let domains = bench_domains () in
   (* The fan-out clamps requests to the hardware; report the count it
      actually used, or a 1-core host would claim 4-domain figures. *)
-  let effective = Localmodel.View.effective_domains ~requested:domains () in
+  let effective = Localmodel.Pool.effective_domains ~requested:domains () in
   let par_sizes, par_t =
     time (fun () -> Localmodel.View.map_nodes_par ~domains g ~ids ~radius sink)
   in
@@ -356,7 +356,7 @@ let run ~smoke ~out ?(metrics = false) ?metrics_out () =
           ("requested_domains", J.Int (bench_domains ()));
           ( "effective_domains",
             J.Int
-              (Localmodel.View.effective_domains ~requested:(bench_domains ())
+              (Localmodel.Pool.effective_domains ~requested:(bench_domains ())
                  ()) );
           ("host_cores", J.Int (Domain.recommended_domain_count ()));
           ("env", env);

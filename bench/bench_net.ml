@@ -283,7 +283,7 @@ let warm_path ~smoke =
     [
       ("requested_domains", J.Int domains);
       ( "effective_domains",
-        J.Int (Localmodel.View.effective_domains ~requested:domains ()) );
+        J.Int (Localmodel.Pool.effective_domains ~requested:domains ()) );
       ("chunk_frames", J.Int window);
       ("reps", J.Int reps);
       ("method", J.Str "interleaved min-of-reps over the three query kinds");
@@ -298,20 +298,20 @@ let stat stats name = Option.value ~default:(-1) (List.assoc_opt name stats)
 type cold_step = { c_name : string; c_ms : float; c_minor : float; c_major : float }
 
 (* [f (setup ())] [reps] times from a fresh major heap, timing [f]
-   alone: the fastest time, and the words (minor, and allocated or
-   promoted into the major heap) of the last run, which allocates what
-   every run does. *)
+   alone: the fastest time, and the words (minor, and major — which
+   already counts the promoted ones) of the last run, which allocates
+   what every run does. *)
 let cold_measure ~reps setup f =
   let best = ref infinity and minor = ref 0.0 and major = ref 0.0 in
   for _ = 1 to reps do
     let x = setup () in
     Gc.full_major ();
-    let mi0, pr0, ma0 = Gc.counters () in
+    let mi0, _, ma0 = Gc.counters () in
     let (), t = Bench_util.time_once (fun () -> f x) in
-    let mi1, pr1, ma1 = Gc.counters () in
+    let mi1, _, ma1 = Gc.counters () in
     best := Float.min !best t;
     minor := mi1 -. mi0;
-    major := ma1 -. ma0 +. (pr1 -. pr0)
+    major := ma1 -. ma0
   done;
   (Bench_util.ms !best, !minor, !major)
 
@@ -389,7 +389,7 @@ let cold_open ~smoke =
   in
   J.Obj
     ([ ("requested_domains", J.Int 1);
-       ("effective_domains", J.Int (Localmodel.View.effective_domains ~requested:1 ()));
+       ("effective_domains", J.Int (Localmodel.Pool.effective_domains ~requested:1 ()));
        ("reps", J.Int reps) ]
     @ List.map json [ ("hot-skewed", hot); ("structured-sweep", sweep) ])
 

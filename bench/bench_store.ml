@@ -86,7 +86,7 @@ let bench_row ~domains n =
      The requested domain count is fitted to the hardware first: timing
      oversubscribed domains on a small host would report spawn overhead
      and GC coordination as if it were parallel serving. *)
-  let effective = Localmodel.View.effective_domains ~requested:domains () in
+  let effective = Localmodel.Pool.effective_domains ~requested:domains () in
   let batch domains =
     let r = slot_router ~domains bytes in
     Bench_util.time_once (fun () ->
@@ -288,7 +288,7 @@ type pool_row = {
 
 let bench_pool_row ~bytes ~queries ~requested =
   let k = Array.length queries in
-  let effective = Localmodel.View.effective_domains ~requested () in
+  let effective = Localmodel.Pool.effective_domains ~requested () in
   let seq_router = slot_router ~domains:1 bytes in
   let pool_router = slot_router ~domains:effective bytes in
   let run_seq () = ignore (Serve.Router.batch seq_router queries) in
@@ -405,7 +405,7 @@ let bench_shard_row ~domains ~shards n =
   let rng = Prng.create (n + 43) in
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
-  let effective = Localmodel.View.effective_domains ~requested:domains () in
+  let effective = Localmodel.Pool.effective_domains ~requested:domains () in
   (* Both sides certify through the one Pack.edge_compression with the
      same mapper and sample budget; the comparison isolates serialization
      — one monolithic body vs. S framed shard bodies fanned across the
@@ -434,7 +434,7 @@ let bench_shard_row ~domains ~shards n =
           in
           ( Store.Shard.build ~shards
               ~halo:(max cert.Serve.Pack.radius 1)
-              ~map:(fun f ks -> Serve.Pool.run ~domains:effective f ks)
+              ~domains:effective
               s,
             cert ))
     in
@@ -759,11 +759,16 @@ let bench_memo ~smoke =
 
 (* ------------------------------------------------------------------ *)
 (* store.decode: one column miss, layer by layer.  Each step runs over
-   the same distinct nodes, steps interleaved within a rep and the
-   minimum of [reps] kept; minor words per ball come from the last rep.
-   The instances are packed on a small sample and served at a fixed
-   radius: the cost of a ball depends on its size, not on who certified
-   it. *)
+   the same distinct nodes of its instance, and every step of every
+   instance is timed in one [interleaved_min] run of [decode_reps]
+   reps, so a burst of host load lands on all of them alike instead of
+   on one instance's reps.  Many short reps over a few hundred balls
+   kept five whole runs of a 2-vCPU host within 7-12% on every BFS row
+   (56-93% with three long reps); what is left moves whole runs
+   together.  Minor words per ball come from one more pass.  The
+   instances are packed on a small sample and served at a fixed
+   radius: the cost of a ball depends on its size, not on who
+   certified it. *)
 
 type decode_step = { s_name : string; s_us : float; s_words : float }
 
@@ -776,9 +781,11 @@ type decode_row = {
   x_steps : decode_step list;
 }
 
-let decode_reps = 3
+let decode_reps = 200
 
-let bench_decode_instance ~name ~radius ~balls g x =
+(* An instance's row, less its timings, and its steps as thunks over
+   its nodes. *)
+let decode_instance ~name ~radius ~balls g x =
   let snapshot, _ = Serve.Pack.edge_compression ~sample:64 g x in
   let n = Graph.n g in
   let balls = min balls n in
@@ -825,37 +832,19 @@ let bench_decode_instance ~name ~radius ~balls g x =
       ("memo_hit", fun v -> ignore (Serve.Engine.output_label holding v));
     ]
   in
-  let best = Array.make (List.length steps) infinity in
-  let words = Array.make (List.length steps) 0.0 in
   (* one untimed pass grows every scratch to this instance's balls *)
   List.iter (fun (_, f) -> Array.iter f nodes) steps;
-  for _ = 1 to decode_reps do
-    List.iteri
-      (fun i (_, f) ->
-        let w0 = Gc.minor_words () in
-        let (), t = Bench_util.time_once (fun () -> Array.iter f nodes) in
-        words.(i) <- Gc.minor_words () -. w0;
-        best.(i) <- Float.min best.(i) t)
-      steps
-  done;
   let total = ref 0 in
   Array.iter (fun v -> total := !total + Traversal.bfs_limited_into ws g v radius) nodes;
-  {
-    x_name = name;
-    x_n = n;
-    x_radius = radius;
-    x_balls = balls;
-    x_ball_nodes = float_of_int !total /. float_of_int balls;
-    x_steps =
-      List.mapi
-        (fun i (s_name, _) ->
-          {
-            s_name;
-            s_us = 1e6 *. best.(i) /. float_of_int balls;
-            s_words = words.(i) /. float_of_int balls;
-          })
-        steps;
-  }
+  ( {
+      x_name = name;
+      x_n = n;
+      x_radius = radius;
+      x_balls = balls;
+      x_ball_nodes = float_of_int !total /. float_of_int balls;
+      x_steps = [];
+    },
+    List.map (fun (s_name, f) -> (s_name, fun () -> Array.iter f nodes)) steps )
 
 let random_subset g seed =
   let rng = Prng.create seed in
@@ -864,11 +853,11 @@ let random_subset g seed =
   x
 
 let bench_decode ~smoke =
-  let balls = if smoke then 500 else 20_000 in
+  let balls = if smoke then 100 else 400 in
   let instance name g ~seed ~radius =
-    bench_decode_instance ~name ~radius ~balls g (random_subset g seed)
+    decode_instance ~name ~radius ~balls g (random_subset g seed)
   in
-  let rows =
+  let instances =
     if smoke then [ instance "cycle-4000" (Builders.cycle 4_000) ~seed:1 ~radius:41 ]
     else
       [
@@ -881,6 +870,26 @@ let bench_decode ~smoke =
         instance "circulant-4096" (Builders.circulant 4_096 [ 1; 2 ]) ~seed:1 ~radius:29;
       ]
   in
+  let best =
+    interleaved_min ~reps:decode_reps
+      (Array.of_list (List.concat_map (fun (_, steps) -> List.map snd steps) instances))
+  in
+  let next = ref 0 in
+  let rows =
+    List.map
+      (fun (row, steps) ->
+        let per_ball x = x /. float_of_int row.x_balls in
+        let step (s_name, run) =
+          let w0 = Gc.minor_words () in
+          run ();
+          let s_words = per_ball (Gc.minor_words () -. w0) in
+          let s_us = per_ball (1e6 *. best.(!next)) in
+          incr next;
+          { s_name; s_us; s_words }
+        in
+        { row with x_steps = List.map step steps })
+      instances
+  in
   List.iter
     (fun r ->
       Printf.printf "store  decode %-15s n=%-6d r=%-3d ball %5.1f nodes:" r.x_name r.x_n
@@ -892,7 +901,7 @@ let bench_decode ~smoke =
     [
       (* every step runs on the calling domain *)
       ("requested_domains", J.Int 1);
-      ("effective_domains", J.Int (Localmodel.View.effective_domains ~requested:1 ()));
+      ("effective_domains", J.Int (Localmodel.Pool.effective_domains ~requested:1 ()));
       ("reps", J.Int decode_reps);
       ( "results",
         J.List

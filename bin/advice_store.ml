@@ -136,13 +136,16 @@ let domains_term =
   Arg.(
     value
     & opt (some int) None
-    & info [ "domains" ] ~docv:"D" ~doc:"Domains for the parallel ball fan-out.")
+    & info [ "domains" ] ~docv:"D"
+        ~doc:"Domains for the parallel fan-outs, fitted to the machine's \
+              cores (default: $(b,LOCAL_ADVICE_DOMAINS), else every core).")
 
 let pack_cmd =
   let run kind n seed input out sample shards domains metrics =
     at_least "pack" "shards" ~min:1 shards;
     at_least "pack" "domains" ~min:1 domains;
     at_least "pack" "sample" ~min:0 (Some sample);
+    let domains = Localmodel.Pool.effective_domains ?requested:domains () in
     with_metrics metrics @@ fun () ->
     let g = build ?input kind n in
     let rng = Prng.create seed in
@@ -156,7 +159,7 @@ let pack_cmd =
     Format.printf "packed: n=%d m=%d subset=%d edges@." (Graph.n g) (Graph.m g)
       (Bitset.cardinal x);
     let snapshot, cert =
-      match Serve.Pack.edge_compression ~sample ?domains g x with
+      match Serve.Pack.edge_compression ~sample ~domains g x with
       | packed -> packed
       | exception
           ( Advice.Onebit.Conversion_failure msg
@@ -176,9 +179,8 @@ let pack_cmd =
           bytes
       | Some s ->
           let bytes =
-            Store.Shard.build ~shards:s ~halo:(max cert.Serve.Pack.radius 1)
-              ~map:(fun f ks -> Serve.Pool.run ?domains f ks)
-              snapshot
+            Store.Shard.build ~domains ~shards:s
+              ~halo:(max cert.Serve.Pack.radius 1) snapshot
           in
           let man = Store.Shard.manifest (Store.Shard.open_bytes bytes) in
           let widest =
@@ -606,6 +608,7 @@ let serve_cmd =
     within "serve" "port" ~min:0 ~max:65535 port;
     (* The budget is passed in bytes, so it must not overflow. *)
     within "serve" "resident-mb" ~min:0 ~max:(max_int / 1048576) resident_mb;
+    let domains = Localmodel.Pool.effective_domains ?requested:domains () in
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
     let mode =
@@ -645,7 +648,7 @@ let serve_cmd =
     in
     let router =
       Serve.Router.create ~resident_budget:(resident_mb * 1024 * 1024) ~salvage
-        ?memo ?domains store
+        ?memo ~domains store
     in
     let shards = Array.length (Store.Shard.manifest store).Store.Shard.m_shards in
     if shards > 1 then

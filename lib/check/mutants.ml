@@ -14,7 +14,7 @@
 exception Task_boom of int
 
 (* Bug class: torn read-modify-write on the claim cursor — what
-   Serve.Pool's claim would be if fetch_and_add were replaced by a get/set
+   Localmodel.Pool's claim would be if fetch_and_add were replaced by a get/set
    pair.  Two workers can read the same cursor value and claim the
    same task; the checker sees the duplicate claim as a write-write
    race on the task's (single-owner by contract) result cell, or as
@@ -68,7 +68,7 @@ let unfenced_publish (module S : Shim.S) =
    worker happens to claim both tasks are clean, so this also checks
    that exploration actually reaches the two-worker split). *)
 let shared_shard_writer (module S : Shim.S) =
-  let module P = Serve.Pool.Make (S) in
+  let module P = Localmodel.Pool.Make (S) in
   let owner = S.Raw.make 0 in
   ignore
     (P.run ~domains:2

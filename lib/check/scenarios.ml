@@ -18,7 +18,7 @@ type t = {
 (* Real components (must verify clean) *)
 
 let pool_scenario (module S : Shim.S) =
-  let module P = Serve.Pool.Make (S) in
+  let module P = Localmodel.Pool.Make (S) in
   let n = 3 in
   let runs = Array.init n (fun _ -> S.Raw.make 0) in
   let out =
@@ -46,7 +46,7 @@ let pool_scenario (module S : Shim.S) =
 exception Task_boom of int
 
 let pool_failure_replay (module S : Shim.S) =
-  let module P = Serve.Pool.Make (S) in
+  let module P = Localmodel.Pool.Make (S) in
   match
     P.run ~domains:2
       (fun i -> if i >= 1 && i <= 2 then raise (Task_boom i) else i)

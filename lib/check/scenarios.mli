@@ -1,6 +1,6 @@
 (** The checked surface: the registry walked by the [modelcheck] CLI
     and the runtest suite.  Clean entries are the real components —
-    {!Serve.Pool} (its lock-free claim plus the failure-replay
+    {!Localmodel.Pool} (its lock-free claim plus the failure-replay
     contract), {!Serve.Router}'s two-slot batch over a packed cycle,
     and {!Obs.Metrics}'s cell push — which must explore without a
     violation.  Caught entries are the {!Mutants} gallery, which must

@@ -9,8 +9,8 @@
    Workers mutate nothing they capture: each accumulates (index,
    outcome) pairs in a private list and returns it through Thread.join.
    That is the discipline advicelint's domain-race rule enforces for
-   closures reaching Domain.spawn / Pool.run, and following it here
-   keeps the pool auditable by the same rule it anchors.
+   closures reaching Pool.run, and following it here keeps the pool
+   auditable by the same rule it anchors.
 
    The whole implementation is a functor over the Shim concurrency
    primitives: the production [run] below is [Make (Shim.Real)] — a
@@ -24,6 +24,23 @@ let m_tasks = Obs.Metrics.counter "pool.tasks"
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
+let default_domains () =
+  match Sys.getenv_opt "LOCAL_ADVICE_DOMAINS" with
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some d when d >= 1 -> d
+      | _ -> 1)
+  | None -> Domain.recommended_domain_count ()
+
+(* Fan-outs are pure-CPU sweeps: domains beyond the hardware only
+   timeshare one core and pay spawn + GC-coordination overhead for it
+   (measured at ~3x slower on a 1-core host), so a default or a CLI
+   request is fitted to the machine.  The OCaml runtime also caps
+   simultaneous domains (128); stay comfortably below it. *)
+let effective_domains ?requested () =
+  let req = match requested with Some d -> max 1 d | None -> default_domains () in
+  max 1 (min (min req 64) (Domain.recommended_domain_count ()))
+
 module Make (S : Shim.S) = struct
   let run ?domains f tasks =
     let n = Array.length tasks in
@@ -33,7 +50,7 @@ module Make (S : Shim.S) = struct
          exercise cross-domain execution on small hosts); only the
          runtime's domain cap and the task count bound them. *)
       | Some d -> min d 64
-      | None -> Localmodel.View.effective_domains ()
+      | None -> effective_domains ()
     in
     (* At least one worker, so an empty task array still returns [||];
        with one, the calling domain claims every task and nothing is
@@ -43,7 +60,7 @@ module Make (S : Shim.S) = struct
     Obs.Metrics.add m_tasks n;
     let next = S.Atomic.make 0 in
     (* A failing task is recorded, not raised: the queue drains fully so
-       one poisoned shard cannot abandon the rest of the batch, and the
+       one poisoned task cannot abandon the rest of the run, and the
        failure is replayed deterministically after the join. *)
     let worker () =
       let rec drain acc =
@@ -80,6 +97,4 @@ module Make (S : Shim.S) = struct
       slots
 end
 
-module Production = Make (Shim.Real)
-
-let run = Production.run
+include Make (Shim.Real)

@@ -67,45 +67,22 @@ let map_nodes ?advice ?input g ~ids ~radius f =
       Array.init (Graph.n g) (fun v ->
           f (make_with ws ?advice ?input g ~ids ~radius v)))
 
-let default_domains () =
-  match Sys.getenv_opt "LOCAL_ADVICE_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> d
-      | _ -> 1)
-  | None -> Domain.recommended_domain_count ()
-
-(* Ball fan-outs are pure-CPU sweeps: domains beyond the hardware only
-   timeshare one core and pay spawn + GC-coordination overhead for it
-   (measured at ~3x slower on a 1-core host), so every request —
-   explicit, environment or default — is fitted to the machine.  The
-   OCaml runtime also caps simultaneous domains (128); stay comfortably
-   below it. *)
-let effective_domains ?requested () =
-  let req = match requested with Some d -> max 1 d | None -> default_domains () in
-  max 1 (min (min req 64) (Domain.recommended_domain_count ()))
+let effective_domains = Pool.effective_domains
 
 let map_nodes_par ?domains ?advice ?input g ~ids ~radius f =
   let n = Graph.n g in
-  (* Never spawn more domains than nodes. *)
-  let d = min (effective_domains ?requested:domains ()) (max 1 n) in
+  (* Never more chunks than nodes. *)
+  let d = min (Pool.effective_domains ?requested:domains ()) (max 1 n) in
   if d <= 1 then map_nodes ?advice ?input g ~ids ~radius f
   else
     Obs.Trace.span "view.map_nodes_par" (fun () ->
-        let chunk lo hi =
+        let chunk k =
+          let lo = k * n / d and hi = (k + 1) * n / d in
           let ws = Workspace.domain_local () in
           Array.init (hi - lo) (fun i ->
               f (make_with ws ?advice ?input g ~ids ~radius (lo + i)))
         in
-        let bound k = k * n / d in
-        let spawned =
-          Array.init (d - 1) (fun k ->
-              let lo = bound (k + 1) and hi = bound (k + 2) in
-              Domain.spawn (fun () -> chunk lo hi))
-        in
-        let first = chunk 0 (bound 1) in
-        let rest = Array.map Domain.join spawned in
-        Array.concat (first :: Array.to_list rest))
+        Array.concat (Array.to_list (Pool.run ~domains:d chunk (Array.init d Fun.id))))
 
 let with_advice view advice =
   { view with advice = Array.map (fun gv -> advice.(gv)) view.to_global }

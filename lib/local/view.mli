@@ -43,16 +43,8 @@ val map_nodes :
     Δ^radius on bounded-degree graphs, never to [n] or [m]. *)
 
 val effective_domains : ?requested:int -> unit -> int
-(** The domain count the parallel fan-outs will actually use for a
-    request: [requested] when given, else the [LOCAL_ADVICE_DOMAINS]
-    environment variable, else [Domain.recommended_domain_count ()] —
-    always clamped to the machine ([Domain.recommended_domain_count ()],
-    and never above 64).  Ball sweeps are pure CPU work, so domains
-    beyond the hardware only timeshare cores and pay spawn overhead;
-    callers that must oversubscribe deliberately (cross-domain
-    correctness tests on small hosts) should drive [Serve.Pool]
-    directly.  Benchmarks report both the requested and this effective
-    count so a 1-core host can never claim a 4-domain measurement. *)
+(** {!Pool.effective_domains}, kept under this name for perfbench; the
+    library, the CLI and the benches call the pool's. *)
 
 val map_nodes_par :
   ?domains:int ->
@@ -63,14 +55,15 @@ val map_nodes_par :
   radius:int ->
   (t -> 'a) ->
   'a array
-(** Like {!map_nodes}, fanning contiguous node ranges out over an OCaml 5
-    domain pool (one scratch workspace per domain; the graph, ids, advice
-    and input arrays are only read).  The result is identical to
-    {!map_nodes} provided [f] is pure; [f] must also be safe to call from
-    several domains at once.  The pool size is
-    [effective_domains ?requested:domains ()] — the request fitted to the
-    hardware — and never exceeds the node count; with one domain this
-    falls back to the sequential path. *)
+(** Like {!map_nodes}, cutting the nodes into [d] contiguous chunks run
+    as [d] {!Pool} tasks (one scratch workspace per domain; the graph,
+    ids, advice and input arrays are only read), where [d] is
+    [Pool.effective_domains ?requested:domains ()], never above the node
+    count.  The result is identical to {!map_nodes} provided [f] is
+    pure; [f] must also be safe to call from several domains at once.
+    With one domain this is {!map_nodes}.
+    @raise exn the exception of the lowest node whose [f] raised, once
+    every chunk has run to its end or to its first exception. *)
 
 val with_advice : t -> string array -> t
 (** [with_advice view advice] is the view re-projected onto a new global

@@ -121,13 +121,11 @@ let edge_compression ?(sample = 0) ?domains g x =
      shard engine, slots, pool — for the checked labels.  Certification
      runs on the *global* graph: the halo invariant then transfers the
      certified radius to every shard of any container later built from
-     the snapshot.  The router honors an explicit count literally, so
-     the request is fitted to the hardware first. *)
-  let domains = Localmodel.View.effective_domains ?requested:domains () in
+     the snapshot. *)
   let store = Store.Shard.of_snapshot unserved in
   let queries = Array.map (fun v -> Engine.Output_label v) nodes in
   let passes r =
-    let got = Router.batch (Router.create ~radius:r ~domains store) queries in
+    let got = Router.batch (Router.create ~radius:r ?domains store) queries in
     Array.for_all2
       (fun v -> function Engine.Label s -> String.equal expected.(v) s | _ -> false)
       nodes got

@@ -42,10 +42,9 @@ val edge_compression :
     built with [Router.create ~radius:r] over
     {!Store.Shard.of_snapshot} of the snapshot (nothing is serialized):
     the one-shard container, shard engine, stamped-ball decode and
-    {!Pool} that serve the file later.  [domains] (default
-    {!Localmodel.View.effective_domains}[ ()]; a request is fitted to
-    the hardware the same way) is passed once, to {!Router.create},
-    which sets the slot count and the batch's pool from it.  The advice
+    {!Localmodel.Pool} that serve the file later.  [domains] is passed
+    once, to {!Router.create}, which sets the slot count and the
+    batch's pool from it.  The advice
     section is named ["c4"], and the orientation parameters
     ({!Schemas.Balanced_orientation.onebit_params}) are stored in the
     metadata for {!Engine.create} to read back.  The snapshot

@@ -14,16 +14,20 @@ exception Shard_lost of { shard : int; reason : string }
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 (* One resident container shard: its engine, whose label column the
-   shard's slots cut into disjoint node ranges; [shift], which maps an
-   interior node to its local id ([v + shift]: the interior is one run
-   of the sorted local ids); the global id tables (not kept when the
-   shard is [whole], i.e. stores every node and edge: they are then the
-   identity); and its frame bytes, charged to the resident budget. *)
+   shard's slots cut into disjoint node ranges; [shift], which maps a
+   global id in [lo, hi) to its local id ([v + shift]: the interior is
+   one run of the sorted local ids); [halo], the global ids of the local
+   nodes below and above that run, in local order; the global edge-id
+   table; and its frame bytes, charged to the resident budget.  A
+   [whole] shard stores every node and edge: [lo, hi) is then every
+   node, and its id tables, the identity, are not kept. *)
 type resident = {
   engine : Engine.t;
   whole : bool;
+  lo : int;
+  hi : int;
   shift : int;
-  ids : int array;
+  halo : int array;
   edge_ids : int array;
   bytes : int;
   mutable stamp : int;  (* LRU recency, from the router clock *)
@@ -231,12 +235,20 @@ let load_resident t ~pinned k =
   let engine =
     Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius snapshot
   in
+  let ids = loaded.Shard.l_ids in
+  let lo, hi = if whole then (0, t.man.Shard.m_n) else (info.Shard.i_lo, info.Shard.i_hi) in
+  let shift = if whole then 0 else bsearch ids lo - lo in
+  let above = hi + shift in
   let r =
     {
       engine;
       whole;
-      shift = (if whole then 0 else bsearch loaded.Shard.l_ids info.Shard.i_lo - info.Shard.i_lo);
-      ids = (if whole then [||] else loaded.Shard.l_ids);
+      lo;
+      hi;
+      shift;
+      halo =
+        (if whole then [||]
+         else Array.append (Array.sub ids 0 (lo + shift)) (Array.sub ids above (Array.length ids - above)));
       edge_ids = (if whole then [||] else loaded.Shard.l_edge_ids);
       bytes = info.Shard.i_bytes;
       stamp = 0;
@@ -318,7 +330,7 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     match domains with
     | Some d when d < 1 -> fail "Router.create: domain count %d must be positive" d
     | Some d -> d
-    | None -> Localmodel.View.effective_domains ()
+    | None -> Localmodel.Pool.effective_domains ()
   in
   if List.is_empty man.Shard.m_advice then
     raise
@@ -379,7 +391,8 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
    node's incident edges whose global id matches.  The endpoint check
    runs here, on the calling domain, so a bad batch is rejected before
    its wave's ball work.  Only a failure binary-searches the edge
-   table, to name the edge's endpoints as the engine would. *)
+   table, to name the endpoints of an edge the shard stores as the
+   engine would. *)
 
 let check_node t what v =
   if v < 0 || v >= n t then
@@ -393,13 +406,18 @@ let validate t = function
       if e < 0 || e >= m t then
         fail "Engine: Edge_member names edge %d outside 0..%d" e (m t - 1)
 
+(* Global id of local node [x]: by the offset inside the run, through
+   the halo table outside it. *)
+let global_id (r : resident) x =
+  let v = x - r.shift in
+  if v < r.lo then r.halo.(x) else if v < r.hi then v else r.halo.(x - (r.hi - r.lo))
+
 let not_incident (r : resident) v e =
   let le = if r.whole then e else bsearch r.edge_ids e in
   if le < 0 then fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
   let a, b = Netgraph.Graph.edge_endpoints (Engine.graph r.engine) le in
-  let global x = if r.whole then x else r.ids.(x) in
   fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
-    (global a) (global b)
+    (global_id r a) (global_id r b)
 
 (* Entry [k] of a graph row (see {!Netgraph.Graph.get32}). *)
 let[@inline] at r k = Int32.to_int (Netgraph.Graph.get32 r (k lsl 2))
@@ -481,11 +499,9 @@ let plan_slots t qs =
    shared-writer mutant) that no two workers ever touch one slot's
    column range unsynchronized. *)
 module Batch (S : Shim.S) = struct
-  (* Shadowing the outer [Pool] on purpose: call sites below read
-     [Pool.run], which keeps the domain-race lint descending into the
-     closures handed to the pool exactly as it does for production
-     callers. *)
-  module Pool = Pool.Make (S)
+  (* Named [Pool] so the call below reads [Pool.run], whose closures
+     the domain-race lint audits as it does every production caller's. *)
+  module Pool = Localmodel.Pool.Make (S)
 
   (* [~strict]: a lost shard raises its diagnostic as [Codec.Corrupt]
      before its wave's pool runs, so a batch that will be rejected

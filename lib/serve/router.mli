@@ -7,9 +7,9 @@
     {b Shards and slots.}  {!create} keeps at most a byte-budget's
     worth of the container's shards resident, loading each on first
     touch.  A resident shard is a private {!Engine} over the shard's
-    local graph and advice slices whose identifiers are the shard's
-    {e global} node ids — the decoder orders a ball's nodes by
-    identifier, so a shard-local ball (the global ball, by the halo
+    local graph and advice slices, on its {e local} node ids: they are
+    sorted by global id, and the decoder reads identifiers only through
+    their order, so a shard-local ball (the global ball, by the halo
     invariant of {!Store.Shard}) decodes to the {e same bytes} a
     whole-graph engine would produce.  A {e slot} is a node range of
     one shard, and so a range of its engine's label column:
@@ -19,12 +19,18 @@
     batches only: a single {!query} goes straight to its owner shard's
     engine.
 
-    {b One translation rule.}  A shard that stores every node and edge
-    translates global ids by the identity; any other by binary search
-    in its sorted id tables.  The [Edge_member] endpoint check runs
-    during translation, on the calling domain — an edge id absent from
-    the owner shard cannot be incident to the queried node — so a batch
-    is rejected before its wave does any ball work.
+    {b One translation rule.}  A shard's interior is one run of its
+    sorted local ids, so a queried node [v] is local node [v + shift],
+    with [shift] fixed when the shard loads (0 for a shard that stores
+    every node and edge, whose id tables are the identity and are not
+    kept).  A partial shard keeps its global edge-id table and the
+    global ids of its halo nodes only, the local nodes below and above
+    that run; an [Edge_member]'s local edge is the one among the node's
+    incident edges whose global id matches.  That is also the endpoint
+    check: it runs during translation, on the calling domain, so a batch
+    is rejected before its wave does any ball work.  For an edge the
+    shard stores, the message is the one a whole-graph {!Engine} gives;
+    an edge it does not store is named without its endpoints.
 
     {b Eviction contract.}  Residency is accounted in {e serialized
     frame bytes} (the manifest's [frame-bytes] per shard; a version-1
@@ -38,7 +44,8 @@
 
     {b Batches} group queries by owner slot and serve them in waves:
     the longest prefix of needed shards whose summed bytes fit the
-    budget loads together, fans one task per slot across {!Pool.run}
+    budget loads together, fans one task per slot across
+    {!Localmodel.Pool.run}
     on the router's [D] domains (one worker owns a slot's range of the
     shard engine's label column for the wave: distinct array elements
     are distinct memory locations, so disjoint ranges need no lock),
@@ -87,7 +94,7 @@
     served per wave), [serve.degraded] and [serve.quarantined]
     counters, the [store.shard.resident_bytes] peak gauge and the
     [serve.batch] trace span (plus everything the shard engines and
-    {!Pool} record). *)
+    {!Localmodel.Pool} record). *)
 
 type t
 (** A router: a slot table with its LRU state, and one {!Engine} per
@@ -117,9 +124,9 @@ val create :
     container without one serves memo-less.  [radius] overrides the
     container's [serve.radius]
     metadata ({!Engine.serve_radius}).  [domains] (default
-    {!Localmodel.View.effective_domains}[ ()]) sets the slot count (see
+    {!Localmodel.Pool.effective_domains}[ ()]) sets the slot count (see
     above) and is the pool size of every batch, honored as given, like
-    an explicit {!Pool.run} request.  Queries are answered from the
+    an explicit {!Localmodel.Pool.run} count.  Queries are answered from the
     container's first advice section ({!advice_name}).
     @raise Invalid_argument when [radius] or the budget or the
     capacity is negative, [domains < 1], or a container of several

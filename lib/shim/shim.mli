@@ -1,6 +1,6 @@
 (** Concurrency-primitive shim: the seam the model checker plugs into.
 
-    Every concurrent subsystem in this repository ({!Serve.Pool}, the
+    Every concurrent subsystem in this repository ({!Localmodel.Pool}, the
     slot fan-out of {!Serve.Router}'s batch, the per-domain cell push of
     {!Obs.Metrics}) is written against {!S} — three tiny module types:
     atomic references, thread spawn/join, and tracked plain cells —
@@ -43,7 +43,7 @@ module type ATOMIC = sig
 
   val fetch_and_add : int t -> int -> int
   (** Atomic add returning the previous value — the work-claiming
-      primitive of {!Serve.Pool}. *)
+      primitive of {!Localmodel.Pool}. *)
 end
 
 (** Thread creation and joining — [Domain.spawn]/[Domain.join] in

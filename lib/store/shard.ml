@@ -155,6 +155,8 @@ let sub_graph_encode g ids =
   done;
   (Codec.contents w, edge_ids, local_m)
 
+(* One shard's frame payload, with the local counts its manifest row
+   records. *)
 let shard_payload (snapshot : Snapshot.t) ~halo ~index ~lo ~hi =
   let g = snapshot.Snapshot.graph in
   let ids = halo_members g ~lo ~hi ~halo in
@@ -175,25 +177,11 @@ let shard_payload (snapshot : Snapshot.t) ~halo ~index ~lo ~hi =
       let slice = Array.map (fun gid -> a.(gid)) ids in
       Codec.str w (Snapshot.advice_payload local_n (name, slice)))
     snapshot.Snapshot.advice;
-  Codec.contents w
-
-(* The manifest needs each shard's local counts; rather than threading a
-   record through the [?map] fan-out hook (which must stay polymorphic
-   in nothing but strings), re-read them from the payload prefix — five
-   varints, a handful of bytes. *)
-let payload_stats payload =
-  let r = Codec.reader payload in
-  let index = Codec.read_varint r in
-  let lo = Codec.read_varint r in
-  let hi = Codec.read_varint r in
-  let local_n = Codec.read_varint r in
-  let local_m = Codec.read_varint r in
-  (index, lo, hi, local_n, local_m)
+  (Codec.contents w, local_n, local_m)
 
 let frame_bytes payload = 1 + 4 + String.length payload + 4
 
-let build ?(map = fun f ks -> Array.map f ks) ~shards ~halo
-    (snapshot : Snapshot.t) =
+let build ?domains ~shards ~halo (snapshot : Snapshot.t) =
   if halo < 1 then
     fail "Shard.build: halo %d must be at least 1 (Edge_member locality)" halo;
   Snapshot.validate snapshot;
@@ -201,12 +189,12 @@ let build ?(map = fun f ks -> Array.map f ks) ~shards ~halo
   let n = Graph.n g in
   let ranges = plan ~n ~shards in
   let s = Array.length ranges in
-  let payloads =
-    map
+  let parts =
+    Localmodel.Pool.run ?domains
       (fun k ->
         let lo, hi = ranges.(k) in
         shard_payload snapshot ~halo ~index:k ~lo ~hi)
-      (Array.init s (fun k -> k))
+      (Array.init s Fun.id)
   in
   let manifest = Codec.writer ~capacity:(64 + (32 * s)) () in
   Codec.varint manifest n;
@@ -223,11 +211,11 @@ let build ?(map = fun f ks -> Array.map f ks) ~shards ~halo
     snapshot.Snapshot.meta;
   (* One checksum pass per shard: the manifest copy and the frame
      trailer share it (Codec.section's [?crc]). *)
-  let crcs = Array.map (fun p -> Crc32.of_string p) payloads in
+  let crcs = Array.map (fun (p, _, _) -> Crc32.of_string p) parts in
   let rel = ref 0 in
   Array.iteri
-    (fun i payload ->
-      let _, lo, hi, local_n, local_m = payload_stats payload in
+    (fun i (payload, local_n, local_m) ->
+      let lo, hi = ranges.(i) in
       Codec.varint manifest lo;
       Codec.varint manifest hi;
       Codec.varint manifest local_n;
@@ -236,15 +224,15 @@ let build ?(map = fun f ks -> Array.map f ks) ~shards ~halo
       Codec.varint manifest (frame_bytes payload);
       Codec.u32 manifest crcs.(i);
       rel := !rel + frame_bytes payload)
-    payloads;
+    parts;
   let w = Codec.writer ~capacity:(1024 + !rel) () in
   Codec.raw w magic;
   Codec.u16 w version;
   Codec.varint w (1 + s);
   Codec.section w ~tag:tag_manifest (Codec.contents manifest);
   Array.iteri
-    (fun i payload -> Codec.section w ~tag:tag_shard ~crc:crcs.(i) payload)
-    payloads;
+    (fun i (payload, _, _) -> Codec.section w ~tag:tag_shard ~crc:crcs.(i) payload)
+    parts;
   let out = Codec.contents w in
   Obs.Metrics.add m_packed (String.length out);
   out

@@ -90,19 +90,17 @@ val plan : n:int -> shards:int -> (int * int) array
     @raise Invalid_argument when [shards < 1] or [n < 0]. *)
 
 val build :
-  ?map:((int -> string) -> int array -> string array) ->
+  ?domains:int ->
   shards:int ->
   halo:int ->
   Snapshot.t ->
   string
 (** [build ~shards ~halo snapshot] serializes the snapshot as a
     version-2 container with [shards] interior ranges ({!plan}) and a
-    halo of depth [halo] around each.  Per-shard body serialization
-    (halo BFS, induced subgraph, advice slicing, payload encoding) is
-    independent across shards; [?map] is the fan-out hook — it receives
-    the payload function and the shard indices and must return the
-    payloads in index order (default: sequential [Array.map]; the serve
-    layer passes {!Serve.Pool.run} to pack shards in parallel).
+    halo of depth [halo] around each.  Each shard's body (halo BFS,
+    induced subgraph, advice slicing, payload encoding) is one
+    {!Localmodel.Pool} task on [domains] (the pool's default when
+    omitted); the bytes do not depend on the count.
     @raise Invalid_argument when [shards < 1], [halo < 1], or the
     snapshot fails {!Snapshot.validate}, before anything is encoded. *)
 

@@ -902,6 +902,35 @@ let test_hostile_table_is_corrupt () =
       one_line (run_cli [ "serve"; path; "--batch"; "tf_q.txt"; "--memo" ]))
     files
 
+(* --domains is fitted to the machine once, before anything runs: a v1
+   file served with --domains 8 is cut into at most the fitted count of
+   slots, so a batch touching every eighth of the graph fans out over
+   no more; and the sharded packer writes the same bytes at any count. *)
+let test_domains_fitted_once () =
+  let n = 400 in
+  let queries = List.init 8 (fun k -> Printf.sprintf "label %d\n" (k * n / 8)) in
+  let packed = [ "tf_d.ladv"; "tf_d1.ladv"; "tf_d8.ladv" ] in
+  with_files [ ("tf_q8.txt", String.concat "" queries) ] @@ fun () ->
+  Fun.protect ~finally:(fun () -> List.iter remove_noerr packed) @@ fun () ->
+  let pack out flags =
+    let code, _, _ =
+      run_cli ([ "pack"; "--graph"; "cycle"; "--n"; string_of_int n; "--out"; out ] @ flags)
+    in
+    check_int ("pack " ^ String.concat " " flags) 0 code
+  in
+  pack "tf_d.ladv" [];
+  let code, stdout, _ =
+    run_cli [ "serve"; "tf_d.ladv"; "--batch"; "tf_q8.txt"; "--domains"; "8"; "--metrics"; "-" ]
+  in
+  check_int "serve exits cleanly" 0 code;
+  check "the batch fans out over the fitted count" true
+    (json_counter_total stdout "serve.batch.shards"
+    <= Localmodel.Pool.effective_domains ~requested:8 ());
+  pack "tf_d1.ladv" [ "--shards"; "8"; "--domains"; "1" ];
+  pack "tf_d8.ladv" [ "--shards"; "8"; "--domains"; "8" ];
+  check "--shards 8: the same bytes at --domains 1 and 8" true
+    (String.equal (file_bytes "tf_d1.ladv") (file_bytes "tf_d8.ladv"))
+
 let () =
   Alcotest.run "faults"
     [
@@ -950,5 +979,6 @@ let () =
             test_pack_input_errors;
           Alcotest.test_case "a lying class table is corrupt, not fatal" `Quick
             test_hostile_table_is_corrupt;
+          Alcotest.test_case "--domains is fitted once" `Quick test_domains_fitted_once;
         ] );
     ]

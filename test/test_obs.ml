@@ -24,10 +24,29 @@ let find_entry name =
 
 (* Only the metrics side is enabled here: trace span names legitimately
    differ between the two paths ("view.map_nodes" vs "view.map_nodes_par"),
-   and span timings are not reproducible.  [per_domain:false] drops the
-   shard split, which depends on the domain count by design. *)
+   and span timings are not reproducible.  For the same reason the pool's
+   own [pool.*] counters leave the comparison: only the parallel path
+   runs the pool.  [per_domain:false] drops the shard split, which
+   depends on the domain count by design. *)
 let metrics_json () =
-  Obs.Jsonout.to_string (Obs.Sink.json ~per_domain:false ())
+  let not_pool = function
+    | Obs.Jsonout.Obj fields -> (
+        match List.assoc_opt "name" fields with
+        | Some (Obs.Jsonout.Str name) -> not (String.starts_with ~prefix:"pool." name)
+        | _ -> true)
+    | _ -> true
+  in
+  let drop_pool = function
+    | Obs.Jsonout.Obj fields ->
+        Obs.Jsonout.Obj
+          (List.map
+             (function
+               | "counters", Obs.Jsonout.List cs -> ("counters", Obs.Jsonout.List (List.filter not_pool cs))
+               | field -> field)
+             fields)
+    | json -> json
+  in
+  Obs.Jsonout.to_string (drop_pool (Obs.Sink.json ~per_domain:false ()))
 
 let prop_par_snapshot_matches_seq =
   QCheck.Test.make

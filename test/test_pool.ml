@@ -1,4 +1,4 @@
-(* Serve.Pool model checks (exactly-once execution, index-ordered
+(* Localmodel.Pool model checks (exactly-once execution, index-ordered
    results, deterministic failure replay) and the slot-batch
    equivalence property: a router's batch over a file's slots is
    byte-identical to sequential serving for every graph family, slot
@@ -21,7 +21,7 @@ let test_pool_model () =
           let ran = Array.init n (fun _ -> Atomic.make 0) in
           let tasks = Array.init n (fun i -> i) in
           let out =
-            Serve.Pool.run ~domains
+            Localmodel.Pool.run ~domains
               (fun i ->
                 Atomic.incr ran.(i);
                 (i * i) + 1)
@@ -46,7 +46,7 @@ let test_pool_exceptions () =
       let ran = Array.init n (fun _ -> Atomic.make 0) in
       let tasks = Array.init n (fun i -> i) in
       (match
-         Serve.Pool.run ~domains
+         Localmodel.Pool.run ~domains
            (fun i ->
              Atomic.incr ran.(i);
              if i mod 13 = 5 then raise (Boom i);
@@ -70,7 +70,7 @@ let pool_equals_map =
     QCheck.(pair (array_of_size (Gen.int_bound 60) small_int) (int_range 1 4))
     (fun (xs, domains) ->
       let f x = (2 * x) - 7 in
-      Marshal.to_string (Serve.Pool.run ~domains f xs) []
+      Marshal.to_string (Localmodel.Pool.run ~domains f xs) []
       = Marshal.to_string (Array.map f xs) [])
 
 (* ------------------------------------------------------------------ *)
@@ -231,10 +231,10 @@ let test_shard_plumbing () =
   check_int "S >= D: one slot per shard" 3 (v2_slots 2);
   check_int "S < D: ceil(D/S) slots per shard" 6 (v2_slots 4);
   check "default slot count is the effective domain count" true
-    (slots () = Localmodel.View.effective_domains ());
+    (slots () = Localmodel.Pool.effective_domains ());
   (* Requests clamp to the machine: an absurd ask never exceeds it. *)
   check "effective_domains clamps" true
-    (Localmodel.View.effective_domains ~requested:4096 ()
+    (Localmodel.Pool.effective_domains ~requested:4096 ()
     <= Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)

@@ -319,7 +319,7 @@ let prop_pack_sharded_identity =
       let packed, cert_par = Serve.Pack.edge_compression ~domains:2 g x in
       let bytes =
         Store.Shard.build ~shards ~halo:(max cert_par.Serve.Pack.radius 1)
-          ~map:(fun f ks -> Serve.Pool.run ~domains:2 f ks)
+          ~domains:2
           packed
       in
       let mono = Serve.Engine.create snapshot in
@@ -968,6 +968,40 @@ let test_lazy_load_respects_faults () =
     (Marshal.to_string (Serve.Engine.query mono (Serve.Engine.Output_label 0)) [])
     (Marshal.to_string a [])
 
+(* An Edge_member naming an edge the owner shard stores but the node is
+   not an endpoint of gets the whole-graph engine's diagnostic, each
+   endpoint named by its global id: by the offset inside the interior
+   run, through the halo table below and above it.  An edge the shard
+   does not store is named without its endpoints. *)
+let test_non_incident_diagnostic () =
+  let n = 400 in
+  let g, snapshot, cert = cycle_snapshot n 5 in
+  let radius = cert.Serve.Pack.radius in
+  let mono = Serve.Engine.create ~radius snapshot in
+  let store = Store.Shard.open_bytes (Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot) in
+  let info = (Store.Shard.manifest store).Store.Shard.m_shards.(1) in
+  check "shard 1 stores part of the graph" true (info.Store.Shard.i_local_n < n);
+  let router = Serve.Router.create store in
+  let lo = info.Store.Shard.i_lo and hi = info.Store.Shard.i_hi in
+  let message serve q =
+    match serve q with
+    | _ -> Alcotest.failf "a non-incident edge was answered"
+    | exception Invalid_argument msg -> msg
+  in
+  List.iter
+    (fun (what, a) ->
+      let q = Serve.Engine.Edge_member (lo + 5, Graph.edge_id g a (a + 1)) in
+      check_string what (message (Serve.Engine.query mono) q) (message (Serve.Router.query router) q))
+    [
+      ("both endpoints interior", lo + 20);
+      ("an endpoint in the halo above", hi - 1);
+      ("both endpoints in the halo below", lo - 2);
+    ];
+  let far = Graph.edge_id g (n - 50) (n - 49) in
+  check_string "an edge the shard does not store"
+    (Printf.sprintf "Engine: Edge_member node %d is not an endpoint of edge %d" (lo + 5) far)
+    (message (Serve.Router.query router) (Serve.Engine.Edge_member (lo + 5, far)))
+
 (* ------------------------------------------------------------------ *)
 
 let qtests tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -997,6 +1031,8 @@ let () =
             Alcotest.test_case "radius 0 Edge_member is total" `Quick test_radius_zero_total;
             Alcotest.test_case "v1 file = one-shard container on every node" `Quick
               test_v1_equals_one_shard;
+            Alcotest.test_case "non-incident edge: the engine's message" `Quick
+              test_non_incident_diagnostic;
           ] );
       ( "budget",
         [

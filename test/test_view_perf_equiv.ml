@@ -190,6 +190,30 @@ let test_map_nodes_par_identical () =
         [ 0; 1; 2; 3 ])
     battery
 
+(* A chunk's exception stops only that chunk: the sweep raises once every
+   chunk has run to its end or its first exception, and it raises the
+   lowest node's. *)
+exception Node_failed of int
+
+let test_map_nodes_par_failure () =
+  let n = 4_000 in
+  let g = Builders.cycle n in
+  let ids = Localmodel.Ids.identity g in
+  let calls = Atomic.make 0 in
+  let f (view : Localmodel.View.t) =
+    Atomic.incr calls;
+    let v = view.Localmodel.View.to_global.(view.Localmodel.View.center) in
+    if v = 0 || v = n - 1 then raise (Node_failed v);
+    v
+  in
+  (match Localmodel.View.map_nodes_par ~domains:4 g ~ids ~radius:2 f with
+  | _ -> Alcotest.fail "a raising f did not fail the sweep"
+  | exception Node_failed v -> check_int "node 0's exception" 0 v);
+  (* The first chunk stops at node 0; every other chunk runs to its end,
+     the last one raising at node n - 1. *)
+  let d = min (Localmodel.Pool.effective_domains ~requested:4 ()) n in
+  check_int "every chunk ran before the raise" (1 + n - (n / d)) (Atomic.get calls)
+
 let test_with_advice_matches_remake () =
   let g = Builders.gnp (Prng.create 21) 50 0.08 in
   let ids = Localmodel.Ids.identity g in
@@ -241,6 +265,8 @@ let () =
         [
           Alcotest.test_case "map_nodes_par = map_nodes" `Quick
             test_map_nodes_par_identical;
+          Alcotest.test_case "map_nodes_par raises after every chunk" `Quick
+            test_map_nodes_par_failure;
           Alcotest.test_case "with_advice = re-extraction" `Quick
             test_with_advice_matches_remake;
         ] );

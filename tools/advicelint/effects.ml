@@ -10,7 +10,7 @@
    the function reads or writes, directly or through calls), resolves
    module aliases from [Tstr_module] bindings, and propagates the
    summaries through every closure handed to a parallel entry point
-   (Pool.run, map_nodes_par, Domain.spawn).
+   (Pool.run, map_nodes_par).
 
    State guarded by design is never flagged: only globals created by a
    raw-mutable maker (ref, Hashtbl/Queue/Stack/Buffer.create,
@@ -50,7 +50,7 @@ let rec flatten = function
   | Path.Pdot (p, s) -> flatten p @ [ s ]
   | _ -> []
 
-(* Strip dune's wrapping prefix: "Serve__Pool" -> "Pool". *)
+(* Strip dune's wrapping prefix: "Localmodel__Pool" -> "Pool". *)
 let innermost m =
   let n = String.length m in
   let rec scan i best =
@@ -111,7 +111,6 @@ let par_entry_of parts =
   match last2 parts with
   | _, "map_nodes_par" -> Some "Par.map_nodes_par"
   | "Pool", "run" -> Some "Pool.run"
-  | "Domain", "spawn" -> Some "Domain.spawn"
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

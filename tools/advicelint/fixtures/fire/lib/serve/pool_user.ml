@@ -1,6 +1,6 @@
-(* Fixture: Serve.Pool.run is a parallel entry — its task closures run
+(* Fixture: Localmodel.Pool.run is a parallel entry — its task closures run
    on spawned domains, so the domain-race audit chases them exactly like
-   map_*_par / Domain.spawn closures. *)
+   map_*_par closures. *)
 
 let completed = ref 0
 

@@ -2,7 +2,7 @@
    alias [H] defeats the syntactic Callgraph resolver (no module named
    "H" exists in the index), and the mutation sits one or two calls
    deep — only the .cmt effect summaries can see that the closures
-   handed to Pool.run / Domain.spawn write module-level state. *)
+   handed to Pool.run write module-level state. *)
 
 module Pool = struct
   let run f xs = Array.map f xs
@@ -19,4 +19,4 @@ let serve tasks =
       sum t)
     tasks
 
-let background () = Domain.spawn (fun () -> H.record "bg")
+let background () = Pool.run (fun () -> H.record "bg") [| () |]

@@ -4,8 +4,8 @@
    [@advicelint.allow "<id>"] suppression attribute):
 
      domain-race        R1  shared mutable state reachable from a closure
-                            passed to View.map_nodes_par /
-                            Serve.Pool.run / Domain.spawn
+                            passed to View.map_nodes_par / Pool.run;
+                            Domain.spawn in lib/ outside lib/shim
      determinism        R2  Stdlib.Random / wall-clock reads in lib/
      poly-compare       R3  polymorphic =, compare, Hashtbl.hash in the
                             hot-path libraries (lib/graph, lib/local,
@@ -284,11 +284,11 @@ let is_domain_local lid =
 let is_par_entry lid =
   match List.rev (Longident.flatten lid) with
   | "map_nodes_par" :: _ -> true
-  (* Serve.Pool.run task closures execute on spawned domains; a bare
-     [run] head would also catch unrelated runners, so require the
-     [Pool] qualifier (matches Pool.run and Serve.Pool.run). *)
+  (* Pool.run task closures execute on spawned domains; a bare [run]
+     head would also catch unrelated runners, so require the [Pool]
+     qualifier (matches Pool.run and Localmodel.Pool.run). *)
   | "run" :: "Pool" :: _ -> true
-  | _ -> List.rev (Longident.flatten lid) = [ "spawn"; "Domain" ]
+  | _ -> false
 
 let entry_name lid = String.concat "." (Longident.flatten lid)
 
@@ -737,10 +737,33 @@ let run_io_hygiene ctx str =
         | _ -> ())
 
 (* ------------------------------------------------------------------ *)
+(* R1 — one spawn site *)
+
+(* Library code starts no domain of its own: Localmodel.Pool is the
+   model-checked way to run parallel work, and its Shim.Real the one
+   place lib/ names Domain.spawn. *)
+let run_spawn_site ctx str =
+  if r8_path_contains ctx.file "lib/" && not (r8_path_contains ctx.file "shim/") then
+    iter_expressions str (fun e ->
+        match e.pexp_desc with
+        | Pexp_ident { txt; loc } -> (
+            match Longident.flatten txt with
+            | [ "Domain"; "spawn" ] | [ "Stdlib"; "Domain"; "spawn" ] ->
+                ctx.emit ~rule:"domain-race" ~loc
+                  "Domain.spawn in library code outside lib/shim; run \
+                   parallel work through Localmodel.Pool.run, whose \
+                   claim, join and failure replay are model-checked"
+            | _ -> ())
+        | _ -> ())
+
+(* ------------------------------------------------------------------ *)
 
 let run_all ctx ~rules str =
   let enabled r = match rules with None -> true | Some rs -> List.mem r rs in
-  if enabled "domain-race" then run_domain_race ctx str;
+  if enabled "domain-race" then begin
+    run_domain_race ctx str;
+    run_spawn_site ctx str
+  end;
   if enabled "determinism" then run_determinism ctx str;
   if enabled "poly-compare" then run_poly_compare_syntactic ctx str;
   if enabled "exception-hygiene" then run_exception_hygiene ctx str;
