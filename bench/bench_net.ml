@@ -9,12 +9,16 @@
    domains would race its caches).  Latency is measured per response via
    the client's injected clock and recorded both as percentiles here and
    into the net.latency_us obs histogram; a second pass batches the same
-   workload through the one-frame batch path; a third serves a salvaged
-   snapshot and checks the degraded counters tick.  Acceptance:
-   pipelined, batch and degraded answers must all be byte-identical to
-   direct Serve.Engine serving.  The server answers from a
-   Serve.Router over the snapshot file opened through Store.Shard (one
-   shard, one slot per effective domain).  [cold_open], the store
+   workload through the one-frame batch path.  Both passes run [reps]
+   times, alternating, each rep on a fresh router and server, and the
+   median rep is reported.  A third pass serves a 4-shard container with
+   one shard's body damaged under salvage and checks the degraded
+   counters tick.  Acceptance: pipelined and batch answers must be
+   byte-identical to direct Serve.Engine serving, and the degraded
+   server's answers and error frames to a direct salvaged router's.
+   The healthy server answers from a Serve.Router over the snapshot
+   file opened through Store.Shard (one shard, one slot per effective
+   domain).  [cold_open], the store
    block's "cold_open" sub-block, splits a server's cold start per
    layer on perfbench's two instances. *)
 
@@ -45,8 +49,9 @@ let percentile = Obs.Stats.percentile
 
 (* Run [count] queries through an in-process server with [window]
    requests pipelined, returning (seconds, mismatches, latency µs
-   percentiles).  [expected] are the precomputed direct-engine answers,
-   so the timed loop only compares. *)
+   percentiles).  [expected] are the precomputed direct answers, so the
+   timed loop only compares; [None] expects an error frame (a query for
+   a lost shard's range). *)
 let pipelined_run ~router ~expected ~window queries =
   let config = { Net.Server.default_config with port = 0 } in
   let server = Net.Server.create ~config router in
@@ -75,8 +80,9 @@ let pipelined_run ~router ~expected ~window queries =
             latencies.(i) <- us;
             Obs.Metrics.observe latency_hist us
           in
-          (match Net.Client.recv ~on_latency c with
-          | Net.Protocol.Answer a when a = expected.(i) -> ()
+          (match (Net.Client.recv ~on_latency c, expected.(i)) with
+          | Net.Protocol.Answer a, Some e when a = e -> ()
+          | Net.Protocol.Error (Net.Protocol.Rejected, _), None -> ()
           | _ -> incr mismatches);
           incr received
         done)
@@ -393,53 +399,88 @@ let cold_open ~smoke =
        ("reps", J.Int reps) ]
     @ List.map json [ ("hot-skewed", hot); ("structured-sweep", sweep) ])
 
+(* One rep of [block]: a pipelined run and a batch run, each on a fresh
+   router and server. *)
+type rep = {
+  qps : float;
+  mismatches : int;
+  latencies : int array;  (* sorted *)
+  stats : (string * int) list;
+  batch_qps : float;
+  batch_identical : bool;
+}
+
+(* The rep whose [key] is the median of [runs]. *)
+let median_by key runs =
+  List.nth (List.sort (fun a b -> compare (key a) (key b)) runs) (List.length runs / 2)
+
+(* [snapshot] as a 4-shard container with one bit flipped in the middle
+   of shard 1's frame: that shard fails its checksum when it loads. *)
+let damaged_container snapshot =
+  let halo = max 1 (Serve.Engine.serve_radius snapshot.Store.Snapshot.meta) in
+  let container = Store.Shard.build ~shards:4 ~halo snapshot in
+  let victim =
+    (Store.Shard.manifest (Store.Shard.open_bytes container)).Store.Shard.m_shards.(1)
+  in
+  let b = Bytes.of_string container in
+  let at = victim.Store.Shard.i_offset + (victim.Store.Shard.i_bytes / 2) in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+  Bytes.to_string b
+
 let block ~smoke =
   let n = if smoke then 2_000 else 20_000 in
   let count = if smoke then 10_000 else 50_000 in
+  let reps = if smoke then 3 else 7 in
   let window = 64 in
   let g, bytes = make_loaded n (n + 43) in
   let loaded = Store.Snapshot.read bytes in
   let queries = workload g (Prng.create (n + 101)) count in
   let direct = Serve.Engine.create loaded in
-  let expected = Array.map (fun q -> Serve.Engine.query direct q) queries in
-  let elapsed, mismatches, latencies, stats =
-    pipelined_run ~router:(open_router bytes)
-      ~expected ~window queries
-  in
-  let qps = rate count elapsed in
+  let expected = Array.map (fun q -> Some (Serve.Engine.query direct q)) queries in
   let batch_size = if smoke then 500 else 1_000 in
-  let batch_elapsed, batch_identical =
-    batch_run ~router:(open_router bytes)
-      ~direct ~batch_size queries
+  (* Pipelined and batch reps alternate, so host drift reaches both. *)
+  let runs =
+    List.init reps (fun _ ->
+        let elapsed, mismatches, latencies, stats =
+          pipelined_run ~router:(open_router bytes) ~expected ~window queries
+        in
+        let batch_elapsed, batch_identical =
+          batch_run ~router:(open_router bytes) ~direct ~batch_size queries
+        in
+        { qps = rate count elapsed; mismatches; latencies; stats;
+          batch_qps = rate count batch_elapsed; batch_identical })
   in
-  let batch_qps = rate count batch_elapsed in
+  let { qps; latencies; stats; _ } = median_by (fun r -> r.qps) runs in
+  let batch_qps = (median_by (fun r -> r.batch_qps) runs).batch_qps in
+  let mismatches = List.fold_left (fun acc r -> acc + r.mismatches) 0 runs in
+  let batch_identical = List.for_all (fun r -> r.batch_identical) runs in
   Printf.printf
     "store  net   n=%-7d %6d queries (window %d)  %8.0f q/s  p50 %dus p99 \
-     %dus  batch(%d) %8.0f q/s  [%s]\n\
+     %dus  batch(%d) %8.0f q/s  (median of %d reps)  [%s]\n\
      %!"
     n count window qps
     (percentile latencies 0.50)
     (percentile latencies 0.99)
-    batch_size batch_qps
+    batch_size batch_qps reps
     (if mismatches = 0 && batch_identical then "ok" else "FAIL");
-  (* Degraded serving over the same stack: flip one advice payload byte,
-     salvage, and serve the quarantined bits live. *)
-  let damaged =
-    let s =
-      List.find
-        (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
-        (Store.Snapshot.sections bytes)
-    in
-    let b = Bytes.of_string bytes in
-    let pos = s.Store.Codec.offset + 5 + s.Store.Codec.length - 1 in
-    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
-    Bytes.to_string b
-  in
+  (* Degraded serving over the same stack: a 4-shard container of the
+     same snapshot with one shard's body damaged, served under salvage.
+     The lost range answers with error frames, every other range with
+     answers. *)
+  let damaged = damaged_container loaded in
   let sv_count = min count 2_000 in
   let sv_queries = Array.sub queries 0 sv_count in
   let salvaged () = Serve.Router.create ~salvage:true (Store.Shard.open_bytes damaged) in
   let sv_direct = salvaged () in
-  let sv_expected = Array.map (fun q -> Serve.Router.query sv_direct q) sv_queries in
+  let sv_expected =
+    Array.map
+      (fun q ->
+        match Serve.Router.query sv_direct q with
+        | a -> Some a
+        | exception Serve.Router.Shard_lost _ -> None)
+      sv_queries
+  in
+  let sv_lost = Array.fold_left (fun k e -> if Option.is_none e then k + 1 else k) 0 sv_expected in
   let sv_elapsed, sv_mismatches, _, sv_stats =
     pipelined_run
       ~router:(salvaged ())
@@ -448,30 +489,36 @@ let block ~smoke =
   in
   let sv_degraded = stat sv_stats "serve.degraded" in
   Printf.printf
-    "store  net   salvaged: %d queries  %8.0f q/s  engine.degraded=%d \
-     serve.degraded=%d  [%s]\n\
+    "store  net   salvaged: %d queries (%d to the lost shard)  %8.0f q/s  \
+     engine.degraded=%d serve.degraded=%d  [%s]\n\
      %!"
-    sv_count (rate sv_count sv_elapsed)
+    sv_count sv_lost (rate sv_count sv_elapsed)
     (stat sv_stats "engine.degraded")
     sv_degraded
     (if sv_mismatches = 0 && sv_degraded > 0 then "ok" else "FAIL");
+  let floats f = J.List (List.map (fun r -> J.Float (f r)) runs) in
   J.Obj
     [
       ("family", J.Str "cycle");
       ("n", J.Int n);
       ("queries", J.Int count);
       ("pipeline_window", J.Int window);
+      ("reps", J.Int reps);
       ("queries_per_sec", J.Float qps);
+      ("rep_queries_per_sec", floats (fun r -> r.qps));
       ("latency", percentiles_json latencies);
       ("batch_size", J.Int batch_size);
       ("batch_queries_per_sec", J.Float batch_qps);
+      ("rep_batch_queries_per_sec", floats (fun r -> r.batch_qps));
       ("bytes_in", J.Int (stat stats "net.bytes_in"));
       ("bytes_out", J.Int (stat stats "net.bytes_out"));
       ("requests", J.Int (stat stats "net.requests"));
       ( "salvage",
         J.Obj
           [
+            ("shards", J.Int 4);
             ("queries", J.Int sv_count);
+            ("lost_queries", J.Int sv_lost);
             ("queries_per_sec", J.Float (rate sv_count sv_elapsed));
             ("engine_degraded", J.Int (stat sv_stats "engine.degraded"));
             ("serve_degraded", J.Int sv_degraded);

@@ -583,8 +583,8 @@ let bench_shard ~smoke ~domains =
 (* Ball-class table: structural hit rate, and the cost of a file that
    ships none.
 
-   Two structural families — the periodic-subset cycle (trusted,
-   packed, certified radius) and the uniform-advice grid (salvaged,
+   Two structural families — the periodic-subset cycle (packed,
+   certified radius) and the uniform-advice grid (hand-built advice,
    radius 2, its table built by Pack.class_table, as pack builds one) —
    have a tiny class population: almost every ball is one of the
    classes the table ships, so even a cold sweep over all nodes hits

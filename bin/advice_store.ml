@@ -230,43 +230,9 @@ let health_term =
   Arg.(
     value & flag
     & info [ "health" ]
-        ~doc:"Salvage-read the snapshot and print a per-section health \
-              report (healthy / quarantined / lost) instead of aborting \
-              on the first corrupt section.")
-
-let print_health raw =
-  let sv = Store.Snapshot.read_salvage raw in
-  Format.printf "snapshot: %d bytes, %d section frame(s) scanned@."
-    (String.length raw)
-    (List.length sv.Store.Snapshot.report);
-  let healthy = ref 0 and quarantined = ref 0 and lost = ref 0 in
-  List.iter
-    (fun r ->
-      let kind = if r.Store.Snapshot.s_tag < 0 then "frame" else tag_name r.Store.Snapshot.s_tag in
-      let name =
-        match r.Store.Snapshot.s_name with
-        | Some n -> Printf.sprintf " %S" n
-        | None -> ""
-      in
-      match r.Store.Snapshot.s_status with
-      | Store.Snapshot.Healthy ->
-          incr healthy;
-          Format.printf "  section %d %s%s: healthy@." r.Store.Snapshot.s_index
-            kind name
-      | Store.Snapshot.Quarantined msg ->
-          incr quarantined;
-          Format.printf "  section %d %s%s: quarantined — %s@."
-            r.Store.Snapshot.s_index kind name msg
-      | Store.Snapshot.Lost msg ->
-          incr lost;
-          Format.printf "  section %d %s%s: lost — %s@."
-            r.Store.Snapshot.s_index kind name msg)
-    sv.Store.Snapshot.report;
-  Format.printf "health: %d healthy, %d quarantined, %d lost@." !healthy
-    !quarantined !lost;
-  Format.printf "servable advice: %d trusted, %d quarantined@."
-    (List.length sv.Store.Snapshot.partial.Store.Snapshot.advice)
-    (List.length sv.Store.Snapshot.recovered)
+        ~doc:"Load every shard and print whether it is healthy or lost, \
+              instead of the framing.  A version-1 snapshot is one \
+              shard; a damaged one is refused as corrupt.")
 
 let shard_term =
   Arg.(
@@ -370,7 +336,7 @@ let print_shard_health ?only store =
         Printf.sprintf " probed (container has %d)"
           (Array.length man.Store.Shard.m_shards))
 
-let inspect_v2 path health shard =
+let inspect_container path health shard =
   let store = Store.Shard.open_file path in
   match (health, shard) with
   | true, Some k ->
@@ -382,56 +348,56 @@ let inspect_v2 path health shard =
       Store.Shard.check_rows store;
       print_manifest path (Store.Shard.manifest store)
 
+(* A version-1 file's framing and bits per node, read by the strict
+   reader. *)
+let print_v1 path =
+  let raw = Store.Io.read_file path in
+  let snapshot = Store.Snapshot.read raw in
+  let meta = meta_lines snapshot.Store.Snapshot.meta in
+  let sections = Store.Snapshot.sections raw in
+  Format.printf "snapshot: %d bytes, version %d, %d sections@."
+    (String.length raw) Store.Snapshot.version (List.length sections);
+  List.iter
+    (fun s ->
+      Format.printf "  section %-6s offset=%-6d length=%-6d crc=%08x@."
+        (tag_name s.Store.Codec.tag) s.Store.Codec.offset
+        s.Store.Codec.length s.Store.Codec.crc)
+    sections;
+  let g = snapshot.Store.Snapshot.graph in
+  Format.printf "graph: n=%d m=%d Δ=%d@." (Graph.n g) (Graph.m g)
+    (Graph.max_degree g);
+  List.iter
+    (fun (name, a) ->
+      let bits = Advice.Assignment.total_bits a in
+      let budget =
+        Graph.fold_nodes
+          (fun v acc ->
+            acc + Schemas.Edge_compression.bits_bound (Graph.degree g v))
+          g 0
+      in
+      Format.printf
+        "advice %S: %d bits total, max %d bits/node, %.3f bits/edge-slot \
+         (paper budget Σ⌈d/2⌉+1 = %d, used %.1f%%)@."
+        name bits
+        (Advice.Assignment.max_bits a)
+        (if Graph.m g = 0 then 0.0 else float_of_int bits /. float_of_int (2 * Graph.m g))
+        budget
+        (100.0 *. float_of_int bits /. float_of_int (max 1 budget)))
+    snapshot.Store.Snapshot.advice;
+  List.iter (Format.printf "%s@.") meta
+
+(* --health opens any file as a container (a version-1 file is one
+   shard); only the plain report reads a version-1 file's sections. *)
 let inspect_cmd =
   let run path health shard =
     or_corrupt @@ fun () ->
-    if Store.Shard.peek_version path = Store.Shard.version then
-      inspect_v2 path health shard
-    else begin
-    (match shard with
-    | Some _ ->
-        Format.eprintf "inspect: --shard applies to sharded (version-2) \
-                        containers only@.";
-        exit 2
-    | None -> ());
-    let raw = Store.Io.read_file path in
-    if health then print_health raw
-    else begin
-    let snapshot = Store.Snapshot.read raw in
-    let meta = meta_lines snapshot.Store.Snapshot.meta in
-    let sections = Store.Snapshot.sections raw in
-    Format.printf "snapshot: %d bytes, version %d, %d sections@."
-      (String.length raw) Store.Snapshot.version (List.length sections);
-    List.iter
-      (fun s ->
-        Format.printf "  section %-6s offset=%-6d length=%-6d crc=%08x@."
-          (tag_name s.Store.Codec.tag) s.Store.Codec.offset
-          s.Store.Codec.length s.Store.Codec.crc)
-      sections;
-    let g = snapshot.Store.Snapshot.graph in
-    Format.printf "graph: n=%d m=%d Δ=%d@." (Graph.n g) (Graph.m g)
-      (Graph.max_degree g);
-    List.iter
-      (fun (name, a) ->
-        let bits = Advice.Assignment.total_bits a in
-        let budget =
-          Graph.fold_nodes
-            (fun v acc ->
-              acc + Schemas.Edge_compression.bits_bound (Graph.degree g v))
-            g 0
-        in
-        Format.printf
-          "advice %S: %d bits total, max %d bits/node, %.3f bits/edge-slot \
-           (paper budget Σ⌈d/2⌉+1 = %d, used %.1f%%)@."
-          name bits
-          (Advice.Assignment.max_bits a)
-          (if Graph.m g = 0 then 0.0 else float_of_int bits /. float_of_int (2 * Graph.m g))
-          budget
-          (100.0 *. float_of_int bits /. float_of_int (max 1 budget)))
-      snapshot.Store.Snapshot.advice;
-    List.iter (Format.printf "%s@.") meta
-    end
-    end
+    let v2 = Store.Shard.peek_version path = Store.Shard.version in
+    if (not v2) && Option.is_some shard then begin
+      Format.eprintf "inspect: --shard applies to sharded (version-2) \
+                      containers only@.";
+      exit 2
+    end;
+    if v2 || health then inspect_container path health shard else print_v1 path
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -439,9 +405,9 @@ let inspect_cmd =
              its bits-per-node statistics against the paper's bound.  On a \
              sharded (version-2) container the report comes from the \
              manifest alone — no body bytes are decoded — and $(b,--shard) \
-             decodes a single shard; $(b,--health) salvage-reads damaged \
-             snapshots (per shard on version 2, narrowed to one shard by \
-             $(b,--shard)) instead.")
+             decodes a single shard; $(b,--health) loads every shard \
+             instead (a version-1 snapshot is one), or the one \
+             $(b,--shard) names.")
     Term.(const run $ snapshot_arg $ health_term $ shard_term)
 
 (* ------------------------------------------------------------------ *)
@@ -484,9 +450,11 @@ let salvage_term =
   Arg.(
     value & flag
     & info [ "salvage" ]
-        ~doc:"Serve a damaged snapshot in degraded mode: surviving advice \
-              sections answer normally, a quarantined (checksum-failed \
-              but parseable) section answers best-effort.")
+        ~doc:"Serve a sharded container in degraded mode: a shard that \
+              fails to load is lost, the queries for its node range \
+              answer with an error, and every other shard serves.  A \
+              damaged version-1 snapshot is one shard and is refused \
+              as corrupt, as a damaged manifest is.")
 
 let listen_term =
   Arg.(
@@ -563,10 +531,9 @@ let serve_listen router host port =
         (Unix.error_message err);
       exit 2
   in
-  Format.printf "listening on %s:%d (n=%d m=%d radius=%d protocol v%d%s)@."
+  Format.printf "listening on %s:%d (n=%d m=%d radius=%d protocol v%d)@."
     host (Net.Server.port server) (Serve.Router.n router) (Serve.Router.m router)
-    (Serve.Router.radius router) Net.Protocol.version
-    (if Serve.Router.degraded router then ", degraded" else "");
+    (Serve.Router.radius router) Net.Protocol.version;
   (* Flush before blocking: scripts scrape the port from this line. *)
   Format.print_flush ();
   let stop _ = Net.Server.shutdown server in
@@ -626,9 +593,8 @@ let serve_cmd =
     in
     (* Every file opens the same way: a version-1 snapshot is a one-shard
        container cut into --domains slots, a sharded one loads its shards
-       lazily under --resident-mb.  --salvage degrades per node range
-       (per section, for a damaged version-1 file) instead of
-       fail-stopping. *)
+       lazily under --resident-mb.  --salvage degrades per shard instead
+       of fail-stopping. *)
     let store = Store.Shard.open_file path in
     let meta = (Store.Shard.manifest store).Store.Shard.m_meta in
     (* Only printed with --memo, so memo-less runs keep their exact
@@ -657,14 +623,6 @@ let serve_cmd =
            Printf.sprintf ", resident budget %d MiB" resident_mb
          else "")
         (if salvage then ", salvage on" else "");
-    List.iter
-      (fun line -> Format.printf "salvage: %s@." line)
-      (Serve.Router.quarantined_sections router);
-    if Serve.Router.degraded router then
-      Format.printf "serving degraded from %S%s@."
-        (Serve.Router.advice_name router)
-        (if Serve.Router.serving_trusted router then ""
-         else " (quarantined advice: answers are best-effort)");
     (* A radius certified on a sample can give wrong labels elsewhere. *)
     (match List.assoc_opt "serve.certified" meta with
     | Some c when not (String.equal c "all") ->

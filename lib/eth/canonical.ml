@@ -41,8 +41,8 @@ let signature (view : Localmodel.View.t) =
    determined by (graph, center) and [input] is never read by the
    decoder, so both stay out of the key — including them would only
    shrink collision classes and cost hit rate.  Advice strings are
-   length-prefixed: a byte-delimited join would let damaged
-   (quarantined) advice containing the delimiter alias across nodes.
+   length-prefixed: a byte-delimited join would let damaged advice
+   containing the delimiter alias across nodes.
 
    The encoding is binary LEB128, not decimal: the key is built on the
    serve miss path, where it sits in front of a ball decode of the same

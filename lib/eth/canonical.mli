@@ -21,14 +21,14 @@ val ball_signature : Localmodel.View.t -> string
     table ({!Serve.Memo}): the ball's structure in stamp order, the
     identifier {e ranks} (only the order type — the decoder only
     compares identifiers, so their numeric values are invisible to it), the
-    advice strings (length-prefixed, so damaged advice cannot alias
+    advice strings (length-prefixed, so arbitrary advice cannot alias
     across node boundaries), and the center stamp.  Distances are
     determined by (graph, center) and inputs are never read by the C4
     decoder, so unlike {!signature} both stay out of the key.  The key
     is the decoder's whole input: two views with equal
     [ball_signature]s decode to byte-identical labels, whatever radius
-    each was cut at and whether its advice is trusted, which is why a
-    table keyed by it needs no prefix.  Uses the calling domain's
+    each was cut at, which is why a table keyed by it needs no
+    prefix.  Uses the calling domain's
     {!Netgraph.Workspace} as scratch (see {!stamp_view}); the bytes come
     from the same encoder as {!ball_key}. *)
 

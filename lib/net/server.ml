@@ -135,7 +135,6 @@ let stats t =
     [
       ("engine.certified_all", flag (Router.certified_all r));
       ("engine.degraded", flag (Router.degraded r));
-      ("engine.trusted", flag (Router.serving_trusted r));
       ("engine.n", Router.n r);
       ("engine.m", Router.m r);
       ("engine.radius", Router.radius r);

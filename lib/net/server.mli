@@ -26,9 +26,9 @@
     answered; bytes arriving after it are never parsed.
 
     {b Degraded serving} needs no special handling: a router over a
-    salvaged version-1 file or a container with a lost shard answers
-    like any other, and the stats frame reports the router's own
-    [engine.degraded] / [serve.degraded].
+    container with a lost shard answers the surviving node ranges like
+    any other and the lost one with an error frame, and the stats frame
+    reports the router's own [engine.degraded] / [serve.degraded].
 
     Obs: [net.accepted], [net.closed], [net.requests], [net.queries],
     [net.batches], [net.errors], [net.bytes_in], [net.bytes_out]
@@ -73,7 +73,7 @@ val stats : t -> (string * int) list
 (** The counter pairs a {!Protocol.Stats} request is answered with,
     sorted by name: router facts ([engine.n], [engine.m],
     [engine.radius], [engine.shards] (the slot count),
-    [engine.degraded], [engine.trusted] and [engine.certified_all]
+    [engine.degraded] and [engine.certified_all]
     ({!Serve.Router.certified_all}) as 0/1 flags and sizes), slot
     residency ([store.shard.resident], [store.shard.resident_bytes],
     [store.shard.loads], [store.shard.evictions], [store.shard.lost]),

@@ -12,8 +12,8 @@
     order of the traffic.  Keys are
     {!Ethlink.Canonical.write_ball_key}'s bytes, which are the
     decoder's whole input: a hit returns the label a decode would give,
-    at any radius and trust mode.  DESIGN.md, "Canonical-ball
-    memoization", has the design.
+    at any radius.  DESIGN.md, "Canonical-ball memoization", has the
+    design.
 
     {b Capacity.}  [capacity] bounds stored entries; an insert past it
     is dropped.  Capacity 0 is a documented no-op: no storage, every

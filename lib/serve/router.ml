@@ -7,7 +7,6 @@ let m_resident_peak = Obs.Metrics.gauge "store.shard.resident_bytes"
 let m_batches = Obs.Metrics.counter "serve.batches"
 let m_slots = Obs.Metrics.counter "serve.batch.shards"
 let m_degraded = Obs.Metrics.counter "serve.degraded"
-let m_quarantined = Obs.Metrics.counter "serve.quarantined"
 
 exception Shard_lost of { shard : int; reason : string }
 
@@ -55,8 +54,6 @@ type t = {
   first_slot : int array;  (* per shard, plus one past the last slot *)
   shards : shard array;
   unpinned : bool array;  (* all false: what a single query pins *)
-  damage : string list;  (* a salvaged v1 file's non-healthy sections *)
-  trusted : bool;  (* the served advice section passed its checksum *)
   mutable degraded_answers : int;
   mutable resident_bytes : int;
   mutable clock : int;
@@ -92,9 +89,7 @@ let lost_shards t =
     t.shards;
   List.rev !out
 
-let degraded t = t.lost > 0 || not (List.is_empty t.damage)
-let serving_trusted t = t.trusted
-let quarantined_sections t = t.damage
+let degraded t = t.lost > 0
 let degraded_answers t = t.degraded_answers
 
 (* One count per answer that leaves the router, taken as it leaves: the
@@ -103,31 +98,7 @@ let note_answered t count =
   if degraded t then begin
     t.degraded_answers <- t.degraded_answers + count;
     Obs.Metrics.add m_degraded count
-  end;
-  if not t.trusted then Obs.Metrics.add m_quarantined count
-
-(* Damage report lines: one per non-healthy section of a salvage. *)
-let describe_damage (r : Store.Snapshot.section_report) =
-  let where =
-    match r.Store.Snapshot.s_name with
-    | Some n -> Printf.sprintf "section %d (advice %S)" r.Store.Snapshot.s_index n
-    | None -> Printf.sprintf "section %d (tag %d)" r.Store.Snapshot.s_index r.Store.Snapshot.s_tag
-  in
-  match r.Store.Snapshot.s_status with
-  | Store.Snapshot.Healthy -> None
-  | Store.Snapshot.Quarantined msg -> Some (where ^ " quarantined: " ^ msg)
-  | Store.Snapshot.Lost msg -> Some (where ^ " lost: " ^ msg)
-
-(* The shard lists checksum-clean advice first, so the served section
-   is trusted unless the report has no healthy advice row. *)
-let trusted_advice report =
-  List.is_empty report
-  || List.exists
-       (fun r ->
-         match r.Store.Snapshot.s_status with
-         | Store.Snapshot.Healthy -> r.Store.Snapshot.s_tag = Store.Snapshot.tag_advice
-         | Store.Snapshot.Quarantined _ | Store.Snapshot.Lost _ -> false)
-       report
+  end
 
 (* [create] rejects advice-free containers, so the list is not empty. *)
 let advice_name t = List.hd t.man.Shard.m_advice
@@ -304,15 +275,6 @@ let ensure t ~pinned k =
 
 let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     ?radius ?domains store =
-  (* A damaged v1 file's damage is known at open: without salvage the
-     router fails-stop here, with the strict reader's diagnostic; with
-     it, the one shard's salvage report says what is served. *)
-  let report =
-    match Shard.damage store with
-    | None -> []
-    | Some diagnostic when not salvage -> raise (Store.Codec.Corrupt diagnostic)
-    | Some _ -> (Shard.load store 0).Shard.l_report
-  in
   let man = Shard.manifest store in
   let radius = Engine.serve_radius ?radius man.Shard.m_meta in
   let s = Array.length man.Shard.m_shards in
@@ -333,11 +295,7 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
     | None -> Localmodel.Pool.effective_domains ()
   in
   if List.is_empty man.Shard.m_advice then
-    raise
-      (Store.Codec.Corrupt
-         (match Shard.damage store with
-         | Some diagnostic -> "container has no advice section left after salvage: " ^ diagnostic
-         | None -> "container has no advice section"));
+    raise (Store.Codec.Corrupt "container has no advice section");
   (* ⌈D/S⌉ node ranges per shard: a one-shard file gets D slots, and a
      container with at least D shards one slot per shard. *)
   let slots =
@@ -352,38 +310,27 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
   let first_slot = Array.make (s + 1) (Array.length slots) in
   Array.iteri (fun j slot -> first_slot.(slot.shard) <- min first_slot.(slot.shard) j) slots;
   let meta = man.Shard.m_meta in
-  let t =
-    {
-      store;
-      man;
-      salvage;
-      cache_capacity;
-      memo = Option.bind memo (fun memo -> Memo.attach memo meta);
-      meta = List.filter (fun (k, _) -> not (String.equal k Memo.table_key)) meta;
-      budget = resident_budget;
-      radius;
-      domains;
-      slots;
-      first_slot;
-      shards = Array.make s Unloaded;
-      unpinned = Array.make s false;
-      damage = List.filter_map describe_damage report;
-      trusted = trusted_advice report;
-      degraded_answers = 0;
-      resident_bytes = 0;
-      clock = 0;
-      loads = 0;
-      evictions = 0;
-      lost = 0;
-    }
-  in
-  (* A salvaged v1 file was parsed whole at open; its one shard's engine
-     is built now too.  An engine the file cannot make (a malformed
-     [params.*] value) leaves the shard [Lost], so every query answers
-     with its diagnostic, as a healthy file's would. *)
-  (if Option.is_some (Shard.damage store) then
-     try ignore (ensure t ~pinned:t.unpinned 0) with Shard_lost _ -> ());
-  t
+  {
+    store;
+    man;
+    salvage;
+    cache_capacity;
+    memo = Option.bind memo (fun memo -> Memo.attach memo meta);
+    meta = List.filter (fun (k, _) -> not (String.equal k Memo.table_key)) meta;
+    budget = resident_budget;
+    radius;
+    domains;
+    slots;
+    first_slot;
+    shards = Array.make s Unloaded;
+    unpinned = Array.make s false;
+    degraded_answers = 0;
+    resident_bytes = 0;
+    clock = 0;
+    loads = 0;
+    evictions = 0;
+    lost = 0;
+  }
 
 (* Global → local query translation, one rule for every shard: a
    query's node is interior to its owner, so its local id is [v +

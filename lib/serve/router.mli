@@ -65,23 +65,18 @@
     cycle — a reloaded shard's frame bytes are charged to the resident
     budget exactly once, a failed retry refreshes the diagnostic
     without re-counting the loss, and a heal removes the shard from
-    {!lost_shards} (and {!degraded} clears when none remain).  Only a
-    damaged version-1 file's damage is known at open
-    ({!Store.Shard.damage}): {!create} fails-stop on it without salvage;
-    with salvage it reads the shard's section report and loads the
-    shard at once.  The shard lists checksum-clean advice before
-    quarantined advice (parsed, but CRC-failed) and its engine serves
-    the first, so a file whose only advice is quarantined is served
-    best-effort ({!serving_trusted} is [false]; the decoder is total),
-    and any non-healthy section makes the router {!degraded}.  An
-    {!Engine} knows nothing of damage.
+    {!lost_shards} (and {!degraded} clears when none remain).  Nothing
+    that failed a checksum is ever served: a damaged version-1 file is
+    refused when it opens ({!Store.Shard.open_file}), salvage or not,
+    so the one damage a router meets is a shard that fails to load.
+    An {!Engine} knows nothing of damage.
 
     {b Degraded answers.}  An answer is degraded when {!degraded} holds
     as it leaves the router: each {!query} answer, each [Ok] of
-    {!batch_results}, each answer of a {!batch} that returns.
-    {!degraded_answers} and the [serve.degraded] counter count them;
-    [serve.quarantined] counts the answers served while
-    {!serving_trusted} is [false].
+    {!batch_results}, each answer of a {!batch} that returns.  It comes
+    from a shard that loaded intact, so it is exact; it is counted
+    because another node range is not being served.
+    {!degraded_answers} and the [serve.degraded] counter count them.
 
     {b Memoization.}  {!create} loads the container's shipped class
     table into the [~memo] it is given, once, and every shard engine
@@ -91,10 +86,10 @@
 
     Obs: [store.shard.loads], [store.shard.evictions],
     [store.shard.lost], [serve.batches], [serve.batch.shards] (slots
-    served per wave), [serve.degraded] and [serve.quarantined]
-    counters, the [store.shard.resident_bytes] peak gauge and the
-    [serve.batch] trace span (plus everything the shard engines and
-    {!Localmodel.Pool} record). *)
+    served per wave) and [serve.degraded] counters, the
+    [store.shard.resident_bytes] peak gauge and the [serve.batch] trace
+    span (plus everything the shard engines and {!Localmodel.Pool}
+    record). *)
 
 type t
 (** A router: a slot table with its LRU state, and one {!Engine} per
@@ -119,9 +114,10 @@ val create :
     drops the column with the shard, so a reloaded shard decodes its
     nodes again.  [resident_budget] bounds resident shards in
     serialized bytes (default 0 = unbounded).  [salvage] selects
-    degraded serving over fail-stop.  [memo] receives the container's
-    class table ({!Memo.attach}) and is shared by every shard engine; a
-    container without one serves memo-less.  [radius] overrides the
+    degraded serving over fail-stop when a shard fails to load.
+    [memo] receives the container's class table ({!Memo.attach}) and is
+    shared by every shard engine; a container without one serves
+    memo-less.  [radius] overrides the
     container's [serve.radius]
     metadata ({!Engine.serve_radius}).  [domains] (default
     {!Localmodel.Pool.effective_domains}[ ()]) sets the slot count (see
@@ -133,8 +129,7 @@ val create :
     shards has a halo too shallow for the radius ([halo >= max radius 1]
     is the byte-identity precondition); @raise Store.Codec.Corrupt
     when the metadata has no valid serve radius (and no override was
-    given), the container has no advice section, a damaged
-    version-1 file is opened without [salvage], or [memo] is given and
+    given), the container has no advice section, or [memo] is given and
     the shipped class table is malformed ({!Memo.read_table}). *)
 
 val n : t -> int
@@ -158,9 +153,8 @@ val slot_count : t -> int
 (** Number of slots: [⌈D/S⌉] node ranges per container shard. *)
 
 val advice_name : t -> string
-(** The advice section queries are answered from: the manifest's first
-    (a salvaged version-1 file lists quarantined sections after the
-    checksum-clean ones), the section each shard engine serves. *)
+(** The advice section queries are answered from: the manifest's first,
+    the section each shard engine serves. *)
 
 val shard_of : t -> int -> int
 (** Owner shard of a global node id.  @raise Invalid_argument out of
@@ -185,16 +179,7 @@ val lost_shards : t -> (int * string) list
 
 val degraded : t -> bool
 (** Whether any shard is currently lost (clears when every lost shard
-    heals on reload), or the router serves a salvaged version-1 file
-    with damaged sections. *)
-
-val serving_trusted : t -> bool
-(** Whether the served advice passed its checksum: [false] only for a
-    salvaged version-1 file serving quarantined advice best-effort. *)
-
-val quarantined_sections : t -> string list
-(** A salvaged version-1 file's damage report, one line per non-healthy
-    section, in file order; empty otherwise. *)
+    heals on reload). *)
 
 val degraded_answers : t -> int
 (** Degraded answers served since creation (see above), counted

@@ -269,15 +269,12 @@ type loaded = {
   l_ids : int array;
   l_edge_ids : int array;
   l_advice : (string * Advice.Assignment.t) list;
-  l_report : Snapshot.section_report list;
 }
 
 (* Where shard bodies come from: a v2 file's frames, fetched on demand,
-   or a v1 file's one shard, parsed at open (the raw bytes are not kept),
-   with the strict reader's diagnostic when it had to be salvaged. *)
-type body =
-  | Frames of (pos:int -> len:int -> string)
-  | Parsed of loaded * string option
+   or a v1 file's one shard, parsed at open (the raw bytes are not
+   kept). *)
+type body = Frames of (pos:int -> len:int -> string) | Parsed of loaded
 
 type t = { body : body; man : manifest }
 
@@ -373,42 +370,31 @@ let parse_manifest ~header_bytes ~size payload =
   }
 
 (* A parsed snapshot as a one-shard container: its shard is the whole
-   graph (no halo, identity id tables) and its "frame" [bytes].  A
-   salvaged file's quarantined advice follows its checksum-clean
-   advice, so the first section is checksum-clean whenever one is. *)
-let one_shard ~bytes ?(recovered = []) ?(report = []) ?diagnostic (s : Snapshot.t) =
+   graph (no halo, identity id tables) and its "frame" [bytes]. *)
+let one_shard ~bytes (s : Snapshot.t) =
   let n = Graph.n s.Snapshot.graph and m = Graph.m s.Snapshot.graph in
-  let advice = s.Snapshot.advice @ recovered in
   let loaded =
     { l_index = 0; l_lo = 0; l_hi = n; l_graph = s.Snapshot.graph; l_ids = [||];
-      l_edge_ids = [||]; l_advice = advice; l_report = report }
+      l_edge_ids = [||]; l_advice = s.Snapshot.advice }
   in
   let row =
     { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
       i_offset = 0; i_bytes = bytes; i_crc = 0 }
   in
-  { body = Parsed (loaded, diagnostic);
+  { body = Parsed loaded;
     man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
-            m_advice = List.map fst advice; m_shards = [| row |];
+            m_advice = List.map fst s.Snapshot.advice; m_shards = [| row |];
             m_header_bytes = 0 } }
 
 (* Never serialized: the row counts the 9 bytes of an empty frame, so it
    keeps the positive frame size every manifest row has. *)
 let of_snapshot s = one_shard ~bytes:(frame_bytes "") s
 
-(* A v1 file is one shard whose frame is the whole file.  A file that
-   fails the strict read is salvaged when its graph survives; otherwise
-   nothing is servable and the strict diagnostic stands. *)
-let open_v1 ~size raw =
-  match Snapshot.read raw with
-  | s -> one_shard ~bytes:size s
-  | exception Codec.Corrupt diagnostic ->
-      let sv =
-        try Snapshot.read_salvage raw
-        with Codec.Corrupt _ -> raise (Codec.Corrupt diagnostic)
-      in
-      one_shard ~bytes:size ~recovered:sv.Snapshot.recovered
-        ~report:sv.Snapshot.report ~diagnostic sv.Snapshot.partial
+(* A v1 file is one shard whose frame is the whole file.  Its section
+   checksums detect damage but cannot localize it below the one shard,
+   so a file that fails the strict read is refused, as a damaged
+   manifest is. *)
+let open_v1 ~size raw = one_shard ~bytes:size (Snapshot.read raw)
 
 (* A v2 file: locate the manifest frame after the 6-byte prefix, verify
    its checksum and parse it; shard frames stay behind [fetch]. *)
@@ -483,8 +469,6 @@ let check_rows t =
               i.i_index i.i_local_n i.i_local_m (max room 0))
         t.man.m_shards
 
-let damage t = match t.body with Parsed (_, d) -> d | Frames _ -> None
-
 let shard_of_node man v =
   if v < 0 || v >= man.m_n then
     fail "Shard.shard_of_node: node %d outside 0..%d" v (man.m_n - 1);
@@ -556,10 +540,9 @@ let load_frame t fetch k =
     l_ids = ids;
     l_edge_ids = edge_ids;
     l_advice = advice;
-    l_report = [];
   }
 
 let load t k =
   let s = Array.length t.man.m_shards in
   if k < 0 || k >= s then fail "Shard.load: shard %d outside 0..%d" k (s - 1);
-  match t.body with Frames fetch -> load_frame t fetch k | Parsed (l, _) -> l
+  match t.body with Frames fetch -> load_frame t fetch k | Parsed l -> l

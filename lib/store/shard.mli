@@ -145,11 +145,7 @@ type loaded = {
   l_ids : int array;  (** local node id -> global node id (sorted) *)
   l_edge_ids : int array;  (** local edge id -> global edge id (sorted) *)
   l_advice : (string * Advice.Assignment.t) list;
-      (** advice slices, local node order: the checksum-clean sections,
-          then a salvaged version-1 file's quarantined ones *)
-  l_report : Snapshot.section_report list;
-      (** a salvaged version-1 file's per-section report
-          ({!Snapshot.read_salvage}); [[]] otherwise *)
+      (** advice slices, local node order, in section order *)
 }
 (** One decoded shard.  [l_ids] and [l_edge_ids] are the translation
     tables a router needs: both are strictly increasing, so global→local
@@ -166,11 +162,13 @@ val open_file : string -> t
 (** Open a container.  Version 2 opens lazily: fetch the prefix, locate
     the manifest frame, verify its checksum, parse it; every later
     {!load} fetches its frame with {!Io.read_range}.  A version-1 file
-    is parsed whole (salvaged if the strict read fails, see {!damage})
-    and its bytes are not kept: it opens as {!of_snapshot} of the
-    parsed snapshot, with the file's size as its frame bytes.
+    is parsed whole by the strict {!Snapshot.read} and its bytes are
+    not kept: it opens as {!of_snapshot} of the parsed snapshot, with
+    the file's size as its frame bytes.  Its section checksums detect
+    damage but cannot localize it below its one shard, so a damaged
+    version-1 file is refused here, as a damaged manifest is.
     @raise Codec.Corrupt on bad magic, an unknown version, a damaged
-    manifest, or a version-1 file with no intact graph;
+    manifest, or a version-1 file {!Snapshot.read} rejects;
     @raise Sys_error on I/O failure. *)
 
 val open_bytes : string -> t
@@ -191,8 +189,7 @@ val of_snapshot : Snapshot.t -> t
 val manifest : t -> manifest
 (** The container's parsed manifest (verified at {!open_file} time).  A
     version-1 file's has one row spanning the whole file, halo 0 and
-    checksum 0 (its sections carry their own), and lists quarantined
-    advice after the checksum-clean sections. *)
+    checksum 0 (its sections carry their own). *)
 
 val check_rows : t -> unit
 (** Checks every manifest row of a version-2 container against its
@@ -204,12 +201,6 @@ val check_rows : t -> unit
     before it prints the manifest.  Nothing to check for a version-1
     file.
     @raise Codec.Corrupt naming the first impossible shard. *)
-
-val damage : t -> string option
-(** The {!Snapshot.read} diagnostic of a version-1 file that failed the
-    strict read at open and was salvaged (its {!load} carries
-    [l_report]); [None] otherwise — a version-2 container's damage
-    surfaces per shard, at {!load}. *)
 
 val shard_of_node : manifest -> int -> int
 (** Owner shard of a global node id: the unique [k] with

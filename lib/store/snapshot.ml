@@ -234,120 +234,6 @@ let read s =
   Codec.expect_end r ~what:"snapshot";
   { graph; advice = List.rev !advice; meta }
 
-
-(* Salvage: per-section health instead of abort-on-first-Corrupt.  The
-   CRC covers each payload, so a section either verifies and parses
-   (Healthy), fails its CRC but still parses structurally (Quarantined —
-   servable, untrusted), or cannot be recovered at all (Lost).  Framing
-   is not self-synchronizing — tag and length live outside the CRC — so
-   scanning stops at the first frame whose header runs off the data. *)
-
-type section_status = Healthy | Quarantined of string | Lost of string
-
-type section_report = {
-  s_index : int;
-  s_tag : int;
-  s_name : string option;
-  s_status : section_status;
-}
-
-type salvage = {
-  partial : t;
-  recovered : (string * Advice.Assignment.t) list;
-  report : section_report list;
-}
-
-(* Read one frame without CRC enforcement: (tag, payload window,
-   crc_ok). *)
-let read_frame_lenient r =
-  let tag = Codec.read_u8 r in
-  let len = Codec.read_u32 r in
-  if Codec.remaining r < len + 4 then
-    corrupt "truncated section (tag %d): %d payload byte(s) announced, %d left"
-      tag len (Codec.remaining r);
-  let payload = Codec.sub r len in
-  let stored = Codec.read_u32 r in
-  let crc = Crc32.of_substring (Codec.source payload) ~pos:(Codec.source_pos payload) ~len in
-  (tag, payload, stored = crc)
-
-let advice_name_of payload =
-  match Codec.read_str (Codec.fork payload) with
-  | name -> Some name
-  | exception Codec.Corrupt _ -> None
-
-let read_salvage s =
-  Obs.Metrics.add bytes_read (String.length s);
-  let r = Codec.reader s in
-  let declared = read_header r in
-  let graph = ref None in
-  let advice = ref [] in
-  let recovered = ref [] in
-  let meta = ref [] in
-  let report = ref [] in
-  let push entry = report := entry :: !report in
-  let index = ref 0 in
-  let stop = ref false in
-  (* Bounded by the data, not by [declared]: a flipped count byte must
-     not drive the scan — frames are read only while bytes remain. *)
-  while (not !stop) && not (Codec.at_end r) do
-    let i = !index in
-    incr index;
-    match read_frame_lenient r with
-    | exception Codec.Corrupt msg ->
-        push { s_index = i; s_tag = -1; s_name = None; s_status = Lost msg };
-        stop := true
-    | tag, payload, crc_ok ->
-        let name = if tag = tag_advice then advice_name_of payload else None in
-        let status =
-          if tag = tag_graph then
-            if not crc_ok then
-              Lost "graph section failed its checksum; refusing to trust it"
-            else (
-              match read_graph payload with
-              | g ->
-                  graph := Some g;
-                  Healthy
-              | exception Codec.Corrupt msg -> Lost msg)
-          else if tag = tag_meta then
-            if not crc_ok then Lost "metadata section failed its checksum"
-            else (
-              match decode_meta payload with
-              | kvs ->
-                  meta := kvs;
-                  Healthy
-              | exception Codec.Corrupt msg -> Lost msg)
-          else if tag = tag_advice then
-            match !graph with
-            | None -> Lost "advice section precedes any readable graph"
-            | Some g -> (
-                match read_advice ~n:(Graph.n g) payload with
-                | named when crc_ok ->
-                    advice := named :: !advice;
-                    Healthy
-                | named ->
-                    recovered := named :: !recovered;
-                    Quarantined
-                      "checksum mismatch; payload still parses — servable \
-                       but untrusted"
-                | exception Codec.Corrupt msg -> Lost msg
-                | exception Invalid_argument msg -> Lost msg)
-          else Lost (Printf.sprintf "unknown section tag %d" tag)
-        in
-        push { s_index = i; s_tag = tag; s_name = name; s_status = status }
-  done;
-  match !graph with
-  | None ->
-      corrupt
-        "salvage: no intact graph section (%d declared, %d frame(s) scanned) \
-         — nothing is servable"
-        declared !index
-  | Some g ->
-      {
-        partial = { graph = g; advice = List.rev !advice; meta = !meta };
-        recovered = List.rev !recovered;
-        report = List.rev !report;
-      }
-
 let sections s =
   let r = Codec.reader s in
   let count = read_header r in

@@ -80,49 +80,6 @@ val read : string -> t
     input: bad magic, unknown version, checksum mismatch, truncation,
     a graph section {!read_graph} rejects, or trailing bytes. *)
 
-(** Health of one section frame, as classified by {!read_salvage}. *)
-type section_status =
-  | Healthy  (** checksum verified and payload parsed *)
-  | Quarantined of string
-      (** checksum mismatch but the payload still parses structurally —
-          servable, untrusted (advice sections only) *)
-  | Lost of string  (** unrecoverable; the diagnostic says why *)
-
-(** One entry of a salvage report, in frame order. *)
-type section_report = {
-  s_index : int;  (** 0-based frame position in the file *)
-  s_tag : int;  (** section tag byte, or [-1] for an unreadable frame *)
-  s_name : string option;  (** advice section name, when parseable *)
-  s_status : section_status;
-}
-
-(** What {!read_salvage} could recover from a damaged snapshot. *)
-type salvage = {
-  partial : t;
-      (** the intact part: verified graph, checksum-clean advice
-          sections, verified metadata (empty when the metadata section
-          was damaged) *)
-  recovered : (string * Advice.Assignment.t) list;
-      (** quarantined advice: parsed out of sections whose checksum
-          failed — structurally sound, contents untrusted *)
-  report : section_report list;  (** per-frame health, in file order *)
-}
-
-val read_salvage : string -> salvage
-(** Per-section salvage of a damaged snapshot: where {!read} aborts on
-    the first {!Codec.Corrupt}, [read_salvage] classifies every section
-    frame it can reach and returns everything recoverable, so one
-    corrupted advice section degrades service for its queries instead of
-    taking the whole snapshot down.  The graph section must verify
-    (checksum and structure) for anything to be servable.  Section
-    framing is not self-synchronizing — tag and length live outside the
-    CRC — so scanning stops at the first frame whose header runs off the
-    data (reported as [Lost] with tag [-1]).  The declared section count
-    is reported-against but never trusted.
-    @raise Codec.Corrupt only when no intact graph section was found
-    (bad magic, unknown version, or a damaged graph) — there is nothing
-    to serve from such a file. *)
-
 val sections : string -> Codec.section_info list
 (** Frame-level description of a snapshot's sections (tag, offset,
     payload length, verified checksum) without decoding the payloads —

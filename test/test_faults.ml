@@ -1,9 +1,10 @@
 (* Crash consistency and fault injection for the store/serve pipeline:
    the Store.Io harness (crash at every byte boundary, injected write
-   errors, bounded transient retry), per-section snapshot salvage, the
-   degraded serving engine's differential agreement with the direct
-   decoder, and the CLI: pack's bytes-written accounting, bad files as
-   corrupt-snapshot diagnostics, numeric flags as usage errors.
+   errors, bounded transient retry), salvage of a container with a lost
+   shard and its differential agreement with the direct decoder, and
+   the CLI: pack's bytes-written accounting, bad files (a damaged
+   version-1 file among them) as corrupt-snapshot diagnostics, numeric
+   flags as usage errors.
 
    All scratch files live in the test's own working directory (dune's
    sandbox), never in shared temp space. *)
@@ -211,12 +212,12 @@ let test_transient_retry () =
   check_int "one file written" 1 (counter_total "io.files_written")
 
 (* ------------------------------------------------------------------ *)
-(* Per-section salvage *)
+(* Salvage: a lost shard, and nothing checksum-failed served *)
 
 (* Flip the LAST payload byte of the section at [index] (0-based, file
-   order), leaving tag, length and stored CRC alone.  For advice
-   sections the tail is packed label bits, so the damaged payload still
-   parses — the checksum alone catches it (Quarantined, not Lost). *)
+   order), leaving tag, length and stored CRC alone.  For an advice
+   section the tail is packed label bits, so the damaged payload still
+   parses: the checksum alone catches it. *)
 let flip_payload_byte bytes index =
   let sections = Store.Snapshot.sections bytes in
   let s = List.nth sections index in
@@ -226,172 +227,57 @@ let flip_payload_byte bytes index =
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
   Bytes.to_string b
 
-let two_advice_snapshot n seed =
-  let g, _, snapshot, cert = make_packed n seed in
-  let decoy = Array.init (Graph.n g) (fun v -> if v mod 2 = 0 then "01" else "1") in
-  ( g,
-    { snapshot with Store.Snapshot.advice = snapshot.Store.Snapshot.advice @ [ ("decoy", decoy) ] },
-    cert )
+let four_shards snapshot ~radius = Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot
 
-let status_name = function
-  | Store.Snapshot.Healthy -> "healthy"
-  | Store.Snapshot.Quarantined _ -> "quarantined"
-  | Store.Snapshot.Lost _ -> "lost"
-
-let test_salvage_report () =
-  let _, snapshot, _ = two_advice_snapshot 40 11 in
-  let bytes = Store.Snapshot.write snapshot in
-  (* Intact input: everything healthy, nothing recovered. *)
-  let sv = Store.Snapshot.read_salvage bytes in
-  check_int "four frames" 4 (List.length sv.Store.Snapshot.report);
-  List.iter
-    (fun r -> check_str "all healthy" "healthy" (status_name r.Store.Snapshot.s_status))
-    sv.Store.Snapshot.report;
-  check_int "no quarantined advice" 0 (List.length sv.Store.Snapshot.recovered);
-  (* Corrupt the decoy advice section (index 2: graph, c4, decoy, meta):
-     it must be quarantined, everything else untouched. *)
-  let damaged = flip_payload_byte bytes 2 in
-  (match Store.Snapshot.read damaged with
-  | exception Store.Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "strict read accepted a damaged snapshot");
-  let sv = Store.Snapshot.read_salvage damaged in
-  let statuses =
-    List.map (fun r -> status_name r.Store.Snapshot.s_status) sv.Store.Snapshot.report
+(* [snapshot] as a 4-shard container with one bit flipped in the middle
+   of shard 1's frame, and that shard's manifest row. *)
+let lost_shard_container snapshot ~radius =
+  let container = four_shards snapshot ~radius in
+  let victim =
+    (Store.Shard.manifest (Store.Shard.open_bytes container)).Store.Shard.m_shards.(1)
   in
-  check "graph, c4, meta healthy; decoy quarantined" true
-    (match statuses with
-    | [ "healthy"; "healthy"; "quarantined"; "healthy" ] -> true
-    | _ -> false);
-  (match sv.Store.Snapshot.report with
-  | [ _; _; decoy_report; _ ] ->
-      check "quarantined section keeps its name" true
-        (match decoy_report.Store.Snapshot.s_name with
-        | Some n -> String.equal n "decoy"
-        | None -> false)
-  | _ -> Alcotest.fail "expected four report entries");
-  check_int "c4 survives intact" 1
-    (List.length sv.Store.Snapshot.partial.Store.Snapshot.advice);
-  check_int "decoy recovered as untrusted" 1
-    (List.length sv.Store.Snapshot.recovered);
-  check "meta survives" true
-    (match sv.Store.Snapshot.partial.Store.Snapshot.meta with
-    | [] -> false
-    | _ :: _ -> true);
-  (* Truncation mid-meta: the tail frame is lost, the rest salvages. *)
-  let cut = String.length bytes - 3 in
-  let sv = Store.Snapshot.read_salvage (String.sub bytes 0 cut) in
-  (match List.rev sv.Store.Snapshot.report with
-  | last :: _ ->
-      check_str "truncated tail is lost" "lost"
-        (status_name last.Store.Snapshot.s_status)
-  | [] -> Alcotest.fail "empty report");
-  check "lost meta means empty meta" true
-    (match sv.Store.Snapshot.partial.Store.Snapshot.meta with
-    | [] -> true
-    | _ :: _ -> false);
-  (* A damaged graph section leaves nothing servable: salvage refuses. *)
-  match Store.Snapshot.read_salvage (flip_payload_byte bytes 0) with
-  | exception Store.Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "salvaged a snapshot with no trustworthy graph"
+  let b = Bytes.of_string container in
+  let at = victim.Store.Shard.i_offset + (victim.Store.Shard.i_bytes / 2) in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+  (Bytes.to_string b, victim)
 
-(* A router over damaged v1 bytes: the file is salvaged at open, and the
-   router serves what survived and reports what it found. *)
-let salvaged ?radius bytes =
-  Serve.Router.create ?radius ~salvage:true (Store.Shard.open_bytes bytes)
+let salvaged bytes = Serve.Router.create ~salvage:true (Store.Shard.open_bytes bytes)
 
-(* The same file with its checksum-clean c4 advice dropped and its decoy
-   damaged, so the router serves the quarantined decoy, the only advice
-   left. *)
-let decoy_only snapshot =
-  flip_payload_byte
-    (Store.Snapshot.write
-       { snapshot with
-         Store.Snapshot.advice =
-           List.filter (fun (name, _) -> String.equal name "decoy") snapshot.Store.Snapshot.advice })
-    1
-
-let test_degraded_engine_serves_survivors () =
-  let g, snapshot, cert = two_advice_snapshot 64 23 in
-  let bytes = Store.Snapshot.write snapshot in
-  let expected = direct_labels g snapshot in
-  (* One corrupted advice section (the decoy): the router must serve the
-     surviving c4 section with full differential agreement. *)
-  let damaged = flip_payload_byte bytes 2 in
-  let e = salvaged damaged in
-  check "degraded" true (Serve.Router.degraded e);
-  check "but serving trusted advice" true (Serve.Router.serving_trusted e);
-  check_int "radius carried through salvage" cert.Serve.Pack.radius
-    (Serve.Router.radius e);
-  check "damage report names the decoy" true
-    (List.exists
-       (fun line ->
-         (* the report line mentions the quarantined section by name *)
-         let has_sub s sub =
-           let n = String.length s and m = String.length sub in
-           let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
-           go 0
-         in
-         has_sub line "decoy")
-       (Serve.Router.quarantined_sections e));
-  Graph.iter_nodes
-    (fun v ->
-      match Serve.Router.query e (Serve.Engine.Output_label v) with
-      | Serve.Engine.Label s ->
-          check_str "degraded answer = direct decode" expected.(v) s
-      | _ -> Alcotest.fail "expected Label")
-    g;
-  (* Same, through the parallel batch path. *)
-  let queries = Array.init (Graph.n g) (fun v -> Serve.Engine.Output_label v) in
-  let router = Serve.Router.create ~salvage:true ~domains:2 (Store.Shard.open_bytes damaged) in
-  check_str "serving c4" "c4" (Serve.Router.advice_name router);
-  let answers = Serve.Router.batch router queries in
-  Array.iteri
-    (fun v a ->
-      match a with
-      | Serve.Engine.Label s -> check_str "batch agrees" expected.(v) s
-      | _ -> Alcotest.fail "expected Label")
-    answers;
-  (* Serving the quarantined section itself stays total: every label
-     comes back with the right length, no exception escapes.  A file
-     whose only advice is the damaged decoy serves it, flagged. *)
-  let rq = salvaged (decoy_only snapshot) in
-  check_str "serving the decoy" "decoy" (Serve.Router.advice_name rq);
-  check "untrusted service is flagged" false (Serve.Router.serving_trusted rq);
-  Graph.iter_nodes
-    (fun v ->
-      match Serve.Router.query rq (Serve.Engine.Output_label v) with
-      | Serve.Engine.Label s ->
-          check_int "total on damaged advice" (Graph.degree g v) (String.length s)
-      | _ -> Alcotest.fail "expected Label")
-    g
-
+(* Every answer served while a shard is lost is counted degraded, and
+   only those: before the loss nothing is counted, and a query for the
+   lost range is an error, not an answer. *)
 let test_degraded_metrics () =
-  let _, snapshot, _ = two_advice_snapshot 40 31 in
-  let bytes = Store.Snapshot.write snapshot in
+  let _, _, snapshot, cert = make_packed 40 31 in
+  let damaged, victim = lost_shard_container snapshot ~radius:cert.Serve.Pack.radius in
   Obs.Sink.enable ();
   Fun.protect ~finally:(fun () -> Obs.Sink.disable ()) @@ fun () ->
   Obs.Sink.reset ();
-  let e = salvaged (flip_payload_byte bytes 2) in
+  let e = salvaged damaged in
   ignore (Serve.Router.query e (Serve.Engine.Output_label 0));
-  ignore (Serve.Router.query e (Serve.Engine.Output_label 1));
+  check_int "healthy so far: nothing degraded" 0 (counter_total "serve.degraded");
+  (match Serve.Router.query e (Serve.Engine.Output_label victim.Store.Shard.i_lo) with
+  | exception Serve.Router.Shard_lost { shard; _ } -> check_int "shard 1 lost" 1 shard
+  | _ -> Alcotest.fail "a query for the damaged shard was answered");
+  check_int "a lost query is no answer" 0 (counter_total "serve.degraded");
+  ignore (Serve.Router.query e (Serve.Engine.Output_label 0));
+  ignore (Serve.Router.query e (Serve.Engine.Output_label (Graph.n snapshot.Store.Snapshot.graph - 1)));
   check_int "every degraded query counted" 2 (counter_total "serve.degraded");
-  check_int "trusted advice: no quarantined count" 0
-    (counter_total "serve.quarantined");
-  let eq = salvaged (decoy_only snapshot) in
-  ignore (Serve.Router.query eq (Serve.Engine.Output_label 2));
-  check_int "degraded grows" 3 (counter_total "serve.degraded");
-  check_int "quarantined service counted" 1 (counter_total "serve.quarantined")
+  check_int "the router agrees" 2 (Serve.Router.degraded_answers e)
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: random read faults vs the direct decoder *)
 
+(* Seeded read faults over a 4-shard container: a fault in the prefix or
+   the manifest, or a truncation, refuses the file at open; a fault in a
+   shard body loses that shard.  Every sampled query either returns
+   exactly the direct decoder's label or raises [Shard_lost]. *)
 let test_read_fault_fuzz () =
   let g, _, snapshot, cert = make_packed 90 47 in
   let expected = direct_labels g snapshot in
   let path = "tf_fuzz.ladv" in
   Fun.protect ~finally:(fun () -> remove_noerr path) @@ fun () ->
   with_disarm @@ fun () ->
-  Store.Io.write_file path (Store.Snapshot.write snapshot);
+  Store.Io.write_file path (four_shards snapshot ~radius:cert.Serve.Pack.radius);
   let len = String.length (Store.Io.read_file path) in
   let sample = [ 0; 7; 23; 44; 61; 89 ] in
   let refused = ref 0 and degraded = ref 0 and clean = ref 0 in
@@ -400,26 +286,17 @@ let test_read_fault_fuzz () =
     Store.Io.Faults.arm { plan with Store.Io.Faults.write = None };
     let raw = Store.Io.read_file path in
     Store.Io.Faults.disarm ();
-    (* Radius and params may live in a lost metadata section; pin them
-       so the comparison isolates the advice path. *)
-    match salvaged ~radius:cert.Serve.Pack.radius raw with
-    | exception (Store.Codec.Corrupt _ | Invalid_argument _ | Serve.Router.Shard_lost _) ->
-        incr refused
+    match salvaged raw with
+    | exception (Store.Codec.Corrupt _ | Invalid_argument _) -> incr refused
     | e ->
-        if Serve.Router.degraded e then incr degraded else incr clean;
         List.iter
           (fun v ->
             match Serve.Router.query e (Serve.Engine.Output_label v) with
-            | Serve.Engine.Label s ->
-                (* Always total with the right shape; and whenever the
-                   served advice passed its checksum, answers must equal
-                   the direct decoder exactly. *)
-                check_int "label has degree length" (Graph.degree g v)
-                  (String.length s);
-                if Serve.Router.serving_trusted e then
-                  check_str "trusted fuzz answer = direct decode" expected.(v) s
-            | _ -> Alcotest.fail "expected Label")
-          sample
+            | Serve.Engine.Label s -> check_str "fuzz answer = direct decode" expected.(v) s
+            | _ -> Alcotest.fail "expected Label"
+            | exception Serve.Router.Shard_lost _ -> ())
+          sample;
+        if Serve.Router.degraded e then incr degraded else incr clean
   done;
   (* The plan space must actually exercise all three outcomes. *)
   check "some faults refused outright" true (!refused > 0);
@@ -550,21 +427,20 @@ let test_bad_metadata_is_corrupt () =
   expect_corrupt "v1 serve.radius = x" ~mentions:"serve.radius" (serve "tf_x.ladv");
   expect_corrupt "2-shard serve.radius = x" ~mentions:"serve.radius" (serve "tf_x2.ladv");
   expect_corrupt "v1 serve.radius = -3" ~mentions:"serve.radius" (serve "tf_neg.ladv");
-  expect_corrupt "--salvage, metadata cut off" ~mentions:"serve.radius"
+  (* The cut file is refused on the strict reader's truncation
+     diagnostic, whose counts include the checksum, with or without
+     --salvage. *)
+  let truncation =
+    Printf.sprintf "%d payload byte(s) plus a 4-byte checksum (%d in all) but only %d"
+      meta_len (meta_len + 4) (meta_len + 1)
+  in
+  expect_corrupt "--salvage, metadata cut off" ~mentions:truncation
     (serve ~flags:[ "--salvage" ] "tf_cut.ladv");
-  (* Without --salvage the cut file fails-stop on the strict reader's
-     truncation diagnostic, whose counts include the checksum. *)
-  expect_corrupt "truncated, fail-stop"
-    ~mentions:
-      (Printf.sprintf "%d payload byte(s) plus a 4-byte checksum (%d in all) but only %d"
-         meta_len (meta_len + 4) (meta_len + 1))
-    (serve "tf_cut.ladv")
+  expect_corrupt "truncated, fail-stop" ~mentions:truncation (serve "tf_cut.ladv")
 
 (* A v1 file whose metadata has a malformed [params.*] value cannot make
-   an engine.  Under --salvage its one shard is lost and every query
-   answers with the diagnostic, both when the file is otherwise healthy
-   (the first query loads the shard) and when its advice is damaged too
-   (the salvaged shard is loaded when the router is created). *)
+   an engine.  Under --salvage its one shard is lost at the first query,
+   and every query answers with the diagnostic. *)
 let test_bad_params_lose_the_shard () =
   let _g, _x, snapshot, _cert = make_packed 400 5 in
   let v1 =
@@ -578,8 +454,6 @@ let test_bad_params_lose_the_shard () =
   let files =
     [
       ("tf_params.ladv", v1);
-      (* Sections are graph, advice, metadata: flip an advice bit. *)
-      ("tf_params_flip.ladv", flip_payload_byte v1 1);
       ("tf_q.txt", "label 0\nlabel 7\n");
     ]
   in
@@ -591,7 +465,71 @@ let test_bad_params_lose_the_shard () =
       check (path ^ ": the shard is lost on the params diagnostic") true
         (has_sub out "label 0 -> error: shard 0 lost: metadata params.cover");
       check (path ^ ": every query failed") true (has_sub out ", 2 failed)"))
-    [ "tf_params.ladv"; "tf_params_flip.ladv" ]
+    [ "tf_params.ladv" ]
+
+(* A damaged v1 file is refused, with or without --salvage: its section
+   checksums detect the damage but cannot localize it below the file's
+   one shard, so nothing of it is served.  [serve --batch], [serve
+   --salvage --batch] and [inspect --health] each exit 2 with nothing on
+   stdout and the strict reader's one diagnostic line on stderr.  Three
+   damaged copies of one packed file (a bit flipped in the advice
+   section's packed tail, a graph payload byte flipped, the metadata
+   cut off), and a file whose [params.*] value is malformed with an
+   advice bit flipped too: the checksum is checked before any engine is
+   built. *)
+let test_damaged_v1_is_refused () =
+  let _g, _x, snapshot, _cert = make_packed 400 7 in
+  let v1 = Store.Snapshot.write snapshot in
+  let meta =
+    match List.rev (Store.Snapshot.sections v1) with
+    | s :: _ -> s
+    | [] -> Alcotest.fail "no sections"
+  in
+  let bad_params =
+    Store.Snapshot.write
+      { snapshot with
+        Store.Snapshot.meta =
+          List.map
+            (fun (k, v) -> if String.equal k "params.cover" then (k, "x") else (k, v))
+            snapshot.Store.Snapshot.meta }
+  in
+  (* Sections are graph, advice, metadata. *)
+  let damaged =
+    [
+      ("tf_v1_advice.ladv", flip_payload_byte v1 1, "checksum mismatch in section (tag 2)");
+      ("tf_v1_graph.ladv", flip_payload_byte v1 0, "checksum mismatch in section (tag 1)");
+      ("tf_v1_nometa.ladv", String.sub v1 0 meta.Store.Codec.offset, "truncated input");
+      ( "tf_v1_params.ladv",
+        flip_payload_byte bad_params 1,
+        "checksum mismatch in section (tag 2)" );
+    ]
+  in
+  with_files
+    (("tf_q.txt", "label 0\nlabel 7\n") :: List.map (fun (p, b, _) -> (p, b)) damaged)
+  @@ fun () ->
+  List.iter
+    (fun (path, _, mentions) ->
+      let runs =
+        [
+          ("serve", [ "serve"; path; "--batch"; "tf_q.txt" ]);
+          ("serve --salvage", [ "serve"; path; "--batch"; "tf_q.txt"; "--salvage" ]);
+          ("inspect --health", [ "inspect"; path; "--health" ]);
+        ]
+      in
+      let errs =
+        List.map
+          (fun (what, args) ->
+            let what = path ^ ": " ^ what in
+            let ((_, out, err) as run) = run_cli args in
+            expect_corrupt what ~mentions run;
+            check_str (what ^ ": nothing on stdout") "" out;
+            check (what ^ ": one stderr line") true
+              (List.length (String.split_on_char '\n' (String.trim err)) = 1);
+            err)
+          runs
+      in
+      List.iter (check_str (path ^ ": the same diagnostic") (List.hd errs)) errs)
+    damaged
 
 (* Out-of-range numeric flags are usage errors: one line on stderr and
    exit 2 before any pack or open (nothing printed, nothing written). *)
@@ -757,7 +695,7 @@ let test_lying_counts_are_corrupt () =
     (serve "tf_wrap.ladv");
   expect_corrupt "advice lengths that wrap: inspect" ~mentions:"overrun"
     (run_cli [ "inspect"; "tf_wrap.ladv" ]);
-  (* Salvage loses the only advice section: the error says why. *)
+  (* --salvage does not change how a v1 file opens: refused alike. *)
   expect_corrupt "advice lengths that wrap: serve --salvage" ~mentions:"overrun"
     (serve ~flags:[ "--salvage" ] "tf_wrap.ladv");
   expect_corrupt "2^40 shards: serve" ~mentions:"shard row(s) cannot fit"
@@ -949,10 +887,6 @@ let () =
         ] );
       ( "salvage",
         [
-          Alcotest.test_case "per-section health report" `Quick
-            test_salvage_report;
-          Alcotest.test_case "degraded engine serves survivors" `Slow
-            test_degraded_engine_serves_survivors;
           Alcotest.test_case "degraded metrics" `Quick test_degraded_metrics;
           Alcotest.test_case "read-fault differential fuzz" `Slow
             test_read_fault_fuzz;
@@ -965,6 +899,8 @@ let () =
             test_bad_metadata_is_corrupt;
           Alcotest.test_case "bad params lose the shard, not the server" `Quick
             test_bad_params_lose_the_shard;
+          Alcotest.test_case "a damaged v1 file is refused, with or without --salvage"
+            `Quick test_damaged_v1_is_refused;
           Alcotest.test_case "numeric flags are usage errors" `Quick
             test_numeric_flags_rejected;
           Alcotest.test_case "sampled radius is announced" `Quick

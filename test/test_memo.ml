@@ -1,7 +1,7 @@
 (* Serve.Memo: the ball-class table's transparency contract — answers
    byte-identical (Marshal) to the unmemoized engine across graph
-   families, shard counts, domain counts, pool variants, trusted and
-   salvaged serving, and through the sharded router — plus the table's
+   families, shard counts, domain counts, pool variants, packed and
+   hand-built advice, and through the sharded router — plus the table's
    own semantics: capacity-0 no-op, bounded residency with
    drop-at-capacity, exact byte accounting, and the shipped table's
    bytes. *)
@@ -191,12 +191,12 @@ let build_graph family rng =
   | Grid -> Builders.grid (2 + Prng.int rng 5) (2 + Prng.int rng 5)
   | Regular -> Builders.random_regular rng (2 * (4 + Prng.int rng 12)) 3
 
-(* [salvage] serves random advice even for cycles, as [router_of]'s
-   quarantined file does; grids and random-regular graphs only exist
+(* [hand_built] serves random advice even for cycles, as [router_of]'s
+   hand-built file does; grids and random-regular graphs only exist
    with it (the one-bit encoder packs cycles alone), so the flag is
    absorbed. *)
-let engine_of ?memo family ~salvage rng =
-  match (family, salvage) with
+let engine_of ?memo family ~hand_built rng =
+  match (family, hand_built) with
   | Cycle, false ->
       let snapshot, _cert =
         cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000)
@@ -207,12 +207,11 @@ let engine_of ?memo family ~salvage rng =
       raw_engine ?memo g (random_advice rng g)
 
 (* [engine_of]'s snapshot state (same rng consumption) as a file opened
-   through Store.Shard: a packed cycle, or the untrusted advice written
-   as a v1 file whose advice-section checksum byte is flipped — salvage
-   quarantines it with its content intact.  Either file ships the class
-   table of its serve radius, as pack builds it. *)
-let router_of ~memo family ~salvage ~domains rng =
-  match (family, salvage) with
+   through Store.Shard: a packed cycle, or the random advice written as
+   a v1 file and served at radius 2 (the decoder is total).  Either file
+   ships the class table of its serve radius, as pack builds it. *)
+let router_of ~memo family ~hand_built ~domains rng =
+  match (family, hand_built) with
   | Cycle, false ->
       let snapshot, _cert =
         cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000)
@@ -230,16 +229,7 @@ let router_of ~memo family ~salvage ~domains rng =
             meta = [ Serve.Pack.class_table g ~advice ~radius:2 ];
           }
       in
-      let advice =
-        List.find
-          (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
-          (Store.Snapshot.sections bytes)
-      in
-      let b = Bytes.of_string bytes in
-      let crc = advice.Store.Codec.offset + 5 + advice.Store.Codec.length in
-      Bytes.set b crc (Char.chr (Char.code (Bytes.get b crc) lxor 0x01));
-      Serve.Router.create ~memo ~salvage:true ~radius:2 ~domains
-        (Store.Shard.open_bytes (Bytes.to_string b))
+      Serve.Router.create ~memo ~radius:2 ~domains (Store.Shard.open_bytes bytes)
 
 let case_gen =
   QCheck.Gen.(
@@ -248,21 +238,21 @@ let case_gen =
       bool
       (int_range 1 2))
 
-let case_print (seed, family, salvage, domains) =
-  Printf.sprintf "seed=%d family=%s salvage=%b domains=%d" seed
-    (family_name family) salvage domains
+let case_print (seed, family, hand_built, domains) =
+  Printf.sprintf "seed=%d family=%s hand_built=%b domains=%d" seed
+    (family_name family) hand_built domains
 
 let memo_transparent =
   QCheck.Test.make ~count:40
     ~name:"memoized serving = unmemoized serving (bytes)"
     (QCheck.make ~print:case_print case_gen)
-    (fun (seed, family, salvage, domains) ->
+    (fun (seed, family, hand_built, domains) ->
       (* Identical construction (same rng consumption) modulo the memo. *)
       let rng = Prng.create seed in
       let rng2 = Prng.copy rng in
       let memo = Serve.Memo.create ~capacity:256 in
-      let memoized = router_of ~memo family ~salvage ~domains rng in
-      let plain = engine_of family ~salvage rng2 in
+      let memoized = router_of ~memo family ~hand_built ~domains rng in
+      let plain = engine_of family ~hand_built rng2 in
       let qs =
         random_queries (Prng.create (seed + 1)) (Serve.Engine.graph plain) 150
       in
@@ -514,7 +504,7 @@ let reference_fragment (view : Localmodel.View.t) =
   (Graph.of_edges ~n:k edges, perm, rank)
 
 (* The view-based ball decode over [reference_fragment]; exceptions are
-   part of the observable result (quarantined advice may not decode). *)
+   part of the observable result (damaged advice may not decode). *)
 let reference_label ~params (view : Localmodel.View.t) =
   match
     let h, perm, rank = reference_fragment view in
@@ -567,8 +557,8 @@ let ball_family_name = function
   | Regular_f -> "random-regular"
   | Tree_f -> "tree"
 
-(* Arbitrary bytes of arbitrary length: quarantined advice is whatever
-   survived the damage, and lengths past 127 take multi-byte varints. *)
+(* Arbitrary bytes of arbitrary length, as damaged advice could be;
+   lengths past 127 take multi-byte varints. *)
 let damaged_advice rng g =
   Array.init (Graph.n g) (fun _ ->
       let len = if Prng.int rng 8 = 0 then 100 + Prng.int rng 60 else Prng.int rng 6 in
@@ -593,19 +583,19 @@ let flipped_advice rng advice =
   a
 
 (* (graph, advice, top radius) for one case.  Packed families serve
-   their packed advice, or damaged advice when [quarantined] (a few
+   their packed advice, or damaged advice when [damaged] (a few
    flipped bits or random bytes, by a coin), and go two past their
    certified radius R; the other families only reach the serve stack
    with damaged advice.  A long cycle is longer than its top ball, so
    that ball does not wrap. *)
-let ball_case family ~quarantined rng =
+let ball_case family ~damaged rng =
   let packed g pick =
     let x = Bitset.create (Graph.m g) in
     Graph.iter_edges (fun e _ -> if pick e then Bitset.add x e) g;
     let snapshot, cert = Serve.Pack.edge_compression g x in
     let advice = snd (List.hd snapshot.Store.Snapshot.advice) in
     let top = cert.Serve.Pack.radius + 2 in
-    if not quarantined then (g, advice, top)
+    if not damaged then (g, advice, top)
     else if Prng.bool rng then (g, flipped_advice rng advice, top)
     else (g, damaged_advice rng g, top)
   in
@@ -648,9 +638,9 @@ let ball_case_gen =
       (oneofl [ Identity; Permuted; Sparse ])
       bool)
 
-let ball_case_print (seed, family, kind, quarantined) =
-  Printf.sprintf "seed=%d family=%s ids=%s quarantined=%b" seed
-    (ball_family_name family) (ids_name kind) quarantined
+let ball_case_print (seed, family, kind, damaged) =
+  Printf.sprintf "seed=%d family=%s ids=%s damaged=%b" seed
+    (ball_family_name family) (ids_name kind) damaged
 
 let ids_of kind rng g =
   match kind with
@@ -662,9 +652,9 @@ let workspace_key_and_fragment =
   QCheck.Test.make ~count:30
     ~name:"workspace key and fragment = view-based constructions"
     (QCheck.make ~print:ball_case_print ball_case_gen)
-    (fun (seed, family, kind, quarantined) ->
+    (fun (seed, family, kind, damaged) ->
       let rng = Prng.create seed in
-      let g, advice, top = ball_case family ~quarantined rng in
+      let g, advice, top = ball_case family ~damaged rng in
       let ids = ids_of kind rng g in
       let identity = Localmodel.Ids.identity g in
       let params = Schemas.Balanced_orientation.onebit_params in
@@ -725,9 +715,9 @@ let workspace_key_and_fragment =
 let equal_keys_equal_labels =
   QCheck.Test.make ~count:30 ~name:"equal keys give equal labels"
     (QCheck.make ~print:ball_case_print ball_case_gen)
-    (fun (seed, family, kind, quarantined) ->
+    (fun (seed, family, kind, damaged) ->
       let rng = Prng.create seed in
-      let g, advice, top = ball_case family ~quarantined rng in
+      let g, advice, top = ball_case family ~damaged rng in
       let ids = ids_of kind rng g in
       let seen = Hashtbl.create 256 in
       let ws = Workspace.domain_local () in

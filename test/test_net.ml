@@ -3,7 +3,7 @@
    every-byte-flip fuzz (a single flipped bit must never reinterpret a
    frame — the whole-frame CRC guarantees it), socketless Conn state
    machine checks, and loopback integration against a live server —
-   including one answering from a salvaged snapshot. *)
+   including one serving a container with a lost shard. *)
 
 open Netgraph
 
@@ -34,6 +34,9 @@ let workload g count =
           let nbrs = Graph.neighbors g v in
           Serve.Engine.Edge_member (v, Graph.edge_id g v nbrs.(i mod Array.length nbrs))
       | _ -> Serve.Engine.Advice_bits v)
+
+let query_node = function
+  | Serve.Engine.Output_label v | Serve.Engine.Edge_member (v, _) | Serve.Engine.Advice_bits v -> v
 
 (* ------------------------------------------------------------------ *)
 (* QCheck generators *)
@@ -969,34 +972,49 @@ let test_loopback_two_clients () =
 (* ------------------------------------------------------------------ *)
 (* Degraded serving over TCP *)
 
-let flip_advice_payload bytes =
-  let sections = Store.Snapshot.sections bytes in
-  let s = List.find (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice) sections in
-  let b = Bytes.of_string bytes in
-  (* Last payload byte (after tag:u8 and length:u32): deep in the bit
-     data, so the section stays structurally parseable — quarantined,
-     not lost — and the engine serves it untrusted. *)
-  let pos = s.Store.Codec.offset + 5 + s.Store.Codec.length - 1 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
-  Bytes.to_string b
+(* [snapshot] as a 4-shard container with one bit flipped in the middle
+   of shard 1's frame, and that shard's manifest row. *)
+let lost_shard_container snapshot =
+  let radius = int_of_string (List.assoc "serve.radius" snapshot.Store.Snapshot.meta) in
+  let container = Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot in
+  let victim =
+    (Store.Shard.manifest (Store.Shard.open_bytes container)).Store.Shard.m_shards.(1)
+  in
+  let b = Bytes.of_string container in
+  let at = victim.Store.Shard.i_offset + (victim.Store.Shard.i_bytes / 2) in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+  (Bytes.to_string b, victim)
 
+(* A container with a lost shard, served live under salvage: the
+   surviving ranges answer exactly as a direct salvaged router does, the
+   lost range gets Rejected frames, and the stats say degraded. *)
 let test_loopback_salvage () =
   let g, snapshot = make_packed 120 17 in
-  let damaged = flip_advice_payload (Store.Snapshot.write snapshot) in
+  let damaged, victim = lost_shard_container snapshot in
+  let lost v = v >= victim.Store.Shard.i_lo && v < victim.Store.Shard.i_hi in
   let direct = Serve.Router.create ~salvage:true (Store.Shard.open_bytes damaged) in
-  check "salvaged router is degraded" true (Serve.Router.degraded direct);
   with_server ~salvage:true damaged @@ fun server port ->
   with_client port @@ fun c ->
-  let qs = workload g 60 in
+  (* One query at every node. *)
+  let qs = workload g (Graph.n g) in
+  check "the workload reaches the lost range" true
+    (Array.exists (fun q -> lost (query_node q)) qs);
   Array.iter (fun q -> Net.Client.send c (Net.Protocol.Query q)) qs;
   Array.iter
     (fun q ->
-      match Net.Client.recv c with
-      | Net.Protocol.Answer a ->
-          check "degraded answers still match the direct salvaged router" true
-            (a = Serve.Router.query direct q)
-      | _ -> Alcotest.fail "non-answer frame from the degraded server")
+      let expect =
+        match Serve.Router.query direct q with
+        | a -> Some a
+        | exception Serve.Router.Shard_lost _ -> None
+      in
+      match (Net.Client.recv c, expect) with
+      | Net.Protocol.Answer a, Some e ->
+          check "survivors' answers match the direct salvaged router" true (a = e)
+      | Net.Protocol.Error (Net.Protocol.Rejected, _), None ->
+          check "only the lost range is rejected" true (lost (query_node q))
+      | _ -> Alcotest.fail "the degraded server and the direct router disagree")
     qs;
+  check "the direct router is degraded" true (Serve.Router.degraded direct);
   let stats = Net.Client.stats c in
   check_int "stats expose engine.degraded" 1 (List.assoc "engine.degraded" stats);
   check "stats count degraded serving" true (List.assoc "serve.degraded" stats > 0);
@@ -1009,22 +1027,10 @@ let test_loopback_salvage () =
    with one flipped shard-body byte, the first query loses the shard;
    single and batch frames then reach the surviving shards (answered,
    each degraded) and the lost one (rejected: a batch that touches it
-   serves nothing).  A salvaged v1 file with quarantined advice counts
-   every answer in [serve.quarantined] too, and a healthy file counts
-   none. *)
+   serves nothing).  A healthy file counts none. *)
 let test_degraded_counts_agree () =
   let g, snapshot = make_packed 120 17 in
-  let radius = int_of_string (List.assoc "serve.radius" snapshot.Store.Snapshot.meta) in
-  let container = Store.Shard.build ~shards:4 ~halo:(max radius 1) snapshot in
-  let victim =
-    (Store.Shard.manifest (Store.Shard.open_bytes container)).Store.Shard.m_shards.(1)
-  in
-  let lost_shard =
-    let b = Bytes.of_string container in
-    let at = victim.Store.Shard.i_offset + (victim.Store.Shard.i_bytes / 2) in
-    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
-    Bytes.to_string b
-  in
+  let lost_shard, victim = lost_shard_container snapshot in
   let counter name =
     List.fold_left
       (fun acc e ->
@@ -1068,33 +1074,23 @@ let test_degraded_counts_agree () =
         requests;
       Net.Client.stats c
     in
-    (List.assoc "serve.degraded" stats, counter "serve.degraded",
-     counter "serve.quarantined", !answered, counter "serve.queries")
+    (List.assoc "serve.degraded" stats, counter "serve.degraded", !answered,
+     counter "serve.queries")
   in
   let n = Graph.n g in
   let survivors = n - (victim.Store.Shard.i_hi - victim.Store.Shard.i_lo) in
-  (* The lost shard: every answer is degraded, none is quarantined. *)
-  let frame, obs, quarantined, answered, decoded = serve lost_shard in
+  (* The lost shard: every answer is degraded. *)
+  let frame, obs, answered, decoded = serve lost_shard in
   check_int "v2 lost: answers are the survivors, twice" (2 * survivors) answered;
   check_int "v2 lost: stats frame counts every answer" answered frame;
   check_int "v2 lost: Obs counts every answer" answered obs;
-  check_int "v2 lost: nothing quarantined" 0 quarantined;
   (* The rejected batch frame ran no engine query. *)
   check_int "v2 lost: the engines answered only what was received" answered decoded;
-  (* A salvaged v1 file serving its quarantined advice. *)
-  let frame, obs, quarantined, answered, _ =
-    serve (flip_advice_payload (Store.Snapshot.write snapshot))
-  in
-  check_int "v1 quarantined: every query answered" (1 + (2 * n) + survivors) answered;
-  check_int "v1 quarantined: stats frame counts every answer" answered frame;
-  check_int "v1 quarantined: Obs counts every answer" answered obs;
-  check_int "v1 quarantined: every answer quarantined" answered quarantined;
   (* A healthy file: nothing degraded. *)
-  let frame, obs, quarantined, answered, _ = serve (Store.Snapshot.write snapshot) in
+  let frame, obs, answered, _ = serve (Store.Snapshot.write snapshot) in
   check_int "healthy: every query answered" (1 + (2 * n) + survivors) answered;
   check_int "healthy: stats frame counts none" 0 frame;
-  check_int "healthy: Obs counts none" 0 obs;
-  check_int "healthy: nothing quarantined" 0 quarantined
+  check_int "healthy: Obs counts none" 0 obs
 
 (* Batch frames over a two-slot router: the server's batches run on the
    router's two pool domains (honored even on one core), and every

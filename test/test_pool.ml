@@ -130,33 +130,22 @@ let engine_of family rng =
 
 (* The same snapshot state as [engine_of] (same rng consumption), as a
    file opened through Store.Shard: a packed cycle, or the hand-built
-   advice written as a v1 file whose advice-section checksum byte is
-   flipped — salvage then quarantines it with its content intact.  The
-   file's one shard is cut into [domains] slots, served by a pool of
-   [domains]. *)
+   advice written as a v1 file and served at radius 2 (the decoder is
+   total).  The file's one shard is cut into [domains] slots, served by
+   a pool of [domains]. *)
 let router_of family ~domains rng =
-  let open_v1 ?radius ~salvage bytes =
-    Serve.Router.create ?radius ~salvage ~domains (Store.Shard.open_bytes bytes)
+  let open_v1 ?radius bytes =
+    Serve.Router.create ?radius ~domains (Store.Shard.open_bytes bytes)
   in
   match family with
   | Cycle ->
       let _g, snapshot = cycle_snapshot (20 + (2 * Prng.int rng 40)) (Prng.int rng 1000) in
-      open_v1 ~salvage:false (Store.Snapshot.write snapshot)
+      open_v1 (Store.Snapshot.write snapshot)
   | Grid | Regular ->
       let g = build_graph family rng in
-      let bytes =
-        Store.Snapshot.write
-          { Store.Snapshot.graph = g; advice = [ ("c4", random_advice rng g) ]; meta = [] }
-      in
-      let advice =
-        List.find
-          (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
-          (Store.Snapshot.sections bytes)
-      in
-      let b = Bytes.of_string bytes in
-      let crc = advice.Store.Codec.offset + 5 + advice.Store.Codec.length in
-      Bytes.set b crc (Char.chr (Char.code (Bytes.get b crc) lxor 0x01));
-      open_v1 ~radius:2 ~salvage:true (Bytes.to_string b)
+      open_v1 ~radius:2
+        (Store.Snapshot.write
+           { Store.Snapshot.graph = g; advice = [ ("c4", random_advice rng g) ]; meta = [] })
 
 let case_gen =
   QCheck.Gen.(

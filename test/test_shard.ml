@@ -332,10 +332,10 @@ let prop_pack_sharded_identity =
 (* The unified front end against the direct decoder, on every node of a
    packed cycle or circulant: v1 files opened through Store.Shard as
    routers of 1, 2 or 3 slots and v2 containers of 1 or 3 shards, memo
-   on and off, trusted and salvaged (a v1 file with a damaged decoy
-   section, a v2 container opened in salvage mode), single queries and
-   batches at 1 or 2 domains (a v1 front batches on its slot count) —
-   each front end serves the batch cold or warm.  A second full pass
+   on and off, opened with and without salvage mode (which changes
+   nothing on a healthy file: the router is never degraded), single
+   queries and batches at 1 or 2 domains (a v1 front batches on its
+   slot count) — each front end serves the batch cold or warm.  A second full pass
    must then give the same bytes without a single label-column miss:
    each node is decoded once, also when a slot
    holds more than a thousand nodes (one case in three serves one of two
@@ -348,36 +348,13 @@ let front_name = function
   | V1 k -> Printf.sprintf "v1 %d slot(s)" k
   | Container k -> Printf.sprintf "v2 %d shard(s)" k
 
-(* [snapshot] with a second, damaged advice section: salvage keeps the
-   intact c4 section trusted and reports the decoy quarantined. *)
-let salvaged_v1 snapshot =
-  let a = List.assoc "c4" snapshot.Store.Snapshot.advice in
-  let bytes =
-    Store.Snapshot.write
-      { snapshot with Store.Snapshot.advice = [ ("c4", a); ("decoy", a) ] }
-  in
-  let decoy =
-    List.nth
-      (List.filter
-         (fun s -> s.Store.Codec.tag = Store.Snapshot.tag_advice)
-         (Store.Snapshot.sections bytes))
-      1
-  in
-  let b = Bytes.of_string bytes in
-  let pos = decoy.Store.Codec.offset + 5 + decoy.Store.Codec.length - 1 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
-  Bytes.to_string b
-
 (* A [V1 k] front's domain count is its slot count [k]; a container's
    is [domains]. *)
 let front_router ~front ~memo ~salvaged ~radius ~domains snapshot =
   match front with
   | V1 slots ->
-      let bytes =
-        if salvaged then salvaged_v1 snapshot else Store.Snapshot.write snapshot
-      in
       Serve.Router.create ?memo ~salvage:salvaged ~domains:slots
-        (Store.Shard.open_bytes bytes)
+        (Store.Shard.open_bytes (Store.Snapshot.write snapshot))
   | Container shards ->
       Serve.Router.create ?memo ~salvage:salvaged ~domains
         (Store.Shard.open_bytes (Store.Shard.build ~shards ~halo:(max radius 1) snapshot))
@@ -443,8 +420,7 @@ let prop_front_end_matches_decoder =
       let second = pass () in
       first && second
       && misses () = before
-      && Serve.Router.degraded router
-         = (salvaged && match front with V1 _ -> true | Container _ -> false))
+      && not (Serve.Router.degraded router))
 
 (* The same instance as a v1 file and as a one-shard v2 container: two
    encodings of one shard, answering byte-identically on every node,
@@ -466,8 +442,6 @@ let test_v1_equals_one_shard () =
     (Marshal.to_string (Serve.Router.batch v1 qs) []
     = Marshal.to_string (Serve.Router.batch one qs) []);
   check "degraded equal" (Serve.Router.degraded one) (Serve.Router.degraded v1);
-  check "serving_trusted equal" (Serve.Router.serving_trusted one)
-    (Serve.Router.serving_trusted v1);
   check_int "slot counts equal" (Serve.Router.slot_count one) (Serve.Router.slot_count v1);
   Graph.iter_nodes
     (fun v ->

@@ -386,9 +386,6 @@ let test_snapshot_rejects_asymmetric () =
          edge {0, 1}"
         msg
   | _ -> Alcotest.fail "Snapshot.read accepted an asymmetric adjacency");
-  (match Store.Snapshot.read_salvage s with
-  | exception Store.Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "read_salvage accepted an asymmetric adjacency");
   match Store.Shard.open_bytes s with
   | exception Store.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "Shard.open_bytes accepted an asymmetric adjacency"
