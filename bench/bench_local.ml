@@ -25,8 +25,11 @@ type row = {
   family : string;
   n : int;
   radius : int;
-  seq_rate : float;  (* balls/sec, View.map_nodes *)
-  par_rate : float;  (* balls/sec, View.map_nodes_par *)
+  seq_rate : float;  (* balls/sec, View.map_nodes: the median rep *)
+  par_rate : float;  (* balls/sec, View.map_nodes_par: the median rep *)
+  seq_spread : float;  (* (upper - lower quartile) / median, of the reps' rates *)
+  par_spread : float;
+  reps : int;
   par_requested : int;  (* domain count the harness asked for *)
   par_domains : int;  (* domain count the fan-out actually used *)
 }
@@ -50,28 +53,54 @@ let build family n =
   | "random-regular-4" -> Builders.random_regular (Prng.create 42) n 4
   | _ -> invalid_arg "Bench_local.build"
 
+(* Both configurations are timed in interleaved reps, as store.decode
+   is: each rep runs both, the order flipping every other rep, so a
+   burst of host load lands on both alike, and the row keeps each
+   one's median rep and the spread of its reps.  One untimed pass of
+   each grows the scratch first.  Short rows take more reps, so every
+   row spends about a second of timed work (5 to 31 reps). *)
 let bench_row ~family ~g ~radius =
   let n = Graph.n g in
   let ids = Localmodel.Ids.identity g in
   let sink = fun (view : Localmodel.View.t) -> Graph.n view.Localmodel.View.graph in
-  let seq_sizes, seq_t =
-    time (fun () -> Localmodel.View.map_nodes g ~ids ~radius sink)
-  in
   let domains = bench_domains () in
   (* The fan-out clamps requests to the hardware; report the count it
      actually used, or a 1-core host would claim 4-domain figures. *)
   let effective = Localmodel.Pool.effective_domains ~requested:domains () in
-  let par_sizes, par_t =
-    time (fun () -> Localmodel.View.map_nodes_par ~domains g ~ids ~radius sink)
-  in
+  let seq () = Localmodel.View.map_nodes g ~ids ~radius sink in
+  let par () = Localmodel.View.map_nodes_par ~domains g ~ids ~radius sink in
+  let seq_sizes, seq_t = time seq in
+  let par_sizes, par_t = time par in
   assert (seq_sizes = par_sizes);
-  let rate balls t = if t <= 0.0 then infinity else float_of_int balls /. t in
+  let reps = max 5 (min 31 (int_of_float (1.0 /. Float.max 1e-6 (seq_t +. par_t)))) in
+  let times = [| Array.make reps 0.0; Array.make reps 0.0 |] in
+  let runs = [| (fun () -> ignore (seq ())); (fun () -> ignore (par ())) |] in
+  for rep = 0 to reps - 1 do
+    for j = 0 to 1 do
+      let i = if rep mod 2 = 0 then j else 1 - j in
+      let (), t = time runs.(i) in
+      times.(i).(rep) <- t
+    done
+  done;
+  let rate t = if t <= 0.0 then infinity else float_of_int n /. t in
+  (* The reps' median rate and their spread: the distance between the
+     quartiles over the median. *)
+  let summary ts =
+    let rates = Array.map rate ts in
+    Array.sort Float.compare rates;
+    let median = rates.(reps / 2) in
+    (median, (rates.(3 * reps / 4) -. rates.(reps / 4)) /. median)
+  in
+  let seq_rate, seq_spread = summary times.(0) and par_rate, par_spread = summary times.(1) in
   {
     family;
     n;
     radius;
-    seq_rate = rate n seq_t;
-    par_rate = rate n par_t;
+    seq_rate;
+    par_rate;
+    seq_spread;
+    par_spread;
+    reps;
     par_requested = domains;
     par_domains = effective;
   }
@@ -84,6 +113,9 @@ let json_of_row r =
       ("radius", J.Int r.radius);
       ("seq_balls_per_sec", J.Float r.seq_rate);
       ("par_balls_per_sec", J.Float r.par_rate);
+      ("seq_spread", J.Float r.seq_spread);
+      ("par_spread", J.Float r.par_spread);
+      ("reps", J.Int r.reps);
       ("par_requested_domains", J.Int r.par_requested);
       ("par_domains", J.Int r.par_domains);
       ("par_speedup", J.Float (r.par_rate /. r.seq_rate));
@@ -309,8 +341,10 @@ let run ~smoke ~out ?(metrics = false) ?metrics_out () =
               (fun radius ->
                 let r = bench_row ~family ~g ~radius in
                 Printf.printf
-                  "%-18s n=%-7d r=%d  seq %10.0f balls/s  par %10.0f  (par/seq %4.2fx)\n%!"
-                  r.family r.n r.radius r.seq_rate r.par_rate (r.par_rate /. r.seq_rate);
+                  "%-18s n=%-7d r=%d  seq %10.0f balls/s (spread %3.0f%%)  par %10.0f \
+                   (spread %3.0f%%)  (par/seq %4.2fx, median of %d reps)\n%!"
+                  r.family r.n r.radius r.seq_rate (100.0 *. r.seq_spread) r.par_rate
+                  (100.0 *. r.par_spread) (r.par_rate /. r.seq_rate) r.reps;
                 r)
               radii)
           sizes)

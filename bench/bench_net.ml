@@ -20,7 +20,8 @@
    file opened through Store.Shard (one shard, one slot per effective
    domain).  [cold_open], the store
    block's "cold_open" sub-block, splits a server's cold start per
-   layer on perfbench's two instances. *)
+   layer on perfbench's two instances and counts the words a serving
+   process holds on each. *)
 
 open Netgraph
 module J = Obs.Jsonout
@@ -321,6 +322,39 @@ let cold_measure ~reps setup f =
   done;
   (Bench_util.ms !best, !minor, !major)
 
+(* What a serving process holds once every node has been answered: the
+   words reachable from the router (container handle, manifest, class
+   table, and every resident shard's engine: graph rows, id tables,
+   advice, label column) and from the serving domain's workspace (the
+   BFS mark and the ball-sized queue).  The file is opened and routed as
+   `serve --memo --domains 1` does, the memo sized to the shipped
+   table, and served in a fresh domain, whose workspace has seen no
+   other graph.  [Obj.reachable_words] counts every word of every block,
+   headers included, so the count repeats exactly from run to run. *)
+type resident = { r_nodes : int; r_router : int; r_workspace : int }
+
+let resident_per_node r = float_of_int (r.r_router + r.r_workspace) /. float_of_int r.r_nodes
+
+let resident_words path =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let store = Store.Shard.open_file path in
+         let memo =
+           Option.map
+             (fun table -> Serve.Memo.create ~capacity:(fst (Serve.Memo.read_table table)))
+             (List.assoc_opt Serve.Memo.table_key (Store.Shard.manifest store).Store.Shard.m_meta)
+         in
+         let router = Serve.Router.create ~domains:1 ?memo store in
+         let n = Serve.Router.n router in
+         for v = 0 to n - 1 do
+           ignore (Serve.Router.query router (Serve.Engine.Output_label v))
+         done;
+         {
+           r_nodes = n;
+           r_router = Obj.reachable_words (Obj.repr router);
+           r_workspace = Obj.reachable_words (Obj.repr (Workspace.domain_local ()));
+         }))
+
 (* The per-layer numbers beside perfbench's [setup_s], in process and on
    its two instances, each file read through [Shard.open_file] as the
    server reads it: hot-skewed's v1 file opened, routed (one slot, given
@@ -347,26 +381,28 @@ let cold_open ~smoke =
     let c_ms, c_minor, c_major = cold_measure ~reps setup f in
     { c_name; c_ms; c_minor; c_major }
   in
-  let hot =
+  let hot, hot_resident =
     let _, bytes = instance_bytes (spec "hot-skewed") in
     with_file bytes @@ fun path ->
     let opened () = Store.Shard.open_file path in
-    [
-      step "open" ignore (fun () -> ignore (opened ()));
-      step "router_create" opened (fun store -> ignore (router store));
-      step "first_answer" (fun () -> router (opened ())) first_answer;
-      step "open+create+answer" ignore (fun () -> first_answer (router (opened ())));
-    ]
+    ( [
+        step "open" ignore (fun () -> ignore (opened ()));
+        step "router_create" opened (fun store -> ignore (router store));
+        step "first_answer" (fun () -> router (opened ())) first_answer;
+        step "open+create+answer" ignore (fun () -> first_answer (router (opened ())));
+      ],
+      resident_words path )
   in
-  let sweep =
+  let sweep, sweep_resident =
     let _, bytes = instance_bytes (spec "structured-sweep") in
     with_file bytes @@ fun path ->
     let store = Store.Shard.open_file path in
-    [
-      step "shard_load" ignore (fun () -> ignore (Store.Shard.load store 0));
-      step "open+create+answer" ignore (fun () ->
-          first_answer (router (Store.Shard.open_file path)));
-    ]
+    ( [
+        step "shard_load" ignore (fun () -> ignore (Store.Shard.load store 0));
+        step "open+create+answer" ignore (fun () ->
+            first_answer (router (Store.Shard.open_file path)));
+      ],
+      resident_words path )
   in
   let report name steps =
     Printf.printf "store  cold   %-16s" name;
@@ -377,9 +413,25 @@ let cold_open ~smoke =
       steps;
     print_newline ()
   in
+  let report_resident name r =
+    Printf.printf "store  resident %-14s n=%d  router %d w  workspace %d w  (%.3f w/node)\n%!"
+      name r.r_nodes r.r_router r.r_workspace (resident_per_node r)
+  in
   report "hot-skewed" hot;
+  report_resident "hot-skewed" hot_resident;
   report "structured-sweep" sweep;
-  let json (name, steps) =
+  report_resident "structured-sweep" sweep_resident;
+  let resident r =
+    ( "resident",
+      J.Obj
+        [
+          ("nodes", J.Int r.r_nodes);
+          ("router_words", J.Int r.r_router);
+          ("workspace_words", J.Int r.r_workspace);
+          ("words_per_node", J.Float (resident_per_node r));
+        ] )
+  in
+  let json (name, steps, r) =
     ( name,
       J.Obj
         (List.map
@@ -391,13 +443,15 @@ let cold_open ~smoke =
                    ("minor_words", J.Float c.c_minor);
                    ("major_words", J.Float c.c_major);
                  ] ))
-           steps) )
+           steps
+        @ [ resident r ]) )
   in
   J.Obj
     ([ ("requested_domains", J.Int 1);
        ("effective_domains", J.Int (Localmodel.Pool.effective_domains ~requested:1 ()));
        ("reps", J.Int reps) ]
-    @ List.map json [ ("hot-skewed", hot); ("structured-sweep", sweep) ])
+    @ List.map json
+        [ ("hot-skewed", hot, hot_resident); ("structured-sweep", sweep, sweep_resident) ])
 
 (* One rep of [block]: a pipelined run and a batch run, each on a fresh
    router and server. *)

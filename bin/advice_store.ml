@@ -568,6 +568,17 @@ let memo_term =
               serves without a memo.  Answers are byte-identical with or \
               without it.")
 
+(* The nursery of a serving process, in words: 32k words (256 KB), not
+   the runtime's default 256k.  The serve loop allocates about 8 words
+   a query, select loop included, and almost none of it outlives the
+   query, so a small nursery still spans thousands of queries between
+   minor collections, while the default one is swept through page by
+   page until all 2 MB of it is resident (DESIGN.md, "The nursery").  A
+   policy of this binary, set once before the container is opened:
+   library code never resizes the heap (advicelint's determinism
+   rule). *)
+let serve_minor_heap_words = 32_768
+
 let serve_cmd =
   let run path batch listen host port domains salvage resident_mb use_memo
       metrics =
@@ -576,6 +587,7 @@ let serve_cmd =
     (* The budget is passed in bytes, so it must not overflow. *)
     within "serve" "resident-mb" ~min:0 ~max:(max_int / 1048576) resident_mb;
     let domains = Localmodel.Pool.effective_domains ?requested:domains () in
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = serve_minor_heap_words };
     or_corrupt @@ fun () ->
     with_metrics metrics @@ fun () ->
     let mode =

@@ -258,6 +258,8 @@ let stamped_edges sc ws g =
   let mark = ws.Workspace.mark and base = ws.Workspace.base in
   let off = Graph.row_offsets g and nbr = Graph.row_neighbors g in
   let n = Graph.n g in
+  if Bytes.length mark < 4 * n then
+    invalid_arg "Canonical: the workspace's mark is shorter than the graph";
   let m = ref 0 in
   for i = 0 to count - 1 do
     let v = queue.(i) in
@@ -272,7 +274,7 @@ let stamped_edges sc ws g =
     let src = sc.src and dst = sc.dst in
     let first = !m in
     for k = row to row + deg - 1 do
-      let x = mark.(at nbr k) - base in
+      let x = Int32.to_int (Workspace.get32 mark (at nbr k lsl 2)) - base in
       if x > i then begin
         let j = ref (!m - 1) in
         while !j >= first && Array.unsafe_get dst !j > x do

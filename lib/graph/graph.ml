@@ -13,6 +13,7 @@ type t = {
   nbr : rows;
   inc : rows;
   ends : rows;
+  max_degree : int;  (* found by the builder's pass over the rows *)
 }
 
 external get32 : rows -> int -> int32 = "%caml_bytes_get32u"
@@ -88,10 +89,11 @@ let of_sorted_adj off nbr =
   let len = entries nbr in
   let inc = create_rows len and ends = create_rows len in
   let cursor = Bytes.sub off 0 (n lsl 2) in
-  let next = ref 0 in
+  let next = ref 0 and max_degree = ref 0 in
   for u = 0 to n - 1 do
-    let first = at off u in
-    for k = first to at off (u + 1) - 1 do
+    let first = at off u and stop = at off (u + 1) in
+    if stop - first > !max_degree then max_degree := stop - first;
+    for k = first to stop - 1 do
       let v = at nbr k in
       if v < 0 || v >= n then
         bad "node %d lists neighbor %d outside 0..%d" u v (n - 1);
@@ -117,7 +119,7 @@ let of_sorted_adj off nbr =
     if c < at off (v + 1) && at nbr c < v then
       bad "adjacency is not symmetric at edge {%d, %d}" (at nbr c) v
   done;
-  { n; off; nbr; inc; ends }
+  { n; off; nbr; inc; ends; max_degree = !max_degree }
 
 let of_rows ~off ~nbr =
   if Bytes.length off land 3 <> 0 || Bytes.length nbr land 3 <> 0 then
@@ -213,12 +215,7 @@ let row_offsets g = g.off
 let row_neighbors g = g.nbr
 let row_edges g = g.inc
 
-let max_degree g =
-  let d = ref 0 in
-  for v = 0 to g.n - 1 do
-    d := max !d (at g.off (v + 1) - at g.off v)
-  done;
-  !d
+let max_degree g = g.max_degree
 
 (* Position of [b] in the row of [a], searching the lower-degree
    endpoint's row: O(log min-degree), no hashing. *)
@@ -273,6 +270,8 @@ let induced_ball g ws =
   let count = Workspace.size ws in
   let queue = ws.Workspace.queue in
   let mark = ws.Workspace.mark and base = ws.Workspace.base in
+  if Bytes.length mark < 4 * g.n then
+    invalid_arg "Graph.induced_ball: the workspace's mark is shorter than the graph";
   let goff = g.off and gnbr = g.nbr in
   let off = create_rows (count + 1) in
   put off 0 0;
@@ -282,7 +281,7 @@ let induced_ball g ws =
       invalid_arg "Graph.induced_ball: a stamped node is not in the graph";
     let d = ref 0 in
     for k = at goff v to at goff (v + 1) - 1 do
-      if mark.(at gnbr k) >= base then incr d
+      if Int32.to_int (Workspace.get32 mark (at gnbr k lsl 2)) >= base then incr d
     done;
     put off (i + 1) (at off i + !d)
   done;
@@ -291,7 +290,7 @@ let induced_ball g ws =
     let v = queue.(i) in
     let fill = ref (at off i) in
     for k = at goff v to at goff (v + 1) - 1 do
-      let s = mark.(at gnbr k) - base in
+      let s = Int32.to_int (Workspace.get32 mark (at gnbr k lsl 2)) - base in
       if s >= 0 then begin
         put nbr !fill s;
         incr fill

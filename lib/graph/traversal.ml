@@ -51,10 +51,10 @@ let expand mark base queue dist off nbr r =
       let v = Array.unsafe_get queue i in
       for k = at off v to at off (v + 1) - 1 do
         let u = at nbr k in
-        if Array.unsafe_get mark u < base then begin
+        if Int32.to_int (Workspace.get32 mark (u lsl 2)) < base then begin
           let j = !size in
           if j < cap then begin
-            Array.unsafe_set mark u (base + j);
+            Workspace.set32 mark (u lsl 2) (Int32.of_int (base + j));
             Array.unsafe_set queue j u;
             Array.unsafe_set dist j (dv + 1);
             size := j + 1

@@ -3,18 +3,19 @@
     A workspace holds a stamped node set in insertion (BFS) order: each
     member's distance, and its {e stamp index}, its position in that
     order (the ball's sub node id).  It is sized for two scales:
-    - one {e host-indexed} word per node of the largest graph it has
-      served, [mark], the only array as long as the graph;
+    - one {e host-indexed} 32-bit entry per node of the largest graph it
+      has served, [mark], the only array as long as the graph: four
+      bytes a node, in a block the GC never scans;
     - {e stamp-indexed} [queue] and [dist], as long as the largest set
       stamped, grown geometrically as a set outgrows them, so after a
       radius-[r] ball they hold at most twice that ball.
-    The mark is an offset epoch: node [v] is stamped iff [mark.(v) >=
-    base], and its stamp index is then [mark.(v) - base].  {!add} writes
-    [base + size] to the new member's mark, and {!reset} adds the set's
-    size to [base], which leaves every earlier mark below it — O(1)
-    without touching an array.  This is what makes per-ball work and
-    per-ball memory proportional to the ball — not to [n] — in the
-    LOCAL simulator's and the serve path's hot loops.
+    The mark is an offset epoch: node [v] is stamped iff its entry is
+    at least [base], and its stamp index is then the entry less [base].
+    {!add} writes [base + size] to the new member's entry, and {!reset}
+    adds the set's size to [base], which leaves every earlier entry
+    below it — O(1) without touching an array.  This is what makes
+    per-ball work and per-ball memory proportional to the ball — not to
+    [n] — in the LOCAL simulator's and the serve path's hot loops.
 
     The record fields are exposed so that the traversal and extraction
     routines inside [Netgraph] (and performance-sensitive callers) can
@@ -22,10 +23,11 @@
     outside this library and mutate only through {!add}. *)
 
 type t = {
-  mutable mark : int array;
-      (** host-indexed: [base +] stamp index for a member, below [base]
-          otherwise *)
-  mutable base : int;  (** the current set's offset *)
+  mutable mark : Bytes.t;
+      (** host-indexed signed 32-bit entries, entry [v] at byte [4v]
+          (read with {!get32}): [base +] stamp index for a member, below
+          [base] otherwise *)
+  mutable base : int;  (** the current set's offset, below [2^31 - 1] *)
   mutable size : int;  (** number of nodes stamped since the last reset *)
   mutable queue : int array;
       (** stamp-indexed: the stamped nodes in insertion (BFS) order; the
@@ -35,14 +37,26 @@ type t = {
           [size] entries are valid *)
 }
 
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+(** [get32 mark (4 * v)] is node [v]'s mark entry, unchecked: [v] must
+    be below the mark's length, as every node of a graph the workspace
+    was {!ensure}d for is.  A primitive, so a per-neighbor loop in any
+    module reads the mark with one load and no call; wrapped as
+    [Int32.to_int (get32 mark (v lsl 2))] it allocates nothing. *)
+
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+(** [set32 mark (4 * v) x] writes node [v]'s entry, unchecked: for the
+    library's own hand-inlined BFS ({!Traversal.bfs_limited_into}),
+    which stamps as {!add} does. *)
+
 val create : ?capacity:int -> unit -> t
 (** A fresh workspace with a [capacity]-node mark (default 0) and empty
     stamp-indexed arrays; both grow on demand. *)
 
 val ensure : t -> int -> unit
 (** [ensure ws n] grows the mark to hold nodes [0..n-1], to exactly [n]
-    words (a graph of [n] nodes cost O(n) to build, so this costs no
-    more).  Growing forgets the current set. *)
+    entries, [4n] bytes (a graph of [n] nodes cost O(n) to build, so
+    this costs no more).  Growing forgets the current set. *)
 
 val reserve : t -> int -> unit
 (** [reserve ws k] grows [queue] and [dist] to hold at least [k] stamps,
@@ -53,12 +67,15 @@ val reserve : t -> int -> unit
 
 val reset : t -> unit
 (** Empty the stamped set in O(1) by adding its size to [base].  When
-    [base] could overflow within the next set, the mark is refilled with
-    [-1] and [base] restarts from 0, so a stale mark can never read as
-    stamped; amortized cost stays O(1). *)
+    an entry of the next set (at most one per node of the mark) could
+    pass [2^31 - 1], the largest entry the mark holds, the mark is
+    refilled with [-1] and [base] restarts from 0, so a stale entry can
+    never read as stamped; amortized over the ~2^31 stamps between
+    refills, the cost stays O(1). *)
 
 val mem : t -> int -> bool
-(** Is the node stamped in the current set? *)
+(** Is the node stamped in the current set?
+    @raise Invalid_argument on a node outside the mark. *)
 
 val add : t -> int -> dist:int -> unit
 (** Stamp a node that is not yet a member: its stamp index is the set's

@@ -88,6 +88,9 @@ let prepare sc ws g =
   let queue = ws.Workspace.queue in
   let off = Graph.row_offsets g in
   let n = Graph.n g in
+  (* [neighbours] reads the mark unchecked at every neighbor id. *)
+  if Bytes.length ws.Workspace.mark < 4 * n then
+    invalid_arg "Center_decode: the workspace's mark is shorter than the graph";
   let d = ref 0 in
   for i = 0 to count - 1 do
     let v = queue.(i) in
@@ -140,7 +143,7 @@ let neighbours sc ws g ids i =
     let d = ref 0 in
     for k = at row v to at row (v + 1) - 1 do
       (* A non-member's stamp index is negative. *)
-      let s = mark.(at hosts k) - base in
+      let s = Int32.to_int (Workspace.get32 mark (at hosts k lsl 2)) - base in
       if s >= 0 then begin
         let j = ref (o + !d - 1) in
         while !j >= o && before ws ids s nbr.(!j) do

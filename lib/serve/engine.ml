@@ -14,46 +14,53 @@ type answer = Label of string | Member of bool | Bits of string
 
 (* One engine answers every node of its graph from one node-indexed
    label column: a node's label is a pure function of its ball, so it
-   is decoded once and then read back with one array load.  The column
-   holds the answer a hit returns, so a hit builds nothing.  The router
-   keeps one engine per resident shard and cuts its nodes into slots; a
-   batch hands each slot to exactly one pool worker, which writes only
-   that slot's range of the column.  Distinct array elements are
-   distinct memory locations, so no lock ever guards the column —
+   is decoded once and then read back with one load.  The column holds
+   a 16-bit slot per node, naming the answer a hit returns, so a hit
+   builds nothing: slot 0 is "not decoded yet", slots 1 to 511 name the
+   shared answer of a label of at most 8 bits ({!Advice.Bits.shared}),
+   and [long_slot] says the node's answer is boxed in the side column
+   [long].  Only a node of degree above 8 has a longer label, so an
+   engine whose graph has none holds no side column.  The router keeps
+   one engine per resident shard and cuts its nodes into slots; a batch
+   hands each slot to exactly one pool worker, which writes only that
+   slot's range of the column (and of the side column).  Distinct bytes
+   are distinct memory locations, so no lock ever guards the column —
    ownership of disjoint ranges does. *)
 type t = {
   graph : Graph.t;
   advice : string array;
   radius : int;
-  store : bool;  (* false: [labels] is empty and every ball query decodes *)
-  labels : answer array;  (* labels.(v): a [Label]; [undecoded] until stored *)
+  column : Bytes.t;  (* two bytes per node; empty when the column is off *)
+  long : answer array;  (* long.(v) when v's slot is [long_slot]; else [||] *)
+  shared : answer array;  (* the [Label] of every shared bit string, by slot *)
   memo : Memo.t option;  (* the class table, possibly shared; never written *)
 }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-(* "Not stored yet", told apart by physical equality: [Label ""] is a
-   real answer (radius 0, isolated nodes), and no stored entry is this
-   one. *)
-let undecoded = Label (String.make 1 '?')
-
 (* The [Label] and [Bits] answer of every shared bit string
    ({!Advice.Bits.shared}), by slot: a label or advice string of at most
    8 bits — every label of a node of degree at most 8, and every C4
    advice string of one of degree at most 14 — is answered with one of
-   these instead of a new box.  Built once and never written after; a
-   pool worker interning a miss reads them through its domain-local
-   key, which it inherits from the domain that spawned it, so every
-   answer exists once in the whole process. *)
+   these instead of a new box.  Built once and never written after: an
+   engine keeps the labels of the domain that created it, and a pool
+   worker answering [Advice_bits] reads the bits through its
+   domain-local key, which it inherits from the domain that spawned it,
+   so every answer exists once in the whole process. *)
 let shared_answers =
   Domain.DLS.new_key ~split_from_parent:Fun.id (fun () ->
       ( Array.init Advice.Bits.shared_slots (fun i -> Label (Advice.Bits.shared i)),
         Array.init Advice.Bits.shared_slots (fun i -> Bits (Advice.Bits.shared i)) ))
 
-let label_answer s =
-  match Advice.Bits.shared_slot s with
-  | -1 -> Label s
-  | slot -> (fst (Domain.DLS.get shared_answers)).(slot)
+(* Column slot [k + 1] names shared answer [k]; the one past them names
+   the side column.  The longest shared string has 8 bits, and a label
+   has one bit per incident edge, so only a node of degree above 8 needs
+   the side column. *)
+let long_slot = Advice.Bits.shared_slots + 1
+let shared_bits = 8
+
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16"
 
 let bits_answer s =
   match Advice.Bits.shared_slot s with
@@ -126,8 +133,12 @@ let create ?cache_capacity ?memo ?radius snapshot =
     graph;
     advice;
     radius;
-    store;
-    labels = Array.make (if store then n else 0) undecoded;
+    column = Bytes.make (if store then 2 * n else 0) '\000';
+    long =
+      (if store && Graph.max_degree graph > shared_bits then
+         Array.make n (Label "")
+       else [||]);
+    shared = fst (Domain.DLS.get shared_answers);
     memo = Option.bind memo (fun memo -> Memo.attach memo meta);
   }
 
@@ -178,17 +189,35 @@ let compute_label t v =
       | Some label -> label
       | None -> decode ws t.graph ~advice:t.advice ~center:0)
 
+(* A miss stores its answer when the column can name it: a shared
+   answer by its slot, a longer label in the side column.  A label the
+   column cannot name (longer than 8 bits where the graph has no node
+   of degree above 8: only a shipped table's label can be) is answered
+   and not stored. *)
 let label t v =
-  let a = if t.store then t.labels.(v) else undecoded in
-  if a != undecoded then begin
+  let slot = if Bytes.length t.column = 0 then 0 else get16 t.column (2 * v) in
+  if slot = long_slot then begin
     Obs.Metrics.incr m_hits;
-    a
+    t.long.(v)
+  end
+  else if slot > 0 then begin
+    Obs.Metrics.incr m_hits;
+    t.shared.(slot - 1)
   end
   else begin
     Obs.Metrics.incr m_misses;
-    let a = label_answer (compute_label t v) in
-    if t.store then t.labels.(v) <- a;
-    a
+    let s = compute_label t v in
+    match Advice.Bits.shared_slot s with
+    | -1 ->
+        let a = Label s in
+        if Array.length t.long > 0 then begin
+          t.long.(v) <- a;
+          set16 t.column (2 * v) long_slot
+        end;
+        a
+    | k ->
+        if Bytes.length t.column > 0 then set16 t.column (2 * v) (k + 1);
+        t.shared.(k)
   end
 
 (* Below the certified radius a label can be shorter than the degree (at

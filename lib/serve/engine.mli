@@ -12,11 +12,14 @@
     identifiers only through their order, so an engine keeps no id
     column: its identifiers are its node order.
 
-    Each node is decoded once: a node-indexed label column holds the
-    answer itself, so a hit returns what it reads and allocates
-    nothing.  The column costs one word per node, plus, for labels
-    longer than 8 bits, a box and the label string (one per shipped
-    class with a memo, one per decoded node otherwise).
+    Each node is decoded once: a node-indexed label column names the
+    answer, so a hit returns a value that already exists and allocates
+    nothing.  The column costs two bytes per node, a 16-bit slot that
+    names the shared answer of a label of at most 8 bits.  Only a node
+    of degree above 8 has a longer label; an engine whose graph has such
+    a node adds a side column of one word per node, holding each longer
+    label's box, and the label string (one per shipped class with a
+    memo, one per decoded node otherwise).
     [Advice_bits] reads the advice string; one of at most 8 bits is
     answered with a shared box, a longer one with a fresh box.  With
     [?memo], the class table the pack shipped ({!Memo}) sits between
@@ -50,7 +53,8 @@
 
 type t
 (** A loaded engine: snapshot, decode parameters, serve radius, and one
-    node-indexed label column. *)
+    node-indexed label column (with its side column, when the graph
+    needs one). *)
 
 val create :
   ?cache_capacity:int ->

@@ -32,7 +32,14 @@ type resident = {
   mutable stamp : int;  (* LRU recency, from the router clock *)
 }
 
-type shard = Unloaded | Resident of resident | Lost of string
+(* A lost shard keeps its diagnostic and, for bytes that failed their
+   checks, the container's revision taken before the failed read: the
+   same bytes would fail the same way, so only a changed file is worth
+   re-reading.  [seen] is [None] after an I/O error, which may pass. *)
+type shard =
+  | Unloaded
+  | Resident of resident
+  | Lost of { reason : string; seen : Shard.revision option }
 
 (* A slot: the nodes of container shard [shard] from [lo] up to the
    next slot's [lo] (or the end of the shard). *)
@@ -85,7 +92,7 @@ let resident_shards t =
 let lost_shards t =
   let out = ref [] in
   Array.iteri
-    (fun k s -> match s with Lost msg -> out := (k, msg) :: !out | _ -> ())
+    (fun k s -> match s with Lost { reason; _ } -> out := (k, reason) :: !out | _ -> ())
     t.shards;
   List.rev !out
 
@@ -159,13 +166,13 @@ let evict_for t ~pinned needed =
     end
   done
 
-let mark_lost t k reason =
+let mark_lost t k reason ~seen =
   (* Re-marking an already-lost shard (a failed reload attempt) must
      not double-count it: [t.lost]/[store.shard.lost] count lost
      *shards*, not failed load attempts. *)
   let already = match t.shards.(k) with Lost _ -> true | _ -> false in
   release_shard t k;
-  t.shards.(k) <- Lost reason;
+  t.shards.(k) <- Lost { reason; seen };
   if not already then begin
     t.lost <- t.lost + 1;
     Obs.Metrics.incr m_lost
@@ -244,22 +251,31 @@ let load_resident t ~pinned k =
    the codec's diagnostic propagates — the operator asked for fail-stop.
 
    [Lost] is a cached diagnostic, not a tombstone: the next touch of a
-   lost range retries the load, so a transient I/O fault or repaired
-   container bytes heal the shard in place.  A successful reload
-   decrements the lost count and accounts its frame bytes exactly once
-   ([load_resident] releases the shard before charging the budget); a
-   failed retry refreshes the diagnostic without re-counting the loss. *)
+   lost range retries the load once the container has changed (its
+   revision, one [Unix.stat] of the file, differs from the one taken
+   before the failed read), and a shard lost to an I/O error retries on
+   every touch, so a transient fault or repaired container bytes heal
+   the shard in place.  Until then the recorded diagnostic is raised
+   again without a read: bytes held in memory never change.  A
+   successful reload decrements the lost count and accounts its frame
+   bytes exactly once ([load_resident] releases the shard before
+   charging the budget); a failed retry refreshes the diagnostic
+   without re-counting the loss. *)
+let raise_lost t k reason ~io =
+  if t.salvage then raise (Shard_lost { shard = k; reason })
+  else if io then raise (Sys_error reason)
+  else raise (Store.Codec.Corrupt reason)
+
 let attempt_load t ~pinned k =
+  let seen = Shard.revision t.store in
   match load_resident t ~pinned k with
   | r -> r
   | exception Store.Codec.Corrupt reason ->
-      mark_lost t k reason;
-      if t.salvage then raise (Shard_lost { shard = k; reason })
-      else raise (Store.Codec.Corrupt reason)
+      mark_lost t k reason ~seen:(Some seen);
+      raise_lost t k reason ~io:false
   | exception Sys_error reason ->
-      mark_lost t k reason;
-      if t.salvage then raise (Shard_lost { shard = k; reason })
-      else raise (Sys_error reason)
+      mark_lost t k reason ~seen:None;
+      raise_lost t k reason ~io:true
 
 let ensure t ~pinned k =
   match t.shards.(k) with
@@ -267,6 +283,9 @@ let ensure t ~pinned k =
       touch t r;
       r
   | Unloaded -> attempt_load t ~pinned k
+  | Lost { reason; seen = Some seen }
+    when Shard.same_revision seen (Shard.revision t.store) ->
+      raise_lost t k reason ~io:false
   | Lost _ ->
       let r = attempt_load t ~pinned k in
       (* Healed: the shard left the lost set on the successful reload. *)

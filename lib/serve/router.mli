@@ -59,9 +59,14 @@
     {!batch_results}), and every other node range keeps serving —
     corruption degrades exactly one shard's range.  Without it, the
     first damaged shard propagates its [Codec.Corrupt] — fail-stop.
-    [Lost] is a cached diagnostic, not a tombstone: the next query for
-    a lost range retries the load, so transient I/O faults and repaired
-    container bytes heal in place.  Accounting stays exact across the
+    [Lost] is a cached diagnostic, not a tombstone: a query for a lost
+    range retries the load once the container has changed since the
+    failed read ({!Store.Shard.revision}: one [Unix.stat] of the file),
+    or on every query after an I/O error, so transient I/O faults and
+    repaired container bytes heal in place.  Until the bytes change,
+    the recorded diagnostic is raised again without a read, and a
+    container over bytes in memory never changes.  Accounting stays
+    exact across the
     cycle — a reloaded shard's frame bytes are charged to the resident
     budget exactly once, a failed retry refreshes the diagnostic
     without re-counting the loss, and a heal removes the shard from

@@ -276,7 +276,9 @@ type loaded = {
    kept). *)
 type body = Frames of (pos:int -> len:int -> string) | Parsed of loaded
 
-type t = { body : body; man : manifest }
+(* [path]: the file a container was opened from, which {!revision}
+   stats; [None] for bytes held in memory. *)
+type t = { body : body; man : manifest; path : string option }
 
 let parse_version prefix ~what =
   if String.length prefix < String.length magic + 2 then
@@ -381,7 +383,8 @@ let one_shard ~bytes (s : Snapshot.t) =
     { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
       i_offset = 0; i_bytes = bytes; i_crc = 0 }
   in
-  { body = Parsed loaded;
+  { path = None;
+    body = Parsed loaded;
     man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
             m_advice = List.map fst s.Snapshot.advice; m_shards = [| row |];
             m_header_bytes = 0 } }
@@ -423,7 +426,7 @@ let open_v2 ~size fetch prefix =
   if declared <> 1 + Array.length man.m_shards then
     corrupt "section count %d does not match 1 manifest + %d shard(s)" declared
       (Array.length man.m_shards);
-  { body = Frames fetch; man }
+  { body = Frames fetch; man; path = None }
 
 let open_fetch ~size fetch =
   (* The prefix up to the manifest frame's length field is at most
@@ -438,7 +441,8 @@ let open_fetch ~size fetch =
 
 let open_file path =
   let size = Io.file_size path in
-  open_fetch ~size (fun ~pos ~len -> Io.read_range path ~pos ~len)
+  { (open_fetch ~size (fun ~pos ~len -> Io.read_range path ~pos ~len)) with
+    path = Some path }
 
 let open_bytes s =
   let size = String.length s in
@@ -447,6 +451,35 @@ let open_bytes s =
       String.sub s (min pos size) len)
 
 let manifest t = t.man
+
+(* What a later read of the container would see, as cheaply as one
+   [Unix.stat]: a file's device, inode, size and mtime.  A file rewritten
+   in place changes its mtime; one replaced by a rename (as
+   {!Io.write_file} publishes) changes its inode.  Bytes held in memory
+   never change, and a file that cannot be stat'ed matches nothing, so
+   a reader retries it. *)
+type revision =
+  | Fixed
+  | File of { dev : int; ino : int; size : int; mtime : float }
+  | Unknown
+
+let revision t =
+  match t.path with
+  | None -> Fixed
+  | Some path -> (
+      match Unix.stat path with
+      | st ->
+          File
+            { dev = st.Unix.st_dev; ino = st.Unix.st_ino; size = st.Unix.st_size;
+              mtime = st.Unix.st_mtime }
+      | exception Unix.Unix_error _ -> Unknown)
+
+let same_revision a b =
+  match (a, b) with
+  | Fixed, Fixed -> true
+  | File a, File b ->
+      a.dev = b.dev && a.ino = b.ino && a.size = b.size && Float.equal a.mtime b.mtime
+  | (Fixed | File _ | Unknown), _ -> false
 
 (* [delta_decode]'s bound, read off the manifest: a body spends at least
    a byte per stored node id and per edge id, so its payload (the frame

@@ -191,6 +191,23 @@ val manifest : t -> manifest
     version-1 file's has one row spanning the whole file, halo 0 and
     checksum 0 (its sections carry their own). *)
 
+type revision
+(** What the bytes behind an open container are at one moment: for
+    {!open_file}, the file's device, inode, size and mtime; a container
+    over bytes in memory ({!open_bytes}, {!of_snapshot}) has one
+    revision for good. *)
+
+val revision : t -> revision
+(** The container's current revision, with one [Unix.stat] for a file
+    (none otherwise).  A file rewritten in place moves its mtime, and
+    one replaced by a rename ({!Io.write_file}) its inode.  A file that
+    cannot be stat'ed gets a revision equal to none, so a reader that
+    compares retries it. *)
+
+val same_revision : revision -> revision -> bool
+(** Do two revisions name the same bytes?  [false] whenever either
+    names a file that could not be stat'ed. *)
+
 val check_rows : t -> unit
 (** Checks every manifest row of a version-2 container against its
     frame size: a body spends at least one byte per stored node id and

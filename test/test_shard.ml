@@ -852,6 +852,63 @@ let test_manifest_corruption_fails_open () =
   done;
   check_int "every header flip rejected at open" header !failures
 
+(* A shard that failed its checks is re-read only when its file changed:
+   queries for its range raise the recorded [Shard_lost] and read
+   nothing, and each rewrite of the file buys exactly one more read.  A
+   router that re-fetched and re-checksummed the frame per query would
+   read it 100 times here. *)
+let test_lost_shard_read_once () =
+  let _g, snapshot, cert = cycle_snapshot 96 9 in
+  let radius = cert.Serve.Pack.radius in
+  let good = Store.Shard.build ~shards:3 ~halo:(max radius 1) snapshot in
+  let victim = (Store.Shard.manifest (Store.Shard.open_bytes good)).Store.Shard.m_shards.(1) in
+  let damaged =
+    let b = Bytes.of_string good in
+    let at = victim.Store.Shard.i_offset + (victim.Store.Shard.i_bytes / 2) in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+    Bytes.unsafe_to_string b
+  in
+  let path = Filename.temp_file "lost" ".ladv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Store.Io.write_file path damaged;
+  let router = Serve.Router.create ~salvage:true ~radius (Store.Shard.open_file path) in
+  Obs.Sink.enable ();
+  Fun.protect ~finally:Obs.Sink.disable @@ fun () ->
+  Obs.Sink.reset ();
+  let range_reads () =
+    match
+      List.find_opt
+        (fun e -> String.equal e.Obs.Metrics.name "io.range_reads")
+        (Obs.Metrics.snapshot ())
+    with
+    | Some { Obs.Metrics.value = Obs.Metrics.Counter_v { total; _ }; _ } -> total
+    | _ -> 0
+  in
+  let lost_queries k =
+    for i = 1 to k do
+      let v = victim.Store.Shard.i_lo + (i mod (victim.Store.Shard.i_hi - victim.Store.Shard.i_lo)) in
+      match Serve.Router.query router (Serve.Engine.Output_label v) with
+      | _ -> Alcotest.fail "the damaged shard answered"
+      | exception Serve.Router.Shard_lost { shard; _ } -> check_int "lost shard index" 1 shard
+    done
+  in
+  lost_queries 100;
+  check_int "100 queries to the lost shard read its frame once" 1 (range_reads ());
+  let rs =
+    Serve.Router.batch_results router
+      [| Serve.Engine.Output_label victim.Store.Shard.i_lo; Serve.Engine.Output_label 0 |]
+  in
+  check "batch: lost range errored" true (Result.is_error rs.(0));
+  check "batch: healthy range answered" true (Result.is_ok rs.(1));
+  check_int "a batch re-reads no lost frame (one read for shard 0)" 2 (range_reads ());
+  check_int "one shard lost" 1 (List.length (Serve.Router.lost_shards router));
+  (* The same damaged bytes, rewritten: the file changed, so the frame
+     is read once more, and fails again. *)
+  Store.Io.write_file path damaged;
+  lost_queries 100;
+  check_int "a rewrite buys exactly one more read" 3 (range_reads ());
+  check_int "still one shard lost" 1 (List.length (Serve.Router.lost_shards router))
+
 (* ------------------------------------------------------------------ *)
 (* Io.read_range: windows, methods, and fault-plan coordinates *)
 
@@ -1022,6 +1079,8 @@ let () =
             test_one_shard_corruption;
           Alcotest.test_case "lost shard heals on repair, charged once" `Quick
             test_lost_shard_heals_on_repair;
+          Alcotest.test_case "lost shard is re-read only on change" `Quick
+            test_lost_shard_read_once;
           Alcotest.test_case "header flips fail open" `Quick
             test_manifest_corruption_fails_open;
         ] );

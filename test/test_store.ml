@@ -729,6 +729,72 @@ let test_engine_validates () =
       check_int (name ^ ": a valid query is served") 1 (served ()))
     routers
 
+(* The label column names a label of at most 8 bits by its shared slot
+   and keeps a longer one, on a node of degree above 8, in a side
+   column.  A hand-built graph with two hubs (degrees 12 and 9) on a
+   40-cycle, under seeded advice bits (the decoder is total on any
+   bits), answers every query on every node byte-identically with the
+   column on and off: through [Engine.query], cold and then warm, and
+   through a two-domain [Router.batch].  A warm hub label is the stored
+   box itself, and reading it allocates nothing. *)
+let test_long_labels_column_on_off () =
+  let n = 42 in
+  let edges =
+    List.init 40 (fun i -> (i, (i + 1) mod 40))
+    @ List.init 12 (fun i -> (40, 3 * i + 1))
+    @ List.init 9 (fun i -> (41, 4 * i + 2))
+  in
+  let g = Graph.of_edges ~n edges in
+  check_int "a hub of degree above 8" 12 (Graph.max_degree g);
+  let rng = Prng.create 11 in
+  let advice =
+    Array.init n (fun v ->
+        String.init (((Graph.degree g v + 1) / 2) + 1) (fun _ -> if Prng.bool rng then '1' else '0'))
+  in
+  let snapshot =
+    { Store.Snapshot.graph = g; advice = [ ("c4", advice) ]; meta = [ ("serve.radius", "3") ] }
+  in
+  let queries =
+    Array.concat
+      (List.init n (fun v ->
+           Array.concat
+             [
+               [| Serve.Engine.Output_label v; Serve.Engine.Advice_bits v |];
+               Array.map (fun e -> Serve.Engine.Edge_member (v, e)) (Graph.incident_edges g v);
+             ]))
+  in
+  let off = Serve.Engine.create ~cache_capacity:0 snapshot in
+  let expected = Array.map (Serve.Engine.query off) queries in
+  let hub_label =
+    match Serve.Engine.query off (Serve.Engine.Output_label 40) with
+    | Serve.Engine.Label s -> s
+    | _ -> Alcotest.fail "expected Label"
+  in
+  check_int "the hub's label has a bit per incident edge" 12 (String.length hub_label);
+  let on = Serve.Engine.create snapshot in
+  let cold = Array.map (Serve.Engine.query on) queries in
+  let warm = Array.map (Serve.Engine.query on) queries in
+  let same what (a : Serve.Engine.answer array) b = check what true (a = b) in
+  same "column on, cold = column off" cold expected;
+  same "column on, warm = column off" warm expected;
+  List.iter
+    (fun hub ->
+      let a = Serve.Engine.output_label on hub in
+      check (Printf.sprintf "hub %d: a warm label is the stored box" hub) true
+        (a == Serve.Engine.output_label on hub);
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore (Serve.Engine.output_label on hub)
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > 8.0 then
+        Alcotest.failf "hub %d: %.0f minor words over 100 column hits" hub words)
+    [ 40; 41 ];
+  let router = Serve.Router.create ~domains:2 (Store.Shard.of_snapshot snapshot) in
+  check_int "two slots" 2 (Serve.Router.slot_count router);
+  same "router batch, cold = column off" (Serve.Router.batch router queries) expected;
+  same "router batch, warm = column off" (Serve.Router.batch router queries) expected
+
 let () =
   Alcotest.run "store"
     [
@@ -781,5 +847,7 @@ let () =
           Alcotest.test_case "batch = singles, warm = cold" `Slow
             test_engine_batch_matches_queries;
           Alcotest.test_case "validates queries" `Quick test_engine_validates;
+          Alcotest.test_case "degree > 8: column on = off" `Quick
+            test_long_labels_column_on_off;
         ] );
     ]

@@ -15,18 +15,20 @@ let test_rollover () =
   Workspace.reset ws;
   Workspace.add ws 3 ~dist:0;
   check "member before wrap" true (Workspace.mem ws 3);
-  (* Force the wrap: stamp a node at the largest base a set of this
-     8-node mark may start from, then reset.  If reset only moved the
-     base it could overflow to min_int and — on a later lap — reuse mark
-     values, resurrecting ghost members. *)
-  ws.Workspace.base <- max_int - 8 - 1;
+  (* Force the wrap at the 32-bit epoch limit: stamp a node at the
+     largest base a set of this 8-node mark may start from, then reset.
+     If reset only moved the base, the next set's entries would pass
+     2^31 - 1 and read back negative, as non-members — and on a later
+     lap reuse entry values, resurrecting ghost members. *)
+  ws.Workspace.base <- 0x7FFF_FFFF - 8 - 1;
   Workspace.add ws 5 ~dist:1;
   check "member at max base" true (Workspace.mem ws 5);
+  check_int "stamp index read back at max base" 1 (Workspace.sub_index ws 5);
   Workspace.reset ws;
   check_int "base restarts at 0" 0 ws.Workspace.base;
   check_int "set is empty" 0 (Workspace.size ws);
   check "no ghost from epoch 0 stamp" false (Workspace.mem ws 3);
-  check "no ghost from max_int stamp" false (Workspace.mem ws 5);
+  check "no ghost from max base stamp" false (Workspace.mem ws 5);
   Workspace.add ws 2 ~dist:0;
   check "usable after wrap" true (Workspace.mem ws 2);
   check_int "dist survives wrap" 0 (Workspace.dist ws 2)
@@ -48,8 +50,9 @@ let test_reset_is_oblivious () =
 (* Scratch sizes *)
 
 (* After balls of several radii on a 65,536-node cycle, the only array
-   as long as the graph is the mark; the stamp-indexed queue and
-   distances have grown to the largest ball, at most twice over. *)
+   as long as the graph is the mark, one 32-bit entry a node; the
+   stamp-indexed queue and distances have grown to the largest ball, at
+   most twice over. *)
 let test_scratch_sizes () =
   let n = 65_536 in
   let g = Builders.cycle n in
@@ -61,12 +64,34 @@ let test_scratch_sizes () =
       [ (0, 41); (n / 2, 3); (n - 1, 41); (12_345, 20) ]
   in
   check_int "largest ball" 83 largest;
-  check_int "one host-indexed array of n words" n (Array.length ws.Workspace.mark);
+  check_int "one host-indexed mark of 4n bytes" (4 * n) (Bytes.length ws.Workspace.mark);
   List.iter
     (fun (what, a) ->
       check (what ^ " holds the largest ball, at most twice over") true
         (Array.length a >= largest && Array.length a <= 2 * largest))
     [ ("queue", ws.Workspace.queue); ("dist", ws.Workspace.dist) ]
+
+(* The readers of a stamped ball read the mark unchecked at every
+   neighbor id, so each refuses a workspace whose mark does not cover
+   its graph instead of reading past it: here a 4-node mark stamped
+   with nodes 0..3 of an 8-cycle, whose node 3 neighbors node 4. *)
+let test_short_mark_refused () =
+  let g = Builders.cycle 8 in
+  let ws = Workspace.create ~capacity:4 () in
+  Workspace.reset ws;
+  for v = 0 to 3 do
+    Workspace.add ws v ~dist:v
+  done;
+  let advice = Array.make 8 "1" in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s read a mark shorter than its graph" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "Graph.induced_ball" (fun () -> ignore (Graph.induced_ball g ws));
+  refused "Canonical.ball_key" (fun () -> ignore (Ethlink.Canonical.ball_key ws g ~advice));
+  refused "Center_decode.label" (fun () ->
+      ignore (Serve.Center_decode.label ws g ~advice ~center:0))
 
 (* ------------------------------------------------------------------ *)
 (* Interleaved BFS runs sharing one workspace *)
@@ -128,12 +153,16 @@ let () =
     [
       ( "epochs",
         [
-          Alcotest.test_case "rollover at max_int" `Quick test_rollover;
+          Alcotest.test_case "rollover at the 32-bit epoch limit" `Quick test_rollover;
           Alcotest.test_case "O(1) reset semantics" `Quick
             test_reset_is_oblivious;
         ] );
       ( "sizes",
-        [ Alcotest.test_case "mark is n words, the rest the ball" `Quick test_scratch_sizes ]
+        [
+          Alcotest.test_case "mark is 4n bytes, the rest the ball" `Quick test_scratch_sizes;
+          Alcotest.test_case "a mark shorter than the graph is refused" `Quick
+            test_short_mark_refused;
+        ]
       );
       ( "interleaving",
         [ Alcotest.test_case "shared workspace" `Quick test_interleaved_bfs ]

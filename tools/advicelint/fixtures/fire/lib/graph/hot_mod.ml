@@ -14,3 +14,5 @@ let hash_view v = Hashtbl.hash v
 let boom () = failwith "hot_mod: boom"
 
 let unreachable () = assert false
+
+let small_nursery () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4096 }

@@ -6,7 +6,9 @@
      domain-race        R1  shared mutable state reachable from a closure
                             passed to View.map_nodes_par / Pool.run;
                             Domain.spawn in lib/ outside lib/shim
-     determinism        R2  Stdlib.Random / wall-clock reads in lib/
+     determinism        R2  Stdlib.Random / wall-clock reads in lib/;
+                            Gc.set in lib/ (heap sizing is a binary's
+                            policy)
      poly-compare       R3  polymorphic =, compare, Hashtbl.hash in the
                             hot-path libraries (lib/graph, lib/local,
                             lib/eth); the typed variant lives in
@@ -81,6 +83,11 @@ let r2_banned lid =
       Some
         "wall-clock reads make simulation output irreproducible; thread \
          timestamps in explicitly (timing belongs in bench/, not lib/)"
+  | [ "Gc"; "set" ] | [ "Stdlib"; "Gc"; "set" ] ->
+      Some
+        "library code does not resize the heap: the nursery is a policy \
+         of the binary that serves (advice_store serve sets it once), and \
+         a Gc.set here would silently undo it"
   | _ -> None
 
 let run_determinism ctx str =
