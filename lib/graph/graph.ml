@@ -1,10 +1,12 @@
 (* Compressed sparse rows: node [v]'s row is positions [off.(v)] to
    [off.(v + 1) - 1] of [nbr] (its sorted neighbors) and [inc] (the id
-   of the edge to each of them); edge [e] is [{ends.(2e), ends.(2e+1)}],
-   lower endpoint first.  Each row is a [Bytes] of 32-bit entries: half
-   the words of an int array, and a block the GC never scans, so
-   building, reading and dropping a graph touches no per-node or
-   per-edge heap block and costs the marker nothing. *)
+   of the edge to each of them).  Each row is a [Bytes] of 32-bit
+   entries: half the words of an int array, and a block the GC never
+   scans, so building, reading and dropping a graph touches no per-node
+   or per-edge heap block and costs the marker nothing.  Edge [e] is
+   [{ends.(2e), ends.(2e+1)}], lower endpoint first: a fourth row that
+   only edge-indexed readers need, so it is derived from the three on
+   first use (see [ends] below) and absent until then. *)
 type rows = Bytes.t
 
 type t = {
@@ -12,7 +14,7 @@ type t = {
   off : rows;
   nbr : rows;
   inc : rows;
-  ends : rows;
+  ends : rows Atomic.t;  (* empty until derived, unless the graph has no edge *)
   max_degree : int;  (* found by the builder's pass over the rows *)
 }
 
@@ -72,28 +74,21 @@ let sort_row r lo hi =
       put r (!j + 1) x
     done
 
-(* The one CSR builder: rows [off]/[nbr] become the graph's own rows,
-   checked and numbered in one pass in node order with one cursor per
-   node.  Each row must be strictly increasing, in range and loop-free.
-   Visiting nodes in increasing order reaches each node's lower
-   neighbors in increasing order, so when [u] lists [v > u], [u] must be
-   the entry at [v]'s cursor, which starts at [off.(v)]: symmetry needs
-   no search or table.  The same step numbers the edge: [u] numbers its
-   edges to the neighbors above it, so edge ids come out lexicographic,
-   and the id goes to both slots.  A closing pass checks that every
-   cursor has consumed its node's whole lower prefix, which also means
-   every slot of [inc] was written. *)
-let of_sorted_adj off nbr =
+(* The first fault of rows the builder refuses, named by a cursor walk:
+   in node order, each row must be
+   strictly increasing, in range and loop-free, and when [u] lists
+   [v > u], [u] must be the entry at [v]'s cursor, which starts at
+   [off.(v)] and moves past each lower neighbor that lists [v] back.  A
+   closing pass checks that every cursor has consumed its node's whole
+   lower prefix.  Only refused rows get here, so the cursor row is
+   allocated for them alone. *)
+let diagnose off nbr =
   let n = entries off - 1 in
   let bad fmt = Printf.ksprintf invalid_arg ("Graph.of_adjacency: " ^^ fmt) in
-  let len = entries nbr in
-  let inc = create_rows len and ends = create_rows len in
   let cursor = Bytes.sub off 0 (n lsl 2) in
-  let next = ref 0 and max_degree = ref 0 in
   for u = 0 to n - 1 do
-    let first = at off u and stop = at off (u + 1) in
-    if stop - first > !max_degree then max_degree := stop - first;
-    for k = first to stop - 1 do
+    let first = at off u in
+    for k = first to at off (u + 1) - 1 do
       let v = at nbr k in
       if v < 0 || v >= n then
         bad "node %d lists neighbor %d outside 0..%d" u v (n - 1);
@@ -104,13 +99,7 @@ let of_sorted_adj off nbr =
         let c = at cursor v in
         if c >= at off (v + 1) || at nbr c <> u then
           bad "adjacency is not symmetric at edge {%d, %d}" u v;
-        let e = !next in
-        put ends (2 * e) u;
-        put ends ((2 * e) + 1) v;
-        put inc k e;
-        put inc c e;
-        put cursor v (c + 1);
-        next := e + 1
+        put cursor v (c + 1)
       end
     done
   done;
@@ -119,7 +108,48 @@ let of_sorted_adj off nbr =
     if c < at off (v + 1) && at nbr c < v then
       bad "adjacency is not symmetric at edge {%d, %d}" (at nbr c) v
   done;
-  { n; off; nbr; inc; ends; max_degree = !max_degree }
+  bad "adjacency is not symmetric"
+
+(* The one CSR builder: rows [off]/[nbr] become the graph's own rows,
+   checked and numbered in one pass in node order, with no scratch row.
+   Each row must be strictly increasing, in range and loop-free.  [u]
+   numbers its edges to the neighbors above it (its upper slots), so
+   edge ids come out lexicographic; a lower slot, to [v < u], takes the
+   id of its partner, found by binary search in [v]'s row, which is
+   already checked and numbered.  Every lower slot having a partner
+   makes lower slots map one-to-one into upper slots, so equal counts of
+   the two mean every upper slot has its partner too: the adjacency is
+   symmetric, and every slot of [inc] was written.  Rows that fail go to
+   [diagnose], whose message names the same fault the check always
+   named. *)
+let of_sorted_adj off nbr =
+  let n = entries off - 1 in
+  let inc = create_rows (entries nbr) in
+  let next = ref 0 and lower = ref 0 and max_degree = ref 0 in
+  match
+    for u = 0 to n - 1 do
+      let first = at off u and stop = at off (u + 1) in
+      if stop - first > !max_degree then max_degree := stop - first;
+      for k = first to stop - 1 do
+        let v = at nbr k in
+        if v < 0 || v >= n || v = u || (k > first && v <= at nbr (k - 1)) then
+          raise_notrace Exit;
+        if v > u then begin
+          put inc k !next;
+          incr next
+        end
+        else begin
+          let c = find_in_row nbr (at off v) (at off (v + 1)) u in
+          if c < 0 then raise_notrace Exit;
+          put inc k (at inc c);
+          incr lower
+        end
+      done
+    done;
+    if !lower <> !next then raise_notrace Exit
+  with
+  | () -> { n; off; nbr; inc; ends = Atomic.make Bytes.empty; max_degree = !max_degree }
+  | exception Exit -> diagnose off nbr
 
 let of_rows ~off ~nbr =
   if Bytes.length off land 3 <> 0 || Bytes.length nbr land 3 <> 0 then
@@ -202,7 +232,7 @@ let of_edges ~n edge_list =
   of_sorted_adj off (if !w = total then nbr else Bytes.sub nbr 0 (!w lsl 2))
 
 let n g = g.n
-let m g = entries g.ends / 2
+let m g = entries g.nbr / 2
 let degree g v = get g.off (v + 1) - get g.off v
 
 let row_array g r v =
@@ -231,18 +261,50 @@ let edge_id g u v =
   let k = slot g u v in
   if k < 0 then raise Not_found else at g.inc k
 
-let edge_endpoints g e = (get g.ends (2 * e), get g.ends ((2 * e) + 1))
+(* Walking upper slots in node order yields the edges in id order:
+   [f e u v] for each edge [e = {u, v}], [u < v]. *)
+let[@inline] iter_upper g f =
+  let e = ref 0 in
+  for u = 0 to g.n - 1 do
+    for k = at g.off u to at g.off (u + 1) - 1 do
+      let v = at g.nbr k in
+      if v > u then begin
+        f !e u v;
+        incr e
+      end
+    done
+  done
+
+(* The edge-endpoint row, derived from the three stored rows on the
+   first call and then kept: O(m) once, and nothing for a graph no
+   edge-indexed reader asks about (a served graph reads it only to name
+   the endpoints in an error).  Domains that race to derive it each
+   build a copy, and [compare_and_set] publishes the first: the loser
+   drops its copy and reads the winner's, so every reader sees one row,
+   fully written before it was published. *)
+let ends g =
+  let cur = Atomic.get g.ends in
+  if Bytes.length cur > 0 || Bytes.length g.nbr = 0 then cur
+  else begin
+    let row = create_rows (entries g.nbr) in
+    iter_upper g (fun e u v ->
+        put row (2 * e) u;
+        put row ((2 * e) + 1) v);
+    if Atomic.compare_and_set g.ends cur row then row else Atomic.get g.ends
+  end
+
+let edge_endpoints g e =
+  let ends = ends g in
+  (get ends (2 * e), get ends ((2 * e) + 1))
 
 let edge_other_endpoint g e v =
-  let u = get g.ends (2 * e) and w = get g.ends ((2 * e) + 1) in
+  let ends = ends g in
+  let u = get ends (2 * e) and w = get ends ((2 * e) + 1) in
   if v = u then w
   else if v = w then u
   else invalid_arg "Graph.edge_other_endpoint: node not on edge"
 
-let iter_edges f g =
-  for e = 0 to m g - 1 do
-    f e (at g.ends (2 * e), at g.ends ((2 * e) + 1))
-  done
+let iter_edges f g = iter_upper g (fun e u v -> f e (u, v))
 
 let fold_edges f g init =
   let acc = ref init in
@@ -259,7 +321,10 @@ let fold_nodes f g init =
   iter_nodes (fun v -> acc := f v !acc) g;
   !acc
 
-let edges g = Array.init (m g) (fun e -> (at g.ends (2 * e), at g.ends ((2 * e) + 1)))
+let edges g =
+  let a = Array.make (m g) (0, 0) in
+  iter_upper g (fun e u v -> a.(e) <- (u, v));
+  a
 
 (* The subgraph induced by the node set stamped in [ws], stamped node
    [i] (insertion order) becoming sub node [i].  Only the members' own
@@ -429,8 +494,9 @@ let is_connected g =
     !count = g.n
   end
 
-(* Edge ids are lexicographic, so equal edge sets give equal [ends]. *)
-let equal a b = a.n = b.n && Bytes.equal a.ends b.ends
+(* Rows are sorted and duplicate-free, so equal edge sets give equal
+   rows. *)
+let equal a b = a.n = b.n && Bytes.equal a.off b.off && Bytes.equal a.nbr b.nbr
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph n=%d m=%d@," g.n (m g);
