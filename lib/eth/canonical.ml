@@ -85,7 +85,7 @@ let sort_by_key (key : int array) (perm : int array) ~(buf : int array) n =
   let run = 8 in
   let lo = ref 0 in
   while !lo < n do
-    let hi = min n (!lo + run) in
+    let hi = Int.min n (!lo + run) in
     for i = !lo + 1 to hi - 1 do
       let v = Array.unsafe_get perm i in
       let kv = Array.unsafe_get key v in
@@ -105,7 +105,7 @@ let sort_by_key (key : int array) (perm : int array) ~(buf : int array) n =
       let s = !src and d = !dst and w = !width in
       let lo = ref 0 in
       while !lo < n do
-        let mid = min n (!lo + w) and hi = min n (!lo + (2 * w)) in
+        let mid = Int.min n (!lo + w) and hi = Int.min n (!lo + (2 * w)) in
         let i = ref !lo and j = ref mid in
         for k = !lo to hi - 1 do
           if
@@ -208,7 +208,7 @@ let dense_order sc (key : int array) (perm : int array) count =
 let id_ranks sc ws (ids : int array) =
   let count = Workspace.size ws in
   if Array.length sc.ids < count then begin
-    let c = max count (2 * Array.length sc.ids) in
+    let c = Int.max count (2 * Array.length sc.ids) in
     sc.ids <- Array.make c 0;
     sc.perm <- Array.make c 0;
     sc.rank <- Array.make c 0;
@@ -235,7 +235,7 @@ let id_ranks sc ws (ids : int array) =
    reserved once per section, so the per-byte writes stay unchecked. *)
 let reserve sc pos need =
   if pos + need > Bytes.length sc.bytes then begin
-    let b = Bytes.create (max (pos + need) (2 * Bytes.length sc.bytes)) in
+    let b = Bytes.create (Int.max (pos + need) (2 * Bytes.length sc.bytes)) in
     Bytes.blit sc.bytes 0 b 0 pos;
     sc.bytes <- b
   end;

@@ -15,7 +15,7 @@ let order g =
       then best := v
     done;
     let v = !best in
-    degeneracy := max !degeneracy deg.(v);
+    degeneracy := Int.max !degeneracy deg.(v);
     pos.(v) <- step;
     Bitset.add removed v;
     Array.iter

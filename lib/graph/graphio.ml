@@ -41,7 +41,7 @@ let of_edge_list text =
                     (n - 1) line
                 else if u = v then
                   fail "line %d: self-loop %d-%d" line_no u v
-                else (line_no, (min u v, max u v))
+                else (line_no, (Int.min u v, Int.max u v))
             | _ -> fail "line %d: bad edge line %S" line_no line)
         | _ -> fail "line %d: bad edge line %S" line_no line
       in

@@ -23,7 +23,7 @@ let lemma3_alpha g ~v ~r ~x =
   Array.iter
     (fun d -> if d >= 0 && d <= rmax then sphere.(d) <- sphere.(d) + 1)
     dist;
-  let delta = max 1 (Graph.max_degree g) in
+  let delta = Int.max 1 (Graph.max_degree g) in
   let delta_r =
     let rec pow acc i = if i = 0 then acc else pow (acc * delta) (i - 1) in
     pow 1 r

@@ -35,7 +35,7 @@ let out_neighbors o v =
 let imbalance o v = abs (in_degree o v - out_degree o v)
 
 let max_imbalance o =
-  Graph.fold_nodes (fun v acc -> max acc (imbalance o v)) o.g 0
+  Graph.fold_nodes (fun v acc -> Int.max acc (imbalance o v)) o.g 0
 
 let is_balanced o =
   Graph.fold_nodes (fun v acc -> acc && imbalance o v = 0) o.g true

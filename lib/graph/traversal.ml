@@ -153,7 +153,7 @@ let eccentricity g v =
 
 let diameter g =
   if Graph.n g = 0 then -1
-  else Graph.fold_nodes (fun v acc -> max acc (eccentricity g v)) g 0
+  else Graph.fold_nodes (fun v acc -> Int.max acc (eccentricity g v)) g 0
 
 let components g =
   let n = Graph.n g in

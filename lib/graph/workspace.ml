@@ -32,7 +32,7 @@ let ensure ws n =
 let reserve ws k =
   let c = Array.length ws.queue in
   if k > c then begin
-    let c = max k (2 * c) in
+    let c = Int.max k (2 * c) in
     let grow a =
       let b = Array.make c 0 in
       Array.blit a 0 b 0 (Array.length a);

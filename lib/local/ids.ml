@@ -10,7 +10,7 @@ let random_permutation rng g =
 
 let random_sparse rng g =
   let n = Graph.n g in
-  let space = max 1 (n * n) in
+  let space = Int.max 1 (n * n) in
   let used = Hashtbl.create n in
   Array.init n (fun _ ->
       let rec draw () =

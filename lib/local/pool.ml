@@ -38,8 +38,8 @@ let default_domains () =
    request is fitted to the machine.  The OCaml runtime also caps
    simultaneous domains (128); stay comfortably below it. *)
 let effective_domains ?requested () =
-  let req = match requested with Some d -> max 1 d | None -> default_domains () in
-  max 1 (min (min req 64) (Domain.recommended_domain_count ()))
+  let req = match requested with Some d -> Int.max 1 d | None -> default_domains () in
+  Int.max 1 (Int.min (Int.min req 64) (Domain.recommended_domain_count ()))
 
 module Make (S : Shim.S) = struct
   let run ?domains f tasks =
@@ -49,13 +49,13 @@ module Make (S : Shim.S) = struct
       (* Explicit requests are honored (oversubscription is how tests
          exercise cross-domain execution on small hosts); only the
          runtime's domain cap and the task count bound them. *)
-      | Some d -> min d 64
+      | Some d -> Int.min d 64
       | None -> effective_domains ()
     in
     (* At least one worker, so an empty task array still returns [||];
        with one, the calling domain claims every task and nothing is
        spawned. *)
-    let d = max 1 (min d n) in
+    let d = Int.max 1 (Int.min d n) in
     Obs.Metrics.incr m_runs;
     Obs.Metrics.add m_tasks n;
     let next = S.Atomic.make 0 in

@@ -72,7 +72,7 @@ let effective_domains = Pool.effective_domains
 let map_nodes_par ?domains ?advice ?input g ~ids ~radius f =
   let n = Graph.n g in
   (* Never more chunks than nodes. *)
-  let d = min (Pool.effective_domains ?requested:domains ()) (max 1 n) in
+  let d = Int.min (Pool.effective_domains ?requested:domains ()) (Int.max 1 n) in
   if d <= 1 then map_nodes ?advice ?input g ~ids ~radius f
   else
     Obs.Trace.span "view.map_nodes_par" (fun () ->

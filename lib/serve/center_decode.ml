@@ -99,7 +99,7 @@ let prepare sc ws g =
   done;
   let per_node = count + 1 and per_slot = !d + 1 in
   if Array.length sc.off < per_node then begin
-    let c = max per_node (2 * Array.length sc.off) in
+    let c = Int.max per_node (2 * Array.length sc.off) in
     sc.off <- Array.make c 0;
     sc.deg <- Array.make c 0;
     sc.anchor <- Array.make c 0;
@@ -110,7 +110,7 @@ let prepare sc ws g =
     sc.ones <- Array.make c 0
   end;
   if Array.length sc.nbr < per_slot then begin
-    let c = max per_slot (2 * Array.length sc.nbr) in
+    let c = Int.max per_slot (2 * Array.length sc.nbr) in
     sc.nbr <- Array.make c 0;
     sc.dir <- Array.make c 0;
     sc.vis <- Array.make c 0
@@ -218,7 +218,7 @@ let layer sc ws g ids advice j =
       end
     done
   done;
-  if j > sc.depth then 0 else min 2 sc.ones.(j)
+  if j > sc.depth then 0 else Int.min 2 sc.ones.(j)
 
 (* [Advice.Onebit]'s message header, as layers with and without a
    one-node. *)

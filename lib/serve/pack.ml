@@ -21,8 +21,8 @@ let check_nodes g sample =
 (* Geometric probe up, then binary search down; the returned radius is
    always one that was verified directly via [passes]. *)
 let certify_radius ~passes ~max_radius ~checked =
-  let rec up r = if passes r then r else if r >= max_radius then -1 else up (min (2 * r) max_radius) in
-  let hi = up (min 2 max_radius) in
+  let rec up r = if passes r then r else if r >= max_radius then -1 else up (Int.min (2 * r) max_radius) in
+  let hi = up (Int.min 2 max_radius) in
   if hi < 0 then
     fail
       "Pack.edge_compression: no radius up to %d serves all %d checked \
@@ -35,7 +35,7 @@ let certify_radius ~passes ~max_radius ~checked =
       let mid = (lo + hi) / 2 in
       if passes mid then tighten lo mid else tighten (mid + 1) hi
   in
-  tighten (max 2 ((hi / 2) + 1)) hi
+  tighten (Int.max 2 ((hi / 2) + 1)) hi
 
 (* The decoder's metadata: what a router built over the snapshot reads
    its parameters from, during certification and after. *)
@@ -68,7 +68,7 @@ type ball_class = { rep : int; mutable count : int }
 
 let class_table g ~advice ~radius =
   let n = Graph.n g in
-  let cap = max 256 (n / 64) in
+  let cap = Int.max 256 (n / 64) in
   let ws = Workspace.domain_local () in
   let classes = Classes.create 256 in
   let v = ref 0 in

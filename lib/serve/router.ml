@@ -297,11 +297,11 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
   let man = Shard.manifest store in
   let radius = Engine.serve_radius ?radius man.Shard.m_meta in
   let s = Array.length man.Shard.m_shards in
-  if s > 1 && man.Shard.m_halo < max radius 1 then
+  if s > 1 && man.Shard.m_halo < Int.max radius 1 then
     fail
       "Router.create: container halo %d cannot serve radius %d (needs at \
        least %d) — repack with a deeper halo"
-      man.Shard.m_halo radius (max radius 1);
+      man.Shard.m_halo radius (Int.max radius 1);
   if resident_budget < 0 then
     fail "Router.create: negative resident budget %d" resident_budget;
   (match cache_capacity with
@@ -327,7 +327,7 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
          (Array.to_list man.Shard.m_shards))
   in
   let first_slot = Array.make (s + 1) (Array.length slots) in
-  Array.iteri (fun j slot -> first_slot.(slot.shard) <- min first_slot.(slot.shard) j) slots;
+  Array.iteri (fun j slot -> first_slot.(slot.shard) <- Int.min first_slot.(slot.shard) j) slots;
   let meta = man.Shard.m_meta in
   {
     store;

@@ -44,7 +44,7 @@ module Faults = struct
   let arm plan =
     let budget =
       match plan.write with
-      | Some (Write_error { times; _ }) -> max 0 times
+      | Some (Write_error { times; _ }) -> Int.max 0 times
       | Some (Crash_at _) | None -> 0
     in
     armed := { plan; write_budget = budget };
@@ -127,7 +127,7 @@ let stage ~path ~temp data =
   in
   match fault with
   | Some (Faults.Crash_at k) ->
-      let k = min (max k 0) len in
+      let k = Int.min (Int.max k 0) len in
       output_substring oc data 0 k;
       flush oc;
       fsync_channel oc;
@@ -139,7 +139,7 @@ let stage ~path ~temp data =
     when (!Faults.armed).Faults.write_budget > 0 ->
       let st = !Faults.armed in
       st.Faults.write_budget <- st.Faults.write_budget - 1;
-      let k = min (max at_byte 0) len in
+      let k = Int.min (Int.max at_byte 0) len in
       output_substring oc data 0 k;
       close_out_noerr oc;
       unlink_noerr temp;
@@ -204,13 +204,13 @@ let apply_range_fault ~pos ~size s =
   | None -> s
   | Some (Faults.Truncate_at k) ->
       Obs.Metrics.incr m_fault_read;
-      let keep = min (String.length s) (max 0 (max k 0 - pos)) in
+      let keep = Int.min (String.length s) (Int.max 0 (Int.max k 0 - pos)) in
       String.sub s 0 keep
   | Some (Faults.Flip_byte { at_byte; mask }) ->
       let mask = mask land 0xFF in
       if size <= 0 || mask = 0 then s
       else begin
-        let a = max at_byte 0 mod size in
+        let a = Int.max at_byte 0 mod size in
         if a < pos || a >= pos + String.length s then s
         else begin
           Obs.Metrics.incr m_fault_read;
@@ -283,7 +283,7 @@ let read_range path ~pos ~len =
         let size = (Unix.fstat fd).Unix.st_size in
         (* Short windows read short, like [read_to_eof]: a truncated file
            is a condition for the codec to diagnose, not a crash here. *)
-        let len = min len (max 0 (size - pos)) in
+        let len = Int.min len (Int.max 0 (size - pos)) in
         (pread_window fd ~pos ~len, size))
   in
   Obs.Metrics.incr m_range_reads;

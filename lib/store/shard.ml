@@ -20,7 +20,7 @@ let[@inline] at r k = Int32.to_int (Graph.get32 r (k lsl 2))
 let plan ~n ~shards =
   if shards < 1 then fail "Shard.plan: shard count %d must be positive" shards;
   if n < 0 then fail "Shard.plan: negative node count %d" n;
-  let s = min shards (max 1 n) in
+  let s = Int.min shards (Int.max 1 n) in
   Array.init s (fun k -> (k * n / s, (k + 1) * n / s))
 
 (* ------------------------------------------------------------------ *)
@@ -431,7 +431,7 @@ let open_v2 ~size fetch prefix =
 let open_fetch ~size fetch =
   (* The prefix up to the manifest frame's length field is at most
      magic + version + a varint section count + tag + u32: 21 bytes. *)
-  let prefix = fetch ~pos:0 ~len:(min size 32) in
+  let prefix = fetch ~pos:0 ~len:(Int.min size 32) in
   let v = parse_version prefix ~what:"snapshot" in
   if v = Snapshot.version then open_v1 ~size (fetch ~pos:0 ~len:size)
   else if v = version then open_v2 ~size fetch prefix
@@ -447,8 +447,8 @@ let open_file path =
 let open_bytes s =
   let size = String.length s in
   open_fetch ~size (fun ~pos ~len ->
-      let len = min len (max 0 (size - pos)) in
-      String.sub s (min pos size) len)
+      let len = Int.min len (Int.max 0 (size - pos)) in
+      String.sub s (Int.min pos size) len)
 
 let manifest t = t.man
 
@@ -499,7 +499,7 @@ let check_rows t =
             corrupt
               "manifest: shard %d claims %d local node(s) and %d local \
                edge(s), more ids than its %d-byte body can hold"
-              i.i_index i.i_local_n i.i_local_m (max room 0))
+              i.i_index i.i_local_n i.i_local_m (Int.max room 0))
         t.man.m_shards
 
 let shard_of_node man v =

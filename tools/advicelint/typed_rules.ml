@@ -11,7 +11,10 @@
    - any *application* whose argument type is not a scalar the compiler
      specializes (int, bool, char, unit, string, bytes, float and the
      boxed integers): [=] on graphs, views, options or int arrays is a
-     structural deep-walk in the per-ball inner loop.
+     structural deep-walk in the per-ball inner loop, and
+   - any application of [min] or [max], at any type: they are ordinary
+     polymorphic functions, not primitives, so even [max a b] on ints
+     calls the generic compare (use [Int.max]).
 
    Best effort: if no .cmt is found for a hot file, the syntactic pass
    still stands on its own. *)
@@ -51,6 +54,13 @@ let run ~emit (str : Typedtree.structure) =
              (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
              args
          with
+        | Some arg when op = "min" || op = "max" ->
+            emit ~loc:e.exp_loc
+              (Printf.sprintf
+                 "Stdlib.%s applied at type %s is a polymorphic function, not \
+                  a primitive: every call compares through caml_compare — use \
+                  Int.%s / Float.%s"
+                 op (type_to_string arg.exp_type) op op)
         | Some arg when not (specialized_scalar arg.exp_type) ->
             emit ~loc:e.exp_loc
               (Printf.sprintf
