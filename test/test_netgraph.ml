@@ -38,6 +38,105 @@ let test_of_edges_row_cap () =
            "Graph.of_edges: node count 2147483648 exceeds 2147483647, the 32-bit row cap")
   | _ -> Alcotest.fail "of_edges built a graph of 2^31 nodes"
 
+(* The edge-endpoint row is derived from the stored rows on first use.
+   The reference here is eager: every pair [u < v] of the neighbor
+   lists, in lexicographic order, edge [e] being the [e]-th. *)
+let eager_edges g =
+  let acc = ref [] in
+  for u = Graph.n g - 1 downto 0 do
+    let nb = Graph.neighbors g u in
+    for i = Array.length nb - 1 downto 0 do
+      if nb.(i) > u then acc := (u, nb.(i)) :: !acc
+    done
+  done;
+  Array.of_list !acc
+
+(* Every edge reader of a fresh [make ()] against the reference, with
+   each reader in turn the first call on its graph. *)
+let check_edge_readers what make =
+  let reference = eager_edges (make ()) in
+  let m = Array.length reference in
+  let readers =
+    [
+      ("edge_endpoints", fun g -> ignore (Graph.edge_endpoints g 0));
+      ( "edge_other_endpoint",
+        fun g -> ignore (Graph.edge_other_endpoint g 0 (fst reference.(0))) );
+      ("edges", fun g -> ignore (Graph.edges g));
+      ("iter_edges", fun g -> Graph.iter_edges (fun _ _ -> ()) g);
+      ("m", fun g -> ignore (Graph.m g));
+      ("equal", fun g -> ignore (Graph.equal g g));
+    ]
+  in
+  List.iter
+    (fun (first, read) ->
+      let g = make () in
+      let what = Printf.sprintf "%s, %s first" what first in
+      (* Edge 0 exists only when there is an edge. *)
+      if m > 0 || (first <> "edge_endpoints" && first <> "edge_other_endpoint") then
+        read g;
+      check_int (what ^ ": m") m (Graph.m g);
+      check (what ^ ": edges") true (Graph.edges g = reference);
+      let seen = ref [] in
+      Graph.iter_edges (fun e p -> seen := (e, p) :: !seen) g;
+      check (what ^ ": iter_edges in id order") true
+        (List.rev !seen = List.init m (fun e -> (e, reference.(e))));
+      Array.iteri
+        (fun e (u, v) ->
+          check (what ^ ": edge_endpoints") true (Graph.edge_endpoints g e = (u, v));
+          check_int (what ^ ": other of u") v (Graph.edge_other_endpoint g e u);
+          check_int (what ^ ": other of v") u (Graph.edge_other_endpoint g e v);
+          check_int (what ^ ": edge_id") e (Graph.edge_id g u v))
+        reference;
+      (match Graph.edge_endpoints g m with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: edge_endpoints accepted edge %d of %d" what m m);
+      let n = Graph.n g in
+      check (what ^ ": equal to its edge list") true
+        (Graph.equal g (Graph.of_edges ~n (Array.to_list reference)));
+      check (what ^ ": not equal with a node more") false
+        (Graph.equal g (Graph.of_edges ~n:(n + 1) (Array.to_list reference)));
+      if m > 0 then
+        check (what ^ ": not equal without its last edge") false
+          (Graph.equal g
+             (Graph.of_edges ~n (List.init (m - 1) (fun e -> reference.(e))))))
+    readers
+
+let test_derived_endpoint_row () =
+  let rng () = Prng.create 34 in
+  let ball host center radius () =
+    let ws = Workspace.domain_local () in
+    Workspace.ensure ws (Graph.n host);
+    ignore (Traversal.bfs_limited_into ws host center radius);
+    fst (Graph.induced_ball host ws)
+  in
+  List.iter
+    (fun (what, make) -> check_edge_readers what make)
+    [
+      ("cycle", fun () -> Builders.cycle 12);
+      ("grid", fun () -> Builders.grid 4 5);
+      ("torus", fun () -> Builders.torus 4 5);
+      ("random regular", fun () -> Builders.random_regular (rng ()) 20 3);
+      ("star of degree 20", fun () -> Builders.complete_bipartite 1 20);
+      ("isolated nodes", fun () -> Graph.of_edges ~n:10 [ (2, 7); (3, 4); (4, 9) ]);
+      ("edgeless", fun () -> Graph.of_edges ~n:4 []);
+      ("empty", fun () -> Graph.of_edges ~n:0 []);
+      ("ball of a torus", ball (Builders.torus 8 8) 27 2);
+      ( "ball of a random regular graph",
+        ball (Builders.random_regular (rng ()) 40 3) 5 2 );
+      ("ball of a star", ball (Builders.complete_bipartite 1 20) 3 1);
+    ]
+
+(* Two pool tasks that both read the endpoint row first, on one graph no
+   reader has touched, see one row: the one [compare_and_set]
+   published. *)
+let test_derived_row_race () =
+  let g = Builders.torus 40 40 in
+  let reference = eager_edges g in
+  let read _ = Array.init (Graph.m g) (Graph.edge_endpoints g) in
+  let results = Localmodel.Pool.run ~domains:2 read [| 0; 1 |] in
+  check "both tasks read the reference" true
+    (results.(0) = reference && results.(1) = reference)
+
 (* [of_adjacency] is [of_edges] for valid adjacency — same neighbor
    arrays, lexicographic edge ids and incident arrays — and names the
    first defect of an invalid one. *)
@@ -880,6 +979,10 @@ let () =
           Alcotest.test_case "connectivity" `Quick test_connectivity;
           Alcotest.test_case "of_adjacency checks its input" `Quick
             test_of_adjacency;
+          Alcotest.test_case "derived endpoint row = eager reference" `Quick
+            test_derived_endpoint_row;
+          Alcotest.test_case "two domains derive one endpoint row" `Quick
+            test_derived_row_race;
         ] );
       ( "builders",
         [
