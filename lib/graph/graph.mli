@@ -7,11 +7,12 @@
     canonical, ID-based local ordering — the same ordering a LOCAL-model
     node would derive from the unique identifiers of its neighbors.
 
-    A graph is stored as compressed sparse rows: four flat {!rows} (row
-    offsets, neighbors, incident edge ids, edge endpoints), whatever its
-    size.  Each row is a [Bytes] of signed 32-bit native-endian entries:
-    four bytes per entry instead of an int array's eight, in a block the
-    GC never scans.  So a graph holds at most {!max_count} nodes and at
+    A graph is stored as compressed sparse rows: three flat {!rows} (row
+    offsets, neighbors, incident edge ids), whatever its size, plus an
+    edge-endpoint row derived from them on the first {!edge_endpoints}
+    or {!edge_other_endpoint} call.  Each row is a [Bytes] of signed
+    32-bit native-endian entries: four bytes per entry instead of an int
+    array's eight, in a block the GC never scans.  So a graph holds at most {!max_count} nodes and at
     most {!max_count} neighbor entries ([2m]); every builder checks both
     counts before it allocates and raises [Invalid_argument "Graph.<fn>:
     node count <k> exceeds 2147483647, the 32-bit row cap"] (or [degree
@@ -54,7 +55,9 @@ val of_rows : off:Bytes.t -> nbr:Bytes.t -> t
     1] nodes.  Both become the graph's own rows ({!row_offsets},
     {!row_neighbors}), so the caller must not mutate them afterwards.
     The rows get exactly {!of_adjacency}'s checks, diagnostics and edge
-    numbering, in one pass with one cursor row.
+    numbering, in one pass with no scratch row: each lower slot finds its
+    partner by binary search in the neighbor's row, and rows that fail
+    are walked again with a cursor row to name the first fault.
     @raise Invalid_argument when a length is not a multiple of 4,
     [off] is empty, a count exceeds {!max_count}, or [off] does not
     start at 0, decreases or does not end at [nbr]'s entry count;
@@ -79,7 +82,12 @@ val edge_id : t -> int -> int -> int
 (** Dense id of edge [{u,v}].  @raise Not_found if absent. *)
 
 val edge_endpoints : t -> int -> int * int
-(** Endpoints [(u, v)] with [u < v], as a fresh pair. *)
+(** Endpoints [(u, v)] with [u < v], as a fresh pair.  The first call
+    on a graph (of this or {!edge_other_endpoint}) derives the
+    edge-endpoint row from the stored rows: O(m) time and [2m] 32-bit
+    entries, once; later calls read it.  Domains that race to derive it
+    publish one row through [Atomic.compare_and_set].
+    @raise Invalid_argument when [e] is not in [0..m-1]. *)
 
 val incident_edges : t -> int -> int array
 (** Edge ids incident to a node, ordered by the sorted neighbor array;
@@ -124,11 +132,13 @@ val row_edges : t -> rows
 
 val edge_other_endpoint : t -> int -> int -> int
 (** [edge_other_endpoint g e v] is the endpoint of edge [e] distinct from
-    [v]. *)
+    [v].  Reads the edge-endpoint row, derived on first use as for
+    {!edge_endpoints}. *)
 
 val iter_edges : (int -> int * int -> unit) -> t -> unit
 (** Iterate [f edge_id (u, v)] over all edges in id order, each pair
-    fresh. *)
+    fresh.  Walks the neighbor rows (each node's neighbors above it, in
+    node order), not the edge-endpoint row. *)
 
 val fold_edges : (int -> int * int -> 'a -> 'a) -> t -> 'a -> 'a
 
