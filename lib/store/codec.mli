@@ -160,7 +160,11 @@ val read_u32 : reader -> int
 (** Little-endian u32. *)
 
 val read_varint : reader -> int
-(** @raise Corrupt on truncation, when the value exceeds [max_int], or
+(** A varint of up to three bytes (a value below 2^21, as every degree,
+    neighbor gap and advice length of a snapshot is) is read with one
+    bounds check when three bytes are left; longer ones go through the
+    checked loop {!varint_at} runs.
+    @raise Corrupt on truncation, when the value exceeds [max_int], or
     when the encoding is non-minimal (a trailing zero group, e.g.
     [0x80 0x00] for zero): only canonical LEB128 — what {!varint}
     writes — is accepted, preserving the byte-identical re-pack
