@@ -302,25 +302,104 @@ let stat stats name = Option.value ~default:(-1) (List.assoc_opt name stats)
 (* ------------------------------------------------------------------ *)
 (* Cold open: what a server does before its first answer *)
 
-type cold_step = { c_name : string; c_ms : float; c_minor : float; c_major : float }
+type cold_step = {
+  c_name : string;
+  c_ms : float;  (* median of the fresh launches *)
+  c_q1 : float;
+  c_q3 : float;
+  c_minor : float;
+  c_major : float;
+}
 
-(* [f (setup ())] [reps] times from a fresh major heap, timing [f]
-   alone: the fastest time, and the words (minor, and major — which
-   already counts the promoted ones) of the last run, which allocates
-   what every run does. *)
-let cold_measure ~reps setup f =
-  let best = ref infinity and minor = ref 0.0 and major = ref 0.0 in
+let cold_router store =
+  Serve.Router.create ~domains:1 ~memo:(Serve.Memo.create ~capacity:4096) store
+
+let first_answer r = ignore (Serve.Router.query r (Serve.Engine.Output_label 0))
+
+(* The steps of a server's cold start, per instance: [prepare path]
+   builds what the step starts from, the file at [path] already written,
+   and returns the step itself, the part that is timed.  Hot-skewed's v1
+   file is opened, routed (one slot, given a memo as `serve --memo` is;
+   the file ships no class table, so the router drops it) and answered
+   once, each layer alone and then the three back to back.  On
+   structured-sweep's container: [Shard.load] of shard 0, which expands
+   the id tables; the router's first load of shard 0, an [Advice_bits]
+   query that decodes no ball, so it is the load and the engine it
+   builds; and the container opened, routed (its table loaded into the
+   memo) and answered once. *)
+let cold_steps =
+  [
+    ( "hot-skewed",
+      [
+        ("open", fun path () -> ignore (Store.Shard.open_file path));
+        ( "router_create",
+          fun path ->
+            let store = Store.Shard.open_file path in
+            fun () -> ignore (cold_router store) );
+        ( "first_answer",
+          fun path ->
+            let r = cold_router (Store.Shard.open_file path) in
+            fun () -> first_answer r );
+        ( "open+create+answer",
+          fun path () -> first_answer (cold_router (Store.Shard.open_file path)) );
+      ] );
+    ( "structured-sweep",
+      [
+        ( "shard_load",
+          fun path ->
+            let store = Store.Shard.open_file path in
+            fun () -> ignore (Store.Shard.load store 0) );
+        ( "router_load",
+          fun path ->
+            let r = cold_router (Store.Shard.open_file path) in
+            fun () -> ignore (Serve.Router.query r (Serve.Engine.Advice_bits 0)) );
+        ( "open+create+answer",
+          fun path () -> first_answer (cold_router (Store.Shard.open_file path)) );
+      ] );
+  ]
+
+(* The words of a step (minor, and major — which already counts the
+   promoted ones), each of [reps] runs prepared afresh and started from
+   a fresh major heap: those of the last run, which allocates what every
+   run does. *)
+let cold_words ~reps prepare path =
+  let minor = ref 0.0 and major = ref 0.0 in
   for _ = 1 to reps do
-    let x = setup () in
+    let run = prepare path in
     Gc.full_major ();
     let mi0, _, ma0 = Gc.counters () in
-    let (), t = Bench_util.time_once (fun () -> f x) in
+    run ();
     let mi1, _, ma1 = Gc.counters () in
-    best := Float.min !best t;
     minor := mi1 -. mi0;
     major := ma1 -. ma0
   done;
-  (Bench_util.ms !best, !minor, !major)
+  (!minor, !major)
+
+(* One launch of a step in a process of its own, the bench executable
+   run as [main.exe --cold-step INSTANCE/STEP PATH]: prepared, from a
+   fresh major heap, timed once, its milliseconds printed. *)
+let cold_step_child ~step path =
+  let prepare =
+    match String.split_on_char '/' step with
+    | [ instance; name ] -> Option.bind (List.assoc_opt instance cold_steps) (List.assoc_opt name)
+    | _ -> None
+  in
+  let run =
+    match prepare with
+    | Some prepare -> prepare path
+    | None -> invalid_arg ("cold step: no step " ^ step)
+  in
+  Gc.full_major ();
+  let (), t = Bench_util.time_once run in
+  Printf.printf "%.6f\n%!" (Bench_util.ms t)
+
+let launch_ms ~step path =
+  let exe = Sys.executable_name in
+  let ic = Unix.open_process_args_in exe [| exe; "--cold-step"; step; path |] in
+  let line = In_channel.input_line ic in
+  match (Unix.close_process_in ic, line) with
+  | Unix.WEXITED 0, Some ms -> float_of_string ms
+  | _ -> failwith (Printf.sprintf "cold step %s: the child launch failed" step)
 
 (* What a serving process holds once every node has been answered: the
    words reachable from the router (container handle, manifest, class
@@ -357,59 +436,49 @@ let resident_words path =
 
 (* The per-layer numbers beside perfbench's [setup_s], in process and on
    its two instances, each file read through [Shard.open_file] as the
-   server reads it: hot-skewed's v1 file opened, routed (one slot, given
-   a memo as `serve --memo` is; the file ships no class table, so the
-   router drops it) and answered once, each layer timed alone
-   and then the three back to back; one load of structured-sweep's
-   shard 0 from an opened container, and the same container opened,
-   routed (its table loaded into the memo) and answered once. *)
+   server reads it (see [cold_steps]).  A step's time is the median and
+   quartiles of [launches] fresh processes, each timing the step once,
+   the launches of an instance's steps interleaved: a time taken inside
+   this process would follow the blocks before it, so two commits'
+   figures would compare two moments of its heap.  Its words are counted
+   here ([cold_words]), an exact count that repeats from run to run. *)
 let cold_open ~smoke =
   let reps = if smoke then 3 else 9 in
-  let with_file bytes f =
+  let launches = if smoke then 3 else 9 in
+  let specs = warm_instances ~smoke in
+  let measure (instance, steps) =
+    let spec = List.find (fun (s, _, _, _) -> String.equal s instance) specs in
+    let _, bytes = instance_bytes spec in
     let path = Filename.temp_file "cold_open" ".ladv" in
     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
     Store.Io.write_file path bytes;
-    f path
-  in
-  let specs = warm_instances ~smoke in
-  let spec name = List.find (fun (s, _, _, _) -> String.equal s name) specs in
-  let router store =
-    Serve.Router.create ~domains:1 ~memo:(Serve.Memo.create ~capacity:4096) store
-  in
-  let first_answer r = ignore (Serve.Router.query r (Serve.Engine.Output_label 0)) in
-  let step c_name setup f =
-    let c_ms, c_minor, c_major = cold_measure ~reps setup f in
-    { c_name; c_ms; c_minor; c_major }
-  in
-  let hot, hot_resident =
-    let _, bytes = instance_bytes (spec "hot-skewed") in
-    with_file bytes @@ fun path ->
-    let opened () = Store.Shard.open_file path in
-    ( [
-        step "open" ignore (fun () -> ignore (opened ()));
-        step "router_create" opened (fun store -> ignore (router store));
-        step "first_answer" (fun () -> router (opened ())) first_answer;
-        step "open+create+answer" ignore (fun () -> first_answer (router (opened ())));
-      ],
+    let times = List.map (fun (name, _) -> (name, ref [])) steps in
+    for _ = 1 to launches do
+      List.iter
+        (fun (name, ms) -> ms := launch_ms ~step:(instance ^ "/" ^ name) path :: !ms)
+        times
+    done;
+    let quantile sorted p =
+      sorted.(Int.max 0 (int_of_float (Float.ceil (p *. float_of_int (Array.length sorted))) - 1))
+    in
+    ( instance,
+      List.map
+        (fun (c_name, prepare) ->
+          let sorted = Array.of_list !(List.assoc c_name times) in
+          Array.sort Float.compare sorted;
+          let c_minor, c_major = cold_words ~reps prepare path in
+          { c_name; c_ms = quantile sorted 0.5; c_q1 = quantile sorted 0.25;
+            c_q3 = quantile sorted 0.75; c_minor; c_major })
+        steps,
       resident_words path )
   in
-  let sweep, sweep_resident =
-    let _, bytes = instance_bytes (spec "structured-sweep") in
-    with_file bytes @@ fun path ->
-    let store = Store.Shard.open_file path in
-    ( [
-        step "shard_load" ignore (fun () -> ignore (Store.Shard.load store 0));
-        step "open+create+answer" ignore (fun () ->
-            first_answer (router (Store.Shard.open_file path)));
-      ],
-      resident_words path )
-  in
+  let results = List.map measure cold_steps in
   let report name steps =
     Printf.printf "store  cold   %-16s" name;
     List.iter
       (fun c ->
-        Printf.printf "  %s %.2f ms (%.0f minor, %.0f major w)" c.c_name c.c_ms c.c_minor
-          c.c_major)
+        Printf.printf "  %s %.2f ms [%.2f-%.2f] (%.0f minor, %.0f major w)" c.c_name c.c_ms
+          c.c_q1 c.c_q3 c.c_minor c.c_major)
       steps;
     print_newline ()
   in
@@ -417,10 +486,11 @@ let cold_open ~smoke =
     Printf.printf "store  resident %-14s n=%d  router %d w  workspace %d w  (%.3f w/node)\n%!"
       name r.r_nodes r.r_router r.r_workspace (resident_per_node r)
   in
-  report "hot-skewed" hot;
-  report_resident "hot-skewed" hot_resident;
-  report "structured-sweep" sweep;
-  report_resident "structured-sweep" sweep_resident;
+  List.iter
+    (fun (name, steps, r) ->
+      report name steps;
+      report_resident name r)
+    results;
   let resident r =
     ( "resident",
       J.Obj
@@ -440,6 +510,8 @@ let cold_open ~smoke =
                J.Obj
                  [
                    ("ms", J.Float c.c_ms);
+                   ("ms_q1", J.Float c.c_q1);
+                   ("ms_q3", J.Float c.c_q3);
                    ("minor_words", J.Float c.c_minor);
                    ("major_words", J.Float c.c_major);
                  ] ))
@@ -449,9 +521,9 @@ let cold_open ~smoke =
   J.Obj
     ([ ("requested_domains", J.Int 1);
        ("effective_domains", J.Int (Localmodel.Pool.effective_domains ~requested:1 ()));
-       ("reps", J.Int reps) ]
-    @ List.map json
-        [ ("hot-skewed", hot, hot_resident); ("structured-sweep", sweep, sweep_resident) ])
+       ("reps", J.Int reps);
+       ("launches", J.Int launches) ]
+    @ List.map json results)
 
 (* One rep of [block]: a pipelined run and a batch run, each on a fresh
    router and server. *)

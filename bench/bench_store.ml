@@ -406,10 +406,12 @@ let bench_shard_row ~domains ~shards n =
   let x = Bitset.create (Graph.m g) in
   Graph.iter_edges (fun e _ -> if Prng.bool rng then Bitset.add x e) g;
   let effective = Localmodel.Pool.effective_domains ~requested:domains () in
-  (* Both sides certify through the one Pack.edge_compression with the
-     same mapper and sample budget; the comparison isolates serialization
-     — one monolithic body vs. S framed shard bodies fanned across the
-     pool.  Interleaved min-of-reps, like
+  (* Each timed closure is a whole pack: certification through the one
+     Pack.edge_compression (same mapper, same 64-node sample, same
+     domains) and then serialization — one monolithic body vs. S framed
+     shard bodies fanned across the pool.  The certification is the
+     same work on both sides, so the difference is the serializer's, but
+     neither time is serialization alone.  Interleaved min-of-reps, like
      bench_io: single-shot pack timings on a shared host swing by far
      more than the margin under test. *)
   let reps = if n >= 1_000_000 then 2 else 3 in

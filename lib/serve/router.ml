@@ -13,21 +13,14 @@ exception Shard_lost of { shard : int; reason : string }
 let fail fmt = Format.kasprintf invalid_arg fmt
 
 (* One resident container shard: its engine, whose label column the
-   shard's slots cut into disjoint node ranges; [shift], which maps a
-   global id in [lo, hi) to its local id ([v + shift]: the interior is
-   one run of the sorted local ids); [halo], the global ids of the local
-   nodes below and above that run, in local order; the global edge-id
-   table; and its frame bytes, charged to the resident budget.  A
-   [whole] shard stores every node and edge: [lo, hi) is then every
-   node, and its id tables, the identity, are not kept. *)
+   shard's slots cut into disjoint node ranges; its node and edge id
+   maps ({!Shard.Idmap}: an interior run, whose global id [v] is local
+   id [v + shift], plus the halo's sorted global ids); and its frame
+   bytes, charged to the resident budget. *)
 type resident = {
   engine : Engine.t;
-  whole : bool;
-  lo : int;
-  hi : int;
-  shift : int;
-  halo : int array;
-  edge_ids : int array;
+  nodes : Shard.Idmap.t;
+  edges : Shard.Idmap.t;
   bytes : int;
   mutable stamp : int;  (* LRU recency, from the router clock *)
 }
@@ -178,17 +171,6 @@ let mark_lost t k reason ~seen =
     Obs.Metrics.incr m_lost
   end
 
-let bsearch (arr : int array) (x : int) =
-  let lo = ref 0 and hi = ref (Array.length arr - 1) in
-  if Array.length arr = 0 then -1
-  else begin
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if arr.(mid) < x then lo := mid + 1 else hi := mid
-    done;
-    if arr.(!lo) = x then !lo else -1
-  end
-
 (* Load shard [k]: fetch + decode its byte range and hand the local
    graph and advice slices to a fresh engine.  Its identifiers are the
    local ones: local ids are sorted by global id, and the decoder and
@@ -198,37 +180,19 @@ let bsearch (arr : int array) (x : int) =
    so each of the shard's slots is a local range of the engine's column
    too. *)
 let load_resident t ~pinned k =
-  let info = t.man.Shard.m_shards.(k) in
-  let loaded = Shard.load t.store k in
-  let whole =
-    info.Shard.i_local_n = t.man.Shard.m_n && info.Shard.i_local_m = t.man.Shard.m_m
-  in
+  let part = Shard.load_part t.store k in
   let snapshot =
-    {
-      Store.Snapshot.graph = loaded.Shard.l_graph;
-      advice = loaded.Shard.l_advice;
-      meta = t.meta;
-    }
+    { Store.Snapshot.graph = part.Shard.p_graph; advice = part.Shard.p_advice; meta = t.meta }
   in
   let engine =
     Engine.create ?cache_capacity:t.cache_capacity ?memo:t.memo ~radius:t.radius snapshot
   in
-  let ids = loaded.Shard.l_ids in
-  let lo, hi = if whole then (0, t.man.Shard.m_n) else (info.Shard.i_lo, info.Shard.i_hi) in
-  let shift = if whole then 0 else bsearch ids lo - lo in
-  let above = hi + shift in
   let r =
     {
       engine;
-      whole;
-      lo;
-      hi;
-      shift;
-      halo =
-        (if whole then [||]
-         else Array.append (Array.sub ids 0 (lo + shift)) (Array.sub ids above (Array.length ids - above)));
-      edge_ids = (if whole then [||] else loaded.Shard.l_edge_ids);
-      bytes = info.Shard.i_bytes;
+      nodes = part.Shard.p_nodes;
+      edges = part.Shard.p_edges;
+      bytes = t.man.Shard.m_shards.(k).Shard.i_bytes;
       stamp = 0;
     }
   in
@@ -353,12 +317,11 @@ let create ?cache_capacity ?(resident_budget = 0) ?(salvage = false) ?memo
 
 (* Global → local query translation, one rule for every shard: a
    query's node is interior to its owner, so its local id is [v +
-   shift], and an [Edge_member]'s local edge is the one among that
-   node's incident edges whose global id matches.  The endpoint check
+   shift], and an [Edge_member]'s local edge is its edge's local id,
+   which must be among that node's incident edges.  The endpoint check
    runs here, on the calling domain, so a bad batch is rejected before
-   its wave's ball work.  Only a failure binary-searches the edge
-   table, to name the endpoints of an edge the shard stores as the
-   engine would. *)
+   its wave's ball work.  A failure names the endpoints of an edge the
+   shard stores as the engine would. *)
 
 let check_node t what v =
   if v < 0 || v >= n t then
@@ -372,55 +335,47 @@ let validate t = function
       if e < 0 || e >= m t then
         fail "Engine: Edge_member names edge %d outside 0..%d" e (m t - 1)
 
-(* Global id of local node [x]: by the offset inside the run, through
-   the halo table outside it. *)
-let global_id (r : resident) x =
-  let v = x - r.shift in
-  if v < r.lo then r.halo.(x) else if v < r.hi then v else r.halo.(x - (r.hi - r.lo))
-
-let not_incident (r : resident) v e =
-  let le = if r.whole then e else bsearch r.edge_ids e in
+let not_incident (r : resident) v e le =
   if le < 0 then fail "Engine: Edge_member node %d is not an endpoint of edge %d" v e;
   let a, b = Netgraph.Graph.edge_endpoints (Engine.graph r.engine) le in
   fail "Engine: Edge_member node %d is not an endpoint of edge %d (%d-%d)" v e
-    (global_id r a) (global_id r b)
+    (Shard.Idmap.global r.nodes a) (Shard.Idmap.global r.nodes b)
 
 (* Entry [k] of a graph row (see {!Netgraph.Graph.get32}). *)
 let[@inline] at r k = Int32.to_int (Netgraph.Graph.get32 r (k lsl 2))
 
 let local_edge (r : resident) v e =
+  let le = Shard.Idmap.local r.edges e in
   let g = Engine.graph r.engine in
   let off = Netgraph.Graph.row_offsets g and inc = Netgraph.Graph.row_edges g in
-  let lv = v + r.shift in
+  let lv = v + r.nodes.shift in
   let k = ref (at off lv) and stop = at off (lv + 1) in
-  while !k < stop && (if r.whole then at inc !k else r.edge_ids.(at inc !k)) <> e do
+  while !k < stop && at inc !k <> le do
     incr k
   done;
-  if !k = stop then not_incident r v e else at inc !k
+  if !k = stop then not_incident r v e le else le
 
 let translate (r : resident) = function
-  | Engine.Output_label v -> Engine.Output_label (v + r.shift)
-  | Engine.Advice_bits v -> Engine.Advice_bits (v + r.shift)
-  | Engine.Edge_member (v, e) -> Engine.Edge_member (v + r.shift, local_edge r v e)
+  | Engine.Output_label v -> Engine.Output_label (v + r.nodes.shift)
+  | Engine.Advice_bits v -> Engine.Advice_bits (v + r.nodes.shift)
+  | Engine.Edge_member (v, e) -> Engine.Edge_member (v + r.nodes.shift, local_edge r v e)
 
 let query_node = function
   | Engine.Output_label v | Engine.Edge_member (v, _) | Engine.Advice_bits v ->
       v
 
 (* A single query builds nothing: no local query box, and the engine
-   returns an answer its column already holds (or a shared one).  A
-   whole shard's engine checks an [Edge_member] itself, with the same
-   message. *)
+   returns an answer its column already holds (or a shared one). *)
 let query t q =
   validate t q;
   let v = query_node q in
   let r = ensure t ~pinned:t.unpinned (shard_of t v) in
+  let lv = v + r.nodes.shift in
   let a =
     match q with
-    | Engine.Output_label _ -> Engine.output_label r.engine (v + r.shift)
-    | Engine.Advice_bits _ -> Engine.advice_bits r.engine (v + r.shift)
-    | Engine.Edge_member (_, e) ->
-        Engine.edge_member r.engine (v + r.shift) (if r.whole then e else local_edge r v e)
+    | Engine.Output_label _ -> Engine.output_label r.engine lv
+    | Engine.Advice_bits _ -> Engine.advice_bits r.engine lv
+    | Engine.Edge_member (_, e) -> Engine.edge_member r.engine lv (local_edge r v e)
   in
   note_answered t 1;
   a

@@ -19,18 +19,21 @@
     batches only: a single {!query} goes straight to its owner shard's
     engine.
 
-    {b One translation rule.}  A shard's interior is one run of its
-    sorted local ids, so a queried node [v] is local node [v + shift],
-    with [shift] fixed when the shard loads (0 for a shard that stores
-    every node and edge, whose id tables are the identity and are not
-    kept).  A partial shard keeps its global edge-id table and the
-    global ids of its halo nodes only, the local nodes below and above
-    that run; an [Edge_member]'s local edge is the one among the node's
-    incident edges whose global id matches.  That is also the endpoint
-    check: it runs during translation, on the calling domain, so a batch
-    is rejected before its wave does any ball work.  For an edge the
-    shard stores, the message is the one a whole-graph {!Engine} gives;
-    an edge it does not store is named without its endpoints.
+    {b One translation rule.}  Every resident shard keeps two
+    {!Store.Shard.Idmap}s, one for its nodes and one for its edges,
+    as {!Store.Shard.load_part} decodes them: an interior run plus the
+    sorted global ids of its halo, and no table the size of the shard.
+    A queried node [v] is interior to its owner, so it is local node
+    [v + shift], with [shift] fixed when the shard loads.  An
+    [Edge_member]'s edge is looked up in the edge map (by offset inside
+    its run, by binary search of the halo outside it) and must be among
+    the node's incident edges.  That is also the endpoint check: it runs
+    during translation, on the calling domain, so a batch is rejected
+    before its wave does any ball work.  For an edge the shard stores,
+    the message is the one a whole-graph {!Engine} gives, each endpoint
+    named through the node map; an edge it does not store is named
+    without its endpoints.  A version-1 file's one shard has identity
+    maps, so the rule is the same for both file versions.
 
     {b Eviction contract.}  Residency is accounted in {e serialized
     frame bytes} (the manifest's [frame-bytes] per shard; a version-1
@@ -193,9 +196,9 @@ val degraded_answers : t -> int
 val query : t -> Engine.query -> Engine.answer
 (** Answer one query through the owner shard's engine, loading the
     shard on first touch (and evicting under the budget).  On a
-    resident shard the router adds no allocation of its own beyond the
-    translated local query of a shard that does not store the whole
-    graph.  Byte-identical to a whole-graph engine's answer.
+    resident shard the router adds no allocation of its own: the query
+    is translated to local ids, not rebuilt.  Byte-identical to a
+    whole-graph engine's answer.
     @raise Invalid_argument on an out-of-range id or an [Edge_member]
     whose node is not an endpoint of its edge;
     @raise Shard_lost (salvage) / [Codec.Corrupt] (fail-stop) when the

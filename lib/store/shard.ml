@@ -77,23 +77,88 @@ let delta_encode w ids =
    left is a lie: rejected before anything is allocated for it. *)
 let ids_fit (count : int) ~bytes = count <= bytes
 
-let delta_decode r count ~what ~first_min =
+(* A shard's local ids, node or edge, as one interior run plus a halo
+   table.  Local order is global order, so the run [[lo, hi)] of global
+   ids sits at local ids [[lo + shift, hi + shift)], and [halo] holds the
+   global ids of the local ids below the run and then of those above it:
+   the whole table less the run, still sorted. *)
+module Idmap = struct
+  type t = { lo : int; hi : int; shift : int; halo : int array }
+
+  let identity count = { lo = 0; hi = count; shift = 0; halo = [||] }
+  let length m = Array.length m.halo + (m.hi - m.lo)
+
+  let global m x =
+    let v = x - m.shift in
+    if v < m.lo then m.halo.(x) else if v < m.hi then v else m.halo.(x - (m.hi - m.lo))
+
+  let local m v =
+    if v >= m.lo && v < m.hi then v + m.shift
+    else begin
+      let lo = ref 0 and hi = ref (Array.length m.halo) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if m.halo.(mid) < v then lo := mid + 1 else hi := mid
+      done;
+      if !lo = Array.length m.halo || m.halo.(!lo) <> v then -1
+      else if v < m.lo then !lo
+      else !lo + (m.hi - m.lo)
+    end
+
+  let to_array m =
+    let out = Array.make (length m) 0 and below = m.lo + m.shift and run = m.hi - m.lo in
+    Array.blit m.halo 0 out 0 below;
+    for x = below to below + run - 1 do
+      out.(x) <- x - m.shift
+    done;
+    Array.blit m.halo below out (below + run) (Array.length m.halo - below);
+    out
+end
+
+(* Decodes a delta-coded table of [count] ids (first absolute, then
+   strictly positive gaps) into an id map, without building the table:
+   [in_run i id] says whether entry [i] lies in the interior run, and
+   the other entries fill a halo table of [count - run] slots (entries
+   past a full table, which only a frame that fails a later check has,
+   are dropped).  Also returns the table's last id and whether the
+   run's ids are consecutive.  The diagnostics are the whole table's,
+   raised at the same entry. *)
+let stream_ids r count ~what ~run ~in_run =
   if not (ids_fit count ~bytes:(Codec.remaining r)) then
     corrupt "%s: %d id(s) cannot fit the %d byte(s) left" what count
       (Codec.remaining r);
-  let out = Array.make count 0 in
+  let halo = Array.make (Int.max 0 (count - run)) 0 in
+  let held = ref 0 and run_at = ref (-1) and first = ref 0 and length = ref 0 in
+  let consecutive = ref true and prev = ref 0 in
   for i = 0 to count - 1 do
     let d = Codec.read_varint r in
-    if i = 0 then begin
-      if d < first_min then corrupt "%s: first id %d below %d" what d first_min;
-      out.(0) <- d
+    let id =
+      if i = 0 then begin
+        if d < 0 then corrupt "%s: first id %d below 0" what d;
+        d
+      end
+      else begin
+        if d <= 0 then corrupt "%s: non-increasing id at position %d" what i;
+        !prev + d
+      end
+    in
+    if in_run i id then begin
+      if !length = 0 then begin
+        run_at := i;
+        first := id
+      end
+      else if d <> 1 then consecutive := false;
+      incr length
     end
     else begin
-      if d <= 0 then corrupt "%s: non-increasing id at position %d" what i;
-      out.(i) <- out.(i - 1) + d
-    end
+      if !held < Array.length halo then halo.(!held) <- id;
+      incr held
+    end;
+    prev := id
   done;
-  out
+  (* An empty run sits after every halo id. *)
+  let run_at = if !run_at < 0 then !held else !run_at in
+  ({ Idmap.lo = !first; hi = !first + !length; shift = run_at - !first; halo }, !prev, !consecutive)
 
 (* Fused subgraph serializer: the bytes [Snapshot.graph_payload
    (Graph.induced_sorted g ids)] would produce, plus the global edge-id
@@ -271,10 +336,17 @@ type loaded = {
   l_advice : (string * Advice.Assignment.t) list;
 }
 
+type part = {
+  p_graph : Graph.t;
+  p_nodes : Idmap.t;
+  p_edges : Idmap.t;
+  p_advice : (string * Advice.Assignment.t) list;
+}
+
 (* Where shard bodies come from: a v2 file's frames, fetched on demand,
    or a v1 file's one shard, parsed at open (the raw bytes are not
    kept). *)
-type body = Frames of (pos:int -> len:int -> string) | Parsed of loaded
+type body = Frames of (pos:int -> len:int -> string) | Parsed of part
 
 (* [path]: the file a container was opened from, which {!revision}
    stats; [None] for bytes held in memory. *)
@@ -372,19 +444,19 @@ let parse_manifest ~header_bytes ~size payload =
   }
 
 (* A parsed snapshot as a one-shard container: its shard is the whole
-   graph (no halo, identity id tables) and its "frame" [bytes]. *)
+   graph (no halo, identity id maps) and its "frame" [bytes]. *)
 let one_shard ~bytes (s : Snapshot.t) =
   let n = Graph.n s.Snapshot.graph and m = Graph.m s.Snapshot.graph in
-  let loaded =
-    { l_index = 0; l_lo = 0; l_hi = n; l_graph = s.Snapshot.graph; l_ids = [||];
-      l_edge_ids = [||]; l_advice = s.Snapshot.advice }
+  let part =
+    { p_graph = s.Snapshot.graph; p_nodes = Idmap.identity n; p_edges = Idmap.identity m;
+      p_advice = s.Snapshot.advice }
   in
   let row =
     { i_index = 0; i_lo = 0; i_hi = n; i_local_n = n; i_local_m = m;
       i_offset = 0; i_bytes = bytes; i_crc = 0 }
   in
   { path = None;
-    body = Parsed loaded;
+    body = Parsed part;
     man = { m_n = n; m_m = m; m_halo = 0; m_meta = s.Snapshot.meta;
             m_advice = List.map fst s.Snapshot.advice; m_shards = [| row |];
             m_header_bytes = 0 } }
@@ -481,7 +553,7 @@ let same_revision a b =
       a.dev = b.dev && a.ino = b.ino && a.size = b.size && Float.equal a.mtime b.mtime
   | (Fixed | File _ | Unknown), _ -> false
 
-(* [delta_decode]'s bound, read off the manifest: a body spends at least
+(* [stream_ids]'s bound, read off the manifest: a body spends at least
    a byte per stored node id and per edge id, so its payload (the frame
    less tag, length and checksum) must hold [local_n + local_m] bytes.
    A v1 file's one row describes the sections it parsed, not a body. *)
@@ -545,37 +617,74 @@ let load_frame t fetch k =
      || local_n <> info.i_local_n || local_m <> info.i_local_m
   then
     corrupt "shard %d body header disagrees with its manifest row" k;
-  let ids = delta_decode r local_n ~what:"shard node ids" ~first_min:0 in
-  if local_n > 0 && ids.(local_n - 1) >= t.man.m_n then
-    corrupt "shard %d lists node %d >= n=%d" k ids.(local_n - 1) t.man.m_n;
-  let interior = ref 0 in
-  Array.iter (fun v -> if v >= lo && v < hi then incr interior) ids;
-  if !interior <> hi - lo then
-    corrupt "shard %d stores %d of its %d interior node(s)" k !interior (hi - lo);
+  let nodes, last, _ =
+    stream_ids r local_n ~what:"shard node ids" ~run:(hi - lo) ~in_run:(fun _ v ->
+        v >= lo && v < hi)
+  in
+  if local_n > 0 && last >= t.man.m_n then
+    corrupt "shard %d lists node %d >= n=%d" k last t.man.m_n;
+  if nodes.Idmap.hi - nodes.Idmap.lo <> hi - lo then
+    corrupt "shard %d stores %d of its %d interior node(s)" k
+      (nodes.Idmap.hi - nodes.Idmap.lo) (hi - lo);
   let graph = Snapshot.read_graph (Codec.sub_str r) in
   if Graph.n graph <> local_n || Graph.m graph <> local_m then
     corrupt "shard %d local graph is %d/%d, header says %d/%d" k (Graph.n graph)
       (Graph.m graph) local_n local_m;
-  let edge_ids = delta_decode r local_m ~what:"shard edge ids" ~first_min:0 in
-  if local_m > 0 && edge_ids.(local_m - 1) >= t.man.m_m then
-    corrupt "shard %d lists edge %d >= m=%d" k edge_ids.(local_m - 1) t.man.m_m;
+  (* Edge ids are lexicographic in their endpoints, so the edges whose
+     lower endpoint is interior, the local nodes [[a, b)], are one run
+     of local ids, [[e_a, e_b)], and of global ids: every edge of an
+     interior node is stored.  Only the halo nodes' rows are read. *)
+  let a = nodes.Idmap.lo + nodes.Idmap.shift and b = nodes.Idmap.hi + nodes.Idmap.shift in
+  let off = Graph.row_offsets graph and nbr = Graph.row_neighbors graph in
+  let upper x =
+    let c = ref 0 in
+    for j = at off x to at off (x + 1) - 1 do
+      if at nbr j > x then incr c
+    done;
+    !c
+  in
+  let below = ref 0 and above = ref 0 in
+  for x = 0 to a - 1 do
+    below := !below + upper x
+  done;
+  for x = b to local_n - 1 do
+    above := !above + upper x
+  done;
+  let e_a = !below and e_b = local_m - !above in
+  let edges, last, consecutive =
+    stream_ids r local_m ~what:"shard edge ids" ~run:(e_b - e_a) ~in_run:(fun i _ ->
+        i >= e_a && i < e_b)
+  in
+  if local_m > 0 && last >= t.man.m_m then
+    corrupt "shard %d lists edge %d >= m=%d" k last t.man.m_m;
+  if not consecutive then
+    corrupt "shard %d interior edges are not one run of global ids (%d id(s) from %d)"
+      k (e_b - e_a) edges.Idmap.lo;
   let advice_count = Codec.read_varint r in
   let advice =
     List.init advice_count (fun _ ->
         Snapshot.read_advice ~n:local_n (Codec.sub_str r))
   in
   Codec.expect_end r ~what:(Printf.sprintf "shard %d body" k);
-  {
-    l_index = k;
-    l_lo = lo;
-    l_hi = hi;
-    l_graph = graph;
-    l_ids = ids;
-    l_edge_ids = edge_ids;
-    l_advice = advice;
-  }
+  { p_graph = graph; p_nodes = nodes; p_edges = edges; p_advice = advice }
 
-let load t k =
+let load_part t k =
   let s = Array.length t.man.m_shards in
   if k < 0 || k >= s then fail "Shard.load: shard %d outside 0..%d" k (s - 1);
-  match t.body with Frames fetch -> load_frame t fetch k | Parsed l -> l
+  match t.body with Frames fetch -> load_frame t fetch k | Parsed p -> p
+
+(* The expanded tables, from the same decode; a v1 file's one shard
+   keeps them empty, its translation being the identity. *)
+let load t k =
+  let p = load_part t k in
+  let info = t.man.m_shards.(k) in
+  let expand m = match t.body with Frames _ -> Idmap.to_array m | Parsed _ -> [||] in
+  {
+    l_index = k;
+    l_lo = info.i_lo;
+    l_hi = info.i_hi;
+    l_graph = p.p_graph;
+    l_ids = expand p.p_nodes;
+    l_edge_ids = expand p.p_edges;
+    l_advice = p.p_advice;
+  }
